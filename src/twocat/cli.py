@@ -429,3 +429,7 @@ def main(argv=None) -> int:
 
 def console() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console()

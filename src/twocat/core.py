@@ -437,7 +437,7 @@ def validate_two_functor(F: TwoFunctor) -> TwoFunctor:
 
 
 # ---------------------------------------------------------------------------
-# transformations, modifications, normal pseudofunctors
+# transformations, normal pseudofunctors
 # ---------------------------------------------------------------------------
 
 LAX = "lax"
@@ -533,36 +533,6 @@ def validate_transformation(t: Transformation) -> Transformation:
 
 
 @dataclass(frozen=True)
-class Modification:
-    source: Transformation
-    target: Transformation
-    at_object: dict[str, str]    # object -> 2-cell a_x => a'_x
-
-
-def validate_modification(m: Modification) -> Modification:
-    s, t = m.source, m.target
-    assert s.direction == t.direction
-    F, G = s.source, s.target
-    C, D = F.source, F.target
-    for x in C.objects:
-        gx = m.at_object[x]
-        _check(D.two_src[gx] == s.at_object[x] and D.two_tgt[gx] == t.at_object[x],
-               "modification component badly typed", (x, gx))
-    lax = s.direction == LAX
-    for f in sorted(C.one_src):
-        x, y = C.one_src[f], C.one_tgt[f]
-        if lax:
-            # (G_y * Ff) . s_f == t_f . (Gf * G_x)
-            lhs = D.vcomp[(D.whisk_r[(m.at_object[y], F.on_one[f])], s.at_one[f])]
-            rhs = D.vcomp[(t.at_one[f], D.whisk_l[(G.on_one[f], m.at_object[x])])]
-        else:
-            lhs = D.vcomp[(D.whisk_l[(G.on_one[f], m.at_object[x])], s.at_one[f])]
-            rhs = D.vcomp[(t.at_one[f], D.whisk_r[(m.at_object[y], F.on_one[f])])]
-        _check(lhs == rhs, "modification axiom", (f,))
-    return m
-
-
-@dataclass(frozen=True)
 class NormalPseudofunctor:
     """Pseudofunctor with identity unit constraints (F0 = id).
 
@@ -654,17 +624,6 @@ def validate_pseudofunctor(H: NormalPseudofunctor) -> NormalPseudofunctor:
                                      D.whisk_l[(H.on_one[h], H.constraint[(g, f)])])]
                 _check(via_left == via_right, "pseudofunctor associativity", (h, g, f))
     return H
-
-
-def pseudofunctor_from_functor(F: TwoFunctor) -> NormalPseudofunctor:
-    D = F.target
-    constraint = {}
-    for g in F.source.one_src:
-        for f in F.source.one_src:
-            if F.source.one_tgt[f] == F.source.one_src[g]:
-                constraint[(g, f)] = D.id2[D.comp1[(F.on_one[g], F.on_one[f])]]
-    return NormalPseudofunctor(F.source, F.target, dict(F.on_objects),
-                               dict(F.on_one), dict(F.on_two), constraint)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,21 @@ Local coefficients are functors on the category of elements, presented on
 its generators: a finitely presented abelian group per simplex and a matrix
 per face map; the twisted boundary multiplies each face summand by the
 corresponding matrix.
+
+Integral and local-coefficient homology both reduce to
+``intlinalg.chain_homology``, the homology at one spot of a complex of
+presented groups; the spectral-sequence pages use the same primitive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intlinalg import (FGAbGroup, Subquotient, cokernel, columns,
-                        from_columns, hstack, kernel_basis, mid, mmul, mshape,
-                        mvec, mzeros, smith_normal_form, solve, subquotient)
+from .core import AxiomError
+from .intlinalg import (FGAbGroup, Subquotient, chain_homology, cokernel,
+                        columns, from_columns, hstack, mid, mmul, mshape,
+                        mvec, mzeros, order_relations, smith_normal_form,
+                        solve)
 from .nerve import TruncSimplicialSet
 
 
@@ -44,10 +50,9 @@ def chain_complex(X: TruncSimplicialSet) -> ChainComplexZ:
                     M[index[n - 1][y]][j] += (-1) ** i
         boundary.append(M)
     for n in range(2, X.N + 1):
-        if basis[n - 2] and basis[n]:
-            assert all(all(v == 0 for v in row)
-                       for row in mmul(boundary[n - 1], boundary[n])), \
-                "boundary squared is nonzero in degree %d" % n
+        if basis[n - 2] and basis[n] and any(
+                any(row) for row in mmul(boundary[n - 1], boundary[n])):
+            raise AxiomError("boundary squared is nonzero in degree %d" % n)
     return ChainComplexZ(X.N, basis, boundary)
 
 
@@ -61,17 +66,7 @@ def homology_subquotient(X: TruncSimplicialSet, n: int):
     """(Subquotient, basis of nondegenerate n-simplices)."""
     _check_degree(X, n)
     C = chain_complex(X)
-    rn = C.rank(n)
-    if rn == 0:
-        return subquotient(0, [], []), []
-    if n == 0 or C.rank(n - 1) == 0:
-        cycles = mid(rn)
-    else:
-        cycles = kernel_basis(C.boundary[n])
-        if mshape(cycles)[1] == 0:
-            cycles = mzeros(rn, 0)
-    bnd = C.boundary[n + 1] if C.rank(n + 1) else mzeros(rn, 0)
-    return subquotient(rn, cycles, bnd), C.basis[n]
+    return chain_homology(C.boundary[n], C.boundary[n + 1]), C.basis[n]
 
 
 def homology(X: TruncSimplicialSet, n: int) -> FGAbGroup:
@@ -113,14 +108,7 @@ class PresentedGroup:
 
 def presentation_of(sq: Subquotient) -> PresentedGroup:
     """Canonical presentation Z^g / diag(torsion) of a subquotient."""
-    g = len(sq.gen_idx)
-    rels = []
-    for i, t in enumerate(sq.orders):
-        if t:
-            col = [0] * g
-            col[i] = t
-            rels.append(col)
-    return PresentedGroup(g, from_columns(rels, nrows=g))
+    return PresentedGroup(len(sq.orders), order_relations(sq.orders))
 
 
 ZCONST = PresentedGroup(1, [])
@@ -221,39 +209,16 @@ def _local_complex(L: LocalCoeffSystem, X: TruncSimplicialSet):
                     for c in range(L.group[x].gens):
                         M[offs[n - 1][y] + r][offs[n][x] + c] += sgn * Fm[r][c]
         bnds.append(M)
-    return tot, rels, bnds
+    return rels, bnds
 
 
 def homology_local_subquotient(X: TruncSimplicialSet, L: LocalCoeffSystem,
                                n: int):
     _check_degree(X, n)
     check_local_system(L, X)
-    tot, rels, bnds = _local_complex(L, X)
-    G = tot[n]
-    if G == 0:
-        return subquotient(0, [], [])
-    if n == 0 or tot[n - 1] == 0:
-        cycles = mid(G)
-    else:
-        block = hstack(bnds[n], rels[n - 1]) if mshape(rels[n - 1])[1] \
-            else bnds[n]
-        full_k = kernel_basis(block)
-        xcols = [col[:G] for col in columns(full_k)]
-        cycles = from_columns(xcols, nrows=G)
-        if mshape(cycles)[1] == 0:
-            cycles = mzeros(G, 0)
-    pieces = []
-    if n + 1 <= X.N and tot[n + 1]:
-        pieces.append(bnds[n + 1])
-    if mshape(rels[n])[1]:
-        pieces.append(rels[n])
-    if pieces:
-        bgens = pieces[0]
-        for p in pieces[1:]:
-            bgens = hstack(bgens, p)
-    else:
-        bgens = mzeros(G, 0)
-    return subquotient(G, cycles, bgens)
+    rels, bnds = _local_complex(L, X)
+    return chain_homology(bnds[n], bnds[n + 1], rels[n],
+                          rels[n - 1] if n else None)
 
 
 def homology_local(X: TruncSimplicialSet, L: LocalCoeffSystem,
@@ -267,8 +232,7 @@ def presented_map_is_iso(src: PresentedGroup, tgt: PresentedGroup, M) -> bool:
     isomorphisms)."""
     if src.canonical() != tgt.canonical():
         return False
-    full = hstack(M, tgt.rel_matrix()) if mshape(tgt.rel_matrix())[1] else M
-    return cokernel(full, nrows=tgt.gens).is_trivial
+    return cokernel(hstack(M, tgt.rel_matrix()), nrows=tgt.gens).is_trivial
 
 
 def is_morphism_inverting(L: LocalCoeffSystem, X: TruncSimplicialSet) -> bool:

@@ -333,6 +333,37 @@ def subquotient(ambient: int, cycle_gens, boundary_gens) -> Subquotient:
                        FGAbGroup(free, torsion))
 
 
+def chain_homology(d_in, d_out, rels=None, rels_below=None) -> Subquotient:
+    """Homology at Z^g / rels in a complex of presented groups
+
+        ... --d_out--> Z^g / rels --d_in--> Z^f / rels_below
+
+    given on generators: d_out is g x h, d_in is f x g, or None at the
+    bottom of the complex; rels (g rows) and rels_below (f rows) are
+    relation columns, None for free groups.  Cycles are
+    {x : d_in x in span(rels_below)}, boundaries span(d_out) + span(rels).
+    """
+    g = len(d_out)
+    cycles = kernel_mod_rels(d_in, rels_below) if g and d_in else mid(g)
+    return subquotient(g, cycles,
+                       d_out if rels is None else hstack(d_out, rels))
+
+
+def kernel_mod_rels(M, R=None):
+    """Columns spanning {x : M x lies in the column lattice of R}; the
+    kernel of M when R is None."""
+    K = kernel_basis(M if R is None else hstack(M, R))
+    return K[:mshape(M)[1]]
+
+
+def order_relations(orders):
+    """Relation columns of Z^g / (t_i e_i): one column t * e_i per nonzero
+    order t (0 marks a free generator)."""
+    g = len(orders)
+    return from_columns([[t if k == i else 0 for k in range(g)]
+                         for i, t in enumerate(orders) if t], nrows=g)
+
+
 def induced_matrix(src: Subquotient, tgt: Subquotient, chain_map):
     """Matrix (in canonical coordinates) of the map induced on subquotients
     by an ambient chain map that carries cycles to cycles and boundaries to
@@ -344,24 +375,8 @@ def induced_matrix(src: Subquotient, tgt: Subquotient, chain_map):
     return from_columns(cols, nrows=len(tgt.gen_idx))
 
 
-def induced_is_iso(src: Subquotient, tgt: Subquotient, chain_map) -> bool:
-    """Equality of canonical forms plus surjectivity; surjective self-maps
-    of finitely generated abelian groups are isomorphisms."""
-    if src.group != tgt.group:
-        return False
-    M = induced_matrix(src, tgt, chain_map)
-    return map_is_surjective(M, tgt.orders)
-
-
 def map_is_surjective(M, tgt_orders) -> bool:
     """Does the matrix M (columns = images in canonical coordinates of the
     target with the given orders) generate the whole target group?"""
-    rel_cols = []
-    n = len(tgt_orders)
-    for i, t in enumerate(tgt_orders):
-        if t:
-            col = [0] * n
-            col[i] = t
-            rel_cols.append(col)
-    full = hstack(M, from_columns(rel_cols, nrows=n))
-    return cokernel(full, nrows=n).is_trivial
+    full = hstack(M, order_relations(tgt_orders))
+    return cokernel(full, nrows=len(tgt_orders)).is_trivial

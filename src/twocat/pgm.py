@@ -26,8 +26,8 @@ from .core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
                    validate_two_functor)
 from .fixtures import discrete_two_category, fix_g2, fix_g2sat
 from .homology import PresentedGroup, _in_rel_lattice, presented_map_is_iso
-from .intlinalg import (FGAbGroup, columns, from_columns, hstack,
-                        kernel_basis, mid, mmul, mshape)
+from .intlinalg import (FGAbGroup, columns, hstack, kernel_mod_rels, mid,
+                        mmul, mshape, order_relations)
 from .opfib import Counterexample
 
 
@@ -591,21 +591,8 @@ def is_strict_pgm_functor(F: TwoFunctor, P: PGM, Q: PGM):
 def _pres_of_canonical(A: FGAbGroup) -> PresentedGroup:
     """Presentation on A.free_rank free generators followed by one
     generator per torsion order."""
-    n = A.free_rank + len(A.torsion)
-    cols = []
-    for i, t in enumerate(A.torsion):
-        col = [0] * n
-        col[A.free_rank + i] = t
-        cols.append(col)
-    return PresentedGroup(n, from_columns(cols, nrows=n))
-
-
-def _kernel_mod_rels(M, R):
-    """Columns spanning {x : M x lies in the column lattice of R}."""
-    n = mshape(M)[1]
-    block = hstack(M, R) if mshape(R)[1] else M
-    K = kernel_basis(block)
-    return from_columns([col[:n] for col in columns(K)], nrows=n)
+    orders = [0] * A.free_rank + list(A.torsion)
+    return PresentedGroup(len(orders), order_relations(orders))
 
 
 def _cols_in_lattice(pres: PresentedGroup, M) -> bool:
@@ -630,8 +617,7 @@ def localize_presentation(pres: PresentedGroup, acts: dict,
     for m in M.elements:
         _ax(m in acts, "action matrix missing", (m,))
         _ax(mshape(acts[m]) == (n, n), "action matrix shape", (m,))
-        _ax(_cols_in_lattice(pres, mmul(acts[m], pres.rel_matrix()))
-            if mshape(pres.rel_matrix())[1] else True,
+        _ax(_cols_in_lattice(pres, mmul(acts[m], pres.rel_matrix())),
             "action matrix does not preserve relations", (m,))
     diff = [[acts[M.unit][i][j] - (1 if i == j else 0) for j in range(n)]
             for i in range(n)]
@@ -653,9 +639,9 @@ def localize_presentation(pres: PresentedGroup, acts: dict,
         for m in M.elements:
             # m^k lies in the cyclic part of <m>, so its kernel mod R is
             # the full stable kernel of m
-            K = _kernel_mod_rels(acts[M.power(m, k)], R)
+            K = kernel_mod_rels(acts[M.power(m, k)], R)
             if not _cols_in_lattice(cur, K):
-                R = hstack(R, K) if mshape(R)[1] else K
+                R = hstack(R, K)
                 changed = True
                 break
     q = PresentedGroup(n, R)
@@ -701,11 +687,10 @@ def localize_oracle(A: FGAbGroup, acts: dict, M: CommMonoid,
     prev = None
     for _ in range(max_steps):
         power = mmul(T, power)
-        K = _kernel_mod_rels(power, R0)
+        K = kernel_mod_rels(power, R0)
         if prev is not None:
-            pk = PresentedGroup(n, hstack(R0, K) if mshape(R0)[1] else K)
-            pp = PresentedGroup(n, hstack(R0, prev) if mshape(R0)[1]
-                                else prev)
+            pk = PresentedGroup(n, hstack(R0, K))
+            pp = PresentedGroup(n, hstack(R0, prev))
             if _cols_in_lattice(pk, prev) and _cols_in_lattice(pp, K):
                 q = pk
                 _ax(presented_map_is_iso(q, q, T),

@@ -34,8 +34,8 @@ from .constructs import (DiagramCommaResult, find_oplax_initial, laco,
 from .core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
                    validate_two_functor)
 from .fixtures import point_functor
-from .homology import (PresentedGroup, LocalCoeffSystem, homology_induced,
-                       homology_local, homology_subquotient, presentation_of)
+from .homology import (LocalCoeffSystem, homology_induced, homology_local,
+                       homology_subquotient, presentation_of)
 from .nerve import (OrientedSimplex, TruncSimplicialSet, degeneracy,
                     enumerate_simplices, face, induced_map, map_simplex,
                     nerve)
@@ -244,18 +244,6 @@ def check_bisimplicial(B: BisimplicialTrunc) -> bool:
 # pages of the spectral sequence (vertical homology first)
 # ---------------------------------------------------------------------------
 
-def _sq_of(rank, cycles_mat, bnd_mat, first):
-    if rank == 0:
-        return il.subquotient(0, [], [])
-    if first:
-        cycles = il.mid(rank)
-    else:
-        cycles = il.kernel_basis(cycles_mat)
-        if il.mshape(cycles)[1] == 0:
-            cycles = il.mzeros(rank, 0)
-    return il.subquotient(rank, cycles, bnd_mat)
-
-
 def _alt_sum_matrix(src, tgt, faces, sign=1):
     """Matrix of x -> sum_i (-1)^i * sign * face_i(x) on the given bases,
     dropping faces outside tgt (the normalized quotient)."""
@@ -296,8 +284,7 @@ def pages(B: BisimplicialTrunc) -> SSPages:
             bnd = _alt_sum_matrix(
                 basisV[(p, q + 1)], src,
                 lambda x: [(i, B.face_v[(i, x)]) for i in range(q + 2)])
-            first = q == 0 or not basisV[(p, q - 1)]
-            sq = _sq_of(len(src), dV, bnd, first)
+            sq = il.chain_homology(dV, bnd)
             E1_sq[(p, q)] = (sq, src)
             E1[(p, q)] = sq.group
     for p in range(1, B.P + 1):
@@ -311,44 +298,13 @@ def pages(B: BisimplicialTrunc) -> SSPages:
                                            E1_sq[(p - 1, q)][0], M)
     E2 = {}
     for q in range(B.Q):
-        groups = {p: presentation_of(E1_sq[(p, q)][0])
-                  for p in range(B.P + 1)}
+        rels = {p: il.order_relations(E1_sq[(p, q)][0].orders)
+                for p in range(B.P + 1)}
         for p in range(B.P):
-            E2[(p, q)] = _presented_complex_homology(
-                groups, {r: d1[(r, q)] for r in range(1, B.P + 1)}, p)
+            E2[(p, q)] = il.chain_homology(
+                d1.get((p, q)), d1[(p + 1, q)], rels[p],
+                rels.get(p - 1)).group
     return SSPages(B, E1, E1_sq, d1, E2, (B.P - 1, B.Q - 1))
-
-
-def _presented_complex_homology(groups: dict, maps: dict, n: int):
-    """Homology at position n of a complex of finitely presented abelian
-    groups, maps[r]: groups[r] -> groups[r-1] on generators."""
-    G = groups[n].gens
-    if G == 0:
-        return il.FGAbGroup(0, ())
-    rels_n = groups[n].rel_matrix()
-    if n == 0 or groups[n - 1].gens == 0:
-        cycles = il.mid(G)
-    else:
-        rels_prev = groups[n - 1].rel_matrix()
-        block = il.hstack(maps[n], rels_prev) \
-            if il.mshape(rels_prev)[1] else maps[n]
-        ker = il.kernel_basis(block)
-        xcols = [col[:G] for col in il.columns(ker)]
-        cycles = il.from_columns(xcols, nrows=G)
-        if il.mshape(cycles)[1] == 0:
-            cycles = il.mzeros(G, 0)
-    pieces = []
-    if n + 1 in maps and groups[n + 1].gens:
-        pieces.append(maps[n + 1])
-    if il.mshape(rels_n)[1]:
-        pieces.append(rels_n)
-    if pieces:
-        bgens = pieces[0]
-        for piece in pieces[1:]:
-            bgens = il.hstack(bgens, piece)
-    else:
-        bgens = il.mzeros(G, 0)
-    return il.subquotient(G, cycles, bgens).group
 
 
 def row_homology(B: BisimplicialTrunc, q: int, p: int) -> il.FGAbGroup:
@@ -366,8 +322,7 @@ def row_homology(B: BisimplicialTrunc, q: int, p: int) -> il.FGAbGroup:
     bnd = _alt_sum_matrix(
         basisH[p + 1], basisH[p],
         lambda x: [(i, B.face_h[(i, x)]) for i in range(p + 2)])
-    first = p == 0 or not basisH[p - 1]
-    return _sq_of(len(basisH[p]), dH, bnd, first).group
+    return il.chain_homology(dH, bnd).group
 
 
 def horizontal_collapse_check(B: BisimplicialTrunc, q: int) -> bool:
@@ -419,11 +374,8 @@ def totalization_homology(B: BisimplicialTrunc, n: int) -> il.FGAbGroup:
                         M[idx[y]][j] += (-1) ** (p + i)
         return M
 
-    rank = len(basis(n))
     dn = total_d(n) if n >= 1 else None
-    bnd = total_d(n + 1)
-    first = n == 0 or not basis(n - 1)
-    return _sq_of(rank, dn, bnd, first).group
+    return il.chain_homology(dn, total_d(n + 1)).group
 
 
 # ---------------------------------------------------------------------------
@@ -624,15 +576,7 @@ def _iso_inverse(M, src_orders, tgt_orders):
     """Inverse of an isomorphism given in canonical coordinates of two
     presented groups (orders: 0 for a free generator, t for Z/t)."""
     n = len(tgt_orders)
-    rel_cols = []
-    for i, t in enumerate(tgt_orders):
-        if t:
-            col = [0] * n
-            col[i] = t
-            rel_cols.append(col)
-    full = il.hstack(M, il.from_columns(rel_cols, nrows=n)) \
-        if rel_cols else M
-    snf = il.smith_normal_form(full)
+    snf = il.smith_normal_form(il.hstack(M, il.order_relations(tgt_orders)))
     k = len(src_orders)
     cols = []
     for j in range(n):

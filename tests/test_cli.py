@@ -1,14 +1,18 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import twocat
 from twocat import io as tio
 from twocat import pgm
 from twocat.cli import main
 from twocat.core import TwoFunctor, identity_functor
 from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod
 from twocat.homology import constant_system
+from twocat.nerve import nerve
 
 
 @pytest.fixture
@@ -215,6 +219,37 @@ def test_nerve_cache(run, tmp_path, monkeypatch):
     assert len(files) == 1 and files[0].endswith("-3.json")
     _, hit = run(["nerve", "--input", p, "--max-dim", 3])
     assert cold == miss == hit
+
+
+def corrupted_nerve_file(tmp_path):
+    """The I x I nerve at N = 3 with the face d_0 of one nondegenerate
+    1-simplex pointed at its other vertex, so that d^2 != 0."""
+    d = tio.trunc_sset_to_dict(nerve(fix_prod(fix_i(), fix_i())[0], 3))
+    degenerate = {x: v for x, v in d["degenerate"]}
+    edge = next(x for x in d["levels"][1] if not degenerate[x])
+    faces = {(i, x): y for i, x, y in d["face"]}
+    for f in d["face"]:
+        if f[:2] == [0, edge]:
+            f[2] = faces[(1, edge)]
+    return write(tmp_path, "bad-nerve.json", d)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_corrupted_nerve_is_an_axiom_failure(tmp_path, flags):
+    # run as `python [-O] -m twocat.cli`: -O strips asserts, so the d^2 = 0
+    # check must not be one
+    p = corrupted_nerve_file(tmp_path)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    for deg in (0, 1, 2):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "twocat.cli", "homology",
+             "--nerve", p, "--deg", str(deg)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["counterexample"]["clause"] == "axiom-failure"
+        assert "boundary squared is nonzero" in rep["counterexample"]["detail"][0]
 
 
 # --- opfibration and the spectral sequence ------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from twocat import homology as hm
 from twocat import intlinalg as il
-from twocat.fixtures import bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i, fix_t
+from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
+                             fix_prod, fix_t)
 from twocat.nerve import nerve, induced_map
 
 matrices = st.integers(1, 5).flatmap(
@@ -222,6 +223,38 @@ def test_constant_z3_interval():
     L = hm.constant_system(X, hm.PresentedGroup(1, [[3]]))
     assert hm.homology_local(X, L, 0) == il.FGAbGroup(0, (3,))
     assert hm.homology_local(X, L, 1).is_trivial
+
+
+def _uct(H_n, H_prev, k):
+    """H_n (x) Z/k + Tor(H_{n-1}, Z/k), from the integral groups."""
+    orders = ([k] * H_n.free_rank + [gcd(t, k) for t in H_n.torsion]
+              + [gcd(t, k) for t in H_prev.torsion])
+    m = len(orders)
+    diag = [[orders[i] if i == j else 0 for j in range(m)]
+            for i in range(m)]
+    return il.cokernel(diag, nrows=m)
+
+
+UCT_NERVES = {
+    "G2": lambda: nerve(fix_g2(), 4),
+    "IxI": lambda: nerve(fix_prod(fix_i(), fix_i())[0], 3),
+    "G2xC2": lambda: nerve(fix_prod(fix_g2(), fix_c2())[0], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UCT_NERVES))
+def test_universal_coefficients(name):
+    # constant Z/k coefficients exercise the relation columns of the
+    # homology primitive; G2 and G2xC2 have torsion in H_2, so Tor shows
+    # in H_3
+    X = UCT_NERVES[name]()
+    N = X.N
+    H = [il.FGAbGroup(0, ())] + [hm.homology(X, n) for n in range(N)]
+    for k in (2, 3, 4):
+        L = hm.constant_system(X, hm.PresentedGroup(1, [[k]]))
+        for n in range(N):
+            assert hm.homology_local(X, L, n) == _uct(H[n + 1], H[n], k), \
+                (k, n)
 
 
 def test_morphism_inverting_flags():
