@@ -35,7 +35,7 @@ from .specseq import build_B, check_bisimplicial, e2_vs_local, pages
 CACHE_ENV = "TWOCAT_CACHE_DIR"
 
 try:
-    VERSION = metadata.version("artifact")
+    VERSION = metadata.version("twocat")
 except metadata.PackageNotFoundError:      # uninstalled source tree
     VERSION = "0.1.0"
 

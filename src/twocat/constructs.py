@@ -39,9 +39,17 @@ class PullbackResult:
     two_id: dict
 
 
+def _cospan_apex(F: TwoFunctor, G: TwoFunctor) -> TwoCategory:
+    """The common target Y of a cospan F: X -> Y <- Z : G."""
+    if F.target != G.target:
+        raise ValueError("not a cospan: the functors have different targets")
+    return F.target
+
+
 def pullback(F: TwoFunctor, G: TwoFunctor) -> PullbackResult:
     """Strict pullback of the cospan F: X -> Y <- Z : G; cells are pairs
     agreeing in Y on the nose."""
+    _cospan_apex(F, G)
     X, Z = F.source, G.source
     objs = {}
     for x in X.objects:
@@ -119,8 +127,7 @@ class CommaResult:
 
 def _comma(F: TwoFunctor, G: TwoFunctor, lax: bool) -> CommaResult:
     X, Z = F.source, G.source
-    Y = F.target
-    assert G.target == Y
+    Y = _cospan_apex(F, G)
     objs = {}
     for x in X.objects:
         for z in Z.objects:
@@ -564,7 +571,7 @@ def laco_diagram(F: TwoFunctor, G: TwoFunctor) -> DiagramCommaResult:
     """laco(Delta F, G-hat) for F: C -> D and a diagram G: E -> D."""
     C, D = F.source, F.target
     E = G.source
-    assert G.target == D
+    _cospan_apex(F, G)
     objs = {}
     for c in C.objects:
         for comps, cells in _enumerate_cones(F, c, E, G):

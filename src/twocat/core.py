@@ -41,6 +41,20 @@ class TwoCategory:
     whisk_l: dict[tuple[str, str], str] = field(default_factory=dict)
     whisk_r: dict[tuple[str, str], str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Index the sorted hom-sets once, at construction (the tables are
+        never mutated): 1-cells by (x, y), 2-cells by (f, g) and by their
+        hom-category's (x, y).  Not a field: equality and hashing ignore it."""
+        h1, h2, h2xy = {}, {}, {}
+        for f in sorted(self.one_src):
+            h1.setdefault((self.one_src[f], self.one_tgt.get(f)), []).append(f)
+        for a in sorted(self.two_src):
+            f = self.two_src[a]
+            h2.setdefault((f, self.two_tgt.get(a)), []).append(a)
+            h2xy.setdefault((self.one_src.get(f), self.one_tgt.get(f)),
+                            []).append(a)
+        object.__setattr__(self, "_homs", (h1, h2, h2xy))
+
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -70,16 +84,13 @@ class TwoCategory:
         return self.id2.get(self.two_src[a]) == a and self.two_src[a] == self.two_tgt[a]
 
     def hom1(self, x: str, y: str) -> list[str]:
-        return sorted(f for f in self.one_src
-                      if self.one_src[f] == x and self.one_tgt[f] == y)
+        return list(self._homs[0].get((x, y), ()))
 
     def hom2(self, f: str, g: str) -> list[str]:
-        return sorted(a for a in self.two_src
-                      if self.two_src[a] == f and self.two_tgt[a] == g)
+        return list(self._homs[1].get((f, g), ()))
 
     def two_cells_in_hom(self, x: str, y: str) -> list[str]:
-        return sorted(a for a in self.two_src if self.one_src[self.two_src[a]] == x
-                      and self.one_tgt[self.two_src[a]] == y)
+        return list(self._homs[2].get((x, y), ()))
 
     # -- derived operations ------------------------------------------------
 
@@ -386,7 +397,8 @@ def identity_functor(C: TwoCategory) -> TwoFunctor:
 
 def compose_functors(G: TwoFunctor, F: TwoFunctor) -> TwoFunctor:
     """G after F."""
-    assert F.target is G.source or F.target == G.source
+    if F.target is not G.source and F.target != G.source:
+        raise ValueError("cannot compose: G's source is not F's target")
     return TwoFunctor(F.source, G.target,
                       {x: G.on_objects[y] for x, y in F.on_objects.items()},
                       {f: G.on_one[g] for f, g in F.on_one.items()},
@@ -464,7 +476,8 @@ class Transformation:
 
 def validate_transformation(t: Transformation) -> Transformation:
     F, G = t.source, t.target
-    assert F.source == G.source and F.target == G.target
+    if F.source != G.source or F.target != G.target:
+        raise ValueError("a transformation needs parallel 2-functors")
     C, D = F.source, F.target
     lax = t.direction == LAX
     for x in C.objects:

@@ -15,7 +15,7 @@ with an identity edge and identity triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 from .core import TwoCategory, TwoFunctor
 
@@ -47,88 +47,84 @@ def enumerate_simplices(D: TwoCategory, p: int,
                         pinned_vertices: dict | None = None,
                         pinned_edges: dict | None = None,
                         pinned_triangles: dict | None = None):
-    """All p-simplices of the normal oplax nerve of D, in deterministic
-    order: vertices are filled in object-identifier order, then edges, then
-    triangles, backtracking on the first violated tetrahedron.
+    """All p-simplices of the normal oplax nerve of D, in lexicographic
+    order of (vertices, edges, triangles), edges and triangles being keyed
+    in ``combinations`` order.
+
+    One depth-first search fills vertices, then edges, then triangles, and
+    cuts a branch as soon as it cannot be completed: a vertex pair without
+    an edge, a triangle (i, j, k) without a 2-cell once its last edge (j, k)
+    is placed, or a failed tetrahedron.  Only non-simplices are cut, so the
+    order is that of the filtered product of all choices.
 
     Cells can be pinned in advance (used when enumerating relative to a
-    fixed boundary part)."""
+    fixed boundary part); a pinned cell that does not fit admits nothing."""
     pinned_vertices = pinned_vertices or {}
     pinned_edges = pinned_edges or {}
     pinned_triangles = pinned_triangles or {}
+    objects = sorted(D.objects)
     pairs = list(combinations(range(p + 1), 2))
     triples = list(combinations(range(p + 1), 3))
-    quads = list(combinations(range(p + 1), 4))
-    # tetrahedra ready for checking after each triple position
-    tri_pos = {t: n for n, t in enumerate(triples)}
-    ready = {n: [] for n in range(len(triples))}
-    for q in quads:
-        i, j, k, l = q
-        faces = [(j, k, l), (i, k, l), (i, j, l), (i, j, k)]
-        ready[max(tri_pos[f] for f in faces)].append(q)
+    # (j, k, l) is the last triangle placed of each tetrahedron (i, j, k, l)
+    ready = [[(i,) + t for i in range(t[0])] for t in triples]
+    vs, vt, edge_choices, edges, tri_choices, tris = [], (), {}, {}, {}, {}
     out = []
 
-    def vertex_choices(i):
-        if i in pinned_vertices:
-            return [pinned_vertices[i]]
-        return sorted(D.objects)
+    def edge_cands(i, j):
+        if (i, j) in pinned_edges:
+            e = pinned_edges[(i, j)]
+            return [e] if (D.one_src[e], D.one_tgt[e]) == (vs[i], vs[j]) else []
+        return D.hom1(vs[i], vs[j])
 
-    for vs in product(*[vertex_choices(i) for i in range(p + 1)]):
-        edge_choices = []
-        ok = True
-        for (i, j) in pairs:
-            if (i, j) in pinned_edges:
-                cand = [pinned_edges[(i, j)]]
-                if D.one_src[cand[0]] != vs[i] or D.one_tgt[cand[0]] != vs[j]:
-                    cand = []
-            else:
-                cand = D.hom1(vs[i], vs[j])
-            if not cand:
-                ok = False
-                break
-            edge_choices.append(cand)
-        if not ok:
-            continue
-        for es in product(*edge_choices):
-            edges = dict(zip(pairs, es))
-            tri_choices = []
-            ok = True
-            for (i, j, k) in triples:
-                tgt = D.comp1[(edges[(j, k)], edges[(i, j)])]
-                if (i, j, k) in pinned_triangles:
-                    cand = [pinned_triangles[(i, j, k)]]
-                    if (D.two_src[cand[0]] != edges[(i, k)]
-                            or D.two_tgt[cand[0]] != tgt):
-                        cand = []
-                else:
-                    cand = D.hom2(edges[(i, k)], tgt)
-                if not cand:
-                    ok = False
+    def tri_cands(i, j, k):
+        src = edges[(i, k)]
+        tgt = D.comp1[(edges[(j, k)], edges[(i, j)])]
+        if (i, j, k) in pinned_triangles:
+            t = pinned_triangles[(i, j, k)]
+            return [t] if (D.two_src[t], D.two_tgt[t]) == (src, tgt) else []
+        return D.hom2(src, tgt)
+
+    def fill_vertices(m):
+        nonlocal vt
+        if m > p:
+            vt = tuple(vs)    # shared by all simplices on these vertices
+            return fill_edges(0)
+        for v in [pinned_vertices[m]] if m in pinned_vertices else objects:
+            vs.append(v)
+            for l in range(m):
+                edge_choices[(l, m)] = cands = edge_cands(l, m)
+                if not cands:
                     break
-                tri_choices.append(cand)
-            if not ok:
-                continue
-
-            tris = {}
-
-            def rec(n):
-                if n == len(triples):
-                    out.append(OrientedSimplex(
-                        p, vs, tuple(sorted(edges.items())),
-                        tuple(sorted(tris.items()))))
-                    return
-                for c in tri_choices[n]:
-                    tris[triples[n]] = c
-                    if all(tetrahedron_ok(D, edges, tris, *q)
-                           for q in ready[n]):
-                        rec(n + 1)
-                del tris[triples[n]]
-
-            if triples:
-                rec(0)
             else:
-                out.append(OrientedSimplex(p, vs,
-                                           tuple(sorted(edges.items())), ()))
+                fill_vertices(m + 1)
+            vs.pop()
+
+    def fill_edges(n):
+        if n == len(pairs):
+            return fill_triangles(0)
+        j, k = pairs[n]
+        for e in edge_choices[(j, k)]:
+            edges[(j, k)] = e
+            for i in range(j):
+                tri_choices[(i, j, k)] = cands = tri_cands(i, j, k)
+                if not cands:
+                    break
+            else:
+                fill_edges(n + 1)
+
+    def fill_triangles(n):
+        if n == len(triples):
+            out.append(OrientedSimplex(p, vt,
+                                       tuple(sorted(edges.items())),
+                                       tuple(sorted(tris.items()))))
+            return
+        jkl = triples[n]
+        for t in tri_choices[jkl]:
+            tris[jkl] = t
+            if all(tetrahedron_ok(D, edges, tris, *q) for q in ready[n]):
+                fill_triangles(n + 1)
+
+    fill_vertices(0)
     return out
 
 

@@ -148,30 +148,33 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
             for x in levels[(p, q)]:
                 level_of[x] = (p, q)
     lsets = {k: set(v) for k, v in levels.items()}
+
+    def member(y, level):
+        if y not in lsets[level]:
+            raise AxiomError("bisimplicial set not closed under faces and "
+                             "degeneracies at %r" % (y,))
+        return y
+
     face_h, face_v, degen_h, degen_v = {}, {}, {}, {}
     for (p, q), cells in levels.items():
         for x in cells:
             for i in range(p + 1):
                 if p >= 1:
-                    y = Bisimplex(x.om, face(D, x.de, q + 1 + i),
-                                  face(D, x.si, i))
-                    assert y in lsets[(p - 1, q)]
-                    face_h[(i, x)] = y
+                    face_h[(i, x)] = member(Bisimplex(
+                        x.om, face(D, x.de, q + 1 + i), face(D, x.si, i)),
+                        (p - 1, q))
                 if p < P:
-                    y = Bisimplex(x.om, degeneracy(D, x.de, q + 1 + i),
-                                  degeneracy(D, x.si, i))
-                    assert y in lsets[(p + 1, q)]
-                    degen_h[(i, x)] = y
+                    degen_h[(i, x)] = member(Bisimplex(
+                        x.om, degeneracy(D, x.de, q + 1 + i),
+                        degeneracy(D, x.si, i)), (p + 1, q))
             for i in range(q + 1):
                 if q >= 1:
-                    y = Bisimplex(face(C, x.om, i), face(D, x.de, i), x.si)
-                    assert y in lsets[(p, q - 1)]
-                    face_v[(i, x)] = y
+                    face_v[(i, x)] = member(Bisimplex(
+                        face(C, x.om, i), face(D, x.de, i), x.si), (p, q - 1))
                 if q < Q:
-                    y = Bisimplex(degeneracy(C, x.om, i),
-                                  degeneracy(D, x.de, i), x.si)
-                    assert y in lsets[(p, q + 1)]
-                    degen_v[(i, x)] = y
+                    degen_v[(i, x)] = member(Bisimplex(
+                        degeneracy(C, x.om, i), degeneracy(D, x.de, i),
+                        x.si), (p, q + 1))
     degenerate_h, degenerate_v = {}, {}
     for (p, q), cells in levels.items():
         for x in cells:

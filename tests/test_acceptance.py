@@ -187,8 +187,9 @@ def test_criterion_07_pi0_is_a_group():
 
 def test_criterion_08_group_completion_isomorphisms():
     targets = [
-        (pgm.fix_c2_pgm, 0, 2, {0: "Z + Z"}),
-        (pgm.fix_m2_pgm, 1, 3, {0: "Z", 1: "0"}),
+        (pgm.fix_c2_pgm, 3, 4, {0: "Z + Z", 1: "0", 2: "0", 3: "0"}),
+        (pgm.fix_m2_pgm, 5, 6, {0: "Z", 1: "0", 2: "0", 3: "0", 4: "0",
+                                5: "0"}),
         (pgm.fix_g2_pgm, 2, 4, {0: "Z", 2: "Z/2"}),
     ]
     for make, max_deg, trunc, want in targets:
@@ -198,8 +199,9 @@ def test_criterion_08_group_completion_isomorphisms():
             assert r.degrees[q]["localized"] == g, (make.__name__, q)
             assert r.degrees[q]["target"] == g, (make.__name__, q)
     print("ACCEPTANCE 08 PASS: localized homology maps isomorphically "
-          "onto the completion's homology with canonical forms Z^2, Z, 0, "
-          "Z, Z/2 on the five fixture/degree pairs")
+          "onto the completion's homology: Z^2 then 0 in degrees 0-3 for "
+          "C2, Z then 0 in degrees 0-5 for M2, Z and Z/2 in degrees 0 and "
+          "2 for G2")
 
 
 def test_criterion_09_projection_opfibration():

@@ -166,6 +166,27 @@ def test_cospan_constructions(run, tmp_path):
         tio.two_category_from_dict(rep["category"])
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_cospan_with_different_targets_is_rejected(tmp_path, flags):
+    # run as `python [-O] -m twocat.cli`: -O strips asserts, so the check
+    # that both legs end in the same 2-category must not be one
+    write(tmp_path, "g2.json",
+          tio.two_functor_to_dict(identity_functor(fix_g2())))
+    write(tmp_path, "c2.json",
+          tio.two_functor_to_dict(identity_functor(fix_c2())))
+    cospan = write(tmp_path, "cospan.json",
+                   {"left": "g2.json", "right": "c2.json"})
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    for name in ("laco", "oplaco", "pullback"):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "twocat.cli", name, cospan],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["error"] == (
+            "ValueError: not a cospan: the functors have different targets")
+
+
 def test_fiber(run, tmp_path):
     _prod, _pr1, pr2 = fix_prod(fix_g2(), fix_c2())
     p = write(tmp_path, "pr2.json", tio.two_functor_to_dict(pr2))

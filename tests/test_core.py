@@ -1,6 +1,9 @@
+from dataclasses import fields, replace
+
 import pytest
 
-from twocat import core, io
+from twocat import core, fixtures, io, pgm, sinv
+from twocat.constructs import laco
 from twocat.core import (AxiomError, Transformation, co_dual, coop_dual,
                          compose_functors, find_isomorphism, identity_functor,
                          op_dual, validate_transformation, validate_two_category,
@@ -68,6 +71,8 @@ def test_functor_composition_validates():
     P, pr1, pr2 = fix_prod(fix_g2(), fix_c2())
     F = compose_functors(bang_functor(fix_c2()), pr2)
     validate_two_functor(F)
+    with pytest.raises(ValueError, match="cannot compose"):
+        compose_functors(bang_functor(fix_g2()), pr2)
 
 
 @pytest.mark.parametrize("mk", ALL_FIXTURES)
@@ -111,6 +116,10 @@ def test_transformation_validation_catches_unit_violation():
         validate_transformation(t)
     ok = Transformation(F, F, {"*": "i"}, {"i": "e0"})
     validate_transformation(ok)
+    G = identity_functor(fix_g2sat())
+    with pytest.raises(ValueError, match="parallel"):
+        validate_transformation(Transformation(F, G, {"*": "i"},
+                                               {"i": "e0"}))
 
 
 def test_json_roundtrip():
@@ -130,3 +139,58 @@ def test_json_deterministic():
     s2 = io.dumps(io.two_category_to_dict(io.two_category_from_dict(
         io.two_category_to_dict(C))))
     assert s1 == s2
+
+
+# --- hom-set index ----------------------------------------------------------------
+
+def _index_test_categories():
+    cats = {n: getattr(fixtures, n)() for n in dir(fixtures)
+            if n.startswith("fix_") and n != "fix_prod"}
+    cats["G2xC2"] = fix_prod(fix_g2(), fix_c2())[0]
+    I = fixtures.fix_i()
+    cats["laco_I_1"] = laco(identity_functor(I),
+                              fixtures.point_functor(I, "1")).cat
+    P = pgm.fix_c2_pgm()
+    cats["sinv_C2"] = sinv.s_inv_x(P, pgm.self_action(P)).cat
+    return cats
+
+
+INDEX_CATS = _index_test_categories()
+
+
+@pytest.mark.parametrize("C", list(INDEX_CATS.values()), ids=list(INDEX_CATS))
+def test_hom_index_matches_linear_scan(C):
+    objs = list(C.objects) + ["not-an-object"]
+    ones = list(C.one_src) + ["not-a-1-cell"]
+    for x in objs:
+        for y in objs:
+            assert C.hom1(x, y) == sorted(
+                f for f in C.one_src
+                if C.one_src[f] == x and C.one_tgt[f] == y)
+            assert C.two_cells_in_hom(x, y) == sorted(
+                a for a in C.two_src if C.one_src[C.two_src[a]] == x
+                and C.one_tgt[C.two_src[a]] == y)
+    for f in ones:
+        for g in ones:
+            assert C.hom2(f, g) == sorted(
+                a for a in C.two_src
+                if C.two_src[a] == f and C.two_tgt[a] == g)
+
+
+def test_hom_index_returns_fresh_lists():
+    C = fix_g2sat()
+    for _ in range(2):
+        got = (C.hom1("*", "*"), C.hom2("i", "i"),
+               C.two_cells_in_hom("*", "*"))
+        assert got == (["i"], ["e0", "e1"], ["e0", "e1"])
+        for cells in got:
+            cells.append("junk")
+            cells.reverse()
+
+
+def test_hom_index_is_not_part_of_equality():
+    C = fix_c2()
+    assert C == fix_c2() and replace(C) == C
+    assert "_homs" not in {f.name for f in fields(C)}
+    with pytest.raises(TypeError):               # dict fields: unhashable
+        hash(C)

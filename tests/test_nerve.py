@@ -1,5 +1,8 @@
+from itertools import combinations, product
+
 import pytest
 
+from twocat import fixtures, pgm, sinv, specseq
 from twocat import nerve as nv
 from twocat.constructs import find_oplax_initial, find_oplax_terminal
 from twocat.core import find_isomorphism, validate_two_category
@@ -71,6 +74,142 @@ def test_pinned_enumeration():
     D = fix_g2()
     xs = nv.enumerate_simplices(D, 2, pinned_triangles={(0, 1, 2): "e1"})
     assert len(xs) == 1 and xs[0].triangle(0, 1, 2) == "e1"
+
+
+def product_then_filter(D, p, pinned_vertices=None, pinned_edges=None,
+                        pinned_triangles=None):
+    """Oracle for the pruned search: form the product of all vertex and
+    edge choices, and only then filter by triangles and tetrahedra."""
+    pinned_vertices = pinned_vertices or {}
+    pinned_edges = pinned_edges or {}
+    pinned_triangles = pinned_triangles or {}
+    pairs = list(combinations(range(p + 1), 2))
+    triples = list(combinations(range(p + 1), 3))
+    quads = list(combinations(range(p + 1), 4))
+    # tetrahedra ready for checking after each triple position
+    tri_pos = {t: n for n, t in enumerate(triples)}
+    ready = {n: [] for n in range(len(triples))}
+    for q in quads:
+        i, j, k, l = q
+        faces = [(j, k, l), (i, k, l), (i, j, l), (i, j, k)]
+        ready[max(tri_pos[f] for f in faces)].append(q)
+    out = []
+
+    def vertex_choices(i):
+        if i in pinned_vertices:
+            return [pinned_vertices[i]]
+        return sorted(D.objects)
+
+    for vs in product(*[vertex_choices(i) for i in range(p + 1)]):
+        edge_choices = []
+        ok = True
+        for (i, j) in pairs:
+            if (i, j) in pinned_edges:
+                cand = [pinned_edges[(i, j)]]
+                if D.one_src[cand[0]] != vs[i] or D.one_tgt[cand[0]] != vs[j]:
+                    cand = []
+            else:
+                cand = D.hom1(vs[i], vs[j])
+            if not cand:
+                ok = False
+                break
+            edge_choices.append(cand)
+        if not ok:
+            continue
+        for es in product(*edge_choices):
+            edges = dict(zip(pairs, es))
+            tri_choices = []
+            ok = True
+            for (i, j, k) in triples:
+                tgt = D.comp1[(edges[(j, k)], edges[(i, j)])]
+                if (i, j, k) in pinned_triangles:
+                    cand = [pinned_triangles[(i, j, k)]]
+                    if (D.two_src[cand[0]] != edges[(i, k)]
+                            or D.two_tgt[cand[0]] != tgt):
+                        cand = []
+                else:
+                    cand = D.hom2(edges[(i, k)], tgt)
+                if not cand:
+                    ok = False
+                    break
+                tri_choices.append(cand)
+            if not ok:
+                continue
+
+            tris = {}
+
+            def rec(n):
+                if n == len(triples):
+                    out.append(nv.OrientedSimplex(
+                        p, vs, tuple(sorted(edges.items())),
+                        tuple(sorted(tris.items()))))
+                    return
+                for c in tri_choices[n]:
+                    tris[triples[n]] = c
+                    if all(nv.tetrahedron_ok(D, edges, tris, *q)
+                           for q in ready[n]):
+                        rec(n + 1)
+                del tris[triples[n]]
+
+            if triples:
+                rec(0)
+            else:
+                out.append(nv.OrientedSimplex(
+                    p, vs, tuple(sorted(edges.items())), ()))
+    return out
+
+
+FIXTURES = sorted(n for n in dir(fixtures) if n.startswith("fix_"))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_pruned_search_matches_oracle_on_fixtures(name):
+    if name == "fix_prod":
+        D = fixtures.fix_prod(fix_g2(), fix_c2())[0]
+    else:
+        D = getattr(fixtures, name)()
+    for p in range(5):
+        assert nv.enumerate_simplices(D, p) == product_then_filter(D, p)
+
+
+@pytest.mark.parametrize("make", [pgm.fix_c2_pgm, pgm.fix_m2_pgm,
+                                  pgm.fix_g2_pgm])
+def test_pruned_search_matches_oracle_on_completions(make):
+    P = make()
+    D = sinv.s_inv_x(P, pgm.self_action(P)).cat
+    for p in range(6):
+        xs = nv.enumerate_simplices(D, p)
+        assert xs and xs == product_then_filter(D, p)
+
+
+def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
+    # every enumeration that build_B makes for rho-c2, most of them through
+    # _pinned_delta with vertices, edges and triangles pinned
+    P = pgm.fix_c2_pgm()
+    F = sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
+                            sinv.s_inv_point(P))
+    pinned = []
+
+    def checked(D, p, *pins):
+        xs = nv.enumerate_simplices(D, p, *pins)
+        assert xs == product_then_filter(D, p, *pins)
+        pinned.append(bool(pins) and bool(xs))
+        return xs
+
+    monkeypatch.setattr(specseq, "enumerate_simplices", checked)
+    specseq.build_B(F, 2, 2)
+    assert sum(pinned) > 100
+
+
+def test_pin_that_does_not_fit_gives_nothing():
+    I = fix_i()
+    # a01: 0 -> 1 fits the vertices (0, 1); the identity of 0 does not
+    assert len(nv.enumerate_simplices(I, 1, {}, {(0, 1): "a01"})) == 1
+    cases = [(1, {0: "0", 1: "1"}, {(0, 1): "id_0"}, {}),
+             (2, {0: "0", 1: "0", 2: "1"}, {}, {(0, 1, 2): "ii_id_0"})]
+    for p, *pins in cases:
+        assert nv.enumerate_simplices(I, p, *pins) == []
+        assert product_then_filter(I, p, *pins) == []
 
 
 # --- nerve assembly -------------------------------------------------------------

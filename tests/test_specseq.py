@@ -5,7 +5,8 @@ from twocat import intlinalg as il
 from twocat import opfib as of
 from twocat import specseq as ss
 from twocat.constructs import base_change, laco, oplaco_codiagram, strict_fiber
-from twocat.core import compose_functors, identity_functor
+from twocat.core import (AxiomError, TwoFunctor, compose_functors,
+                         identity_functor)
 from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
                              point_functor)
 from twocat.nerve import enumerate_simplices, induced_map, nerve
@@ -69,6 +70,15 @@ def test_g2_row_counts_match_nerve():
 def test_bisimplicial_identities_product_projection():
     _, pr2 = pr2_c2()
     assert ss.check_bisimplicial(ss.build_B(pr2, 2, 2))
+
+
+def test_build_B_rejects_a_non_functor():
+    # swapping the two 2-cells of G2 moves the identity e0, so a vertically
+    # degenerate bisimplex leaves the enumerated levels
+    G = fix_g2()
+    F = TwoFunctor(G, G, {"*": "*"}, {"i": "i"}, {"e0": "e1", "e1": "e0"})
+    with pytest.raises(AxiomError, match="not closed"):
+        ss.build_B(F, 0, 2)
 
 
 # --- pages and totalization --------------------------------------------------
