@@ -269,7 +269,7 @@ def cmd_ss(args, ctx) -> int:
         cert = check_opfibration(F)
         if isinstance(cert, Counterexample):
             return _fail(ctx, cert.clause, cert.detail)
-        report["e2_vs_local"] = [[p, q, bool(e2_vs_local(F, cert, p, q))]
+        report["e2_vs_local"] = [[p, q, bool(e2_vs_local(pg, cert, p, q))]
                                  for p in range(trusted_p + 1)]
     return _ok(ctx, report)
 

@@ -43,17 +43,14 @@ class TwoCategory:
 
     def __post_init__(self):
         """Index the sorted hom-sets once, at construction (the tables are
-        never mutated): 1-cells by (x, y), 2-cells by (f, g) and by their
-        hom-category's (x, y).  Not a field: equality and hashing ignore it."""
-        h1, h2, h2xy = {}, {}, {}
+        never mutated): 1-cells by (x, y), 2-cells by (f, g).  Not a field:
+        equality and hashing ignore it."""
+        h1, h2 = {}, {}
         for f in sorted(self.one_src):
             h1.setdefault((self.one_src[f], self.one_tgt.get(f)), []).append(f)
         for a in sorted(self.two_src):
-            f = self.two_src[a]
-            h2.setdefault((f, self.two_tgt.get(a)), []).append(a)
-            h2xy.setdefault((self.one_src.get(f), self.one_tgt.get(f)),
-                            []).append(a)
-        object.__setattr__(self, "_homs", (h1, h2, h2xy))
+            h2.setdefault((self.two_src[a], self.two_tgt.get(a)), []).append(a)
+        object.__setattr__(self, "_homs", (h1, h2))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -71,12 +68,6 @@ class TwoCategory:
     def tgt1(self, f: str) -> str:
         return self.one_tgt[f]
 
-    def src2(self, a: str) -> str:
-        return self.two_src[a]
-
-    def tgt2(self, a: str) -> str:
-        return self.two_tgt[a]
-
     def is_id1(self, f: str) -> bool:
         return self.id1.get(self.one_src[f]) == f and self.one_src[f] == self.one_tgt[f]
 
@@ -88,9 +79,6 @@ class TwoCategory:
 
     def hom2(self, f: str, g: str) -> list[str]:
         return list(self._homs[1].get((f, g), ()))
-
-    def two_cells_in_hom(self, x: str, y: str) -> list[str]:
-        return list(self._homs[2].get((x, y), ()))
 
     # -- derived operations ------------------------------------------------
 
@@ -115,15 +103,6 @@ class TwoCategory:
 
     def is_invertible2(self, a: str) -> bool:
         return self.vcomp_inverse(a) is not None
-
-    def one_cell_inverse(self, f: str) -> str | None:
-        """A strict inverse 1-cell (g.f and f.g identities), or None."""
-        x, y = self.one_src[f], self.one_tgt[f]
-        for g in self.hom1(y, x):
-            if (self.comp1[(g, f)] == self.id1[x]
-                    and self.comp1[(f, g)] == self.id1[y]):
-                return g
-        return None
 
     def is_equivalence1(self, f: str) -> bool:
         """Internal equivalence: a quasi-inverse up to invertible 2-cells."""

@@ -31,7 +31,7 @@ import json
 
 from .core import TwoCategory, TwoFunctor, make_two_category
 from .homology import LocalCoeffSystem, PresentedGroup
-from .nerve import TruncSimplicialSet
+from .nerve import TruncSimplicialSet, layout
 from .pgm import PGM, PGMAction
 
 
@@ -172,10 +172,13 @@ def action_from_dict(d: dict, P: PGM | None = None) -> PGMAction:
 
 
 def simplex_key(x) -> str:
-    """Canonical string for a simplex, stable across processes."""
+    """Canonical string for a simplex, stable across processes: its
+    vertices, then its edges and triangles paired with their keys."""
     if isinstance(x, str):
         return x
-    return repr((x.vertices, x.edges, x.triangles))
+    L = layout(x.dim)
+    return repr((x.vertices, tuple(zip(L.pairs, x.edges)),
+                 tuple(zip(L.triples, x.triangles))))
 
 
 def trunc_sset_to_dict(X: TruncSimplicialSet) -> dict:

@@ -7,31 +7,55 @@ equality
 
     (x_(k,l) * x_(i,j,k)) . x_(i,k,l) == (x_(j,k,l) * x_(i,j)) . x_(i,j,l).
 
-Faces reindex along the cofaces of the cosimplicial family of orientals
-(which carry generators to generators); the degeneracy s_i repeats vertex i
-with an identity edge and identity triangles.
+A simplex is stored flat: its edges and triangles are tuples of cell ids in
+the ``combinations`` order of their keys (i, j) and (i, j, k), so the keys
+are implicit and fixed per dimension (``layout``).  Faces reindex along the
+cofaces of the cosimplicial family of orientals (which carry generators to
+generators); the degeneracy s_i repeats vertex i with an identity edge and
+identity triangles.  Both are tuple gathers through index tables computed
+once per (p, i).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import TwoCategory, TwoFunctor
 
 
-@dataclass(frozen=True, order=True)
-class OrientedSimplex:
+class Layout(NamedTuple):
+    pairs: tuple               # edge keys (i, j), in combinations order
+    triples: tuple             # triangle keys (i, j, k), likewise
+    edge_at: dict              # key -> position in OrientedSimplex.edges
+    tri_at: dict               # key -> position in OrientedSimplex.triangles
+
+
+@lru_cache(maxsize=None)
+def layout(p: int) -> Layout:
+    """The keys of a p-simplex's edges and triangles and their positions."""
+    pairs = tuple(combinations(range(p + 1), 2))
+    triples = tuple(combinations(range(p + 1), 3))
+    return Layout(pairs, triples, {k: n for n, k in enumerate(pairs)},
+                  {k: n for n, k in enumerate(triples)})
+
+
+class OrientedSimplex(NamedTuple):
+    """Compared and hashed as the tuple (dim, vertices, edges, triangles);
+    the keys being fixed per dimension, same-dimension simplices sort as
+    they would with each id paired with its key."""
     dim: int
     vertices: tuple            # length dim+1, object ids
-    edges: tuple               # (((i, j), one-cell id), ...) lex ordered
-    triangles: tuple           # (((i, j, k), two-cell id), ...) lex ordered
+    edges: tuple               # 1-cell ids keyed by layout(dim).pairs
+    triangles: tuple           # 2-cell ids keyed by layout(dim).triples
 
     def edge(self, i: int, j: int) -> str:
-        return dict(self.edges)[(i, j)]
+        return self.edges[layout(self.dim).edge_at[(i, j)]]
 
     def triangle(self, i: int, j: int, k: int) -> str:
-        return dict(self.triangles)[(i, j, k)]
+        return self.triangles[layout(self.dim).tri_at[(i, j, k)]]
 
 
 def tetrahedron_ok(D: TwoCategory, edges: dict, tris: dict,
@@ -63,8 +87,7 @@ def enumerate_simplices(D: TwoCategory, p: int,
     pinned_edges = pinned_edges or {}
     pinned_triangles = pinned_triangles or {}
     objects = sorted(D.objects)
-    pairs = list(combinations(range(p + 1), 2))
-    triples = list(combinations(range(p + 1), 3))
+    pairs, triples = layout(p).pairs, layout(p).triples
     # (j, k, l) is the last triangle placed of each tetrahedron (i, j, k, l)
     ready = [[(i,) + t for i in range(t[0])] for t in triples]
     vs, vt, edge_choices, edges, tri_choices, tris = [], (), {}, {}, {}, {}
@@ -114,9 +137,9 @@ def enumerate_simplices(D: TwoCategory, p: int,
 
     def fill_triangles(n):
         if n == len(triples):
-            out.append(OrientedSimplex(p, vt,
-                                       tuple(sorted(edges.items())),
-                                       tuple(sorted(tris.items()))))
+            out.append(OrientedSimplex(
+                p, vt, tuple(map(edges.__getitem__, pairs)),
+                tuple(map(tris.__getitem__, triples))))
             return
         jkl = triples[n]
         for t in tri_choices[jkl]:
@@ -128,17 +151,43 @@ def enumerate_simplices(D: TwoCategory, p: int,
     return out
 
 
+@lru_cache(maxsize=None)
+def _face_table(p: int, i: int):
+    """Positions in a p-simplex of the vertices, edges and triangles of
+    its face d_i, in the layout of dimension p - 1."""
+    dl = lambda m: m if m < i else m + 1
+    L, L0 = layout(p), layout(p - 1)
+    return (tuple(dl(m) for m in range(p)),
+            tuple(L.edge_at[(dl(a), dl(b))] for a, b in L0.pairs),
+            tuple(L.tri_at[(dl(a), dl(b), dl(c))] for a, b, c in L0.triples))
+
+
 def face(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
     """d_i: delete vertex i and reindex along the coface [p-1] -> [p]."""
     p = x.dim
     assert 0 <= i <= p and p >= 1
-    dl = lambda m: m if m < i else m + 1
-    vs = tuple(x.vertices[dl(m)] for m in range(p))
-    edges = tuple(sorted((((a, b), x.edge(dl(a), dl(b)))
-                          for a, b in combinations(range(p), 2))))
-    tris = tuple(sorted((((a, b, c), x.triangle(dl(a), dl(b), dl(c)))
-                         for a, b, c in combinations(range(p), 3))))
-    return OrientedSimplex(p - 1, vs, edges, tris)
+    vt, et, tt = _face_table(p, i)
+    v, e, t = x.vertices, x.edges, x.triangles
+    return OrientedSimplex(p - 1, tuple([v[m] for m in vt]),
+                           tuple([e[m] for m in et]),
+                           tuple([t[m] for m in tt]))
+
+
+@lru_cache(maxsize=None)
+def _degeneracy_table(p: int, i: int):
+    """Positions in a p-simplex of the vertices, edges and triangles of
+    s_i, in the layout of dimension p + 1.  A negative edge entry -1-v is
+    the identity 1-cell of vertex v; a negative triangle entry -1-m is the
+    identity 2-cell of the new edge m (the collapsed triangles
+    x_(i,c) => x_(i,c) . 1 and x_(a,i) => 1 . x_(a,i))."""
+    sg = lambda m: m if m <= i else m - 1
+    L, L1 = layout(p), layout(p + 1)
+    return (tuple(sg(m) for m in range(p + 2)),
+            tuple(-1 - sg(a) if sg(a) == sg(b) else L.edge_at[(sg(a), sg(b))]
+                  for a, b in L1.pairs),
+            tuple(-1 - L1.edge_at[(a, c)] if sg(b) in (sg(a), sg(c))
+                  else L.tri_at[(sg(a), sg(b), sg(c))]
+                  for a, b, c in L1.triples))
 
 
 def degeneracy(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
@@ -146,28 +195,12 @@ def degeneracy(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
     collapsed triangles are identity 2-cells."""
     p = x.dim
     assert 0 <= i <= p
-    sg = lambda m: m if m <= i else m - 1
-
-    def edge(a, b):
-        if sg(a) == sg(b):
-            return D.id1[x.vertices[sg(a)]]
-        return x.edge(sg(a), sg(b))
-
-    def tri(a, b, c):
-        if sg(a) == sg(b):
-            # x_(i,c') => x_(i,c') . 1
-            return D.id2[edge(a, c)]
-        if sg(b) == sg(c):
-            # x_(a',i+?) => 1 . x_(a',.)
-            return D.id2[edge(a, c)]
-        return x.triangle(sg(a), sg(b), sg(c))
-
-    vs = tuple(x.vertices[sg(m)] for m in range(p + 2))
-    edges = tuple(sorted((((a, b), edge(a, b))
-                          for a, b in combinations(range(p + 2), 2))))
-    tris = tuple(sorted((((a, b, c), tri(a, b, c))
-                         for a, b, c in combinations(range(p + 2), 3))))
-    return OrientedSimplex(p + 1, vs, edges, tris)
+    vt, et, tt = _degeneracy_table(p, i)
+    v, e, t, id1, id2 = x.vertices, x.edges, x.triangles, D.id1, D.id2
+    edges = tuple([e[m] if m >= 0 else id1[v[-1 - m]] for m in et])
+    return OrientedSimplex(
+        p + 1, tuple([v[m] for m in vt]), edges,
+        tuple([t[m] if m >= 0 else id2[edges[-1 - m]] for m in tt]))
 
 
 def is_degenerate(D: TwoCategory, x: OrientedSimplex) -> bool:
@@ -251,8 +284,8 @@ def map_simplex(F: TwoFunctor, x: OrientedSimplex) -> OrientedSimplex:
     return OrientedSimplex(
         x.dim,
         tuple(F.on_objects[v] for v in x.vertices),
-        tuple((ij, F.on_one[e]) for ij, e in x.edges),
-        tuple((ijk, F.on_two[t]) for ijk, t in x.triangles))
+        tuple(F.on_one[e] for e in x.edges),
+        tuple(F.on_two[t] for t in x.triangles))
 
 
 def induced_map(F: TwoFunctor, N: int):

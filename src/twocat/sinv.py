@@ -94,9 +94,6 @@ class SInvCategory:
         x = T.objects[0]
         return self.one_name[(a, x, s, al, T.id1[x])]
 
-    def cls(self, m1: str, m2: str, p: str, A: str, F: str) -> str:
-        return self.class_of[(m1, m2, p, A, F)]
-
     def clsp(self, m1: str, m2: str, p: str, A: str) -> str:
         _ax(self.point, "point-completion accessor", (m1, m2, p, A))
         T = self.action.carrier

@@ -26,6 +26,7 @@ transition matrices computed along comma-object routes, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intlinalg as il
 from .constructs import (DiagramCommaResult, find_oplax_initial, laco,
@@ -37,8 +38,8 @@ from .fixtures import point_functor
 from .homology import (LocalCoeffSystem, homology_induced, homology_local,
                        homology_subquotient, presentation_of)
 from .nerve import (OrientedSimplex, TruncSimplicialSet, degeneracy,
-                    enumerate_simplices, face, induced_map, map_simplex,
-                    nerve)
+                    enumerate_simplices, face, induced_map, layout,
+                    map_simplex, nerve)
 from ast import literal_eval
 
 from .orientals import materialize_oriental, path_id
@@ -92,8 +93,7 @@ def simplex_functor(D: TwoCategory, x: OrientedSimplex) -> TwoFunctor:
 # the bisimplicial set B(F)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Bisimplex:
+class Bisimplex(NamedTuple):
     om: OrientedSimplex        # q-simplex of the nerve of C
     de: OrientedSimplex        # (q+1+p)-simplex of the nerve of D
     si: OrientedSimplex        # p-simplex of the nerve of D
@@ -114,21 +114,29 @@ class BisimplicialTrunc:
     level_of: dict             # x -> (p, q)
 
 
+def _block_cells(fom: OrientedSimplex, si: OrientedSimplex):
+    """The edges and triangles of a delta inside its two blocks, keyed by
+    position in delta: F(omega) on the first q+1 vertices, sigma on the
+    last p+1."""
+    q1 = fom.dim + 1
+    Lo, Ls = layout(fom.dim), layout(si.dim)
+    edges = dict(zip(Lo.pairs, fom.edges))
+    edges.update(zip([(q1 + a, q1 + b) for a, b in Ls.pairs], si.edges))
+    tris = dict(zip(Lo.triples, fom.triangles))
+    tris.update(zip([(q1 + a, q1 + b, q1 + c) for a, b, c in Ls.triples],
+                    si.triangles))
+    return edges, tris
+
+
 def _pinned_delta(F: TwoFunctor, om: OrientedSimplex, si: OrientedSimplex):
     """All admissible delta's for the pair (om, si): vertices, edges and
     triangles inside the omega block and the sigma block are pinned; the
     mixed cells are enumerated."""
-    D = F.target
-    q, p = om.dim, si.dim
     fom = map_simplex(F, om)
-    pv = {i: fom.vertices[i] for i in range(q + 1)}
-    pv.update({q + 1 + j: si.vertices[j] for j in range(p + 1)})
-    pe = {ij: e for ij, e in fom.edges}
-    pe.update({(q + 1 + a, q + 1 + b): e for (a, b), e in si.edges})
-    pt = {ijk: t for ijk, t in fom.triangles}
-    pt.update({(q + 1 + a, q + 1 + b, q + 1 + c): t
-               for (a, b, c), t in si.triangles})
-    return enumerate_simplices(D, q + 1 + p, pv, pe, pt)
+    pe, pt = _block_cells(fom, si)
+    return enumerate_simplices(F.target, om.dim + 1 + si.dim,
+                               dict(enumerate(fom.vertices + si.vertices)),
+                               pe, pt)
 
 
 def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
@@ -385,38 +393,41 @@ def totalization_homology(B: BisimplicialTrunc, n: int) -> il.FGAbGroup:
 # the two filtration identifications
 # ---------------------------------------------------------------------------
 
-def _assemble_over_sigma(F: TwoFunctor, L: DiagramCommaResult,
-                         si: OrientedSimplex, Y: OrientedSimplex):
-    """A q-simplex Y of the nerve of the comma object of F over sigma,
-    unpacked into the pair (omega, delta) of the corresponding vertical
-    q-cell of B(F) at sigma."""
-    q, p = Y.dim, si.dim
-    q1 = q + 1
-    om = map_simplex(L.p_left, Y)
+def _assemble_join(F: TwoFunctor, comma, Y: OrientedSimplex,
+                   other: OrientedSimplex, over: bool) -> Bisimplex:
+    """The cell of B(F) that a simplex Y of the nerve of a comma object
+    stands for.  Over sigma (``over``), comma is laco_diagram(F, sigma),
+    other is sigma and omega the image of the q-simplex Y under p_left;
+    under omega, comma is the codiagram comma object under F(omega), other
+    is omega and sigma the image of the p-simplex Y under p_right.  The
+    cones at Y's vertices fill the mixed edges and the mixed triangles with
+    one vertex on Y's side; the cells at Y's edges fill those with two."""
+    if over:
+        om, si = map_simplex(comma.p_left, Y), other
+    else:
+        om, si = other, map_simplex(comma.p_right, Y)
+    q1 = om.dim + 1
     fom = map_simplex(F, om)
-    verts = fom.vertices + si.vertices
-    edges = {ij: e for ij, e in fom.edges}
-    edges.update({(q1 + a, q1 + b): e for (a, b), e in si.edges})
-    tris = {ijk: t for ijk, t in fom.triangles}
-    tris.update({(q1 + a, q1 + b, q1 + c): t
-                 for (a, b, c), t in si.triangles})
-    for i in range(q + 1):
-        (_, comps, cells) = L.obj_data[Y.vertices[i]]
+    edges, tris = _block_cells(fom, si)
+    # offsets in delta of Y's block and of the other block
+    ho, to = (0, q1) if over else (q1, 0)
+    key = lambda *ms: tuple(sorted(ms))
+    for m, y in enumerate(Y.vertices):
+        _, comps, cells = comma.obj_data[y]
         dcomps, dcells = dict(comps), dict(cells)
-        for j in range(p + 1):
-            edges[(i, q1 + j)] = dcomps[str(j)]
-        for a in range(p + 1):
-            for b in range(a + 1, p + 1):
-                tris[(i, q1 + a, q1 + b)] = dcells[path_id((a, b))]
-    for a in range(q + 1):
-        for b in range(a + 1, q + 1):
-            (_, _, _, la) = L.one_data[Y.edge(a, b)]
-            dla = dict(la)
-            for j in range(p + 1):
-                tris[(a, b, q1 + j)] = dla[str(j)]
-    de = OrientedSimplex(q1 + p, verts, tuple(sorted(edges.items())),
-                         tuple(sorted(tris.items())))
-    return om, de
+        for n in range(other.dim + 1):
+            edges[key(ho + m, to + n)] = dcomps[str(n)]
+        for a, b in layout(other.dim).pairs:
+            tris[key(ho + m, to + a, to + b)] = dcells[path_id((a, b))]
+    for (a, b), f in zip(layout(Y.dim).pairs, Y.edges):
+        dla = dict(comma.one_data[f][3])
+        for n in range(other.dim + 1):
+            tris[key(ho + a, ho + b, to + n)] = dla[str(n)]
+    L = layout(q1 + si.dim)
+    de = OrientedSimplex(q1 + si.dim, fom.vertices + si.vertices,
+                         tuple(map(edges.__getitem__, L.pairs)),
+                         tuple(map(tris.__getitem__, L.triples)))
+    return Bisimplex(om, de, si)
 
 
 def filtration_check_p(F: TwoFunctor, si: OrientedSimplex, q: int) -> bool:
@@ -426,65 +437,27 @@ def filtration_check_p(F: TwoFunctor, si: OrientedSimplex, q: int) -> bool:
     C, D = F.source, F.target
     L = laco_diagram(F, simplex_functor(D, si))
     Ys = enumerate_simplices(L.cat, q)
-    assembled = {Y: _assemble_over_sigma(F, L, si, Y) for Y in Ys}
-    target = set()
-    for om in enumerate_simplices(C, q):
-        for de in _pinned_delta(F, om, si):
-            target.add((om, de))
+    assembled = {Y: _assemble_join(F, L, Y, si, True) for Y in Ys}
+    target = {Bisimplex(om, de, si) for om in enumerate_simplices(C, q)
+              for de in _pinned_delta(F, om, si)}
     if len(set(assembled.values())) != len(Ys):
         return False
     if set(assembled.values()) != target:
         return False
     if q >= 1:
-        for Y in Ys:
-            om, de = assembled[Y]
+        for Y, x in assembled.items():
             for i in range(q + 1):
-                got = _assemble_over_sigma(F, L, si, face(L.cat, Y, i))
-                if got != (face(C, om, i), face(D, de, i)):
+                got = _assemble_join(F, L, face(L.cat, Y, i), si, True)
+                if got != Bisimplex(face(C, x.om, i), face(D, x.de, i), si):
                     return False
-    if q >= 1:
         for Y in enumerate_simplices(L.cat, q - 1):
-            om, de = _assemble_over_sigma(F, L, si, Y)
+            x = _assemble_join(F, L, Y, si, True)
             for i in range(q):
-                got = _assemble_over_sigma(F, L, si,
-                                           degeneracy(L.cat, Y, i))
-                if got != (degeneracy(C, om, i), degeneracy(D, de, i)):
+                got = _assemble_join(F, L, degeneracy(L.cat, Y, i), si, True)
+                if got != Bisimplex(degeneracy(C, x.om, i),
+                                    degeneracy(D, x.de, i), si):
                     return False
     return True
-
-
-def _assemble_under_omega(F: TwoFunctor, R, om: OrientedSimplex,
-                          Y: OrientedSimplex):
-    """A p-simplex Y of the nerve of the codiagram comma object under
-    F(omega), unpacked into the pair (delta, sigma) of the corresponding
-    horizontal p-cell of B(F) at omega."""
-    q, p = om.dim, Y.dim
-    q1 = q + 1
-    si = map_simplex(R.p_right, Y)
-    fom = map_simplex(F, om)
-    verts = fom.vertices + si.vertices
-    edges = {ij: e for ij, e in fom.edges}
-    edges.update({(q1 + a, q1 + b): e for (a, b), e in si.edges})
-    tris = {ijk: t for ijk, t in fom.triangles}
-    tris.update({(q1 + a, q1 + b, q1 + c): t
-                 for (a, b, c), t in si.triangles})
-    for j in range(p + 1):
-        (_, comps, cells) = R.obj_data[Y.vertices[j]]
-        dcomps, dcells = dict(comps), dict(cells)
-        for i in range(q + 1):
-            edges[(i, q1 + j)] = dcomps[str(i)]
-        for a in range(q + 1):
-            for b in range(a + 1, q + 1):
-                tris[(a, b, q1 + j)] = dcells[path_id((a, b))]
-    for a in range(p + 1):
-        for b in range(a + 1, p + 1):
-            (_, _, _, la) = R.one_data[Y.edge(a, b)]
-            dla = dict(la)
-            for i in range(q + 1):
-                tris[(i, q1 + a, q1 + b)] = dla[str(i)]
-    de = OrientedSimplex(q1 + p, verts, tuple(sorted(edges.items())),
-                         tuple(sorted(tris.items())))
-    return de, si
 
 
 def filtration_check_q(F: TwoFunctor, om: OrientedSimplex, p: int) -> bool:
@@ -495,30 +468,27 @@ def filtration_check_q(F: TwoFunctor, om: OrientedSimplex, p: int) -> bool:
     W = compose_functors(F, simplex_functor(C, om))
     R = oplaco_codiagram(W)
     Ys = enumerate_simplices(R.cat, p)
-    assembled = {Y: _assemble_under_omega(F, R, om, Y) for Y in Ys}
-    target = set()
-    for si in enumerate_simplices(D, p):
-        for de in _pinned_delta(F, om, si):
-            target.add((de, si))
+    assembled = {Y: _assemble_join(F, R, Y, om, False) for Y in Ys}
+    target = {Bisimplex(om, de, si) for si in enumerate_simplices(D, p)
+              for de in _pinned_delta(F, om, si)}
     if len(set(assembled.values())) != len(Ys):
         return False
     if set(assembled.values()) != target:
         return False
     if p >= 1:
         q1 = om.dim + 1
-        for Y in Ys:
-            de, si = assembled[Y]
+        for Y, x in assembled.items():
             for i in range(p + 1):
-                got = _assemble_under_omega(F, R, om, face(R.cat, Y, i))
-                if got != (face(D, de, q1 + i), face(D, si, i)):
+                got = _assemble_join(F, R, face(R.cat, Y, i), om, False)
+                if got != Bisimplex(om, face(D, x.de, q1 + i),
+                                    face(D, x.si, i)):
                     return False
         for Y in enumerate_simplices(R.cat, p - 1):
-            de, si = _assemble_under_omega(F, R, om, Y)
+            x = _assemble_join(F, R, Y, om, False)
             for i in range(p):
-                got = _assemble_under_omega(F, R, om,
-                                            degeneracy(R.cat, Y, i))
-                if got != (degeneracy(D, de, q1 + i),
-                           degeneracy(D, si, i)):
+                got = _assemble_join(F, R, degeneracy(R.cat, Y, i), om, False)
+                if got != Bisimplex(om, degeneracy(D, x.de, q1 + i),
+                                    degeneracy(D, x.si, i)):
                     return False
     return True
 
@@ -656,7 +626,7 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
             Lx, inc_x, _, _, _ = comma_data(x)
             Ly, _, XLy, sq_Ly, inv_y = comma_data(y)
             # the 1-simplex of the nerve of D classified by f
-            sf = OrientedSimplex(1, (x, y), (((0, 1), f),), ())
+            sf = OrientedSimplex(1, (x, y), (f,), ())
             Gf = simplex_functor(D, sf)
             w = find_oplax_initial(Gf.source)
             d, _, _, _, Lf = lp_initial_d_e(F, Gf, w, Lpt=Lx)
@@ -696,11 +666,17 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
                           fiber_group, edge_matrix)
 
 
-def e2_vs_local(F: TwoFunctor, cert, p: int, q: int) -> bool:
-    """E^2_{p,q} of B(F) equals H_p of the nerve of the target with local
-    coefficients in the degree-q fiber homology."""
-    B = build_B(F, p + 1, q + 1)
-    pg = pages(B)
+def e2_vs_local(pg: SSPages, cert, p: int, q: int) -> bool:
+    """E^2_{p,q} of the pages pg of B(F) equals H_p of the nerve of the
+    target with local coefficients in the degree-q fiber homology.  E^2_{p,q}
+    reads only the levels (p +- 1, q +- 1) of B, the same in every B that
+    holds them, so any pages trusted at (p, q) serve; outside pg.trusted
+    this raises ValueError."""
+    tp, tq = pg.trusted
+    if not (0 <= p <= tp and 0 <= q <= tq):
+        raise ValueError("E2_(%d,%d) lies outside the trusted window "
+                         "p <= %d, q <= %d" % (p, q, tp, tq))
+    F = pg.B.F
     X = nerve(F.target, p + 1)
     data = fiber_coeff_system(F, cert, q, X)
     return pg.E2[(p, q)] == homology_local(X, data.system, p)

@@ -1,8 +1,10 @@
+import hashlib
 from itertools import combinations, product
 
 import pytest
 
 from twocat import fixtures, pgm, sinv, specseq
+from twocat import io as tio
 from twocat import nerve as nv
 from twocat.constructs import find_oplax_initial, find_oplax_terminal
 from twocat.core import find_isomorphism, validate_two_category
@@ -141,8 +143,8 @@ def product_then_filter(D, p, pinned_vertices=None, pinned_edges=None,
             def rec(n):
                 if n == len(triples):
                     out.append(nv.OrientedSimplex(
-                        p, vs, tuple(sorted(edges.items())),
-                        tuple(sorted(tris.items()))))
+                        p, vs, tuple(edges[k] for k in pairs),
+                        tuple(tris[k] for k in triples)))
                     return
                 for c in tri_choices[n]:
                     tris[triples[n]] = c
@@ -155,7 +157,7 @@ def product_then_filter(D, p, pinned_vertices=None, pinned_edges=None,
                 rec(0)
             else:
                 out.append(nv.OrientedSimplex(
-                    p, vs, tuple(sorted(edges.items())), ()))
+                    p, vs, tuple(edges[k] for k in pairs), ()))
     return out
 
 
@@ -210,6 +212,106 @@ def test_pin_that_does_not_fit_gives_nothing():
     for p, *pins in cases:
         assert nv.enumerate_simplices(I, p, *pins) == []
         assert product_then_filter(I, p, *pins) == []
+
+
+# --- face and degeneracy gathers against the dict-keyed maps ----------------
+
+def to_pairs(x):
+    """The pair encoding: edges and triangles as (key, cell) pairs in
+    ``combinations`` order of their keys."""
+    L = nv.layout(x.dim)
+    return (x.dim, x.vertices, tuple(zip(L.pairs, x.edges)),
+            tuple(zip(L.triples, x.triangles)))
+
+
+def from_pairs(dim, vertices, edges, triangles):
+    return nv.OrientedSimplex(dim, vertices, tuple(e for _, e in edges),
+                              tuple(t for _, t in triangles))
+
+
+def pair_face(D, x, i):
+    """Oracle for nv.face: d_i on the pair encoding, through dicts."""
+    p, vertices, edges, triangles = x
+    edge, tri = dict(edges), dict(triangles)
+    dl = lambda m: m if m < i else m + 1
+    vs = tuple(vertices[dl(m)] for m in range(p))
+    edges = tuple(sorted((((a, b), edge[(dl(a), dl(b))])
+                          for a, b in combinations(range(p), 2))))
+    tris = tuple(sorted((((a, b, c), tri[(dl(a), dl(b), dl(c))])
+                         for a, b, c in combinations(range(p), 3))))
+    return (p - 1, vs, edges, tris)
+
+
+def pair_degeneracy(D, x, i):
+    """Oracle for nv.degeneracy: s_i on the pair encoding, through dicts."""
+    p, vertices, edges, triangles = x
+    x_edge, x_tri = dict(edges), dict(triangles)
+    sg = lambda m: m if m <= i else m - 1
+
+    def edge(a, b):
+        if sg(a) == sg(b):
+            return D.id1[vertices[sg(a)]]
+        return x_edge[(sg(a), sg(b))]
+
+    def tri(a, b, c):
+        if sg(a) == sg(b) or sg(b) == sg(c):
+            return D.id2[edge(a, c)]
+        return x_tri[(sg(a), sg(b), sg(c))]
+
+    vs = tuple(vertices[sg(m)] for m in range(p + 2))
+    edges = tuple(sorted((((a, b), edge(a, b))
+                          for a, b in combinations(range(p + 2), 2))))
+    tris = tuple(sorted((((a, b, c), tri(a, b, c))
+                         for a, b, c in combinations(range(p + 2), 3))))
+    return (p + 1, vs, edges, tris)
+
+
+def check_gathers_against_pairs(D, pmax):
+    for p in range(pmax + 1):
+        for x in nv.enumerate_simplices(D, p):
+            px = to_pairs(x)
+            assert from_pairs(*px) == x
+            for i in range(p + 1):
+                if p >= 1:
+                    assert nv.face(D, x, i) == from_pairs(*pair_face(D, px, i))
+                assert nv.degeneracy(D, x, i) == \
+                    from_pairs(*pair_degeneracy(D, px, i))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_gathers_match_pair_oracle_on_fixtures(name):
+    if name == "fix_prod":
+        D = fixtures.fix_prod(fix_g2(), fix_c2())[0]
+    else:
+        D = getattr(fixtures, name)()
+    check_gathers_against_pairs(D, 4)
+
+
+@pytest.mark.parametrize("make", [pgm.fix_c2_pgm, pgm.fix_m2_pgm,
+                                  pgm.fix_g2_pgm])
+def test_gathers_match_pair_oracle_on_completions(make):
+    P = make()
+    check_gathers_against_pairs(sinv.s_inv_x(P, pgm.self_action(P)).cat, 5)
+
+
+def test_simplex_key_prints_the_pair_encoding():
+    x, = nv.enumerate_simplices(fix_t(), 3)
+    assert tio.simplex_key(x) == (
+        "(('pt', 'pt', 'pt', 'pt'), "
+        "(((0, 1), 'id_pt'), ((0, 2), 'id_pt'), ((0, 3), 'id_pt'), "
+        "((1, 2), 'id_pt'), ((1, 3), 'id_pt'), ((2, 3), 'id_pt')), "
+        "(((0, 1, 2), 'ii_pt'), ((0, 1, 3), 'ii_pt'), ((0, 2, 3), 'ii_pt'), "
+        "((1, 2, 3), 'ii_pt')))")
+
+
+def test_serialized_nerve_is_unchanged():
+    # digest of the G2 x C2 nerve file at N = 3 as written before the flat
+    # encoding (61,563 bytes)
+    D = fixtures.fix_prod(fix_g2(), fix_c2())[0]
+    text = tio.dumps(tio.trunc_sset_to_dict(nv.nerve(D, 3)))
+    assert len(text) == 61563
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "371e94e6200eb12536ff179e6b8f5543dca9b1ff494b30c1e4f7c2507aff7048"
 
 
 # --- nerve assembly -------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from twocat import homology as hm
 from twocat import intlinalg as il
 from twocat import opfib as of
+from twocat import pgm, sinv
 from twocat import specseq as ss
 from twocat.constructs import base_change, laco, oplaco_codiagram, strict_fiber
 from twocat.core import (AxiomError, TwoFunctor, compose_functors,
@@ -246,19 +247,52 @@ def test_transition_matrix_is_base_change():
 def test_e2_vs_local_terminal():
     F = identity_functor(fix_t())
     cert = of.check_opfibration(F)
-    assert ss.e2_vs_local(F, cert, 0, 0)
-    assert ss.e2_vs_local(F, cert, 1, 0)
+    pg = ss.pages(ss.build_B(F, 2, 1))
+    assert ss.e2_vs_local(pg, cert, 0, 0)
+    assert ss.e2_vs_local(pg, cert, 1, 0)
 
 
 def test_e2_vs_local_discrete_base():
     _, pr2 = pr2_c2()
     cert = of.check_opfibration(pr2)
+    pg = ss.pages(ss.build_B(pr2, 2, 2))
     for p, q in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        assert ss.e2_vs_local(pr2, cert, p, q)
+        assert ss.e2_vs_local(pg, cert, p, q)
 
 
 def test_e2_vs_local_interval_base():
     _, pr2 = pr2_i()
     cert = of.check_opfibration(pr2)
+    pg = ss.pages(ss.build_B(pr2, 2, 2))
     for p, q in [(0, 0), (1, 0), (0, 1)]:
-        assert ss.e2_vs_local(pr2, cert, p, q)
+        assert ss.e2_vs_local(pg, cert, p, q)
+
+
+def test_e2_vs_local_rejects_untrusted_degrees():
+    _, pr2 = pr2_c2()
+    cert = of.check_opfibration(pr2)
+    pg = ss.pages(ss.build_B(pr2, 2, 1))
+    assert pg.trusted == (1, 0)
+    for p, q in [(2, 0), (0, 1), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            ss.e2_vs_local(pg, cert, p, q)
+
+
+def _rho_c2():
+    P = pgm.fix_c2_pgm()
+    return sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
+                               sinv.s_inv_point(P))
+
+
+@pytest.mark.parametrize("make", [lambda: pr2_c2()[1], _rho_c2],
+                         ids=["projection", "rho-c2"])
+def test_e2_reads_only_neighbouring_levels(make):
+    # E2_{p,q} from B(3, 3) equals E2_{p,q} from the smallest B trusted
+    # there, which is what lets e2_vs_local reuse the caller's pages
+    F = make()
+    big = ss.pages(ss.build_B(F, 3, 3))
+    for p in range(big.trusted[0] + 1):
+        for q in range(big.trusted[1] + 1):
+            small = ss.pages(ss.build_B(F, p + 1, q + 1))
+            assert small.trusted == (p, q)
+            assert big.E2[(p, q)] == small.E2[(p, q)], (p, q)
