@@ -42,7 +42,7 @@ def main():
     cert = of.check_opfibration(pr2)
     print("E2 vs local-coefficient homology of the base:")
     for q in range(3):
-        flags = [ss.e2_vs_local(pg, cert, p, q) for p in range(3)]
+        flags = ss.e2_vs_local(pg, cert, q)
         print(f"  q={q}: {flags}")
         assert all(flags)
 

@@ -269,8 +269,8 @@ def cmd_ss(args, ctx) -> int:
         cert = check_opfibration(F)
         if isinstance(cert, Counterexample):
             return _fail(ctx, cert.clause, cert.detail)
-        report["e2_vs_local"] = [[p, q, bool(e2_vs_local(pg, cert, p, q))]
-                                 for p in range(trusted_p + 1)]
+        report["e2_vs_local"] = [[p, q, bool(flag)] for p, flag
+                                 in enumerate(e2_vs_local(pg, cert, q))]
     return _ok(ctx, report)
 
 

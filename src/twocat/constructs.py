@@ -2,7 +2,9 @@
 
 Strict pullbacks, the lax comma object laco(F, G) and its oplax variant,
 mediating 2-functors from the universal property, base change along a
-1-cell of the base, strict fibers, and oplax initial/terminal witnesses.
+1-cell of the base, strict fibers, oplax initial/terminal witnesses, and
+the diagram-shaped comma objects of cones over a diagram and (as its
+op-dual) of cocones under one.
 
 Cells of a comma object are named by canonical tuples of constituent
 identifiers (via fixtures.nm), so outputs are deterministic and diffable.
@@ -17,12 +19,13 @@ Conventions (cospan F: X -> Y <- Z : G):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .core import (LAX, OPLAX, TWO_NATURAL, Transformation, TwoCategory,
-                   TwoFunctor, make_two_category)
-from .fixtures import fix_t, nm, point_functor
+                   TwoFunctor, compose_functors, functor_op, identity_functor,
+                   make_two_category, op_dual)
+from .fixtures import nm, point_functor
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +226,14 @@ def _comma(F: TwoFunctor, G: TwoFunctor, lax: bool) -> CommaResult:
                          {m: k[4] for k, m in ones.items()},
                          {c: k[3] for k, c in twos.items()})
     pi = Transformation(
-        source=_compose_ft(F, p_left),
-        target=_compose_ft(G, p_right),
+        source=compose_functors(F, p_left),
+        target=compose_functors(G, p_right),
         at_object={o: k[1] for k, o in objs.items()},
         at_one={m: k[3] for k, m in ones.items()},
         direction=LAX if lax else OPLAX,
         flavor=LAX if lax else OPLAX)
     return CommaResult(cat, p_left, p_right, pi, objs, ones, twos,
                        obj_data, one_data, two_data, lax)
-
-
-def _compose_ft(G: TwoFunctor, F: TwoFunctor) -> TwoFunctor:
-    from .core import compose_functors
-    return compose_functors(G, F)
 
 
 def laco(F: TwoFunctor, G: TwoFunctor) -> CommaResult:
@@ -281,8 +279,8 @@ def comma_inclusion(PB: PullbackResult, L: CommaResult,
     """The inclusion i: pb(F,G) -> laco(F,G) mediated by identity laxity."""
     Y = F.target
     lam = Transformation(
-        source=_compose_ft(F, PB.pr_left),
-        target=_compose_ft(G, PB.pr_right),
+        source=compose_functors(F, PB.pr_left),
+        target=compose_functors(G, PB.pr_right),
         at_object={o: Y.id1[F.on_objects[x]]
                    for (x, z), o in PB.obj_id.items()},
         at_one={m: Y.id2[F.on_one[s]] for (s, t), m in PB.one_id.items()},
@@ -377,7 +375,6 @@ def lp_id_data(G: TwoFunctor, L: CommaResult | None = None):
     """For G: E -> D, the inclusion J: E -> laco(1_D, G), z -> [Gz, 1, z],
     together with the lax transformation mu: Id => J . p_E that exhibits
     the projection p_E as a deformation retraction; returns (L, J, mu)."""
-    from .core import compose_functors, identity_functor
     E, D = G.source, G.target
     if L is None:
         L = laco(identity_functor(D), G)
@@ -413,67 +410,23 @@ class OplaxInitialWitness:
     at_one: dict[str, str]      # f: i -> j  ->  2-cell h_j => f . h_i
 
 
-def _constant_functor(E: TwoCategory, iota: str) -> TwoFunctor:
-    return TwoFunctor(E, E, {j: iota for j in E.objects},
-                      {f: E.id1[iota] for f in E.one_src},
-                      {a: E.id2[E.id1[iota]] for a in E.two_src})
-
-
-def _witness_transformation(E: TwoCategory, w: OplaxInitialWitness) -> Transformation:
-    from .core import identity_functor
-    return Transformation(_constant_functor(E, w.obj), identity_functor(E),
-                          dict(w.at_object), dict(w.at_one),
-                          direction=OPLAX, flavor=OPLAX)
-
-
 def find_oplax_initial(E: TwoCategory) -> OplaxInitialWitness | None:
-    """Exhaustive search, lexicographic in identifier order; first witness
-    wins.  Components h_j: iota -> j and 2-cells h_f: h_j => f . h_i with
-    h_iota = 1 and unit components forced to identities."""
-    from .core import AxiomError, validate_transformation
+    """The first witness in identifier order: for each object iota, the
+    first oplax cone from iota over the identity of E (components h_j:
+    iota -> j, cells h_f: h_j => f . h_i) whose component at iota is the
+    identity 1-cell."""
+    Id = identity_functor(E)
     for iota in E.objects:
-        others = [j for j in E.objects if j != iota]
-        comp_choices = [E.hom1(iota, j) for j in others]
-        if any(not ch for ch in comp_choices):
-            continue
-        nonid_ones = [f for f in sorted(E.one_src) if not E.is_id1(f)]
-        for comps in product(*comp_choices):
-            at_obj = dict(zip(others, comps))
-            at_obj[iota] = E.id1[iota]
-            cell_choices = []
-            ok = True
-            for f in nonid_ones:
-                i, j = E.one_src[f], E.one_tgt[f]
-                # h_f: h_j => f . h_i
-                cand = E.hom2(at_obj[j], E.comp1[(f, at_obj[i])])
-                if not cand:
-                    ok = False
-                    break
-                cell_choices.append(cand)
-            if not ok:
-                continue
-            for cells in product(*cell_choices):
-                at_one = dict(zip(nonid_ones, cells))
-                for f in E.one_src:
-                    if E.is_id1(f):
-                        at_one[f] = E.id2[at_obj[E.one_src[f]]]
-                w = OplaxInitialWitness(iota, at_obj, at_one)
-                # normalization: whiskering with the point at iota is trivial
-                if at_obj[iota] != E.id1[iota]:
-                    continue
-                t = _witness_transformation(E, w)
-                try:
-                    validate_transformation(t)
-                except AxiomError:
-                    continue
-                return w
+        for comps, cells in _enumerate_cones(Id, iota, E, Id):
+            at_object = dict(comps)
+            if at_object[iota] == E.id1[iota]:
+                return OplaxInitialWitness(iota, at_object, dict(cells))
     return None
 
 
 def find_oplax_terminal(E: TwoCategory) -> OplaxInitialWitness | None:
     """Oplax terminal = oplax initial in E^op; the witness is returned in
     E^op terms (components are 1-cells j -> tau of E)."""
-    from .core import op_dual
     return find_oplax_initial(op_dual(E))
 
 
@@ -535,13 +488,13 @@ def _oplax_cone_ok(D: TwoCategory, E: TwoCategory, G: TwoFunctor,
 
 
 def _enumerate_cones(F: TwoFunctor, c: str, E: TwoCategory, G: TwoFunctor):
-    """All oplax transformations Delta F(c) => G, as (comps, cells) pairs of
-    sorted tuples.  Backtracks over components then structure cells."""
+    """The oplax transformations Delta F(c) => G, as (comps, cells) pairs of
+    sorted tuples, lazily in product order of the components (by sorted
+    object of E), then of the structure cells."""
     D = F.target
     fc = F.on_objects[c]
     eobjs = sorted(E.objects)
     nonid = [e for e in sorted(E.one_src) if not E.is_id1(e)]
-    out = []
     comp_choices = [D.hom1(fc, G.on_objects[j]) for j in eobjs]
     for comps_tuple in product(*comp_choices):
         comps = dict(zip(eobjs, comps_tuple))
@@ -562,9 +515,8 @@ def _enumerate_cones(F: TwoFunctor, c: str, E: TwoCategory, G: TwoFunctor):
                 if E.is_id1(e):
                     cells[e] = D.id2[comps[E.one_src[e]]]
             if _oplax_cone_ok(D, E, G, comps, cells):
-                out.append((tuple(sorted(comps.items())),
-                            tuple(sorted(cells.items()))))
-    return out
+                yield (tuple(sorted(comps.items())),
+                       tuple(sorted(cells.items())))
 
 
 def laco_diagram(F: TwoFunctor, G: TwoFunctor) -> DiagramCommaResult:
@@ -733,7 +685,6 @@ def lp_initial_d_e(F: TwoFunctor, G: TwoFunctor,
 
     # 2-natural Id => d.e with component at (c, nu) the 1-cell
     # [1_c, {nu_{h_j}}_j]: (c, nu) -> de(c, nu)
-    from .core import compose_functors, identity_functor
     de = compose_functors(d, e)
     at_obj = {}
     for (c, comps, cells), o in Ldia.obj_id.items():
@@ -750,186 +701,14 @@ def lp_initial_d_e(F: TwoFunctor, G: TwoFunctor,
     return d, e, eta, Lpt, Ldia
 
 
-# ---------------------------------------------------------------------------
-# codiagram-shaped comma objects: cocones under a diagram W: E -> D
-# ---------------------------------------------------------------------------
-#
-# * objects (d, nu): d in D, nu a lax transformation W => Delta d, i.e.
-#   components nu_i: W(i) -> d and cells nu_e: nu_i => nu_{i'}.W(e) per
-#   1-cell e: i -> i' of E, unital and compatible with composition and with
-#   2-cells of E;
-# * 1-cells (t, La): t: d -> d' in D, La with components
-#   La_i: nu'_i => t . nu_i compatible with the cocone cells;
-# * 2-cells ga: t => t' with La'_i = (ga * nu_i) . La_i for all i.
+def oplaco_codiagram(W: TwoFunctor) -> DiagramCommaResult:
+    """The comma object of lax cocones under the diagram W: E -> D: an
+    object is an object d of D with a lax cocone W => Delta d.
 
-
-@dataclass(frozen=True)
-class CodiagramResult:
-    cat: TwoCategory
-    p_right: TwoFunctor         # projection to D
-    obj_id: dict                # (d, comps, cells) -> id
-    one_id: dict                # (src_obj, tgt_obj, t, La) -> id
-    two_id: dict                # (src_one, tgt_one, ga) -> id
-    obj_data: dict
-    one_data: dict
-    two_data: dict
-    E: TwoCategory
-    W: TwoFunctor
-
-
-def _lax_cocone_ok(D: TwoCategory, E: TwoCategory, W: TwoFunctor,
-                   comps: dict, cells: dict) -> bool:
-    """Axioms for a lax transformation W => Delta(cod) with the given
-    components; ``cells[e]: comps[i] => comps[i'] . W(e)`` for e: i -> i'."""
-    for e2 in E.one_src:
-        for e1 in E.one_src:
-            if E.one_tgt[e1] != E.one_src[e2]:
-                continue
-            e21 = E.comp1[(e2, e1)]
-            want = D.vcomp[(D.whisk_r[(cells[e2], W.on_one[e1])], cells[e1])]
-            if cells[e21] != want:
-                return False
-    for chi in E.two_src:
-        e1, e2 = E.two_src[chi], E.two_tgt[chi]
-        i2 = E.one_tgt[e1]
-        lhs = D.vcomp[(D.whisk_l[(comps[i2], W.on_two[chi])], cells[e1])]
-        if lhs != cells[e2]:
-            return False
-    return True
-
-
-def _enumerate_cocones(W: TwoFunctor, d: str):
-    D = W.target
-    E = W.source
-    eobjs = sorted(E.objects)
-    nonid = [e for e in sorted(E.one_src) if not E.is_id1(e)]
-    out = []
-    comp_choices = [D.hom1(W.on_objects[i], d) for i in eobjs]
-    for comps_tuple in product(*comp_choices):
-        comps = dict(zip(eobjs, comps_tuple))
-        cell_choices = []
-        ok = True
-        for e in nonid:
-            i, i2 = E.one_src[e], E.one_tgt[e]
-            cand = D.hom2(comps[i], D.comp1[(comps[i2], W.on_one[e])])
-            if not cand:
-                ok = False
-                break
-            cell_choices.append(cand)
-        if not ok:
-            continue
-        for cells_tuple in product(*cell_choices):
-            cells = dict(zip(nonid, cells_tuple))
-            for e in E.one_src:
-                if E.is_id1(e):
-                    cells[e] = D.id2[comps[E.one_src[e]]]
-            if _lax_cocone_ok(D, E, W, comps, cells):
-                out.append((tuple(sorted(comps.items())),
-                            tuple(sorted(cells.items()))))
-    return out
-
-
-def _cocone_mod_ok(D, E, W, t, comps, cells, comps2, cells2, la) -> bool:
-    """For each e: i -> i' of E,
-      (La_{i'} * W e) . nu'_e  ==  (t * nu_e) . La_i.
-    """
-    for e in E.one_src:
-        i, i2 = E.one_src[e], E.one_tgt[e]
-        lhs = D.vcomp[(D.whisk_r[(la[i2], W.on_one[e])], cells2[e])]
-        rhs = D.vcomp[(D.whisk_l[(t, cells[e])], la[i])]
-        if lhs != rhs:
-            return False
-    return True
-
-
-def oplaco_codiagram(W: TwoFunctor) -> CodiagramResult:
-    """The comma object of cocones under the diagram W: E -> D, dual to
-    ``laco_diagram``: an object is an object of D with a lax cocone from W."""
-    D = W.target
-    E = W.source
-    objs = {}
-    for d in D.objects:
-        for comps, cells in _enumerate_cocones(W, d):
-            objs[(d, comps, cells)] = nm("o", d, comps, cells)
-    ones = {}
-    for (d, comps, cells), o in sorted(objs.items()):
-        dcomps = dict(comps)
-        for (d2, comps2, cells2), o2 in sorted(objs.items()):
-            dcomps2 = dict(comps2)
-            for t in D.hom1(d, d2):
-                la_choices = []
-                ok = True
-                for i in sorted(E.objects):
-                    cand = D.hom2(dcomps2[i], D.comp1[(t, dcomps[i])])
-                    if not cand:
-                        ok = False
-                        break
-                    la_choices.append(cand)
-                if not ok:
-                    continue
-                for la_tuple in product(*la_choices):
-                    la = dict(zip(sorted(E.objects), la_tuple))
-                    if _cocone_mod_ok(D, E, W, t, dict(comps), dict(cells),
-                                      dict(comps2), dict(cells2), la):
-                        key = tuple(sorted(la.items()))
-                        ones[(o, o2, t, key)] = nm("1", o, o2, t, key)
-    obj_data = {v: k for k, v in objs.items()}
-    twos = {}
-    for (o, o2, t, la), m in sorted(ones.items()):
-        dla = dict(la)
-        (_, comps, _) = obj_data[o]
-        dcomps = dict(comps)
-        for (p, p2, t2, la2), m2 in sorted(ones.items()):
-            if (p, p2) != (o, o2):
-                continue
-            dla2 = dict(la2)
-            for ga in D.hom2(t, t2):
-                if all(dla2[i] == D.vcomp[(D.whisk_r[(ga, dcomps[i])], dla[i])]
-                       for i in E.objects):
-                    twos[(m, m2, ga)] = nm("2", m, m2, ga)
-    one_data = {v: k for k, v in ones.items()}
-    two_data = {v: k for k, v in twos.items()}
-    one_cells = {m: (k[0], k[1]) for k, m in ones.items()}
-    two_cells = {x: (k[0], k[1]) for k, x in twos.items()}
-    id1 = {}
-    for (d, comps, cells), o in objs.items():
-        la = tuple(sorted((i, D.id2[f]) for i, f in comps))
-        id1[o] = ones[(o, o, D.id1[d], la)]
-    id2 = {m: twos[(m, m, D.id2[k[2]])] for k, m in ones.items()}
-
-    comp1 = {}
-    for key2, m2 in ones.items():
-        for key1, m1 in ones.items():
-            if key1[1] != key2[0]:
-                continue
-            (o1, omid, t1, la1) = key1
-            (_, o3, t2, la2) = key2
-            d1, d2 = dict(la1), dict(la2)
-            la = tuple(sorted(
-                (i, D.vcomp[(D.whisk_l[(t2, d1[i])], d2[i])])
-                for i in E.objects))
-            comp1[(m2, m1)] = ones[(o1, o3, D.comp1[(t2, t1)], la)]
-    vcomp = {}
-    for (ma, mb, ga2), c2 in twos.items():
-        for (m0, m1, ga1), c1 in twos.items():
-            if m1 == ma:
-                vcomp[(c2, c1)] = twos[(m0, mb, D.vcomp[(ga2, ga1)])]
-    whisk_l = {}
-    whisk_r = {}
-    for (m, m2, ga), cc in twos.items():
-        for key_k, k in ones.items():
-            (ko, ko2, kt, kla) = key_k
-            if ko == one_cells[m][1]:
-                whisk_l[(k, cc)] = twos[(comp1[(k, m)], comp1[(k, m2)],
-                                         D.whisk_l[(kt, ga)])]
-            if ko2 == one_cells[m][0]:
-                whisk_r[(cc, k)] = twos[(comp1[(m, k)], comp1[(m2, k)],
-                                         D.whisk_r[(ga, kt)])]
-    cat = make_two_category(objs.values(), one_cells, two_cells, id1, id2,
-                            comp1, vcomp, whisk_l, whisk_r)
-    p_right = TwoFunctor(cat, D,
-                         {o: k[0] for k, o in objs.items()},
-                         {m: k[2] for k, m in ones.items()},
-                         {x: k[2] for k, x in twos.items()})
-    return CodiagramResult(cat, p_right, objs, ones, twos,
-                           obj_data, one_data, two_data, E, W)
+    A lax cocone under W into d is an oplax cone from d over W^op in D^op,
+    so this is the op-dual of laco_diagram(Id, W^op) over D^op.  op_dual
+    keeps cell ids: obj_data and the La slot of one_data read as for
+    laco_diagram, but a 1-cell keyed (o, o2, t, La) runs from o2 to o,
+    with t: d2 -> d in D.  p_left is the projection to D."""
+    L = laco_diagram(identity_functor(op_dual(W.target)), functor_op(W))
+    return replace(L, cat=op_dual(L.cat), p_left=functor_op(L.p_left))

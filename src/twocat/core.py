@@ -136,8 +136,8 @@ def make_two_category(objects, one_cells, two_cells, id1, id2,
 def build_two_category(objects, one_cells, two_cells, id1, id2,
                        comp1_fn, vcomp_fn, whisk_l_fn, whisk_r_fn) -> TwoCategory:
     """Build total tables by evaluating composition callbacks on every
-    composable tuple.  Used by all derived constructions (products, comma
-    objects, S^-1 X) so that totality is automatic."""
+    composable tuple, so that totality is automatic.  Used by S^-1 X
+    (``sinv``); products and comma objects fill their tables directly."""
     one_cells = dict(one_cells)
     two_cells = dict(two_cells)
     comp1 = {}

@@ -144,7 +144,8 @@ def _in_rel_lattice(pres: PresentedGroup, v) -> bool:
 
 
 def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
-    """Functoriality on face generators and preservation of relations."""
+    """Functoriality on face generators and preservation of relations;
+    raises AxiomError at the first violation."""
     for n in range(1, X.N + 1):
         for x in X.levels[n]:
             for i in range(n + 1):
@@ -152,7 +153,7 @@ def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
                 src, tgt = L.group[x], L.group[X.face[(i, x)]]
                 for col in columns(src.rel_matrix()):
                     if not _in_rel_lattice(tgt, mvec(M, col)):
-                        raise ValueError(
+                        raise AxiomError(
                             "face map (%d, %r) does not preserve relations"
                             % (i, x))
     for n in range(2, X.N + 1):
@@ -168,7 +169,7 @@ def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
                     tgt = L.group[X.face[(i, X.face[(j, x)])]]
                     for col in columns(diff):
                         if not _in_rel_lattice(tgt, col):
-                            raise ValueError(
+                            raise AxiomError(
                                 "face functoriality fails at %r (%d,%d)"
                                 % (x, i, j))
 

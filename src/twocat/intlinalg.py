@@ -25,7 +25,9 @@ def mshape(M):
 def mmul(A, B):
     ra, ca = len(A), len(A[0]) if A else 0
     rb, cb = len(B), len(B[0]) if B else 0
-    assert ca == rb, (ca, rb)
+    if ca != rb:
+        raise ValueError("cannot multiply: %d columns against %d rows"
+                         % (ca, rb))
     out = mzeros(ra, cb)
     for i in range(ra):
         Ai = A[i]
@@ -48,7 +50,9 @@ def hstack(A, B):
         return [row[:] for row in B]
     if not B:
         return [row[:] for row in A]
-    assert len(A) == len(B)
+    if len(A) != len(B):
+        raise ValueError("cannot stack: %d rows against %d rows"
+                         % (len(A), len(B)))
     return [ra + rb for ra, rb in zip(A, B)]
 
 

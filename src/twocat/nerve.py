@@ -165,7 +165,8 @@ def _face_table(p: int, i: int):
 def face(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
     """d_i: delete vertex i and reindex along the coface [p-1] -> [p]."""
     p = x.dim
-    assert 0 <= i <= p and p >= 1
+    if not 0 <= i <= p or p < 1:
+        raise ValueError("no face d_%d of a %d-simplex" % (i, p))
     vt, et, tt = _face_table(p, i)
     v, e, t = x.vertices, x.edges, x.triangles
     return OrientedSimplex(p - 1, tuple([v[m] for m in vt]),
@@ -194,7 +195,8 @@ def degeneracy(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
     """s_i: repeat vertex i; the collapsed edge is an identity 1-cell and
     collapsed triangles are identity 2-cells."""
     p = x.dim
-    assert 0 <= i <= p
+    if not 0 <= i <= p:
+        raise ValueError("no degeneracy s_%d of a %d-simplex" % (i, p))
     vt, et, tt = _degeneracy_table(p, i)
     v, e, t, id1, id2 = x.vertices, x.edges, x.triangles, D.id1, D.id2
     edges = tuple([e[m] if m >= 0 else id1[v[-1 - m]] for m in et])

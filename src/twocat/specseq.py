@@ -20,7 +20,7 @@ When F is a certified opfibration the E^2 page is identified with the
 homology of the base with local coefficients in the fiber homology; the
 coefficient system is constructed here (``fiber_coeff_system``) with
 transition matrices computed along comma-object routes, and
-``e2_vs_local`` checks the identification degreewise.
+``e2_vs_local`` checks the identification row by row.
 """
 
 from __future__ import annotations
@@ -399,13 +399,11 @@ def _assemble_join(F: TwoFunctor, comma, Y: OrientedSimplex,
     stands for.  Over sigma (``over``), comma is laco_diagram(F, sigma),
     other is sigma and omega the image of the q-simplex Y under p_left;
     under omega, comma is the codiagram comma object under F(omega), other
-    is omega and sigma the image of the p-simplex Y under p_right.  The
+    is omega and sigma the image of the p-simplex Y under p_left.  The
     cones at Y's vertices fill the mixed edges and the mixed triangles with
     one vertex on Y's side; the cells at Y's edges fill those with two."""
-    if over:
-        om, si = map_simplex(comma.p_left, Y), other
-    else:
-        om, si = other, map_simplex(comma.p_right, Y)
+    image = map_simplex(comma.p_left, Y)
+    om, si = (image, other) if over else (other, image)
     q1 = om.dim + 1
     fom = map_simplex(F, om)
     edges, tris = _block_cells(fom, si)
@@ -666,17 +664,21 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
                           fiber_group, edge_matrix)
 
 
-def e2_vs_local(pg: SSPages, cert, p: int, q: int) -> bool:
-    """E^2_{p,q} of the pages pg of B(F) equals H_p of the nerve of the
-    target with local coefficients in the degree-q fiber homology.  E^2_{p,q}
-    reads only the levels (p +- 1, q +- 1) of B, the same in every B that
-    holds them, so any pages trusted at (p, q) serve; outside pg.trusted
-    this raises ValueError."""
+def e2_vs_local(pg: SSPages, cert, q: int) -> list:
+    """For each trusted p, in order, whether E^2_{p,q} of the pages pg of
+    B(F) equals H_p of the nerve of the target with local coefficients in
+    the degree-q fiber homology.  E^2_{p,q} reads only the levels
+    (p +- 1, q +- 1) of B, the same in every B that holds them, so any
+    pages trusted at (p, q) serve; and H_p reads only the levels p +- 1 of
+    the nerve, so one coefficient system, on the nerve truncated at the top
+    trusted p + 1, serves every p.  A q outside pg.trusted raises
+    ValueError."""
     tp, tq = pg.trusted
-    if not (0 <= p <= tp and 0 <= q <= tq):
-        raise ValueError("E2_(%d,%d) lies outside the trusted window "
-                         "p <= %d, q <= %d" % (p, q, tp, tq))
+    if not 0 <= q <= tq:
+        raise ValueError("row q = %d lies outside the trusted window q <= %d"
+                         % (q, tq))
     F = pg.B.F
-    X = nerve(F.target, p + 1)
-    data = fiber_coeff_system(F, cert, q, X)
-    return pg.E2[(p, q)] == homology_local(X, data.system, p)
+    X = nerve(F.target, tp + 1)
+    system = fiber_coeff_system(F, cert, q, X).system
+    return [pg.E2[(p, q)] == homology_local(X, system, p)
+            for p in range(tp + 1)]

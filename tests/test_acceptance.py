@@ -148,9 +148,8 @@ def test_criterion_05_spectral_sequence():
                 (name, n)
         cert = of.check_opfibration(F)
         pg = ss.pages(B)
-        for p in range(3):
-            for q in range(3):
-                assert ss.e2_vs_local(pg, cert, p, q), (name, p, q)
+        for q in range(3):
+            assert ss.e2_vs_local(pg, cert, q) == [True] * 3, (name, q)
     # the one-object fixture with 2-cell group Z/2 doubles its simplex
     # count with every level: its window stops at 2x2 (degrees <= 1)
     F = identity_functor(fix_g2())
@@ -160,8 +159,8 @@ def test_criterion_05_spectral_sequence():
         assert ss.totalization_homology(B, n) == hm.homology(X, n)
     cert = of.check_opfibration(F)
     pg = ss.pages(B)
-    for p, q in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        assert ss.e2_vs_local(pg, cert, p, q), (p, q)
+    for q in range(2):
+        assert ss.e2_vs_local(pg, cert, q) == [True] * 2, q
     print("ACCEPTANCE 05 PASS: totalization homology matches the source "
           "nerve and E2 matches local-coefficient homology at every "
           "computed (p, q) within bounds")

@@ -273,6 +273,37 @@ def test_corrupted_nerve_is_an_axiom_failure(tmp_path, flags):
         assert "boundary squared is nonzero" in rep["counterexample"]["detail"][0]
 
 
+def non_functorial_coeffs(tmp_path):
+    """The G2 nerve at N = 3 with constant coefficients Z, except that the
+    face d_0 of one 2-simplex multiplies by 2, so d_0 d_1 != d_0 d_0 there;
+    returns (nerve file, coefficient file)."""
+    d = tio.trunc_sset_to_dict(nerve(fix_g2(), 3))
+    X = tio.trunc_sset_from_dict(d)
+    L = constant_system(X)
+    L.face_map[(0, X.levels[2][0])] = [[2]]
+    return (write(tmp_path, "g2-nerve.json", d),
+            write(tmp_path, "bad-coeffs.json", tio.coeff_system_to_dict(L)))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_functorial_coefficients_are_an_axiom_failure(tmp_path, flags):
+    # a loaded coefficient system is checked against the loaded nerve, by
+    # an explicit check that python -O keeps
+    nerve_file, coeffs = non_functorial_coeffs(tmp_path)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    for deg in (0, 1, 2):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "twocat.cli", "homology",
+             "--nerve", nerve_file, "--deg", str(deg), "--coeffs", coeffs],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["counterexample"]["clause"] == "axiom-failure"
+        assert "face functoriality fails" in \
+            rep["counterexample"]["detail"][0]
+
+
 # --- opfibration and the spectral sequence ------------------------------------------
 
 def test_opfib_certificate_emitted(run, tmp_path):

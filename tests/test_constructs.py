@@ -1,14 +1,20 @@
+from itertools import product
+
 import pytest
 
-from twocat import constructs
+from twocat import constructs, fixtures, pgm, sinv
 from twocat.core import (AxiomError, Transformation, compose_functors,
                          find_isomorphism, functor_op, functors_equal,
-                         identity_functor, op_dual, coop_dual, functor_coop,
+                         identity_functor, op_dual, co_dual, coop_dual,
+                         functor_coop, make_two_category,
                          validate_transformation, validate_two_category,
                          validate_two_functor)
-from twocat.core import LAX, TWO_NATURAL, TwoFunctor
+from twocat.core import LAX, OPLAX, TWO_NATURAL, TwoFunctor
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
-                             fix_t, point_functor)
+                             fix_t, nm, point_functor)
+from twocat.nerve import enumerate_simplices
+from twocat.orientals import materialize_oriental
+from twocat.specseq import simplex_functor
 
 
 def collapse_functor(E, D, obj, one, two):
@@ -235,7 +241,7 @@ def test_interval_oplax_initial_terminal():
     I = fix_i()
     w = constructs.find_oplax_initial(I)
     assert w is not None and w.obj == "0"
-    validate_transformation(constructs._witness_transformation(I, w))
+    validate_transformation(witness_transformation(I, w))
     wt = constructs.find_oplax_terminal(I)
     assert wt is not None and wt.obj == "1"
 
@@ -289,3 +295,256 @@ def test_lp_initial_shadow_interval_base():
     validate_two_functor(e)
     assert functors_equal(compose_functors(e, d), identity_functor(Lpt.cat))
     validate_transformation(eta)
+
+
+# --- independent oracles for the cone enumerator ----------------------------
+#
+# find_oplax_initial and oplaco_codiagram both go through the cone
+# enumerator of laco_diagram.  The oracles share none of it: a product
+# search checked by validate_transformation, and a builder written
+# directly in terms of cocones, 1-cells (t, La) and 2-cells ga.
+
+def witness_transformation(E, w):
+    """The oplax transformation Delta(iota) => Id_E that a witness names."""
+    const = TwoFunctor(E, E, {j: w.obj for j in E.objects},
+                       {f: E.id1[w.obj] for f in E.one_src},
+                       {a: E.id2[E.id1[w.obj]] for a in E.two_src})
+    return Transformation(const, identity_functor(E), dict(w.at_object),
+                          dict(w.at_one), direction=OPLAX, flavor=OPLAX)
+
+
+def product_oplax_initial(E):
+    for iota in E.objects:
+        others = [j for j in E.objects if j != iota]
+        comp_choices = [E.hom1(iota, j) for j in others]
+        if any(not ch for ch in comp_choices):
+            continue
+        nonid_ones = [f for f in sorted(E.one_src) if not E.is_id1(f)]
+        for comps in product(*comp_choices):
+            at_obj = dict(zip(others, comps))
+            at_obj[iota] = E.id1[iota]
+            cell_choices = []
+            for f in nonid_ones:
+                i, j = E.one_src[f], E.one_tgt[f]
+                cand = E.hom2(at_obj[j], E.comp1[(f, at_obj[i])])
+                if not cand:
+                    break
+                cell_choices.append(cand)
+            else:
+                for cells in product(*cell_choices):
+                    at_one = dict(zip(nonid_ones, cells))
+                    for f in E.one_src:
+                        if E.is_id1(f):
+                            at_one[f] = E.id2[at_obj[E.one_src[f]]]
+                    w = constructs.OplaxInitialWitness(iota, at_obj, at_one)
+                    try:
+                        validate_transformation(witness_transformation(E, w))
+                    except AxiomError:
+                        continue
+                    return w
+    return None
+
+
+def _lax_cocone_ok(D, E, W, comps, cells):
+    for e2 in E.one_src:
+        for e1 in E.one_src:
+            if E.one_tgt[e1] != E.one_src[e2]:
+                continue
+            e21 = E.comp1[(e2, e1)]
+            want = D.vcomp[(D.whisk_r[(cells[e2], W.on_one[e1])], cells[e1])]
+            if cells[e21] != want:
+                return False
+    for chi in E.two_src:
+        e1, e2 = E.two_src[chi], E.two_tgt[chi]
+        lhs = D.vcomp[(D.whisk_l[(comps[E.one_tgt[e1]], W.on_two[chi])],
+                       cells[e1])]
+        if lhs != cells[e2]:
+            return False
+    return True
+
+
+def _enumerate_cocones(W, d):
+    D, E = W.target, W.source
+    eobjs = sorted(E.objects)
+    nonid = [e for e in sorted(E.one_src) if not E.is_id1(e)]
+    out = []
+    for comps_tuple in product(*[D.hom1(W.on_objects[i], d) for i in eobjs]):
+        comps = dict(zip(eobjs, comps_tuple))
+        cell_choices = []
+        for e in nonid:
+            i, i2 = E.one_src[e], E.one_tgt[e]
+            cand = D.hom2(comps[i], D.comp1[(comps[i2], W.on_one[e])])
+            if not cand:
+                break
+            cell_choices.append(cand)
+        else:
+            for cells_tuple in product(*cell_choices):
+                cells = dict(zip(nonid, cells_tuple))
+                for e in E.one_src:
+                    if E.is_id1(e):
+                        cells[e] = D.id2[comps[E.one_src[e]]]
+                if _lax_cocone_ok(D, E, W, comps, cells):
+                    out.append((tuple(sorted(comps.items())),
+                                tuple(sorted(cells.items()))))
+    return out
+
+
+def _cocone_mod_ok(D, E, W, t, cells, cells2, la):
+    """(La_{i'} * W e) . nu'_e == (t * nu_e) . La_i for e: i -> i'."""
+    for e in E.one_src:
+        i, i2 = E.one_src[e], E.one_tgt[e]
+        lhs = D.vcomp[(D.whisk_r[(la[i2], W.on_one[e])], cells2[e])]
+        rhs = D.vcomp[(D.whisk_l[(t, cells[e])], la[i])]
+        if lhs != rhs:
+            return False
+    return True
+
+
+def handwritten_codiagram(W):
+    """Cocones under W: E -> D, with 1-cells (t, La), La_i: nu'_i => t.nu_i,
+    and 2-cells ga: t => t' with La'_i = (ga * nu_i) . La_i.  Returns
+    (cat, obj_id, one_id, two_id, projection to D)."""
+    D, E = W.target, W.source
+    objs = {}
+    for d in D.objects:
+        for comps, cells in _enumerate_cocones(W, d):
+            objs[(d, comps, cells)] = nm("o", d, comps, cells)
+    ones = {}
+    for (d, comps, cells), o in sorted(objs.items()):
+        dcomps = dict(comps)
+        for (d2, comps2, cells2), o2 in sorted(objs.items()):
+            dcomps2 = dict(comps2)
+            for t in D.hom1(d, d2):
+                la_choices = [D.hom2(dcomps2[i], D.comp1[(t, dcomps[i])])
+                              for i in sorted(E.objects)]
+                for la_tuple in product(*la_choices):
+                    la = dict(zip(sorted(E.objects), la_tuple))
+                    if _cocone_mod_ok(D, E, W, t, dict(cells), dict(cells2),
+                                      la):
+                        key = tuple(sorted(la.items()))
+                        ones[(o, o2, t, key)] = nm("1", o, o2, t, key)
+    obj_data = {v: k for k, v in objs.items()}
+    twos = {}
+    for (o, o2, t, la), m in sorted(ones.items()):
+        dla = dict(la)
+        dcomps = dict(obj_data[o][1])
+        for (p, p2, t2, la2), m2 in sorted(ones.items()):
+            if (p, p2) != (o, o2):
+                continue
+            dla2 = dict(la2)
+            for ga in D.hom2(t, t2):
+                if all(dla2[i] == D.vcomp[(D.whisk_r[(ga, dcomps[i])], dla[i])]
+                       for i in E.objects):
+                    twos[(m, m2, ga)] = nm("2", m, m2, ga)
+    one_cells = {m: (k[0], k[1]) for k, m in ones.items()}
+    two_cells = {x: (k[0], k[1]) for k, x in twos.items()}
+    id1 = {o: ones[(o, o, D.id1[d], tuple(sorted((i, D.id2[f])
+                                                   for i, f in comps)))]
+           for (d, comps, cells), o in objs.items()}
+    id2 = {m: twos[(m, m, D.id2[k[2]])] for k, m in ones.items()}
+    comp1 = {}
+    for (o1, omid, t1, la1), m1 in ones.items():
+        for (p, o3, t2, la2), m2 in ones.items():
+            if omid == p:
+                d1, d2 = dict(la1), dict(la2)
+                la = tuple(sorted(
+                    (i, D.vcomp[(D.whisk_l[(t2, d1[i])], d2[i])])
+                    for i in E.objects))
+                comp1[(m2, m1)] = ones[(o1, o3, D.comp1[(t2, t1)], la)]
+    vcomp = {}
+    for (ma, mb, ga2), c2 in twos.items():
+        for (m0, m1, ga1), c1 in twos.items():
+            if m1 == ma:
+                vcomp[(c2, c1)] = twos[(m0, mb, D.vcomp[(ga2, ga1)])]
+    whisk_l, whisk_r = {}, {}
+    for (m, m2, ga), cc in twos.items():
+        for (ko, ko2, kt, _), k in ones.items():
+            if ko == one_cells[m][1]:
+                whisk_l[(k, cc)] = twos[(comp1[(k, m)], comp1[(k, m2)],
+                                         D.whisk_l[(kt, ga)])]
+            if ko2 == one_cells[m][0]:
+                whisk_r[(cc, k)] = twos[(comp1[(m, k)], comp1[(m2, k)],
+                                         D.whisk_r[(ga, kt)])]
+    cat = make_two_category(objs.values(), one_cells, two_cells, id1, id2,
+                            comp1, vcomp, whisk_l, whisk_r)
+    proj = TwoFunctor(cat, D, {o: k[0] for k, o in objs.items()},
+                      {m: k[2] for k, m in ones.items()},
+                      {x: k[2] for k, x in twos.items()})
+    return cat, objs, ones, twos, proj
+
+
+def _witness_categories():
+    """(label, E): every fixture (fix_prod on G2 x C2), I x I, I x G2, the
+    orientals O(0)..O(4), the point completions of C2 and M2, S^-1 M2, and
+    the op- and co-duals of all of these."""
+    cats = [(n, getattr(fixtures, n)()) for n in sorted(dir(fixtures))
+            if n.startswith("fix_") and n != "fix_prod"]
+    cats += [("fix_prod", fix_prod(fix_g2(), fix_c2())[0]),
+             ("IxI", fix_prod(fix_i(), fix_i())[0]),
+             ("IxG2", fix_prod(fix_i(), fix_g2())[0])]
+    cats += [("O%d" % p, materialize_oriental(p)) for p in range(5)]
+    M2 = pgm.fix_m2_pgm()
+    cats += [("pt-C2", sinv.s_inv_point(pgm.fix_c2_pgm()).cat),
+             ("pt-M2", sinv.s_inv_point(M2).cat),
+             ("S-1M2", sinv.s_inv_x(M2, pgm.self_action(M2)).cat)]
+    return [(name + suffix, dual(E)) for name, E in cats
+            for suffix, dual in (("", lambda E: E), ("-op", op_dual),
+                                 ("-co", co_dual))]
+
+
+WITNESS_CATEGORIES = _witness_categories()
+
+
+@pytest.mark.parametrize("E", [E for _, E in WITNESS_CATEGORIES],
+                         ids=[name for name, _ in WITNESS_CATEGORIES])
+def test_oplax_initial_matches_product_search(E):
+    w = constructs.find_oplax_initial(E)
+    assert w == product_oplax_initial(E)
+    if w is not None:
+        validate_transformation(witness_transformation(E, w))
+
+
+def _codiagrams():
+    """(label, W): the simplices of G2 and I of dimension <= 2, and F(omega)
+    for the 0- and 1-simplices omega of the source of rho-c2."""
+    out = []
+    for name, D in (("G2", fix_g2()), ("I", fix_i())):
+        out += [("%s-%d.%d" % (name, n, k), simplex_functor(D, x))
+                for n in range(3)
+                for k, x in enumerate(enumerate_simplices(D, n))]
+    P = pgm.fix_c2_pgm()
+    F = sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
+                            sinv.s_inv_point(P))
+    out += [("rho-c2-%d.%d" % (n, k),
+             compose_functors(F, simplex_functor(F.source, om)))
+            for n in range(2)
+            for k, om in enumerate(enumerate_simplices(F.source, n))]
+    return out
+
+
+CODIAGRAMS = _codiagrams()
+
+
+@pytest.mark.parametrize("W", [W for _, W in CODIAGRAMS],
+                         ids=[name for name, _ in CODIAGRAMS])
+def test_codiagram_matches_handwritten_builder(W):
+    R = constructs.oplaco_codiagram(W)
+    cat, objs, ones, twos, proj = handwritten_codiagram(W)
+    assert R.obj_id == objs
+    # the op-dual keys each 1-cell by its endpoints in D^op: swapped, the
+    # keys are the hand-written ones
+    to_old = {}
+    for (o, o2, t, la), m in R.one_id.items():
+        assert (R.cat.one_src[m], R.cat.one_tgt[m]) == (o2, o)
+        to_old[m] = ones[(o2, o, t, la)]
+    assert len(to_old) == len(ones)
+    # and the cell correspondence is an isomorphism over D
+    iso = TwoFunctor(R.cat, cat, {o: o for o in R.cat.objects}, to_old,
+                     {c: twos[(to_old[m], to_old[m2], ga)]
+                      for (m, m2, ga), c in R.two_id.items()})
+    validate_two_functor(iso)
+    assert len(R.two_id) == len(twos)
+    assert functors_equal(compose_functors(proj, iso), R.p_left)
+    for p in range(3):
+        assert len(enumerate_simplices(R.cat, p)) == \
+            len(enumerate_simplices(cat, p))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from twocat import homology as hm
 from twocat import intlinalg as il
+from twocat.core import AxiomError
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
                              fix_prod, fix_t)
 from twocat.nerve import nerve, induced_map
@@ -274,5 +275,12 @@ def test_local_system_functoriality_enforced():
     bad = hm.LocalCoeffSystem(dict(L.group), dict(L.face_map), {})
     x = X.levels[2][0]
     bad.face_map[(0, x)] = [[5]]
-    with pytest.raises(ValueError):
+    with pytest.raises(AxiomError, match="face functoriality"):
         hm.homology_local(X, bad, 1)
+
+
+def test_matrix_shape_mismatch_is_an_error():
+    with pytest.raises(ValueError):
+        il.mmul([[1, 2]], [[1, 2]])
+    with pytest.raises(ValueError):
+        il.hstack([[1]], [[1], [2]])

@@ -351,6 +351,18 @@ def test_degeneracy_face_roundtrip():
             assert nv.is_degenerate(D, y)
 
 
+def test_face_and_degeneracy_reject_bad_indices():
+    D = fix_g2()
+    x = nv.enumerate_simplices(D, 2)[0]
+    for i in (-1, 3):
+        with pytest.raises(ValueError):
+            nv.face(D, x, i)
+        with pytest.raises(ValueError):
+            nv.degeneracy(D, x, i)
+    with pytest.raises(ValueError):
+        nv.face(D, nv.enumerate_simplices(D, 0)[0], 0)
+
+
 def test_induced_simplicial_map():
     D = fix_g2()
     F = bang_functor(D)
