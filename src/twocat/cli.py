@@ -178,7 +178,7 @@ def cmd_nerve(args, ctx) -> int:
     ctx["manifest"] = _manifest("nerve", [args.input], bounds)
     cache_dir = os.environ.get(CACHE_ENV)
     cache_path = None
-    nerve_dict = None
+    nerve_dict = text = None
     if cache_dir:
         key = "nerve-%s-%d.json" % (_sha256(args.input), args.max_dim)
         cache_path = os.path.join(cache_dir, key)
@@ -188,9 +188,17 @@ def cmd_nerve(args, ctx) -> int:
         C = validate_two_category(tio.load_two_category(args.input))
         nerve_dict = tio.trunc_sset_to_dict(nerve(C, args.max_dim))
         if cache_path:
+            text = tio.dumps(nerve_dict)
             os.makedirs(cache_dir, exist_ok=True)
-            with open(cache_path, "w") as fh:
-                fh.write(tio.dumps(nerve_dict))
+            # written aside and renamed, so a killed run leaves no torn entry
+            tmp = "%s.%d.tmp" % (cache_path, os.getpid())
+            try:
+                with open(tmp, "w") as fh:
+                    fh.write(text)
+                os.replace(tmp, cache_path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
     degenerate = dict(map(tuple, nerve_dict["degenerate"]))
     report = {
         "max_dim": args.max_dim,
@@ -200,7 +208,7 @@ def cmd_nerve(args, ctx) -> int:
     }
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(tio.dumps(nerve_dict))
+            fh.write(text or tio.dumps(nerve_dict))
         report["out"] = args.out
     else:
         report["nerve"] = nerve_dict

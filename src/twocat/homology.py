@@ -10,9 +10,14 @@ its generators: a finitely presented abelian group per simplex and a matrix
 per face map; the twisted boundary multiplies each face summand by the
 corresponding matrix.
 
-Integral and local-coefficient homology both reduce to
+Entry points that need only the group are ``homology`` and, through
+``intlinalg.cokernel``, ``PresentedGroup.canonical`` and
+``presented_map_is_iso``; they read invariant factors from
+``intlinalg.invariant_factors`` and keep no transforms.  Entry points that
+carry coordinates are ``homology_subquotient``, ``homology_induced`` and
+the local-coefficient functions; they reduce to
 ``intlinalg.chain_homology``, the homology at one spot of a complex of
-presented groups; the spectral-sequence pages use the same primitive.
+presented groups, as do the spectral-sequence pages.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from dataclasses import dataclass, field
 
 from .core import AxiomError
 from .intlinalg import (FGAbGroup, Subquotient, chain_homology, cokernel,
-                        columns, from_columns, hstack, mid, mmul, mshape,
-                        mvec, mzeros, order_relations, smith_normal_form,
-                        solve)
+                        columns, from_columns, hstack, induced_matrix,
+                        invariant_factors, mid, mmul, mshape, mvec, mzeros,
+                        order_relations, smith_normal_form, solve)
 from .nerve import TruncSimplicialSet
 
 
@@ -70,7 +75,14 @@ def homology_subquotient(X: TruncSimplicialSet, n: int):
 
 
 def homology(X: TruncSimplicialSet, n: int) -> FGAbGroup:
-    return homology_subquotient(X, n)[0].group
+    """H_n(X; Z) as a group only: Z^(c_n - rank d_n - rank d_{n+1}) plus
+    the torsion of d_{n+1}.  ``homology_subquotient`` gives the same group
+    with coordinates."""
+    _check_degree(X, n)
+    C = chain_complex(X)
+    rank_in = len(invariant_factors(C.boundary[n])) if n else 0
+    H = cokernel(C.boundary[n + 1], nrows=C.rank(n))
+    return FGAbGroup(H.free_rank - rank_in, H.torsion)
 
 
 def homology_induced(simp_map: dict, Xs: TruncSimplicialSet,
@@ -86,7 +98,6 @@ def homology_induced(simp_map: dict, Xs: TruncSimplicialSet,
         y = simp_map[x]
         if not Xt.degenerate[y]:
             M[idx_t[y]][j] += 1
-    from .intlinalg import induced_matrix
     return induced_matrix(sq_s, sq_t, M), sq_s, sq_t
 
 

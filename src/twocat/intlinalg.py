@@ -1,5 +1,6 @@
 """Exact integer matrix algebra: Smith normal form with unimodular
-transforms, integer kernels, lattice spans, and subquotient presentations.
+transforms, invariant factors without transforms, integer kernels, lattice
+spans, and subquotient presentations.
 
 Matrices are lists of lists of Python ints (arbitrary precision); a matrix
 with r rows and c columns maps Z^c -> Z^r.  All functions are pure.
@@ -262,16 +263,61 @@ class FGAbGroup:
         return self.free_rank == 0 and not self.torsion
 
 
+def invariant_factors(M) -> list:
+    """The nonzero invariant factors of M in divisibility order, without
+    transforms.  Columns are held sparse ({row: value}); while some column
+    has an entry +-1, that entry clears its row from every other column by
+    column operations, and its row and column leave the matrix with an
+    invariant factor 1.  The dense Smith normal form of what remains gives
+    the other factors."""
+    cols = {}
+    rows = {}                      # row -> the columns with an entry there
+    for j, col in enumerate(zip(*M)):
+        col = {i: v for i, v in enumerate(col) if v}
+        if col:
+            cols[j] = col
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    units = 0
+    found = True
+    while found:
+        found = False
+        for j in list(cols):
+            col = cols.get(j, {})         # gone when it became zero
+            pivots = [i for i, v in col.items() if v in (1, -1)]
+            if not pivots:
+                continue
+            p = min(pivots, key=lambda i: len(rows[i]))
+            del cols[j]
+            for i in col:
+                rows[i].discard(j)
+            s = col.pop(p)
+            for k in rows.pop(p):
+                ck = cols[k]
+                q = ck.pop(p) * s
+                for i, v in col.items():
+                    w = ck.get(i, 0) - q * v
+                    if w:
+                        ck[i] = w
+                        rows[i].add(k)
+                    else:
+                        del ck[i]
+                        rows[i].discard(k)
+                if not ck:
+                    del cols[k]
+            units += 1
+            found = True
+    live = sorted(i for i, js in rows.items() if js)
+    rest = [[cols[j].get(i, 0) for j in cols] for i in live]
+    tail = [d for d in smith_normal_form(rest).diag() if d] if cols else []
+    return [1] * units + tail
+
+
 def cokernel(M, nrows=None) -> FGAbGroup:
     """Z^r / column span of M in canonical form."""
     r = len(M) if M else (nrows or 0)
-    if not M or not M[0]:
-        return FGAbGroup(r, ())
-    snf = smith_normal_form(M)
-    diag = snf.diag()
-    torsion = tuple(d for d in diag if d >= 2)
-    free = r - sum(1 for d in diag if d != 0)
-    return FGAbGroup(free, torsion)
+    factors = invariant_factors(M)
+    return FGAbGroup(r - len(factors), tuple(d for d in factors if d >= 2))
 
 
 @dataclass

@@ -182,18 +182,19 @@ def simplex_key(x) -> str:
 
 
 def trunc_sset_to_dict(X: TruncSimplicialSet) -> dict:
+    key = {x: simplex_key(x) for lev in X.levels for x in lev}
     return {
         "N": X.N,
-        "levels": [[simplex_key(x) for x in lev] for lev in X.levels],
-        "face": [[i, simplex_key(x), simplex_key(y)]
+        "levels": [[key[x] for x in lev] for lev in X.levels],
+        "face": [[i, key[x], key[y]]
                  for (i, x), y in sorted(X.face.items(),
                                          key=lambda kv: (kv[0][0],
                                                          kv[0][1]))],
-        "degen": [[i, simplex_key(x), simplex_key(y)]
+        "degen": [[i, key[x], key[y]]
                   for (i, x), y in sorted(X.degen.items(),
                                           key=lambda kv: (kv[0][0],
                                                           kv[0][1]))],
-        "degenerate": [[simplex_key(x), bool(v)]
+        "degenerate": [[key[x], bool(v)]
                        for x, v in sorted(X.degenerate.items())],
     }
 

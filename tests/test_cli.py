@@ -11,7 +11,8 @@ from twocat import pgm
 from twocat.cli import main
 from twocat.core import TwoFunctor, identity_functor
 from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod
-from twocat.homology import constant_system
+from twocat.homology import chain_complex, constant_system
+from twocat.intlinalg import columns
 from twocat.nerve import nerve
 
 
@@ -271,6 +272,43 @@ def test_corrupted_nerve_is_an_axiom_failure(tmp_path, flags):
         rep = json.loads(proc.stdout)
         assert rep["counterexample"]["clause"] == "axiom-failure"
         assert "boundary squared is nonzero" in rep["counterexample"]["detail"][0]
+
+
+def corrupted_top_nerve_file(tmp_path):
+    """The G2 nerve at N = 5 with one face of a nondegenerate 5-simplex
+    pointed at another nondegenerate 4-simplex with a different boundary,
+    so that d_4 d_5 != 0 while every lower d^2 stays 0."""
+    d = tio.trunc_sset_to_dict(nerve(fix_g2(), 5))
+    C = chain_complex(tio.trunc_sset_from_dict(d))
+    d4 = dict(zip(C.basis[4], columns(C.boundary[4])))
+    faces = {(i, x): y for i, x, y in d["face"]}
+    x = C.basis[5][0]
+    i = next(i for i in range(6) if faces[(i, x)] in d4)
+    y = faces[(i, x)]
+    other = next(z for z in C.basis[4] if d4[z] != d4[y])
+    for f in d["face"]:
+        if f[:2] == [i, x]:
+            f[2] = other
+    return write(tmp_path, "bad-top-nerve.json", d)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_corrupted_top_of_nerve_is_an_axiom_failure(tmp_path, flags):
+    # the group-only homology path still runs the d^2 = 0 check in every
+    # degree, also for a degree far below the corruption
+    p = corrupted_top_nerve_file(tmp_path)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    for deg in (4, 0):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "twocat.cli", "homology",
+             "--nerve", p, "--deg", str(deg)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["counterexample"]["clause"] == "axiom-failure"
+        assert rep["counterexample"]["detail"] == [
+            "boundary squared is nonzero in degree 5"]
 
 
 def non_functorial_coeffs(tmp_path):

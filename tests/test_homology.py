@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from twocat import homology as hm
 from twocat import intlinalg as il
+from twocat import pgm, sinv
 from twocat.core import AxiomError
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
-                             fix_prod, fix_t)
+                             fix_m2, fix_prod, fix_t)
 from twocat.nerve import nerve, induced_map
 
 matrices = st.integers(1, 5).flatmap(
@@ -85,6 +86,58 @@ def test_subquotient_torsion():
 def test_cokernel_canonical():
     assert il.cokernel([[2]], nrows=1) == il.FGAbGroup(0, (2,))
     assert il.cokernel([[6, 0], [0, 4]]) == il.FGAbGroup(0, (2, 12))
+    assert il.cokernel([], nrows=3) == il.FGAbGroup(3, ())
+    assert il.cokernel([[], []]) == il.FGAbGroup(2, ())
+    assert il.cokernel([[0, 0], [0, 0]]) == il.FGAbGroup(2, ())
+
+
+# --- invariant factors against the dense Smith normal form -------------------
+
+def snf_factors(M):
+    return [d for d in il.smith_normal_form(M).diag() if d]
+
+
+# sparse, with units and non-units, including 0-row and 0-column shapes
+# ([] has no rows; [[], ...] has rows and no columns)
+sparse_matrices = st.integers(0, 12).flatmap(
+    lambda r: st.integers(0, 40).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0] * 8 + [1, -1, 2, -2, 3, -3]),
+                     min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+@given(sparse_matrices)
+@settings(max_examples=150, deadline=None)
+def test_invariant_factors_match_snf(M):
+    assert il.invariant_factors(M) == snf_factors(M)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda r: st.integers(1, 4).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+            min_size=r, max_size=r))))
+@settings(max_examples=80, deadline=None)
+def test_invariant_factors_match_determinantal_divisors(M):
+    quotients, prev = [], 1
+    for g in il.determinantal_divisors(M):
+        if g == 0:
+            break
+        quotients.append(g // prev)
+        prev = g
+    assert il.invariant_factors(M) == quotients
+
+
+def test_invariant_factors_edge_cases():
+    assert il.invariant_factors([]) == []
+    assert il.invariant_factors([[], [], []]) == []
+    assert il.invariant_factors([[0, 0, 0]]) == []
+    assert il.invariant_factors([[0], [0]]) == []
+    assert il.invariant_factors([[2, 0], [0, 0], [0, 3]]) == [1, 6]
+    # a unit pivot whose row update creates the only remaining non-unit
+    assert il.invariant_factors([[1, 1], [1, -1]]) == [1, 2]
+    assert il.invariant_factors([[2, 4], [6, 8]]) == [2, 4]
 
 
 # --- integral homology ---------------------------------------------------------
@@ -116,14 +169,40 @@ def test_homology_g2():
 
 def test_homology_degree_error():
     X = nerve(fix_g2(), 3)
-    with pytest.raises(ValueError):
-        hm.homology(X, 3)
+    for n in (-1, 3, 4):
+        with pytest.raises(ValueError):
+            hm.homology(X, n)
 
 
 def test_homology_discrete():
     X = nerve(fix_c2(), 2)
     assert hm.homology(X, 0) == il.FGAbGroup(2, ())
     assert hm.homology(X, 1).is_trivial
+
+
+# every fixture nerve at N = 4, G2xC2 at N = 5 (its d_5 is 82 x 1536 with
+# entries 0, +-1, +-2), and two group completions
+ORACLE_NERVES = {
+    **{mk.__name__: (lambda mk=mk: nerve(mk(), 4))
+       for mk in (fix_t, fix_c2, fix_m2, fix_i, fix_g2, fix_g2sat)},
+    "G2xC2": lambda: nerve(fix_prod(fix_g2(), fix_c2())[0], 5),
+    "S^-1 M2": lambda: _completion_nerve(pgm.fix_m2_pgm(), 6),
+    "S^-1 C2": lambda: _completion_nerve(pgm.fix_c2_pgm(), 5),
+}
+
+
+def _completion_nerve(P, N):
+    return nerve(sinv.s_inv_x(P, pgm.self_action(P)).cat, N)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NERVES))
+def test_group_only_homology_matches_subquotient(name):
+    X = ORACLE_NERVES[name]()
+    C = hm.chain_complex(X)
+    for M in C.boundary[1:]:
+        assert il.invariant_factors(M) == snf_factors(M)
+    for n in range(X.N):
+        assert hm.homology(X, n) == hm.homology_subquotient(X, n)[0].group, n
 
 
 def classical_poset_homology(objects, arrows, compose, n, N):
