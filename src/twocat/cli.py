@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 from importlib import metadata
 
@@ -178,7 +179,7 @@ def cmd_nerve(args, ctx) -> int:
     ctx["manifest"] = _manifest("nerve", [args.input], bounds)
     cache_dir = os.environ.get(CACHE_ENV)
     cache_path = None
-    nerve_dict = text = None
+    nerve_dict = None
     if cache_dir:
         key = "nerve-%s-%d.json" % (_sha256(args.input), args.max_dim)
         cache_path = os.path.join(cache_dir, key)
@@ -207,8 +208,16 @@ def cmd_nerve(args, ctx) -> int:
                           for lev in nerve_dict["levels"]],
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text or tio.dumps(nerve_dict))
+        if cache_path:
+            # the entry holds the bytes tio.dumps would write; copying it
+            # spares serialising the nerve again and holding its text
+            try:
+                shutil.copyfile(cache_path, args.out)
+            except shutil.SameFileError:     # --out names the entry itself
+                pass
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(tio.dumps(nerve_dict))
         report["out"] = args.out
     else:
         report["nerve"] = nerve_dict

@@ -10,14 +10,19 @@ its generators: a finitely presented abelian group per simplex and a matrix
 per face map; the twisted boundary multiplies each face summand by the
 corresponding matrix.
 
+``chain_complex`` stores each boundary d_n sparse, one column per
+nondegenerate n-simplex (a tuple of (row, coefficient) pairs, nonzero only,
+in increasing row order), and checks d^2 = 0 in every degree by composing
+columns; ``ChainComplexZ.matrix(n)`` gives d_n dense.
+
 Entry points that need only the group are ``homology`` and, through
 ``intlinalg.cokernel``, ``PresentedGroup.canonical`` and
-``presented_map_is_iso``; they read invariant factors from
-``intlinalg.invariant_factors`` and keep no transforms.  Entry points that
-carry coordinates are ``homology_subquotient``, ``homology_induced`` and
-the local-coefficient functions; they reduce to
-``intlinalg.chain_homology``, the homology at one spot of a complex of
-presented groups, as do the spectral-sequence pages.
+``presented_map_is_iso``; they read invariant factors of sparse columns
+from ``intlinalg.invariant_factors`` and keep no transforms.  Entry points
+that carry coordinates are ``homology_subquotient``, ``homology_induced``
+and the local-coefficient functions; they reduce to
+``intlinalg.chain_homology`` on dense matrices, the homology at one spot of
+a complex of presented groups, as do the spectral-sequence pages.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from .core import AxiomError
 from .intlinalg import (FGAbGroup, Subquotient, chain_homology, cokernel,
                         columns, from_columns, hstack, induced_matrix,
                         invariant_factors, mid, mmul, mshape, mvec, mzeros,
-                        order_relations, smith_normal_form, solve)
+                        order_relations, smith_normal_form, solve,
+                        sparse_columns)
 from .nerve import TruncSimplicialSet
 
 
@@ -36,28 +42,45 @@ from .nerve import TruncSimplicialSet
 class ChainComplexZ:
     N: int
     basis: list          # basis[n] = list of nondegenerate n-simplices
-    boundary: list       # boundary[n]: matrix C_n -> C_{n-1} (n >= 1)
+    boundary: list       # boundary[n][j] = d_n basis[n][j], sparse (n >= 1)
 
     def rank(self, n):
         return len(self.basis[n])
 
+    def matrix(self, n):
+        """d_n : C_n -> C_{n-1} as a dense matrix (n >= 1)."""
+        M = mzeros(self.rank(n - 1), self.rank(n))
+        for j, col in enumerate(self.boundary[n]):
+            for i, v in col:
+                M[i][j] = v
+        return M
+
 
 def chain_complex(X: TruncSimplicialSet) -> ChainComplexZ:
-    basis = [list(X.nondegenerate(n)) for n in range(X.N + 1)]
+    basis = [X.nondegenerate(n) for n in range(X.N + 1)]
     index = [{x: i for i, x in enumerate(b)} for b in basis]
     boundary = [None]
     for n in range(1, X.N + 1):
-        M = mzeros(len(basis[n - 1]), len(basis[n]))
-        for j, x in enumerate(basis[n]):
+        cols = []
+        for x in basis[n]:
+            col = {}
             for i in range(n + 1):
                 y = X.face[(i, x)]
                 if not X.degenerate[y]:
-                    M[index[n - 1][y]][j] += (-1) ** i
-        boundary.append(M)
+                    r = index[n - 1][y]
+                    col[r] = col.get(r, 0) + (-1) ** i
+            cols.append(tuple(sorted((r, v) for r, v in col.items() if v)))
+        boundary.append(cols)
     for n in range(2, X.N + 1):
-        if basis[n - 2] and basis[n] and any(
-                any(row) for row in mmul(boundary[n - 1], boundary[n])):
-            raise AxiomError("boundary squared is nonzero in degree %d" % n)
+        below = boundary[n - 1]
+        for col in boundary[n]:
+            dd = {}
+            for r, v in col:
+                for s, w in below[r]:
+                    dd[s] = dd.get(s, 0) + v * w
+            if any(dd.values()):
+                raise AxiomError(
+                    "boundary squared is nonzero in degree %d" % n)
     return ChainComplexZ(X.N, basis, boundary)
 
 
@@ -71,7 +94,8 @@ def homology_subquotient(X: TruncSimplicialSet, n: int):
     """(Subquotient, basis of nondegenerate n-simplices)."""
     _check_degree(X, n)
     C = chain_complex(X)
-    return chain_homology(C.boundary[n], C.boundary[n + 1]), C.basis[n]
+    return (chain_homology(C.matrix(n) if n else None, C.matrix(n + 1)),
+            C.basis[n])
 
 
 def homology(X: TruncSimplicialSet, n: int) -> FGAbGroup:
@@ -81,7 +105,7 @@ def homology(X: TruncSimplicialSet, n: int) -> FGAbGroup:
     _check_degree(X, n)
     C = chain_complex(X)
     rank_in = len(invariant_factors(C.boundary[n])) if n else 0
-    H = cokernel(C.boundary[n + 1], nrows=C.rank(n))
+    H = cokernel(C.boundary[n + 1], C.rank(n))
     return FGAbGroup(H.free_rank - rank_in, H.torsion)
 
 
@@ -114,7 +138,7 @@ class PresentedGroup:
         return self.rels if self.rels and self.rels[0] else mzeros(self.gens, 0)
 
     def canonical(self) -> FGAbGroup:
-        return cokernel(self.rel_matrix(), nrows=self.gens)
+        return cokernel(sparse_columns(self.rel_matrix()), self.gens)
 
 
 def presentation_of(sq: Subquotient) -> PresentedGroup:
@@ -244,7 +268,8 @@ def presented_map_is_iso(src: PresentedGroup, tgt: PresentedGroup, M) -> bool:
     isomorphisms)."""
     if src.canonical() != tgt.canonical():
         return False
-    return cokernel(hstack(M, tgt.rel_matrix()), nrows=tgt.gens).is_trivial
+    return cokernel(sparse_columns(hstack(M, tgt.rel_matrix())),
+                    tgt.gens).is_trivial
 
 
 def is_morphism_inverting(L: LocalCoeffSystem, X: TruncSimplicialSet) -> bool:

@@ -3,12 +3,17 @@ transforms, invariant factors without transforms, integer kernels, lattice
 spans, and subquotient presentations.
 
 Matrices are lists of lists of Python ints (arbitrary precision); a matrix
-with r rows and c columns maps Z^c -> Z^r.  All functions are pure.
+with r rows and c columns maps Z^c -> Z^r.  The group-only routines
+``invariant_factors`` and ``cokernel`` take a matrix as sparse columns
+instead (``sparse_columns``): per column a tuple of (row, value) pairs,
+nonzero entries only, in increasing row order.  All functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 
 
 def mzeros(r: int, c: int):
@@ -43,7 +48,9 @@ def mmul(A, B):
 
 
 def mvec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    """A v, reading only the entries of A's rows where v is nonzero."""
+    nz = [x for x in v if x]
+    return [sum(map(mul, compress(row, v), nz)) for row in A]
 
 
 def hstack(A, B):
@@ -263,19 +270,24 @@ class FGAbGroup:
         return self.free_rank == 0 and not self.torsion
 
 
-def invariant_factors(M) -> list:
-    """The nonzero invariant factors of M in divisibility order, without
-    transforms.  Columns are held sparse ({row: value}); while some column
-    has an entry +-1, that entry clears its row from every other column by
-    column operations, and its row and column leave the matrix with an
-    invariant factor 1.  The dense Smith normal form of what remains gives
-    the other factors."""
-    cols = {}
+def sparse_columns(M):
+    """The columns of the dense matrix M in sparse form: per column a tuple
+    of (row, value) pairs, nonzero entries only, in increasing row order."""
+    return [tuple((i, v) for i, v in enumerate(col) if v) for col in zip(*M)]
+
+
+def invariant_factors(cols) -> list:
+    """The nonzero invariant factors, in divisibility order and without
+    transforms, of the matrix whose sparse columns are given (see
+    ``sparse_columns``).  While some column has an entry +-1, that entry
+    clears its row from every other column by column operations, and its
+    row and column leave the matrix with an invariant factor 1.  Of the
+    columns that remain, those equal to +-another are dropped, which leaves
+    the lattice they span, and so the factors, unchanged; the dense Smith
+    normal form of the rest gives the other factors."""
+    cols = {j: dict(col) for j, col in enumerate(cols) if col}
     rows = {}                      # row -> the columns with an entry there
-    for j, col in enumerate(zip(*M)):
-        col = {i: v for i, v in enumerate(col) if v}
-        if col:
-            cols[j] = col
+    for j, col in cols.items():
         for i in col:
             rows.setdefault(i, set()).add(j)
     units = 0
@@ -307,17 +319,21 @@ def invariant_factors(M) -> list:
                     del cols[k]
             units += 1
             found = True
-    live = sorted(i for i, js in rows.items() if js)
-    rest = [[cols[j].get(i, 0) for j in cols] for i in live]
-    tail = [d for d in smith_normal_form(rest).diag() if d] if cols else []
+    distinct = {}                  # column up to sign -> column
+    for col in cols.values():
+        entries = sorted(col.items())
+        sign = 1 if entries[0][1] > 0 else -1
+        distinct[tuple((i, sign * v) for i, v in entries)] = col
+    live = sorted({i for col in distinct.values() for i in col})
+    rest = [[col.get(i, 0) for col in distinct.values()] for i in live]
+    tail = [d for d in smith_normal_form(rest).diag() if d] if rest else []
     return [1] * units + tail
 
 
-def cokernel(M, nrows=None) -> FGAbGroup:
-    """Z^r / column span of M in canonical form."""
-    r = len(M) if M else (nrows or 0)
-    factors = invariant_factors(M)
-    return FGAbGroup(r - len(factors), tuple(d for d in factors if d >= 2))
+def cokernel(cols, nrows: int) -> FGAbGroup:
+    """Z^nrows / the span of the given sparse columns, in canonical form."""
+    factors = invariant_factors(cols)
+    return FGAbGroup(nrows - len(factors), tuple(d for d in factors if d >= 2))
 
 
 @dataclass
@@ -429,4 +445,4 @@ def map_is_surjective(M, tgt_orders) -> bool:
     """Does the matrix M (columns = images in canonical coordinates of the
     target with the given orders) generate the whole target group?"""
     full = hstack(M, order_relations(tgt_orders))
-    return cokernel(full, nrows=len(tgt_orders)).is_trivial
+    return cokernel(sparse_columns(full), len(tgt_orders)).is_trivial

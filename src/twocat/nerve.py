@@ -148,6 +148,9 @@ def enumerate_simplices(D: TwoCategory, p: int,
                 fill_triangles(n + 1)
 
     fill_vertices(0)
+    # the fill functions reach each other through closure cells; unbinding
+    # them frees this call's choice dicts without waiting for the cyclic GC
+    fill_vertices = fill_edges = fill_triangles = None
     return out
 
 
@@ -205,10 +208,6 @@ def degeneracy(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
         tuple([t[m] if m >= 0 else id2[edges[-1 - m]] for m in tt]))
 
 
-def is_degenerate(D: TwoCategory, x: OrientedSimplex) -> bool:
-    return any(x == degeneracy(D, face(D, x, i + 1), i) for i in range(x.dim))
-
-
 @dataclass
 class TruncSimplicialSet:
     N: int
@@ -234,10 +233,9 @@ def nerve(D: TwoCategory, N: int) -> TruncSimplicialSet:
         for x in levels[n]:
             for i in range(n + 1):
                 dmap[(i, x)] = degeneracy(D, x, i)
-    degenerate = {}
-    for n in range(N + 1):
-        for x in levels[n]:
-            degenerate[x] = is_degenerate(D, x)
+    # degenerate simplices are exactly the images of degeneracies
+    image = set(dmap.values())
+    degenerate = {x: x in image for lev in levels for x in lev}
     return TruncSimplicialSet(N, levels, fmap, dmap, degenerate)
 
 

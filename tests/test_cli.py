@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,14 +7,16 @@ import sys
 import pytest
 
 import twocat
+from twocat import cli
 from twocat import io as tio
 from twocat import pgm
 from twocat.cli import main
-from twocat.core import TwoFunctor, identity_functor
+from twocat.core import AxiomError, TwoFunctor, identity_functor
 from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod
 from twocat.homology import chain_complex, constant_system
 from twocat.intlinalg import columns
 from twocat.nerve import nerve
+from test_homology import dense_chain_complex
 
 
 @pytest.fixture
@@ -243,6 +246,53 @@ def test_nerve_cache(run, tmp_path, monkeypatch):
     assert cold == miss == hit
 
 
+def _nerve_out_twice(run, tmp_path, monkeypatch):
+    """Runs `nerve --out` cold and then warm through one cache, writing the
+    same --out path; returns ((report, file bytes) cold, the same warm)."""
+    p = g2_file(tmp_path)
+    out = tmp_path / "nerve.json"
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["nerve", "--input", p, "--max-dim", 3, "--out", out]
+    code, cold = run(argv)
+    assert code == 0
+    cold_bytes = out.read_bytes()
+    out.unlink()
+
+    def not_enumerated(*_args):
+        raise AssertionError("a warm run must not build the nerve")
+
+    monkeypatch.setattr(cli, "nerve", not_enumerated)
+    code, warm = run(argv)
+    assert code == 0
+    return (cold, cold_bytes), (warm, out.read_bytes())
+
+
+def test_warm_nerve_out_file_matches_cold(run, tmp_path, monkeypatch):
+    (_, cold), (_, warm) = _nerve_out_twice(run, tmp_path, monkeypatch)
+    assert warm == cold
+    assert cold.decode() == tio.dumps(
+        tio.trunc_sset_to_dict(nerve(fix_g2(), 3)))
+
+
+def test_warm_nerve_out_report_matches_cold(run, tmp_path, monkeypatch):
+    (cold, _), (warm, _) = _nerve_out_twice(run, tmp_path, monkeypatch)
+    assert warm == cold
+
+
+def test_nerve_out_may_name_the_cache_entry(run, tmp_path, monkeypatch):
+    p = g2_file(tmp_path)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(cache))
+    with open(p, "rb") as fh:
+        entry = cache / ("nerve-%s-3.json" % hashlib.sha256(fh.read())
+                         .hexdigest())
+    text = tio.dumps(tio.trunc_sset_to_dict(nerve(fix_g2(), 3)))
+    for _ in range(2):      # a miss, then a hit
+        code, _ = run(["nerve", "--input", p, "--max-dim", 3, "--out", entry])
+        assert code == 0
+        assert entry.read_text() == text
+
+
 def corrupted_nerve_file(tmp_path):
     """The I x I nerve at N = 3 with the face d_0 of one nondegenerate
     1-simplex pointed at its other vertex, so that d^2 != 0."""
@@ -280,7 +330,7 @@ def corrupted_top_nerve_file(tmp_path):
     so that d_4 d_5 != 0 while every lower d^2 stays 0."""
     d = tio.trunc_sset_to_dict(nerve(fix_g2(), 5))
     C = chain_complex(tio.trunc_sset_from_dict(d))
-    d4 = dict(zip(C.basis[4], columns(C.boundary[4])))
+    d4 = dict(zip(C.basis[4], columns(C.matrix(4))))
     faces = {(i, x): y for i, x, y in d["face"]}
     x = C.basis[5][0]
     i = next(i for i in range(6) if faces[(i, x)] in d4)
@@ -309,6 +359,19 @@ def test_corrupted_top_of_nerve_is_an_axiom_failure(tmp_path, flags):
         assert rep["counterexample"]["clause"] == "axiom-failure"
         assert rep["counterexample"]["detail"] == [
             "boundary squared is nonzero in degree 5"]
+
+
+@pytest.mark.parametrize("corrupt", [corrupted_nerve_file,
+                                     corrupted_top_nerve_file],
+                         ids=["low", "top"])
+def test_sparse_and_dense_d2_checks_agree(tmp_path, corrupt):
+    with open(corrupt(tmp_path)) as fh:
+        X = tio.trunc_sset_from_dict(json.load(fh))
+    with pytest.raises(AxiomError) as sparse:
+        chain_complex(X)
+    with pytest.raises(AxiomError) as dense:
+        dense_chain_complex(X)
+    assert str(sparse.value) == str(dense.value)
 
 
 def non_functorial_coeffs(tmp_path):

@@ -83,18 +83,26 @@ def test_subquotient_torsion():
     assert sq.coords([0, 1]) == [0]
 
 
+def dense_cokernel(M, nrows=None):
+    return il.cokernel(il.sparse_columns(M), len(M) if M else nrows)
+
+
 def test_cokernel_canonical():
-    assert il.cokernel([[2]], nrows=1) == il.FGAbGroup(0, (2,))
-    assert il.cokernel([[6, 0], [0, 4]]) == il.FGAbGroup(0, (2, 12))
-    assert il.cokernel([], nrows=3) == il.FGAbGroup(3, ())
-    assert il.cokernel([[], []]) == il.FGAbGroup(2, ())
-    assert il.cokernel([[0, 0], [0, 0]]) == il.FGAbGroup(2, ())
+    assert dense_cokernel([[2]], nrows=1) == il.FGAbGroup(0, (2,))
+    assert dense_cokernel([[6, 0], [0, 4]]) == il.FGAbGroup(0, (2, 12))
+    assert dense_cokernel([], nrows=3) == il.FGAbGroup(3, ())
+    assert dense_cokernel([[], []]) == il.FGAbGroup(2, ())
+    assert dense_cokernel([[0, 0], [0, 0]]) == il.FGAbGroup(2, ())
 
 
 # --- invariant factors against the dense Smith normal form -------------------
 
 def snf_factors(M):
     return [d for d in il.smith_normal_form(M).diag() if d]
+
+
+def sparse_factors(M):
+    return il.invariant_factors(il.sparse_columns(M))
 
 
 # sparse, with units and non-units, including 0-row and 0-column shapes
@@ -110,7 +118,44 @@ sparse_matrices = st.integers(0, 12).flatmap(
 @given(sparse_matrices)
 @settings(max_examples=150, deadline=None)
 def test_invariant_factors_match_snf(M):
-    assert il.invariant_factors(M) == snf_factors(M)
+    assert sparse_factors(M) == snf_factors(M)
+
+
+def _negate_first_entry(col):
+    k = next((k for k, v in enumerate(col) if v), None)
+    return [-v if i == k else v for i, v in enumerate(col)]
+
+
+# without entries +-1 there is no unit pivot, so every column, copies
+# included, reaches the dense remainder
+nonunit_matrices = st.integers(1, 6).flatmap(
+    lambda r: st.integers(1, 8).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0, 0, 2, -2, 3, -3, 4]),
+                     min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+@given(st.one_of(sparse_matrices, nonunit_matrices), st.data())
+@settings(max_examples=100, deadline=None)
+def test_invariant_factors_match_snf_with_repeated_columns(M, data):
+    # copies of columns (sign 1), negated copies (-1) and zero columns,
+    # shuffled in, leave the column lattice and so the factors unchanged;
+    # copies with only their first entry negated (0) are kept as they are
+    # distinct columns unless they have one entry
+    cols = il.columns(M)
+    r = len(M)
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(cols) - 1),
+                  st.sampled_from([1, -1, 0])),
+        max_size=12) if cols else st.just([]))
+    extra = [[s * v for v in cols[k]] if s else _negate_first_entry(cols[k])
+             for k, s in picks]
+    extra += [[0] * r] * data.draw(st.integers(0, 3))
+    N = il.from_columns(data.draw(st.permutations(cols + extra)), nrows=r)
+    assert sparse_factors(N) == snf_factors(N)
+    if all(s for _, s in picks):
+        assert snf_factors(N) == snf_factors(M)
 
 
 @given(st.integers(1, 4).flatmap(
@@ -126,18 +171,22 @@ def test_invariant_factors_match_determinantal_divisors(M):
             break
         quotients.append(g // prev)
         prev = g
-    assert il.invariant_factors(M) == quotients
+    assert sparse_factors(M) == quotients
 
 
 def test_invariant_factors_edge_cases():
-    assert il.invariant_factors([]) == []
-    assert il.invariant_factors([[], [], []]) == []
-    assert il.invariant_factors([[0, 0, 0]]) == []
-    assert il.invariant_factors([[0], [0]]) == []
-    assert il.invariant_factors([[2, 0], [0, 0], [0, 3]]) == [1, 6]
+    assert sparse_factors([]) == []
+    assert sparse_factors([[], [], []]) == []
+    assert sparse_factors([[0, 0, 0]]) == []
+    assert sparse_factors([[0], [0]]) == []
+    assert sparse_factors([[2, 0], [0, 0], [0, 3]]) == [1, 6]
     # a unit pivot whose row update creates the only remaining non-unit
-    assert il.invariant_factors([[1, 1], [1, -1]]) == [1, 2]
-    assert il.invariant_factors([[2, 4], [6, 8]]) == [2, 4]
+    assert sparse_factors([[1, 1], [1, -1]]) == [1, 2]
+    assert sparse_factors([[2, 4], [6, 8]]) == [2, 4]
+    # equal up to sign, so one of them is dropped before the dense SNF
+    assert sparse_factors([[2, -2, 2], [4, -4, 0]]) == [2, 4]
+    # equal up to the sign of one entry: both are kept
+    assert sparse_factors([[2, 2], [2, -2]]) == [2, 4]
 
 
 # --- integral homology ---------------------------------------------------------
@@ -155,7 +204,7 @@ def test_homology_interval():
     assert hm.homology(X, 1).is_trivial
     C = hm.chain_complex(X)
     assert [C.rank(n) for n in range(3)] == [2, 1, 0]
-    assert sorted(col[0] for col in [[row[0]] for row in C.boundary[1]]) \
+    assert sorted(col[0] for col in [[row[0]] for row in C.matrix(1)]) \
         == [-1, 1]
 
 
@@ -180,27 +229,61 @@ def test_homology_discrete():
     assert hm.homology(X, 1).is_trivial
 
 
-# every fixture nerve at N = 4, G2xC2 at N = 5 (its d_5 is 82 x 1536 with
-# entries 0, +-1, +-2), and two group completions
-ORACLE_NERVES = {
-    **{mk.__name__: (lambda mk=mk: nerve(mk(), 4))
+def _completion(P):
+    return sinv.s_inv_x(P, pgm.self_action(P)).cat
+
+
+# name -> (category, truncation level): every fixture at N = 4, G2xC2 at
+# N = 5 (its d_5 is 82 x 1536 with entries 0, +-1, +-2), and two group
+# completions
+ORACLE_CATEGORIES = {
+    **{mk.__name__: (mk, 4)
        for mk in (fix_t, fix_c2, fix_m2, fix_i, fix_g2, fix_g2sat)},
-    "G2xC2": lambda: nerve(fix_prod(fix_g2(), fix_c2())[0], 5),
-    "S^-1 M2": lambda: _completion_nerve(pgm.fix_m2_pgm(), 6),
-    "S^-1 C2": lambda: _completion_nerve(pgm.fix_c2_pgm(), 5),
+    "G2xC2": (lambda: fix_prod(fix_g2(), fix_c2())[0], 5),
+    "S^-1 M2": (lambda: _completion(pgm.fix_m2_pgm()), 6),
+    "S^-1 C2": (lambda: _completion(pgm.fix_c2_pgm()), 5),
 }
+ORACLE_NERVES = {name: (lambda mk=mk, N=N: nerve(mk(), N))
+                 for name, (mk, N) in ORACLE_CATEGORIES.items()}
 
 
-def _completion_nerve(P, N):
-    return nerve(sinv.s_inv_x(P, pgm.self_action(P)).cat, N)
+def dense_chain_complex(X):
+    """Oracle: the chain complex with dense boundary matrices, checking
+    d^2 = 0 by dense products."""
+    basis = [list(X.nondegenerate(n)) for n in range(X.N + 1)]
+    index = [{x: i for i, x in enumerate(b)} for b in basis]
+    boundary = [None]
+    for n in range(1, X.N + 1):
+        M = il.mzeros(len(basis[n - 1]), len(basis[n]))
+        for j, x in enumerate(basis[n]):
+            for i in range(n + 1):
+                y = X.face[(i, x)]
+                if not X.degenerate[y]:
+                    M[index[n - 1][y]][j] += (-1) ** i
+        boundary.append(M)
+    for n in range(2, X.N + 1):
+        if basis[n - 2] and basis[n] and any(
+                any(row) for row in il.mmul(boundary[n - 1], boundary[n])):
+            raise AxiomError("boundary squared is nonzero in degree %d" % n)
+    return hm.ChainComplexZ(X.N, basis, boundary)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NERVES))
+def test_sparse_boundaries_match_dense_oracle(name):
+    X = ORACLE_NERVES[name]()
+    C, D = hm.chain_complex(X), dense_chain_complex(X)
+    assert C.basis == D.basis
+    for n in range(1, X.N + 1):
+        assert C.matrix(n) == D.boundary[n], n
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_NERVES))
 def test_group_only_homology_matches_subquotient(name):
     X = ORACLE_NERVES[name]()
     C = hm.chain_complex(X)
-    for M in C.boundary[1:]:
-        assert il.invariant_factors(M) == snf_factors(M)
+    for n in range(1, X.N + 1):
+        assert il.invariant_factors(C.boundary[n]) \
+            == snf_factors(C.matrix(n)), n
     for n in range(X.N):
         assert hm.homology(X, n) == hm.homology_subquotient(X, n)[0].group, n
 
@@ -312,7 +395,7 @@ def _uct(H_n, H_prev, k):
     m = len(orders)
     diag = [[orders[i] if i == j else 0 for j in range(m)]
             for i in range(m)]
-    return il.cokernel(diag, nrows=m)
+    return dense_cokernel(diag, nrows=m)
 
 
 UCT_NERVES = {

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from itertools import combinations, product
 
@@ -8,8 +9,11 @@ from twocat import io as tio
 from twocat import nerve as nv
 from twocat.constructs import find_oplax_initial, find_oplax_terminal
 from twocat.core import find_isomorphism, validate_two_category
-from twocat.fixtures import bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i, fix_t
+from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
+                             fix_prod, fix_t)
 from twocat.orientals import increasing_paths, materialize_oriental
+
+from test_homology import ORACLE_CATEGORIES
 
 
 # --- orientals ----------------------------------------------------------------
@@ -341,6 +345,32 @@ def test_nerve_g2sat_identities():
     assert nv.check_simplicial_identities(X)
 
 
+def is_degenerate(D, x):
+    """Oracle: x = s_i d_(i+1) x for some i."""
+    return any(x == nv.degeneracy(D, nv.face(D, x, i + 1), i)
+               for i in range(x.dim))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CATEGORIES))
+def test_degenerate_flags_match_oracle(name):
+    mk, N = ORACLE_CATEGORIES[name]
+    D = mk()
+    X = nv.nerve(D, N)
+    assert X.degenerate == {x: is_degenerate(D, x)
+                            for lev in X.levels for x in lev}
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    D = fix_prod(fix_g2(), fix_c2())[0]
+    gc.collect()
+    gc.disable()
+    try:
+        nv.enumerate_simplices(D, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_degeneracy_face_roundtrip():
     D = fix_g2()
     for x in nv.enumerate_simplices(D, 2):
@@ -348,7 +378,7 @@ def test_degeneracy_face_roundtrip():
             y = nv.degeneracy(D, x, i)
             assert nv.face(D, y, i) == x
             assert nv.face(D, y, i + 1) == x
-            assert nv.is_degenerate(D, y)
+            assert is_degenerate(D, y)
 
 
 def test_face_and_degeneracy_reject_bad_indices():
