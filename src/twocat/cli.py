@@ -35,6 +35,10 @@ from .specseq import build_B, check_bisimplicial, e2_vs_local, pages
 
 CACHE_ENV = "TWOCAT_CACHE_DIR"
 
+# truncation bounds: a negative one leaves nothing to compute, and a report
+# on it would certify an empty range
+BOUNDS = ("max_dim", "pmax", "qmax", "max_deg")
+
 try:
     VERSION = metadata.version("twocat")
 except metadata.PackageNotFoundError:      # uninstalled source tree
@@ -432,6 +436,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         ctx["pretty"] = args.pretty
+        for name in BOUNDS:
+            if getattr(args, name, 0) < 0:
+                raise UsageError("--%s must be >= 0, got %d" % (
+                    name.replace("_", "-"), getattr(args, name)))
         return args.func(args, ctx)
     except UsageError as e:
         _print({"error": "usage: %s" % e}, ctx)

@@ -7,6 +7,12 @@ nerve of D restricting to F(omega) on the first q+1 vertices and to sigma
 on the last p+1.  Horizontal operators act through the sigma block of
 delta, vertical operators through the omega block.
 
+``build_B`` groups the omegas of each q by F(omega) and makes one search
+per block and p, with only that block pinned: every delta it finds ends in
+a p-simplex sigma, read off its last p+1 vertices.  Faces and degeneracies
+are stored as tables of positions within the target level, so the identity
+check, the pages and the totalization read integers, not cells.
+
 The module computes the first two pages of the homology spectral sequence
 of B(F) (vertical homology first), the homology of the totalization, and
 the two filtration identifications that drive the theory:
@@ -101,17 +107,20 @@ class Bisimplex(NamedTuple):
 
 @dataclass
 class BisimplicialTrunc:
+    """Operator tables hold positions: face_h[(p, q)][i][k] is the position
+    in levels[(p - 1, q)] of d^h_i of the k-th cell of levels[(p, q)], and
+    likewise for the others.  A level where an operator is undefined has no
+    rows for it."""
     F: TwoFunctor
     P: int
     Q: int
     levels: dict               # (p, q) -> sorted tuple of Bisimplex
-    face_h: dict               # (i, x) -> Bisimplex, 0 <= i <= p, p >= 1
-    face_v: dict               # (i, x) -> Bisimplex, 0 <= i <= q, q >= 1
-    degen_h: dict              # (i, x) -> Bisimplex, 0 <= i <= p < P
-    degen_v: dict              # (i, x) -> Bisimplex, 0 <= i <= q < Q
-    degenerate_h: dict         # x -> bool
-    degenerate_v: dict         # x -> bool
-    level_of: dict             # x -> (p, q)
+    face_h: dict               # (p, q) -> rows i <= p into (p-1, q), p >= 1
+    face_v: dict               # (p, q) -> rows i <= q into (p, q-1), q >= 1
+    degen_h: dict              # (p, q) -> rows i <= p into (p+1, q), p < P
+    degen_v: dict              # (p, q) -> rows i <= q into (p, q+1), q < Q
+    degenerate_h: dict         # (p, q) -> list of bool, one per cell
+    degenerate_v: dict         # (p, q) -> list of bool, one per cell
 
 
 def _block_cells(fom: OrientedSimplex, si: OrientedSimplex):
@@ -140,113 +149,136 @@ def _pinned_delta(F: TwoFunctor, om: OrientedSimplex, si: OrientedSimplex):
 
 
 def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
+    """B(F) truncated at p <= P, q <= Q.  The omegas of each q are grouped
+    by F(omega), and one search per p, with only that block pinned, gives
+    every delta over it; sigma is delta's last p+1 vertices, so the pairs
+    (omega, sigma) need no search of their own."""
     C, D = F.source, F.target
-    omegas = {q: enumerate_simplices(C, q) for q in range(Q + 1)}
-    sigmas = {p: enumerate_simplices(D, p) for p in range(P + 1)}
+    over = [{} for _ in range(Q + 1)]     # q -> F(omega) -> omegas
+    for q, blocks in enumerate(over):
+        for om in enumerate_simplices(C, q):
+            blocks.setdefault(map_simplex(F, om), []).append(om)
     levels = {}
-    level_of = {}
     for p in range(P + 1):
-        for q in range(Q + 1):
+        sigmas = {s: s for s in enumerate_simplices(D, p)}
+        for q, blocks in enumerate(over):
+            Lo = layout(q)
             cells = []
-            for om in omegas[q]:
-                for si in sigmas[p]:
-                    for de in _pinned_delta(F, om, si):
-                        cells.append(Bisimplex(om, de, si))
+            for fom, oms in blocks.items():
+                for de in enumerate_simplices(
+                        D, q + 1 + p, dict(enumerate(fom.vertices)),
+                        dict(zip(Lo.pairs, fom.edges)),
+                        dict(zip(Lo.triples, fom.triangles))):
+                    si = de
+                    for _ in range(q + 1):
+                        si = face(D, si, 0)
+                    if si not in sigmas:
+                        raise AxiomError("delta %r ends outside the "
+                                         "%d-simplices of the target" % (de, p))
+                    cells.extend(Bisimplex(om, de, sigmas[si]) for om in oms)
             levels[(p, q)] = tuple(sorted(cells))
-            for x in levels[(p, q)]:
-                level_of[x] = (p, q)
-    lsets = {k: set(v) for k, v in levels.items()}
+    index = {k: {x: n for n, x in enumerate(v)} for k, v in levels.items()}
 
     def member(y, level):
-        if y not in lsets[level]:
+        n = index[level].get(y)
+        if n is None:
             raise AxiomError("bisimplicial set not closed under faces and "
                              "degeneracies at %r" % (y,))
-        return y
+        return n
 
     face_h, face_v, degen_h, degen_v = {}, {}, {}, {}
     for (p, q), cells in levels.items():
+        fh = [[] for _ in range(p + 1)] if p >= 1 else []
+        dh = [[] for _ in range(p + 1)] if p < P else []
+        fv = [[] for _ in range(q + 1)] if q >= 1 else []
+        dv = [[] for _ in range(q + 1)] if q < Q else []
         for x in cells:
             for i in range(p + 1):
-                if p >= 1:
-                    face_h[(i, x)] = member(Bisimplex(
+                if fh:
+                    fh[i].append(member(Bisimplex(
                         x.om, face(D, x.de, q + 1 + i), face(D, x.si, i)),
-                        (p - 1, q))
-                if p < P:
-                    degen_h[(i, x)] = member(Bisimplex(
+                        (p - 1, q)))
+                if dh:
+                    dh[i].append(member(Bisimplex(
                         x.om, degeneracy(D, x.de, q + 1 + i),
-                        degeneracy(D, x.si, i)), (p + 1, q))
+                        degeneracy(D, x.si, i)), (p + 1, q)))
             for i in range(q + 1):
-                if q >= 1:
-                    face_v[(i, x)] = member(Bisimplex(
-                        face(C, x.om, i), face(D, x.de, i), x.si), (p, q - 1))
-                if q < Q:
-                    degen_v[(i, x)] = member(Bisimplex(
+                if fv:
+                    fv[i].append(member(Bisimplex(
+                        face(C, x.om, i), face(D, x.de, i), x.si), (p, q - 1)))
+                if dv:
+                    dv[i].append(member(Bisimplex(
                         degeneracy(C, x.om, i), degeneracy(D, x.de, i),
-                        x.si), (p, q + 1))
+                        x.si), (p, q + 1)))
+        face_h[(p, q)], degen_h[(p, q)] = fh, dh
+        face_v[(p, q)], degen_v[(p, q)] = fv, dv
     degenerate_h, degenerate_v = {}, {}
     for (p, q), cells in levels.items():
-        for x in cells:
-            degenerate_h[x] = p >= 1 and any(
-                x == degen_h[(i, face_h[(i + 1, x)])] for i in range(p))
-            degenerate_v[x] = q >= 1 and any(
-                x == degen_v[(i, face_v[(i + 1, x)])] for i in range(q))
+        # x is degenerate when x = s_i d_{i+1} x for some i
+        degenerate_h[(p, q)] = [any(
+            degen_h[(p - 1, q)][i][face_h[(p, q)][i + 1][k]] == k
+            for i in range(p)) for k in range(len(cells))]
+        degenerate_v[(p, q)] = [any(
+            degen_v[(p, q - 1)][i][face_v[(p, q)][i + 1][k]] == k
+            for i in range(q)) for k in range(len(cells))]
     return BisimplicialTrunc(F, P, Q, levels, face_h, face_v,
-                             degen_h, degen_v, degenerate_h, degenerate_v,
-                             level_of)
+                             degen_h, degen_v, degenerate_h, degenerate_v)
+
+
+def _after(g: list, f: list) -> list:
+    """The composite g . f of two operator rows."""
+    return [g[k] for k in f]
 
 
 def check_bisimplicial(B: BisimplicialTrunc) -> bool:
     """Simplicial identities in each direction plus commutation of every
     horizontal operator with every vertical one, verified exhaustively
     within the truncation."""
-    def ok_direction(fc, dg, coord):
-        for x, (p, q) in B.level_of.items():
-            n = p if coord == 0 else q
+    fh, fv, dh, dv = B.face_h, B.face_v, B.degen_h, B.degen_v
+    for (p, q), cells in B.levels.items():
+        ident = list(range(len(cells)))
+        for fc, dg, n, cap, lo, hi in (
+                (fh, dh, p, B.P, (p - 1, q), (p + 1, q)),
+                (fv, dv, q, B.Q, (p, q - 1), (p, q + 1))):
+            f, d = fc[(p, q)], dg[(p, q)]
             for j in range(n + 1):
                 for i in range(j):
-                    if n >= 2 and fc[(i, fc[(j, x)])] != fc[(j - 1, fc[(i, x)])]:
+                    if n >= 2 and _after(fc[lo][i], f[j]) != \
+                            _after(fc[lo][j - 1], f[i]):
                         return False
-                cap = B.P if coord == 0 else B.Q
                 if n + 1 < cap:
                     for i in range(j + 1):
-                        if dg[(j + 1, dg[(i, x)])] != dg[(i, dg[(j, x)])]:
+                        if _after(dg[hi][j + 1], d[i]) != \
+                                _after(dg[hi][i], d[j]):
                             return False
                 if n < cap:
                     for i in range(n + 2):
-                        y = dg[(j, x)]
+                        got = _after(fc[hi][i], d[j])
                         if i == j or i == j + 1:
-                            if fc[(i, y)] != x:
+                            if got != ident:
                                 return False
                         elif n >= 1:
-                            if i < j:
-                                if fc[(i, y)] != dg[(j - 1, fc[(i, x)])]:
-                                    return False
-                            elif fc[(i, y)] != dg[(j, fc[(i - 1, x)])]:
+                            want = _after(dg[lo][j - 1], f[i]) if i < j \
+                                else _after(dg[lo][j], f[i - 1])
+                            if got != want:
                                 return False
-        return True
-
-    if not ok_direction(B.face_h, B.degen_h, 0):
-        return False
-    if not ok_direction(B.face_v, B.degen_v, 1):
-        return False
-    for x, (p, q) in B.level_of.items():
         for i in range(p + 1):
             for j in range(q + 1):
                 if p >= 1 and q >= 1 and \
-                        B.face_v[(j, B.face_h[(i, x)])] != \
-                        B.face_h[(i, B.face_v[(j, x)])]:
+                        _after(fv[(p - 1, q)][j], fh[(p, q)][i]) != \
+                        _after(fh[(p, q - 1)][i], fv[(p, q)][j]):
                     return False
                 if p < B.P and q < B.Q and \
-                        B.degen_v[(j, B.degen_h[(i, x)])] != \
-                        B.degen_h[(i, B.degen_v[(j, x)])]:
+                        _after(dv[(p + 1, q)][j], dh[(p, q)][i]) != \
+                        _after(dh[(p, q + 1)][i], dv[(p, q)][j]):
                     return False
                 if p >= 1 and q < B.Q and \
-                        B.degen_v[(j, B.face_h[(i, x)])] != \
-                        B.face_h[(i, B.degen_v[(j, x)])]:
+                        _after(dv[(p - 1, q)][j], fh[(p, q)][i]) != \
+                        _after(fh[(p, q + 1)][i], dv[(p, q)][j]):
                     return False
                 if p < B.P and q >= 1 and \
-                        B.face_v[(j, B.degen_h[(i, x)])] != \
-                        B.degen_h[(i, B.face_v[(j, x)])]:
+                        _after(fv[(p + 1, q)][j], dh[(p, q)][i]) != \
+                        _after(dh[(p, q - 1)][i], fv[(p, q)][j]):
                     return False
     return True
 
@@ -255,15 +287,17 @@ def check_bisimplicial(B: BisimplicialTrunc) -> bool:
 # pages of the spectral sequence (vertical homology first)
 # ---------------------------------------------------------------------------
 
-def _alt_sum_matrix(src, tgt, faces, sign=1):
-    """Matrix of x -> sum_i (-1)^i * sign * face_i(x) on the given bases,
-    dropping faces outside tgt (the normalized quotient)."""
+def _alt_sum_matrix(src, tgt, faces):
+    """Matrix of k -> sum_i (-1)^i * faces[i][k] on the given bases of
+    positions, dropping faces outside tgt (the normalized quotient)."""
     idx = {y: r for r, y in enumerate(tgt)}
     M = il.mzeros(len(tgt), len(src))
-    for j, x in enumerate(src):
-        for i, y in faces(x):
-            if y in idx:
-                M[idx[y]][j] += sign * (-1) ** i
+    for i, row in enumerate(faces):
+        s = (-1) ** i
+        for j, k in enumerate(src):
+            r = idx.get(row[k])
+            if r is not None:
+                M[r][j] += s
     return M
 
 
@@ -271,10 +305,15 @@ def _alt_sum_matrix(src, tgt, faces, sign=1):
 class SSPages:
     B: BisimplicialTrunc
     E1: dict                   # (p, q) -> FGAbGroup, p <= P, q <= Q-1
-    E1_sq: dict                # (p, q) -> (Subquotient, basis)
+    E1_sq: dict                # (p, q) -> (Subquotient, basis positions)
     d1: dict                   # (p, q) -> matrix E1[p,q] -> E1[p-1,q]
     E2: dict                   # (p, q) -> FGAbGroup, p <= P-1, q <= Q-1
     trusted: tuple             # (P-1, Q-1)
+
+
+def _nondegenerate(flags: list) -> list:
+    """Positions of the cells not flagged degenerate."""
+    return [k for k, d in enumerate(flags) if not d]
 
 
 def pages(B: BisimplicialTrunc) -> SSPages:
@@ -282,29 +321,22 @@ def pages(B: BisimplicialTrunc) -> SSPages:
     the E^1 rows under the induced horizontal differential).  Entries are
     trusted for p <= P-1 and q <= Q-1; the extra column p = P on E^1 is
     computed only to supply boundaries for E^2."""
-    basisV = {k: [x for x in cells if not B.degenerate_v[x]]
-              for k, cells in B.levels.items()}
+    basisV = {k: _nondegenerate(v) for k, v in B.degenerate_v.items()}
     E1, E1_sq, d1 = {}, {}, {}
     for p in range(B.P + 1):
         for q in range(B.Q):
             src = basisV[(p, q)]
-            dV = _alt_sum_matrix(
-                src, basisV[(p, q - 1)] if q >= 1 else [],
-                lambda x: [(i, B.face_v[(i, x)]) for i in range(q + 1)]) \
-                if q >= 1 else None
-            bnd = _alt_sum_matrix(
-                basisV[(p, q + 1)], src,
-                lambda x: [(i, B.face_v[(i, x)]) for i in range(q + 2)])
+            dV = _alt_sum_matrix(src, basisV[(p, q - 1)],
+                                 B.face_v[(p, q)]) if q >= 1 else None
+            bnd = _alt_sum_matrix(basisV[(p, q + 1)], src,
+                                  B.face_v[(p, q + 1)])
             sq = il.chain_homology(dV, bnd)
             E1_sq[(p, q)] = (sq, src)
             E1[(p, q)] = sq.group
     for p in range(1, B.P + 1):
         for q in range(B.Q):
-            src = basisV[(p, q)]
-            tgt = basisV[(p - 1, q)]
-            M = _alt_sum_matrix(
-                src, tgt,
-                lambda x: [(i, B.face_h[(i, x)]) for i in range(p + 1)])
+            M = _alt_sum_matrix(basisV[(p, q)], basisV[(p - 1, q)],
+                                B.face_h[(p, q)])
             d1[(p, q)] = il.induced_matrix(E1_sq[(p, q)][0],
                                            E1_sq[(p - 1, q)][0], M)
     E2 = {}
@@ -324,15 +356,11 @@ def row_homology(B: BisimplicialTrunc, q: int, p: int) -> il.FGAbGroup:
     if p > B.P - 1:
         raise ValueError("row H_%d needs horizontal bound >= %d, have %d"
                          % (p, p + 1, B.P))
-    basisH = {r: [x for x in B.levels[(r, q)] if not B.degenerate_h[x]]
+    basisH = {r: _nondegenerate(B.degenerate_h[(r, q)])
               for r in range(B.P + 1)}
-    dH = _alt_sum_matrix(
-        basisH[p], basisH[p - 1] if p >= 1 else [],
-        lambda x: [(i, B.face_h[(i, x)]) for i in range(p + 1)]) \
-        if p >= 1 else None
-    bnd = _alt_sum_matrix(
-        basisH[p + 1], basisH[p],
-        lambda x: [(i, B.face_h[(i, x)]) for i in range(p + 2)])
+    dH = _alt_sum_matrix(basisH[p], basisH[p - 1],
+                         B.face_h[(p, q)]) if p >= 1 else None
+    bnd = _alt_sum_matrix(basisH[p + 1], basisH[p], B.face_h[(p + 1, q)])
     return il.chain_homology(dH, bnd).group
 
 
@@ -358,31 +386,27 @@ def totalization_homology(B: BisimplicialTrunc, n: int) -> il.FGAbGroup:
             % (n, n + 1, B.P, B.Q))
 
     def basis(m):
+        # (level, position) of each cell nondegenerate in both directions
         out = []
         for p in range(m + 1):
             q = m - p
             if p <= B.P and q <= B.Q:
-                out.extend(x for x in B.levels[(p, q)]
-                           if not B.degenerate_h[x]
-                           and not B.degenerate_v[x])
+                out.extend(((p, q), k) for k, (h, v) in enumerate(zip(
+                    B.degenerate_h[(p, q)], B.degenerate_v[(p, q)]))
+                    if not h and not v)
         return out
 
     def total_d(m):
         src, tgt = basis(m), basis(m - 1)
         idx = {y: r for r, y in enumerate(tgt)}
         M = il.mzeros(len(tgt), len(src))
-        for j, x in enumerate(src):
-            p, q = B.level_of[x]
-            if p >= 1:
-                for i in range(p + 1):
-                    y = B.face_h[(i, x)]
-                    if y in idx:
-                        M[idx[y]][j] += (-1) ** i
-            if q >= 1:
-                for i in range(q + 1):
-                    y = B.face_v[(i, x)]
-                    if y in idx:
-                        M[idx[y]][j] += (-1) ** (p + i)
+        for j, ((p, q), k) in enumerate(src):
+            for lo, faces, sign in (((p - 1, q), B.face_h[(p, q)], 1),
+                                    ((p, q - 1), B.face_v[(p, q)], (-1) ** p)):
+                for i, row in enumerate(faces):
+                    r = idx.get((lo, row[k]))
+                    if r is not None:
+                        M[r][j] += sign * (-1) ** i
         return M
 
     dn = total_d(n) if n >= 1 else None

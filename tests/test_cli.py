@@ -9,7 +9,7 @@ import pytest
 import twocat
 from twocat import cli
 from twocat import io as tio
-from twocat import pgm
+from twocat import pgm, sinv
 from twocat.cli import main
 from twocat.core import AxiomError, TwoFunctor, identity_functor
 from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod
@@ -429,6 +429,50 @@ def test_ss_reports_trusted_range(run, tmp_path):
     assert rep["trusted"] == {"pmax": 1, "qmax": 1}
     assert [0, 0, "Z + Z"] in rep["E2"]
     assert all(flag for _p, _q, flag in rep["e2_vs_local"])
+
+
+@pytest.mark.parametrize("name,functor,digest", [
+    ("rho-c2", lambda: sinv.rho_projection(
+        sinv.s_inv_x(pgm.fix_c2_pgm(), pgm.self_action(pgm.fix_c2_pgm())),
+        sinv.s_inv_point(pgm.fix_c2_pgm())),
+     "a9432f60b5d7138f4b28b46793f3e07f2fa1c9a931b99b4c16c3b7bcbf6e1d17"),
+    ("pr2", lambda: fix_prod(fix_g2(), fix_c2())[2],
+     "14fc674fd6ab91e10836a81d7ddbcd58bb79abc8c05560a4d71e69c583b11f4d"),
+])
+def test_ss_report_bytes_are_pinned(run, tmp_path, monkeypatch, name,
+                                    functor, digest):
+    # the manifest names the input by the path given, so run where a
+    # relative name reaches it
+    monkeypatch.chdir(tmp_path)
+    f = name + ".json"
+    write(tmp_path, f, tio.two_functor_to_dict(functor()))
+    code, out = run(["ss", "--functor", f, "--pmax", 3, "--qmax", 3,
+                     "--fiber-coeffs", 1])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("argv", [
+    ["gc-check", "--pgm", "m2.json", "--max-deg", "-1"],
+    ["ss", "--functor", "pr2.json", "--pmax", "-1"],
+    ["ss", "--functor", "pr2.json", "--qmax", "-1"],
+    ["nerve", "--input", "g2.json", "--max-dim", "-1"],
+], ids=["max-deg", "pmax", "qmax", "max-dim"])
+def test_negative_bound_is_a_usage_error(tmp_path, flags, argv):
+    # a negative truncation bound would certify an empty range of degrees
+    write(tmp_path, "m2.json", tio.pgm_to_dict(pgm.fix_m2_pgm()))
+    write(tmp_path, "pr2.json",
+          tio.two_functor_to_dict(fix_prod(fix_g2(), fix_c2())[2]))
+    write(tmp_path, "g2.json", tio.two_category_to_dict(fix_g2()))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "twocat.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "usage: %s must be >= 0, got -1" % argv[-2]}
 
 
 # --- completion subcommands -----------------------------------------------------------

@@ -189,8 +189,9 @@ def test_pruned_search_matches_oracle_on_completions(make):
 
 
 def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
-    # every enumeration that build_B makes for rho-c2, most of them through
-    # _pinned_delta with vertices, edges and triangles pinned
+    # every enumeration that build_B makes for rho-c2, with the F(omega)
+    # block pinned, and every one that _pinned_delta makes for the pairs
+    # (omega, sigma) of B(2, 2), with both blocks pinned
     P = pgm.fix_c2_pgm()
     F = sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
                             sinv.s_inv_point(P))
@@ -203,7 +204,15 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
         return xs
 
     monkeypatch.setattr(specseq, "enumerate_simplices", checked)
-    specseq.build_B(F, 2, 2)
+    B = specseq.build_B(F, 2, 2)
+    for (p, q), cells in B.levels.items():
+        assert {(x.om, x.si) for x in cells} <= \
+            {(om, si) for om in nv.enumerate_simplices(F.source, q)
+             for si in nv.enumerate_simplices(F.target, p)}
+        for om in nv.enumerate_simplices(F.source, q):
+            for si in nv.enumerate_simplices(F.target, p):
+                assert specseq._pinned_delta(F, om, si) == \
+                    [x.de for x in cells if (x.om, x.si) == (om, si)]
     assert sum(pinned) > 100
 
 

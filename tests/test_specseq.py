@@ -1,3 +1,6 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from twocat import homology as hm
@@ -10,7 +13,8 @@ from twocat.core import (AxiomError, TwoFunctor, compose_functors,
                          identity_functor)
 from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
                              point_functor)
-from twocat.nerve import enumerate_simplices, induced_map, nerve
+from twocat.nerve import (degeneracy, enumerate_simplices, face,
+                          induced_map, nerve)
 
 
 def pr2_c2():
@@ -78,8 +82,225 @@ def test_build_B_rejects_a_non_functor():
     # degenerate bisimplex leaves the enumerated levels
     G = fix_g2()
     F = TwoFunctor(G, G, {"*": "*"}, {"i": "i"}, {"e0": "e1", "e1": "e0"})
-    with pytest.raises(AxiomError, match="not closed"):
+    with pytest.raises(AxiomError, match="not closed") as got:
         ss.build_B(F, 0, 2)
+    with pytest.raises(AxiomError, match="not closed") as want:
+        oracle_build_B(F, 0, 2)
+    assert str(got.value) == str(want.value)
+
+
+def test_build_B_rejects_a_delta_whose_sigma_is_missing(monkeypatch):
+    # a search that loses the 1-simplex id_0 of the target leaves the
+    # all-identity delta over the vertex 0 without its sigma
+    F = identity_functor(fix_i())
+    real = ss.enumerate_simplices
+
+    def lossy(D, p, *pins):
+        xs = real(D, p, *pins)
+        return xs[1:] if p == 1 and not pins else xs
+
+    monkeypatch.setattr(ss, "enumerate_simplices", lossy)
+    with pytest.raises(AxiomError, match="ends outside the 1-simplices"):
+        ss.build_B(F, 1, 0)
+
+
+# --- the pairwise, dict-keyed B(F) as an oracle ------------------------------
+
+def oracle_build_B(F, P, Q):
+    """B(F) as first written: one pinned search per pair (omega, sigma),
+    and operators as dicts (i, cell) -> cell."""
+    C, D = F.source, F.target
+    omegas = {q: enumerate_simplices(C, q) for q in range(Q + 1)}
+    sigmas = {p: enumerate_simplices(D, p) for p in range(P + 1)}
+    levels = {}
+    level_of = {}
+    for p in range(P + 1):
+        for q in range(Q + 1):
+            cells = []
+            for om in omegas[q]:
+                for si in sigmas[p]:
+                    for de in ss._pinned_delta(F, om, si):
+                        cells.append(ss.Bisimplex(om, de, si))
+            levels[(p, q)] = tuple(sorted(cells))
+            for x in levels[(p, q)]:
+                level_of[x] = (p, q)
+    lsets = {k: set(v) for k, v in levels.items()}
+
+    def member(y, level):
+        if y not in lsets[level]:
+            raise AxiomError("bisimplicial set not closed under faces and "
+                             "degeneracies at %r" % (y,))
+        return y
+
+    face_h, face_v, degen_h, degen_v = {}, {}, {}, {}
+    for (p, q), cells in levels.items():
+        for x in cells:
+            for i in range(p + 1):
+                if p >= 1:
+                    face_h[(i, x)] = member(ss.Bisimplex(
+                        x.om, face(D, x.de, q + 1 + i), face(D, x.si, i)),
+                        (p - 1, q))
+                if p < P:
+                    degen_h[(i, x)] = member(ss.Bisimplex(
+                        x.om, degeneracy(D, x.de, q + 1 + i),
+                        degeneracy(D, x.si, i)), (p + 1, q))
+            for i in range(q + 1):
+                if q >= 1:
+                    face_v[(i, x)] = member(ss.Bisimplex(
+                        face(C, x.om, i), face(D, x.de, i), x.si), (p, q - 1))
+                if q < Q:
+                    degen_v[(i, x)] = member(ss.Bisimplex(
+                        degeneracy(C, x.om, i), degeneracy(D, x.de, i),
+                        x.si), (p, q + 1))
+    degenerate_h, degenerate_v = {}, {}
+    for (p, q), cells in levels.items():
+        for x in cells:
+            degenerate_h[x] = p >= 1 and any(
+                x == degen_h[(i, face_h[(i + 1, x)])] for i in range(p))
+            degenerate_v[x] = q >= 1 and any(
+                x == degen_v[(i, face_v[(i + 1, x)])] for i in range(q))
+    return SimpleNamespace(P=P, Q=Q, levels=levels, face_h=face_h,
+                           face_v=face_v, degen_h=degen_h, degen_v=degen_v,
+                           degenerate_h=degenerate_h,
+                           degenerate_v=degenerate_v, level_of=level_of)
+
+
+def oracle_check_bisimplicial(B):
+    """The simplicial and commutation identities on the dict-keyed
+    operators of oracle_build_B, cell by cell."""
+    def ok_direction(fc, dg, coord):
+        for x, (p, q) in B.level_of.items():
+            n = p if coord == 0 else q
+            for j in range(n + 1):
+                for i in range(j):
+                    if n >= 2 and fc[(i, fc[(j, x)])] != \
+                            fc[(j - 1, fc[(i, x)])]:
+                        return False
+                cap = B.P if coord == 0 else B.Q
+                if n + 1 < cap:
+                    for i in range(j + 1):
+                        if dg[(j + 1, dg[(i, x)])] != dg[(i, dg[(j, x)])]:
+                            return False
+                if n < cap:
+                    for i in range(n + 2):
+                        y = dg[(j, x)]
+                        if i == j or i == j + 1:
+                            if fc[(i, y)] != x:
+                                return False
+                        elif n >= 1:
+                            if i < j:
+                                if fc[(i, y)] != dg[(j - 1, fc[(i, x)])]:
+                                    return False
+                            elif fc[(i, y)] != dg[(j, fc[(i - 1, x)])]:
+                                return False
+        return True
+
+    if not ok_direction(B.face_h, B.degen_h, 0):
+        return False
+    if not ok_direction(B.face_v, B.degen_v, 1):
+        return False
+    for x, (p, q) in B.level_of.items():
+        for i in range(p + 1):
+            for j in range(q + 1):
+                if p >= 1 and q >= 1 and \
+                        B.face_v[(j, B.face_h[(i, x)])] != \
+                        B.face_h[(i, B.face_v[(j, x)])]:
+                    return False
+                if p < B.P and q < B.Q and \
+                        B.degen_v[(j, B.degen_h[(i, x)])] != \
+                        B.degen_h[(i, B.degen_v[(j, x)])]:
+                    return False
+                if p >= 1 and q < B.Q and \
+                        B.degen_v[(j, B.face_h[(i, x)])] != \
+                        B.face_h[(i, B.degen_v[(j, x)])]:
+                    return False
+                if p < B.P and q >= 1 and \
+                        B.face_v[(j, B.degen_h[(i, x)])] != \
+                        B.degen_h[(i, B.face_v[(j, x)])]:
+                    return False
+    return True
+
+
+# where each operator table points, as a shift of (p, q)
+SHIFTS = {"face_h": (-1, 0), "face_v": (0, -1),
+          "degen_h": (1, 0), "degen_v": (0, 1)}
+
+
+def as_dicts(B):
+    """The tables of B in the oracle's dict-keyed form."""
+    out = SimpleNamespace(P=B.P, Q=B.Q, levels=B.levels, level_of={
+        x: k for k, cells in B.levels.items() for x in cells})
+    for name, (dp, dq) in SHIFTS.items():
+        table = {}
+        for (p, q), rows in getattr(B, name).items():
+            for i, row in enumerate(rows):
+                tgt = B.levels[(p + dp, q + dq)]
+                for x, k in zip(B.levels[(p, q)], row):
+                    table[(i, x)] = tgt[k]
+        setattr(out, name, table)
+    for name in ("degenerate_h", "degenerate_v"):
+        setattr(out, name, {x: flag for k, cells in B.levels.items()
+                            for x, flag in zip(cells, getattr(B, name)[k])})
+    return out
+
+
+def _rho(make):
+    P = make()
+    return sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
+                               sinv.s_inv_point(P))
+
+
+# every functor and window that this file and criterion 05 build B for,
+# each at its largest window and at a non-square one where built
+ORACLE_CASES = [
+    ("terminal", lambda: identity_functor(fix_t()), 2, 2),
+    ("terminal", lambda: identity_functor(fix_t()), 2, 1),
+    ("interval", lambda: identity_functor(fix_i()), 3, 3),
+    ("g2", lambda: identity_functor(fix_g2()), 2, 2),
+    ("g2", lambda: identity_functor(fix_g2()), 2, 0),
+    ("projection", lambda: pr2_c2()[1], 3, 3),
+    ("projection", lambda: pr2_c2()[1], 2, 1),
+    ("projection-interval", lambda: pr2_i()[1], 2, 2),
+    ("rho-c2", lambda: _rho(pgm.fix_c2_pgm), 3, 3),
+    ("rho-g2", lambda: _rho(pgm.fix_g2_pgm), 3, 3),
+]
+
+
+@pytest.mark.parametrize("make,P,Q", [c[1:] for c in ORACLE_CASES],
+                         ids=["%s-%dx%d" % (c[0], c[2], c[3])
+                              for c in ORACLE_CASES])
+def test_build_B_matches_the_pairwise_oracle(make, P, Q):
+    F = make()
+    B = ss.build_B(F, P, Q)
+    O = oracle_build_B(F, P, Q)
+    got = as_dicts(B)
+    assert got.levels == O.levels
+    for name in list(SHIFTS) + ["degenerate_h", "degenerate_v"]:
+        assert getattr(got, name) == getattr(O, name), name
+    assert ss.check_bisimplicial(B) and oracle_check_bisimplicial(O)
+
+
+def _corrupted(B, name, level, i, k, value):
+    rows = [list(r) for r in getattr(B, name)[level]]
+    assert rows[i][k] != value
+    rows[i][k] = value
+    return replace(B, **{name: {**getattr(B, name), level: rows}})
+
+
+@pytest.mark.parametrize("direction", ["h", "v"])
+def test_check_bisimplicial_rejects_a_corrupted_table(direction):
+    # d_0 s_0 = id: send d_0 of s_0 x_0 to x_1, or s_0 x_0 to s_0 x_1
+    B = ss.build_B(pr2_c2()[1], 2, 2)
+    assert ss.check_bisimplicial(B)
+    low, high = ((0, 1), (1, 1)) if direction == "h" else ((1, 0), (1, 1))
+    assert len(B.levels[low]) >= 2
+    fc, dg = "face_" + direction, "degen_" + direction
+    s0 = getattr(B, dg)[low][0]
+    bad = [_corrupted(B, fc, high, 0, s0[0], 1),
+           _corrupted(B, dg, low, 0, 0, s0[1])]
+    for C in bad:
+        assert not ss.check_bisimplicial(C)
+        assert not oracle_check_bisimplicial(as_dicts(C))
 
 
 # --- pages and totalization --------------------------------------------------
@@ -277,13 +498,8 @@ def test_e2_vs_local_rejects_untrusted_degrees():
             ss.e2_vs_local(pg, cert, q)
 
 
-def _rho_c2():
-    P = pgm.fix_c2_pgm()
-    return sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
-                               sinv.s_inv_point(P))
-
-
-@pytest.mark.parametrize("make", [lambda: pr2_c2()[1], _rho_c2],
+@pytest.mark.parametrize("make", [lambda: pr2_c2()[1],
+                                  lambda: _rho(pgm.fix_c2_pgm)],
                          ids=["projection", "rho-c2"])
 def test_e2_reads_only_neighbouring_levels(make):
     # E2_{p,q} from B(3, 3) equals E2_{p,q} from the smallest B trusted
