@@ -21,6 +21,7 @@ all tables are total and equality of cells is identifier equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 
 class AxiomError(ValueError):
@@ -43,14 +44,22 @@ class TwoCategory:
 
     def __post_init__(self):
         """Index the sorted hom-sets once, at construction (the tables are
-        never mutated): 1-cells by (x, y), 2-cells by (f, g).  Not a field:
-        equality and hashing ignore it."""
+        never mutated): 1-cells by (x, y), 2-cells by (f, g), each as a
+        tuple.  Not a field: equality and hashing ignore it."""
         h1, h2 = {}, {}
         for f in sorted(self.one_src):
             h1.setdefault((self.one_src[f], self.one_tgt.get(f)), []).append(f)
         for a in sorted(self.two_src):
             h2.setdefault((self.two_src[a], self.two_tgt.get(a)), []).append(a)
-        object.__setattr__(self, "_homs", (h1, h2))
+        object.__setattr__(self, "_homs", tuple(
+            {k: tuple(v) for k, v in h.items()} for h in (h1, h2)))
+
+    @property
+    def homs(self) -> tuple:
+        """The hom-set index, read-only: (1-cells by (x, y), 2-cells by
+        (f, g)), each hom-set a sorted tuple and an empty one absent.  A
+        search binds it once instead of copying a hom-set per lookup."""
+        return tuple(map(MappingProxyType, self._homs))
 
     # -- basic accessors ---------------------------------------------------
 

@@ -136,7 +136,7 @@ def smith_normal_form(M) -> SNF:
 
     t = 0
     while t < min(r, c):
-        # pivot: nonzero entry of least absolute value in the trailing block
+        # pivot: first nonzero entry of least |value| in the trailing block
         piv = None
         best = None
         for i in range(t, r):
@@ -144,6 +144,10 @@ def smith_normal_form(M) -> SNF:
                 a = abs(A[i][j])
                 if a and (best is None or a < best):
                     best, piv = a, (i, j)
+                    if a == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         i, j = piv
@@ -168,10 +172,10 @@ def smith_normal_form(M) -> SNF:
                     dirty = True
         if dirty:
             continue
-        # divisibility: A[t][t] must divide every remaining entry
+        # divisibility: A[t][t] must divide every remaining entry (1 does)
         d = A[t][t]
         fixed = True
-        for i in range(t + 1, r):
+        for i in range(t + 1, r) if d != 1 else ():
             for j in range(t + 1, c):
                 if A[i][j] % d:
                     row_add(t, i, 1)

@@ -58,13 +58,19 @@ class OrientedSimplex(NamedTuple):
         return self.triangles[layout(self.dim).tri_at[(i, j, k)]]
 
 
-def tetrahedron_ok(D: TwoCategory, edges: dict, tris: dict,
-                   i: int, j: int, k: int, l: int) -> bool:
-    lhs = D.vcomp[(D.whisk_l[(edges[(k, l)], tris[(i, j, k)])],
-                   tris[(i, k, l)])]
-    rhs = D.vcomp[(D.whisk_r[(tris[(j, k, l)], edges[(i, j)])],
-                   tris[(i, j, l)])]
-    return lhs == rhs
+@lru_cache(maxsize=None)
+def _search_plan(p: int):
+    """By position, per edge (j, k): the triangles (i, j, k), i < j, it
+    completes, as their position and those of (i, k) and (i, j); per
+    triangle (j, k, l): the tetrahedra (i, j, k, l) it completes, as the
+    positions of (k, l), (i, j, k), (i, k, l), (i, j) and (i, j, l)."""
+    L = layout(p)
+    ea, ta = L.edge_at, L.tri_at
+    return (tuple(tuple((ta[(i, j, k)], ea[(i, k)], ea[(i, j)])
+                        for i in range(j)) for j, k in L.pairs),
+            tuple(tuple((ea[(k, l)], ta[(i, j, k)], ta[(i, k, l)],
+                         ea[(i, j)], ta[(i, j, l)]) for i in range(j))
+                  for j, k, l in L.triples))
 
 
 def enumerate_simplices(D: TwoCategory, p: int,
@@ -78,44 +84,41 @@ def enumerate_simplices(D: TwoCategory, p: int,
     One depth-first search fills vertices, then edges, then triangles, and
     cuts a branch as soon as it cannot be completed: a vertex pair without
     an edge, a triangle (i, j, k) without a 2-cell once its last edge (j, k)
-    is placed, or a failed tetrahedron.  Only non-simplices are cut, so the
-    order is that of the filtered product of all choices.
+    is placed, or a failed tetrahedron once its last triangle (j, k, l) is.
+    Only non-simplices are cut, so the order is that of the filtered
+    product of all choices.  The cells placed so far are two lists, E and
+    T, in the positions of ``layout(p)``; what each placed cell completes
+    is read off ``_search_plan(p)``, and candidates off ``D.homs``.
 
     Cells can be pinned in advance (used when enumerating relative to a
-    fixed boundary part); a pinned cell that does not fit admits nothing."""
-    pinned_vertices = pinned_vertices or {}
-    pinned_edges = pinned_edges or {}
-    pinned_triangles = pinned_triangles or {}
+    fixed boundary part); a pinned cell admits itself if it lies in the
+    hom-set it would be drawn from, and nothing otherwise."""
+    L = layout(p)
+    tri_plan, tet_plan = _search_plan(p)
+    ne, nt = len(L.pairs), len(L.triples)
+    pv = [(pinned_vertices or {}).get(m) for m in range(p + 1)]
+    pe = [(pinned_edges or {}).get(k) for k in L.pairs]
+    pt = [(pinned_triangles or {}).get(k) for k in L.triples]
     objects = sorted(D.objects)
-    pairs, triples = layout(p).pairs, layout(p).triples
-    # (j, k, l) is the last triangle placed of each tetrahedron (i, j, k, l)
-    ready = [[(i,) + t for i in range(t[0])] for t in triples]
-    vs, vt, edge_choices, edges, tri_choices, tris = [], (), {}, {}, {}, {}
+    hom1, hom2 = D.homs[0].get, D.homs[1].get
+    comp1, vcomp, whisk_l, whisk_r = D.comp1, D.vcomp, D.whisk_l, D.whisk_r
+    vs, vt, E, T = [], (), [None] * ne, [None] * nt
+    edge_choices, tri_choices = [()] * ne, [()] * nt
     out = []
-
-    def edge_cands(i, j):
-        if (i, j) in pinned_edges:
-            e = pinned_edges[(i, j)]
-            return [e] if (D.one_src[e], D.one_tgt[e]) == (vs[i], vs[j]) else []
-        return D.hom1(vs[i], vs[j])
-
-    def tri_cands(i, j, k):
-        src = edges[(i, k)]
-        tgt = D.comp1[(edges[(j, k)], edges[(i, j)])]
-        if (i, j, k) in pinned_triangles:
-            t = pinned_triangles[(i, j, k)]
-            return [t] if (D.two_src[t], D.two_tgt[t]) == (src, tgt) else []
-        return D.hom2(src, tgt)
 
     def fill_vertices(m):
         nonlocal vt
         if m > p:
             vt = tuple(vs)    # shared by all simplices on these vertices
             return fill_edges(0)
-        for v in [pinned_vertices[m]] if m in pinned_vertices else objects:
+        for v in objects if pv[m] is None else (pv[m],):
             vs.append(v)
             for l in range(m):
-                edge_choices[(l, m)] = cands = edge_cands(l, m)
+                n = L.edge_at[(l, m)]
+                cands = hom1((vs[l], v), ())
+                if pe[n] is not None:
+                    cands = (pe[n],) if pe[n] in cands else ()
+                edge_choices[n] = cands
                 if not cands:
                     break
             else:
@@ -123,33 +126,38 @@ def enumerate_simplices(D: TwoCategory, p: int,
             vs.pop()
 
     def fill_edges(n):
-        if n == len(pairs):
+        if n == ne:
             return fill_triangles(0)
-        j, k = pairs[n]
-        for e in edge_choices[(j, k)]:
-            edges[(j, k)] = e
-            for i in range(j):
-                tri_choices[(i, j, k)] = cands = tri_cands(i, j, k)
+        for e in edge_choices[n]:
+            E[n] = e
+            for m, ik, ij in tri_plan[n]:
+                cands = hom2((E[ik], comp1[(e, E[ij])]), ())
+                if pt[m] is not None:
+                    cands = (pt[m],) if pt[m] in cands else ()
+                tri_choices[m] = cands
                 if not cands:
                     break
             else:
                 fill_edges(n + 1)
 
     def fill_triangles(n):
-        if n == len(triples):
-            out.append(OrientedSimplex(
-                p, vt, tuple(map(edges.__getitem__, pairs)),
-                tuple(map(tris.__getitem__, triples))))
+        if n == nt:
+            out.append(OrientedSimplex(p, vt, tuple(E), tuple(T)))
             return
-        jkl = triples[n]
-        for t in tri_choices[jkl]:
-            tris[jkl] = t
-            if all(tetrahedron_ok(D, edges, tris, *q) for q in ready[n]):
+        for t in tri_choices[n]:
+            T[n] = t
+            # the pasting equality of each tetrahedron (i, j, k, l) that t
+            # completes, (k,l) * (i,j,k) . (i,k,l) == t * (i,j) . (i,j,l)
+            for kl, ijk, ikl, ij, ijl in tet_plan[n]:
+                if vcomp[(whisk_l[(E[kl], T[ijk])], T[ikl])] != \
+                        vcomp[(whisk_r[(t, E[ij])], T[ijl])]:
+                    break
+            else:
                 fill_triangles(n + 1)
 
     fill_vertices(0)
     # the fill functions reach each other through closure cells; unbinding
-    # them frees this call's choice dicts without waiting for the cyclic GC
+    # them frees this call's lists without waiting for the cyclic GC
     fill_vertices = fill_edges = fill_triangles = None
     return out
 

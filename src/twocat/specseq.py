@@ -192,24 +192,30 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
         dh = [[] for _ in range(p + 1)] if p < P else []
         fv = [[] for _ in range(q + 1)] if q >= 1 else []
         dv = [[] for _ in range(q + 1)] if q < Q else []
+        ops = {}     # delta -> its faces and degeneracies, for all omegas
         for x in cells:
+            if x.de not in ops:
+                ops[x.de] = ([face(D, x.de, i) for i in range(p + q + 2)]
+                             if fh or fv else (),
+                             [degeneracy(D, x.de, i) for i in range(p + q + 2)]
+                             if dh or dv else ())
+            dface, ddegen = ops[x.de]
             for i in range(p + 1):
                 if fh:
                     fh[i].append(member(Bisimplex(
-                        x.om, face(D, x.de, q + 1 + i), face(D, x.si, i)),
+                        x.om, dface[q + 1 + i], face(D, x.si, i)),
                         (p - 1, q)))
                 if dh:
                     dh[i].append(member(Bisimplex(
-                        x.om, degeneracy(D, x.de, q + 1 + i),
-                        degeneracy(D, x.si, i)), (p + 1, q)))
+                        x.om, ddegen[q + 1 + i], degeneracy(D, x.si, i)),
+                        (p + 1, q)))
             for i in range(q + 1):
                 if fv:
                     fv[i].append(member(Bisimplex(
-                        face(C, x.om, i), face(D, x.de, i), x.si), (p, q - 1)))
+                        face(C, x.om, i), dface[i], x.si), (p, q - 1)))
                 if dv:
                     dv[i].append(member(Bisimplex(
-                        degeneracy(C, x.om, i), degeneracy(D, x.de, i),
-                        x.si), (p, q + 1)))
+                        degeneracy(C, x.om, i), ddegen[i], x.si), (p, q + 1)))
         face_h[(p, q)], degen_h[(p, q)] = fh, dh
         face_v[(p, q)], degen_v[(p, q)] = fv, dv
     degenerate_h, degenerate_v = {}, {}

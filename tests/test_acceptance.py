@@ -19,7 +19,9 @@ from twocat.core import (TwoFunctor, identity_functor,
                          validate_pseudofunctor, validate_two_category)
 from twocat.fixtures import (fix_c2, fix_g2, fix_g2sat, fix_i, fix_m2,
                              fix_prod, fix_t, point_functor)
-from twocat.nerve import enumerate_simplices, nerve, tetrahedron_ok
+from twocat.nerve import enumerate_simplices, nerve
+
+from test_nerve import tetrahedron_ok
 
 ALL_CATS = [fix_t, fix_c2, fix_m2, fix_i, fix_g2, fix_g2sat]
 ALL_PGMS = [pgm.fix_c2_pgm, pgm.fix_m2_pgm, pgm.fix_g2_pgm,
@@ -150,6 +152,16 @@ def test_criterion_05_spectral_sequence():
         pg = ss.pages(B)
         for q in range(3):
             assert ss.e2_vs_local(pg, cert, q) == [True] * 3, (name, q)
+    # rho-c2 one level deeper: a 4x4 window (degrees <= 3)
+    F = _rho(pgm.fix_c2_pgm)
+    B = ss.build_B(F, 4, 4)
+    X = nerve(F.source, 4)
+    for n in range(4):
+        assert ss.totalization_homology(B, n) == hm.homology(X, n), n
+    cert = of.check_opfibration(F)
+    pg = ss.pages(B)
+    for q in range(4):
+        assert ss.e2_vs_local(pg, cert, q) == [True] * 4, q
     # the one-object fixture with 2-cell group Z/2 doubles its simplex
     # count with every level: its window stops at 2x2 (degrees <= 1)
     F = identity_functor(fix_g2())
@@ -163,7 +175,8 @@ def test_criterion_05_spectral_sequence():
         assert ss.e2_vs_local(pg, cert, q) == [True] * 2, q
     print("ACCEPTANCE 05 PASS: totalization homology matches the source "
           "nerve and E2 matches local-coefficient homology at every "
-          "computed (p, q) within bounds")
+          "computed (p, q) within bounds (degrees <= 2 on four fixtures, "
+          "<= 3 on rho-c2, <= 1 on G2)")
 
 
 def test_criterion_06_point_completion_contractible():

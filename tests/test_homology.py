@@ -19,6 +19,16 @@ matrices = st.integers(1, 5).flatmap(
             min_size=r, max_size=r)))
 
 
+# sparse, with units and non-units, including 0-row and 0-column shapes
+# ([] has no rows; [[], ...] has rows and no columns)
+sparse_matrices = st.integers(0, 12).flatmap(
+    lambda r: st.integers(0, 40).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0] * 8 + [1, -1, 2, -2, 3, -3]),
+                     min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
 # --- integer linear algebra ---------------------------------------------------
 
 @given(matrices)
@@ -58,6 +68,104 @@ def test_snf_examples():
     assert il.smith_normal_form([[2, 4], [6, 8]]).diag() == [2, 4]
     assert il.smith_normal_form([[0, 0], [0, 0]]).diag() == [0, 0]
     assert il.smith_normal_form(il.mid(3)).diag() == [1, 1, 1]
+
+
+def scan_all_snf(M):
+    """Oracle for il.smith_normal_form: the same elimination, scanning the
+    whole trailing block for each pivot and sweeping for divisibility
+    after every pivot, 1 included."""
+    r, c = il.mshape(M)
+    A = [row[:] for row in M]
+    S, Sinv, T = il.mid(r), il.mid(r), il.mid(c)
+
+    def row_add(i, j, q):  # row_i += q * row_j ; inverse: col_j -= q * col_i
+        for k in range(c):
+            A[i][k] += q * A[j][k]
+        for k in range(r):
+            S[i][k] += q * S[j][k]
+        for k in range(r):
+            Sinv[k][j] -= q * Sinv[k][i]
+
+    def col_add(j, i, q):  # col_j += q * col_i
+        for k in range(r):
+            A[k][j] += q * A[k][i]
+        for k in range(c):
+            T[k][j] += q * T[k][i]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        S[i], S[j] = S[j], S[i]
+        for k in range(r):
+            Sinv[k][i], Sinv[k][j] = Sinv[k][j], Sinv[k][i]
+
+    def col_swap(i, j):
+        for k in range(r):
+            A[k][i], A[k][j] = A[k][j], A[k][i]
+        for k in range(c):
+            T[k][i], T[k][j] = T[k][j], T[k][i]
+
+    def row_neg(i):
+        for k in range(c):
+            A[i][k] = -A[i][k]
+        for k in range(r):
+            S[i][k] = -S[i][k]
+        for k in range(r):
+            Sinv[k][i] = -Sinv[k][i]
+
+    t = 0
+    while t < min(r, c):
+        # pivot: nonzero entry of least absolute value in the trailing block
+        piv = None
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                a = abs(A[i][j])
+                if a and (best is None or a < best):
+                    best, piv = a, (i, j)
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            row_swap(t, i)
+        if j != t:
+            col_swap(t, j)
+        if A[t][t] < 0:
+            row_neg(t)
+        dirty = False
+        for i in range(t + 1, r):
+            if A[i][t]:
+                q = A[i][t] // A[t][t]
+                row_add(i, t, -q)
+                if A[i][t]:
+                    dirty = True
+        for j in range(t + 1, c):
+            if A[t][j]:
+                q = A[t][j] // A[t][t]
+                col_add(j, t, -q)
+                if A[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # divisibility: A[t][t] must divide every remaining entry
+        d = A[t][t]
+        fixed = True
+        for i in range(t + 1, r):
+            for j in range(t + 1, c):
+                if A[i][j] % d:
+                    row_add(t, i, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            t += 1
+    return il.SNF(S, A, T, Sinv)
+
+
+@given(st.one_of(matrices, sparse_matrices))
+@settings(max_examples=120, deadline=None)
+def test_snf_matches_scan_all_oracle(M):
+    assert il.smith_normal_form(M) == scan_all_snf(M)
 
 
 @given(matrices)
@@ -103,16 +211,6 @@ def snf_factors(M):
 
 def sparse_factors(M):
     return il.invariant_factors(il.sparse_columns(M))
-
-
-# sparse, with units and non-units, including 0-row and 0-column shapes
-# ([] has no rows; [[], ...] has rows and no columns)
-sparse_matrices = st.integers(0, 12).flatmap(
-    lambda r: st.integers(0, 40).flatmap(
-        lambda c: st.lists(
-            st.lists(st.sampled_from([0] * 8 + [1, -1, 2, -2, 3, -3]),
-                     min_size=c, max_size=c),
-            min_size=r, max_size=r)))
 
 
 @given(sparse_matrices)

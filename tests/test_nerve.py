@@ -82,6 +82,87 @@ def test_pinned_enumeration():
     assert len(xs) == 1 and xs[0].triangle(0, 1, 2) == "e1"
 
 
+def tetrahedron_ok(D, edges, tris, i, j, k, l):
+    """The pasting equality of the tetrahedron (i, j, k, l), on cells keyed
+    by their index tuples."""
+    lhs = D.vcomp[(D.whisk_l[(edges[(k, l)], tris[(i, j, k)])],
+                   tris[(i, k, l)])]
+    rhs = D.vcomp[(D.whisk_r[(tris[(j, k, l)], edges[(i, j)])],
+                   tris[(i, j, l)])]
+    return lhs == rhs
+
+
+def dict_keyed_search(D, p, pinned_vertices=None, pinned_edges=None,
+                      pinned_triangles=None):
+    """Oracle for the position-list search: the same pruned depth-first
+    search, holding its cells in dicts keyed by index tuples and checking
+    each tetrahedron through ``tetrahedron_ok``."""
+    pinned_vertices = pinned_vertices or {}
+    pinned_edges = pinned_edges or {}
+    pinned_triangles = pinned_triangles or {}
+    objects = sorted(D.objects)
+    pairs, triples = nv.layout(p).pairs, nv.layout(p).triples
+    # (j, k, l) is the last triangle placed of each tetrahedron (i, j, k, l)
+    ready = [[(i,) + t for i in range(t[0])] for t in triples]
+    vs, edge_choices, edges, tri_choices, tris = [], {}, {}, {}, {}
+    out = []
+
+    def edge_cands(i, j):
+        if (i, j) in pinned_edges:
+            e = pinned_edges[(i, j)]
+            return [e] if (D.one_src[e], D.one_tgt[e]) == (vs[i], vs[j]) else []
+        return D.hom1(vs[i], vs[j])
+
+    def tri_cands(i, j, k):
+        src = edges[(i, k)]
+        tgt = D.comp1[(edges[(j, k)], edges[(i, j)])]
+        if (i, j, k) in pinned_triangles:
+            t = pinned_triangles[(i, j, k)]
+            return [t] if (D.two_src[t], D.two_tgt[t]) == (src, tgt) else []
+        return D.hom2(src, tgt)
+
+    def fill_vertices(m):
+        if m > p:
+            return fill_edges(0)
+        for v in [pinned_vertices[m]] if m in pinned_vertices else objects:
+            vs.append(v)
+            for l in range(m):
+                edge_choices[(l, m)] = cands = edge_cands(l, m)
+                if not cands:
+                    break
+            else:
+                fill_vertices(m + 1)
+            vs.pop()
+
+    def fill_edges(n):
+        if n == len(pairs):
+            return fill_triangles(0)
+        j, k = pairs[n]
+        for e in edge_choices[(j, k)]:
+            edges[(j, k)] = e
+            for i in range(j):
+                tri_choices[(i, j, k)] = cands = tri_cands(i, j, k)
+                if not cands:
+                    break
+            else:
+                fill_edges(n + 1)
+
+    def fill_triangles(n):
+        if n == len(triples):
+            out.append(nv.OrientedSimplex(
+                p, tuple(vs), tuple(map(edges.__getitem__, pairs)),
+                tuple(map(tris.__getitem__, triples))))
+            return
+        jkl = triples[n]
+        for t in tri_choices[jkl]:
+            tris[jkl] = t
+            if all(tetrahedron_ok(D, edges, tris, *q) for q in ready[n]):
+                fill_triangles(n + 1)
+
+    fill_vertices(0)
+    return out
+
+
 def product_then_filter(D, p, pinned_vertices=None, pinned_edges=None,
                         pinned_triangles=None):
     """Oracle for the pruned search: form the product of all vertex and
@@ -152,7 +233,7 @@ def product_then_filter(D, p, pinned_vertices=None, pinned_edges=None,
                     return
                 for c in tri_choices[n]:
                     tris[triples[n]] = c
-                    if all(nv.tetrahedron_ok(D, edges, tris, *q)
+                    if all(tetrahedron_ok(D, edges, tris, *q)
                            for q in ready[n]):
                         rec(n + 1)
                 del tris[triples[n]]
@@ -181,11 +262,20 @@ def test_pruned_search_matches_oracle_on_fixtures(name):
 @pytest.mark.parametrize("make", [pgm.fix_c2_pgm, pgm.fix_m2_pgm,
                                   pgm.fix_g2_pgm])
 def test_pruned_search_matches_oracle_on_completions(make):
+    # S^-1 X against both oracles to p = 5, and to p = 6 against the
+    # dict-keyed search where the size allows (S^-1 G2 has 32,768
+    # 6-simplices); the point completion, the target of rho, to p = 7
     P = make()
     D = sinv.s_inv_x(P, pgm.self_action(P)).cat
-    for p in range(6):
+    for p in range(6 if make is pgm.fix_g2_pgm else 7):
         xs = nv.enumerate_simplices(D, p)
-        assert xs and xs == product_then_filter(D, p)
+        assert xs and xs == dict_keyed_search(D, p)
+        if p <= 5:
+            assert xs == product_then_filter(D, p)
+    SP = sinv.s_inv_point(P).cat
+    for p in range(8):
+        xs = nv.enumerate_simplices(SP, p)
+        assert xs and xs == dict_keyed_search(SP, p)
 
 
 def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
@@ -214,17 +304,40 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
                 assert specseq._pinned_delta(F, om, si) == \
                     [x.de for x in cells if (x.om, x.si) == (om, si)]
     assert sum(pinned) > 100
+    # every enumeration that build_B makes at 3 x 3, against the
+    # dict-keyed search (the product oracle is too slow for 7-simplices)
+    deep = []
+
+    def checked_deep(D, p, *pins):
+        xs = nv.enumerate_simplices(D, p, *pins)
+        assert xs == dict_keyed_search(D, p, *pins)
+        deep.append(bool(pins) and bool(xs))
+        return xs
+
+    monkeypatch.setattr(specseq, "enumerate_simplices", checked_deep)
+    specseq.build_B(F, 3, 3)
+    assert sum(deep) == 120
 
 
 def test_pin_that_does_not_fit_gives_nothing():
     I = fix_i()
     # a01: 0 -> 1 fits the vertices (0, 1); the identity of 0 does not
     assert len(nv.enumerate_simplices(I, 1, {}, {(0, 1): "a01"})) == 1
+    # a01 pinned at the last edge (1, 2) of a 2-simplex fits too
+    xs = nv.enumerate_simplices(I, 2, {}, {(1, 2): "a01"})
+    assert [x.edge(1, 2) for x in xs] == ["a01"]
+    assert xs == product_then_filter(I, 2, {}, {(1, 2): "a01"})
+    # the last two cases pin a cell at the last position: the edge (1, 2)
+    # must start where a01 ends, and the triangle (1, 2, 3) has source
+    # x_(1,3), which ends at vertex 3 = "1", not id_0
     cases = [(1, {0: "0", 1: "1"}, {(0, 1): "id_0"}, {}),
-             (2, {0: "0", 1: "0", 2: "1"}, {}, {(0, 1, 2): "ii_id_0"})]
+             (2, {0: "0", 1: "0", 2: "1"}, {}, {(0, 1, 2): "ii_id_0"}),
+             (2, {}, {(0, 1): "a01", (1, 2): "id_0"}, {}),
+             (3, {3: "1"}, {}, {(1, 2, 3): "ii_id_0"})]
     for p, *pins in cases:
         assert nv.enumerate_simplices(I, p, *pins) == []
         assert product_then_filter(I, p, *pins) == []
+        assert dict_keyed_search(I, p, *pins) == []
 
 
 # --- face and degeneracy gathers against the dict-keyed maps ----------------
