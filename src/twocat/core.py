@@ -177,7 +177,8 @@ def build_two_category(objects, one_cells, two_cells, id1, id2,
 # validation
 # ---------------------------------------------------------------------------
 
-def _check(cond: bool, axiom: str, cells: tuple) -> None:
+def ensure(cond: bool, axiom: str, cells: tuple) -> None:
+    """Raise AxiomError naming the axiom and the cells unless cond holds."""
     if not cond:
         raise AxiomError("%s at %r" % (axiom, cells))
 
@@ -194,40 +195,40 @@ def validate_two_category(C: TwoCategory) -> TwoCategory:
 
     # well-formedness: dangling identifiers, globular typing
     for f in ones:
-        _check(C.one_src[f] in objs and C.one_tgt[f] in objs,
+        ensure(C.one_src[f] in objs and C.one_tgt[f] in objs,
                "dangling object in 1-cell", (f,))
-        _check(f in C.one_tgt, "1-cell missing tgt", (f,))
+        ensure(f in C.one_tgt, "1-cell missing tgt", (f,))
     for a in twos:
-        _check(C.two_src[a] in C.one_src and C.two_tgt[a] in C.one_src,
+        ensure(C.two_src[a] in C.one_src and C.two_tgt[a] in C.one_src,
                "dangling 1-cell in 2-cell", (a,))
-        _check(C.one_src[C.two_src[a]] == C.one_src[C.two_tgt[a]]
+        ensure(C.one_src[C.two_src[a]] == C.one_src[C.two_tgt[a]]
                and C.one_tgt[C.two_src[a]] == C.one_tgt[C.two_tgt[a]],
                "2-cell not parallel", (a,))
     for x in sorted(objs):
-        _check(x in C.id1, "object missing identity 1-cell", (x,))
+        ensure(x in C.id1, "object missing identity 1-cell", (x,))
         f = C.id1[x]
-        _check(f in C.one_src and C.one_src[f] == x and C.one_tgt[f] == x,
+        ensure(f in C.one_src and C.one_src[f] == x and C.one_tgt[f] == x,
                "identity 1-cell badly typed", (x, f))
     for f in ones:
-        _check(f in C.id2, "1-cell missing identity 2-cell", (f,))
+        ensure(f in C.id2, "1-cell missing identity 2-cell", (f,))
         a = C.id2[f]
-        _check(a in C.two_src and C.two_src[a] == f and C.two_tgt[a] == f,
+        ensure(a in C.two_src and C.two_src[a] == f and C.two_tgt[a] == f,
                "identity 2-cell badly typed", (f, a))
 
     # totality and typing of comp1
     for g in ones:
         for f in ones:
             if C.one_tgt[f] == C.one_src[g]:
-                _check((g, f) in C.comp1, "comp1 not total", (g, f))
+                ensure((g, f) in C.comp1, "comp1 not total", (g, f))
                 gf = C.comp1[(g, f)]
-                _check(gf in C.one_src and C.one_src[gf] == C.one_src[f]
+                ensure(gf in C.one_src and C.one_src[gf] == C.one_src[f]
                        and C.one_tgt[gf] == C.one_tgt[g],
                        "comp1 badly typed", (g, f, gf))
     # unit + associativity of comp1
     for f in ones:
         x, y = C.one_src[f], C.one_tgt[f]
-        _check(C.comp1[(f, C.id1[x])] == f, "comp1 right unit", (f,))
-        _check(C.comp1[(C.id1[y], f)] == f, "comp1 left unit", (f,))
+        ensure(C.comp1[(f, C.id1[x])] == f, "comp1 right unit", (f,))
+        ensure(C.comp1[(C.id1[y], f)] == f, "comp1 left unit", (f,))
     for h in ones:
         for g in ones:
             if C.one_tgt[g] != C.one_src[h]:
@@ -236,22 +237,22 @@ def validate_two_category(C: TwoCategory) -> TwoCategory:
             for f in ones:
                 if C.one_tgt[f] != C.one_src[g]:
                     continue
-                _check(C.comp1[(hg, f)] == C.comp1[(h, C.comp1[(g, f)])],
+                ensure(C.comp1[(hg, f)] == C.comp1[(h, C.comp1[(g, f)])],
                        "comp1 associativity", (h, g, f))
 
     # hom-categories: vcomp totality, typing, unit, associativity
     for b in twos:
         for a in twos:
             if C.two_tgt[a] == C.two_src[b]:
-                _check((b, a) in C.vcomp, "vcomp not total", (b, a))
+                ensure((b, a) in C.vcomp, "vcomp not total", (b, a))
                 ba = C.vcomp[(b, a)]
-                _check(ba in C.two_src and C.two_src[ba] == C.two_src[a]
+                ensure(ba in C.two_src and C.two_src[ba] == C.two_src[a]
                        and C.two_tgt[ba] == C.two_tgt[b],
                        "vcomp badly typed", (b, a, ba))
     for a in twos:
         f, g = C.two_src[a], C.two_tgt[a]
-        _check(C.vcomp[(a, C.id2[f])] == a, "vcomp right unit", (a,))
-        _check(C.vcomp[(C.id2[g], a)] == a, "vcomp left unit", (a,))
+        ensure(C.vcomp[(a, C.id2[f])] == a, "vcomp right unit", (a,))
+        ensure(C.vcomp[(C.id2[g], a)] == a, "vcomp left unit", (a,))
     for c in twos:
         for b in twos:
             if C.two_tgt[b] != C.two_src[c]:
@@ -260,7 +261,7 @@ def validate_two_category(C: TwoCategory) -> TwoCategory:
             for a in twos:
                 if C.two_tgt[a] != C.two_src[b]:
                     continue
-                _check(C.vcomp[(cb, a)] == C.vcomp[(c, C.vcomp[(b, a)])],
+                ensure(C.vcomp[(cb, a)] == C.vcomp[(c, C.vcomp[(b, a)])],
                        "vcomp associativity", (c, b, a))
 
     # whiskering: totality, typing, functoriality, identity/comp1 laws
@@ -269,30 +270,30 @@ def validate_two_category(C: TwoCategory) -> TwoCategory:
         x, y = C.one_src[f], C.one_tgt[f]
         for k in ones:
             if C.one_src[k] == y:
-                _check((k, a) in C.whisk_l, "whisk_l not total", (k, a))
+                ensure((k, a) in C.whisk_l, "whisk_l not total", (k, a))
                 ka = C.whisk_l[(k, a)]
-                _check(C.two_src[ka] == C.comp1[(k, f)]
+                ensure(C.two_src[ka] == C.comp1[(k, f)]
                        and C.two_tgt[ka] == C.comp1[(k, g)],
                        "whisk_l badly typed", (k, a, ka))
             if C.one_tgt[k] == x:
-                _check((a, k) in C.whisk_r, "whisk_r not total", (a, k))
+                ensure((a, k) in C.whisk_r, "whisk_r not total", (a, k))
                 ak = C.whisk_r[(a, k)]
-                _check(C.two_src[ak] == C.comp1[(f, k)]
+                ensure(C.two_src[ak] == C.comp1[(f, k)]
                        and C.two_tgt[ak] == C.comp1[(g, k)],
                        "whisk_r badly typed", (a, k, ak))
     for a in twos:
         f = C.two_src[a]
         x, y = C.one_src[f], C.one_tgt[f]
-        _check(C.whisk_l[(C.id1[y], a)] == a, "whisk_l by identity", (a,))
-        _check(C.whisk_r[(a, C.id1[x])] == a, "whisk_r by identity", (a,))
+        ensure(C.whisk_l[(C.id1[y], a)] == a, "whisk_l by identity", (a,))
+        ensure(C.whisk_r[(a, C.id1[x])] == a, "whisk_r by identity", (a,))
     for f in ones:
         x, y = C.one_src[f], C.one_tgt[f]
         for k in ones:
             if C.one_src[k] == y:
-                _check(C.whisk_l[(k, C.id2[f])] == C.id2[C.comp1[(k, f)]],
+                ensure(C.whisk_l[(k, C.id2[f])] == C.id2[C.comp1[(k, f)]],
                        "whisk_l of identity 2-cell", (k, f))
             if C.one_tgt[k] == x:
-                _check(C.whisk_r[(C.id2[f], k)] == C.id2[C.comp1[(f, k)]],
+                ensure(C.whisk_r[(C.id2[f], k)] == C.id2[C.comp1[(f, k)]],
                        "whisk_r of identity 2-cell", (f, k))
     # whiskering is functorial on hom-categories
     for b in twos:
@@ -304,11 +305,11 @@ def validate_two_category(C: TwoCategory) -> TwoCategory:
             x, y = C.one_src[f], C.one_tgt[f]
             for k in ones:
                 if C.one_src[k] == y:
-                    _check(C.vcomp[(C.whisk_l[(k, b)], C.whisk_l[(k, a)])]
+                    ensure(C.vcomp[(C.whisk_l[(k, b)], C.whisk_l[(k, a)])]
                            == C.whisk_l[(k, ba)],
                            "whisk_l functoriality", (k, b, a))
                 if C.one_tgt[k] == x:
-                    _check(C.vcomp[(C.whisk_r[(b, k)], C.whisk_r[(a, k)])]
+                    ensure(C.vcomp[(C.whisk_r[(b, k)], C.whisk_r[(a, k)])]
                            == C.whisk_r[(ba, k)],
                            "whisk_r functoriality", (k, b, a))
     # whiskering compatible with comp1 in the whiskering slot
@@ -320,7 +321,7 @@ def validate_two_category(C: TwoCategory) -> TwoCategory:
                 continue
             for k2 in ones:
                 if C.one_src[k2] == C.one_tgt[k]:
-                    _check(C.whisk_l[(k2, C.whisk_l[(k, a)])]
+                    ensure(C.whisk_l[(k2, C.whisk_l[(k, a)])]
                            == C.whisk_l[(C.comp1[(k2, k)], a)],
                            "whisk_l composition", (k2, k, a))
         for h in ones:
@@ -328,7 +329,7 @@ def validate_two_category(C: TwoCategory) -> TwoCategory:
                 continue
             for h2 in ones:
                 if C.one_tgt[h2] == C.one_src[h]:
-                    _check(C.whisk_r[(C.whisk_r[(a, h)], h2)]
+                    ensure(C.whisk_r[(C.whisk_r[(a, h)], h2)]
                            == C.whisk_r[(a, C.comp1[(h, h2)])],
                            "whisk_r composition", (h, h2, a))
         # mixed: (k * a) * h  ==  k * (a * h)
@@ -337,7 +338,7 @@ def validate_two_category(C: TwoCategory) -> TwoCategory:
                 continue
             for h in ones:
                 if C.one_tgt[h] == x:
-                    _check(C.whisk_r[(C.whisk_l[(k, a)], h)]
+                    ensure(C.whisk_r[(C.whisk_l[(k, a)], h)]
                            == C.whisk_l[(k, C.whisk_r[(a, h)])],
                            "whiskering mixed associativity", (k, a, h))
 
@@ -351,7 +352,7 @@ def validate_two_category(C: TwoCategory) -> TwoCategory:
                 continue
             left = C.vcomp[(C.whisk_r[(b, g)], C.whisk_l[(f2, a)])]
             right = C.vcomp[(C.whisk_l[(g2, a)], C.whisk_r[(b, f)])]
-            _check(left == right, "interchange", (b, a))
+            ensure(left == right, "interchange", (b, a))
     return C
 
 
@@ -401,37 +402,37 @@ def functors_equal(F: TwoFunctor, G: TwoFunctor) -> bool:
 def validate_two_functor(F: TwoFunctor) -> TwoFunctor:
     C, D = F.source, F.target
     for x in C.objects:
-        _check(x in F.on_objects and F.on_objects[x] in set(D.objects),
+        ensure(x in F.on_objects and F.on_objects[x] in set(D.objects),
                "functor object map", (x,))
     for f in sorted(C.one_src):
-        _check(f in F.on_one and F.on_one[f] in D.one_src,
+        ensure(f in F.on_one and F.on_one[f] in D.one_src,
                "functor 1-cell map", (f,))
-        _check(D.one_src[F.on_one[f]] == F.on_objects[C.one_src[f]]
+        ensure(D.one_src[F.on_one[f]] == F.on_objects[C.one_src[f]]
                and D.one_tgt[F.on_one[f]] == F.on_objects[C.one_tgt[f]],
                "functor preserves 1-cell typing", (f,))
     for a in sorted(C.two_src):
-        _check(a in F.on_two and F.on_two[a] in D.two_src,
+        ensure(a in F.on_two and F.on_two[a] in D.two_src,
                "functor 2-cell map", (a,))
-        _check(D.two_src[F.on_two[a]] == F.on_one[C.two_src[a]]
+        ensure(D.two_src[F.on_two[a]] == F.on_one[C.two_src[a]]
                and D.two_tgt[F.on_two[a]] == F.on_one[C.two_tgt[a]],
                "functor preserves 2-cell typing", (a,))
     for x in C.objects:
-        _check(F.on_one[C.id1[x]] == D.id1[F.on_objects[x]],
+        ensure(F.on_one[C.id1[x]] == D.id1[F.on_objects[x]],
                "functor preserves identity 1-cells", (x,))
     for f in sorted(C.one_src):
-        _check(F.on_two[C.id2[f]] == D.id2[F.on_one[f]],
+        ensure(F.on_two[C.id2[f]] == D.id2[F.on_one[f]],
                "functor preserves identity 2-cells", (f,))
     for (g, f), gf in sorted(C.comp1.items()):
-        _check(D.comp1[(F.on_one[g], F.on_one[f])] == F.on_one[gf],
+        ensure(D.comp1[(F.on_one[g], F.on_one[f])] == F.on_one[gf],
                "functor preserves comp1", (g, f))
     for (b, a), ba in sorted(C.vcomp.items()):
-        _check(D.vcomp[(F.on_two[b], F.on_two[a])] == F.on_two[ba],
+        ensure(D.vcomp[(F.on_two[b], F.on_two[a])] == F.on_two[ba],
                "functor preserves vcomp", (b, a))
     for (k, a), ka in sorted(C.whisk_l.items()):
-        _check(D.whisk_l[(F.on_one[k], F.on_two[a])] == F.on_two[ka],
+        ensure(D.whisk_l[(F.on_one[k], F.on_two[a])] == F.on_two[ka],
                "functor preserves whisk_l", (k, a))
     for (a, h), ah in sorted(C.whisk_r.items()):
-        _check(D.whisk_r[(F.on_two[a], F.on_one[h])] == F.on_two[ah],
+        ensure(D.whisk_r[(F.on_two[a], F.on_one[h])] == F.on_two[ah],
                "functor preserves whisk_r", (a, h))
     return F
 
@@ -469,9 +470,9 @@ def validate_transformation(t: Transformation) -> Transformation:
     C, D = F.source, F.target
     lax = t.direction == LAX
     for x in C.objects:
-        _check(x in t.at_object, "transformation missing object component", (x,))
+        ensure(x in t.at_object, "transformation missing object component", (x,))
         ax = t.at_object[x]
-        _check(D.one_src[ax] == F.on_objects[x] and D.one_tgt[ax] == G.on_objects[x],
+        ensure(D.one_src[ax] == F.on_objects[x] and D.one_tgt[ax] == G.on_objects[x],
                "transformation component badly typed", (x, ax))
 
     def expected(f: str) -> tuple[str, str]:
@@ -481,15 +482,15 @@ def validate_transformation(t: Transformation) -> Transformation:
         return (pre, post) if lax else (post, pre)
 
     for f in sorted(C.one_src):
-        _check(f in t.at_one, "transformation missing 1-cell component", (f,))
+        ensure(f in t.at_one, "transformation missing 1-cell component", (f,))
         af = t.at_one[f]
         s, g = expected(f)
-        _check(D.two_src[af] == s and D.two_tgt[af] == g,
+        ensure(D.two_src[af] == s and D.two_tgt[af] == g,
                "transformation 1-cell component badly typed", (f, af))
     # unit axiom: a_{1_x} is the identity 2-cell
     for x in C.objects:
         f = C.id1[x]
-        _check(t.at_one[f] == D.id2[D.two_src[t.at_one[f]]],
+        ensure(t.at_one[f] == D.id2[D.two_src[t.at_one[f]]],
                "transformation unit axiom", (x,))
     # composition axiom: a_{g.f} is the pasting of a_f and a_g
     for g in sorted(C.one_src):
@@ -509,7 +510,7 @@ def validate_transformation(t: Transformation) -> Transformation:
                 step1 = D.whisk_r[(t.at_one[g], F.on_one[f])]
                 step2 = D.whisk_l[(G.on_one[g], t.at_one[f])]
                 want = D.vcomp[(step2, step1)]
-            _check(t.at_one[gf] == want, "transformation composition axiom", (g, f))
+            ensure(t.at_one[gf] == want, "transformation composition axiom", (g, f))
     # naturality in 2-cells d: f => g
     for d in sorted(C.two_src):
         f, g = C.two_src[d], C.two_tgt[d]
@@ -522,14 +523,14 @@ def validate_transformation(t: Transformation) -> Transformation:
             # (Gd * a_x) . a_f  ==  a_g . (a_y * Fd)
             lhs = D.vcomp[(D.whisk_r[(G.on_two[d], t.at_object[x])], t.at_one[f])]
             rhs = D.vcomp[(t.at_one[g], D.whisk_l[(t.at_object[y], F.on_two[d])])]
-        _check(lhs == rhs, "transformation naturality in 2-cells", (d,))
+        ensure(lhs == rhs, "transformation naturality in 2-cells", (d,))
     if t.flavor == PSEUDONATURAL:
         for f in sorted(C.one_src):
-            _check(D.is_invertible2(t.at_one[f]),
+            ensure(D.is_invertible2(t.at_one[f]),
                    "pseudonatural component not invertible", (f,))
     if t.flavor == TWO_NATURAL:
         for f in sorted(C.one_src):
-            _check(D.is_id2(t.at_one[f]), "2-natural component not identity", (f,))
+            ensure(D.is_id2(t.at_one[f]), "2-natural component not identity", (f,))
     return t
 
 
@@ -551,42 +552,42 @@ class NormalPseudofunctor:
 def validate_pseudofunctor(H: NormalPseudofunctor) -> NormalPseudofunctor:
     C, D = H.source, H.target
     for f in sorted(C.one_src):
-        _check(D.one_src[H.on_one[f]] == H.on_objects[C.one_src[f]]
+        ensure(D.one_src[H.on_one[f]] == H.on_objects[C.one_src[f]]
                and D.one_tgt[H.on_one[f]] == H.on_objects[C.one_tgt[f]],
                "pseudofunctor 1-cell typing", (f,))
     for a in sorted(C.two_src):
-        _check(D.two_src[H.on_two[a]] == H.on_one[C.two_src[a]]
+        ensure(D.two_src[H.on_two[a]] == H.on_one[C.two_src[a]]
                and D.two_tgt[H.on_two[a]] == H.on_one[C.two_tgt[a]],
                "pseudofunctor 2-cell typing", (a,))
     # strictly preserved hom-structure
     for x in C.objects:
-        _check(H.on_one[C.id1[x]] == D.id1[H.on_objects[x]],
+        ensure(H.on_one[C.id1[x]] == D.id1[H.on_objects[x]],
                "pseudofunctor normality (F0 = id)", (x,))
     for f in sorted(C.one_src):
-        _check(H.on_two[C.id2[f]] == D.id2[H.on_one[f]],
+        ensure(H.on_two[C.id2[f]] == D.id2[H.on_one[f]],
                "pseudofunctor preserves identity 2-cells", (f,))
     for (b, a), ba in sorted(C.vcomp.items()):
-        _check(D.vcomp[(H.on_two[b], H.on_two[a])] == H.on_two[ba],
+        ensure(D.vcomp[(H.on_two[b], H.on_two[a])] == H.on_two[ba],
                "pseudofunctor preserves vcomp", (b, a))
     # constraints: typing, invertibility
     for g in sorted(C.one_src):
         for f in sorted(C.one_src):
             if C.one_tgt[f] != C.one_src[g]:
                 continue
-            _check((g, f) in H.constraint, "pseudofunctor constraint missing", (g, f))
+            ensure((g, f) in H.constraint, "pseudofunctor constraint missing", (g, f))
             c = H.constraint[(g, f)]
-            _check(D.two_src[c] == D.comp1[(H.on_one[g], H.on_one[f])]
+            ensure(D.two_src[c] == D.comp1[(H.on_one[g], H.on_one[f])]
                    and D.two_tgt[c] == H.on_one[C.comp1[(g, f)]],
                    "pseudofunctor constraint typing", (g, f, c))
-            _check(D.is_invertible2(c), "pseudofunctor constraint not invertible",
+            ensure(D.is_invertible2(c), "pseudofunctor constraint not invertible",
                    (g, f, c))
     # unit axioms: F2(1,f) and F2(g,1) are identities (normality)
     for f in sorted(C.one_src):
         y = C.one_tgt[f]
         x = C.one_src[f]
-        _check(D.is_id2(H.constraint[(C.id1[y], f)]),
+        ensure(D.is_id2(H.constraint[(C.id1[y], f)]),
                "pseudofunctor left unit axiom", (f,))
-        _check(D.is_id2(H.constraint[(f, C.id1[x])]),
+        ensure(D.is_id2(H.constraint[(f, C.id1[x])]),
                "pseudofunctor right unit axiom", (f,))
     # naturality of F2 in both arguments
     for (b, _bs) in sorted(C.two_src.items()):
@@ -598,14 +599,14 @@ def validate_pseudofunctor(H: NormalPseudofunctor) -> NormalPseudofunctor:
                                H.constraint[(b_src, f)])]
                 rhs = D.vcomp[(H.constraint[(b_tgt, f)],
                                D.whisk_r[(H.on_two[b], H.on_one[f])])]
-                _check(lhs == rhs, "pseudofunctor constraint naturality (left)",
+                ensure(lhs == rhs, "pseudofunctor constraint naturality (left)",
                        (b, f))
             if C.one_src[f] == C.one_tgt[b_src]:
                 lhs = D.vcomp[(H.on_two[C.whisk_l[(f, b)]],
                                H.constraint[(f, b_src)])]
                 rhs = D.vcomp[(H.constraint[(f, b_tgt)],
                                D.whisk_l[(H.on_one[f], H.on_two[b])])]
-                _check(lhs == rhs, "pseudofunctor constraint naturality (right)",
+                ensure(lhs == rhs, "pseudofunctor constraint naturality (right)",
                        (b, f))
     # associativity axiom for composable triples
     for h in sorted(C.one_src):
@@ -623,7 +624,7 @@ def validate_pseudofunctor(H: NormalPseudofunctor) -> NormalPseudofunctor:
                 # Fh.(Fg.Ff) => Fh.F(gf) => F(h.gf)
                 via_right = D.vcomp[(H.constraint[(h, gf)],
                                      D.whisk_l[(H.on_one[h], H.constraint[(g, f)])])]
-                _check(via_left == via_right, "pseudofunctor associativity", (h, g, f))
+                ensure(via_left == via_right, "pseudofunctor associativity", (h, g, f))
     return H
 
 

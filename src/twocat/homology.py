@@ -16,13 +16,16 @@ in increasing row order), and checks d^2 = 0 in every degree by composing
 columns; ``ChainComplexZ.matrix(n)`` gives d_n dense.
 
 Entry points that need only the group are ``homology`` and, through
-``intlinalg.cokernel``, ``PresentedGroup.canonical`` and
-``presented_map_is_iso``; they read invariant factors of sparse columns
-from ``intlinalg.invariant_factors`` and keep no transforms.  Entry points
-that carry coordinates are ``homology_subquotient``, ``homology_induced``
-and the local-coefficient functions; they reduce to
-``intlinalg.chain_homology`` on dense matrices, the homology at one spot of
-a complex of presented groups, as do the spectral-sequence pages.
+``intlinalg.cokernel``, ``PresentedGroup.canonical``; they read invariant
+factors of sparse columns from ``intlinalg.invariant_factors`` and keep no
+transforms.  Entry points that carry coordinates are
+``homology_subquotient``, ``homology_induced`` and the local-coefficient
+functions; they reduce to ``intlinalg.chain_homology`` on dense matrices,
+the homology at one spot of a complex of presented groups, as do the
+spectral-sequence pages.  Whether columns lie in the relations of a
+presented group (``in_relations``) and whether a map of presented groups
+is an isomorphism (``iso_inverse``, and ``induced_iso`` on H_n) are
+decided here only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from .core import AxiomError
 from .intlinalg import (FGAbGroup, Subquotient, chain_homology, cokernel,
                         columns, from_columns, hstack, induced_matrix,
-                        invariant_factors, mid, mmul, mshape, mvec, mzeros,
+                        invariant_factors, mid, mmul, mshape, mzeros,
                         order_relations, smith_normal_form, solve,
                         sparse_columns)
 from .nerve import TruncSimplicialSet
@@ -171,11 +174,42 @@ def constant_system(X: TruncSimplicialSet,
     return LocalCoeffSystem(group, face_map, degen_map)
 
 
-def _in_rel_lattice(pres: PresentedGroup, v) -> bool:
+def in_relations(M, pres: PresentedGroup) -> bool:
+    """Whether every column of M lies in the span of the relations of pres,
+    which are factored once, and only when some column needs it."""
+    cols = columns(M)
     R = pres.rel_matrix()
-    if mshape(R)[1] == 0:
-        return all(a == 0 for a in v)
-    return solve(smith_normal_form(R), v) is not None
+    if not cols or not mshape(R)[1]:
+        return not any(map(any, cols))
+    snf = smith_normal_form(R)
+    return all(solve(snf, col) is not None for col in cols)
+
+
+def iso_inverse(M, src: PresentedGroup, tgt: PresentedGroup):
+    """The inverse, on generators, of the homomorphism M: src -> tgt, or
+    None when M is not an isomorphism: equal canonical forms, and a preimage
+    of every generator of tgt by the SNF of [M | relations of tgt] (a
+    surjection of isomorphic f.g. abelian groups is an isomorphism)."""
+    if src.canonical() != tgt.canonical():
+        return None
+    snf = smith_normal_form(hstack(M, tgt.rel_matrix()))
+    cols = [solve(snf, e) for e in columns(mid(tgt.gens))]
+    if None in cols:
+        return None
+    return from_columns([col[:src.gens] for col in cols], nrows=src.gens)
+
+
+def induced_iso(simp_map: dict, Xs: TruncSimplicialSet,
+                Xt: TruncSimplicialSet, n: int):
+    """The matrix of H_n(simp_map) and its inverse, in canonical coordinates;
+    AxiomError, naming the degree and both groups, when there is none."""
+    M, sq_s, sq_t = homology_induced(simp_map, Xs, Xt, n)
+    inv = iso_inverse(M, presentation_of(sq_s), presentation_of(sq_t))
+    if inv is None:
+        raise AxiomError("H_%d map %s -> %s is not an isomorphism"
+                         % (n, sq_s.group, sq_t.group))
+    return M, [[v % t if t else v for v in row]
+               for row, t in zip(inv, sq_s.orders)]
 
 
 def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
@@ -184,13 +218,12 @@ def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
     for n in range(1, X.N + 1):
         for x in X.levels[n]:
             for i in range(n + 1):
-                M = L.face_map[(i, x)]
                 src, tgt = L.group[x], L.group[X.face[(i, x)]]
-                for col in columns(src.rel_matrix()):
-                    if not _in_rel_lattice(tgt, mvec(M, col)):
-                        raise AxiomError(
-                            "face map (%d, %r) does not preserve relations"
-                            % (i, x))
+                if not in_relations(mmul(L.face_map[(i, x)],
+                                         src.rel_matrix()), tgt):
+                    raise AxiomError(
+                        "face map (%d, %r) does not preserve relations"
+                        % (i, x))
     for n in range(2, X.N + 1):
         for x in X.levels[n]:
             for j in range(n + 1):
@@ -202,11 +235,10 @@ def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
                     diff = [[p - q for p, q in zip(ra, rb)]
                             for ra, rb in zip(a, b)]
                     tgt = L.group[X.face[(i, X.face[(j, x)])]]
-                    for col in columns(diff):
-                        if not _in_rel_lattice(tgt, col):
-                            raise AxiomError(
-                                "face functoriality fails at %r (%d,%d)"
-                                % (x, i, j))
+                    if not in_relations(diff, tgt):
+                        raise AxiomError(
+                            "face functoriality fails at %r (%d,%d)"
+                            % (x, i, j))
 
 
 def _local_complex(L: LocalCoeffSystem, X: TruncSimplicialSet):
@@ -262,21 +294,9 @@ def homology_local(X: TruncSimplicialSet, L: LocalCoeffSystem,
     return homology_local_subquotient(X, L, n).group
 
 
-def presented_map_is_iso(src: PresentedGroup, tgt: PresentedGroup, M) -> bool:
-    """Iso of presented groups: equal canonical forms plus surjectivity
-    (surjections between isomorphic finitely generated abelian groups are
-    isomorphisms)."""
-    if src.canonical() != tgt.canonical():
-        return False
-    return cokernel(sparse_columns(hstack(M, tgt.rel_matrix())),
-                    tgt.gens).is_trivial
-
-
 def is_morphism_inverting(L: LocalCoeffSystem, X: TruncSimplicialSet) -> bool:
-    for (i, x), M in L.face_map.items():
-        if not presented_map_is_iso(L.group[x], L.group[X.face[(i, x)]], M):
-            return False
-    for (i, x), M in L.degen_map.items():
-        if not presented_map_is_iso(L.group[x], L.group[X.degen[(i, x)]], M):
-            return False
+    for maps, op in ((L.face_map, X.face), (L.degen_map, X.degen)):
+        for (i, x), M in maps.items():
+            if iso_inverse(M, L.group[x], L.group[op[(i, x)]]) is None:
+                return False
     return True

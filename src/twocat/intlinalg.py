@@ -29,8 +29,9 @@ def mshape(M):
 
 
 def mmul(A, B):
-    ra, ca = len(A), len(A[0]) if A else 0
+    """A B; a matrix with no rows, [], has as many columns as B has rows."""
     rb, cb = len(B), len(B[0]) if B else 0
+    ra, ca = len(A), len(A[0]) if A else rb
     if ca != rb:
         raise ValueError("cannot multiply: %d columns against %d rows"
                          % (ca, rb))
@@ -444,9 +445,3 @@ def induced_matrix(src: Subquotient, tgt: Subquotient, chain_map):
         cols.append(tgt.coords(mvec(chain_map, z)))
     return from_columns(cols, nrows=len(tgt.gen_idx))
 
-
-def map_is_surjective(M, tgt_orders) -> bool:
-    """Does the matrix M (columns = images in canonical coordinates of the
-    target with the given orders) generate the whole target group?"""
-    full = hstack(M, order_relations(tgt_orders))
-    return cokernel(sparse_columns(full), len(tgt_orders)).is_trivial

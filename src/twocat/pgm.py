@@ -21,19 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
+from .core import (TwoCategory, TwoFunctor, compose_functors, ensure,
                    functors_equal, identity_functor, validate_two_category,
                    validate_two_functor)
 from .fixtures import discrete_two_category, fix_g2, fix_g2sat
-from .homology import PresentedGroup, _in_rel_lattice, presented_map_is_iso
-from .intlinalg import (FGAbGroup, columns, hstack, kernel_mod_rels, mid,
-                        mmul, mshape, order_relations)
+from .homology import PresentedGroup, in_relations, iso_inverse
+from .intlinalg import (FGAbGroup, hstack, kernel_mod_rels, mid, mmul, mshape,
+                        order_relations)
 from .opfib import Counterexample
-
-
-def _ax(cond: bool, axiom: str, cells: tuple) -> None:
-    if not cond:
-        raise AxiomError("%s at %r" % (axiom, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -55,17 +50,18 @@ class CommMonoid:
 
 def validate_comm_monoid(M: CommMonoid) -> CommMonoid:
     elems = list(M.elements)
-    _ax(M.unit in elems, "monoid unit missing", (M.unit,))
+    ensure(M.unit in elems, "monoid unit missing", (M.unit,))
     for a in elems:
         for b in elems:
-            _ax((a, b) in M.add and M.add[(a, b)] in elems,
-                "monoid addition not total", (a, b))
-            _ax(M.add[(a, b)] == M.add[(b, a)], "monoid commutativity", (a, b))
-        _ax(M.add[(M.unit, a)] == a, "monoid unit law", (a,))
+            ensure((a, b) in M.add and M.add[(a, b)] in elems,
+                   "monoid addition not total", (a, b))
+            ensure(M.add[(a, b)] == M.add[(b, a)], "monoid commutativity",
+                   (a, b))
+        ensure(M.add[(M.unit, a)] == a, "monoid unit law", (a,))
         for b in elems:
             for c in elems:
-                _ax(M.add[(M.add[(a, b)], c)] == M.add[(a, M.add[(b, c)])],
-                    "monoid associativity", (a, b, c))
+                ensure(M.add[(M.add[(a, b)], c)] == M.add[(a, M.add[(b, c)])],
+                       "monoid associativity", (a, b, c))
     return M
 
 
@@ -116,46 +112,46 @@ class PGM:
 def _check_sum_tables(P: PGM) -> None:
     S = P.carrier
     objs = set(S.objects)
-    _ax(P.unit in objs, "pgm unit object missing", (P.unit,))
+    ensure(P.unit in objs, "pgm unit object missing", (P.unit,))
     for a in S.objects:
         for b in S.objects:
-            _ax((a, b) in P.sum_objects and P.sum_objects[(a, b)] in objs,
-                "pgm sum not total", (a, b))
-        _ax(P.sum(P.unit, a) == a, "pgm sum left unit", (a,))
-        _ax(P.sum(a, P.unit) == a, "pgm sum right unit", (a,))
+            ensure((a, b) in P.sum_objects and P.sum_objects[(a, b)] in objs,
+                   "pgm sum not total", (a, b))
+        ensure(P.sum(P.unit, a) == a, "pgm sum left unit", (a,))
+        ensure(P.sum(a, P.unit) == a, "pgm sum right unit", (a,))
     for a in S.objects:
         for b in S.objects:
             for c in S.objects:
-                _ax(P.sum(P.sum(a, b), c) == P.sum(a, P.sum(b, c)),
-                    "pgm sum associativity", (a, b, c))
+                ensure(P.sum(P.sum(a, b), c) == P.sum(a, P.sum(b, c)),
+                       "pgm sum associativity", (a, b, c))
 
 
 def _check_translations(P: PGM) -> None:
     S = P.carrier
     ident = identity_functor(S)
     for a in S.objects:
-        _ax(a in P.left_translations and a in P.right_translations,
-            "pgm translation missing", (a,))
+        ensure(a in P.left_translations and a in P.right_translations,
+               "pgm translation missing", (a,))
         validate_two_functor(P.lt(a))
         validate_two_functor(P.rt(a))
         for b in S.objects:
-            _ax(P.lt(a).on_objects[b] == P.sum(a, b)
-                and P.rt(b).on_objects[a] == P.sum(a, b),
-                "pgm translation agreement", (a, b))
-    _ax(functors_equal(P.lt(P.unit), ident)
-        and functors_equal(P.rt(P.unit), ident),
-        "pgm unit translation not identity", (P.unit,))
+            ensure(P.lt(a).on_objects[b] == P.sum(a, b)
+                   and P.rt(b).on_objects[a] == P.sum(a, b),
+                   "pgm translation agreement", (a, b))
+    ensure(functors_equal(P.lt(P.unit), ident)
+           and functors_equal(P.rt(P.unit), ident),
+           "pgm unit translation not identity", (P.unit,))
     for a in S.objects:
         for b in S.objects:
-            _ax(functors_equal(P.lt(P.sum(a, b)),
-                               compose_functors(P.lt(a), P.lt(b))),
-                "pgm left translation composition", (a, b))
-            _ax(functors_equal(P.rt(P.sum(a, b)),
-                               compose_functors(P.rt(b), P.rt(a))),
-                "pgm right translation composition", (a, b))
-            _ax(functors_equal(compose_functors(P.lt(a), P.rt(b)),
-                               compose_functors(P.rt(b), P.lt(a))),
-                "pgm translation commutation", (a, b))
+            ensure(functors_equal(P.lt(P.sum(a, b)),
+                                  compose_functors(P.lt(a), P.lt(b))),
+                   "pgm left translation composition", (a, b))
+            ensure(functors_equal(P.rt(P.sum(a, b)),
+                                  compose_functors(P.rt(b), P.rt(a))),
+                   "pgm right translation composition", (a, b))
+            ensure(functors_equal(compose_functors(P.lt(a), P.rt(b)),
+                                  compose_functors(P.rt(b), P.lt(a))),
+                   "pgm translation commutation", (a, b))
 
 
 def _check_interchanger_table(name, S, X, lt, rt, sigma):
@@ -166,19 +162,19 @@ def _check_interchanger_table(name, S, X, lt, rt, sigma):
     nonid_s = [f for f in sorted(S.one_src) if not S.is_id1(f)]
     nonid_x = [g for g in sorted(X.one_src) if not X.is_id1(g)]
     for key in sigma:
-        _ax(key[0] in nonid_s and key[1] in nonid_x,
-            name + " spurious key", key)
+        ensure(key[0] in nonid_s and key[1] in nonid_x,
+               name + " spurious key", key)
     for f in nonid_s:
         for g in nonid_x:
-            _ax((f, g) in sigma, name + " missing", (f, g))
+            ensure((f, g) in sigma, name + " missing", (f, g))
             c = sigma[(f, g)]
             a, a2 = S.one_src[f], S.one_tgt[f]
             b, b2 = X.one_src[g], X.one_tgt[g]
             src = X.comp1[(rt(b2).on_one[f], lt(a).on_one[g])]
             tgt = X.comp1[(lt(a2).on_one[g], rt(b).on_one[f])]
-            _ax(c in X.two_src and X.two_src[c] == src
-                and X.two_tgt[c] == tgt, name + " typing", (f, g, c))
-            _ax(X.is_invertible2(c), name + " not invertible", (f, g, c))
+            ensure(c in X.two_src and X.two_src[c] == src
+                   and X.two_tgt[c] == tgt, name + " typing", (f, g, c))
+            ensure(X.is_invertible2(c), name + " not invertible", (f, g, c))
 
 
 def _check_interchanger_axioms(name, S, X, lt, rt, sigma_of):
@@ -198,8 +194,8 @@ def _check_interchanger_axioms(name, S, X, lt, rt, sigma_of):
                 want = X.vcomp[(X.whisk_r[(sigma_of(f2, g), rt(b).on_one[f])],
                                 X.whisk_l[(rt(b2).on_one[f2],
                                            sigma_of(f, g))])]
-                _ax(sigma_of(S.comp1[(f2, f)], g) == want,
-                    name + " left composition", (f2, f, g))
+                ensure(sigma_of(S.comp1[(f2, f)], g) == want,
+                       name + " left composition", (f2, f, g))
             # composition in the second argument
             a2 = S.one_tgt[f]
             for g2 in ones_x:
@@ -209,8 +205,8 @@ def _check_interchanger_axioms(name, S, X, lt, rt, sigma_of):
                                            sigma_of(f, g))],
                                 X.whisk_r[(sigma_of(f, g2),
                                            lt(a).on_one[g])])]
-                _ax(sigma_of(f, X.comp1[(g2, g)]) == want,
-                    name + " right composition", (f, g2, g))
+                ensure(sigma_of(f, X.comp1[(g2, g)]) == want,
+                       name + " right composition", (f, g2, g))
     # naturality in 2-cells of S
     for al in sorted(S.two_src):
         f, f2 = S.two_src[al], S.two_tgt[al]
@@ -221,7 +217,7 @@ def _check_interchanger_axioms(name, S, X, lt, rt, sigma_of):
                            X.whisk_r[(rt(b2).on_two[al], lt(a).on_one[g])])]
             rhs = X.vcomp[(X.whisk_l[(lt(a2).on_one[g], rt(b).on_two[al])],
                            sigma_of(f, g))]
-            _ax(lhs == rhs, name + " naturality (left)", (al, g))
+            ensure(lhs == rhs, name + " naturality (left)", (al, g))
     # naturality in 2-cells of X
     for ga in sorted(X.two_src):
         g, g2 = X.two_src[ga], X.two_tgt[ga]
@@ -233,7 +229,7 @@ def _check_interchanger_axioms(name, S, X, lt, rt, sigma_of):
                            X.whisk_l[(rt(b2).on_one[f], lt(a).on_two[ga])])]
             rhs = X.vcomp[(X.whisk_r[(lt(a2).on_two[ga], rt(b).on_one[f])],
                            sigma_of(f, g))]
-            _ax(lhs == rhs, name + " naturality (right)", (f, ga))
+            ensure(lhs == rhs, name + " naturality (right)", (f, ga))
 
 
 def _check_sigma_sum_coherence(P: PGM) -> None:
@@ -244,70 +240,70 @@ def _check_sigma_sum_coherence(P: PGM) -> None:
     for b in S.objects:
         for f in ones:
             for g in ones:
-                _ax(P.sigma_of(P.rt(b).on_one[f], g)
-                    == P.sigma_of(f, P.lt(b).on_one[g]),
-                    "pgm interchanger sum coherence (middle)", (f, b, g))
-                _ax(P.sigma_of(P.lt(b).on_one[f], g)
-                    == P.lt(b).on_two[P.sigma_of(f, g)],
-                    "pgm interchanger sum coherence (left)", (b, f, g))
-                _ax(P.rt(b).on_two[P.sigma_of(f, g)]
-                    == P.sigma_of(f, P.rt(b).on_one[g]),
-                    "pgm interchanger sum coherence (right)", (f, g, b))
+                ensure(P.sigma_of(P.rt(b).on_one[f], g)
+                       == P.sigma_of(f, P.lt(b).on_one[g]),
+                       "pgm interchanger sum coherence (middle)", (f, b, g))
+                ensure(P.sigma_of(P.lt(b).on_one[f], g)
+                       == P.lt(b).on_two[P.sigma_of(f, g)],
+                       "pgm interchanger sum coherence (left)", (b, f, g))
+                ensure(P.rt(b).on_two[P.sigma_of(f, g)]
+                       == P.sigma_of(f, P.rt(b).on_one[g]),
+                       "pgm interchanger sum coherence (right)", (f, g, b))
 
 
 def _check_symmetry(P: PGM) -> None:
     S = P.carrier
     for a in S.objects:
         for b in S.objects:
-            _ax((a, b) in P.beta, "pgm symmetry missing", (a, b))
+            ensure((a, b) in P.beta, "pgm symmetry missing", (a, b))
             bb = P.beta[(a, b)]
-            _ax(bb in S.one_src and S.one_src[bb] == P.sum(a, b)
-                and S.one_tgt[bb] == P.sum(b, a),
-                "pgm symmetry typing", (a, b, bb))
-            _ax(S.comp1[(P.beta[(b, a)], bb)] == S.id1[P.sum(a, b)],
-                "pgm symmetry involution", (a, b))
-        _ax(S.is_id1(P.beta[(a, P.unit)]) and S.is_id1(P.beta[(P.unit, a)]),
-            "pgm symmetry unit", (a,))
+            ensure(bb in S.one_src and S.one_src[bb] == P.sum(a, b)
+                   and S.one_tgt[bb] == P.sum(b, a),
+                   "pgm symmetry typing", (a, b, bb))
+            ensure(S.comp1[(P.beta[(b, a)], bb)] == S.id1[P.sum(a, b)],
+                   "pgm symmetry involution", (a, b))
+        ensure(S.is_id1(P.beta[(a, P.unit)]) and S.is_id1(P.beta[(P.unit, a)]),
+               "pgm symmetry unit", (a,))
     # hexagon: the symmetry of a sum factors through the translations
     for a in S.objects:
         for b in S.objects:
             for c in S.objects:
-                _ax(P.beta[(P.sum(a, b), c)]
-                    == S.comp1[(P.rt(b).on_one[P.beta[(a, c)]],
-                                P.lt(a).on_one[P.beta[(b, c)]])],
-                    "pgm symmetry hexagon", (a, b, c))
+                ensure(P.beta[(P.sum(a, b), c)]
+                       == S.comp1[(P.rt(b).on_one[P.beta[(a, c)]],
+                                   P.lt(a).on_one[P.beta[(b, c)]])],
+                       "pgm symmetry hexagon", (a, b, c))
     # strict naturality on 1-cells in either slot
     for f in sorted(S.one_src):
         a, a2 = S.one_src[f], S.one_tgt[f]
         for b in S.objects:
-            _ax(S.comp1[(P.beta[(a2, b)], P.rt(b).on_one[f])]
-                == S.comp1[(P.lt(b).on_one[f], P.beta[(a, b)])],
-                "pgm symmetry naturality (left 1-cells)", (f, b))
-            _ax(S.comp1[(P.beta[(b, a2)], P.lt(b).on_one[f])]
-                == S.comp1[(P.rt(b).on_one[f], P.beta[(b, a)])],
-                "pgm symmetry naturality (right 1-cells)", (f, b))
+            ensure(S.comp1[(P.beta[(a2, b)], P.rt(b).on_one[f])]
+                   == S.comp1[(P.lt(b).on_one[f], P.beta[(a, b)])],
+                   "pgm symmetry naturality (left 1-cells)", (f, b))
+            ensure(S.comp1[(P.beta[(b, a2)], P.lt(b).on_one[f])]
+                   == S.comp1[(P.rt(b).on_one[f], P.beta[(b, a)])],
+                   "pgm symmetry naturality (right 1-cells)", (f, b))
     # strict naturality on 2-cells in either slot
     for al in sorted(S.two_src):
         f = S.two_src[al]
         a, a2 = S.one_src[f], S.one_tgt[f]
         for b in S.objects:
-            _ax(S.whisk_l[(P.beta[(a2, b)], P.rt(b).on_two[al])]
-                == S.whisk_r[(P.lt(b).on_two[al], P.beta[(a, b)])],
-                "pgm symmetry naturality (left 2-cells)", (al, b))
-            _ax(S.whisk_l[(P.beta[(b, a2)], P.lt(b).on_two[al])]
-                == S.whisk_r[(P.rt(b).on_two[al], P.beta[(b, a)])],
-                "pgm symmetry naturality (right 2-cells)", (al, b))
+            ensure(S.whisk_l[(P.beta[(a2, b)], P.rt(b).on_two[al])]
+                   == S.whisk_r[(P.lt(b).on_two[al], P.beta[(a, b)])],
+                   "pgm symmetry naturality (left 2-cells)", (al, b))
+            ensure(S.whisk_l[(P.beta[(b, a2)], P.lt(b).on_two[al])]
+                   == S.whisk_r[(P.rt(b).on_two[al], P.beta[(b, a)])],
+                   "pgm symmetry naturality (right 2-cells)", (al, b))
     # naturality against the interchanger 2-cells themselves
     for f in sorted(S.one_src):
         a, a2 = S.one_src[f], S.one_tgt[f]
         for g in sorted(S.one_src):
             b, b2 = S.one_src[g], S.one_tgt[g]
             flip = S.vcomp_inverse(P.sigma_of(g, f))
-            _ax(flip is not None,
-                "pgm interchanger not invertible", (g, f))
-            _ax(S.whisk_l[(P.beta[(a2, b2)], P.sigma_of(f, g))]
-                == S.whisk_r[(flip, P.beta[(a, b)])],
-                "pgm symmetry interchanger naturality", (f, g))
+            ensure(flip is not None,
+                   "pgm interchanger not invertible", (g, f))
+            ensure(S.whisk_l[(P.beta[(a2, b2)], P.sigma_of(f, g))]
+                   == S.whisk_r[(flip, P.beta[(a, b)])],
+                   "pgm symmetry interchanger naturality", (f, g))
 
 
 def validate_pgm(P: PGM) -> PGM:
@@ -360,34 +356,34 @@ def validate_action(A: PGMAction) -> PGMAction:
     S, X = P.carrier, A.carrier
     validate_two_category(X)
     for s in S.objects:
-        _ax(s in A.mu_left, "action left translation missing", (s,))
+        ensure(s in A.mu_left, "action left translation missing", (s,))
         validate_two_functor(A.ml(s))
-        _ax(A.ml(s).source is X or A.ml(s).source == X,
-            "action left translation carrier", (s,))
+        ensure(A.ml(s).source is X or A.ml(s).source == X,
+               "action left translation carrier", (s,))
     for x in X.objects:
-        _ax(x in A.mu_right, "action right translation missing", (x,))
+        ensure(x in A.mu_right, "action right translation missing", (x,))
         validate_two_functor(A.mr(x))
     for s in S.objects:
         for x in X.objects:
-            _ax((s, x) in A.act_objects
-                and A.ml(s).on_objects[x] == A.act(s, x)
-                and A.mr(x).on_objects[s] == A.act(s, x),
-                "action translation agreement", (s, x))
-    _ax(functors_equal(A.ml(P.unit), identity_functor(X)),
-        "action unit law", (P.unit,))
+            ensure((s, x) in A.act_objects
+                   and A.ml(s).on_objects[x] == A.act(s, x)
+                   and A.mr(x).on_objects[s] == A.act(s, x),
+                   "action translation agreement", (s, x))
+    ensure(functors_equal(A.ml(P.unit), identity_functor(X)),
+           "action unit law", (P.unit,))
     for a in S.objects:
         for b in S.objects:
-            _ax(functors_equal(A.ml(P.sum(a, b)),
-                               compose_functors(A.ml(a), A.ml(b))),
-                "action associativity (left translations)", (a, b))
+            ensure(functors_equal(A.ml(P.sum(a, b)),
+                                  compose_functors(A.ml(a), A.ml(b))),
+                   "action associativity (left translations)", (a, b))
     for x in X.objects:
         for a in S.objects:
-            _ax(functors_equal(compose_functors(A.mr(x), P.lt(a)),
-                               compose_functors(A.ml(a), A.mr(x))),
-                "action associativity (mixed)", (a, x))
-            _ax(functors_equal(compose_functors(A.mr(x), P.rt(a)),
-                               A.mr(A.act(a, x))),
-                "action associativity (right translations)", (a, x))
+            ensure(functors_equal(compose_functors(A.mr(x), P.lt(a)),
+                                  compose_functors(A.ml(a), A.mr(x))),
+                   "action associativity (mixed)", (a, x))
+            ensure(functors_equal(compose_functors(A.mr(x), P.rt(a)),
+                                  A.mr(A.act(a, x))),
+                   "action associativity (right translations)", (a, x))
     _check_interchanger_table("action interchanger", S, X, A.ml, A.mr,
                               A.sigma)
     _check_interchanger_axioms("action interchanger", S, X, A.ml, A.mr,
@@ -398,21 +394,21 @@ def validate_action(A: PGMAction) -> PGMAction:
     for f in ones_s:
         for b in S.objects:
             for g in ones_x:
-                _ax(A.sigma_of(P.rt(b).on_one[f], g)
-                    == A.sigma_of(f, A.ml(b).on_one[g]),
-                    "action interchanger sum coherence (middle)", (f, b, g))
+                ensure(A.sigma_of(P.rt(b).on_one[f], g)
+                       == A.sigma_of(f, A.ml(b).on_one[g]),
+                       "action interchanger sum coherence (middle)", (f, b, g))
         for b_one in ones_s:
             for x in X.objects:
-                _ax(A.mr(x).on_two[P.sigma_of(f, b_one)]
-                    == A.sigma_of(f, A.mr(x).on_one[b_one]),
-                    "action interchanger sum coherence (right)",
-                    (f, b_one, x))
+                ensure(A.mr(x).on_two[P.sigma_of(f, b_one)]
+                       == A.sigma_of(f, A.mr(x).on_one[b_one]),
+                       "action interchanger sum coherence (right)",
+                       (f, b_one, x))
     for a in S.objects:
         for g in ones_s:
             for h in ones_x:
-                _ax(A.sigma_of(P.lt(a).on_one[g], h)
-                    == A.ml(a).on_two[A.sigma_of(g, h)],
-                    "action interchanger sum coherence (left)", (a, g, h))
+                ensure(A.sigma_of(P.lt(a).on_one[g], h)
+                       == A.ml(a).on_two[A.sigma_of(g, h)],
+                       "action interchanger sum coherence (left)", (a, g, h))
     return A
 
 
@@ -482,15 +478,15 @@ def pi0_monoid(P: PGM) -> CommMonoid:
             for a, ca in comp.items():
                 for b, cb in comp.items():
                     if ca == r1 and cb == r2:
-                        _ax(comp[P.sum(a, b)] == add[(r1, r2)],
-                            "component sum not well defined", (a, b))
+                        ensure(comp[P.sum(a, b)] == add[(r1, r2)],
+                               "component sum not well defined", (a, b))
     M = CommMonoid(elems, comp[P.unit], add)
     # commutativity is forced by beta: a+b and b+a are connected
     for a in elems:
         for b in elems:
-            _ax(comp[P.carrier.one_src[P.beta[(a, b)]]]
-                == comp[P.carrier.one_tgt[P.beta[(a, b)]]],
-                "symmetry does not connect the two sums", (a, b))
+            ensure(comp[P.carrier.one_src[P.beta[(a, b)]]]
+                   == comp[P.carrier.one_tgt[P.beta[(a, b)]]],
+                   "symmetry does not connect the two sums", (a, b))
     return validate_comm_monoid(M)
 
 
@@ -595,10 +591,6 @@ def _pres_of_canonical(A: FGAbGroup) -> PresentedGroup:
     return PresentedGroup(len(orders), order_relations(orders))
 
 
-def _cols_in_lattice(pres: PresentedGroup, M) -> bool:
-    return all(_in_rel_lattice(pres, col) for col in columns(M))
-
-
 def localize_presentation(pres: PresentedGroup, acts: dict,
                           M: CommMonoid) -> PresentedGroup:
     """Stabilized presentation (same generators, enlarged relations) of the
@@ -615,21 +607,21 @@ def localize_presentation(pres: PresentedGroup, acts: dict,
         return pres
     # the action table must be a monoid homomorphism (mod relations)
     for m in M.elements:
-        _ax(m in acts, "action matrix missing", (m,))
-        _ax(mshape(acts[m]) == (n, n), "action matrix shape", (m,))
-        _ax(_cols_in_lattice(pres, mmul(acts[m], pres.rel_matrix())),
-            "action matrix does not preserve relations", (m,))
+        ensure(m in acts, "action matrix missing", (m,))
+        ensure(mshape(acts[m]) == (n, n), "action matrix shape", (m,))
+        ensure(in_relations(mmul(acts[m], pres.rel_matrix()), pres),
+               "action matrix does not preserve relations", (m,))
     diff = [[acts[M.unit][i][j] - (1 if i == j else 0) for j in range(n)]
             for i in range(n)]
-    _ax(_cols_in_lattice(pres, diff),
-        "action table is not a monoid homomorphism (unit)", (M.unit,))
+    ensure(in_relations(diff, pres),
+           "action table is not a monoid homomorphism (unit)", (M.unit,))
     for a in M.elements:
         for b in M.elements:
             prod = mmul(acts[a], acts[b])
             diff = [[prod[i][j] - acts[M.add[(a, b)]][i][j]
                      for j in range(n)] for i in range(n)]
-            _ax(_cols_in_lattice(pres, diff),
-                "action table is not a monoid homomorphism", (a, b))
+            ensure(in_relations(diff, pres),
+                   "action table is not a monoid homomorphism", (a, b))
     R = pres.rel_matrix()
     k = len(M.elements)
     changed = True
@@ -640,15 +632,15 @@ def localize_presentation(pres: PresentedGroup, acts: dict,
             # m^k lies in the cyclic part of <m>, so its kernel mod R is
             # the full stable kernel of m
             K = kernel_mod_rels(acts[M.power(m, k)], R)
-            if not _cols_in_lattice(cur, K):
+            if not in_relations(K, cur):
                 R = hstack(R, K)
                 changed = True
                 break
     q = PresentedGroup(n, R)
     for m in M.elements:
-        _ax(presented_map_is_iso(q, q, acts[m]),
-            "element does not act invertibly on the stabilized quotient",
-            (m,))
+        ensure(iso_inverse(acts[m], q, q) is not None,
+               "element does not act invertibly on the stabilized quotient",
+               (m,))
     return q
 
 
@@ -691,11 +683,10 @@ def localize_oracle(A: FGAbGroup, acts: dict, M: CommMonoid,
         if prev is not None:
             pk = PresentedGroup(n, hstack(R0, K))
             pp = PresentedGroup(n, hstack(R0, prev))
-            if _cols_in_lattice(pk, prev) and _cols_in_lattice(pp, K):
-                q = pk
-                _ax(presented_map_is_iso(q, q, T),
-                    "stabilized chain map is not invertible", (theta,))
-                return q.canonical()
+            if in_relations(prev, pk) and in_relations(K, pp):
+                ensure(iso_inverse(T, pk, pk) is not None,
+                       "stabilized chain map is not invertible", (theta,))
+                return pk.canonical()
         prev = K
     raise ValueError("kernel chain did not stabilize in %d steps"
                      % max_steps)

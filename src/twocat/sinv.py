@@ -34,23 +34,18 @@ from . import opfib as of
 from .constructs import strict_fiber
 from .core import (LAX, PSEUDONATURAL, AxiomError, Transformation,
                    TwoCategory, TwoFunctor, build_two_category,
-                   compose_functors, functors_equal, identity_functor,
-                   validate_transformation, validate_two_category,
-                   validate_two_functor)
+                   compose_functors, ensure, functors_equal,
+                   identity_functor, validate_transformation,
+                   validate_two_category, validate_two_functor)
 from .fixtures import bang_functor, fix_t, nm
-from .homology import (_in_rel_lattice, homology_induced, presentation_of,
-                       presented_map_is_iso)
-from .intlinalg import columns, mvec
+from .homology import (homology_induced, in_relations, induced_iso,
+                       iso_inverse, presentation_of)
+from .intlinalg import mmul
 from .nerve import induced_map, nerve
 from .opfib import Counterexample
 from .pgm import (PGM, CommMonoid, PGMAction, has_faithful_translations,
                   is_two_groupoid, localize_presentation, pi0, pi0_monoid,
                   self_action, validate_action, validate_pgm)
-
-
-def _ax(cond: bool, axiom: str, cells: tuple) -> None:
-    if not cond:
-        raise AxiomError("%s at %r" % (axiom, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +76,7 @@ class SInvCategory:
 
     def obj(self, a: str, x: str | None = None) -> str:
         if x is None:
-            _ax(self.point, "x coordinate required", (a,))
+            ensure(self.point, "x coordinate required", (a,))
             x = self.action.carrier.objects[0]
         return self.obj_name[(a, x)]
 
@@ -89,13 +84,13 @@ class SInvCategory:
         return self.one_name[(a, x, s, al, ph)]
 
     def onep(self, a: str, s: str, al: str) -> str:
-        _ax(self.point, "point-completion accessor", (a, s, al))
+        ensure(self.point, "point-completion accessor", (a, s, al))
         T = self.action.carrier
         x = T.objects[0]
         return self.one_name[(a, x, s, al, T.id1[x])]
 
     def clsp(self, m1: str, m2: str, p: str, A: str) -> str:
-        _ax(self.point, "point-completion accessor", (m1, m2, p, A))
+        ensure(self.point, "point-completion accessor", (m1, m2, p, A))
         T = self.action.carrier
         return self.class_of[(m1, m2, p, A, T.id2[T.id1[T.objects[0]]])]
 
@@ -190,8 +185,8 @@ def _build_sinv(P: PGM, act: PGMAction, point: bool,
                 members[name] = tuple(sorted(orbit))
                 two_cells[name] = (m1, m2)
                 for r in orbit:
-                    _ax((m1, m2, r[0], r[1], r[2]) not in class_of,
-                        "overlapping class orbits", (m1, m2, r))
+                    ensure((m1, m2, r[0], r[1], r[2]) not in class_of,
+                           "overlapping class orbits", (m1, m2, r))
                     class_of[(m1, m2, r[0], r[1], r[2])] = name
                 seen |= orbit
 
@@ -253,9 +248,9 @@ def _build_sinv(P: PGM, act: PGMAction, point: bool,
                                             act.mr(sx).on_one[q])])]
         H2 = X.vcomp[(step2x, X.vcomp[(step1x, step0x)])]
         out2 = class_of[(msrc, mtgt, r2, C2, H2)]
-        _ax(out1 == out2,
-            "horizontal composite ill defined (quotient inconsistency)",
-            ((m1, m2, repG), (n1, n2, repD)))
+        ensure(out1 == out2,
+               "horizontal composite ill defined (quotient inconsistency)",
+               ((m1, m2, repG), (n1, n2, repD)))
         return out1
 
     def whisk_l_cls(k: str, c: str) -> str:
@@ -281,9 +276,9 @@ def _build_sinv(P: PGM, act: PGMAction, point: bool,
             a, x = one_data[m1][0], one_data[m1][1]
             out = {class_of[(m1, m3) + vcomp_rep(m3, (a, x), r2, r1)]
                    for r1 in members[c1] for r2 in members[c2]}
-            _ax(len(out) == 1,
-                "vertical composite ill defined (quotient inconsistency)",
-                (c1, c2))
+            ensure(len(out) == 1,
+                   "vertical composite ill defined (quotient inconsistency)",
+                   (c1, c2))
     for (xx, yy), lower in sorted(by_hom.items()):
         for (yb, zz), upper in sorted(by_hom.items()):
             if yb != yy:
@@ -294,8 +289,8 @@ def _build_sinv(P: PGM, act: PGMAction, point: bool,
                     n1, n2 = two_cells[c2]
                     out = {hcomp_cls(n1, n2, rD, m1, m2, rG)
                            for rG in members[c1] for rD in members[c2]}
-                    _ax(len(out) == 1, "horizontal composite ill defined "
-                        "(quotient inconsistency)", (c1, c2))
+                    ensure(len(out) == 1, "horizontal composite ill defined "
+                           "(quotient inconsistency)", (c1, c2))
 
     cat = validate_two_category(build_two_category(
         list(obj_name.values()), one_cells, two_cells, id1, id2,
@@ -322,8 +317,8 @@ def s_inv_x(P: PGM, act: PGMAction) -> SInvCategory:
     inclusion ``X -> S^-1 X`` attached as ``.include``."""
     validate_pgm(P)
     validate_action(act)
-    _ax(act.pgm is P or act.pgm == P, "action does not belong to the monoid",
-        ())
+    ensure(act.pgm is P or act.pgm == P,
+           "action does not belong to the monoid", ())
     return _build_sinv(
         P, act, False,
         lambda a, x: nm("o", a, x),
@@ -511,9 +506,9 @@ def T_transformation(SX: SInvCategory, s: str,
     xi = xi or xi_action(SX)
     ml_s = xi.ml(s)
     inv_s = s_inverse(SX, s)
-    _ax(functors_equal(compose_functors(ml_s, inv_s),
-                       compose_functors(inv_s, ml_s)),
-        "translation does not commute with the inverse", (s,))
+    ensure(functors_equal(compose_functors(ml_s, inv_s),
+                          compose_functors(inv_s, ml_s)),
+           "translation does not commute with the inverse", (s,))
     G = compose_functors(ml_s, inv_s)
     at_object, at_one = {}, {}
     for o, (a, x) in SX.obj_data.items():
@@ -539,8 +534,8 @@ def pgm_on_sinvs(SX: SInvCategory) -> PGM:
     the sum acting on itself); validated before being returned."""
     P, act = SX.pgm, SX.action
     S = P.carrier
-    _ax(act.carrier is S or act.carrier == S,
-        "sum structure requires the self action", ())
+    ensure(act.carrier is S or act.carrier == S,
+           "sum structure requires the self action", ())
     C = SX.cat
     e = P.unit
 
@@ -629,10 +624,7 @@ def grouplike_shadow(Q: PGM, trunc: int) -> bool:
         for F in (Q.lt(o), Q.rt(o)):
             smap = induced_map(F, trunc)
             for n in range(trunc):
-                M, sq_s, sq_t = homology_induced(smap, N, N, n)
-                _ax(presented_map_is_iso(presentation_of(sq_s),
-                                         presentation_of(sq_t), M),
-                    "translation not a homology isomorphism", (o, n))
+                induced_iso(smap, N, N, n)
     return True
 
 
@@ -705,8 +697,8 @@ def rho_opfib_check(P: PGM, act: PGMAction,
     for m, (_a, x, s, _al, ph) in sorted(SX.one_data.items()):
         if ph == X.id1[act.act(s, x)]:
             res = of.is_opcartesian_1cell(rho, m)
-            _ax(not isinstance(res, Counterexample),
-                "preferred cell not opcartesian", (m,))
+            ensure(not isinstance(res, Counterexample),
+                   "preferred cell not opcartesian", (m,))
             preferred.append(m)
     return ProjectionReport(rho, SX, SP, cert, tuple(preferred))
 
@@ -733,32 +725,32 @@ def fiber_iso(SX: SInvCategory, rho: TwoFunctor, a: str) -> TwoFunctor:
     on_one = {}
     for m in fib.one_src:
         aa, _x, s, al, ph = SX.one_data[m]
-        _ax(s == e and al == S.id1[aa], "fiber cell of unexpected shape",
-            (m,))
+        ensure(s == e and al == S.id1[aa], "fiber cell of unexpected shape",
+               (m,))
         on_one[m] = ph
     on_two = {}
     for c in fib.two_src:
         aa = SX.one_data[fib.two_src[c]][0]
         hits = [rep for rep in SX.members[c]
                 if rep[0] == S.id1[e] and rep[1] == S.id2[S.id1[aa]]]
-        _ax(len(hits) == 1, "fiber 2-cell of unexpected shape", (c,))
+        ensure(len(hits) == 1, "fiber 2-cell of unexpected shape", (c,))
         on_two[c] = hits[0][2]
     F = validate_two_functor(TwoFunctor(fib, X, on_obj, on_one, on_two))
-    _ax(len(fib.objects) == len(X.objects)
-        and len(set(on_obj.values())) == len(on_obj)
-        and len(set(on_one.values())) == len(on_one)
-        and sorted(on_one.values()) == sorted(X.one_src)
-        and len(set(on_two.values())) == len(on_two)
-        and sorted(on_two.values()) == sorted(X.two_src),
-        "fiber comparison not bijective", (a,))
+    ensure(len(fib.objects) == len(X.objects)
+           and len(set(on_obj.values())) == len(on_obj)
+           and len(set(on_one.values())) == len(on_one)
+           and sorted(on_one.values()) == sorted(X.one_src)
+           and len(set(on_two.values())) == len(on_two)
+           and sorted(on_two.values()) == sorted(X.two_src),
+           "fiber comparison not bijective", (a,))
     # the re-action preserves the fiber and the comparison intertwines it
     xi = xi_action(SX)
     for s in S.objects:
         for o in fib.objects:
             o2 = xi.act(s, o)
-            _ax(o2 in fib.objects
-                and SX.obj_data[o2][1] == act.act(s, F.on_objects[o]),
-                "fiber comparison incompatible with the action", (s, o))
+            ensure(o2 in fib.objects
+                   and SX.obj_data[o2][1] == act.act(s, F.on_objects[o]),
+                   "fiber comparison incompatible with the action", (s, o))
     return F
 
 
@@ -776,8 +768,8 @@ def is_sinv_iso(SX: SInvCategory, cname: str) -> bool:
     crit = (S.is_equivalence1(p) and S.is_invertible2(A)
             and X.is_invertible2(F))
     brute = SX.cat.is_invertible2(cname)
-    _ax(crit == brute, "iso criterion disagrees with the quotient",
-        (cname,))
+    ensure(crit == brute, "iso criterion disagrees with the quotient",
+           (cname,))
     return crit
 
 
@@ -827,8 +819,8 @@ def preferred_lift(SX: SInvCategory, SP: SInvCategory,
     P, act = SX.pgm, SX.action
     S, X = P.carrier, act.carrier
     a, x, s, al, ph = SX.one_data[m]
-    _ax(ph == X.id1[act.act(s, x)], "preferred lifts require an identity "
-        "X component", (m,))
+    ensure(ph == X.id1[act.act(s, x)], "preferred lifts require an identity "
+           "X component", (m,))
     _a2, _x2, u, ga, chi = SX.one_data[u_cell]
     d, _pt, t, be = SP.one_data[down_t][0], SP.one_data[down_t][1], \
         SP.one_data[down_t][2], SP.one_data[down_t][3]
@@ -882,8 +874,8 @@ def collapse_to_category(SX: SInvCategory):
     for (g, f), gf in C.comp1.items():
         key = (rep_of[g], rep_of[f])
         if key in compose:
-            _ax(compose[key] == rep_of[gf],
-                "composition does not descend to the collapse", (g, f))
+            ensure(compose[key] == rep_of[gf],
+                   "composition does not descend to the collapse", (g, f))
         compose[key] = rep_of[gf]
     return tuple(C.objects), hom, rep_of, compose, locally_thin
 
@@ -943,19 +935,17 @@ def group_completion_check(P: PGM, act: PGMAction | None = None,
                 diff = [[acts[r][i][j] - Ms[i][j]
                          for j in range(len(row))]
                         for i, row in enumerate(Ms)]
-                _ax(all(_in_rel_lattice(pres, col)
-                        for col in columns(diff)),
-                    "component representatives induce different maps",
-                    (s, r, q))
+                ensure(in_relations(diff, pres),
+                       "component representatives induce different maps",
+                       (s, r, q))
             else:
                 acts[r] = Ms
         stab = localize_presentation(pres, acts, M)
         Mi, _sq_x, sq_sx = homology_induced(i_map, Xn, SXn, q)
         tgt_pres = presentation_of(sq_sx)
-        for col in columns(stab.rel_matrix()):
-            _ax(_in_rel_lattice(tgt_pres, mvec(Mi, col)),
-                "inclusion does not factor through the localization", (q,))
-        iso = presented_map_is_iso(stab, tgt_pres, Mi)
+        ensure(in_relations(mmul(Mi, stab.rel_matrix()), tgt_pres),
+               "inclusion does not factor through the localization", (q,))
+        iso = iso_inverse(Mi, stab, tgt_pres) is not None
         report.degrees[q] = {
             "source": str(pres.canonical()),
             "localized": str(stab.canonical()),

@@ -42,7 +42,7 @@ from .core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
                    validate_two_functor)
 from .fixtures import point_functor
 from .homology import (LocalCoeffSystem, homology_induced, homology_local,
-                       homology_subquotient, presentation_of)
+                       homology_subquotient, induced_iso, presentation_of)
 from .nerve import (OrientedSimplex, TruncSimplicialSet, degeneracy,
                     enumerate_simplices, face, induced_map, layout,
                     map_simplex, nerve)
@@ -573,24 +573,6 @@ def _fiber_to_comma(F: TwoFunctor, x: str, fib: TwoCategory, Lx) -> TwoFunctor:
     return TwoFunctor(fib, Lx.cat, on_obj, on_one, on_two)
 
 
-def _iso_inverse(M, src_orders, tgt_orders):
-    """Inverse of an isomorphism given in canonical coordinates of two
-    presented groups (orders: 0 for a free generator, t for Z/t)."""
-    n = len(tgt_orders)
-    snf = il.smith_normal_form(il.hstack(M, il.order_relations(tgt_orders)))
-    k = len(src_orders)
-    cols = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        sol = il.solve(snf, e)
-        if sol is None:
-            raise AxiomError("canonical-coordinate matrix is not invertible")
-        v = sol[:k]
-        cols.append([a % t if t else a for a, t in zip(v, src_orders)])
-    return il.from_columns(cols, nrows=k)
-
-
 @dataclass
 class FiberCoeffData:
     system: LocalCoeffSystem
@@ -631,18 +613,15 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
         # laco(F, x-hat) with its fiber inclusion and homology data
         if x not in comma_cache:
             Lx = laco(F, point_functor(D, x))
-            fib, Xf, sq_f, _ = object_data(x)
+            fib, Xf, _, _ = object_data(x)
             inc = _fiber_to_comma(F, x, fib, Lx)
             XL = nerve(Lx.cat, q + 1)
-            Minc, sq_src, sq_L = homology_induced(
-                induced_map(inc, q + 1), Xf, XL, q)
-            if sq_src.group != sq_L.group or \
-                    not il.map_is_surjective(Minc, sq_L.orders):
-                raise AxiomError(
-                    "fiber inclusion at %r is not a homology isomorphism"
-                    % x)
-            comma_cache[x] = (Lx, inc, XL, sq_L,
-                              _iso_inverse(Minc, sq_f.orders, sq_L.orders))
+            try:
+                _, inv = induced_iso(induced_map(inc, q + 1), Xf, XL, q)
+            except AxiomError as e:
+                raise AxiomError("fiber inclusion at %r is not a homology "
+                                 "isomorphism: %s" % (x, e)) from None
+            comma_cache[x] = (Lx, inc, XL, inv)
         return comma_cache[x]
 
     edge_matrix = {}
@@ -651,8 +630,8 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
         if f not in edge_matrix:
             x, y = D.one_src[f], D.one_tgt[f]
             _, Xfx, _, _ = object_data(x)
-            Lx, inc_x, _, _, _ = comma_data(x)
-            Ly, _, XLy, sq_Ly, inv_y = comma_data(y)
+            Lx, inc_x, _, _ = comma_data(x)
+            Ly, _, XLy, inv_y = comma_data(y)
             # the 1-simplex of the nerve of D classified by f
             sf = OrientedSimplex(1, (x, y), (f,), ())
             Gf = simplex_functor(D, sf)

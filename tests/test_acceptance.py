@@ -14,12 +14,13 @@ from twocat import intlinalg as il
 from twocat import opfib as of
 from twocat import pgm, sinv
 from twocat import specseq as ss
-from twocat.constructs import laco, laco_diagram, oplaco, pullback
+from twocat.constructs import (comma_inclusion, laco, laco_diagram, oplaco,
+                               pullback)
 from twocat.core import (TwoFunctor, identity_functor,
                          validate_pseudofunctor, validate_two_category)
 from twocat.fixtures import (fix_c2, fix_g2, fix_g2sat, fix_i, fix_m2,
                              fix_prod, fix_t, point_functor)
-from twocat.nerve import enumerate_simplices, nerve
+from twocat.nerve import enumerate_simplices, induced_map, nerve
 
 from test_nerve import tetrahedron_ok
 
@@ -324,3 +325,26 @@ def test_criterion_10_independent_oracles():
             pgm.localize_oracle(A, acts, M)
     print("ACCEPTANCE 10 PASS: nerve counts, Smith normal form, and "
           "localization each agree exactly with an independent oracle")
+
+
+def test_criterion_11_comparison_induces_isomorphisms():
+    # H_n is trusted at N = n + 1; along 2-simplices the window stops at
+    # n <= 1, where dense coordinate H_2 of the larger commas is still slow
+    checks = 0
+    for _, P in _opfibration_fixtures():
+        D = P.target
+        for p, N in ((0, 3), (1, 3), (2, 2)):
+            for si in enumerate_simplices(D, p):
+                G = ss.simplex_functor(D, si)
+                PB, L = pullback(P, G), laco(P, G)
+                smap = induced_map(comma_inclusion(PB, L, P, G), N)
+                Xs, Xt = nerve(PB.cat, N), nerve(L.cat, N)
+                for n in range(N):
+                    hm.induced_iso(smap, Xs, Xt, n)
+                    checks += 1
+    assert checks == 68
+    print("ACCEPTANCE 11 PASS: the comparison pb(P, G) -> laco(P, G) "
+          "induces isomorphisms on H_n for every certified opfibration P "
+          "and every simplex functor G of the base: n <= 2 at N = 3 along "
+          "simplices of dimension <= 1, n <= 1 at N = 2 along 2-simplices "
+          "(%d checks)" % checks)

@@ -518,6 +518,85 @@ def test_universal_coefficients(name):
                 (k, n)
 
 
+def presented_map_is_iso(src, tgt, M):
+    """The parent's iso test, kept as the oracle: equal canonical forms
+    plus surjectivity (surjections between isomorphic finitely generated
+    abelian groups are isomorphisms)."""
+    if src.canonical() != tgt.canonical():
+        return False
+    return il.cokernel(il.sparse_columns(il.hstack(M, tgt.rel_matrix())),
+                       tgt.gens).is_trivial
+
+
+def _times(A, B, r, m, c):
+    """A B for A r x m and B m x c; shapes are given because [] hides its
+    number of columns."""
+    return [[sum(A[i][k] * B[k][j] for k in range(m)) for j in range(c)]
+            for i in range(r)]
+
+
+def _minus_identity(A, n):
+    return [[A[i][j] - (i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def presented_maps(draw):
+    """(M, src, tgt): presented groups on at most 3 generators with at most
+    3 relations, entries -4..4.  Half the draws are a random map; the other
+    half an invertible matrix U with tgt presented by U times the relations
+    of src, so that isomorphisms between different presentations are
+    common."""
+    ints = st.integers(-4, 4)
+
+    def matrix(r, c):
+        return [[draw(ints) for _ in range(c)] for _ in range(r)]
+
+    def group(g):
+        k = draw(st.integers(0, 3))
+        return hm.PresentedGroup(g, matrix(g, k) if k else [])
+
+    src = group(draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        tgt = group(draw(st.integers(0, 3)))
+        return matrix(tgt.gens, src.gens), src, tgt
+    g = src.gens
+    U = il.mid(g)
+    for _ in range(draw(st.integers(0, 6)) if g > 1 else 0):
+        i, j = draw(st.permutations(range(g)))[:2]
+        q = draw(ints)
+        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+    return U, src, hm.PresentedGroup(
+        g, il.mmul(U, src.rel_matrix()) if src.rels else [])
+
+
+@given(presented_maps())
+@settings(max_examples=300, deadline=None)
+def test_iso_inverse_matches_oracle(case):
+    M, src, tgt = case
+    inv = hm.iso_inverse(M, src, tgt)
+    assert (inv is not None) == presented_map_is_iso(src, tgt, M)
+    s, t = src.gens, tgt.gens
+    R = src.rel_matrix()
+    k = len(R[0]) if R else 0
+    # the inverse is one when M is a homomorphism, carrying relations to
+    # relations
+    if inv is not None and hm.in_relations(_times(M, R, t, s, k), tgt):
+        assert hm.in_relations(_minus_identity(_times(M, inv, t, s, t), t),
+                               tgt)
+        assert hm.in_relations(_minus_identity(_times(inv, M, s, t, s), s),
+                               src)
+
+
+def test_in_relations_reads_every_column():
+    G = hm.PresentedGroup(2, [[2, 0], [0, 3]])
+    assert hm.in_relations([[2, 4, 0], [3, 0, -6]], G)
+    assert not hm.in_relations([[2, 4, 1], [3, 0, -6]], G)
+    assert hm.in_relations([[]], hm.ZCONST)
+    assert not hm.in_relations([[0, 1]], hm.ZCONST)
+    # a map into the zero group has no rows
+    assert hm.in_relations(il.mmul([], [[2]]), hm.PresentedGroup(0, []))
+
+
 def test_morphism_inverting_flags():
     X = nerve(fix_i(), 2)
     L = hm.constant_system(X)

@@ -8,7 +8,8 @@ from twocat import intlinalg as il
 from twocat import opfib as of
 from twocat import pgm, sinv
 from twocat import specseq as ss
-from twocat.constructs import base_change, laco, oplaco_codiagram, strict_fiber
+from twocat.constructs import (base_change, comma_inclusion, laco,
+                               oplaco_codiagram, pullback, strict_fiber)
 from twocat.core import (AxiomError, TwoFunctor, compose_functors,
                          identity_functor)
 from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
@@ -326,8 +327,7 @@ def test_d1_squares_to_zero():
         for p in range(1, 2):
             M = il.mmul(pg.d1[(p, q)], pg.d1[(p + 1, q)])
             pres = hm.presentation_of(pg.E1_sq[(p - 1, q)][0])
-            for col in il.columns(M):
-                assert hm._in_rel_lattice(pres, col)
+            assert hm.in_relations(M, pres)
 
 
 def test_totalization_matches_source_homology():
@@ -433,6 +433,34 @@ def test_fiber_system_rejects_foreign_certificate():
         ss.fiber_coeff_system(pr2, cert, 0, nerve(fix_c2(), 1))
 
 
+def discrete_pair():
+    """C2 -> I, objects to objects: not an opfibration (criterion 09), and
+    over the object 1 its strict fiber is a point while laco(P, 1-hat) has
+    two components."""
+    return TwoFunctor(fix_c2(), fix_i(), {"0": "0", "1": "1"},
+                      {"id_0": "id_0", "id_1": "id_1"},
+                      {"ii_0": "ii_id_0", "ii_1": "ii_id_1"})
+
+
+def test_comparison_of_non_opfibration_is_not_a_homology_iso():
+    # a counterexample to Theorem B without the opfibration hypothesis,
+    # already at N = 1
+    P = discrete_pair()
+    G = point_functor(fix_i(), "1")
+    PB, L = pullback(P, G), laco(P, G)
+    smap = induced_map(comma_inclusion(PB, L, P, G), 1)
+    with pytest.raises(AxiomError, match=r"H_0 map Z -> Z \+ Z "):
+        hm.induced_iso(smap, nerve(PB.cat, 1), nerve(L.cat, 1), 0)
+
+
+def test_fiber_system_rejects_non_iso_fiber_inclusion():
+    P = discrete_pair()
+    with pytest.raises(AxiomError, match=r"fiber inclusion at '1' .*"
+                                         r"H_0 map Z -> Z \+ Z "):
+        ss.fiber_coeff_system(P, SimpleNamespace(functor=P), 0,
+                              nerve(fix_i(), 1))
+
+
 def test_transition_matrix_is_base_change():
     # the comma-object route along an edge agrees with base change of the
     # strict fibers, transported through the fiber inclusions
@@ -452,14 +480,11 @@ def test_transition_matrix_is_base_change():
         bc = compose_functors(base_change(pr2, f, Lx, Ly), incx)
         Xfx, Xfy = nerve(fibx, q + 1), nerve(fiby, q + 1)
         XLy = nerve(Ly.cat, q + 1)
-        Mbc, _, sq_Ly = hm.homology_induced(induced_map(bc, q + 1),
-                                            Xfx, XLy, q)
-        Miy, sq_fy, _ = hm.homology_induced(induced_map(incy, q + 1),
-                                            Xfy, XLy, q)
-        inv = ss._iso_inverse(Miy, sq_fy.orders, sq_Ly.orders)
-        M = il.mmul(inv, Mbc)
+        Mbc, _, _ = hm.homology_induced(induced_map(bc, q + 1), Xfx, XLy, q)
+        _, inv = hm.induced_iso(induced_map(incy, q + 1), Xfy, XLy, q)
+        orders = hm.homology_subquotient(Xfy, q)[0].orders
         M = [[v % t if t else v for v in row]
-             for row, t in zip(M, sq_fy.orders)]
+             for row, t in zip(il.mmul(inv, Mbc), orders)]
         assert M == data.edge_matrix[f]
 
 
