@@ -292,11 +292,3 @@ def homology_local_subquotient(X: TruncSimplicialSet, L: LocalCoeffSystem,
 def homology_local(X: TruncSimplicialSet, L: LocalCoeffSystem,
                    n: int) -> FGAbGroup:
     return homology_local_subquotient(X, L, n).group
-
-
-def is_morphism_inverting(L: LocalCoeffSystem, X: TruncSimplicialSet) -> bool:
-    for maps, op in ((L.face_map, X.face), (L.degen_map, X.degen)):
-        for (i, x), M in maps.items():
-            if iso_inverse(M, L.group[x], L.group[op[(i, x)]]) is None:
-                return False
-    return True

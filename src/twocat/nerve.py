@@ -163,6 +163,76 @@ def enumerate_simplices(D: TwoCategory, p: int,
 
 
 @lru_cache(maxsize=None)
+def _extension_plan(p: int):
+    """The positions in layout(p) of a (p-1)-simplex's edges and triangles,
+    and, in placement order, the new edges (j, p) and triangles (i, j, p)
+    with what each completes, read off ``_search_plan(p)``."""
+    L, L0 = layout(p), layout(p - 1)
+    tri_plan, tet_plan = _search_plan(p)
+    new_e = [L.edge_at[(j, p)] for j in range(p)]
+    new_t = [L.tri_at[(i, j, p)] for i, j in L0.pairs]
+    return ([L.edge_at[k] for k in L0.pairs],
+            [L.tri_at[k] for k in L0.triples],
+            tuple((n, tri_plan[n]) for n in new_e),
+            tuple((n, tet_plan[n]) for n in new_t))
+
+
+def extensions(D: TwoCategory, x: OrientedSimplex) -> list:
+    """Every (x.dim+1)-simplex y of the nerve of D with d_last y = x, in
+    lexicographic order.  The search of ``enumerate_simplices`` restricted
+    to the new vertex p = x.dim + 1: it places p, the edges (j, p) and the
+    triangles (i, j, p), and checks the tetrahedra (i, j, k, p); x itself
+    is taken to be a simplex and is not re-checked."""
+    p = x.dim + 1
+    old_e, old_t, edge_steps, tri_steps = _extension_plan(p)
+    L = layout(p)
+    E, T = [None] * len(L.pairs), [None] * len(L.triples)
+    for n, e in zip(old_e, x.edges):
+        E[n] = e
+    for n, t in zip(old_t, x.triangles):
+        T[n] = t
+    hom1, hom2 = D.homs[0].get, D.homs[1].get
+    comp1, vcomp, whisk_l, whisk_r = D.comp1, D.vcomp, D.whisk_l, D.whisk_r
+    tri_choices = [()] * len(T)
+    out = []
+
+    def fill_edges(j):
+        if j == p:
+            return fill_triangles(0)
+        n, completes = edge_steps[j]
+        for e in edge_choices[j]:
+            E[n] = e
+            for m, ik, ij in completes:
+                tri_choices[m] = hom2((E[ik], comp1[(e, E[ij])]), ())
+                if not tri_choices[m]:
+                    break
+            else:
+                fill_edges(j + 1)
+
+    def fill_triangles(j):
+        if j == len(tri_steps):
+            out.append(OrientedSimplex(p, vt, tuple(E), tuple(T)))
+            return
+        n, completes = tri_steps[j]
+        for t in tri_choices[n]:
+            T[n] = t
+            for kl, ijk, ikl, ij, ijl in completes:
+                if vcomp[(whisk_l[(E[kl], T[ijk])], T[ikl])] != \
+                        vcomp[(whisk_r[(t, E[ij])], T[ijl])]:
+                    break
+            else:
+                fill_triangles(j + 1)
+
+    for v in sorted(D.objects):
+        edge_choices = [hom1((u, v), ()) for u in x.vertices]
+        if all(edge_choices):
+            vt = x.vertices + (v,)
+            fill_edges(0)
+    fill_edges = fill_triangles = None    # free the closure cycle now
+    return out
+
+
+@lru_cache(maxsize=None)
 def _face_table(p: int, i: int):
     """Positions in a p-simplex of the vertices, edges and triangles of
     its face d_i, in the layout of dimension p - 1."""

@@ -7,11 +7,14 @@ nerve of D restricting to F(omega) on the first q+1 vertices and to sigma
 on the last p+1.  Horizontal operators act through the sigma block of
 delta, vertical operators through the omega block.
 
-``build_B`` groups the omegas of each q by F(omega) and makes one search
-per block and p, with only that block pinned: every delta it finds ends in
-a p-simplex sigma, read off its last p+1 vertices.  Faces and degeneracies
-are stored as tables of positions within the target level, so the identity
-check, the pages and the totalization read integers, not cells.
+``build_B`` groups the omegas of each q by their block F(omega) and grows
+the deltas one vertex at a time: those at (p, q) are the extensions
+(``nerve.extensions``) of those at (p - 1, q), the blocks being p = -1, and
+each ends in a p-simplex sigma, read off its last p+1 vertices.  A delta's
+faces and degeneracies are found by key from those of its parent, so no
+simplex is rebuilt for them.  They are stored as tables of positions within
+the target level, so the identity check, the pages and the totalization
+read integers, not cells.
 
 The module computes the first two pages of the homology spectral sequence
 of B(F) (vertical homology first), the homology of the totalization, and
@@ -32,6 +35,7 @@ transition matrices computed along comma-object routes, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import intlinalg as il
@@ -44,8 +48,8 @@ from .fixtures import point_functor
 from .homology import (LocalCoeffSystem, homology_induced, homology_local,
                        homology_subquotient, induced_iso, presentation_of)
 from .nerve import (OrientedSimplex, TruncSimplicialSet, degeneracy,
-                    enumerate_simplices, face, induced_map, layout,
-                    map_simplex, nerve)
+                    enumerate_simplices, extensions, face, induced_map,
+                    layout, map_simplex, nerve)
 from ast import literal_eval
 
 from .orientals import materialize_oriental, path_id
@@ -148,74 +152,191 @@ def _pinned_delta(F: TwoFunctor, om: OrientedSimplex, si: OrientedSimplex):
                                pe, pt)
 
 
+@lru_cache(maxsize=None)
+def _delta_plan(m: int):
+    """Gathers for a delta y with last vertex m, which extends its parent
+    d_m y by the new cells N: vertex m, the edges (j, m) and the triangles
+    (a, b, m) in layout(m - 1).pairs order.  X is N followed by the
+    identity 1-cell of vertex m and the identity 2-cell of each edge (j, m).
+    Returns the positions in y's edges and triangles of its new ones, and
+    per i, as positions in X, the new cells of d_i y (i < m, over
+    d_i d_m y) and of s_i y (i <= m, over s_i d_m y, or over y for i = m)."""
+    L, L1 = layout(m), layout(m - 1)
+    n = 1 + m + len(L1.pairs)    # X[n], X[n + 1 + j]: the identities
+    tri = lambda a, b: 1 + m + L1.edge_at[(a, b)]
+    faces = []
+    for i in range(m):
+        dl = lambda j: j if j < i else j + 1
+        faces.append((0,) + tuple(1 + dl(j) for j in range(m - 1)) + tuple(
+            tri(dl(a), dl(b)) for a, b in layout(m - 2).pairs))
+    degens = []
+    for i in range(m):
+        sg = lambda j: j if j <= i else j - 1
+        degens.append((0,) + tuple(1 + sg(j) for j in range(m + 1)) + tuple(
+            n + 1 + i if (a, b) == (i, i + 1) else tri(sg(a), sg(b))
+            for a, b in L.pairs))
+    degens.append((0,) + tuple(range(1, m + 1)) + (n,) + tuple(
+        tri(a, b) if b < m else n + 1 + a for a, b in L.pairs))
+    return ([L.edge_at[(j, m)] for j in range(m)],
+            [L.tri_at[(a, b, m)] for a, b in L1.pairs], faces, degens)
+
+
+@lru_cache(maxsize=None)
+def _tail(m: int, p: int):
+    """Positions in an m-simplex of the edges and triangles of its last
+    p + 1 vertices, in the layout of dimension p."""
+    L, o = layout(m), m - p
+    return ([L.edge_at[(o + a, o + b)] for a, b in layout(p).pairs],
+            [L.tri_at[(o + a, o + b, o + c)] for a, b, c in layout(p).triples])
+
+
 def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
     """B(F) truncated at p <= P, q <= Q.  The omegas of each q are grouped
-    by F(omega), and one search per p, with only that block pinned, gives
-    every delta over it; sigma is delta's last p+1 vertices, so the pairs
-    (omega, sigma) need no search of their own."""
+    by their block F(omega); the deltas at (p, q) are the one-vertex
+    extensions of those at (p - 1, q), the blocks being level p = -1, and
+    sigma is each delta's last p + 1 vertices.  A delta is known by its
+    parent d_last delta and its new cells N, so its faces and degeneracies
+    are found by key, not built: for i < m = p + q + 1, d_i delta extends
+    d_i(parent) by N without vertex i, s_i delta extends s_i(parent) by N
+    with vertex i repeated, and s_m delta extends delta itself.  Only the
+    omegas and blocks have their operators computed as simplices, once
+    each; a cell's operator is then a pair of integers."""
     C, D = F.source, F.target
-    over = [{} for _ in range(Q + 1)]     # q -> F(omega) -> omegas
-    for q, blocks in enumerate(over):
-        for om in enumerate_simplices(C, q):
-            blocks.setdefault(map_simplex(F, om), []).append(om)
-    levels = {}
+    id1, id2 = D.id1, D.id2
+    oms = [sorted(enumerate_simplices(C, q)) for q in range(Q + 1)]
+    om_at = [{x: k for k, x in enumerate(lev)} for lev in oms]
+    om_face = [[[om_at[q - 1].get(face(C, x, i)) for x in oms[q]]
+                for i in range(q + 1)] if q else [] for q in range(Q + 1)]
+    om_degen = [[[om_at[q + 1].get(degeneracy(C, x, i)) for x in oms[q]]
+                 for i in range(q + 1)] if q < Q else []
+                for q in range(Q + 1)]
+    block_at, block_of = [], []             # q -> F(omega) -> id; q -> ids
+    for lev in oms:
+        at = {}
+        block_of.append([at.setdefault(map_simplex(F, x), len(at))
+                         for x in lev])
+        block_at.append(at)
+    # the deltas at (p, q) by id: simplex, parent id, block id, sigma
+    # position, extended new cells X; child[(p, q)] maps (parent, N) to id
+    simp, parent, root, sig_of, ext, child = {}, {}, {}, {}, {}, {}
+    dface, ddeg = {}, {}        # (p, q) -> per i, the id of d_i / s_i delta
+    for q, at in enumerate(block_at):
+        simp[(-1, q)] = blocks = list(at)
+        root[(-1, q)] = list(range(len(blocks)))
+        dface[(-1, q)] = [[block_at[q - 1].get(face(D, b, i)) for b in blocks]
+                          for i in range(q + 1)] if q else []
+        ddeg[(-1, q)] = [[block_at[q + 1].get(degeneracy(D, b, i))
+                          for b in blocks]
+                         for i in range(q + 1)] if q < Q else []
+    levels, sigmas = {}, []
     for p in range(P + 1):
-        sigmas = {s: s for s in enumerate_simplices(D, p)}
-        for q, blocks in enumerate(over):
-            Lo = layout(q)
-            cells = []
-            for fom, oms in blocks.items():
-                for de in enumerate_simplices(
-                        D, q + 1 + p, dict(enumerate(fom.vertices)),
-                        dict(zip(Lo.pairs, fom.edges)),
-                        dict(zip(Lo.triples, fom.triangles))):
-                    si = de
-                    for _ in range(q + 1):
-                        si = face(D, si, 0)
-                    if si not in sigmas:
+        sigmas.append(enumerate_simplices(D, p))
+        sig_at = {s: n for n, s in enumerate(sigmas[p])}
+        for q in range(Q + 1):
+            m = q + 1 + p
+            new_e, new_t = _delta_plan(m)[:2]
+            tail_e, tail_t = _tail(m, p)
+            xs, par, rt, sp, Xs, kids = [], [], [], [], [], {}
+            up = simp[(p - 1, q)]
+            for a, x in enumerate(up):
+                # a block that F does not map to a simplex has no deltas
+                if p == 0 and not enumerate_simplices(
+                        D, q, dict(enumerate(x.vertices)),
+                        dict(zip(layout(q).pairs, x.edges)),
+                        dict(zip(layout(q).triples, x.triangles))):
+                    continue
+                for y in extensions(D, x):
+                    e, t = y.edges, y.triangles
+                    si = OrientedSimplex(p, y.vertices[q + 1:],
+                                         tuple([e[k] for k in tail_e]),
+                                         tuple([t[k] for k in tail_t]))
+                    if si not in sig_at:
                         raise AxiomError("delta %r ends outside the "
-                                         "%d-simplices of the target" % (de, p))
-                    cells.extend(Bisimplex(om, de, sigmas[si]) for om in oms)
-            levels[(p, q)] = tuple(sorted(cells))
-    index = {k: {x: n for n, x in enumerate(v)} for k, v in levels.items()}
+                                         "%d-simplices of the target" % (y, p))
+                    N = ((y.vertices[m],) + tuple([e[k] for k in new_e])
+                         + tuple([t[k] for k in new_t]))
+                    kids[(a, N)] = len(xs)
+                    xs.append(y)
+                    par.append(a)
+                    rt.append(root[(p - 1, q)][a])
+                    sp.append(sig_at[si])
+                    Xs.append(N + (id1[N[0]],)
+                              + tuple([id2[c] for c in N[1:m + 1]]))
+            simp[(p, q)], parent[(p, q)], root[(p, q)] = xs, par, rt
+            sig_of[(p, q)], ext[(p, q)], child[(p, q)] = sp, Xs, kids
+    for p in range(P + 1):
+        for q in range(Q + 1):
+            m = q + 1 + p
+            faces, degens = _delta_plan(m)[2:]
+            par, Xs = parent[(p, q)], ext[(p, q)]
+            rows = [None] * (m + 1)
+            rows[m] = par
+            for i in range(0 if q else 1, m):
+                pf, g = dface[(p - 1, q)][i], faces[i]
+                kids = child[(p, q - 1) if i <= q else (p - 1, q)]
+                rows[i] = [kids.get((pf[a], tuple([X[k] for k in g])))
+                           for a, X in zip(par, Xs)]
+            dface[(p, q)] = rows
+            rows = [None] * (m + 1)
+            for i in range(m + 1):
+                if (q == Q) if i <= q else (p == P):
+                    continue
+                if i < m:
+                    up, over = par, ddeg[(p - 1, q)][i]
+                else:                   # s_m delta extends delta itself
+                    up = over = range(len(Xs))
+                g = degens[i]
+                kids = child[(p, q + 1) if i <= q else (p + 1, q)]
+                rows[i] = [kids.get((over[a], tuple([X[k] for k in g])))
+                           for a, X in zip(up, Xs)]
+            ddeg[(p, q)] = rows
+    # cells sort by (omega, delta): position start[omega] + rank[delta],
+    # rank being delta's place among the sorted deltas of its block
+    start, rank, pairs = {}, {}, {}
+    for p in range(P + 1):
+        for q in range(Q + 1):
+            xs, rt = simp[(p, q)], root[(p, q)]
+            members = [[] for _ in simp[(-1, q)]]
+            rk = [0] * len(xs)
+            for d in sorted(range(len(xs)), key=xs.__getitem__):
+                rk[d] = len(members[rt[d]])
+                members[rt[d]].append(d)
+            st, pq = [], []
+            for o, b in enumerate(block_of[q]):
+                st.append(len(pq))
+                pq.extend((o, d) for d in members[b])
+            start[(p, q)], rank[(p, q)], pairs[(p, q)] = st, rk, pq
+            sig = sigmas[p]
+            levels[(p, q)] = tuple(
+                Bisimplex(oms[q][o], xs[d], sig[sig_of[(p, q)][d]])
+                for o, d in pq)
 
-    def member(y, level):
-        n = index[level].get(y)
-        if n is None:
-            raise AxiomError("bisimplicial set not closed under faces and "
-                             "degeneracies at %r" % (y,))
-        return n
+    def row(p, q, o_map, d_map, tgt):
+        """Positions in level tgt of (o_map[omega], d_map[delta]) for the
+        cells of level (p, q), omega kept when o_map is None, and None
+        where that pair is not a cell of tgt."""
+        st, rk, rt = start[tgt], rank[tgt], root[tgt]
+        bo = block_of[tgt[1]]
+        out = []
+        for o, d in pairs[(p, q)]:
+            o = o if o_map is None else o_map[o]
+            d = d_map[d]
+            out.append(None if o is None or d is None or rt[d] != bo[o]
+                       else st[o] + rk[d])
+        return out
 
     face_h, face_v, degen_h, degen_v = {}, {}, {}, {}
     for (p, q), cells in levels.items():
-        fh = [[] for _ in range(p + 1)] if p >= 1 else []
-        dh = [[] for _ in range(p + 1)] if p < P else []
-        fv = [[] for _ in range(q + 1)] if q >= 1 else []
-        dv = [[] for _ in range(q + 1)] if q < Q else []
-        ops = {}     # delta -> its faces and degeneracies, for all omegas
-        for x in cells:
-            if x.de not in ops:
-                ops[x.de] = ([face(D, x.de, i) for i in range(p + q + 2)]
-                             if fh or fv else (),
-                             [degeneracy(D, x.de, i) for i in range(p + q + 2)]
-                             if dh or dv else ())
-            dface, ddegen = ops[x.de]
-            for i in range(p + 1):
-                if fh:
-                    fh[i].append(member(Bisimplex(
-                        x.om, dface[q + 1 + i], face(D, x.si, i)),
-                        (p - 1, q)))
-                if dh:
-                    dh[i].append(member(Bisimplex(
-                        x.om, ddegen[q + 1 + i], degeneracy(D, x.si, i)),
-                        (p + 1, q)))
-            for i in range(q + 1):
-                if fv:
-                    fv[i].append(member(Bisimplex(
-                        face(C, x.om, i), dface[i], x.si), (p, q - 1)))
-                if dv:
-                    dv[i].append(member(Bisimplex(
-                        degeneracy(C, x.om, i), ddegen[i], x.si), (p, q + 1)))
+        fh = [row(p, q, None, dface[(p, q)][q + 1 + i], (p - 1, q))
+              for i in range(p + 1)] if p >= 1 else []
+        dh = [row(p, q, None, ddeg[(p, q)][q + 1 + i], (p + 1, q))
+              for i in range(p + 1)] if p < P else []
+        fv = [row(p, q, om_face[q][i], dface[(p, q)][i], (p, q - 1))
+              for i in range(q + 1)] if q >= 1 else []
+        dv = [row(p, q, om_degen[q][i], ddeg[(p, q)][i], (p, q + 1))
+              for i in range(q + 1)] if q < Q else []
+        if any(None in r for r in fh + dh + fv + dv):
+            _raise_first_miss(C, D, cells, fh, dh, fv, dv)
         face_h[(p, q)], degen_h[(p, q)] = fh, dh
         face_v[(p, q)], degen_v[(p, q)] = fv, dv
     degenerate_h, degenerate_v = {}, {}
@@ -229,6 +350,30 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
             for i in range(q)) for k in range(len(cells))]
     return BisimplicialTrunc(F, P, Q, levels, face_h, face_v,
                              degen_h, degen_v, degenerate_h, degenerate_v)
+
+
+def _raise_first_miss(C, D, cells, fh, dh, fv, dv):
+    """AxiomError naming the first operator image, cell by cell and in the
+    order d^h_i, s^h_i, ..., d^v_i, s^v_i, ..., that the rows mark as
+    outside B(F)."""
+    def not_closed(*y):
+        raise AxiomError("bisimplicial set not closed under faces and "
+                         "degeneracies at %r" % (Bisimplex(*y),))
+
+    for k, x in enumerate(cells):
+        q1 = x.om.dim + 1
+        for i in range(x.si.dim + 1):
+            if fh and fh[i][k] is None:
+                not_closed(x.om, face(D, x.de, q1 + i), face(D, x.si, i))
+            if dh and dh[i][k] is None:
+                not_closed(x.om, degeneracy(D, x.de, q1 + i),
+                           degeneracy(D, x.si, i))
+        for i in range(q1):
+            if fv and fv[i][k] is None:
+                not_closed(face(C, x.om, i), face(D, x.de, i), x.si)
+            if dv and dv[i][k] is None:
+                not_closed(degeneracy(C, x.om, i), degeneracy(D, x.de, i),
+                           x.si)
 
 
 def _after(g: list, f: list) -> list:

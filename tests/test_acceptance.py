@@ -23,6 +23,7 @@ from twocat.fixtures import (fix_c2, fix_g2, fix_g2sat, fix_i, fix_m2,
 from twocat.nerve import enumerate_simplices, induced_map, nerve
 
 from test_nerve import tetrahedron_ok
+from test_specseq import swap_projection
 
 ALL_CATS = [fix_t, fix_c2, fix_m2, fix_i, fix_g2, fix_g2sat]
 ALL_PGMS = [pgm.fix_c2_pgm, pgm.fix_m2_pgm, pgm.fix_g2_pgm,
@@ -137,32 +138,25 @@ def test_criterion_04_comma_homology_collapses():
 
 
 def test_criterion_05_spectral_sequence():
-    # full depth (degrees <= 2 need a 3x3 window) on the three fixtures
-    # whose bisimplicial objects stay desk-sized
+    # full depth (degrees <= 3 need a 4x4 window) on the fixtures whose
+    # bisimplicial objects stay desk-sized; the swap fixture's base BZ/2
+    # acts on its fiber H_0 = Z^2, so only the right transition matrices
+    # give E2 row 0 = Z, 0, 0
     full = [("interval-identity", identity_functor(fix_i())),
             ("projection", _pr2_fixture()),
             ("rho-c2", _rho(pgm.fix_c2_pgm)),
-            ("rho-g2", _rho(pgm.fix_g2_pgm))]
+            ("rho-g2", _rho(pgm.fix_g2_pgm)),
+            ("swap", swap_projection())]
     for name, F in full:
-        B = ss.build_B(F, 3, 3)
-        X = nerve(F.source, 3)
-        for n in range(3):
+        B = ss.build_B(F, 4, 4)
+        X = nerve(F.source, 4)
+        for n in range(4):
             assert ss.totalization_homology(B, n) == hm.homology(X, n), \
                 (name, n)
         cert = of.check_opfibration(F)
         pg = ss.pages(B)
-        for q in range(3):
-            assert ss.e2_vs_local(pg, cert, q) == [True] * 3, (name, q)
-    # rho-c2 one level deeper: a 4x4 window (degrees <= 3)
-    F = _rho(pgm.fix_c2_pgm)
-    B = ss.build_B(F, 4, 4)
-    X = nerve(F.source, 4)
-    for n in range(4):
-        assert ss.totalization_homology(B, n) == hm.homology(X, n), n
-    cert = of.check_opfibration(F)
-    pg = ss.pages(B)
-    for q in range(4):
-        assert ss.e2_vs_local(pg, cert, q) == [True] * 4, q
+        for q in range(4):
+            assert ss.e2_vs_local(pg, cert, q) == [True] * 4, (name, q)
     # the one-object fixture with 2-cell group Z/2 doubles its simplex
     # count with every level: its window stops at 2x2 (degrees <= 1)
     F = identity_functor(fix_g2())
@@ -176,8 +170,8 @@ def test_criterion_05_spectral_sequence():
         assert ss.e2_vs_local(pg, cert, q) == [True] * 2, q
     print("ACCEPTANCE 05 PASS: totalization homology matches the source "
           "nerve and E2 matches local-coefficient homology at every "
-          "computed (p, q) within bounds (degrees <= 2 on four fixtures, "
-          "<= 3 on rho-c2, <= 1 on G2)")
+          "computed (p, q) within bounds (degrees <= 3 on five fixtures, "
+          "one with monodromy; <= 1 on G2)")
 
 
 def test_criterion_06_point_completion_contractible():

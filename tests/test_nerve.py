@@ -10,7 +10,7 @@ from twocat import nerve as nv
 from twocat.constructs import find_oplax_initial, find_oplax_terminal
 from twocat.core import find_isomorphism, validate_two_category
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
-                             fix_prod, fix_t)
+                             fix_m2, fix_prod, fix_t)
 from twocat.orientals import increasing_paths, materialize_oriental
 
 from test_homology import ORACLE_CATEGORIES
@@ -304,9 +304,10 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
                 assert specseq._pinned_delta(F, om, si) == \
                     [x.de for x in cells if (x.om, x.si) == (om, si)]
     assert sum(pinned) > 100
-    # every enumeration that build_B makes at 3 x 3, against the
-    # dict-keyed search (the product oracle is too slow for 7-simplices)
-    deep = []
+    # every enumeration and extension that build_B makes at 3 x 3, against
+    # the dict-keyed search (the product oracle is too slow for 7-simplices);
+    # an extension of x is the search with all of x pinned
+    deep, grown = [], []
 
     def checked_deep(D, p, *pins):
         xs = nv.enumerate_simplices(D, p, *pins)
@@ -314,9 +315,41 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
         deep.append(bool(pins) and bool(xs))
         return xs
 
+    def checked_extensions(D, x):
+        ys = nv.extensions(D, x)
+        L = nv.layout(x.dim)
+        assert ys == dict_keyed_search(
+            D, x.dim + 1, dict(enumerate(x.vertices)),
+            dict(zip(L.pairs, x.edges)), dict(zip(L.triples, x.triangles)))
+        grown.append(len(ys))
+        return ys
+
     monkeypatch.setattr(specseq, "enumerate_simplices", checked_deep)
-    specseq.build_B(F, 3, 3)
-    assert sum(deep) == 120
+    monkeypatch.setattr(specseq, "extensions", checked_extensions)
+    B = specseq.build_B(F, 3, 3)
+    # one pinned check per F(omega) block, and one extension per block and
+    # per delta below the top p, growing every delta of B(3, 3)
+    assert sum(deep) == 30
+    assert sum(grown) == sum(len({x.de for x in cells})
+                             for cells in B.levels.values())
+
+
+@pytest.mark.parametrize("make", [fix_t, fix_c2, fix_m2, fix_i, fix_g2,
+                                  fix_g2sat], ids=lambda f: f.__name__)
+def test_extensions_grow_each_level_from_the_one_below(make):
+    # the categories of criterion 01: every p-simplex is exactly one
+    # extension of exactly one (p-1)-simplex, its last face
+    D = make()
+    for p in range(1, 5):
+        grown = []
+        for x in nv.enumerate_simplices(D, p - 1):
+            ys = nv.extensions(D, x)
+            assert ys == sorted(ys)
+            for y in ys:
+                assert nv.face(D, y, p) == x
+                grown.append(y)
+        assert len(grown) == len(set(grown))
+        assert set(grown) == set(nv.enumerate_simplices(D, p))
 
 
 def test_pin_that_does_not_fit_gives_nothing():

@@ -13,9 +13,11 @@ from twocat.constructs import (base_change, comma_inclusion, laco,
 from twocat.core import (AxiomError, TwoFunctor, compose_functors,
                          identity_functor)
 from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
-                             point_functor)
+                             locally_discrete, point_functor)
 from twocat.nerve import (degeneracy, enumerate_simplices, face,
                           induced_map, nerve)
+
+from test_homology import is_morphism_inverting
 
 
 def pr2_c2():
@@ -26,6 +28,26 @@ def pr2_c2():
 def pr2_i():
     prod, pr1, pr2 = fix_prod(fix_g2(), fix_i())
     return prod, pr2
+
+
+def swap_projection():
+    """P: E -> BZ/2, with E the action groupoid of Z/2 swapping {a, b}: an
+    opfibration whose base acts on the fiber {a, b}, so its transition
+    matrix on H_0 = Z^2 is the swap, not the identity."""
+    base = locally_discrete(
+        ["*"], {"id_*": ("*", "*"), "t": ("*", "*")},
+        {("id_*", "id_*"): "id_*", ("t", "id_*"): "t", ("id_*", "t"): "t",
+         ("t", "t"): "id_*"})
+    E = locally_discrete(
+        ["a", "b"], {"id_a": ("a", "a"), "id_b": ("b", "b"),
+                     "t_a": ("a", "b"), "t_b": ("b", "a")},
+        {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
+         ("t_a", "id_a"): "t_a", ("id_b", "t_a"): "t_a",
+         ("t_b", "id_b"): "t_b", ("id_a", "t_b"): "t_b",
+         ("t_b", "t_a"): "id_a", ("t_a", "t_b"): "id_b"})
+    on_one = {"id_a": "id_*", "id_b": "id_*", "t_a": "t", "t_b": "t"}
+    return TwoFunctor(E, base, {"a": "*", "b": "*"}, on_one,
+                      {"ii_" + f: "ii_" + g for f, g in on_one.items()})
 
 
 # --- simplex classifiers -----------------------------------------------------
@@ -264,6 +286,11 @@ ORACLE_CASES = [
     ("projection-interval", lambda: pr2_i()[1], 2, 2),
     ("rho-c2", lambda: _rho(pgm.fix_c2_pgm), 3, 3),
     ("rho-g2", lambda: _rho(pgm.fix_g2_pgm), 3, 3),
+    ("interval", lambda: identity_functor(fix_i()), 4, 4),
+    ("projection", lambda: pr2_c2()[1], 4, 4),
+    ("rho-c2", lambda: _rho(pgm.fix_c2_pgm), 4, 4),
+    ("rho-g2", lambda: _rho(pgm.fix_g2_pgm), 4, 4),
+    ("swap", swap_projection, 4, 4),
 ]
 
 
@@ -279,6 +306,21 @@ def test_build_B_matches_the_pairwise_oracle(make, P, Q):
     for name in list(SHIFTS) + ["degenerate_h", "degenerate_v"]:
         assert getattr(got, name) == getattr(O, name), name
     assert ss.check_bisimplicial(B) and oracle_check_bisimplicial(O)
+
+
+def test_build_B_grows_no_delta_over_a_block_outside_the_target():
+    # F sends a01 to id_0, so F(omega) for the edge a01 is no simplex of
+    # I: there is no delta over it, as in the oracle, and nothing is
+    # extended from it
+    I = fix_i()
+    F = TwoFunctor(I, I, {"0": "0", "1": "1"},
+                   {"id_0": "id_0", "id_1": "id_1", "a01": "id_0"},
+                   {a: a for a in I.two_src})
+    B = ss.build_B(F, 2, 2)
+    O = oracle_build_B(F, 2, 2)
+    assert B.levels == O.levels
+    assert all(x.om.edges != ("a01",) for x in B.levels[(0, 1)])
+    assert as_dicts(B).face_v == O.face_v
 
 
 def _corrupted(B, name, level, i, k, value):
@@ -421,9 +463,22 @@ def test_fiber_system_interval_base():
     for q, h0 in [(0, "Z"), (2, "Z/2")]:
         data = ss.fiber_coeff_system(pr2, cert, q, X)
         assert data.edge_matrix == {"a01": [[1]]}
-        assert hm.is_morphism_inverting(data.system, X)
+        assert is_morphism_inverting(data.system, X)
         assert str(hm.homology_local(X, data.system, 0)) == h0
         assert hm.homology_local(X, data.system, 1).is_trivial
+
+
+def test_swap_fixture_has_monodromy():
+    # the base loop t swaps the two points of the fiber: E2 row 0 is the
+    # homology of BZ/2 with coefficients in Z^2 under the swap, Z, 0, 0,
+    # where identity transitions would give Z^2 and (Z/2)^2
+    F = swap_projection()
+    cert = of.check_opfibration(F)
+    data = ss.fiber_coeff_system(F, cert, 0, nerve(F.target, 2))
+    assert data.edge_matrix == {"t": [[0, 1], [1, 0]]}
+    pg = ss.pages(ss.build_B(F, 3, 3))
+    assert [str(pg.E2[(p, 0)]) for p in range(3)] == ["Z", "0", "0"]
+    assert ss.e2_vs_local(pg, cert, 0) == [True] * 3
 
 
 def test_fiber_system_rejects_foreign_certificate():
