@@ -32,13 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import AxiomError
+from .core import AxiomError, TwoFunctor
 from .intlinalg import (FGAbGroup, Subquotient, chain_homology, cokernel,
                         columns, from_columns, hstack, induced_matrix,
                         invariant_factors, mid, mmul, mshape, mzeros,
                         order_relations, smith_normal_form, solve,
                         sparse_columns)
-from .nerve import TruncSimplicialSet
+from .nerve import TruncSimplicialSet, map_simplex
 
 
 @dataclass
@@ -112,17 +112,18 @@ def homology(X: TruncSimplicialSet, n: int) -> FGAbGroup:
     return FGAbGroup(H.free_rank - rank_in, H.torsion)
 
 
-def homology_induced(simp_map: dict, Xs: TruncSimplicialSet,
+def homology_induced(F: TwoFunctor, Xs: TruncSimplicialSet,
                      Xt: TruncSimplicialSet, n: int):
-    """Matrix of H_n(simp_map) in canonical coordinates; simp_map sends
-    simplices of Xs to simplices of Xt levelwise.  Returns
-    (matrix, src subquotient, tgt subquotient)."""
+    """Matrix of H_n(F) in canonical coordinates, for a 2-functor F from
+    the 2-category whose nerve is Xs to the one whose nerve is Xt; only
+    the basis n-simplices of Xs are mapped (``nerve.map_simplex``).
+    Returns (matrix, src subquotient, tgt subquotient)."""
     sq_s, basis_s = homology_subquotient(Xs, n)
     sq_t, basis_t = homology_subquotient(Xt, n)
     idx_t = {x: i for i, x in enumerate(basis_t)}
     M = mzeros(len(basis_t), len(basis_s))
     for j, x in enumerate(basis_s):
-        y = simp_map[x]
+        y = map_simplex(F, x)
         if not Xt.degenerate[y]:
             M[idx_t[y]][j] += 1
     return induced_matrix(sq_s, sq_t, M), sq_s, sq_t
@@ -199,11 +200,11 @@ def iso_inverse(M, src: PresentedGroup, tgt: PresentedGroup):
     return from_columns([col[:src.gens] for col in cols], nrows=src.gens)
 
 
-def induced_iso(simp_map: dict, Xs: TruncSimplicialSet,
+def induced_iso(F: TwoFunctor, Xs: TruncSimplicialSet,
                 Xt: TruncSimplicialSet, n: int):
-    """The matrix of H_n(simp_map) and its inverse, in canonical coordinates;
+    """The matrix of H_n(F) and its inverse, in canonical coordinates;
     AxiomError, naming the degree and both groups, when there is none."""
-    M, sq_s, sq_t = homology_induced(simp_map, Xs, Xt, n)
+    M, sq_s, sq_t = homology_induced(F, Xs, Xt, n)
     inv = iso_inverse(M, presentation_of(sq_s), presentation_of(sq_t))
     if inv is None:
         raise AxiomError("H_%d map %s -> %s is not an isomorphism"

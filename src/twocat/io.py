@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 
-from .core import TwoCategory, TwoFunctor, make_two_category
+from .core import AxiomError, TwoCategory, TwoFunctor, make_two_category
 from .homology import LocalCoeffSystem, PresentedGroup
 from .nerve import TruncSimplicialSet, layout
 from .pgm import PGM, PGMAction
@@ -201,14 +201,25 @@ def trunc_sset_to_dict(X: TruncSimplicialSet) -> dict:
 
 def trunc_sset_from_dict(d: dict) -> TruncSimplicialSet:
     """Rebuild with plain string simplices; chain-level consumers treat
-    simplices as opaque keys, so the result computes the same homology."""
-    return TruncSimplicialSet(
+    simplices as opaque keys, so the result computes the same homology.
+    Every simplex must carry a degenerate flag, true exactly when it is a
+    value of the degeneracy table; AxiomError otherwise."""
+    X = TruncSimplicialSet(
         N=d["N"],
         levels=tuple(tuple(lev) for lev in d["levels"]),
         face={(i, x): y for i, x, y in d["face"]},
         degen={(i, x): y for i, x, y in d["degen"]},
         degenerate={x: v for x, v in d["degenerate"]},
     )
+    image = set(X.degen.values())
+    for lev in X.levels:
+        for x in lev:
+            if x not in X.degenerate:
+                raise AxiomError("simplex %s has no degenerate flag" % x)
+            if bool(X.degenerate[x]) != (x in image):
+                raise AxiomError("degenerate flag of %s disagrees with the "
+                                 "degeneracy table" % x)
+    return X
 
 
 def coeff_system_to_dict(L: LocalCoeffSystem) -> dict:

@@ -14,6 +14,10 @@ cofaces of the cosimplicial family of orientals (which carry generators to
 generators); the degeneracy s_i repeats vertex i with an identity edge and
 identity triangles.  Both are tuple gathers through index tables computed
 once per (p, i).
+
+Simplices are found one vertex at a time: ``extensions(D, x)`` gives every
+simplex whose last face is x, and ``simplex_levels`` grows the levels
+0..N from the objects of D by it.  This is the only simplex search.
 """
 
 from __future__ import annotations
@@ -59,130 +63,38 @@ class OrientedSimplex(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _search_plan(p: int):
-    """By position, per edge (j, k): the triangles (i, j, k), i < j, it
-    completes, as their position and those of (i, k) and (i, j); per
-    triangle (j, k, l): the tetrahedra (i, j, k, l) it completes, as the
-    positions of (k, l), (i, j, k), (i, k, l), (i, j) and (i, j, l)."""
-    L = layout(p)
-    ea, ta = L.edge_at, L.tri_at
-    return (tuple(tuple((ta[(i, j, k)], ea[(i, k)], ea[(i, j)])
-                        for i in range(j)) for j, k in L.pairs),
-            tuple(tuple((ea[(k, l)], ta[(i, j, k)], ta[(i, k, l)],
-                         ea[(i, j)], ta[(i, j, l)]) for i in range(j))
-                  for j, k, l in L.triples))
-
-
-def enumerate_simplices(D: TwoCategory, p: int,
-                        pinned_vertices: dict | None = None,
-                        pinned_edges: dict | None = None,
-                        pinned_triangles: dict | None = None):
-    """All p-simplices of the normal oplax nerve of D, in lexicographic
-    order of (vertices, edges, triangles), edges and triangles being keyed
-    in ``combinations`` order.
-
-    One depth-first search fills vertices, then edges, then triangles, and
-    cuts a branch as soon as it cannot be completed: a vertex pair without
-    an edge, a triangle (i, j, k) without a 2-cell once its last edge (j, k)
-    is placed, or a failed tetrahedron once its last triangle (j, k, l) is.
-    Only non-simplices are cut, so the order is that of the filtered
-    product of all choices.  The cells placed so far are two lists, E and
-    T, in the positions of ``layout(p)``; what each placed cell completes
-    is read off ``_search_plan(p)``, and candidates off ``D.homs``.
-
-    Cells can be pinned in advance (used when enumerating relative to a
-    fixed boundary part); a pinned cell admits itself if it lies in the
-    hom-set it would be drawn from, and nothing otherwise."""
-    L = layout(p)
-    tri_plan, tet_plan = _search_plan(p)
-    ne, nt = len(L.pairs), len(L.triples)
-    pv = [(pinned_vertices or {}).get(m) for m in range(p + 1)]
-    pe = [(pinned_edges or {}).get(k) for k in L.pairs]
-    pt = [(pinned_triangles or {}).get(k) for k in L.triples]
-    objects = sorted(D.objects)
-    hom1, hom2 = D.homs[0].get, D.homs[1].get
-    comp1, vcomp, whisk_l, whisk_r = D.comp1, D.vcomp, D.whisk_l, D.whisk_r
-    vs, vt, E, T = [], (), [None] * ne, [None] * nt
-    edge_choices, tri_choices = [()] * ne, [()] * nt
-    out = []
-
-    def fill_vertices(m):
-        nonlocal vt
-        if m > p:
-            vt = tuple(vs)    # shared by all simplices on these vertices
-            return fill_edges(0)
-        for v in objects if pv[m] is None else (pv[m],):
-            vs.append(v)
-            for l in range(m):
-                n = L.edge_at[(l, m)]
-                cands = hom1((vs[l], v), ())
-                if pe[n] is not None:
-                    cands = (pe[n],) if pe[n] in cands else ()
-                edge_choices[n] = cands
-                if not cands:
-                    break
-            else:
-                fill_vertices(m + 1)
-            vs.pop()
-
-    def fill_edges(n):
-        if n == ne:
-            return fill_triangles(0)
-        for e in edge_choices[n]:
-            E[n] = e
-            for m, ik, ij in tri_plan[n]:
-                cands = hom2((E[ik], comp1[(e, E[ij])]), ())
-                if pt[m] is not None:
-                    cands = (pt[m],) if pt[m] in cands else ()
-                tri_choices[m] = cands
-                if not cands:
-                    break
-            else:
-                fill_edges(n + 1)
-
-    def fill_triangles(n):
-        if n == nt:
-            out.append(OrientedSimplex(p, vt, tuple(E), tuple(T)))
-            return
-        for t in tri_choices[n]:
-            T[n] = t
-            # the pasting equality of each tetrahedron (i, j, k, l) that t
-            # completes, (k,l) * (i,j,k) . (i,k,l) == t * (i,j) . (i,j,l)
-            for kl, ijk, ikl, ij, ijl in tet_plan[n]:
-                if vcomp[(whisk_l[(E[kl], T[ijk])], T[ikl])] != \
-                        vcomp[(whisk_r[(t, E[ij])], T[ijl])]:
-                    break
-            else:
-                fill_triangles(n + 1)
-
-    fill_vertices(0)
-    # the fill functions reach each other through closure cells; unbinding
-    # them frees this call's lists without waiting for the cyclic GC
-    fill_vertices = fill_edges = fill_triangles = None
-    return out
-
-
-@lru_cache(maxsize=None)
 def _extension_plan(p: int):
     """The positions in layout(p) of a (p-1)-simplex's edges and triangles,
-    and, in placement order, the new edges (j, p) and triangles (i, j, p)
-    with what each completes, read off ``_search_plan(p)``."""
+    and, in placement order, the new cells with what each completes: per
+    edge (j, p), the triangles (i, j, p), i < j, as their position and
+    those of (i, p) and (i, j); per triangle (j, k, p), the tetrahedra
+    (i, j, k, p), i < j, as the positions of (k, p), (i, j, k), (i, k, p),
+    (i, j) and (i, j, p)."""
     L, L0 = layout(p), layout(p - 1)
-    tri_plan, tet_plan = _search_plan(p)
-    new_e = [L.edge_at[(j, p)] for j in range(p)]
-    new_t = [L.tri_at[(i, j, p)] for i, j in L0.pairs]
-    return ([L.edge_at[k] for k in L0.pairs],
-            [L.tri_at[k] for k in L0.triples],
-            tuple((n, tri_plan[n]) for n in new_e),
-            tuple((n, tet_plan[n]) for n in new_t))
+    ea, ta = L.edge_at, L.tri_at
+    return ([ea[k] for k in L0.pairs], [ta[k] for k in L0.triples],
+            tuple((ea[(j, p)], tuple((ta[(i, j, p)], ea[(i, p)], ea[(i, j)])
+                                     for i in range(j)))
+                  for j in range(p)),
+            tuple((ta[(j, k, p)], tuple((ea[(k, p)], ta[(i, j, k)],
+                                         ta[(i, k, p)], ea[(i, j)],
+                                         ta[(i, j, p)]) for i in range(j)))
+                  for j, k in L0.pairs))
 
 
 def extensions(D: TwoCategory, x: OrientedSimplex) -> list:
     """Every (x.dim+1)-simplex y of the nerve of D with d_last y = x, in
-    lexicographic order.  The search of ``enumerate_simplices`` restricted
-    to the new vertex p = x.dim + 1: it places p, the edges (j, p) and the
-    triangles (i, j, p), and checks the tetrahedra (i, j, k, p); x itself
-    is taken to be a simplex and is not re-checked."""
+    lexicographic order of (vertices, edges, triangles).
+
+    A depth-first search at the new vertex p = x.dim + 1 places p, then
+    the edges (j, p), then the triangles (i, j, p), and cuts a branch as
+    soon as it cannot be completed: a vertex without an edge from some
+    vertex of x, a triangle (i, j, p) without a 2-cell once its last edge
+    (j, p) is placed, or a failed tetrahedron (i, j, k, p) once its last
+    triangle (j, k, p) is.  The cells are two lists, E and T, in the
+    positions of ``layout(p)``; what each new cell completes is read off
+    ``_extension_plan(p)``, and candidates off ``D.homs``.  x itself is
+    taken to be a simplex and is not re-checked."""
     p = x.dim + 1
     old_e, old_t, edge_steps, tri_steps = _extension_plan(p)
     L = layout(p)
@@ -230,6 +142,22 @@ def extensions(D: TwoCategory, x: OrientedSimplex) -> list:
             fill_edges(0)
     fill_edges = fill_triangles = None    # free the closure cycle now
     return out
+
+
+def simplex_levels(D: TwoCategory, N: int) -> list:
+    """The p-simplices of the nerve of D for p = 0..N, each level a sorted
+    list: level 0 is the objects, and each later level the union of the
+    ``extensions`` of the level below."""
+    levels = [[OrientedSimplex(0, (v,), (), ()) for v in sorted(D.objects)]]
+    for _ in range(N):
+        levels.append(sorted(y for x in levels[-1] for y in extensions(D, x)))
+    return levels
+
+
+def enumerate_simplices(D: TwoCategory, p: int) -> list:
+    """All p-simplices of the nerve of D, in lexicographic order of
+    (vertices, edges, triangles): level p of ``simplex_levels``."""
+    return simplex_levels(D, p)[p]
 
 
 @lru_cache(maxsize=None)
@@ -299,8 +227,7 @@ class TruncSimplicialSet:
 
 
 def nerve(D: TwoCategory, N: int) -> TruncSimplicialSet:
-    levels = tuple(tuple(sorted(enumerate_simplices(D, n)))
-                   for n in range(N + 1))
+    levels = tuple(map(tuple, simplex_levels(D, N)))
     fmap = {}
     dmap = {}
     for n in range(1, N + 1):
@@ -365,12 +292,3 @@ def map_simplex(F: TwoFunctor, x: OrientedSimplex) -> OrientedSimplex:
         tuple(F.on_one[e] for e in x.edges),
         tuple(F.on_two[t] for t in x.triangles))
 
-
-def induced_map(F: TwoFunctor, N: int):
-    """The simplicial map nerve(F.source, N) -> nerve(F.target, N) as a
-    dict simplex -> simplex over all levels."""
-    out = {}
-    for n in range(N + 1):
-        for x in enumerate_simplices(F.source, n):
-            out[x] = map_simplex(F, x)
-    return out

@@ -41,7 +41,7 @@ from .fixtures import bang_functor, fix_t, nm
 from .homology import (homology_induced, in_relations, induced_iso,
                        iso_inverse, presentation_of)
 from .intlinalg import mmul
-from .nerve import induced_map, nerve
+from .nerve import nerve
 from .opfib import Counterexample
 from .pgm import (PGM, CommMonoid, PGMAction, has_faithful_translations,
                   is_two_groupoid, localize_presentation, pi0, pi0_monoid,
@@ -622,9 +622,8 @@ def grouplike_shadow(Q: PGM, trunc: int) -> bool:
     N = nerve(C, trunc)
     for o in C.objects:
         for F in (Q.lt(o), Q.rt(o)):
-            smap = induced_map(F, trunc)
             for n in range(trunc):
-                induced_iso(smap, N, N, n)
+                induced_iso(F, N, N, n)
     return True
 
 
@@ -920,14 +919,12 @@ def group_completion_check(P: PGM, act: PGMAction | None = None,
     comp = pi0(P.carrier)
     Xn = nerve(X, trunc)
     SXn = nerve(SX.cat, trunc)
-    i_map = induced_map(SX.include, trunc)
-    smaps = {s: induced_map(act.ml(s), trunc) for s in P.carrier.objects}
     report = GroupCompletionReport(M, trunc)
     for q in range(max_deg + 1):
         acts = {}
         pres = None
         for s in P.carrier.objects:
-            Ms, sq_s, _sq_t = homology_induced(smaps[s], Xn, Xn, q)
+            Ms, sq_s, _sq_t = homology_induced(act.ml(s), Xn, Xn, q)
             if pres is None:
                 pres = presentation_of(sq_s)
             r = comp[s]
@@ -941,7 +938,7 @@ def group_completion_check(P: PGM, act: PGMAction | None = None,
             else:
                 acts[r] = Ms
         stab = localize_presentation(pres, acts, M)
-        Mi, _sq_x, sq_sx = homology_induced(i_map, Xn, SXn, q)
+        Mi, _sq_x, sq_sx = homology_induced(SX.include, Xn, SXn, q)
         tgt_pres = presentation_of(sq_sx)
         ensure(in_relations(mmul(Mi, stab.rel_matrix()), tgt_pres),
                "inclusion does not factor through the localization", (q,))

@@ -48,8 +48,8 @@ from .fixtures import point_functor
 from .homology import (LocalCoeffSystem, homology_induced, homology_local,
                        homology_subquotient, induced_iso, presentation_of)
 from .nerve import (OrientedSimplex, TruncSimplicialSet, degeneracy,
-                    enumerate_simplices, extensions, face, induced_map,
-                    layout, map_simplex, nerve)
+                    enumerate_simplices, extensions, face, layout,
+                    map_simplex, nerve, simplex_levels)
 from ast import literal_eval
 
 from .orientals import materialize_oriental, path_id
@@ -141,17 +141,6 @@ def _block_cells(fom: OrientedSimplex, si: OrientedSimplex):
     return edges, tris
 
 
-def _pinned_delta(F: TwoFunctor, om: OrientedSimplex, si: OrientedSimplex):
-    """All admissible delta's for the pair (om, si): vertices, edges and
-    triangles inside the omega block and the sigma block are pinned; the
-    mixed cells are enumerated."""
-    fom = map_simplex(F, om)
-    pe, pt = _block_cells(fom, si)
-    return enumerate_simplices(F.target, om.dim + 1 + si.dim,
-                               dict(enumerate(fom.vertices + si.vertices)),
-                               pe, pt)
-
-
 @lru_cache(maxsize=None)
 def _delta_plan(m: int):
     """Gathers for a delta y with last vertex m, which extends its parent
@@ -200,10 +189,14 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
     d_i(parent) by N without vertex i, s_i delta extends s_i(parent) by N
     with vertex i repeated, and s_m delta extends delta itself.  Only the
     omegas and blocks have their operators computed as simplices, once
-    each; a cell's operator is then a pair of integers."""
+    each; a cell's operator is then a pair of integers.  The levels of C
+    and D are grown once each (``nerve.simplex_levels``): the omegas are
+    C's, sigma is looked up in D's, and a block that is no simplex of D
+    grows no delta."""
     C, D = F.source, F.target
     id1, id2 = D.id1, D.id2
-    oms = [sorted(enumerate_simplices(C, q)) for q in range(Q + 1)]
+    oms, d_levels = simplex_levels(C, Q), simplex_levels(D, max(P, Q))
+    d_at = [{s: n for n, s in enumerate(lev)} for lev in d_levels]
     om_at = [{x: k for k, x in enumerate(lev)} for lev in oms]
     om_face = [[[om_at[q - 1].get(face(C, x, i)) for x in oms[q]]
                 for i in range(q + 1)] if q else [] for q in range(Q + 1)]
@@ -228,10 +221,8 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
         ddeg[(-1, q)] = [[block_at[q + 1].get(degeneracy(D, b, i))
                           for b in blocks]
                          for i in range(q + 1)] if q < Q else []
-    levels, sigmas = {}, []
+    levels = {}
     for p in range(P + 1):
-        sigmas.append(enumerate_simplices(D, p))
-        sig_at = {s: n for n, s in enumerate(sigmas[p])}
         for q in range(Q + 1):
             m = q + 1 + p
             new_e, new_t = _delta_plan(m)[:2]
@@ -240,17 +231,14 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
             up = simp[(p - 1, q)]
             for a, x in enumerate(up):
                 # a block that F does not map to a simplex has no deltas
-                if p == 0 and not enumerate_simplices(
-                        D, q, dict(enumerate(x.vertices)),
-                        dict(zip(layout(q).pairs, x.edges)),
-                        dict(zip(layout(q).triples, x.triangles))):
+                if p == 0 and x not in d_at[q]:
                     continue
                 for y in extensions(D, x):
                     e, t = y.edges, y.triangles
                     si = OrientedSimplex(p, y.vertices[q + 1:],
                                          tuple([e[k] for k in tail_e]),
                                          tuple([t[k] for k in tail_t]))
-                    if si not in sig_at:
+                    if si not in d_at[p]:
                         raise AxiomError("delta %r ends outside the "
                                          "%d-simplices of the target" % (y, p))
                     N = ((y.vertices[m],) + tuple([e[k] for k in new_e])
@@ -259,7 +247,7 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
                     xs.append(y)
                     par.append(a)
                     rt.append(root[(p - 1, q)][a])
-                    sp.append(sig_at[si])
+                    sp.append(d_at[p][si])
                     Xs.append(N + (id1[N[0]],)
                               + tuple([id2[c] for c in N[1:m + 1]]))
             simp[(p, q)], parent[(p, q)], root[(p, q)] = xs, par, rt
@@ -306,7 +294,7 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
                 st.append(len(pq))
                 pq.extend((o, d) for d in members[b])
             start[(p, q)], rank[(p, q)], pairs[(p, q)] = st, rk, pq
-            sig = sigmas[p]
+            sig = d_levels[p]
             levels[(p, q)] = tuple(
                 Bisimplex(oms[q][o], xs[d], sig[sig_of[(p, q)][d]])
                 for o, d in pq)
@@ -606,13 +594,15 @@ def _assemble_join(F: TwoFunctor, comma, Y: OrientedSimplex,
 def filtration_check_p(F: TwoFunctor, si: OrientedSimplex, q: int) -> bool:
     """At fixed sigma, the vertical q-cells of B(F) over sigma are in
     face/degeneracy-preserving bijection with the q-simplices of the nerve
-    of the comma object of F over the diagram classified by sigma."""
+    of the comma object of F over the diagram classified by sigma; the
+    cells over sigma are read off ``build_B(F, sigma.dim, q)``."""
     C, D = F.source, F.target
     L = laco_diagram(F, simplex_functor(D, si))
-    Ys = enumerate_simplices(L.cat, q)
+    Yl = simplex_levels(L.cat, q)
+    Ys = Yl[q]
     assembled = {Y: _assemble_join(F, L, Y, si, True) for Y in Ys}
-    target = {Bisimplex(om, de, si) for om in enumerate_simplices(C, q)
-              for de in _pinned_delta(F, om, si)}
+    target = {x for x in build_B(F, si.dim, q).levels[(si.dim, q)]
+              if x.si == si}
     if len(set(assembled.values())) != len(Ys):
         return False
     if set(assembled.values()) != target:
@@ -623,7 +613,7 @@ def filtration_check_p(F: TwoFunctor, si: OrientedSimplex, q: int) -> bool:
                 got = _assemble_join(F, L, face(L.cat, Y, i), si, True)
                 if got != Bisimplex(face(C, x.om, i), face(D, x.de, i), si):
                     return False
-        for Y in enumerate_simplices(L.cat, q - 1):
+        for Y in Yl[q - 1]:
             x = _assemble_join(F, L, Y, si, True)
             for i in range(q):
                 got = _assemble_join(F, L, degeneracy(L.cat, Y, i), si, True)
@@ -636,14 +626,16 @@ def filtration_check_p(F: TwoFunctor, si: OrientedSimplex, q: int) -> bool:
 def filtration_check_q(F: TwoFunctor, om: OrientedSimplex, p: int) -> bool:
     """At fixed omega, the horizontal p-cells of B(F) under omega are in
     face/degeneracy-preserving bijection with the p-simplices of the
-    nerve of the codiagram comma object under F(omega)."""
+    nerve of the codiagram comma object under F(omega); the cells under
+    omega are read off ``build_B(F, p, omega.dim)``."""
     C, D = F.source, F.target
     W = compose_functors(F, simplex_functor(C, om))
     R = oplaco_codiagram(W)
-    Ys = enumerate_simplices(R.cat, p)
+    Yl = simplex_levels(R.cat, p)
+    Ys = Yl[p]
     assembled = {Y: _assemble_join(F, R, Y, om, False) for Y in Ys}
-    target = {Bisimplex(om, de, si) for si in enumerate_simplices(D, p)
-              for de in _pinned_delta(F, om, si)}
+    target = {x for x in build_B(F, p, om.dim).levels[(p, om.dim)]
+              if x.om == om}
     if len(set(assembled.values())) != len(Ys):
         return False
     if set(assembled.values()) != target:
@@ -656,7 +648,7 @@ def filtration_check_q(F: TwoFunctor, om: OrientedSimplex, p: int) -> bool:
                 if got != Bisimplex(om, face(D, x.de, q1 + i),
                                     face(D, x.si, i)):
                     return False
-        for Y in enumerate_simplices(R.cat, p - 1):
+        for Y in Yl[p - 1]:
             x = _assemble_join(F, R, Y, om, False)
             for i in range(p):
                 got = _assemble_join(F, R, degeneracy(R.cat, Y, i), om, False)
@@ -762,7 +754,7 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
             inc = _fiber_to_comma(F, x, fib, Lx)
             XL = nerve(Lx.cat, q + 1)
             try:
-                _, inv = induced_iso(induced_map(inc, q + 1), Xf, XL, q)
+                _, inv = induced_iso(inc, Xf, XL, q)
             except AxiomError as e:
                 raise AxiomError("fiber inclusion at %r is not a homology "
                                  "isomorphism: %s" % (x, e)) from None
@@ -789,8 +781,7 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
             _, ey, _, _, _ = lp_initial_d_e(F, Gy, w0, Lpt=Ly, Ldia=Ly_dia)
             route = compose_functors(
                 ey, compose_functors(restrict, compose_functors(d, inc_x)))
-            Mr, _, _ = homology_induced(induced_map(route, q + 1),
-                                        Xfx, XLy, q)
+            Mr, _, _ = homology_induced(route, Xfx, XLy, q)
             M = il.mmul(inv_y, Mr)
             orders = object_data(y)[2].orders
             edge_matrix[f] = [[v % t if t else v for v in row]

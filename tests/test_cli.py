@@ -362,6 +362,38 @@ def test_corrupted_top_of_nerve_is_an_axiom_failure(tmp_path, flags):
             "boundary squared is nonzero in degree 5"]
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_tampered_degenerate_flag_is_an_axiom_failure(tmp_path, run, flags):
+    # the only nondegenerate 2-simplex of G2 flagged degenerate drops the
+    # Z/2 of H_2, so the flags are checked against the degeneracy table
+    out = str(tmp_path / "n.json")
+    code, _ = run(["nerve", "--input", g2_file(tmp_path), "--max-dim", 4,
+                   "--out", out])
+    assert code == 0
+    with open(out) as fh:
+        d = json.load(fh)
+    flag = dict(d["degenerate"])
+    x, = [x for x in d["levels"][2] if not flag[x]]
+    tampered = dict(d, degenerate=[[y, v or y == x] for y, v in
+                                   d["degenerate"]])
+    missing = dict(d, degenerate=[row for row in d["degenerate"]
+                                  if row[0] != x])
+    with pytest.raises(AxiomError, match="has no degenerate flag"):
+        tio.trunc_sset_from_dict(missing)
+    p = write(tmp_path, "tampered.json", tampered)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "twocat.cli", "homology",
+         "--nerve", p, "--deg", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["counterexample"]["clause"] == "axiom-failure"
+    assert rep["counterexample"]["detail"] == [
+        "degenerate flag of %s disagrees with the degeneracy table" % x]
+
+
 @pytest.mark.parametrize("corrupt", [corrupted_nerve_file,
                                      corrupted_top_nerve_file],
                          ids=["low", "top"])

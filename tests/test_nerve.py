@@ -76,10 +76,22 @@ def test_g2_simplex_counts():
     assert len(nv.enumerate_simplices(D, 3)) == 8
 
 
+def has_pins(x, pinned_vertices, pinned_edges, pinned_triangles):
+    """Whether the simplex x holds every pinned cell, pins keyed as in the
+    oracles below."""
+    return (all(x.vertices[m] == v for m, v in pinned_vertices.items())
+            and all(x.edge(*k) == e for k, e in pinned_edges.items())
+            and all(x.triangle(*k) == t for k, t in pinned_triangles.items()))
+
+
 def test_pinned_enumeration():
+    # the pinned oracles give the simplices of the search that hold the pin
     D = fix_g2()
-    xs = nv.enumerate_simplices(D, 2, pinned_triangles={(0, 1, 2): "e1"})
+    pins = ({}, {}, {(0, 1, 2): "e1"})
+    xs = [x for x in nv.enumerate_simplices(D, 2) if has_pins(x, *pins)]
     assert len(xs) == 1 and xs[0].triangle(0, 1, 2) == "e1"
+    assert xs == dict_keyed_search(D, 2, *pins) == \
+        product_then_filter(D, 2, *pins)
 
 
 def tetrahedron_ok(D, edges, tris, i, j, k, l):
@@ -246,6 +258,29 @@ def product_then_filter(D, p, pinned_vertices=None, pinned_edges=None,
     return out
 
 
+def delta_pins(F, om, si):
+    """The dimension and pins of a delta of B(F) over the pair (om, si): the
+    block F(om) on the first om.dim + 1 vertices and si on the last
+    si.dim + 1."""
+    blocks = ((0, [F.on_objects[v] for v in om.vertices],
+               [F.on_one[e] for e in om.edges],
+               [F.on_two[t] for t in om.triangles]),
+              (om.dim + 1, si.vertices, si.edges, si.triangles))
+    pv, pe, pt = {}, {}, {}
+    for o, vs, es, ts in blocks:
+        ks = range(o, o + len(vs))
+        pv.update(zip(ks, vs))
+        pe.update(zip(combinations(ks, 2), es))
+        pt.update(zip(combinations(ks, 3), ts))
+    return om.dim + 1 + si.dim, pv, pe, pt
+
+
+def pinned_deltas(F, om, si):
+    """Oracle for the deltas of B(F) over the pair (om, si): the dict-keyed
+    search with both blocks pinned."""
+    return dict_keyed_search(F.target, *delta_pins(F, om, si))
+
+
 FIXTURES = sorted(n for n in dir(fixtures) if n.startswith("fix_"))
 
 
@@ -279,41 +314,15 @@ def test_pruned_search_matches_oracle_on_completions(make):
 
 
 def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
-    # every enumeration that build_B makes for rho-c2, with the F(omega)
-    # block pinned, and every one that _pinned_delta makes for the pairs
-    # (omega, sigma) of B(2, 2), with both blocks pinned
+    # every delta of B(rho-c2) at 2 x 2 and 3 x 3, pair by pair (omega,
+    # sigma), against the dict-keyed search with both blocks pinned, and at
+    # 2 x 2 against the product oracle too (too slow for 7-simplices); and
+    # every extension that build_B makes there against the dict-keyed
+    # search with all of its simplex pinned
     P = pgm.fix_c2_pgm()
     F = sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
                             sinv.s_inv_point(P))
-    pinned = []
-
-    def checked(D, p, *pins):
-        xs = nv.enumerate_simplices(D, p, *pins)
-        assert xs == product_then_filter(D, p, *pins)
-        pinned.append(bool(pins) and bool(xs))
-        return xs
-
-    monkeypatch.setattr(specseq, "enumerate_simplices", checked)
-    B = specseq.build_B(F, 2, 2)
-    for (p, q), cells in B.levels.items():
-        assert {(x.om, x.si) for x in cells} <= \
-            {(om, si) for om in nv.enumerate_simplices(F.source, q)
-             for si in nv.enumerate_simplices(F.target, p)}
-        for om in nv.enumerate_simplices(F.source, q):
-            for si in nv.enumerate_simplices(F.target, p):
-                assert specseq._pinned_delta(F, om, si) == \
-                    [x.de for x in cells if (x.om, x.si) == (om, si)]
-    assert sum(pinned) > 100
-    # every enumeration and extension that build_B makes at 3 x 3, against
-    # the dict-keyed search (the product oracle is too slow for 7-simplices);
-    # an extension of x is the search with all of x pinned
-    deep, grown = [], []
-
-    def checked_deep(D, p, *pins):
-        xs = nv.enumerate_simplices(D, p, *pins)
-        assert xs == dict_keyed_search(D, p, *pins)
-        deep.append(bool(pins) and bool(xs))
-        return xs
+    grown = []
 
     def checked_extensions(D, x):
         ys = nv.extensions(D, x)
@@ -324,14 +333,29 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
         grown.append(len(ys))
         return ys
 
-    monkeypatch.setattr(specseq, "enumerate_simplices", checked_deep)
     monkeypatch.setattr(specseq, "extensions", checked_extensions)
-    B = specseq.build_B(F, 3, 3)
-    # one pinned check per F(omega) block, and one extension per block and
-    # per delta below the top p, growing every delta of B(3, 3)
-    assert sum(deep) == 30
-    assert sum(grown) == sum(len({x.de for x in cells})
-                             for cells in B.levels.values())
+    for N in (2, 3):
+        grown.clear()
+        B = specseq.build_B(F, N, N)
+        oms = nv.simplex_levels(F.source, N)
+        sis = nv.simplex_levels(F.target, N)
+        pairs = 0
+        for (p, q), cells in B.levels.items():
+            seen = 0
+            for om in oms[q]:
+                for si in sis[p]:
+                    des = [x.de for x in cells if (x.om, x.si) == (om, si)]
+                    pins = delta_pins(F, om, si)
+                    assert des == dict_keyed_search(F.target, *pins)
+                    if N == 2:
+                        assert des == product_then_filter(F.target, *pins)
+                    seen += len(des)
+                    pairs += bool(des)
+            assert seen == len(cells)
+        assert pairs > 100
+        # one extension per F(omega) block and per delta below the top p
+        assert sum(grown) == sum(len({x.de for x in cells})
+                                 for cells in B.levels.values())
 
 
 @pytest.mark.parametrize("make", [fix_t, fix_c2, fix_m2, fix_i, fix_g2,
@@ -354,12 +378,18 @@ def test_extensions_grow_each_level_from_the_one_below(make):
 
 def test_pin_that_does_not_fit_gives_nothing():
     I = fix_i()
+
+    def pinned(p, *pins):
+        xs = [x for x in nv.enumerate_simplices(I, p) if has_pins(x, *pins)]
+        assert xs == product_then_filter(I, p, *pins) == \
+            dict_keyed_search(I, p, *pins)
+        return xs
+
     # a01: 0 -> 1 fits the vertices (0, 1); the identity of 0 does not
-    assert len(nv.enumerate_simplices(I, 1, {}, {(0, 1): "a01"})) == 1
+    assert len(pinned(1, {}, {(0, 1): "a01"}, {})) == 1
     # a01 pinned at the last edge (1, 2) of a 2-simplex fits too
-    xs = nv.enumerate_simplices(I, 2, {}, {(1, 2): "a01"})
+    xs = pinned(2, {}, {(1, 2): "a01"}, {})
     assert [x.edge(1, 2) for x in xs] == ["a01"]
-    assert xs == product_then_filter(I, 2, {}, {(1, 2): "a01"})
     # the last two cases pin a cell at the last position: the edge (1, 2)
     # must start where a01 ends, and the triangle (1, 2, 3) has source
     # x_(1,3), which ends at vertex 3 = "1", not id_0
@@ -368,9 +398,7 @@ def test_pin_that_does_not_fit_gives_nothing():
              (2, {}, {(0, 1): "a01", (1, 2): "id_0"}, {}),
              (3, {3: "1"}, {}, {(1, 2, 3): "ii_id_0"})]
     for p, *pins in cases:
-        assert nv.enumerate_simplices(I, p, *pins) == []
-        assert product_then_filter(I, p, *pins) == []
-        assert dict_keyed_search(I, p, *pins) == []
+        assert pinned(p, *pins) == []
 
 
 # --- face and degeneracy gathers against the dict-keyed maps ----------------
@@ -551,10 +579,12 @@ def test_face_and_degeneracy_reject_bad_indices():
 def test_induced_simplicial_map():
     D = fix_g2()
     F = bang_functor(D)
-    m = nv.induced_map(F, 3)
     XT = nv.nerve(fix_t(), 3)
-    for x, y in m.items():
-        assert y in XT.levels[y.dim]
-        if x.dim >= 1:
-            for i in range(x.dim + 1):
-                assert nv.face(fix_t(), y, i) == m[nv.face(D, x, i)]
+    for lev in nv.nerve(D, 3).levels:
+        for x in lev:
+            y = nv.map_simplex(F, x)
+            assert y in XT.levels[y.dim]
+            if x.dim >= 1:
+                for i in range(x.dim + 1):
+                    assert nv.face(fix_t(), y, i) == \
+                        nv.map_simplex(F, nv.face(D, x, i))

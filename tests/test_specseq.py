@@ -14,10 +14,10 @@ from twocat.core import (AxiomError, TwoFunctor, compose_functors,
                          identity_functor)
 from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
                              locally_discrete, point_functor)
-from twocat.nerve import (degeneracy, enumerate_simplices, face,
-                          induced_map, nerve)
+from twocat.nerve import degeneracy, enumerate_simplices, face, nerve
 
 from test_homology import is_morphism_inverting
+from test_nerve import pinned_deltas
 
 
 def pr2_c2():
@@ -116,13 +116,15 @@ def test_build_B_rejects_a_delta_whose_sigma_is_missing(monkeypatch):
     # a search that loses the 1-simplex id_0 of the target leaves the
     # all-identity delta over the vertex 0 without its sigma
     F = identity_functor(fix_i())
-    real = ss.enumerate_simplices
+    real = ss.simplex_levels
 
-    def lossy(D, p, *pins):
-        xs = real(D, p, *pins)
-        return xs[1:] if p == 1 and not pins else xs
+    def lossy(D, N):
+        levels = real(D, N)
+        if N >= 1:
+            levels[1] = levels[1][1:]
+        return levels
 
-    monkeypatch.setattr(ss, "enumerate_simplices", lossy)
+    monkeypatch.setattr(ss, "simplex_levels", lossy)
     with pytest.raises(AxiomError, match="ends outside the 1-simplices"):
         ss.build_B(F, 1, 0)
 
@@ -131,7 +133,8 @@ def test_build_B_rejects_a_delta_whose_sigma_is_missing(monkeypatch):
 
 def oracle_build_B(F, P, Q):
     """B(F) as first written: one pinned search per pair (omega, sigma),
-    and operators as dicts (i, cell) -> cell."""
+    here the dict-keyed oracle search, and operators as dicts
+    (i, cell) -> cell."""
     C, D = F.source, F.target
     omegas = {q: enumerate_simplices(C, q) for q in range(Q + 1)}
     sigmas = {p: enumerate_simplices(D, p) for p in range(P + 1)}
@@ -142,7 +145,7 @@ def oracle_build_B(F, P, Q):
             cells = []
             for om in omegas[q]:
                 for si in sigmas[p]:
-                    for de in ss._pinned_delta(F, om, si):
+                    for de in pinned_deltas(F, om, si):
                         cells.append(ss.Bisimplex(om, de, si))
             levels[(p, q)] = tuple(sorted(cells))
             for x in levels[(p, q)]:
@@ -503,9 +506,9 @@ def test_comparison_of_non_opfibration_is_not_a_homology_iso():
     P = discrete_pair()
     G = point_functor(fix_i(), "1")
     PB, L = pullback(P, G), laco(P, G)
-    smap = induced_map(comma_inclusion(PB, L, P, G), 1)
+    inc = comma_inclusion(PB, L, P, G)
     with pytest.raises(AxiomError, match=r"H_0 map Z -> Z \+ Z "):
-        hm.induced_iso(smap, nerve(PB.cat, 1), nerve(L.cat, 1), 0)
+        hm.induced_iso(inc, nerve(PB.cat, 1), nerve(L.cat, 1), 0)
 
 
 def test_fiber_system_rejects_non_iso_fiber_inclusion():
@@ -535,8 +538,8 @@ def test_transition_matrix_is_base_change():
         bc = compose_functors(base_change(pr2, f, Lx, Ly), incx)
         Xfx, Xfy = nerve(fibx, q + 1), nerve(fiby, q + 1)
         XLy = nerve(Ly.cat, q + 1)
-        Mbc, _, _ = hm.homology_induced(induced_map(bc, q + 1), Xfx, XLy, q)
-        _, inv = hm.induced_iso(induced_map(incy, q + 1), Xfy, XLy, q)
+        Mbc, _, _ = hm.homology_induced(bc, Xfx, XLy, q)
+        _, inv = hm.induced_iso(incy, Xfy, XLy, q)
         orders = hm.homology_subquotient(Xfy, q)[0].orders
         M = [[v % t if t else v for v in row]
              for row, t in zip(il.mmul(inv, Mbc), orders)]
