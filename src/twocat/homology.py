@@ -10,22 +10,17 @@ its generators: a finitely presented abelian group per simplex and a matrix
 per face map; the twisted boundary multiplies each face summand by the
 corresponding matrix.
 
-``chain_complex`` stores each boundary d_n sparse, one column per
-nondegenerate n-simplex (a tuple of (row, coefficient) pairs, nonzero only,
-in increasing row order), and checks d^2 = 0 in every degree by composing
-columns; ``ChainComplexZ.matrix(n)`` gives d_n dense.
-
-Entry points that need only the group are ``homology`` and, through
-``intlinalg.cokernel``, ``PresentedGroup.canonical``; they read invariant
-factors of sparse columns from ``intlinalg.invariant_factors`` and keep no
-transforms.  Entry points that carry coordinates are
-``homology_subquotient``, ``homology_induced`` and the local-coefficient
-functions; they reduce to ``intlinalg.chain_homology`` on dense matrices,
-the homology at one spot of a complex of presented groups, as do the
-spectral-sequence pages.  Whether columns lie in the relations of a
-presented group (``in_relations``) and whether a map of presented groups
-is an isomorphism (``iso_inverse``, and ``induced_iso`` on H_n) are
-decided here only.
+Chain complexes and chain maps are sparse columns
+(``intlinalg.sparse_columns``).  ``boundary_columns`` builds every
+normalized boundary: the nerve's (``chain_complex``, which checks d^2 = 0,
+nerve files being untrusted) and those of the spectral-sequence pages and
+totalization.  ``homology`` gives the group only
+(``intlinalg.free_homology``); ``homology_subquotient``,
+``homology_induced`` and the local-coefficient functions carry
+coordinates (``intlinalg.chain_homology``, ``induced_matrix``).  Whether
+columns lie in the relations of a presented group (``in_relations``) and
+whether a map of presented groups is an isomorphism (``iso_inverse``, and
+``induced_iso`` on H_n) are decided here only.
 """
 
 from __future__ import annotations
@@ -34,11 +29,28 @@ from dataclasses import dataclass, field
 
 from .core import AxiomError, TwoFunctor
 from .intlinalg import (FGAbGroup, Subquotient, chain_homology, cokernel,
-                        columns, from_columns, hstack, induced_matrix,
-                        invariant_factors, mid, mmul, mshape, mzeros,
+                        columns, free_homology, from_columns, hstack,
+                        induced_matrix, mid, mmul, mshape, mzeros,
                         order_relations, smith_normal_form, solve,
                         sparse_columns)
 from .nerve import TruncSimplicialSet, map_simplex
+
+
+def boundary_columns(faces, row) -> list:
+    """sum_i (-1)^i e_(d_i x) as a sparse column for each source cell x, given
+    by its faces (d_0 x, ..., d_n x).  row maps each cell of the target
+    level to its basis row, or to None (a degenerate cell, whose faces are
+    dropped); a cell it lacks raises KeyError or IndexError."""
+    cols = []
+    for fs in faces:
+        col, sign = {}, 1
+        for y in fs:
+            r = row[y]
+            if r is not None:
+                col[r] = col.get(r, 0) + sign
+            sign = -sign
+        cols.append(tuple(sorted((r, v) for r, v in col.items() if v)))
+    return cols
 
 
 @dataclass
@@ -50,30 +62,19 @@ class ChainComplexZ:
     def rank(self, n):
         return len(self.basis[n])
 
-    def matrix(self, n):
-        """d_n : C_n -> C_{n-1} as a dense matrix (n >= 1)."""
-        M = mzeros(self.rank(n - 1), self.rank(n))
-        for j, col in enumerate(self.boundary[n]):
-            for i, v in col:
-                M[i][j] = v
-        return M
-
 
 def chain_complex(X: TruncSimplicialSet) -> ChainComplexZ:
     basis = [X.nondegenerate(n) for n in range(X.N + 1)]
-    index = [{x: i for i, x in enumerate(b)} for b in basis]
+    # a degenerate face drops out; any other face must lie in the basis
+    # below (a KeyError otherwise, as the file is malformed)
+    row = dict.fromkeys(y for y, d in X.degenerate.items() if d)
     boundary = [None]
     for n in range(1, X.N + 1):
-        cols = []
-        for x in basis[n]:
-            col = {}
-            for i in range(n + 1):
-                y = X.face[(i, x)]
-                if not X.degenerate[y]:
-                    r = index[n - 1][y]
-                    col[r] = col.get(r, 0) + (-1) ** i
-            cols.append(tuple(sorted((r, v) for r, v in col.items() if v)))
-        boundary.append(cols)
+        row.update((y, r) for r, y in enumerate(basis[n - 1]))
+        boundary.append(boundary_columns(
+            ([X.face[(i, x)] for i in range(n + 1)] for x in basis[n]), row))
+        for y in basis[n - 1]:
+            del row[y]
     for n in range(2, X.N + 1):
         below = boundary[n - 1]
         for col in boundary[n]:
@@ -97,7 +98,8 @@ def homology_subquotient(X: TruncSimplicialSet, n: int):
     """(Subquotient, basis of nondegenerate n-simplices)."""
     _check_degree(X, n)
     C = chain_complex(X)
-    return (chain_homology(C.matrix(n) if n else None, C.matrix(n + 1)),
+    return (chain_homology(C.boundary[n] if n else (), C.boundary[n + 1],
+                           C.rank(n), C.rank(n - 1) if n else 0),
             C.basis[n])
 
 
@@ -107,9 +109,8 @@ def homology(X: TruncSimplicialSet, n: int) -> FGAbGroup:
     with coordinates."""
     _check_degree(X, n)
     C = chain_complex(X)
-    rank_in = len(invariant_factors(C.boundary[n])) if n else 0
-    H = cokernel(C.boundary[n + 1], C.rank(n))
-    return FGAbGroup(H.free_rank - rank_in, H.torsion)
+    return free_homology(C.boundary[n] if n else (), C.boundary[n + 1],
+                         C.rank(n))
 
 
 def homology_induced(F: TwoFunctor, Xs: TruncSimplicialSet,
@@ -121,11 +122,8 @@ def homology_induced(F: TwoFunctor, Xs: TruncSimplicialSet,
     sq_s, basis_s = homology_subquotient(Xs, n)
     sq_t, basis_t = homology_subquotient(Xt, n)
     idx_t = {x: i for i, x in enumerate(basis_t)}
-    M = mzeros(len(basis_t), len(basis_s))
-    for j, x in enumerate(basis_s):
-        y = map_simplex(F, x)
-        if not Xt.degenerate[y]:
-            M[idx_t[y]][j] += 1
+    M = [() if Xt.degenerate[y] else ((idx_t[y], 1),)
+         for y in (map_simplex(F, x) for x in basis_s)]
     return induced_matrix(sq_s, sq_t, M), sq_s, sq_t
 
 
@@ -214,8 +212,30 @@ def induced_iso(F: TwoFunctor, Xs: TruncSimplicialSet,
 
 
 def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
-    """Functoriality on face generators and preservation of relations;
-    raises AxiomError at the first violation."""
+    """Shapes first: a group for every simplex, with gens rows of
+    relations, and a face map (i, x) of shape gens(d_i x) x gens(x) for
+    every simplex x of positive dimension.  Then preservation of relations
+    and functoriality on face generators.  AxiomError at the first
+    violation."""
+    def misshapen(M, rows, cols):
+        return list(map(len, M)) != [cols] * rows
+
+    for lev in X.levels:
+        for x in lev:
+            if x not in L.group:
+                raise AxiomError("simplex %r has no coefficient group" % (x,))
+            g = L.group[x]
+            if g.rels and misshapen(g.rels, g.gens, len(g.rels[0])):
+                raise AxiomError("relations of the group at %r are not a "
+                                 "matrix with %d rows" % (x, g.gens))
+    for n in range(1, X.N + 1):
+        for x in X.levels[n]:
+            for i in range(n + 1):
+                M = L.face_map.get((i, x))
+                rows, cols = L.group[X.face[(i, x)]].gens, L.group[x].gens
+                if M is None or misshapen(M, rows, cols):
+                    raise AxiomError("face map (%d, %r) is not a %d x %d "
+                                     "matrix" % (i, x, rows, cols))
     for n in range(1, X.N + 1):
         for x in X.levels[n]:
             for i in range(n + 1):
@@ -243,6 +263,8 @@ def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
 
 
 def _local_complex(L: LocalCoeffSystem, X: TruncSimplicialSet):
+    """Per degree n, the relation columns and the twisted boundary d_n
+    (None for n = 0) as sparse columns, and the number of generators."""
     basis = [X.nondegenerate(n) for n in range(X.N + 1)]
     offs = []
     tot = []
@@ -254,42 +276,36 @@ def _local_complex(L: LocalCoeffSystem, X: TruncSimplicialSet):
             t += L.group[x].gens
         offs.append(o)
         tot.append(t)
-    rels = []
-    for n, b in enumerate(basis):
-        cols = []
-        for x in b:
-            for col in columns(L.group[x].rel_matrix()):
-                full = [0] * tot[n]
-                for k, v in enumerate(col):
-                    full[offs[n][x] + k] = v
-                cols.append(full)
-        rels.append(from_columns(cols, nrows=tot[n]))
+    rels = [[tuple((offs[n][x] + k, v) for k, v in col)
+             for x in b for col in sparse_columns(L.group[x].rel_matrix())]
+            for n, b in enumerate(basis)]
     bnds = [None]
     for n in range(1, X.N + 1):
-        M = mzeros(tot[n - 1], tot[n])
+        cols = []
         for x in basis[n]:
+            faces = []          # sign, matrix, first row, rows of each face
             for i in range(n + 1):
                 y = X.face[(i, x)]
-                if X.degenerate[y]:
-                    continue
-                Fm = L.face_map[(i, x)]
-                sgn = (-1) ** i
-                for r in range(L.group[y].gens):
-                    for c in range(L.group[x].gens):
-                        M[offs[n - 1][y] + r][offs[n][x] + c] += sgn * Fm[r][c]
-        bnds.append(M)
-    return rels, bnds
-
-
-def homology_local_subquotient(X: TruncSimplicialSet, L: LocalCoeffSystem,
-                               n: int):
-    _check_degree(X, n)
-    check_local_system(L, X)
-    rels, bnds = _local_complex(L, X)
-    return chain_homology(bnds[n], bnds[n + 1], rels[n],
-                          rels[n - 1] if n else None)
+                if not X.degenerate[y]:
+                    faces.append(((-1) ** i, L.face_map[(i, x)],
+                                  offs[n - 1][y], L.group[y].gens))
+            for c in range(L.group[x].gens):
+                col = {}
+                for sign, M, o, g in faces:
+                    for r in range(g):
+                        if M[r][c]:
+                            col[o + r] = col.get(o + r, 0) + sign * M[r][c]
+                cols.append(tuple(sorted((r, v) for r, v in col.items()
+                                         if v)))
+        bnds.append(cols)
+    return rels, bnds, tot
 
 
 def homology_local(X: TruncSimplicialSet, L: LocalCoeffSystem,
                    n: int) -> FGAbGroup:
-    return homology_local_subquotient(X, L, n).group
+    _check_degree(X, n)
+    check_local_system(L, X)
+    rels, bnds, tot = _local_complex(L, X)
+    return chain_homology(bnds[n] if n else (), bnds[n + 1], tot[n],
+                          tot[n - 1] if n else 0, rels[n],
+                          rels[n - 1] if n else ()).group

@@ -2,11 +2,13 @@
 transforms, invariant factors without transforms, integer kernels, lattice
 spans, and subquotient presentations.
 
-Matrices are lists of lists of Python ints (arbitrary precision); a matrix
-with r rows and c columns maps Z^c -> Z^r.  The group-only routines
-``invariant_factors`` and ``cokernel`` take a matrix as sparse columns
-instead (``sparse_columns``): per column a tuple of (row, value) pairs,
-nonzero entries only, in increasing row order.  All functions are pure.
+Chain complexes and chain maps are sparse columns (``sparse_columns``): per
+column a tuple of (row, value) pairs, nonzero entries only, in increasing
+row order.  ``free_homology`` gives a group only, from invariant factors;
+``chain_homology`` and ``induced_matrix`` carry coordinates, and densify
+the columns here for the Smith normal form.  Dense matrices, lists of
+lists of Python ints (r rows, c columns: Z^c -> Z^r), are also the maps
+between presented groups.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -189,34 +191,6 @@ def smith_normal_form(M) -> SNF:
     return SNF(S, A, T, Sinv)
 
 
-def determinantal_divisors(M):
-    """gcd of all k x k minors, for k = 1..min(r,c); the k-th invariant
-    factor is g_k / g_{k-1}.  Exponential-time reference implementation."""
-    from itertools import combinations
-    from math import gcd
-    r, c = mshape(M)
-    out = []
-    for k in range(1, min(r, c) + 1):
-        g = 0
-        for rows in combinations(range(r), k):
-            for cols in combinations(range(c), k):
-                g = gcd(g, _det([[M[i][j] for j in cols] for i in rows]))
-        out.append(g)
-    return out
-
-
-def _det(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = 0
-    for j in range(n):
-        if M[0][j]:
-            minor = [row[:j] + row[j + 1:] for row in M[1:]]
-            total += (-1) ** j * M[0][j] * _det(minor)
-    return total
-
-
 def kernel_basis(M):
     """Columns forming a basis of the integer kernel of M (a primitive
     sublattice basis)."""
@@ -341,6 +315,15 @@ def cokernel(cols, nrows: int) -> FGAbGroup:
     return FGAbGroup(nrows - len(factors), tuple(d for d in factors if d >= 2))
 
 
+def free_homology(d_in, d_out, g: int) -> FGAbGroup:
+    """The homology at Z^g of free groups ... -d_out-> Z^g -d_in-> ..., as a
+    group only, from sparse columns (d_in empty at the bottom): Z^(g -
+    rank d_in - rank d_out) plus the torsion of d_out."""
+    rank_in = len(invariant_factors(d_in)) if d_in else 0
+    H = cokernel(d_out, g)
+    return FGAbGroup(H.free_rank - rank_in, H.torsion)
+
+
 @dataclass
 class Subquotient:
     """L_cycles / L_boundaries for lattices L_boundaries <= L_cycles <= Z^r,
@@ -404,26 +387,33 @@ def subquotient(ambient: int, cycle_gens, boundary_gens) -> Subquotient:
                        FGAbGroup(free, torsion))
 
 
-def chain_homology(d_in, d_out, rels=None, rels_below=None) -> Subquotient:
+def _dense(cols, nrows: int):
+    """The nrows-row dense matrix whose sparse columns are given."""
+    M = mzeros(nrows, len(cols))
+    for j, col in enumerate(cols):
+        for i, v in col:
+            M[i][j] = v
+    return M
+
+
+def chain_homology(d_in, d_out, g: int, f: int, rels=(),
+                   rels_below=()) -> Subquotient:
     """Homology at Z^g / rels in a complex of presented groups
 
         ... --d_out--> Z^g / rels --d_in--> Z^f / rels_below
 
-    given on generators: d_out is g x h, d_in is f x g, or None at the
-    bottom of the complex; rels (g rows) and rels_below (f rows) are
-    relation columns, None for free groups.  Cycles are
-    {x : d_in x in span(rels_below)}, boundaries span(d_out) + span(rels).
-    """
-    g = len(d_out)
-    cycles = kernel_mod_rels(d_in, rels_below) if g and d_in else mid(g)
-    return subquotient(g, cycles,
-                       d_out if rels is None else hstack(d_out, rels))
+    given on generators as sparse columns: d_out and rels have g rows; d_in
+    (g columns) and rels_below have f rows, f = 0 at the bottom.  Cycles
+    are {x : d_in x in span(rels_below)}, boundaries span(d_out) +
+    span(rels)."""
+    cycles = kernel_mod_rels(_dense(d_in, f), _dense(rels_below, f)) \
+        if g and f else mid(g)
+    return subquotient(g, cycles, _dense([*d_out, *rels], g))
 
 
-def kernel_mod_rels(M, R=None):
-    """Columns spanning {x : M x lies in the column lattice of R}; the
-    kernel of M when R is None."""
-    K = kernel_basis(M if R is None else hstack(M, R))
+def kernel_mod_rels(M, R):
+    """Columns spanning {x : M x lies in the column lattice of R}."""
+    K = kernel_basis(hstack(M, R))
     return K[:mshape(M)[1]]
 
 
@@ -437,11 +427,15 @@ def order_relations(orders):
 
 def induced_matrix(src: Subquotient, tgt: Subquotient, chain_map):
     """Matrix (in canonical coordinates) of the map induced on subquotients
-    by an ambient chain map that carries cycles to cycles and boundaries to
-    boundaries."""
+    by an ambient chain map, given as sparse columns, that carries cycles
+    to cycles and boundaries to boundaries."""
     cols = []
     for pos in range(len(src.gen_idx)):
-        z = src.generator(pos)
-        cols.append(tgt.coords(mvec(chain_map, z)))
+        image = [0] * tgt.ambient
+        for z, col in zip(src.generator(pos), chain_map):
+            if z:
+                for i, v in col:
+                    image[i] += v * z
+        cols.append(tgt.coords(image))
     return from_columns(cols, nrows=len(tgt.gen_idx))
 

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import or_
 from typing import NamedTuple
 
 from . import intlinalg as il
@@ -45,11 +47,12 @@ from .constructs import (DiagramCommaResult, find_oplax_initial, laco,
 from .core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
                    validate_two_functor)
 from .fixtures import point_functor
-from .homology import (LocalCoeffSystem, homology_induced, homology_local,
-                       homology_subquotient, induced_iso, presentation_of)
+from .homology import (LocalCoeffSystem, boundary_columns, homology_induced,
+                       homology_local, homology_subquotient, induced_iso,
+                       presentation_of)
 from .nerve import (OrientedSimplex, TruncSimplicialSet, degeneracy,
-                    enumerate_simplices, extensions, face, layout,
-                    map_simplex, nerve, simplex_levels)
+                    extensions, face, layout, map_simplex, nerve,
+                    simplex_levels)
 from ast import literal_eval
 
 from .orientals import materialize_oriental, path_id
@@ -426,33 +429,29 @@ def check_bisimplicial(B: BisimplicialTrunc) -> bool:
 # pages of the spectral sequence (vertical homology first)
 # ---------------------------------------------------------------------------
 
-def _alt_sum_matrix(src, tgt, faces):
-    """Matrix of k -> sum_i (-1)^i * faces[i][k] on the given bases of
-    positions, dropping faces outside tgt (the normalized quotient)."""
-    idx = {y: r for r, y in enumerate(tgt)}
-    M = il.mzeros(len(tgt), len(src))
-    for i, row in enumerate(faces):
-        s = (-1) ** i
-        for j, k in enumerate(src):
-            r = idx.get(row[k])
-            if r is not None:
-                M[r][j] += s
-    return M
-
-
 @dataclass
 class SSPages:
     B: BisimplicialTrunc
     E1: dict                   # (p, q) -> FGAbGroup, p <= P, q <= Q-1
-    E1_sq: dict                # (p, q) -> (Subquotient, basis positions)
+    E1_sq: dict                # (p, q) -> Subquotient
     d1: dict                   # (p, q) -> matrix E1[p,q] -> E1[p-1,q]
     E2: dict                   # (p, q) -> FGAbGroup, p <= P-1, q <= Q-1
     trusted: tuple             # (P-1, Q-1)
 
 
-def _nondegenerate(flags: list) -> list:
-    """Positions of the cells not flagged degenerate."""
-    return [k for k, d in enumerate(flags) if not d]
+def basis_rows(flags: list, start: int = 0) -> list:
+    """Per cell of a level, its row in the basis of the cells not flagged
+    degenerate, counted from start, or None for a flagged cell."""
+    return [None if d else r for d, r in
+            zip(flags, accumulate((not d for d in flags), initial=start))]
+
+
+def level_boundary(table: list, src: list, tgt: list) -> list:
+    """sum_i (-1)^i table[i] on the basis cells of a level, as sparse
+    columns on the basis of the level below; src and tgt are the
+    ``basis_rows`` of the two."""
+    return boundary_columns([[f[k] for f in table] for k, r in enumerate(src)
+                             if r is not None], tgt)
 
 
 def pages(B: BisimplicialTrunc) -> SSPages:
@@ -460,58 +459,60 @@ def pages(B: BisimplicialTrunc) -> SSPages:
     the E^1 rows under the induced horizontal differential).  Entries are
     trusted for p <= P-1 and q <= Q-1; the extra column p = P on E^1 is
     computed only to supply boundaries for E^2."""
-    basisV = {k: _nondegenerate(v) for k, v in B.degenerate_v.items()}
+    rows = {k: basis_rows(v) for k, v in B.degenerate_v.items()}
+    size = {k: v.count(False) for k, v in B.degenerate_v.items()}
     E1, E1_sq, d1 = {}, {}, {}
     for p in range(B.P + 1):
         for q in range(B.Q):
-            src = basisV[(p, q)]
-            dV = _alt_sum_matrix(src, basisV[(p, q - 1)],
-                                 B.face_v[(p, q)]) if q >= 1 else None
-            bnd = _alt_sum_matrix(basisV[(p, q + 1)], src,
-                                  B.face_v[(p, q + 1)])
-            sq = il.chain_homology(dV, bnd)
-            E1_sq[(p, q)] = (sq, src)
+            dV = level_boundary(B.face_v[(p, q)], rows[(p, q)],
+                                rows.get((p, q - 1)))
+            bnd = level_boundary(B.face_v[(p, q + 1)], rows[(p, q + 1)],
+                                 rows[(p, q)])
+            E1_sq[(p, q)] = sq = il.chain_homology(
+                dV, bnd, len(dV), size.get((p, q - 1), 0))
             E1[(p, q)] = sq.group
     for p in range(1, B.P + 1):
         for q in range(B.Q):
-            M = _alt_sum_matrix(basisV[(p, q)], basisV[(p - 1, q)],
-                                B.face_h[(p, q)])
-            d1[(p, q)] = il.induced_matrix(E1_sq[(p, q)][0],
-                                           E1_sq[(p - 1, q)][0], M)
+            M = level_boundary(B.face_h[(p, q)], rows[(p, q)],
+                               rows[(p - 1, q)])
+            d1[(p, q)] = il.induced_matrix(E1_sq[(p, q)], E1_sq[(p - 1, q)],
+                                           M)
     E2 = {}
     for q in range(B.Q):
-        rels = {p: il.order_relations(E1_sq[(p, q)][0].orders)
-                for p in range(B.P + 1)}
+        orders = [E1_sq[(p, q)].orders for p in range(B.P + 1)]
+        rels = [il.sparse_columns(il.order_relations(o)) for o in orders]
         for p in range(B.P):
             E2[(p, q)] = il.chain_homology(
-                d1.get((p, q)), d1[(p + 1, q)], rels[p],
-                rels.get(p - 1)).group
+                il.sparse_columns(d1[(p, q)]) if p else (),
+                il.sparse_columns(d1[(p + 1, q)]), len(orders[p]),
+                len(orders[p - 1]) if p else 0, rels[p],
+                rels[p - 1] if p else ()).group
     return SSPages(B, E1, E1_sq, d1, E2, (B.P - 1, B.Q - 1))
 
 
-def row_homology(B: BisimplicialTrunc, q: int, p: int) -> il.FGAbGroup:
-    """Homology of the horizontally normalized row at vertical level q,
-    before taking vertical homology; trusted for p <= P-1."""
-    if p > B.P - 1:
-        raise ValueError("row H_%d needs horizontal bound >= %d, have %d"
-                         % (p, p + 1, B.P))
-    basisH = {r: _nondegenerate(B.degenerate_h[(r, q)])
-              for r in range(B.P + 1)}
-    dH = _alt_sum_matrix(basisH[p], basisH[p - 1],
-                         B.face_h[(p, q)]) if p >= 1 else None
-    bnd = _alt_sum_matrix(basisH[p + 1], basisH[p], B.face_h[(p + 1, q)])
-    return il.chain_homology(dH, bnd).group
+def total_boundary(B: BisimplicialTrunc, m: int) -> list:
+    """The total differential d^H + (-1)^p d^V from degree m to m - 1, as
+    sparse columns on the cells nondegenerate in both directions, taken
+    level (p, m - p) by level in increasing p.  So the rows of a cell's
+    horizontal faces, at (p - 1, q), come before those of its vertical
+    ones, at (p, q - 1), and its column is the one followed by the
+    other."""
+    def rows(d):                # basis_rows of the levels of degree d
+        out, start = {}, 0
+        for p in range(max(0, d - B.Q), min(d, B.P) + 1):
+            flags = list(map(or_, B.degenerate_h[(p, d - p)],
+                             B.degenerate_v[(p, d - p)]))
+            out[(p, d - p)] = basis_rows(flags, start)
+            start += flags.count(False)
+        return out
 
-
-def horizontal_collapse_check(B: BisimplicialTrunc, q: int) -> bool:
-    """Each row collapses onto the q-simplices of the nerve of the source:
-    H_0 of row q is free on all q-simplices of C (each augmentation piece
-    is connected with a lax terminal cocone) and H_p vanishes for
-    0 < p <= P-1."""
-    nq = len(enumerate_simplices(B.F.source, q))
-    if row_homology(B, q, 0) != il.FGAbGroup(nq, ()):
-        return False
-    return all(row_homology(B, q, p).is_trivial for p in range(1, B.P))
+    tgt, cols = rows(m - 1), []
+    for (p, q), src in rows(m).items():
+        h = level_boundary(B.face_h[(p, q)], src, tgt.get((p - 1, q)))
+        v = level_boundary(B.face_v[(p, q)], src, tgt.get((p, q - 1)))
+        cols += [a + tuple((r, -w if p % 2 else w) for r, w in b)
+                 for a, b in zip(h, v)]
+    return cols
 
 
 def totalization_homology(B: BisimplicialTrunc, n: int) -> il.FGAbGroup:
@@ -523,33 +524,8 @@ def totalization_homology(B: BisimplicialTrunc, n: int) -> il.FGAbGroup:
         raise ValueError(
             "total H_%d needs bisimplicial bounds >= %d, have (%d, %d)"
             % (n, n + 1, B.P, B.Q))
-
-    def basis(m):
-        # (level, position) of each cell nondegenerate in both directions
-        out = []
-        for p in range(m + 1):
-            q = m - p
-            if p <= B.P and q <= B.Q:
-                out.extend(((p, q), k) for k, (h, v) in enumerate(zip(
-                    B.degenerate_h[(p, q)], B.degenerate_v[(p, q)]))
-                    if not h and not v)
-        return out
-
-    def total_d(m):
-        src, tgt = basis(m), basis(m - 1)
-        idx = {y: r for r, y in enumerate(tgt)}
-        M = il.mzeros(len(tgt), len(src))
-        for j, ((p, q), k) in enumerate(src):
-            for lo, faces, sign in (((p - 1, q), B.face_h[(p, q)], 1),
-                                    ((p, q - 1), B.face_v[(p, q)], (-1) ** p)):
-                for i, row in enumerate(faces):
-                    r = idx.get((lo, row[k]))
-                    if r is not None:
-                        M[r][j] += sign * (-1) ** i
-        return M
-
-    dn = total_d(n) if n >= 1 else None
-    return il.chain_homology(dn, total_d(n + 1)).group
+    d_in = total_boundary(B, n)         # empty columns for n = 0
+    return il.free_homology(d_in, total_boundary(B, n + 1), len(d_in))
 
 
 # ---------------------------------------------------------------------------

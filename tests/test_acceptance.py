@@ -147,12 +147,20 @@ def test_criterion_05_spectral_sequence():
             ("rho-c2", _rho(pgm.fix_c2_pgm)),
             ("rho-g2", _rho(pgm.fix_g2_pgm)),
             ("swap", swap_projection())]
+    # the totalization, group only, reaches degree 4 (a 5x5 window) on
+    # three of them
+    wide = {"interval-identity", "projection", "rho-g2"}
     for name, F in full:
         B = ss.build_B(F, 4, 4)
         X = nerve(F.source, 4)
         for n in range(4):
             assert ss.totalization_homology(B, n) == hm.homology(X, n), \
                 (name, n)
+        if name in wide:
+            B5, X5 = ss.build_B(F, 5, 5), nerve(F.source, 5)
+            for n in range(5):
+                assert ss.totalization_homology(B5, n) == \
+                    hm.homology(X5, n), (name, n)
         cert = of.check_opfibration(F)
         pg = ss.pages(B)
         for q in range(4):
@@ -171,7 +179,8 @@ def test_criterion_05_spectral_sequence():
     print("ACCEPTANCE 05 PASS: totalization homology matches the source "
           "nerve and E2 matches local-coefficient homology at every "
           "computed (p, q) within bounds (degrees <= 3 on five fixtures, "
-          "one with monodromy; <= 1 on G2)")
+          "one with monodromy, and totalization degrees <= 4 on three of "
+          "them; <= 1 on G2)")
 
 
 def test_criterion_06_point_completion_contractible():

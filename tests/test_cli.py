@@ -13,8 +13,8 @@ from twocat import pgm, sinv
 from twocat.cli import main
 from twocat.core import AxiomError, TwoFunctor, identity_functor
 from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod
-from twocat.homology import chain_complex, constant_system
-from twocat.intlinalg import columns
+from twocat.homology import (PresentedGroup, chain_complex,
+                              constant_system)
 from twocat.nerve import nerve
 from test_homology import dense_chain_complex
 from test_specseq import swap_projection
@@ -331,7 +331,7 @@ def corrupted_top_nerve_file(tmp_path):
     so that d_4 d_5 != 0 while every lower d^2 stays 0."""
     d = tio.trunc_sset_to_dict(nerve(fix_g2(), 5))
     C = chain_complex(tio.trunc_sset_from_dict(d))
-    d4 = dict(zip(C.basis[4], columns(C.matrix(4))))
+    d4 = dict(zip(C.basis[4], C.boundary[4]))
     faces = {(i, x): y for i, x, y in d["face"]}
     x = C.basis[5][0]
     i = next(i for i in range(6) if faces[(i, x)] in d4)
@@ -436,6 +436,39 @@ def test_non_functorial_coefficients_are_an_axiom_failure(tmp_path, flags):
         assert rep["counterexample"]["clause"] == "axiom-failure"
         assert "face functoriality fails" in \
             rep["counterexample"]["detail"][0]
+
+
+def misshapen_coeffs(tmp_path, change):
+    """The nerve of I at N = 3 with constant coefficients Z^2, except that
+    the face map (0, a01), the identity of Z^2, is replaced by
+    change(identity); returns (nerve file, coefficient file)."""
+    d = tio.trunc_sset_to_dict(nerve(fix_i(), 3))
+    X = tio.trunc_sset_from_dict(d)
+    L = constant_system(X, PresentedGroup(2, []))
+    x = next(x for x in X.levels[1] if "a01" in x)
+    L.face_map[(0, x)] = change(L.face_map[(0, x)])
+    return (write(tmp_path, "i-nerve.json", d),
+            write(tmp_path, "misshapen.json", tio.coeff_system_to_dict(L)))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("change", [lambda M: M[:1], lambda M: M + [[5, 7]]],
+                         ids=["row-cut", "row-added"])
+def test_misshapen_face_map_is_an_axiom_failure(tmp_path, flags, change):
+    # a 1 x 2 or 3 x 2 matrix for a map Z^2 -> Z^2 is rejected before use,
+    # not read with missing rows as zeros or extra rows ignored
+    nerve_file, coeffs = misshapen_coeffs(tmp_path, change)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    for deg in (0, 1):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "twocat.cli", "homology",
+             "--nerve", nerve_file, "--deg", str(deg), "--coeffs", coeffs],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["counterexample"]["clause"] == "axiom-failure"
+        assert "is not a 2 x 2 matrix" in rep["counterexample"]["detail"][0]
 
 
 # --- opfibration and the spectral sequence ------------------------------------------

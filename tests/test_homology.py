@@ -32,6 +32,33 @@ sparse_matrices = st.integers(0, 12).flatmap(
 
 # --- integer linear algebra ---------------------------------------------------
 
+def determinantal_divisors(M):
+    """Oracle: gcd of all k x k minors, for k = 1..min(r,c); the k-th
+    invariant factor is g_k / g_{k-1}.  Exponential time."""
+    from itertools import combinations
+    r, c = il.mshape(M)
+    out = []
+    for k in range(1, min(r, c) + 1):
+        g = 0
+        for rows in combinations(range(r), k):
+            for cols in combinations(range(c), k):
+                g = gcd(g, det([[M[i][j] for j in cols] for i in rows]))
+        out.append(g)
+    return out
+
+
+def det(M):
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    total = 0
+    for j in range(n):
+        if M[0][j]:
+            minor = [row[:j] + row[j + 1:] for row in M[1:]]
+            total += (-1) ** j * M[0][j] * det(minor)
+    return total
+
+
 @given(matrices)
 @settings(max_examples=60, deadline=None)
 def test_snf_transforms_and_divisibility(M):
@@ -55,7 +82,7 @@ def test_snf_transforms_and_divisibility(M):
 @settings(max_examples=40, deadline=None)
 def test_snf_matches_determinantal_divisors(M):
     diag = il.smith_normal_form(M).diag()
-    dd = il.determinantal_divisors(M)
+    dd = determinantal_divisors(M)
     g = 1
     for k, d in enumerate(diag):
         if d == 0:
@@ -265,7 +292,7 @@ def test_invariant_factors_match_snf_with_repeated_columns(M, data):
 @settings(max_examples=80, deadline=None)
 def test_invariant_factors_match_determinantal_divisors(M):
     quotients, prev = [], 1
-    for g in il.determinantal_divisors(M):
+    for g in determinantal_divisors(M):
         if g == 0:
             break
         quotients.append(g // prev)
@@ -303,8 +330,7 @@ def test_homology_interval():
     assert hm.homology(X, 1).is_trivial
     C = hm.chain_complex(X)
     assert [C.rank(n) for n in range(3)] == [2, 1, 0]
-    assert sorted(col[0] for col in [[row[0]] for row in C.matrix(1)]) \
-        == [-1, 1]
+    assert sorted(v for _, v in C.boundary[1][0]) == [-1, 1]
 
 
 def test_homology_g2():
@@ -346,6 +372,15 @@ ORACLE_NERVES = {name: (lambda mk=mk, N=N: nerve(mk(), N))
                  for name, (mk, N) in ORACLE_CATEGORIES.items()}
 
 
+def dense(cols, nrows):
+    """The dense matrix with nrows rows whose sparse columns are given."""
+    M = il.mzeros(nrows, len(cols))
+    for j, col in enumerate(cols):
+        for i, v in col:
+            M[i][j] = v
+    return M
+
+
 def dense_chain_complex(X):
     """Oracle: the chain complex with dense boundary matrices, checking
     d^2 = 0 by dense products."""
@@ -373,16 +408,16 @@ def test_sparse_boundaries_match_dense_oracle(name):
     C, D = hm.chain_complex(X), dense_chain_complex(X)
     assert C.basis == D.basis
     for n in range(1, X.N + 1):
-        assert C.matrix(n) == D.boundary[n], n
+        assert dense(C.boundary[n], C.rank(n - 1)) == D.boundary[n], n
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_NERVES))
 def test_group_only_homology_matches_subquotient(name):
     X = ORACLE_NERVES[name]()
-    C = hm.chain_complex(X)
+    C, D = hm.chain_complex(X), dense_chain_complex(X)
     for n in range(1, X.N + 1):
         assert il.invariant_factors(C.boundary[n]) \
-            == snf_factors(C.matrix(n)), n
+            == snf_factors(D.boundary[n]), n
     for n in range(X.N):
         assert hm.homology(X, n) == hm.homology_subquotient(X, n)[0].group, n
 
@@ -641,6 +676,28 @@ def test_local_system_functoriality_enforced():
     bad.face_map[(0, x)] = [[5]]
     with pytest.raises(AxiomError, match="face functoriality"):
         hm.homology_local(X, bad, 1)
+
+
+def test_local_system_shapes_enforced():
+    X = nerve(fix_i(), 2)
+    L = hm.constant_system(X, hm.PresentedGroup(2, [[2], [0]]))
+    hm.check_local_system(L, X)
+    x = X.levels[1][0]
+    cases = [
+        ("no coefficient group", lambda g, f: g.pop(x)),
+        ("relations of the group", lambda g, f: g.__setitem__(
+            x, hm.PresentedGroup(2, [[2]]))),
+        ("relations of the group", lambda g, f: g.__setitem__(
+            x, hm.PresentedGroup(2, [[2], [0, 1]]))),
+        ("is not a 2 x 2 matrix", lambda g, f: f.pop((1, x))),
+        ("is not a 2 x 2 matrix", lambda g, f: f.__setitem__(
+            (0, x), [[1, 0], [0]])),
+    ]
+    for match, spoil in cases:
+        bad = hm.LocalCoeffSystem(dict(L.group), dict(L.face_map), {})
+        spoil(bad.group, bad.face_map)
+        with pytest.raises(AxiomError, match=match):
+            hm.check_local_system(bad, X)
 
 
 def test_matrix_shape_mismatch_is_an_error():
