@@ -51,7 +51,12 @@ def mmul(A, B):
 
 
 def mvec(A, v):
-    """A v, reading only the entries of A's rows where v is nonzero."""
+    """A v, reading only the entries of A's rows where v is nonzero;
+    ValueError unless every row of A is as long as v."""
+    lengths = set(map(len, A)) - {len(v)}
+    if lengths:
+        raise ValueError("cannot multiply: a row of length %d against a "
+                         "vector of length %d" % (min(lengths), len(v)))
     nz = [x for x in v if x]
     return [sum(map(mul, compress(row, v), nz)) for row in A]
 

@@ -17,7 +17,9 @@ Schema (bit-exact, keys sorted on output):
   "mu_left": [[s, maps]], "mu_right": [[x, maps]], "sigma": [[f,g,cell]]}.
 * truncated simplicial set: {"N", "levels": [[simplex,...],...], "face"/
   "degen": [[i, simplex, value]], "degenerate": [[simplex, bool]]} with
-  simplices rendered as canonical strings.
+  simplices rendered as canonical strings; the rows are written in level
+  order (by i, then level, then position), which for a nerve's sorted
+  levels is sorted order, and read back only when total and in range.
 * coefficient system: {"group": [[simplex, {"gens","rels"}]], "face_map"/
   "degen_map": [[i, simplex, matrix]]} over the same simplex strings.
 
@@ -28,6 +30,7 @@ whisk_r rows: "cell" is the 2-cell, "by" the pre-composed 1-cell.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .core import AxiomError, TwoCategory, TwoFunctor, make_two_category
 from .homology import LocalCoeffSystem, PresentedGroup
@@ -171,44 +174,92 @@ def action_from_dict(d: dict, P: PGM | None = None) -> PGMAction:
     )
 
 
+@lru_cache(maxsize=None)
+def _key_template(p: int) -> str:
+    """``simplex_key`` of a p-simplex with %s in place of the repr of each
+    of its vertices, edges and triangles, in that order."""
+    L, slot = layout(p), "\0"
+    return repr(((slot,) * (p + 1), tuple((k, slot) for k in L.pairs),
+                 tuple((k, slot) for k in L.triples))).replace(repr(slot),
+                                                               "%s")
+
+
 def simplex_key(x) -> str:
-    """Canonical string for a simplex, stable across processes: its
-    vertices, then its edges and triangles paired with their keys."""
+    """Canonical string for a simplex, stable across processes: the repr
+    of its vertices, then of its edges and triangles paired with their
+    keys."""
     if isinstance(x, str):
         return x
-    L = layout(x.dim)
-    return repr((x.vertices, tuple(zip(L.pairs, x.edges)),
-                 tuple(zip(L.triples, x.triangles))))
+    return _key_template(x.dim) % tuple(
+        map(repr, x.vertices + x.edges + x.triangles))
 
 
 def trunc_sset_to_dict(X: TruncSimplicialSet) -> dict:
-    key = {x: simplex_key(x) for lev in X.levels for x in lev}
+    """The interchange dict of X.  The face and degen rows run over i, then
+    over the levels in order, and the degenerate rows over the levels in
+    order: for levels sorted as a nerve's are, that is sorted order."""
+    keys = [[simplex_key(x) for x in lev] for lev in X.levels]
+    key = {x: k for lev, ks in zip(X.levels, keys) for x, k in zip(lev, ks)}
+    face, degen, N = X.face, X.degen, X.N
     return {
-        "N": X.N,
-        "levels": [[key[x] for x in lev] for lev in X.levels],
-        "face": [[i, key[x], key[y]]
-                 for (i, x), y in sorted(X.face.items(),
-                                         key=lambda kv: (kv[0][0],
-                                                         kv[0][1]))],
-        "degen": [[i, key[x], key[y]]
-                  for (i, x), y in sorted(X.degen.items(),
-                                          key=lambda kv: (kv[0][0],
-                                                          kv[0][1]))],
-        "degenerate": [[key[x], bool(v)]
-                       for x, v in sorted(X.degenerate.items())],
+        "N": N,
+        "levels": keys,
+        "face": [[i, k, key[face[(i, x)]]] for i in range(N + 1)
+                 for n in range(max(i, 1), N + 1)
+                 for x, k in zip(X.levels[n], keys[n])],
+        "degen": [[i, k, key[degen[(i, x)]]] for i in range(N)
+                  for n in range(i, N)
+                  for x, k in zip(X.levels[n], keys[n])],
+        "degenerate": [[k, bool(X.degenerate[x])]
+                       for lev, ks in zip(X.levels, keys)
+                       for x, k in zip(lev, ks)],
     }
+
+
+def _operator_table(d: dict, name: str, dim: dict, shift: int) -> dict:
+    """The table (i, x) -> y of the rows [i, x, y] of d[name], the face
+    (shift -1) or degeneracy (shift 1) field of a loaded nerve, checked
+    total and in range: for every n-simplex x whose level n + shift
+    exists, one row for each i in 0..n, its value an (n + shift)-simplex.
+    AxiomError naming the first row that breaks this, or the first missing
+    one."""
+    op = "d" if shift < 0 else "s"
+    table, get, rows = {}, dim.get, d[name]
+    for i, x, y in rows:
+        n = get(x)
+        if n is None or get(y) != n + shift or type(i) is not int \
+                or not 0 <= i <= n:
+            raise AxiomError("%s entry %s_%s of %s = %s is out of range"
+                             % (name, op, i, x, y))
+        table[(i, x)] = y
+    ns = range(max(0, -shift), len(d["levels"]) - max(0, shift))
+    if not len(rows) == len(table) == sum(n + 1 for n in dim.values()
+                                          if n in ns):
+        seen = set()
+        for i, x, _ in rows:
+            if (i, x) in seen:
+                raise AxiomError("%s entry %s_%s of %s is given twice"
+                                 % (name, op, i, x))
+            seen.add((i, x))
+        # the keys are distinct and in range, so one is missing
+        i, x = next((i, x) for x, n in dim.items() if n in ns
+                    for i in range(n + 1) if (i, x) not in table)
+        raise AxiomError("%s entry %s_%d of %s is missing" % (name, op, i, x))
+    return table
 
 
 def trunc_sset_from_dict(d: dict) -> TruncSimplicialSet:
     """Rebuild with plain string simplices; chain-level consumers treat
     simplices as opaque keys, so the result computes the same homology.
-    Every simplex must carry a degenerate flag, true exactly when it is a
-    value of the degeneracy table; AxiomError otherwise."""
+    The face and degeneracy tables must be total and in range, and every
+    simplex must carry a degenerate flag, true exactly when it is a value
+    of the degeneracy table; AxiomError otherwise."""
+    dim = {x: n for n, lev in enumerate(d["levels"]) for x in lev}
     X = TruncSimplicialSet(
         N=d["N"],
         levels=tuple(tuple(lev) for lev in d["levels"]),
-        face={(i, x): y for i, x, y in d["face"]},
-        degen={(i, x): y for i, x, y in d["degen"]},
+        face=_operator_table(d, "face", dim, -1),
+        degen=_operator_table(d, "degen", dim, 1),
         degenerate={x: v for x, v in d["degenerate"]},
     )
     image = set(X.degen.values())

@@ -16,8 +16,19 @@ identity triangles.  Both are tuple gathers through index tables computed
 once per (p, i).
 
 Simplices are found one vertex at a time: ``extensions(D, x)`` gives every
-simplex whose last face is x, and ``simplex_levels`` grows the levels
-0..N from the objects of D by it.  This is the only simplex search.
+simplex whose last face is x, and ``grow`` extends a level by it.  This is
+the only simplex search.  ``simplex_operators`` grows the levels 0..N from
+ROOT, the empty (-1)-simplex, whose extensions are the objects of D.
+
+The nerve's operators are found by key from the parent, not built.
+``grow`` keys each simplex y by the position of its parent d_last y and
+its new cells; then d_last y is the parent, and for i < last, d_i y is
+the child of d_i(parent) and s_i y that of s_i(parent) whose new cells are
+a gather of y's, while s_last y is a child of y itself (``operator_row``).
+``simplex_operators`` keeps the operators as position tables, which
+``nerve`` reads into its dicts and ``build_B`` (``specseq``) into its own;
+``face`` and ``degeneracy`` are left to the paths that name a simplex,
+such as error reports.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import TwoCategory, TwoFunctor
@@ -144,14 +156,112 @@ def extensions(D: TwoCategory, x: OrientedSimplex) -> list:
     return out
 
 
+# the empty simplex, of dimension -1: its extensions are the vertices
+ROOT = OrientedSimplex(-1, (), (), ())
+
+
+@lru_cache(maxsize=None)
+def _delta_plan(m: int):
+    """Gathers for a simplex y with last vertex m, which extends its parent
+    d_m y by the new cells N: vertex m, the edges (j, m) and the triangles
+    (a, b, m) in layout(m - 1).pairs order.  X is N followed by the
+    identity 1-cell of vertex m and the identity 2-cell of each edge (j, m).
+    Returns the positions in y's edges and triangles of its new ones, and
+    per i, as positions in X, the new cells of d_i y (i < m, over
+    d_i d_m y) and of s_i y (i <= m, over s_i d_m y, or over y for i = m)."""
+    L, L1 = layout(m), layout(m - 1)
+    n = 1 + m + len(L1.pairs)    # X[n], X[n + 1 + j]: the identities
+    tri = lambda a, b: 1 + m + L1.edge_at[(a, b)]
+    faces = []
+    for i in range(m):
+        dl = lambda j: j if j < i else j + 1
+        faces.append((0,) + tuple(1 + dl(j) for j in range(m - 1)) + tuple(
+            tri(dl(a), dl(b)) for a, b in layout(m - 2).pairs))
+    degens = []
+    for i in range(m):
+        sg = lambda j: j if j <= i else j - 1
+        degens.append((0,) + tuple(1 + sg(j) for j in range(m + 1)) + tuple(
+            n + 1 + i if (a, b) == (i, i + 1) else tri(sg(a), sg(b))
+            for a, b in L.pairs))
+    degens.append((0,) + tuple(range(1, m + 1)) + (n,) + tuple(
+        tri(a, b) if b < m else n + 1 + a for a, b in L.pairs))
+    return ([L.edge_at[(j, m)] for j in range(m)],
+            [L.tri_at[(a, b, m)] for a, b in L1.pairs], faces, degens)
+
+
+def _gather(idx):
+    """The function taking a sequence to the tuple of its entries at idx."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda s: tuple([s[k] for k in idx])
+
+
+class Growth(NamedTuple):
+    """The m-simplices that ``grow`` found, sorted, with their keys."""
+    m: int
+    cells: list                # the m-simplices y
+    parent: list               # per y, the position of d_m y in the parents
+    ext: list                  # per y, X: its new cells N, then identities
+    kids: dict                 # (parent position, N) -> position in cells
+
+
+def grow(D: TwoCategory, m: int, parents) -> Growth:
+    """The ``extensions`` of the (m-1)-simplices in parents, an iterable of
+    (position, simplex) pairs, sorted.  Each y is keyed by its parent's
+    position and its new cells N (see ``_delta_plan``), the key by which
+    ``operator_row`` finds it as an operator's image."""
+    new_e, new_t = map(_gather, _delta_plan(m)[:2])
+    id1, id2 = D.id1, D.id2
+    found = sorted((y, a, (y.vertices[m],) + new_e(y.edges)
+                    + new_t(y.triangles))
+                   for a, x in parents for y in extensions(D, x))
+    return Growth(m, [y for y, _, _ in found], [a for _, a, _ in found],
+                  [N + (id1[N[0]],) + tuple([id2[c] for c in N[1:m + 1]])
+                   for _, _, N in found],
+                  {(a, N): k for k, (_, a, N) in enumerate(found)})
+
+
+def operator_row(g: Growth, i: int, kids: dict, below=None,
+                 degen: bool = False) -> list:
+    """d_i (s_i when degen) on the cells of g, as the position of each
+    image in the growth whose ``kids`` are given, or None where that has
+    no such key.  For i < m, d_i y extends d_i of y's parent by N without
+    vertex i, and s_i y extends s_i of the parent by N with vertex i
+    repeated: below is that operator's row on the parents.  s_m y extends
+    y itself; d_m y is the parent, g.parent."""
+    faces, degens = _delta_plan(g.m)[2:]
+    gather = (degens if degen else faces)[i]
+    up = range(len(g.ext)) if degen and i == g.m else g.parent
+    below = up if below is None else below
+    get = _gather(gather)
+    return [kids.get((below[a], get(X))) for a, X in zip(up, g.ext)]
+
+
+def simplex_operators(D: TwoCategory, N: int):
+    """The nerve of D to dimension N as position tables: the sorted levels
+    0..N, faces[n][i][k], the position in level n - 1 of d_i of the k-th
+    n-simplex, and degens[n][i][k], that in level n + 1 of s_i (faces[0]
+    and degens[N] are empty).  The levels are grown from ROOT and every
+    operator is found by key, so no face or degeneracy is built."""
+    gs = [grow(D, 0, [(0, ROOT)])]
+    faces = [[gs[0].parent]]              # d_0 of a vertex is ROOT
+    for m in range(1, N + 1):
+        g = grow(D, m, enumerate(gs[-1].cells))
+        faces.append([operator_row(g, i, gs[-1].kids, faces[-1][i])
+                      for i in range(m)] + [g.parent])
+        gs.append(g)
+    degens = []
+    for m in range(N):
+        degens.append([operator_row(gs[m], i, gs[m + 1].kids,
+                                    degens[-1][i] if i < m else None, True)
+                       for i in range(m + 1)])
+    return [g.cells for g in gs], [[]] + faces[1:], degens + [[]]
+
+
 def simplex_levels(D: TwoCategory, N: int) -> list:
     """The p-simplices of the nerve of D for p = 0..N, each level a sorted
-    list: level 0 is the objects, and each later level the union of the
-    ``extensions`` of the level below."""
-    levels = [[OrientedSimplex(0, (v,), (), ()) for v in sorted(D.objects)]]
-    for _ in range(N):
-        levels.append(sorted(y for x in levels[-1] for y in extensions(D, x)))
-    return levels
+    list: the levels of ``simplex_operators``."""
+    return simplex_operators(D, N)[0]
 
 
 def enumerate_simplices(D: TwoCategory, p: int) -> list:
@@ -227,17 +337,22 @@ class TruncSimplicialSet:
 
 
 def nerve(D: TwoCategory, N: int) -> TruncSimplicialSet:
-    levels = tuple(map(tuple, simplex_levels(D, N)))
+    """The nerve of D truncated at N, its operators read off the position
+    tables of ``simplex_operators``."""
+    levels, faces, degens = simplex_operators(D, N)
     fmap = {}
     dmap = {}
     for n in range(1, N + 1):
-        for x in levels[n]:
-            for i in range(n + 1):
-                fmap[(i, x)] = face(D, x, i)
+        lo = levels[n - 1]
+        for x, ks in zip(levels[n], zip(*faces[n])):
+            for i, k in enumerate(ks):
+                fmap[(i, x)] = lo[k]
     for n in range(N):
-        for x in levels[n]:
-            for i in range(n + 1):
-                dmap[(i, x)] = degeneracy(D, x, i)
+        hi = levels[n + 1]
+        for x, ks in zip(levels[n], zip(*degens[n])):
+            for i, k in enumerate(ks):
+                dmap[(i, x)] = hi[k]
+    levels = tuple(map(tuple, levels))
     # degenerate simplices are exactly the images of degeneracies
     image = set(dmap.values())
     degenerate = {x: x in image for lev in levels for x in lev}

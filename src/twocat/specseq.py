@@ -9,12 +9,14 @@ delta, vertical operators through the omega block.
 
 ``build_B`` groups the omegas of each q by their block F(omega) and grows
 the deltas one vertex at a time: those at (p, q) are the extensions
-(``nerve.extensions``) of those at (p - 1, q), the blocks being p = -1, and
+(``nerve.grow``) of those at (p - 1, q), the blocks being p = -1, and
 each ends in a p-simplex sigma, read off its last p+1 vertices.  A delta's
-faces and degeneracies are found by key from those of its parent, so no
-simplex is rebuilt for them.  They are stored as tables of positions within
-the target level, so the identity check, the pages and the totalization
-read integers, not cells.
+faces and degeneracies are found by key from those of its parent
+(``nerve.operator_row``, as for the nerve itself), and those of omega
+and of a block are read off the position tables of the nerves of C and D
+(``nerve.simplex_operators``), so no simplex is built for an operator.
+They are stored as tables of positions within the target level, so the
+identity check, the pages and the totalization read integers, not cells.
 
 The module computes the first two pages of the homology spectral sequence
 of B(F) (vertical homology first), the homology of the totalization, and
@@ -50,9 +52,9 @@ from .fixtures import point_functor
 from .homology import (LocalCoeffSystem, boundary_columns, homology_induced,
                        homology_local, homology_subquotient, induced_iso,
                        presentation_of)
-from .nerve import (OrientedSimplex, TruncSimplicialSet, degeneracy,
-                    extensions, face, layout, map_simplex, nerve,
-                    simplex_levels)
+from .nerve import (OrientedSimplex, TruncSimplicialSet, degeneracy, face,
+                    grow, layout, map_simplex, nerve, operator_row,
+                    simplex_levels, simplex_operators)
 from ast import literal_eval
 
 from .orientals import materialize_oriental, path_id
@@ -145,35 +147,6 @@ def _block_cells(fom: OrientedSimplex, si: OrientedSimplex):
 
 
 @lru_cache(maxsize=None)
-def _delta_plan(m: int):
-    """Gathers for a delta y with last vertex m, which extends its parent
-    d_m y by the new cells N: vertex m, the edges (j, m) and the triangles
-    (a, b, m) in layout(m - 1).pairs order.  X is N followed by the
-    identity 1-cell of vertex m and the identity 2-cell of each edge (j, m).
-    Returns the positions in y's edges and triangles of its new ones, and
-    per i, as positions in X, the new cells of d_i y (i < m, over
-    d_i d_m y) and of s_i y (i <= m, over s_i d_m y, or over y for i = m)."""
-    L, L1 = layout(m), layout(m - 1)
-    n = 1 + m + len(L1.pairs)    # X[n], X[n + 1 + j]: the identities
-    tri = lambda a, b: 1 + m + L1.edge_at[(a, b)]
-    faces = []
-    for i in range(m):
-        dl = lambda j: j if j < i else j + 1
-        faces.append((0,) + tuple(1 + dl(j) for j in range(m - 1)) + tuple(
-            tri(dl(a), dl(b)) for a, b in layout(m - 2).pairs))
-    degens = []
-    for i in range(m):
-        sg = lambda j: j if j <= i else j - 1
-        degens.append((0,) + tuple(1 + sg(j) for j in range(m + 1)) + tuple(
-            n + 1 + i if (a, b) == (i, i + 1) else tri(sg(a), sg(b))
-            for a, b in L.pairs))
-    degens.append((0,) + tuple(range(1, m + 1)) + (n,) + tuple(
-        tri(a, b) if b < m else n + 1 + a for a, b in L.pairs))
-    return ([L.edge_at[(j, m)] for j in range(m)],
-            [L.tri_at[(a, b, m)] for a, b in L1.pairs], faces, degens)
-
-
-@lru_cache(maxsize=None)
 def _tail(m: int, p: int):
     """Positions in an m-simplex of the edges and triangles of its last
     p + 1 vertices, in the layout of dimension p."""
@@ -185,113 +158,89 @@ def _tail(m: int, p: int):
 def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
     """B(F) truncated at p <= P, q <= Q.  The omegas of each q are grouped
     by their block F(omega); the deltas at (p, q) are the one-vertex
-    extensions of those at (p - 1, q), the blocks being level p = -1, and
-    sigma is each delta's last p + 1 vertices.  A delta is known by its
-    parent d_last delta and its new cells N, so its faces and degeneracies
-    are found by key, not built: for i < m = p + q + 1, d_i delta extends
-    d_i(parent) by N without vertex i, s_i delta extends s_i(parent) by N
-    with vertex i repeated, and s_m delta extends delta itself.  Only the
-    omegas and blocks have their operators computed as simplices, once
-    each; a cell's operator is then a pair of integers.  The levels of C
-    and D are grown once each (``nerve.simplex_levels``): the omegas are
-    C's, sigma is looked up in D's, and a block that is no simplex of D
-    grows no delta."""
+    extensions (``nerve.grow``) of those at (p - 1, q), the blocks being
+    level p = -1, and sigma is each delta's last p + 1 vertices.  A delta
+    is known by its parent d_last delta and its new cells, so its faces and
+    degeneracies are found by key (``nerve.operator_row``), not built.  The
+    nerves of C and D are grown once each with their operators as position
+    tables (``nerve.simplex_operators``): the omegas and their operators
+    are C's, sigma is looked up in D's levels, a block's operators are read
+    off D's tables, and a block that is no simplex of D grows no delta.  A
+    cell's operator is then a pair of integers."""
     C, D = F.source, F.target
-    id1, id2 = D.id1, D.id2
-    oms, d_levels = simplex_levels(C, Q), simplex_levels(D, max(P, Q))
+    oms, om_face, om_degen = simplex_operators(C, Q)
+    d_levels, d_face, d_degen = simplex_operators(D, max(P, Q))
     d_at = [{s: n for n, s in enumerate(lev)} for lev in d_levels]
-    om_at = [{x: k for k, x in enumerate(lev)} for lev in oms]
-    om_face = [[[om_at[q - 1].get(face(C, x, i)) for x in oms[q]]
-                for i in range(q + 1)] if q else [] for q in range(Q + 1)]
-    om_degen = [[[om_at[q + 1].get(degeneracy(C, x, i)) for x in oms[q]]
-                 for i in range(q + 1)] if q < Q else []
-                for q in range(Q + 1)]
     block_at, block_of = [], []             # q -> F(omega) -> id; q -> ids
     for lev in oms:
         at = {}
         block_of.append([at.setdefault(map_simplex(F, x), len(at))
                          for x in lev])
         block_at.append(at)
-    # the deltas at (p, q) by id: simplex, parent id, block id, sigma
-    # position, extended new cells X; child[(p, q)] maps (parent, N) to id
-    simp, parent, root, sig_of, ext, child = {}, {}, {}, {}, {}, {}
-    dface, ddeg = {}, {}        # (p, q) -> per i, the id of d_i / s_i delta
+    # the deltas at (p, q) as grown from their parents, with the id of
+    # their block and the position of sigma; per i, the id of d_i / s_i
+    grown, simp, root, sig_of, dface, ddeg = {}, {}, {}, {}, {}, {}
     for q, at in enumerate(block_at):
         simp[(-1, q)] = blocks = list(at)
         root[(-1, q)] = list(range(len(blocks)))
-        dface[(-1, q)] = [[block_at[q - 1].get(face(D, b, i)) for b in blocks]
-                          for i in range(q + 1)] if q else []
-        ddeg[(-1, q)] = [[block_at[q + 1].get(degeneracy(D, b, i))
-                          for b in blocks]
-                         for i in range(q + 1)] if q < Q else []
+        # a block that F does not map to a simplex grows no delta, and
+        # its operators are never read
+        pos = [d_at[q].get(b) for b in blocks]
+        ids = lambda row, lo: [None if n is None else
+                               block_at[lo].get(d_levels[lo][row[n]])
+                               for n in pos]
+        dface[(-1, q)] = [ids(row, q - 1) for row in d_face[q]]
+        ddeg[(-1, q)] = [ids(row, q + 1) for row in d_degen[q]] \
+            if q < Q else []
     levels = {}
     for p in range(P + 1):
         for q in range(Q + 1):
             m = q + 1 + p
-            new_e, new_t = _delta_plan(m)[:2]
             tail_e, tail_t = _tail(m, p)
-            xs, par, rt, sp, Xs, kids = [], [], [], [], [], {}
-            up = simp[(p - 1, q)]
-            for a, x in enumerate(up):
-                # a block that F does not map to a simplex has no deltas
-                if p == 0 and x not in d_at[q]:
-                    continue
-                for y in extensions(D, x):
-                    e, t = y.edges, y.triangles
-                    si = OrientedSimplex(p, y.vertices[q + 1:],
-                                         tuple([e[k] for k in tail_e]),
-                                         tuple([t[k] for k in tail_t]))
-                    if si not in d_at[p]:
-                        raise AxiomError("delta %r ends outside the "
-                                         "%d-simplices of the target" % (y, p))
-                    N = ((y.vertices[m],) + tuple([e[k] for k in new_e])
-                         + tuple([t[k] for k in new_t]))
-                    kids[(a, N)] = len(xs)
-                    xs.append(y)
-                    par.append(a)
-                    rt.append(root[(p - 1, q)][a])
-                    sp.append(d_at[p][si])
-                    Xs.append(N + (id1[N[0]],)
-                              + tuple([id2[c] for c in N[1:m + 1]]))
-            simp[(p, q)], parent[(p, q)], root[(p, q)] = xs, par, rt
-            sig_of[(p, q)], ext[(p, q)], child[(p, q)] = sp, Xs, kids
+            g = grow(D, m, ((a, x) for a, x in enumerate(simp[(p - 1, q)])
+                            if p or x in d_at[q]))
+            rt, sp = root[(p - 1, q)], []
+            for y in g.cells:
+                e, t = y.edges, y.triangles
+                si = OrientedSimplex(p, y.vertices[q + 1:],
+                                     tuple([e[k] for k in tail_e]),
+                                     tuple([t[k] for k in tail_t]))
+                if si not in d_at[p]:
+                    raise AxiomError("delta %r ends outside the "
+                                     "%d-simplices of the target" % (y, p))
+                sp.append(d_at[p][si])
+            grown[(p, q)], simp[(p, q)], sig_of[(p, q)] = g, g.cells, sp
+            root[(p, q)] = [rt[a] for a in g.parent]
     for p in range(P + 1):
         for q in range(Q + 1):
             m = q + 1 + p
-            faces, degens = _delta_plan(m)[2:]
-            par, Xs = parent[(p, q)], ext[(p, q)]
+            g = grown[(p, q)]
             rows = [None] * (m + 1)
-            rows[m] = par
+            rows[m] = g.parent
             for i in range(0 if q else 1, m):
-                pf, g = dface[(p - 1, q)][i], faces[i]
-                kids = child[(p, q - 1) if i <= q else (p - 1, q)]
-                rows[i] = [kids.get((pf[a], tuple([X[k] for k in g])))
-                           for a, X in zip(par, Xs)]
+                kids = grown[(p, q - 1) if i <= q else (p - 1, q)].kids
+                rows[i] = operator_row(g, i, kids, dface[(p - 1, q)][i])
             dface[(p, q)] = rows
             rows = [None] * (m + 1)
             for i in range(m + 1):
                 if (q == Q) if i <= q else (p == P):
                     continue
-                if i < m:
-                    up, over = par, ddeg[(p - 1, q)][i]
-                else:                   # s_m delta extends delta itself
-                    up = over = range(len(Xs))
-                g = degens[i]
-                kids = child[(p, q + 1) if i <= q else (p + 1, q)]
-                rows[i] = [kids.get((over[a], tuple([X[k] for k in g])))
-                           for a, X in zip(up, Xs)]
+                kids = grown[(p, q + 1) if i <= q else (p + 1, q)].kids
+                rows[i] = operator_row(g, i, kids, ddeg[(p - 1, q)][i]
+                                       if i < m else None, True)
             ddeg[(p, q)] = rows
     # cells sort by (omega, delta): position start[omega] + rank[delta],
-    # rank being delta's place among the sorted deltas of its block
+    # rank being delta's place among the deltas of its block, which grow
+    # sorted
     start, rank, pairs = {}, {}, {}
     for p in range(P + 1):
         for q in range(Q + 1):
             xs, rt = simp[(p, q)], root[(p, q)]
             members = [[] for _ in simp[(-1, q)]]
-            rk = [0] * len(xs)
-            for d in sorted(range(len(xs)), key=xs.__getitem__):
-                rk[d] = len(members[rt[d]])
-                members[rt[d]].append(d)
+            rk = []
+            for d, b in enumerate(rt):
+                rk.append(len(members[b]))
+                members[b].append(d)
             st, pq = [], []
             for o, b in enumerate(block_of[q]):
                 st.append(len(pq))

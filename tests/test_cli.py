@@ -394,6 +394,65 @@ def test_tampered_degenerate_flag_is_an_axiom_failure(tmp_path, run, flags):
         "degenerate flag of %s disagrees with the degeneracy table" % x]
 
 
+def first_face_tampered(d, how):
+    """(d with its first face entry deleted or its index set to 7, the
+    detail that names the entry)."""
+    i, x, y = d["face"][0]
+    if how == "deleted":
+        return (dict(d, face=d["face"][1:]),
+                "face entry d_%d of %s is missing" % (i, x))
+    return (dict(d, face=[[7, x, y]] + d["face"][1:]),
+            "face entry d_7 of %s = %s is out of range" % (x, y))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("how", ["deleted", "index-7"])
+def test_partial_face_table_is_an_axiom_failure(tmp_path, run, flags, how):
+    # the first face entry deleted, or its index set to 7: the face table
+    # is no longer total or in range, which the reader checks
+    out = str(tmp_path / "n.json")
+    code, _ = run(["nerve", "--input", g2_file(tmp_path), "--max-dim", 4,
+                   "--out", out])
+    assert code == 0
+    with open(out) as fh:
+        tampered, detail = first_face_tampered(json.load(fh), how)
+    p = write(tmp_path, "tampered.json", tampered)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "twocat.cli", "homology",
+         "--nerve", p, "--deg", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["counterexample"]["clause"] == "axiom-failure"
+    assert rep["counterexample"]["detail"] == [detail]
+
+
+def test_operator_tables_must_be_total_and_in_range():
+    d = tio.trunc_sset_to_dict(nerve(fix_i(), 3))
+    x, y = d["levels"][1][0], d["levels"][2][0]
+    cases = [
+        # a face of a vertex, a degeneracy off the top, values one level off
+        (dict(d, face=d["face"] + [[0, x, x]]), "face entry d_0 of %s = %s "
+         "is out of range" % (x, x)),
+        (dict(d, degen=[[0, d["levels"][3][0], y]] + d["degen"]),
+         "degen entry s_0 of %s = %s is out of range"
+         % (d["levels"][3][0], y)),
+        (dict(d, degen=[[1, x, x]] + d["degen"]),
+         "degen entry s_1 of %s = %s is out of range" % (x, x)),
+        (dict(d, degen=d["degen"] + [d["degen"][0]]),
+         "degen entry s_%d of %s is given twice" % tuple(d["degen"][0][:2])),
+        (dict(d, degen=d["degen"][:-1]),
+         "degen entry s_%d of %s is missing" % tuple(d["degen"][-1][:2])),
+    ]
+    for tampered, detail in cases:
+        with pytest.raises(AxiomError) as got:
+            tio.trunc_sset_from_dict(tampered)
+        assert str(got.value) == detail
+    tio.trunc_sset_from_dict(d)
+
+
 @pytest.mark.parametrize("corrupt", [corrupted_nerve_file,
                                      corrupted_top_nerve_file],
                          ids=["low", "top"])

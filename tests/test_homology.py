@@ -219,6 +219,27 @@ def test_subquotient_torsion():
     assert sq.coords([0, 1]) == [0]
 
 
+def test_length_mismatch_is_an_error():
+    # a 3 x 2 matrix against a length-3 vector, or a vector of the wrong
+    # length for a solve, a class or a relation check, is an error, not a
+    # product that stops at the shorter length
+    M = [[1, 2], [3, 4], [5, 6]]
+    assert il.mvec(M, [1, 1]) == [3, 7, 11]
+    with pytest.raises(ValueError, match="length 2 against a vector of "
+                                         "length 3"):
+        il.mvec(M, [1, 1, 1])
+    with pytest.raises(ValueError):
+        il.mvec([[1, 2], [3]], [1, 1])
+    with pytest.raises(ValueError):
+        il.solve(il.smith_normal_form(il.mid(2)), [1, 0, 0])
+    sq = il.subquotient(2, il.mid(2), [[2, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        sq.coords([1, 0, 0])
+    with pytest.raises(ValueError):
+        hm.in_relations([[2], [3], [0]], hm.PresentedGroup(2, [[2, 0],
+                                                               [0, 3]]))
+
+
 def dense_cokernel(M, nrows=None):
     return il.cokernel(il.sparse_columns(M), len(M) if M else nrows)
 

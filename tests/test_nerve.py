@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -8,7 +9,8 @@ from twocat import fixtures, pgm, sinv, specseq
 from twocat import io as tio
 from twocat import nerve as nv
 from twocat.constructs import find_oplax_initial, find_oplax_terminal
-from twocat.core import find_isomorphism, validate_two_category
+from twocat.core import (AxiomError, TwoFunctor, find_isomorphism,
+                         validate_two_category)
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
                              fix_m2, fix_prod, fix_t)
 from twocat.orientals import increasing_paths, materialize_oriental
@@ -317,15 +319,17 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
     # every delta of B(rho-c2) at 2 x 2 and 3 x 3, pair by pair (omega,
     # sigma), against the dict-keyed search with both blocks pinned, and at
     # 2 x 2 against the product oracle too (too slow for 7-simplices); and
-    # every extension that build_B makes there against the dict-keyed
-    # search with all of its simplex pinned
+    # every extension that build_B makes there, of its deltas and of the
+    # simplices of the nerves of C and D, against the dict-keyed search
+    # with all of its simplex pinned
     P = pgm.fix_c2_pgm()
     F = sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
                             sinv.s_inv_point(P))
     grown = []
+    real = nv.extensions
 
     def checked_extensions(D, x):
-        ys = nv.extensions(D, x)
+        ys = real(D, x)
         L = nv.layout(x.dim)
         assert ys == dict_keyed_search(
             D, x.dim + 1, dict(enumerate(x.vertices)),
@@ -333,10 +337,11 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
         grown.append(len(ys))
         return ys
 
-    monkeypatch.setattr(specseq, "extensions", checked_extensions)
     for N in (2, 3):
-        grown.clear()
-        B = specseq.build_B(F, N, N)
+        with monkeypatch.context() as m:
+            m.setattr(nv, "extensions", checked_extensions)
+            grown.clear()
+            B = specseq.build_B(F, N, N)
         oms = nv.simplex_levels(F.source, N)
         sis = nv.simplex_levels(F.target, N)
         pairs = 0
@@ -353,9 +358,10 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
                     pairs += bool(des)
             assert seen == len(cells)
         assert pairs > 100
-        # one extension per F(omega) block and per delta below the top p
-        assert sum(grown) == sum(len({x.de for x in cells})
-                                 for cells in B.levels.values())
+        # each simplex of the nerves of C and D to dimension N, and each
+        # delta, is found once: one extension per parent
+        assert sum(grown) == sum(map(len, oms + sis)) + sum(
+            len({x.de for x in cells}) for cells in B.levels.values())
 
 
 @pytest.mark.parametrize("make", [fix_t, fix_c2, fix_m2, fix_i, fix_g2,
@@ -499,6 +505,163 @@ def test_serialized_nerve_is_unchanged():
     assert len(text) == 61563
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "371e94e6200eb12536ff179e6b8f5543dca9b1ff494b30c1e4f7c2507aff7048"
+
+
+# --- the per-simplex nerve and the sorting writer, as oracles ---------------
+
+def oracle_nerve(D, N):
+    """nerve() as first written: every face and degeneracy built as a
+    simplex by nv.face and nv.degeneracy."""
+    levels = tuple(map(tuple, nv.simplex_levels(D, N)))
+    fmap = {}
+    dmap = {}
+    for n in range(1, N + 1):
+        for x in levels[n]:
+            for i in range(n + 1):
+                fmap[(i, x)] = nv.face(D, x, i)
+    for n in range(N):
+        for x in levels[n]:
+            for i in range(n + 1):
+                dmap[(i, x)] = nv.degeneracy(D, x, i)
+    image = set(dmap.values())
+    degenerate = {x: x in image for lev in levels for x in lev}
+    return nv.TruncSimplicialSet(N, levels, fmap, dmap, degenerate)
+
+
+def oracle_simplex_key(x):
+    """simplex_key as first written: the repr of the whole pair encoding."""
+    if isinstance(x, str):
+        return x
+    L = nv.layout(x.dim)
+    return repr((x.vertices, tuple(zip(L.pairs, x.edges)),
+                 tuple(zip(L.triples, x.triangles))))
+
+
+def oracle_trunc_sset_to_dict(X):
+    """trunc_sset_to_dict as first written: every table sorted."""
+    key = {x: oracle_simplex_key(x) for lev in X.levels for x in lev}
+    return {
+        "N": X.N,
+        "levels": [[key[x] for x in lev] for lev in X.levels],
+        "face": [[i, key[x], key[y]]
+                 for (i, x), y in sorted(X.face.items(),
+                                         key=lambda kv: (kv[0][0],
+                                                         kv[0][1]))],
+        "degen": [[i, key[x], key[y]]
+                  for (i, x), y in sorted(X.degen.items(),
+                                          key=lambda kv: (kv[0][0],
+                                                          kv[0][1]))],
+        "degenerate": [[key[x], bool(v)]
+                       for x, v in sorted(X.degenerate.items())],
+    }
+
+
+def self_completion(P):
+    return sinv.s_inv_x(P, pgm.self_action(P)).cat
+
+
+def completions():
+    """name -> maker of S^-1 X and of the point completion, per monoid."""
+    out = {}
+    for make in (pgm.fix_c2_pgm, pgm.fix_m2_pgm, pgm.fix_g2_pgm):
+        out["S^-1 " + make.__name__] = \
+            lambda make=make: self_completion(make())
+        out["S^-1 pt " + make.__name__] = \
+            lambda make=make: sinv.s_inv_point(make()).cat
+    return out
+
+
+# name -> (category, N): every fixture and completion above, at N = 5, but
+# at N = 4 the two whose 5-simplices write 53 and 67 MB
+NERVE_CASES = {
+    **{name: ((lambda: fix_prod(fix_g2(), fix_c2())[0]) if name == "fix_prod"
+              else getattr(fixtures, name),
+              4 if name == "fix_g2sat" else 5) for name in FIXTURES},
+    **{name: (make, 4 if name == "S^-1 fix_g2_pgm" else 5)
+       for name, make in completions().items()},
+}
+
+
+def assert_nerve_and_text_match_oracles(D, N):
+    X, O = nv.nerve(D, N), oracle_nerve(D, N)
+    assert X.levels == O.levels
+    assert X.face == O.face
+    assert X.degen == O.degen
+    assert X.degenerate == O.degenerate
+    text = tio.dumps(tio.trunc_sset_to_dict(X))
+    assert text == tio.dumps(oracle_trunc_sset_to_dict(O))
+    return X
+
+
+@pytest.mark.parametrize("name", sorted(NERVE_CASES))
+def test_nerve_and_writer_match_the_oracles(name):
+    make, N = NERVE_CASES[name]
+    assert_nerve_and_text_match_oracles(make(), N)
+
+
+# ids that repr escapes or quotes in its own way: quotes of both kinds, a
+# backslash, a newline, a format sign and non-ASCII text
+AWKWARD = ["it's", 'say "hi"', "both ' and \"", "back\\slash", "new\nline",
+           "100%", "%s%d", "caf\u00e9", "\u2603", "\U0001d400"]
+
+
+def awkward_copy(D):
+    """D with every object, 1-cell and 2-cell id renamed to a counter
+    followed by all of AWKWARD, rotated by the counter."""
+    d = tio.two_category_to_dict(D)
+    ids = sorted(set(d["objects"]) | {r["id"] for r in d["one_cells"]}
+                 | {r["id"] for r in d["two_cells"]})
+    k = len(AWKWARD)
+    new = {x: str(n) + "".join(AWKWARD[n % k:] + AWKWARD[:n % k])
+           for n, x in enumerate(ids)}
+
+    def rename(obj):
+        if isinstance(obj, str):
+            return new.get(obj, obj)
+        if isinstance(obj, dict):
+            return {k: rename(v) for k, v in obj.items()}
+        return [rename(v) for v in obj]
+
+    return validate_two_category(tio.two_category_from_dict(rename(d)))
+
+
+@pytest.mark.parametrize("make,N", [(fix_g2, 4), (fix_i, 4),
+                                    (lambda: fix_prod(fix_g2(), fix_c2())[0],
+                                     3)], ids=["g2", "i", "G2xC2"])
+def test_writer_matches_the_oracle_on_awkward_ids(make, N):
+    X = assert_nerve_and_text_match_oracles(awkward_copy(make()), N)
+    keys = [tio.simplex_key(x) for lev in X.levels for x in lev]
+    assert keys == [oracle_simplex_key(x) for lev in X.levels for x in lev]
+    assert any("\\\\" in k for k in keys) and any("\\'" in k for k in keys)
+    assert any("\u2603" in k for k in keys)
+
+
+def test_nerve_and_build_B_build_no_face_or_degeneracy(monkeypatch):
+    # the operators of nerve() and of a build_B that succeeds are found by
+    # key; face() and degeneracy() are left to the error paths, which the
+    # last call takes
+    calls = []
+    for name in ("face", "degeneracy"):
+        real = getattr(nv, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("twocat") and \
+                    getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    nv.nerve(fix_prod(fix_g2(), fix_c2())[0], 5)
+    P = pgm.fix_c2_pgm()
+    specseq.build_B(sinv.rho_projection(
+        sinv.s_inv_x(P, pgm.self_action(P)), sinv.s_inv_point(P)), 3, 3)
+    assert calls == []
+    G = fix_g2()
+    swap = TwoFunctor(G, G, {"*": "*"}, {"i": "i"}, {"e0": "e1", "e1": "e0"})
+    with pytest.raises(AxiomError, match="not closed"):
+        specseq.build_B(swap, 0, 2)
+    assert calls
 
 
 # --- nerve assembly -------------------------------------------------------------

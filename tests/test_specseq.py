@@ -116,15 +116,15 @@ def test_build_B_rejects_a_delta_whose_sigma_is_missing(monkeypatch):
     # a search that loses the 1-simplex id_0 of the target leaves the
     # all-identity delta over the vertex 0 without its sigma
     F = identity_functor(fix_i())
-    real = ss.simplex_levels
+    real = ss.simplex_operators
 
     def lossy(D, N):
-        levels = real(D, N)
+        levels, faces, degens = real(D, N)
         if N >= 1:
             levels[1] = levels[1][1:]
-        return levels
+        return levels, faces, degens
 
-    monkeypatch.setattr(ss, "simplex_levels", lossy)
+    monkeypatch.setattr(ss, "simplex_operators", lossy)
     with pytest.raises(AxiomError, match="ends outside the 1-simplices"):
         ss.build_B(F, 1, 0)
 
