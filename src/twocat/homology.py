@@ -10,22 +10,25 @@ its generators: a finitely presented abelian group per simplex and a matrix
 per face map; the twisted boundary multiplies each face summand by the
 corresponding matrix.
 
-Chain complexes and chain maps are sparse columns
-(``intlinalg.sparse_columns``).  ``boundary_columns`` builds every
-normalized boundary: the nerve's (``chain_complex``, which checks d^2 = 0,
-nerve files being untrusted) and those of the spectral-sequence pages and
-totalization.  ``homology`` gives the group only
-(``intlinalg.free_homology``); ``homology_subquotient``,
-``homology_induced`` and the local-coefficient functions carry
-coordinates (``intlinalg.chain_homology``, ``induced_matrix``).  Whether
-columns lie in the relations of a presented group (``in_relations``) and
-whether a map of presented groups is an isomorphism (``iso_inverse``, and
-``induced_iso`` on H_n) are decided here only.
+Simplicial sets hold their faces as position tables
+(``nerve.TruncSimplicialSet``).  Chain complexes and chain maps are sparse
+columns (``intlinalg.sparse_columns``).  ``level_boundary`` builds every
+normalized boundary from a level's face rows and the ``basis_rows`` of it
+and the level below: the nerve's (``chain_complex``, which checks
+d^2 = 0) and those of the spectral-sequence pages and totalization.
+``homology`` gives the group only (``intlinalg.free_homology``);
+``homology_subquotient``, ``homology_induced`` and the local-coefficient
+functions carry coordinates (``intlinalg.chain_homology``,
+``induced_matrix``).  Whether columns lie in the relations of a presented
+group (``in_relations``) and whether a map of presented groups is an
+isomorphism (``iso_inverse``, and ``induced_iso`` on H_n) are decided here
+only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .core import AxiomError, TwoFunctor
 from .intlinalg import (FGAbGroup, Subquotient, chain_homology, cokernel,
@@ -36,20 +39,29 @@ from .intlinalg import (FGAbGroup, Subquotient, chain_homology, cokernel,
 from .nerve import TruncSimplicialSet, map_simplex
 
 
-def boundary_columns(faces, row) -> list:
-    """sum_i (-1)^i e_(d_i x) as a sparse column for each source cell x, given
-    by its faces (d_0 x, ..., d_n x).  row maps each cell of the target
-    level to its basis row, or to None (a degenerate cell, whose faces are
-    dropped); a cell it lacks raises KeyError or IndexError."""
+def basis_rows(flags: list, start: int = 0) -> list:
+    """Per cell of a level, its row in the basis of the cells not flagged
+    degenerate, counted from start, or None for a flagged cell."""
+    return [None if d else r for d, r in
+            zip(flags, accumulate((not d for d in flags), initial=start))]
+
+
+def level_boundary(table: list, src: list, tgt: list) -> list:
+    """sum_i (-1)^i e_(d_i x) as a sparse column for each basis cell x of a
+    level, table[i][k] being the position in the level below of d_i of its
+    k-th cell; src and tgt are the ``basis_rows`` of the two levels, and a
+    face on a degenerate cell (row None) drops out."""
     cols = []
-    for fs in faces:
+    for k, r in enumerate(src):
+        if r is None:
+            continue
         col, sign = {}, 1
-        for y in fs:
-            r = row[y]
-            if r is not None:
-                col[r] = col.get(r, 0) + sign
+        for row in table:
+            t = tgt[row[k]]
+            if t is not None:
+                col[t] = col.get(t, 0) + sign
             sign = -sign
-        cols.append(tuple(sorted((r, v) for r, v in col.items() if v)))
+        cols.append(tuple(sorted((t, v) for t, v in col.items() if v)))
     return cols
 
 
@@ -64,17 +76,9 @@ class ChainComplexZ:
 
 
 def chain_complex(X: TruncSimplicialSet) -> ChainComplexZ:
-    basis = [X.nondegenerate(n) for n in range(X.N + 1)]
-    # a degenerate face drops out; any other face must lie in the basis
-    # below (a KeyError otherwise, as the file is malformed)
-    row = dict.fromkeys(y for y, d in X.degenerate.items() if d)
-    boundary = [None]
-    for n in range(1, X.N + 1):
-        row.update((y, r) for r, y in enumerate(basis[n - 1]))
-        boundary.append(boundary_columns(
-            ([X.face[(i, x)] for i in range(n + 1)] for x in basis[n]), row))
-        for y in basis[n - 1]:
-            del row[y]
+    rows = [basis_rows(flags) for flags in X.degenerate]
+    boundary = [None] + [level_boundary(X.faces[n], rows[n], rows[n - 1])
+                         for n in range(1, X.N + 1)]
     for n in range(2, X.N + 1):
         below = boundary[n - 1]
         for col in boundary[n]:
@@ -85,7 +89,8 @@ def chain_complex(X: TruncSimplicialSet) -> ChainComplexZ:
             if any(dd.values()):
                 raise AxiomError(
                     "boundary squared is nonzero in degree %d" % n)
-    return ChainComplexZ(X.N, basis, boundary)
+    return ChainComplexZ(X.N, [X.nondegenerate(n) for n in range(X.N + 1)],
+                         boundary)
 
 
 def _check_degree(X: TruncSimplicialSet, n: int):
@@ -120,10 +125,10 @@ def homology_induced(F: TwoFunctor, Xs: TruncSimplicialSet,
     the basis n-simplices of Xs are mapped (``nerve.map_simplex``).
     Returns (matrix, src subquotient, tgt subquotient)."""
     sq_s, basis_s = homology_subquotient(Xs, n)
-    sq_t, basis_t = homology_subquotient(Xt, n)
-    idx_t = {x: i for i, x in enumerate(basis_t)}
-    M = [() if Xt.degenerate[y] else ((idx_t[y], 1),)
-         for y in (map_simplex(F, x) for x in basis_s)]
+    sq_t, _ = homology_subquotient(Xt, n)
+    row = dict(zip(Xt.levels[n], basis_rows(Xt.degenerate[n])))
+    M = [() if r is None else ((r, 1),)
+         for r in (row[map_simplex(F, x)] for x in basis_s)]
     return induced_matrix(sq_s, sq_t, M), sq_s, sq_t
 
 
@@ -163,13 +168,12 @@ class LocalCoeffSystem:
 
 def constant_system(X: TruncSimplicialSet,
                     pres: PresentedGroup = ZCONST) -> LocalCoeffSystem:
-    group = {}
-    for lev in X.levels:
+    group, face_map, degen_map, n = {}, {}, {}, pres.gens
+    for lev, faces, degens in zip(X.levels, X.faces, X.degens):
         for x in lev:
             group[x] = pres
-    n = pres.gens
-    face_map = {k: mid(n) for k in X.face}
-    degen_map = {k: mid(n) for k in X.degen}
+            face_map.update(((i, x), mid(n)) for i in range(len(faces)))
+            degen_map.update(((i, x), mid(n)) for i in range(len(degens)))
     return LocalCoeffSystem(group, face_map, degen_map)
 
 
@@ -228,34 +232,32 @@ def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
             if g.rels and misshapen(g.rels, g.gens, len(g.rels[0])):
                 raise AxiomError("relations of the group at %r are not a "
                                  "matrix with %d rows" % (x, g.gens))
-    for n in range(1, X.N + 1):
-        for x in X.levels[n]:
-            for i in range(n + 1):
-                M = L.face_map.get((i, x))
-                rows, cols = L.group[X.face[(i, x)]].gens, L.group[x].gens
-                if M is None or misshapen(M, rows, cols):
-                    raise AxiomError("face map (%d, %r) is not a %d x %d "
-                                     "matrix" % (i, x, rows, cols))
-    for n in range(1, X.N + 1):
-        for x in X.levels[n]:
-            for i in range(n + 1):
-                src, tgt = L.group[x], L.group[X.face[(i, x)]]
-                if not in_relations(mmul(L.face_map[(i, x)],
-                                         src.rel_matrix()), tgt):
-                    raise AxiomError(
-                        "face map (%d, %r) does not preserve relations"
-                        % (i, x))
+    faces = [(i, x, X.levels[n - 1][row[k]]) for n in range(1, X.N + 1)
+             for k, x in enumerate(X.levels[n])
+             for i, row in enumerate(X.faces[n])]
+    for i, x, y in faces:
+        M = L.face_map.get((i, x))
+        rows, cols = L.group[y].gens, L.group[x].gens
+        if M is None or misshapen(M, rows, cols):
+            raise AxiomError("face map (%d, %r) is not a %d x %d matrix"
+                             % (i, x, rows, cols))
+    for i, x, y in faces:
+        if not in_relations(mmul(L.face_map[(i, x)],
+                                 L.group[x].rel_matrix()), L.group[y]):
+            raise AxiomError("face map (%d, %r) does not preserve relations"
+                             % (i, x))
     for n in range(2, X.N + 1):
-        for x in X.levels[n]:
+        up, lo, at = X.faces[n], X.faces[n - 1], X.levels[n - 1]
+        for k, x in enumerate(X.levels[n]):
             for j in range(n + 1):
                 for i in range(j):
-                    a = mmul(L.face_map[(i, X.face[(j, x)])],
+                    a = mmul(L.face_map[(i, at[up[j][k]])],
                              L.face_map[(j, x)])
-                    b = mmul(L.face_map[(j - 1, X.face[(i, x)])],
+                    b = mmul(L.face_map[(j - 1, at[up[i][k]])],
                              L.face_map[(i, x)])
                     diff = [[p - q for p, q in zip(ra, rb)]
                             for ra, rb in zip(a, b)]
-                    tgt = L.group[X.face[(i, X.face[(j, x)])]]
+                    tgt = L.group[X.levels[n - 2][lo[i][up[j][k]]]]
                     if not in_relations(diff, tgt):
                         raise AxiomError(
                             "face functoriality fails at %r (%d,%d)"
@@ -265,30 +267,26 @@ def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
 def _local_complex(L: LocalCoeffSystem, X: TruncSimplicialSet):
     """Per degree n, the relation columns and the twisted boundary d_n
     (None for n = 0) as sparse columns, and the number of generators."""
-    basis = [X.nondegenerate(n) for n in range(X.N + 1)]
-    offs = []
-    tot = []
-    for b in basis:
-        o = {}
-        t = 0
-        for x in b:
-            o[x] = t
-            t += L.group[x].gens
-        offs.append(o)
-        tot.append(t)
-    rels = [[tuple((offs[n][x] + k, v) for k, v in col)
-             for x in b for col in sparse_columns(L.group[x].rel_matrix())]
-            for n, b in enumerate(basis)]
+    # offs[n][k]: the first generator of the k-th n-simplex, if nondegenerate
+    offs = [list(accumulate((0 if d else L.group[x].gens
+                             for x, d in zip(lev, flags)), initial=0))
+            for lev, flags in zip(X.levels, X.degenerate)]
+    rels = [[tuple((o[k] + r, v) for r, v in col)
+             for k, x in enumerate(lev) if not flags[k]
+             for col in sparse_columns(L.group[x].rel_matrix())]
+            for lev, flags, o in zip(X.levels, X.degenerate, offs)]
     bnds = [None]
     for n in range(1, X.N + 1):
-        cols = []
-        for x in basis[n]:
+        lo, flags, cols = X.levels[n - 1], X.degenerate[n - 1], []
+        for k, x in enumerate(X.levels[n]):
+            if X.degenerate[n][k]:
+                continue
             faces = []          # sign, matrix, first row, rows of each face
-            for i in range(n + 1):
-                y = X.face[(i, x)]
-                if not X.degenerate[y]:
+            for i, row in enumerate(X.faces[n]):
+                if not flags[row[k]]:
                     faces.append(((-1) ** i, L.face_map[(i, x)],
-                                  offs[n - 1][y], L.group[y].gens))
+                                  offs[n - 1][row[k]],
+                                  L.group[lo[row[k]]].gens))
             for c in range(L.group[x].gens):
                 col = {}
                 for sign, M, o, g in faces:
@@ -298,7 +296,7 @@ def _local_complex(L: LocalCoeffSystem, X: TruncSimplicialSet):
                 cols.append(tuple(sorted((r, v) for r, v in col.items()
                                          if v)))
         bnds.append(cols)
-    return rels, bnds, tot
+    return rels, bnds, [o[-1] for o in offs]
 
 
 def homology_local(X: TruncSimplicialSet, L: LocalCoeffSystem,

@@ -19,7 +19,9 @@ Schema (bit-exact, keys sorted on output):
   "degen": [[i, simplex, value]], "degenerate": [[simplex, bool]]} with
   simplices rendered as canonical strings; the rows are written in level
   order (by i, then level, then position), which for a nerve's sorted
-  levels is sorted order, and read back only when total and in range.
+  levels is sorted order, and read back into position tables only when
+  total and in range, with flags true exactly on the values of ``degen``
+  and every simplicial identity holding.
 * coefficient system: {"group": [[simplex, {"gens","rels"}]], "face_map"/
   "degen_map": [[i, simplex, matrix]]} over the same simplex strings.
 
@@ -34,7 +36,7 @@ from functools import lru_cache
 
 from .core import AxiomError, TwoCategory, TwoFunctor, make_two_category
 from .homology import LocalCoeffSystem, PresentedGroup
-from .nerve import TruncSimplicialSet, layout
+from .nerve import TruncSimplicialSet, check_simplicial_identities, layout
 from .pgm import PGM, PGMAction
 
 
@@ -199,51 +201,53 @@ def trunc_sset_to_dict(X: TruncSimplicialSet) -> dict:
     over the levels in order, and the degenerate rows over the levels in
     order: for levels sorted as a nerve's are, that is sorted order."""
     keys = [[simplex_key(x) for x in lev] for lev in X.levels]
-    key = {x: k for lev, ks in zip(X.levels, keys) for x, k in zip(lev, ks)}
-    face, degen, N = X.face, X.degen, X.N
+    N = X.N
     return {
         "N": N,
         "levels": keys,
-        "face": [[i, k, key[face[(i, x)]]] for i in range(N + 1)
+        "face": [[i, k, keys[n - 1][r]] for i in range(N + 1)
                  for n in range(max(i, 1), N + 1)
-                 for x, k in zip(X.levels[n], keys[n])],
-        "degen": [[i, k, key[degen[(i, x)]]] for i in range(N)
+                 for k, r in zip(keys[n], X.faces[n][i])],
+        "degen": [[i, k, keys[n + 1][r]] for i in range(N)
                   for n in range(i, N)
-                  for x, k in zip(X.levels[n], keys[n])],
-        "degenerate": [[k, bool(X.degenerate[x])]
-                       for lev, ks in zip(X.levels, keys)
-                       for x, k in zip(lev, ks)],
+                  for k, r in zip(keys[n], X.degens[n][i])],
+        "degenerate": [[k, v] for ks, flags in zip(keys, X.degenerate)
+                       for k, v in zip(ks, flags)],
     }
 
 
-def _operator_table(d: dict, name: str, dim: dict, shift: int) -> dict:
-    """The table (i, x) -> y of the rows [i, x, y] of d[name], the face
-    (shift -1) or degeneracy (shift 1) field of a loaded nerve, checked
-    total and in range: for every n-simplex x whose level n + shift
-    exists, one row for each i in 0..n, its value an (n + shift)-simplex.
-    AxiomError naming the first row that breaks this, or the first missing
-    one."""
+def _operator_rows(d: dict, name: str, at: dict, shift: int) -> list:
+    """The position table of the rows [i, x, y] of d[name], the face
+    (shift -1) or degeneracy (shift 1) field of a loaded nerve: per level
+    n, per i, the position of each value in level n + shift, for every
+    level n whose level n + shift exists and is empty otherwise.  The
+    table must be total and in range: one row for each n-simplex x and
+    each i in 0..n, its value an (n + shift)-simplex.  AxiomError naming
+    the first row that breaks this, else the first repeated one, else the
+    first missing one."""
     op = "d" if shift < 0 else "s"
-    table, get, rows = {}, dim.get, d[name]
+    levels, rows, get, twice = d["levels"], d[name], at.get, None
+    ns = range(max(0, -shift), len(levels) - max(0, shift))
+    table = [[[None] * len(lev) for _ in range(n + 1)] if n in ns else []
+             for n, lev in enumerate(levels)]
     for i, x, y in rows:
-        n = get(x)
-        if n is None or get(y) != n + shift or type(i) is not int \
+        n, k = get(x, (None, 0))
+        m, r = (None, 0) if n is None else get(y, (None, 0))
+        if m is None or m != n + shift or type(i) is not int \
                 or not 0 <= i <= n:
             raise AxiomError("%s entry %s_%s of %s = %s is out of range"
                              % (name, op, i, x, y))
-        table[(i, x)] = y
-    ns = range(max(0, -shift), len(d["levels"]) - max(0, shift))
-    if not len(rows) == len(table) == sum(n + 1 for n in dim.values()
-                                          if n in ns):
-        seen = set()
-        for i, x, _ in rows:
-            if (i, x) in seen:
-                raise AxiomError("%s entry %s_%s of %s is given twice"
-                                 % (name, op, i, x))
-            seen.add((i, x))
-        # the keys are distinct and in range, so one is missing
-        i, x = next((i, x) for x, n in dim.items() if n in ns
-                    for i in range(n + 1) if (i, x) not in table)
+        row = table[n][i]
+        if row[k] is not None and twice is None:
+            twice = (i, x)
+        row[k] = r
+    if twice is not None:
+        raise AxiomError("%s entry %s_%s of %s is given twice"
+                         % ((name, op) + twice))
+    if len(rows) != sum(len(levels[n]) * (n + 1) for n in ns):
+        # the rows are distinct and in range, so a slot is left empty
+        i, x = next((i, x) for n in ns for k, x in enumerate(levels[n])
+                    for i, row in enumerate(table[n]) if row[k] is None)
         raise AxiomError("%s entry %s_%d of %s is missing" % (name, op, i, x))
     return table
 
@@ -251,25 +255,34 @@ def _operator_table(d: dict, name: str, dim: dict, shift: int) -> dict:
 def trunc_sset_from_dict(d: dict) -> TruncSimplicialSet:
     """Rebuild with plain string simplices; chain-level consumers treat
     simplices as opaque keys, so the result computes the same homology.
-    The face and degeneracy tables must be total and in range, and every
-    simplex must carry a degenerate flag, true exactly when it is a value
-    of the degeneracy table; AxiomError otherwise."""
-    dim = {x: n for n, lev in enumerate(d["levels"]) for x in lev}
-    X = TruncSimplicialSet(
-        N=d["N"],
-        levels=tuple(tuple(lev) for lev in d["levels"]),
-        face=_operator_table(d, "face", dim, -1),
-        degen=_operator_table(d, "degen", dim, 1),
-        degenerate={x: v for x, v in d["degenerate"]},
-    )
-    image = set(X.degen.values())
-    for lev in X.levels:
-        for x in lev:
-            if x not in X.degenerate:
+    ValueError, naming the field, unless levels is a list of lists of
+    distinct strings and N is its last index.  The face and degeneracy
+    tables must be total and in range, every simplex must carry a
+    degenerate flag, true exactly when it is a value of the degeneracy
+    table, and the simplicial identities must hold
+    (``nerve.check_simplicial_identities``); AxiomError otherwise."""
+    levels, N = d["levels"], d["N"]
+    if type(levels) is not list or not all(
+            type(lev) is list and all(type(x) is str for x in lev)
+            for lev in levels):
+        raise ValueError("levels must be a list of lists of strings")
+    at = {x: (n, k) for n, lev in enumerate(levels) for k, x in enumerate(lev)}
+    if len(at) != sum(map(len, levels)):
+        raise ValueError("levels must not repeat a simplex")
+    if type(N) is not int or N != len(levels) - 1:
+        raise ValueError("N must be %d, one less than the number of levels, "
+                         "not %r" % (len(levels) - 1, N))
+    X = TruncSimplicialSet(N, levels, _operator_rows(d, "face", at, -1),
+                           _operator_rows(d, "degen", at, 1))
+    flags = {x: v for x, v in d["degenerate"]}
+    for lev, image in zip(levels, X.degenerate):
+        for x, v in zip(lev, image):
+            if x not in flags:
                 raise AxiomError("simplex %s has no degenerate flag" % x)
-            if bool(X.degenerate[x]) != (x in image):
+            if bool(flags[x]) != v:
                 raise AxiomError("degenerate flag of %s disagrees with the "
                                  "degeneracy table" % x)
+    check_simplicial_identities(X)
     return X
 
 

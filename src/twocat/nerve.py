@@ -26,20 +26,22 @@ its new cells; then d_last y is the parent, and for i < last, d_i y is
 the child of d_i(parent) and s_i y that of s_i(parent) whose new cells are
 a gather of y's, while s_last y is a child of y itself (``operator_row``).
 ``simplex_operators`` keeps the operators as position tables, which
-``nerve`` reads into its dicts and ``build_B`` (``specseq``) into its own;
-``face`` and ``degeneracy`` are left to the paths that name a simplex,
-such as error reports.
+``nerve`` returns as they come, in a ``TruncSimplicialSet``, and
+``build_B`` (``specseq``) reads for its blocks; ``face`` and
+``degeneracy`` are left to the paths that name a simplex, such as error
+reports.  ``check_simplicial_identities`` composes those tables row by
+row; it checks nerves, loaded nerve files and both directions of B(F).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import TwoCategory, TwoFunctor
+from .core import AxiomError, TwoCategory, TwoFunctor
 
 
 class Layout(NamedTuple):
@@ -326,78 +328,79 @@ def degeneracy(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
 
 @dataclass
 class TruncSimplicialSet:
+    """A simplicial set truncated at N, its operators as position tables:
+    faces[n][i][k] is the position in levels[n - 1] of d_i of the k-th
+    n-simplex, degens[n][i][k] that in levels[n + 1] of s_i (faces[0] and
+    degens[N] are empty), and degenerate[n][k] whether the k-th n-simplex
+    is a value of some s_i, worked out from degens."""
     N: int
-    levels: tuple              # levels[n] = sorted tuple of n-simplices
-    face: dict                 # (i, x) -> simplex
-    degen: dict                # (i, x) -> simplex
-    degenerate: dict           # x -> bool
+    levels: list               # levels[n] = the n-simplices, in order
+    faces: list
+    degens: list
+    degenerate: list = field(init=False)
+
+    def __post_init__(self):
+        self.degenerate = [[False] * len(lev) for lev in self.levels]
+        for n, rows in enumerate(self.degens):
+            for row in rows:
+                for k in row:
+                    self.degenerate[n + 1][k] = True
 
     def nondegenerate(self, n: int):
-        return [x for x in self.levels[n] if not self.degenerate[x]]
+        return [x for x, d in zip(self.levels[n], self.degenerate[n])
+                if not d]
 
 
 def nerve(D: TwoCategory, N: int) -> TruncSimplicialSet:
-    """The nerve of D truncated at N, its operators read off the position
-    tables of ``simplex_operators``."""
-    levels, faces, degens = simplex_operators(D, N)
-    fmap = {}
-    dmap = {}
-    for n in range(1, N + 1):
-        lo = levels[n - 1]
-        for x, ks in zip(levels[n], zip(*faces[n])):
-            for i, k in enumerate(ks):
-                fmap[(i, x)] = lo[k]
-    for n in range(N):
-        hi = levels[n + 1]
-        for x, ks in zip(levels[n], zip(*degens[n])):
-            for i, k in enumerate(ks):
-                dmap[(i, x)] = hi[k]
-    levels = tuple(map(tuple, levels))
-    # degenerate simplices are exactly the images of degeneracies
-    image = set(dmap.values())
-    degenerate = {x: x in image for lev in levels for x in lev}
-    return TruncSimplicialSet(N, levels, fmap, dmap, degenerate)
+    """The nerve of D truncated at N, with the position tables of
+    ``simplex_operators`` as they come."""
+    return TruncSimplicialSet(N, *simplex_operators(D, N))
 
 
 def check_simplicial_identities(X: TruncSimplicialSet) -> bool:
-    """All identities among face/degeneracy maps that stay within the
-    truncation, verified exhaustively."""
-    for n in range(2, X.N + 1):
-        for x in X.levels[n]:
-            for j in range(n + 1):
-                for i in range(j):
-                    # d_i d_j = d_{j-1} d_i for i < j
-                    if X.face[(i, X.face[(j, x)])] != \
-                            X.face[(j - 1, X.face[(i, x)])]:
-                        return False
-    for n in range(X.N - 1):
-        for x in X.levels[n]:
-            for j in range(n + 1):
+    """True when every identity among the faces and degeneracies of X that
+    stays within the truncation holds, as a composite of position rows:
+    d_i d_j = d_(j-1) d_i (i < j), s_(j+1) s_i = s_i s_j (i <= j), and
+    d_i s_j = s_(j-1) d_i (i < j), id (i = j, j + 1), s_j d_(i-1)
+    (i > j + 1).  AxiomError naming the first failing identity and a
+    simplex where it fails otherwise."""
+    f, s = X.faces, X.degens
+
+    def same(n, a, b, identity):
+        if a != b:
+            k = next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
+            raise AxiomError("simplicial identity %s fails at %s"
+                             % (identity, X.levels[n][k]))
+
+    for n in range(X.N + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                if n >= 2:
+                    same(n, compose_rows(f[n - 1][i], f[n][j]),
+                         compose_rows(f[n - 1][j - 1], f[n][i]),
+                         "d_%d d_%d = d_%d d_%d" % (i, j, j - 1, i))
+            if n >= X.N:
+                continue
+            if n + 1 < X.N:
                 for i in range(j + 1):
-                    # s_i s_j = s_{j+1} s_i for i <= j
-                    if X.degen[(j + 1, X.degen[(i, x)])] != \
-                            X.degen[(i, X.degen[(j, x)])]:
-                        return False
-    for n in range(X.N):
-        for x in X.levels[n]:
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    y = X.degen[(j, x)]
-                    got = X.face[(i, y)]
-                    if i < j:
-                        want = X.degen[(j - 1, X.face[(i, x)])] \
-                            if n >= 1 else None
-                        if n >= 1 and got != want:
-                            return False
-                    elif i in (j, j + 1):
-                        if got != x:
-                            return False
-                    else:
-                        want = X.degen[(j, X.face[(i - 1, x)])] \
-                            if n >= 1 else None
-                        if n >= 1 and got != want:
-                            return False
+                    same(n, compose_rows(s[n + 1][j + 1], s[n][i]),
+                         compose_rows(s[n + 1][i], s[n][j]),
+                         "s_%d s_%d = s_%d s_%d" % (j + 1, i, i, j))
+            for i in range(n + 2):
+                got = compose_rows(f[n + 1][i], s[n][j])
+                if i in (j, j + 1):
+                    same(n, got, list(range(len(got))),
+                         "d_%d s_%d = id" % (i, j))
+                elif n >= 1:
+                    k, m = (j - 1, i) if i < j else (j, i - 1)
+                    same(n, got, compose_rows(s[n - 1][k], f[n][m]),
+                         "d_%d s_%d = s_%d d_%d" % (i, j, k, m))
     return True
+
+
+def compose_rows(g: list, f: list) -> list:
+    """The composite g . f of two operator rows (position tables)."""
+    return [g[k] for k in f]
 
 
 def map_simplex(F: TwoFunctor, x: OrientedSimplex) -> OrientedSimplex:

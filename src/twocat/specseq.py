@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
 
@@ -49,11 +48,12 @@ from .constructs import (DiagramCommaResult, find_oplax_initial, laco,
 from .core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
                    validate_two_functor)
 from .fixtures import point_functor
-from .homology import (LocalCoeffSystem, boundary_columns, homology_induced,
+from .homology import (LocalCoeffSystem, basis_rows, homology_induced,
                        homology_local, homology_subquotient, induced_iso,
-                       presentation_of)
-from .nerve import (OrientedSimplex, TruncSimplicialSet, degeneracy, face,
-                    grow, layout, map_simplex, nerve, operator_row,
+                       level_boundary, presentation_of)
+from .nerve import (OrientedSimplex, TruncSimplicialSet,
+                    check_simplicial_identities, compose_rows, degeneracy,
+                    face, grow, layout, map_simplex, nerve, operator_row,
                     simplex_levels, simplex_operators)
 from ast import literal_eval
 
@@ -316,60 +316,45 @@ def _raise_first_miss(C, D, cells, fh, dh, fv, dv):
                            x.si)
 
 
-def _after(g: list, f: list) -> list:
-    """The composite g . f of two operator rows."""
-    return [g[k] for k in f]
-
-
 def check_bisimplicial(B: BisimplicialTrunc) -> bool:
-    """Simplicial identities in each direction plus commutation of every
+    """The simplicial identities of every row and every column
+    (``nerve.check_simplicial_identities``) plus commutation of every
     horizontal operator with every vertical one, verified exhaustively
     within the truncation."""
     fh, fv, dh, dv = B.face_h, B.face_v, B.degen_h, B.degen_v
+
+    def line(d, cells):
+        return TruncSimplicialSet(len(cells) - 1, *(
+            [getattr(B, name)[c] for c in cells]
+            for name in ("levels", "face_" + d, "degen_" + d)))
+
+    try:
+        for q in range(B.Q + 1):
+            check_simplicial_identities(
+                line("h", [(p, q) for p in range(B.P + 1)]))
+        for p in range(B.P + 1):
+            check_simplicial_identities(
+                line("v", [(p, q) for q in range(B.Q + 1)]))
+    except AxiomError:
+        return False
     for (p, q), cells in B.levels.items():
-        ident = list(range(len(cells)))
-        for fc, dg, n, cap, lo, hi in (
-                (fh, dh, p, B.P, (p - 1, q), (p + 1, q)),
-                (fv, dv, q, B.Q, (p, q - 1), (p, q + 1))):
-            f, d = fc[(p, q)], dg[(p, q)]
-            for j in range(n + 1):
-                for i in range(j):
-                    if n >= 2 and _after(fc[lo][i], f[j]) != \
-                            _after(fc[lo][j - 1], f[i]):
-                        return False
-                if n + 1 < cap:
-                    for i in range(j + 1):
-                        if _after(dg[hi][j + 1], d[i]) != \
-                                _after(dg[hi][i], d[j]):
-                            return False
-                if n < cap:
-                    for i in range(n + 2):
-                        got = _after(fc[hi][i], d[j])
-                        if i == j or i == j + 1:
-                            if got != ident:
-                                return False
-                        elif n >= 1:
-                            want = _after(dg[lo][j - 1], f[i]) if i < j \
-                                else _after(dg[lo][j], f[i - 1])
-                            if got != want:
-                                return False
         for i in range(p + 1):
             for j in range(q + 1):
                 if p >= 1 and q >= 1 and \
-                        _after(fv[(p - 1, q)][j], fh[(p, q)][i]) != \
-                        _after(fh[(p, q - 1)][i], fv[(p, q)][j]):
+                        compose_rows(fv[(p - 1, q)][j], fh[(p, q)][i]) != \
+                        compose_rows(fh[(p, q - 1)][i], fv[(p, q)][j]):
                     return False
                 if p < B.P and q < B.Q and \
-                        _after(dv[(p + 1, q)][j], dh[(p, q)][i]) != \
-                        _after(dh[(p, q + 1)][i], dv[(p, q)][j]):
+                        compose_rows(dv[(p + 1, q)][j], dh[(p, q)][i]) != \
+                        compose_rows(dh[(p, q + 1)][i], dv[(p, q)][j]):
                     return False
                 if p >= 1 and q < B.Q and \
-                        _after(dv[(p - 1, q)][j], fh[(p, q)][i]) != \
-                        _after(fh[(p, q + 1)][i], dv[(p, q)][j]):
+                        compose_rows(dv[(p - 1, q)][j], fh[(p, q)][i]) != \
+                        compose_rows(fh[(p, q + 1)][i], dv[(p, q)][j]):
                     return False
                 if p < B.P and q >= 1 and \
-                        _after(fv[(p + 1, q)][j], dh[(p, q)][i]) != \
-                        _after(dh[(p, q - 1)][i], fv[(p, q)][j]):
+                        compose_rows(fv[(p + 1, q)][j], dh[(p, q)][i]) != \
+                        compose_rows(dh[(p, q - 1)][i], fv[(p, q)][j]):
                     return False
     return True
 
@@ -386,21 +371,6 @@ class SSPages:
     d1: dict                   # (p, q) -> matrix E1[p,q] -> E1[p-1,q]
     E2: dict                   # (p, q) -> FGAbGroup, p <= P-1, q <= Q-1
     trusted: tuple             # (P-1, Q-1)
-
-
-def basis_rows(flags: list, start: int = 0) -> list:
-    """Per cell of a level, its row in the basis of the cells not flagged
-    degenerate, counted from start, or None for a flagged cell."""
-    return [None if d else r for d, r in
-            zip(flags, accumulate((not d for d in flags), initial=start))]
-
-
-def level_boundary(table: list, src: list, tgt: list) -> list:
-    """sum_i (-1)^i table[i] on the basis cells of a level, as sparse
-    columns on the basis of the level below; src and tgt are the
-    ``basis_rows`` of the two."""
-    return boundary_columns([[f[k] for f in table] for k, r in enumerate(src)
-                             if r is not None], tgt)
 
 
 def pages(B: BisimplicialTrunc) -> SSPages:
@@ -716,18 +686,16 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
     group = {}
     face_map = {}
     degen_map = {}
-    for lev in X.levels:
+    for n, lev in enumerate(X.levels):
         for x in lev:
             group[x] = object_data(x.vertices[0])[3]
-    for (i, x) in X.face:
-        g = group[x].gens
-        if i > 0:
-            face_map[(i, x)] = il.mid(g)
-        else:
-            f = x.edge(0, 1)
-            face_map[(i, x)] = il.mid(g) if D.is_id1(f) else edge_data(f)
-    for k in X.degen:
-        degen_map[k] = il.mid(group[k[1]].gens)
+            g = group[x].gens
+            for i in range(len(X.faces[n])):
+                f = x.edge(0, 1) if i == 0 else None
+                face_map[(i, x)] = il.mid(g) if f is None or D.is_id1(f) \
+                    else edge_data(f)
+            for i in range(len(X.degens[n])):
+                degen_map[(i, x)] = il.mid(g)
     fiber_group = {v: object_data(v)[3]
                    for v in {x.vertices[0] for lev in X.levels for x in lev}}
     return FiberCoeffData(LocalCoeffSystem(group, face_map, degen_map),

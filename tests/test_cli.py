@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -296,7 +297,8 @@ def test_nerve_out_may_name_the_cache_entry(run, tmp_path, monkeypatch):
 
 def corrupted_nerve_file(tmp_path):
     """The I x I nerve at N = 3 with the face d_0 of one nondegenerate
-    1-simplex pointed at its other vertex, so that d^2 != 0."""
+    1-simplex pointed at its other vertex, so that d^2 != 0; returns (nerve
+    file, that 1-simplex)."""
     d = tio.trunc_sset_to_dict(nerve(fix_prod(fix_i(), fix_i())[0], 3))
     degenerate = {x: v for x, v in d["degenerate"]}
     edge = next(x for x in d["levels"][1] if not degenerate[x])
@@ -304,14 +306,15 @@ def corrupted_nerve_file(tmp_path):
     for f in d["face"]:
         if f[:2] == [0, edge]:
             f[2] = faces[(1, edge)]
-    return write(tmp_path, "bad-nerve.json", d)
+    return write(tmp_path, "bad-nerve.json", d), edge
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_corrupted_nerve_is_an_axiom_failure(tmp_path, flags):
-    # run as `python [-O] -m twocat.cli`: -O strips asserts, so the d^2 = 0
-    # check must not be one
-    p = corrupted_nerve_file(tmp_path)
+    # run as `python [-O] -m twocat.cli`: -O strips asserts, so the check of
+    # the simplicial identities at load, which stops this file before its
+    # d^2 = 0 check, must not be one
+    p, edge = corrupted_nerve_file(tmp_path)
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
     for deg in (0, 1, 2):
@@ -322,13 +325,15 @@ def test_corrupted_nerve_is_an_axiom_failure(tmp_path, flags):
         assert proc.returncode == 2, proc.stdout + proc.stderr
         rep = json.loads(proc.stdout)
         assert rep["counterexample"]["clause"] == "axiom-failure"
-        assert "boundary squared is nonzero" in rep["counterexample"]["detail"][0]
+        assert rep["counterexample"]["detail"] == [
+            "simplicial identity d_0 s_1 = s_0 d_0 fails at %s" % edge]
 
 
 def corrupted_top_nerve_file(tmp_path):
     """The G2 nerve at N = 5 with one face of a nondegenerate 5-simplex
     pointed at another nondegenerate 4-simplex with a different boundary,
-    so that d_4 d_5 != 0 while every lower d^2 stays 0."""
+    so that d_4 d_5 != 0 while every lower d^2 stays 0; returns (nerve
+    file, that 5-simplex)."""
     d = tio.trunc_sset_to_dict(nerve(fix_g2(), 5))
     C = chain_complex(tio.trunc_sset_from_dict(d))
     d4 = dict(zip(C.basis[4], C.boundary[4]))
@@ -340,14 +345,15 @@ def corrupted_top_nerve_file(tmp_path):
     for f in d["face"]:
         if f[:2] == [i, x]:
             f[2] = other
-    return write(tmp_path, "bad-top-nerve.json", d)
+    return write(tmp_path, "bad-top-nerve.json", d), x
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_corrupted_top_of_nerve_is_an_axiom_failure(tmp_path, flags):
-    # the group-only homology path still runs the d^2 = 0 check in every
-    # degree, also for a degree far below the corruption
-    p = corrupted_top_nerve_file(tmp_path)
+    # the simplicial identities are checked at load in every degree, so
+    # also for a degree far below the corruption; only the corrupted
+    # simplex's faces break one
+    p, x = corrupted_top_nerve_file(tmp_path)
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
     for deg in (4, 0):
@@ -358,8 +364,9 @@ def test_corrupted_top_of_nerve_is_an_axiom_failure(tmp_path, flags):
         assert proc.returncode == 2, proc.stdout + proc.stderr
         rep = json.loads(proc.stdout)
         assert rep["counterexample"]["clause"] == "axiom-failure"
-        assert rep["counterexample"]["detail"] == [
-            "boundary squared is nonzero in degree 5"]
+        detail, = rep["counterexample"]["detail"]
+        assert re.fullmatch(r"simplicial identity d_\d d_\d = d_\d d_\d "
+                            r"fails at " + re.escape(x), detail), detail
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -429,6 +436,63 @@ def test_partial_face_table_is_an_axiom_failure(tmp_path, run, flags, how):
     assert rep["counterexample"]["detail"] == [detail]
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_broken_simplicial_identity_is_an_axiom_failure(tmp_path, run,
+                                                        flags):
+    # d_0 of the edge a01 of I pointed at vertex 0: the tables stay total
+    # and in range, d^2 = 0 still holds (I has no nondegenerate 2-simplex),
+    # and without the identity check H_0 and H_1 read Z + Z and Z
+    out = str(tmp_path / "n.json")
+    i_file = write(tmp_path, "FIX_I.json", tio.two_category_to_dict(fix_i()))
+    code, _ = run(["nerve", "--input", i_file, "--max-dim", 4,
+                   "--out", out])
+    assert code == 0
+    with open(out) as fh:
+        d = json.load(fh)
+    edge, v0, v1 = ("(('0', '1'), (((0, 1), 'a01'),), ())", "(('0',), (), ())",
+                    "(('1',), (), ())")
+    row, = [f for f in d["face"] if f[:2] == [0, edge]]
+    assert row[2] == v1
+    row[2] = v0
+    p = write(tmp_path, "tampered.json", d)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    for deg in (0, 1):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "twocat.cli", "homology",
+             "--nerve", p, "--deg", str(deg)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["counterexample"]["clause"] == "axiom-failure"
+        assert rep["counterexample"]["detail"] == [
+            "simplicial identity d_0 s_1 = s_0 d_0 fails at %s" % edge]
+
+
+def test_nerve_fields_are_checked(tmp_path, run):
+    # an N past the levels read as a raw IndexError at H_5, and levels that
+    # are no list as a TypeError about iteration
+    d = tio.trunc_sset_to_dict(nerve(fix_g2(), 4))
+    cases = [
+        (dict(d, N=7), 5, "ValueError: N must be 4, one less than the "
+         "number of levels, not 7"),
+        (dict(d, N=3), 2, "ValueError: N must be 4, one less than the "
+         "number of levels, not 3"),
+        (dict(d, levels=5), 0, "ValueError: levels must be a list of lists "
+         "of strings"),
+        (dict(d, levels=d["levels"][:2] + [[7]] + d["levels"][3:]), 0,
+         "ValueError: levels must be a list of lists of strings"),
+        (dict(d, levels=d["levels"][:1] + [d["levels"][0]]
+              + d["levels"][2:]), 0,
+         "ValueError: levels must not repeat a simplex"),
+    ]
+    for n, (tampered, deg, error) in enumerate(cases):
+        p = write(tmp_path, "fields-%d.json" % n, tampered)
+        code, out = run(["homology", "--nerve", p, "--deg", deg])
+        assert code == 1
+        assert json.loads(out) == {"error": error}
+
+
 def test_operator_tables_must_be_total_and_in_range():
     d = tio.trunc_sset_to_dict(nerve(fix_i(), 3))
     x, y = d["levels"][1][0], d["levels"][2][0]
@@ -456,8 +520,12 @@ def test_operator_tables_must_be_total_and_in_range():
 @pytest.mark.parametrize("corrupt", [corrupted_nerve_file,
                                      corrupted_top_nerve_file],
                          ids=["low", "top"])
-def test_sparse_and_dense_d2_checks_agree(tmp_path, corrupt):
-    with open(corrupt(tmp_path)) as fh:
+def test_sparse_and_dense_d2_checks_agree(tmp_path, monkeypatch, corrupt):
+    # the loader's check of the simplicial identities, switched off here,
+    # stops these files before any d^2 = 0 check; past it, the sparse and
+    # the dense check fail alike
+    monkeypatch.setattr(tio, "check_simplicial_identities", lambda X: True)
+    with open(corrupt(tmp_path)[0]) as fh:
         X = tio.trunc_sset_from_dict(json.load(fh))
     with pytest.raises(AxiomError) as sparse:
         chain_complex(X)

@@ -410,11 +410,13 @@ def dense_chain_complex(X):
     boundary = [None]
     for n in range(1, X.N + 1):
         M = il.mzeros(len(basis[n - 1]), len(basis[n]))
-        for j, x in enumerate(basis[n]):
-            for i in range(n + 1):
-                y = X.face[(i, x)]
-                if not X.degenerate[y]:
-                    M[index[n - 1][y]][j] += (-1) ** i
+        for k, x in enumerate(X.levels[n]):
+            if x not in index[n]:
+                continue
+            for i, row in enumerate(X.faces[n]):
+                y = X.levels[n - 1][row[k]]
+                if y in index[n - 1]:
+                    M[index[n - 1][y]][index[n][x]] += (-1) ** i
         boundary.append(M)
     for n in range(2, X.N + 1):
         if basis[n - 2] and basis[n] and any(
@@ -654,10 +656,26 @@ def test_in_relations_reads_every_column():
     assert hm.in_relations(il.mmul([], [[2]]), hm.PresentedGroup(0, []))
 
 
+def operator_dicts(X):
+    """X with its operators in the dict form (i, x) -> y that the
+    simplicial sets used to have, and its flags as a dict x -> bool."""
+    def table(rows_of, shift):
+        return {(i, x): X.levels[n + shift][k]
+                for n, lev in enumerate(X.levels)
+                for i, row in enumerate(rows_of[n])
+                for x, k in zip(lev, row)}
+
+    return SimpleNamespace(
+        N=X.N, levels=X.levels, face=table(X.faces, -1),
+        degen=table(X.degens, 1),
+        degenerate={x: v for lev, flags in zip(X.levels, X.degenerate)
+                    for x, v in zip(lev, flags)})
+
+
 def is_morphism_inverting(L, X):
     """Whether every face and degeneracy map of L is a homomorphism,
-    carrying relations to relations, and an isomorphism;
-    ``hm.iso_inverse`` assumes the first."""
+    carrying relations to relations, and an isomorphism, X being in
+    ``operator_dicts`` form; ``hm.iso_inverse`` assumes the first."""
     for maps, op in ((L.face_map, X.face), (L.degen_map, X.degen)):
         for (i, x), M in maps.items():
             src, tgt = L.group[x], L.group[op[(i, x)]]
@@ -670,6 +688,7 @@ def is_morphism_inverting(L, X):
 def test_morphism_inverting_flags():
     X = nerve(fix_i(), 2)
     L = hm.constant_system(X)
+    X = operator_dicts(X)
     assert is_morphism_inverting(L, X)
     # a multiplication-by-2 face map on Z is not inverting
     bad = hm.LocalCoeffSystem(dict(L.group), dict(L.face_map), {})

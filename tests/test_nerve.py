@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import sys
+from types import SimpleNamespace
 from itertools import combinations, product
 
 import pytest
@@ -15,7 +16,7 @@ from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
                              fix_m2, fix_prod, fix_t)
 from twocat.orientals import increasing_paths, materialize_oriental
 
-from test_homology import ORACLE_CATEGORIES
+from test_homology import ORACLE_CATEGORIES, operator_dicts
 
 
 # --- orientals ----------------------------------------------------------------
@@ -525,7 +526,87 @@ def oracle_nerve(D, N):
                 dmap[(i, x)] = nv.degeneracy(D, x, i)
     image = set(dmap.values())
     degenerate = {x: x in image for lev in levels for x in lev}
-    return nv.TruncSimplicialSet(N, levels, fmap, dmap, degenerate)
+    return SimpleNamespace(N=N, levels=levels, face=fmap, degen=dmap,
+                           degenerate=degenerate)
+
+
+def oracle_check_simplicial_identities(X):
+    """check_simplicial_identities as first written, on the dict form
+    (``operator_dicts``), simplex by simplex: False at the first failing
+    identity."""
+    for n in range(2, X.N + 1):
+        for x in X.levels[n]:
+            for j in range(n + 1):
+                for i in range(j):
+                    # d_i d_j = d_{j-1} d_i for i < j
+                    if X.face[(i, X.face[(j, x)])] != \
+                            X.face[(j - 1, X.face[(i, x)])]:
+                        return False
+    for n in range(X.N - 1):
+        for x in X.levels[n]:
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    # s_i s_j = s_{j+1} s_i for i <= j
+                    if X.degen[(j + 1, X.degen[(i, x)])] != \
+                            X.degen[(i, X.degen[(j, x)])]:
+                        return False
+    for n in range(X.N):
+        for x in X.levels[n]:
+            for j in range(n + 1):
+                for i in range(n + 2):
+                    y = X.degen[(j, x)]
+                    got = X.face[(i, y)]
+                    if i < j:
+                        want = X.degen[(j - 1, X.face[(i, x)])] \
+                            if n >= 1 else None
+                        if n >= 1 and got != want:
+                            return False
+                    elif i in (j, j + 1):
+                        if got != x:
+                            return False
+                    else:
+                        want = X.degen[(j, X.face[(i - 1, x)])] \
+                            if n >= 1 else None
+                        if n >= 1 and got != want:
+                            return False
+    return True
+
+
+def identities_hold(X):
+    """nv.check_simplicial_identities(X) as a bool."""
+    try:
+        return nv.check_simplicial_identities(X)
+    except AxiomError:
+        return False
+
+
+@pytest.mark.parametrize("make,N", [
+    (fix_i, 3), (fix_c2, 3), (fix_g2, 3), (fix_g2, 2),
+    (lambda: fix_prod(fix_i(), fix_i())[0], 2)],
+    ids=["i-3", "c2-3", "g2-3", "g2-2", "IxI-2"])
+def test_identity_check_matches_the_oracle_on_every_redirection(make, N):
+    # every single in-range change of one face or degeneracy entry; at
+    # N = 3 each one breaks some d_i s_j identity, while at N = 2 some
+    # break only s s (G2) or only d d (I x I) identities
+    X = nv.nerve(make(), N)
+    assert identities_hold(X)
+    assert oracle_check_simplicial_identities(operator_dicts(X))
+    broken = 0
+    for table, shift in ((X.faces, -1), (X.degens, 1)):
+        for n, rows in enumerate(table):
+            for row in rows:
+                for k, was in enumerate(row):
+                    for v in range(len(X.levels[n + shift])):
+                        if v == was:
+                            continue
+                        row[k] = v
+                        got = identities_hold(X)
+                        assert got == oracle_check_simplicial_identities(
+                            operator_dicts(X)), (n, k, v)
+                        broken += not got
+                    row[k] = was
+    assert broken
+    assert identities_hold(X)
 
 
 def oracle_simplex_key(x):
@@ -584,10 +665,11 @@ NERVE_CASES = {
 
 def assert_nerve_and_text_match_oracles(D, N):
     X, O = nv.nerve(D, N), oracle_nerve(D, N)
-    assert X.levels == O.levels
-    assert X.face == O.face
-    assert X.degen == O.degen
-    assert X.degenerate == O.degenerate
+    got = operator_dicts(X)
+    assert tuple(map(tuple, got.levels)) == O.levels
+    assert got.face == O.face
+    assert got.degen == O.degen
+    assert got.degenerate == O.degenerate
     text = tio.dumps(tio.trunc_sset_to_dict(X))
     assert text == tio.dumps(oracle_trunc_sset_to_dict(O))
     return X
@@ -597,6 +679,18 @@ def assert_nerve_and_text_match_oracles(D, N):
 def test_nerve_and_writer_match_the_oracles(name):
     make, N = NERVE_CASES[name]
     assert_nerve_and_text_match_oracles(make(), N)
+
+
+@pytest.mark.parametrize("name", sorted(NERVE_CASES))
+def test_reader_gives_back_the_written_tables(name):
+    make, N = NERVE_CASES[name]
+    X = nv.nerve(make(), N)
+    d = tio.trunc_sset_to_dict(X)
+    Y = tio.trunc_sset_from_dict(d)
+    assert Y.N == N and Y.levels == d["levels"]
+    assert Y.faces == X.faces
+    assert Y.degens == X.degens
+    assert Y.degenerate == X.degenerate
 
 
 # ids that repr escapes or quotes in its own way: quotes of both kinds, a
@@ -702,8 +796,8 @@ def test_degenerate_flags_match_oracle(name):
     mk, N = ORACLE_CATEGORIES[name]
     D = mk()
     X = nv.nerve(D, N)
-    assert X.degenerate == {x: is_degenerate(D, x)
-                            for lev in X.levels for x in lev}
+    assert operator_dicts(X).degenerate == {x: is_degenerate(D, x)
+                                            for lev in X.levels for x in lev}
 
 
 def test_enumeration_leaves_no_cyclic_garbage():

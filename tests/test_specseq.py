@@ -16,7 +16,7 @@ from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
                              locally_discrete, point_functor)
 from twocat.nerve import degeneracy, enumerate_simplices, face, nerve
 
-from test_homology import is_morphism_inverting
+from test_homology import is_morphism_inverting, operator_dicts
 from test_nerve import pinned_deltas
 
 
@@ -407,10 +407,10 @@ def row_homology(B, q, p):
     if p > B.P - 1:
         raise ValueError("row H_%d needs horizontal bound >= %d, have %d"
                          % (p, p + 1, B.P))
-    rows = {r: ss.basis_rows(B.degenerate_h[(r, q)]) for r in range(B.P + 1)}
+    rows = {r: hm.basis_rows(B.degenerate_h[(r, q)]) for r in range(B.P + 1)}
 
     def d(r):
-        return ss.level_boundary(B.face_h[(r, q)], rows[r], rows[r - 1])
+        return hm.level_boundary(B.face_h[(r, q)], rows[r], rows[r - 1])
     return il.free_homology(d(p) if p else (), d(p + 1),
                             B.degenerate_h[(p, q)].count(False))
 
@@ -444,7 +444,7 @@ CRITERION_05 = [("interval", lambda: identity_functor(fix_i())),
                          ids=[n for n, _ in CRITERION_05])
 def test_boundary_columns_match_dense_oracles(make):
     B = ss.build_B(make(), 3, 3)
-    rows = {d: {k: ss.basis_rows(flags) for k, flags in
+    rows = {d: {k: hm.basis_rows(flags) for k, flags in
                 getattr(B, "degenerate_" + d).items()} for d in "hv"}
     for (p, q) in B.levels:
         for d, lo, n in (("h", (p - 1, q), p), ("v", (p, q - 1), q)):
@@ -453,7 +453,7 @@ def test_boundary_columns_match_dense_oracles(make):
             src = nondegenerate(getattr(B, "degenerate_" + d)[(p, q)])
             tgt = nondegenerate(getattr(B, "degenerate_" + d)[lo])
             faces = getattr(B, "face_" + d)[(p, q)]
-            got = ss.level_boundary(faces, rows[d][(p, q)], rows[d][lo])
+            got = hm.level_boundary(faces, rows[d][(p, q)], rows[d][lo])
             assert got == as_columns(alt_sum_matrix(src, tgt, faces),
                                      len(src))
     for m in range(1, 4):
@@ -589,7 +589,7 @@ def test_fiber_system_interval_base():
     for q, h0 in [(0, "Z"), (2, "Z/2")]:
         data = ss.fiber_coeff_system(pr2, cert, q, X)
         assert data.edge_matrix == {"a01": [[1]]}
-        assert is_morphism_inverting(data.system, X)
+        assert is_morphism_inverting(data.system, operator_dicts(X))
         assert str(hm.homology_local(X, data.system, 0)) == h0
         assert hm.homology_local(X, data.system, 1).is_trivial
 
