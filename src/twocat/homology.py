@@ -15,14 +15,14 @@ Simplicial sets hold their faces as position tables
 columns (``intlinalg.sparse_columns``).  ``level_boundary`` builds every
 normalized boundary from a level's face rows and the ``basis_rows`` of it
 and the level below: the nerve's (``chain_complex``, which checks
-d^2 = 0) and those of the spectral-sequence pages and totalization.
-``homology`` gives the group only (``intlinalg.free_homology``);
-``homology_subquotient``, ``homology_induced`` and the local-coefficient
-functions carry coordinates (``intlinalg.chain_homology``,
-``induced_matrix``).  Whether columns lie in the relations of a presented
-group (``in_relations``) and whether a map of presented groups is an
-isomorphism (``iso_inverse``, and ``induced_iso`` on H_n) are decided here
-only.
+d^2 = 0) and those of the spectral-sequence pages and totalization.  Every
+group here, H_n with or without coordinates, with local coefficients, and
+the canonical form of a presented group, is the ``.group`` of the one
+homology primitive ``intlinalg.chain_homology``; ``homology_induced``
+reads coordinates through it (``induced_matrix``).  Whether columns lie in
+the relations of a presented group (``in_relations``) and whether a map of
+presented groups is an isomorphism (``iso_inverse``, and ``induced_iso``
+on H_n) are decided here only.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .core import AxiomError, TwoFunctor
-from .intlinalg import (FGAbGroup, Subquotient, chain_homology, cokernel,
-                        columns, free_homology, from_columns, hstack,
-                        induced_matrix, mid, mmul, mshape, mzeros,
-                        order_relations, smith_normal_form, solve,
-                        sparse_columns)
+from .intlinalg import (FGAbGroup, Subquotient, chain_homology, columns,
+                        from_columns, hstack, induced_matrix, mid, mmul,
+                        mshape, mzeros, order_relations, smith_normal_form,
+                        solve, sparse_columns)
 from .nerve import TruncSimplicialSet, map_simplex
 
 
@@ -109,13 +108,8 @@ def homology_subquotient(X: TruncSimplicialSet, n: int):
 
 
 def homology(X: TruncSimplicialSet, n: int) -> FGAbGroup:
-    """H_n(X; Z) as a group only: Z^(c_n - rank d_n - rank d_{n+1}) plus
-    the torsion of d_{n+1}.  ``homology_subquotient`` gives the same group
-    with coordinates."""
-    _check_degree(X, n)
-    C = chain_complex(X)
-    return free_homology(C.boundary[n] if n else (), C.boundary[n + 1],
-                         C.rank(n))
+    """H_n(X; Z), the group of ``homology_subquotient``."""
+    return homology_subquotient(X, n)[0].group
 
 
 def homology_induced(F: TwoFunctor, Xs: TruncSimplicialSet,
@@ -125,7 +119,7 @@ def homology_induced(F: TwoFunctor, Xs: TruncSimplicialSet,
     the basis n-simplices of Xs are mapped (``nerve.map_simplex``).
     Returns (matrix, src subquotient, tgt subquotient)."""
     sq_s, basis_s = homology_subquotient(Xs, n)
-    sq_t, _ = homology_subquotient(Xt, n)
+    sq_t = sq_s if Xt is Xs else homology_subquotient(Xt, n)[0]
     row = dict(zip(Xt.levels[n], basis_rows(Xt.degenerate[n])))
     M = [() if r is None else ((r, 1),)
          for r in (row[map_simplex(F, x)] for x in basis_s)]
@@ -145,15 +139,13 @@ class PresentedGroup:
         return self.rels if self.rels and self.rels[0] else mzeros(self.gens, 0)
 
     def canonical(self) -> FGAbGroup:
-        return cokernel(sparse_columns(self.rel_matrix()), self.gens)
+        return chain_homology((), (), self.gens, 0,
+                              sparse_columns(self.rel_matrix())).group
 
 
 def presentation_of(sq: Subquotient) -> PresentedGroup:
     """Canonical presentation Z^g / diag(torsion) of a subquotient."""
     return PresentedGroup(len(sq.orders), order_relations(sq.orders))
-
-
-ZCONST = PresentedGroup(1, [])
 
 
 @dataclass
@@ -164,17 +156,6 @@ class LocalCoeffSystem:
     group: dict           # simplex -> PresentedGroup
     face_map: dict        # (i, x) -> matrix L(x) -> L(d_i x)
     degen_map: dict = field(default_factory=dict)   # (i, x) -> matrix
-
-
-def constant_system(X: TruncSimplicialSet,
-                    pres: PresentedGroup = ZCONST) -> LocalCoeffSystem:
-    group, face_map, degen_map, n = {}, {}, {}, pres.gens
-    for lev, faces, degens in zip(X.levels, X.faces, X.degens):
-        for x in lev:
-            group[x] = pres
-            face_map.update(((i, x), mid(n)) for i in range(len(faces)))
-            degen_map.update(((i, x), mid(n)) for i in range(len(degens)))
-    return LocalCoeffSystem(group, face_map, degen_map)
 
 
 def in_relations(M, pres: PresentedGroup) -> bool:
@@ -299,11 +280,19 @@ def _local_complex(L: LocalCoeffSystem, X: TruncSimplicialSet):
     return rels, bnds, [o[-1] for o in offs]
 
 
-def homology_local(X: TruncSimplicialSet, L: LocalCoeffSystem,
-                   n: int) -> FGAbGroup:
-    _check_degree(X, n)
+def local_homology_groups(X: TruncSimplicialSet, L: LocalCoeffSystem,
+                          degrees) -> list:
+    """H_n(X; L) for each n of degrees, from one check of L and one twisted
+    complex."""
+    for n in degrees:
+        _check_degree(X, n)
     check_local_system(L, X)
     rels, bnds, tot = _local_complex(L, X)
-    return chain_homology(bnds[n] if n else (), bnds[n + 1], tot[n],
-                          tot[n - 1] if n else 0, rels[n],
-                          rels[n - 1] if n else ()).group
+    return [chain_homology(bnds[n] if n else (), bnds[n + 1], tot[n],
+                           tot[n - 1] if n else 0, rels[n],
+                           rels[n - 1] if n else ()).group for n in degrees]
+
+
+def homology_local(X: TruncSimplicialSet, L: LocalCoeffSystem,
+                   n: int) -> FGAbGroup:
+    return local_homology_groups(X, L, (n,))[0]

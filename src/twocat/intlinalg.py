@@ -1,19 +1,20 @@
 """Exact integer matrix algebra: Smith normal form with unimodular
-transforms, invariant factors without transforms, integer kernels, lattice
-spans, and subquotient presentations.
+transforms, integer kernels, subquotient presentations, and the one
+homology primitive.
 
 Chain complexes and chain maps are sparse columns (``sparse_columns``): per
 column a tuple of (row, value) pairs, nonzero entries only, in increasing
-row order.  ``free_homology`` gives a group only, from invariant factors;
-``chain_homology`` and ``induced_matrix`` carry coordinates, and densify
-the columns here for the Smith normal form.  Dense matrices, lists of
-lists of Python ints (r rows, c columns: Z^c -> Z^r), are also the maps
-between presented groups.  All functions are pure.
+row order.  ``chain_homology`` is the homology of a complex of presented
+groups with coordinates: it reduces the sparse complex by unit pivots on
+both sides (``unit_pivots``) and runs the dense ``subquotient`` on what is
+left, and ``induced_matrix`` reads chain maps through it.  Dense matrices,
+lists of lists of Python ints (r rows, c columns: Z^c -> Z^r), are also the
+maps between presented groups.  All functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from operator import mul
 
@@ -227,18 +228,6 @@ def solve(snf: SNF, b):
     return mvec(snf.T, y)
 
 
-def column_span_basis(M):
-    """A basis (as a matrix of columns) of the lattice spanned by M's
-    columns."""
-    r, c = mshape(M)
-    snf = smith_normal_form(M)
-    cols = []
-    for i in range(snf.rank):
-        d = snf.D[i][i]
-        cols.append([snf.Sinv[k][i] * d for k in range(r)])
-    return from_columns(cols, nrows=r)
-
-
 @dataclass(frozen=True)
 class FGAbGroup:
     """Canonical form of a finitely generated abelian group."""
@@ -260,92 +249,40 @@ def sparse_columns(M):
     return [tuple((i, v) for i, v in enumerate(col) if v) for col in zip(*M)]
 
 
-def invariant_factors(cols) -> list:
-    """The nonzero invariant factors, in divisibility order and without
-    transforms, of the matrix whose sparse columns are given (see
-    ``sparse_columns``).  While some column has an entry +-1, that entry
-    clears its row from every other column by column operations, and its
-    row and column leave the matrix with an invariant factor 1.  Of the
-    columns that remain, those equal to +-another are dropped, which leaves
-    the lattice they span, and so the factors, unchanged; the dense Smith
-    normal form of the rest gives the other factors."""
-    cols = {j: dict(col) for j, col in enumerate(cols) if col}
-    rows = {}                      # row -> the columns with an entry there
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
-    units = 0
-    found = True
-    while found:
-        found = False
-        for j in list(cols):
-            col = cols.get(j, {})         # gone when it became zero
-            pivots = [i for i, v in col.items() if v in (1, -1)]
-            if not pivots:
-                continue
-            p = min(pivots, key=lambda i: len(rows[i]))
-            del cols[j]
-            for i in col:
-                rows[i].discard(j)
-            s = col.pop(p)
-            for k in rows.pop(p):
-                ck = cols[k]
-                q = ck.pop(p) * s
-                for i, v in col.items():
-                    w = ck.get(i, 0) - q * v
-                    if w:
-                        ck[i] = w
-                        rows[i].add(k)
-                    else:
-                        del ck[i]
-                        rows[i].discard(k)
-                if not ck:
-                    del cols[k]
-            units += 1
-            found = True
-    distinct = {}                  # column up to sign -> column
-    for col in cols.values():
-        entries = sorted(col.items())
-        sign = 1 if entries[0][1] > 0 else -1
-        distinct[tuple((i, sign * v) for i, v in entries)] = col
-    live = sorted({i for col in distinct.values() for i in col})
-    rest = [[col.get(i, 0) for col in distinct.values()] for i in live]
-    tail = [d for d in smith_normal_form(rest).diag() if d] if rest else []
-    return [1] * units + tail
-
-
-def cokernel(cols, nrows: int) -> FGAbGroup:
-    """Z^nrows / the span of the given sparse columns, in canonical form."""
-    factors = invariant_factors(cols)
-    return FGAbGroup(nrows - len(factors), tuple(d for d in factors if d >= 2))
-
-
-def free_homology(d_in, d_out, g: int) -> FGAbGroup:
-    """The homology at Z^g of free groups ... -d_out-> Z^g -d_in-> ..., as a
-    group only, from sparse columns (d_in empty at the bottom): Z^(g -
-    rank d_in - rank d_out) plus the torsion of d_out."""
-    rank_in = len(invariant_factors(d_in)) if d_in else 0
-    H = cokernel(d_out, g)
-    return FGAbGroup(H.free_rank - rank_in, H.torsion)
-
-
 @dataclass
 class Subquotient:
     """L_cycles / L_boundaries for lattices L_boundaries <= L_cycles <= Z^r,
-    with explicit coordinates: generators and canonical-coordinate
-    projection of arbitrary elements of L_cycles."""
+    with generators and canonical coordinates of elements of L_cycles,
+    presented on the coordinates ``live``; each other coordinate r was
+    removed by ``chain_homology`` through a row, zero on cycles, or a
+    boundary column, with entry +-1 at r."""
     ambient: int
-    K: list                # ambient x k basis of L_cycles
+    K: list                # len(live) x k basis of L_cycles
     snf_K: SNF
     snf_Y: SNF             # SNF of boundaries in K-coordinates (k x b)
     orders: list           # per retained generator: 0 for Z, t >= 2 for Z/t
     gen_idx: list          # retained K-coordinate indices (SNF order)
     group: FGAbGroup
+    live: list
+    solved: list = field(default_factory=list)     # (r, {k: row entry})
+    cleared: list = field(default_factory=list)    # (r, {k: column entry})
 
     def coords(self, z):
         """Canonical coordinates of the class of z (z must lie in the cycle
         lattice); length = number of retained generators."""
-        c = solve(self.snf_K, z)
+        if len(z) != self.ambient:
+            raise ValueError("a vector of length %d in Z^%d"
+                             % (len(z), self.ambient))
+        z = list(z)
+        for _, row in self.solved:
+            if sum(v * z[k] for k, v in row.items()):
+                raise ValueError("element is not a cycle")
+        for r, col in self.cleared:           # z -= z_r col_r col
+            q = z[r] * col[r]
+            if q:
+                for k, v in col.items():
+                    z[k] -= q * v
+        c = solve(self.snf_K, [z[k] for k in self.live])
         if c is None:
             raise ValueError("element is not a cycle")
         u = mvec(self.snf_Y.S, c)
@@ -356,19 +293,29 @@ class Subquotient:
         return out
 
     def generator(self, pos):
-        """An ambient representative of the retained generator pos."""
+        """An ambient representative of the retained generator pos: zero at
+        the cleared coordinates, and at each solved one the value its row
+        forces."""
         i = self.gen_idx[pos]
-        col = [self.snf_Y.Sinv[k][i] for k in range(len(self.snf_Y.Sinv))]
-        return mvec(self.K, col)
+        z = [0] * self.ambient
+        for k, v in zip(self.live, mvec(self.K, [row[i] for row in
+                                                 self.snf_Y.Sinv])):
+            z[k] = v
+        for r, row in reversed(self.solved):  # z_r is 0 until set here
+            z[r] = -row[r] * sum(v * z[k] for k, v in row.items())
+        return z
 
 
 def subquotient(ambient: int, cycle_gens, boundary_gens) -> Subquotient:
     """cycle_gens, boundary_gens: matrices of columns spanning the two
     lattices (boundaries must lie inside the cycle lattice)."""
-    K = column_span_basis(cycle_gens) if cycle_gens and cycle_gens[0] \
-        else mzeros(ambient, 0)
-    k = mshape(K)[1]
-    snf_K = smith_normal_form(K)
+    # for S C T = D, K = S^-1 D (the first k columns of S^-1 times the
+    # invariant factors) is a basis of the span of C, and S K I = D
+    snf = smith_normal_form(cycle_gens if cycle_gens and cycle_gens[0]
+                            else mzeros(ambient, 0))
+    k = snf.rank
+    K = [[row[i] * snf.D[i][i] for i in range(k)] for row in snf.Sinv]
+    snf_K = SNF(snf.S, [row[:k] for row in snf.D], mid(k), snf.Sinv)
     bcols = columns(boundary_gens) if boundary_gens and boundary_gens[0] else []
     ycols = []
     for b in bcols:
@@ -389,16 +336,57 @@ def subquotient(ambient: int, cycle_gens, boundary_gens) -> Subquotient:
     torsion = tuple(d for d in orders if d >= 2)
     free = sum(1 for d in orders if d == 0)
     return Subquotient(ambient, K, snf_K, snf_Y, orders, gen_idx,
-                       FGAbGroup(free, torsion))
+                       FGAbGroup(free, torsion), list(range(ambient)))
 
 
-def _dense(cols, nrows: int):
-    """The nrows-row dense matrix whose sparse columns are given."""
-    M = mzeros(nrows, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in col:
-            M[i][j] = v
-    return M
+def unit_pivots(cols: dict, nrows: int, fixed=frozenset()) -> list:
+    """Unit-pivot elimination, in place, on the columns cols (label ->
+    {row: value}) of a matrix with nrows rows (ValueError for an entry or a
+    fixed row outside them): while some column j has an entry +-1 at a row
+    p outside fixed (the one with fewest entries), it clears row p from the
+    other columns, and row p, column j and zero columns leave.  Returns the
+    pivots in order as (p, j, column j, row p before the step as {label:
+    value})."""
+    rows = {}                      # row -> the columns with an entry there
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    if any(not 0 <= i < nrows for i in (*rows, *fixed)):
+        raise ValueError("an entry outside the %d rows of a matrix" % nrows)
+    pivots = []
+    found = True
+    while found:
+        found = False
+        for j in list(cols):
+            col = cols.get(j, {})         # gone when it became zero
+            units = [i for i, v in col.items()
+                     if v in (1, -1) and i not in fixed]
+            if not units:
+                continue
+            p = min(units, key=lambda i: len(rows[i]))
+            del cols[j]
+            for i in col:
+                rows[i].discard(j)
+            s = col.pop(p)
+            line = {j: s}
+            for k in rows.pop(p):
+                ck = cols[k]
+                line[k] = a = ck.pop(p)
+                q = a * s
+                for i, v in col.items():
+                    w = ck.get(i, 0) - q * v
+                    if w:
+                        ck[i] = w
+                        rows[i].add(k)
+                    else:
+                        del ck[i]
+                        rows[i].discard(k)
+                if not ck:
+                    del cols[k]
+            col[p] = s
+            pivots.append((p, j, col, line))
+            found = True
+    return pivots
 
 
 def chain_homology(d_in, d_out, g: int, f: int, rels=(),
@@ -408,12 +396,52 @@ def chain_homology(d_in, d_out, g: int, f: int, rels=(),
         ... --d_out--> Z^g / rels --d_in--> Z^f / rels_below
 
     given on generators as sparse columns: d_out and rels have g rows; d_in
-    (g columns) and rels_below have f rows, f = 0 at the bottom.  Cycles
+    (g columns, or none at the bottom) and rels_below have f rows.  Cycles
     are {x : d_in x in span(rels_below)}, boundaries span(d_out) +
-    span(rels)."""
-    cycles = kernel_mod_rels(_dense(d_in, f), _dense(rels_below, f)) \
-        if g and f else mid(g)
-    return subquotient(g, cycles, _dense([*d_out, *rels], g))
+    span(rels).
+
+    The complex is first reduced by ``unit_pivots``.  An entry +-1 of d_in
+    at (s, r), s a row where rels_below has no entry, removes generator r:
+    every cycle vanishes on row s, which fixes its coordinate r.  Then an
+    entry +-1 at r of a column of d_out or rels removes generator r, a
+    boundary plus the others.  Boundary columns equal to +-another are
+    dropped, and the dense ``subquotient`` of the rest, with the steps
+    recorded, gives the group and its coordinates."""
+    if len(d_in) > g:
+        raise ValueError("%d columns of d_in on Z^%d" % (len(d_in), g))
+    below = [dict(col) for col in rels_below if col]
+    cols = {r: dict(col) for r, col in enumerate(d_in) if col}
+    solved = [(r, row) for _, r, _, row in unit_pivots(
+        cols, f, {s for col in below for s in col})]
+    gone = {r for r, _ in solved}
+    bnd = {j: col for j, col in enumerate({r: v for r, v in col if r not in
+                                           gone} for col in (*d_out, *rels))
+           if col}
+    cleared = [(r, col) for r, _, col, _ in unit_pivots(bnd, g)]
+    gone.update(r for r, _ in cleared)
+    live = [r for r in range(g) if r not in gone]
+    distinct = {}                  # column up to sign -> column
+    for col in bnd.values():
+        sign = 1 if col[min(col)] > 0 else -1
+        distinct[frozenset((r, sign * v) for r, v in col.items())] = col
+    # the rows of Z^f that a live generator or a relation below still reads
+    left = [cols.get(r, {}) for r in live]
+    lines = {s: i for i, s in enumerate(sorted({s for col in left + below
+                                                for s in col}))}
+    cycles = kernel_mod_rels(_dense(left, lines), _dense(below, lines)) \
+        if lines and live else mid(len(live))
+    B = _dense(list(distinct.values()), {r: k for k, r in enumerate(live)})
+    return replace(subquotient(len(live), cycles, B), ambient=g, live=live,
+                   solved=solved, cleared=cleared)
+
+
+def _dense(cols, at: dict):
+    """The matrix of the columns cols ({row: value}), row r at at[r]."""
+    M = mzeros(len(at), len(cols))
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            M[at[r]][j] = v
+    return M
 
 
 def kernel_mod_rels(M, R):
@@ -432,8 +460,11 @@ def order_relations(orders):
 
 def induced_matrix(src: Subquotient, tgt: Subquotient, chain_map):
     """Matrix (in canonical coordinates) of the map induced on subquotients
-    by an ambient chain map, given as sparse columns, that carries cycles
-    to cycles and boundaries to boundaries."""
+    by an ambient chain map, given as sparse columns (one per generator of
+    src), that carries cycles to cycles and boundaries to boundaries."""
+    if len(chain_map) != src.ambient:
+        raise ValueError("a chain map with %d columns from Z^%d"
+                         % (len(chain_map), src.ambient))
     cols = []
     for pos in range(len(src.gen_idx)):
         image = [0] * tgt.ambient
@@ -443,4 +474,3 @@ def induced_matrix(src: Subquotient, tgt: Subquotient, chain_map):
                     image[i] += v * z
         cols.append(tgt.coords(image))
     return from_columns(cols, nrows=len(tgt.gen_idx))
-

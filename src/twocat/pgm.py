@@ -26,7 +26,7 @@ from .core import (TwoCategory, TwoFunctor, compose_functors, ensure,
                    validate_two_functor)
 from .fixtures import discrete_two_category, fix_g2, fix_g2sat
 from .homology import PresentedGroup, in_relations, iso_inverse
-from .intlinalg import (FGAbGroup, hstack, kernel_mod_rels, mid, mmul, mshape,
+from .intlinalg import (FGAbGroup, hstack, kernel_mod_rels, mmul, mshape,
                         order_relations)
 from .opfib import Counterexample
 
@@ -657,39 +657,6 @@ def localize_module(A: FGAbGroup, acts: dict, M: CommMonoid) -> FGAbGroup:
     if A.free_rank + len(A.torsion) == 0:
         return FGAbGroup(0, ())
     return localize_presented(_pres_of_canonical(A), acts, M)
-
-
-def localize_oracle(A: FGAbGroup, acts: dict, M: CommMonoid,
-                    max_steps: int = 64) -> FGAbGroup:
-    """Independent route: the localization is the colimit of the chain of
-    copies of A along the single composite endomorphism by the product of
-    all monoid elements.  Computed by explicit stabilization detection on
-    powers of that one matrix."""
-    validate_comm_monoid(M)
-    n = A.free_rank + len(A.torsion)
-    if n == 0:
-        return FGAbGroup(0, ())
-    pres = _pres_of_canonical(A)
-    theta = M.unit
-    for m in M.elements:
-        theta = M.add[(theta, m)]
-    T = acts[theta]
-    R0 = pres.rel_matrix()
-    power = mid(n)
-    prev = None
-    for _ in range(max_steps):
-        power = mmul(T, power)
-        K = kernel_mod_rels(power, R0)
-        if prev is not None:
-            pk = PresentedGroup(n, hstack(R0, K))
-            pp = PresentedGroup(n, hstack(R0, prev))
-            if in_relations(prev, pk) and in_relations(K, pp):
-                ensure(iso_inverse(T, pk, pk) is not None,
-                       "stabilized chain map is not invertible", (theta,))
-                return pk.canonical()
-        prev = K
-    raise ValueError("kernel chain did not stabilize in %d steps"
-                     % max_steps)
 
 
 # ---------------------------------------------------------------------------

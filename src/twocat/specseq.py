@@ -49,8 +49,8 @@ from .core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
                    validate_two_functor)
 from .fixtures import point_functor
 from .homology import (LocalCoeffSystem, basis_rows, homology_induced,
-                       homology_local, homology_subquotient, induced_iso,
-                       level_boundary, presentation_of)
+                       homology_subquotient, induced_iso, level_boundary,
+                       local_homology_groups, presentation_of)
 from .nerve import (OrientedSimplex, TruncSimplicialSet,
                     check_simplicial_identities, compose_rows, degeneracy,
                     face, grow, layout, map_simplex, nerve, operator_row,
@@ -444,7 +444,11 @@ def totalization_homology(B: BisimplicialTrunc, n: int) -> il.FGAbGroup:
             "total H_%d needs bisimplicial bounds >= %d, have (%d, %d)"
             % (n, n + 1, B.P, B.Q))
     d_in = total_boundary(B, n)         # empty columns for n = 0
-    return il.free_homology(d_in, total_boundary(B, n + 1), len(d_in))
+    f = sum(not (h or v) for p in range(max(0, n - 1 - B.Q), n)
+            for h, v in zip(B.degenerate_h[(p, n - 1 - p)],
+                            B.degenerate_v[(p, n - 1 - p)]))
+    return il.chain_homology(d_in, total_boundary(B, n + 1), len(d_in),
+                             f).group
 
 
 # ---------------------------------------------------------------------------
@@ -718,5 +722,5 @@ def e2_vs_local(pg: SSPages, cert, q: int) -> list:
     F = pg.B.F
     X = nerve(F.target, tp + 1)
     system = fiber_coeff_system(F, cert, q, X).system
-    return [pg.E2[(p, q)] == homology_local(X, system, p)
-            for p in range(tp + 1)]
+    return [pg.E2[(p, q)] == H for p, H in
+            enumerate(local_homology_groups(X, system, range(tp + 1)))]

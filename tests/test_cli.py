@@ -12,12 +12,12 @@ from twocat import cli
 from twocat import io as tio
 from twocat import pgm, sinv
 from twocat.cli import main
-from twocat.core import AxiomError, TwoFunctor, identity_functor
+from twocat.core import (AxiomError, TwoFunctor, identity_functor,
+                         make_two_category)
 from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod
-from twocat.homology import (PresentedGroup, chain_complex,
-                              constant_system)
+from twocat.homology import PresentedGroup, chain_complex
 from twocat.nerve import nerve
-from test_homology import dense_chain_complex
+from test_homology import constant_system, dense_chain_complex
 from test_specseq import swap_projection
 
 
@@ -716,6 +716,54 @@ def test_gc_check_hypothesis_failure_exits_two(run, tmp_path):
                      "--max-deg", 0, "--trunc", 1])
     assert code == 2
     assert json.loads(out)["counterexample"]["clause"] == "axiom-failure"
+
+
+def max_with_an_automorphism():
+    """{0, 1} under max, with Aut(id_0) = Z/2 = {ii_0, a0} and Aut(id_1)
+    trivial: translation by 1 sends both 2-cells of id_0 to ii_1, so it is
+    not faithful, and that is the only completion hypothesis it breaks."""
+    objects, cells = ["0", "1"], ("ii_0", "a0")
+    S = make_two_category(
+        objects, {"id_0": ("0", "0"), "id_1": ("1", "1")},
+        {"ii_0": ("id_0", "id_0"), "a0": ("id_0", "id_0"),
+         "ii_1": ("id_1", "id_1")},
+        {"0": "id_0", "1": "id_1"}, {"id_0": "ii_0", "id_1": "ii_1"},
+        {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1"},
+        {("ii_0", "ii_0"): "ii_0", ("ii_0", "a0"): "a0",
+         ("a0", "ii_0"): "a0", ("a0", "a0"): "ii_0",
+         ("ii_1", "ii_1"): "ii_1"},
+        {**{("id_0", c): c for c in cells}, ("id_1", "ii_1"): "ii_1"},
+        {**{(c, "id_0"): c for c in cells}, ("ii_1", "id_1"): "ii_1"})
+    lt = {"0": identity_functor(S),
+          "1": TwoFunctor(S, S, {x: "1" for x in objects},
+                          {f: "id_1" for f in S.one_src},
+                          {c: "ii_1" for c in S.two_src})}
+    top = {(a, b): max(a, b) for a in objects for b in objects}
+    return pgm.PGM(S, "0", top, lt, dict(lt), {},
+                   {k: "id_" + v for k, v in top.items()})
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("make,failure", [
+    (pgm.fix_g2sat_pgm, "hypothesis-2-cell-not-invertible at ('e1',)"),
+    (max_with_an_automorphism,
+     "hypothesis-translation-not-faithful at ('1', 'a0', 'ii_0')")],
+    ids=["two-groupoid", "faithful"])
+def test_gc_check_names_the_failing_hypothesis(tmp_path, flags, make,
+                                               failure):
+    # run as `python [-O] -m twocat.cli`: the gate is no assert
+    pgm.validate_pgm(make())
+    p = write(tmp_path, "pgm.json", tio.pgm_to_dict(make()))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "twocat.cli", "gc-check", "--pgm", p,
+         "--max-deg", "1", "--trunc", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["counterexample"] == {
+        "clause": "axiom-failure",
+        "detail": ["completion hypotheses fail: " + failure]}
 
 
 # --- dualize ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import time
 from math import gcd
 from types import SimpleNamespace
 
@@ -203,13 +204,16 @@ def test_kernel_and_span(M):
     r, c = il.mshape(M)
     for col in il.columns(K):
         assert il.mvec(M, col) == [0] * r
-    B = il.column_span_basis(M)
+    B = il.subquotient(r, M, []).K         # a basis of the column span
     snfB = il.smith_normal_form(B) if B and B[0] else None
     for col in il.columns(M):
         if snfB is None:
             assert col == [0] * r
         else:
             assert il.solve(snfB, col) is not None
+    snfM = il.smith_normal_form(M)
+    assert il.mshape(B)[1] == snfM.rank
+    assert all(il.solve(snfM, col) is not None for col in il.columns(B))
 
 
 def test_subquotient_torsion():
@@ -235,21 +239,120 @@ def test_length_mismatch_is_an_error():
     sq = il.subquotient(2, il.mid(2), [[2, 0], [0, 1]])
     with pytest.raises(ValueError):
         sq.coords([1, 0, 0])
+    # an entry outside Z^g or Z^f: in d_out, in d_in, in the relations
+    # below, or a d_in with more columns than generators
+    for cx in (((), [((1, 1),)], 1, 0), ([((3, 1),)], (), 1, 2),
+               ((), (), 1, 1, (), [((5, 1),)]), ([(), ()], (), 1, 1)):
+        with pytest.raises(ValueError):
+            il.chain_homology(*cx)
+    with pytest.raises(ValueError):
+        il.chain_homology((), (), 2, 0).coords([0])
     with pytest.raises(ValueError):
         hm.in_relations([[2], [3], [0]], hm.PresentedGroup(2, [[2, 0],
                                                                [0, 3]]))
 
 
+# --- the earlier homology routines, kept as oracles --------------------------
+# invariant_factors, cokernel and free_homology were the sparse group-only
+# route, and dense_chain_homology the dense coordinate route, before both
+# became the one primitive il.chain_homology
+
+def invariant_factors(cols) -> list:
+    """The nonzero invariant factors, in divisibility order and without
+    transforms, of the matrix whose sparse columns are given.  While some
+    column has an entry +-1, that entry clears its row from every other
+    column by column operations, and its row and column leave the matrix
+    with an invariant factor 1.  Of the columns that remain, those equal to
+    +-another are dropped; the dense Smith normal form of the rest gives
+    the other factors."""
+    cols = {j: dict(col) for j, col in enumerate(cols) if col}
+    rows = {}                      # row -> the columns with an entry there
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    units = 0
+    found = True
+    while found:
+        found = False
+        for j in list(cols):
+            col = cols.get(j, {})         # gone when it became zero
+            pivots = [i for i, v in col.items() if v in (1, -1)]
+            if not pivots:
+                continue
+            p = min(pivots, key=lambda i: len(rows[i]))
+            del cols[j]
+            for i in col:
+                rows[i].discard(j)
+            s = col.pop(p)
+            for k in rows.pop(p):
+                ck = cols[k]
+                q = ck.pop(p) * s
+                for i, v in col.items():
+                    w = ck.get(i, 0) - q * v
+                    if w:
+                        ck[i] = w
+                        rows[i].add(k)
+                    else:
+                        del ck[i]
+                        rows[i].discard(k)
+                if not ck:
+                    del cols[k]
+            units += 1
+            found = True
+    distinct = {}                  # column up to sign -> column
+    for col in cols.values():
+        entries = sorted(col.items())
+        sign = 1 if entries[0][1] > 0 else -1
+        distinct[tuple((i, sign * v) for i, v in entries)] = col
+    live = sorted({i for col in distinct.values() for i in col})
+    rest = [[col.get(i, 0) for col in distinct.values()] for i in live]
+    tail = [d for d in il.smith_normal_form(rest).diag() if d] if rest else []
+    return [1] * units + tail
+
+
+def cokernel(cols, nrows: int) -> il.FGAbGroup:
+    """Z^nrows / the span of the given sparse columns, in canonical form."""
+    factors = invariant_factors(cols)
+    return il.FGAbGroup(nrows - len(factors),
+                        tuple(d for d in factors if d >= 2))
+
+
+def free_homology(d_in, d_out, g: int) -> il.FGAbGroup:
+    """The homology at Z^g of free groups ... -d_out-> Z^g -d_in-> ..., as a
+    group only: Z^(g - rank d_in - rank d_out) plus the torsion of
+    d_out."""
+    rank_in = len(invariant_factors(d_in)) if d_in else 0
+    H = cokernel(d_out, g)
+    return il.FGAbGroup(H.free_rank - rank_in, H.torsion)
+
+
+def dense_chain_homology(d_in, d_out, g: int, f: int, rels=(),
+                         rels_below=()) -> il.Subquotient:
+    """The same homology as il.chain_homology, by dense Smith normal forms
+    of the whole complex: cycles from the kernel of [d_in | rels_below],
+    then the dense subquotient."""
+    cycles = il.kernel_mod_rels(dense(d_in, f), dense(rels_below, f)) \
+        if g and f else il.mid(g)
+    return il.subquotient(g, cycles, dense([*d_out, *rels], g))
+
+
 def dense_cokernel(M, nrows=None):
-    return il.cokernel(il.sparse_columns(M), len(M) if M else nrows)
+    return cokernel(il.sparse_columns(M), len(M) if M else nrows)
+
+
+def primitive_cokernel(M, nrows=0):
+    """The cokernel of M as the homology of Z^0 <- Z^r <- Z^c."""
+    return il.chain_homology((), il.sparse_columns(M), len(M) if M else nrows,
+                             0).group
 
 
 def test_cokernel_canonical():
-    assert dense_cokernel([[2]], nrows=1) == il.FGAbGroup(0, (2,))
-    assert dense_cokernel([[6, 0], [0, 4]]) == il.FGAbGroup(0, (2, 12))
-    assert dense_cokernel([], nrows=3) == il.FGAbGroup(3, ())
-    assert dense_cokernel([[], []]) == il.FGAbGroup(2, ())
-    assert dense_cokernel([[0, 0], [0, 0]]) == il.FGAbGroup(2, ())
+    for coker in (dense_cokernel, primitive_cokernel):
+        assert coker([[2]], nrows=1) == il.FGAbGroup(0, (2,))
+        assert coker([[6, 0], [0, 4]]) == il.FGAbGroup(0, (2, 12))
+        assert coker([], nrows=3) == il.FGAbGroup(3, ())
+        assert coker([[], []]) == il.FGAbGroup(2, ())
+        assert coker([[0, 0], [0, 0]]) == il.FGAbGroup(2, ())
 
 
 # --- invariant factors against the dense Smith normal form -------------------
@@ -259,13 +362,20 @@ def snf_factors(M):
 
 
 def sparse_factors(M):
-    return il.invariant_factors(il.sparse_columns(M))
+    return invariant_factors(il.sparse_columns(M))
+
+
+def snf_cokernel(M):
+    factors = snf_factors(M)
+    return il.FGAbGroup(len(M) - len(factors),
+                        tuple(d for d in factors if d >= 2))
 
 
 @given(sparse_matrices)
 @settings(max_examples=150, deadline=None)
 def test_invariant_factors_match_snf(M):
     assert sparse_factors(M) == snf_factors(M)
+    assert primitive_cokernel(M) == snf_cokernel(M)
 
 
 def _negate_first_entry(col):
@@ -301,6 +411,7 @@ def test_invariant_factors_match_snf_with_repeated_columns(M, data):
     extra += [[0] * r] * data.draw(st.integers(0, 3))
     N = il.from_columns(data.draw(st.permutations(cols + extra)), nrows=r)
     assert sparse_factors(N) == snf_factors(N)
+    assert primitive_cokernel(N) == snf_cokernel(N)
     if all(s for _, s in picks):
         assert snf_factors(N) == snf_factors(M)
 
@@ -334,6 +445,148 @@ def test_invariant_factors_edge_cases():
     assert sparse_factors([[2, -2, 2], [4, -4, 0]]) == [2, 4]
     # equal up to the sign of one entry: both are kept
     assert sparse_factors([[2, 2], [2, -2]]) == [2, 4]
+
+
+# --- the homology primitive against the dense oracle -------------------------
+
+def _sparse(col):
+    return tuple((i, v) for i, v in enumerate(col) if v)
+
+
+def _combinations(draw, basis, n, length):
+    """n columns of the given length, each a small combination of the
+    columns of basis."""
+    coef = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+    out = []
+    for _ in range(n):
+        c = [draw(coef) for _ in basis]
+        out.append([sum(a * b[i] for a, b in zip(c, basis))
+                    for i in range(length)])
+    return out
+
+
+@st.composite
+def sparse_complexes(draw, with_rels):
+    """(d_in, d_out, g, f, rels, rels_below): a random sparse d_in: Z^g ->
+    Z^f, relations below when with_rels, and d_out (and rels) as small
+    combinations of a basis of the cycles {x : d_in x in span(rels_below)},
+    so that d^2 = 0 in the free case and boundaries are cycles in all."""
+    entry = st.sampled_from([0] * 6 + [1, -1, 2, -2, 3])
+    g, f = draw(st.integers(0, 7)), draw(st.integers(0, 6))
+    m = draw(st.integers(0, 3)) if with_rels and f else 0
+    D = [[draw(entry) for _ in range(g)] for _ in range(f)]
+    R = [[draw(entry) for _ in range(m)] for _ in range(f)]
+    K = il.columns(il.kernel_mod_rels(D, R) if g and f else il.mid(g))
+    d_out = _combinations(draw, K, draw(st.integers(0, 6)), g)
+    rels = _combinations(draw, K, draw(st.integers(0, 3)), g) \
+        if with_rels else []
+    return ([_sparse(c) for c in il.columns(D)] if g else [],
+            [_sparse(c) for c in d_out], g, f,
+            [_sparse(c) for c in rels], il.sparse_columns(R))
+
+
+def change_of_basis(new, old):
+    """Per generator of old, the coordinates in new of its class."""
+    return [new.coords(old.generator(i)) for i in range(len(old.orders))]
+
+
+@pytest.mark.parametrize("with_rels", [False, True])
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_chain_homology_matches_dense_oracle(with_rels, data):
+    cx = data.draw(sparse_complexes(with_rels))
+    new, old = il.chain_homology(*cx), dense_chain_homology(*cx)
+    assert new.group == old.group
+    g, k = cx[2], len(new.orders)
+    unit = [[int(i == j) for j in range(k)] for i in range(k)]
+    assert [new.coords(new.generator(i)) for i in range(k)] == unit
+    # the two bases are related by mutually inverse changes of basis
+    P, Q = change_of_basis(new, old), change_of_basis(old, new)
+    for i, col in enumerate(Q):
+        back = [sum(a * b[j] for a, b in zip(col, P)) for j in range(k)]
+        assert [v % t if t else v for v, t in zip(back, new.orders)] \
+            == unit[i]
+    # both read the same vectors as cycles
+    z = data.draw(st.lists(st.integers(-2, 2), min_size=g, max_size=g))
+    assert is_cycle(new, z) == is_cycle(old, z)
+
+
+def is_cycle(sq, z):
+    try:
+        sq.coords(z)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("with_rels", [False, True])
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_induced_matrix_matches_dense_oracle(with_rels, data):
+    # the target is the source plus h generators, cycles of every kind,
+    # with boundaries B + (A B + E) for the source boundaries B; the chain
+    # map x -> (k x + B H x, A x) induces k on the source summand and A
+    # into the other
+    cx = data.draw(sparse_complexes(with_rels))
+    d_in, d_out, g, f, rels, below = cx
+    ints = st.integers(-2, 2)
+    h = data.draw(st.integers(0, 3))
+    B = [dict(col) for col in (*d_out, *rels)]
+    A = [[data.draw(ints) for _ in range(g)] for _ in range(h)]
+    H = [[data.draw(ints) for _ in range(g)] for _ in B]
+    E = [[data.draw(ints) for _ in range(h)]
+         for _ in range(data.draw(st.integers(0, 2)))]
+    k = data.draw(ints)
+
+    def into(top, bottom):      # the sparse column (top, bottom)
+        return tuple(top) + tuple((g + i, v) for i, v in enumerate(bottom)
+                                  if v)
+
+    AB = [[sum(a[r] * v for r, v in b.items()) for a in A] for b in B]
+    tgt = ([*d_in, *[()] * h] if f else [], [
+        *(into(col, ()) for col in d_out), *(into((), e) for e in E),
+        *(into((), ab) for ab in AB)], g + h, f,
+        [into(col, ()) for col in rels], below)
+    phi = []
+    for j in range(g):
+        top = [k * (i == j) + sum(H[c][j] * b.get(i, 0)
+                                  for c, b in enumerate(B))
+               for i in range(g)]
+        phi.append(into(_sparse(top), [a[j] for a in A]))
+    new_s, new_t = il.chain_homology(*cx), il.chain_homology(*tgt)
+    old_s, old_t = dense_chain_homology(*cx), dense_chain_homology(*tgt)
+    M_new = il.induced_matrix(new_s, new_t, phi)
+    M_old = il.induced_matrix(old_s, old_t, phi)
+    P_s, P_t = change_of_basis(new_s, old_s), change_of_basis(new_t, old_t)
+    for i, col in enumerate(P_s):
+        lhs = [sum(row[l] * c for l, c in enumerate(col)) for row in M_new]
+        rhs = [sum(P_t[l][r] * row[i] for l, row in enumerate(M_old))
+               for r in range(len(new_t.orders))]
+        assert [(a - b) % t if t else a - b
+                for a, b, t in zip(lhs, rhs, new_t.orders)] \
+            == [0] * len(new_t.orders)
+
+
+def test_induced_matrix_rejects_a_chain_map_of_the_wrong_width():
+    # zip would stop at the shorter of the generator and the chain map
+    sq = il.chain_homology((), (), 2, 0)
+    for cols in ([((0, 1),)], [((0, 1),), ((1, 1),), ((0, 1),)]):
+        with pytest.raises(ValueError, match="chain map with [13] columns"):
+            il.induced_matrix(sq, sq, cols)
+    assert il.induced_matrix(sq, sq, [((1, 1),), ((0, 1),)]) \
+        == [[0, 1], [1, 0]]
+
+
+def test_homology_subquotient_reduces_g2xc2_h4_to_a_small_remainder():
+    X = ORACLE_NERVES["G2xC2"]()
+    start = time.perf_counter()
+    sq, basis = hm.homology_subquotient(X, 4)
+    assert str(sq.group) == "Z/4 + Z/4"
+    assert time.perf_counter() - start < 0.5
+    assert len(sq.live) < len(basis) // 10
+    for i in range(2):
+        z = sq.generator(i)
+        assert sq.coords(z) == [int(i == j) for j in range(2)]
 
 
 # --- integral homology ---------------------------------------------------------
@@ -439,10 +692,11 @@ def test_group_only_homology_matches_subquotient(name):
     X = ORACLE_NERVES[name]()
     C, D = hm.chain_complex(X), dense_chain_complex(X)
     for n in range(1, X.N + 1):
-        assert il.invariant_factors(C.boundary[n]) \
+        assert invariant_factors(C.boundary[n]) \
             == snf_factors(D.boundary[n]), n
     for n in range(X.N):
-        assert hm.homology(X, n) == hm.homology_subquotient(X, n)[0].group, n
+        assert hm.homology(X, n) == free_homology(
+            C.boundary[n] if n else (), C.boundary[n + 1], C.rank(n)), n
 
 
 def classical_poset_homology(objects, arrows, compose, n, N):
@@ -530,17 +784,33 @@ def test_relabeling_invariance():
 
 # --- local coefficients ---------------------------------------------------------
 
+ZCONST = hm.PresentedGroup(1, [])
+
+
+def constant_system(X, pres=ZCONST):
+    """The coefficient system with the group pres at every simplex and
+    identity face and degeneracy maps."""
+    group, face_map, degen_map, n = {}, {}, {}, pres.gens
+    for lev, faces, degens in zip(X.levels, X.faces, X.degens):
+        for x in lev:
+            group[x] = pres
+            face_map.update(((i, x), il.mid(n)) for i in range(len(faces)))
+            degen_map.update(((i, x), il.mid(n))
+                             for i in range(len(degens)))
+    return hm.LocalCoeffSystem(group, face_map, degen_map)
+
+
 def test_constant_system_matches_plain():
     for mk, N in [(fix_g2, 3), (fix_i, 2), (fix_g2sat, 3)]:
         X = nerve(mk(), N)
-        L = hm.constant_system(X)
+        L = constant_system(X)
         for n in range(N):
             assert hm.homology_local(X, L, n) == hm.homology(X, n)
 
 
 def test_constant_z3_interval():
     X = nerve(fix_i(), 2)
-    L = hm.constant_system(X, hm.PresentedGroup(1, [[3]]))
+    L = constant_system(X, hm.PresentedGroup(1, [[3]]))
     assert hm.homology_local(X, L, 0) == il.FGAbGroup(0, (3,))
     assert hm.homology_local(X, L, 1).is_trivial
 
@@ -571,7 +841,7 @@ def test_universal_coefficients(name):
     N = X.N
     H = [il.FGAbGroup(0, ())] + [hm.homology(X, n) for n in range(N)]
     for k in (2, 3, 4):
-        L = hm.constant_system(X, hm.PresentedGroup(1, [[k]]))
+        L = constant_system(X, hm.PresentedGroup(1, [[k]]))
         for n in range(N):
             assert hm.homology_local(X, L, n) == _uct(H[n + 1], H[n], k), \
                 (k, n)
@@ -583,8 +853,8 @@ def presented_map_is_iso(src, tgt, M):
     abelian groups are isomorphisms)."""
     if src.canonical() != tgt.canonical():
         return False
-    return il.cokernel(il.sparse_columns(il.hstack(M, tgt.rel_matrix())),
-                       tgt.gens).is_trivial
+    return cokernel(il.sparse_columns(il.hstack(M, tgt.rel_matrix())),
+                    tgt.gens).is_trivial
 
 
 def _times(A, B, r, m, c):
@@ -650,8 +920,8 @@ def test_in_relations_reads_every_column():
     G = hm.PresentedGroup(2, [[2, 0], [0, 3]])
     assert hm.in_relations([[2, 4, 0], [3, 0, -6]], G)
     assert not hm.in_relations([[2, 4, 1], [3, 0, -6]], G)
-    assert hm.in_relations([[]], hm.ZCONST)
-    assert not hm.in_relations([[0, 1]], hm.ZCONST)
+    assert hm.in_relations([[]], ZCONST)
+    assert not hm.in_relations([[0, 1]], ZCONST)
     # a map into the zero group has no rows
     assert hm.in_relations(il.mmul([], [[2]]), hm.PresentedGroup(0, []))
 
@@ -687,7 +957,7 @@ def is_morphism_inverting(L, X):
 
 def test_morphism_inverting_flags():
     X = nerve(fix_i(), 2)
-    L = hm.constant_system(X)
+    L = constant_system(X)
     X = operator_dicts(X)
     assert is_morphism_inverting(L, X)
     # a multiplication-by-2 face map on Z is not inverting
@@ -710,7 +980,7 @@ def test_a_map_that_breaks_relations_is_not_inverting():
 
 def test_local_system_functoriality_enforced():
     X = nerve(fix_g2(), 3)
-    L = hm.constant_system(X)
+    L = constant_system(X)
     bad = hm.LocalCoeffSystem(dict(L.group), dict(L.face_map), {})
     x = X.levels[2][0]
     bad.face_map[(0, x)] = [[5]]
@@ -720,7 +990,7 @@ def test_local_system_functoriality_enforced():
 
 def test_local_system_shapes_enforced():
     X = nerve(fix_i(), 2)
-    L = hm.constant_system(X, hm.PresentedGroup(2, [[2], [0]]))
+    L = constant_system(X, hm.PresentedGroup(2, [[2], [0]]))
     hm.check_local_system(L, X)
     x = X.levels[1][0]
     cases = [

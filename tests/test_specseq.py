@@ -16,7 +16,8 @@ from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
                              locally_discrete, point_functor)
 from twocat.nerve import degeneracy, enumerate_simplices, face, nerve
 
-from test_homology import is_morphism_inverting, operator_dicts
+from test_homology import (dense_chain_homology, free_homology,
+                           is_morphism_inverting, operator_dicts)
 from test_nerve import pinned_deltas
 
 
@@ -353,6 +354,22 @@ def test_check_bisimplicial_rejects_a_corrupted_table(direction):
         assert not oracle_check_bisimplicial(as_dicts(C))
 
 
+def test_check_bisimplicial_reads_the_column_identities(monkeypatch):
+    # d^v_0 and d^v_1 swapped on level q = 1 of every column: each
+    # commutation identity with a horizontal operator holds for j if it
+    # held for 1 - j, but d_0 d_1 = d_0 d_0 on level q = 2 now reads
+    # d_1 d_1 = d_1 d_0, which fails; only the column check sees it
+    B = ss.build_B(swap_projection(), 2, 2)
+    face_v = {**B.face_v, **{(p, 1): B.face_v[(p, 1)][::-1]
+                             for p in range(B.P + 1)}}
+    C = replace(B, face_v=face_v)
+    assert face_v != B.face_v
+    assert not ss.check_bisimplicial(C)
+    assert not oracle_check_bisimplicial(as_dicts(C))
+    monkeypatch.setattr(ss, "check_simplicial_identities", lambda X: None)
+    assert ss.check_bisimplicial(C)
+
+
 # --- pages and totalization --------------------------------------------------
 
 def alt_sum_matrix(src, tgt, faces):
@@ -411,8 +428,8 @@ def row_homology(B, q, p):
 
     def d(r):
         return hm.level_boundary(B.face_h[(r, q)], rows[r], rows[r - 1])
-    return il.free_homology(d(p) if p else (), d(p + 1),
-                            B.degenerate_h[(p, q)].count(False))
+    return free_homology(d(p) if p else (), d(p + 1),
+                         B.degenerate_h[(p, q)].count(False))
 
 
 def horizontal_collapse_check(B, q):
@@ -468,7 +485,7 @@ def test_totalization_matches_dense_chain_homology(make):
     for n in range(4):
         d_in = dense_total_d(B, n) if n else []
         g = len(total_basis(B, n))
-        sq = il.chain_homology(il.sparse_columns(d_in), il.sparse_columns(
+        sq = dense_chain_homology(il.sparse_columns(d_in), il.sparse_columns(
             dense_total_d(B, n + 1)), g, len(total_basis(B, n - 1)) if n
             else 0)
         assert ss.totalization_homology(B, n) == sq.group, n
