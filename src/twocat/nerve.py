@@ -26,11 +26,12 @@ its new cells; then d_last y is the parent, and for i < last, d_i y is
 the child of d_i(parent) and s_i y that of s_i(parent) whose new cells are
 a gather of y's, while s_last y is a child of y itself (``operator_row``).
 ``simplex_operators`` keeps the operators as position tables, which
-``nerve`` returns as they come, in a ``TruncSimplicialSet``, and
-``build_B`` (``specseq``) reads for its blocks; ``face`` and
-``degeneracy`` are left to the paths that name a simplex, such as error
-reports.  ``check_simplicial_identities`` composes those tables row by
-row; it checks nerves, loaded nerve files and both directions of B(F).
+``nerve`` returns as they come, in a ``TruncSimplicialSet``, and off
+which ``build_B`` (``specseq``) reads every cell and operator of B(F);
+``face`` and ``degeneracy`` are left to the paths that name a simplex,
+such as error reports.  ``check_simplicial_identities`` composes those
+tables row by row; it checks nerves, loaded nerve files and both
+directions of B(F).
 """
 
 from __future__ import annotations

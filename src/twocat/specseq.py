@@ -7,16 +7,18 @@ nerve of D restricting to F(omega) on the first q+1 vertices and to sigma
 on the last p+1.  Horizontal operators act through the sigma block of
 delta, vertical operators through the omega block.
 
-``build_B`` groups the omegas of each q by their block F(omega) and grows
-the deltas one vertex at a time: those at (p, q) are the extensions
-(``nerve.grow``) of those at (p - 1, q), the blocks being p = -1, and
-each ends in a p-simplex sigma, read off its last p+1 vertices.  A delta's
-faces and degeneracies are found by key from those of its parent
-(``nerve.operator_row``, as for the nerve itself), and those of omega
-and of a block are read off the position tables of the nerves of C and D
-(``nerve.simplex_operators``), so no simplex is built for an operator.
-They are stored as tables of positions within the target level, so the
-identity check, the pages and the totalization read integers, not cells.
+So B(F)_{p,q} = N_q(C) x_{N_q(D)} N_{q+1+p}(D), the pullback along the
+nerve of F of the total decalage of the nerve of D (Illusie, Complexe
+cotangent et deformations II, 1972; Stevenson, Decalage and Kan's
+simplicial loop group functor, 2012), and sigma is a face of delta.
+``build_B`` reads every cell and operator off two nerves, each grown once
+with its operators as position tables (``nerve.simplex_operators``): C's
+to Q and D's to P + Q + 1.  The front and back faces of a delta are
+composites of D's face rows, its horizontal operators are D's rows past
+the front block and its vertical ones D's rows in it, paired with C's on
+omega; so no simplex is built or searched for an operator.  They are
+stored as tables of positions within the target level, so the identity
+check, the pages and the totalization read integers, not cells.
 
 The module computes the first two pages of the homology spectral sequence
 of B(F) (vertical homology first), the homology of the totalization, and
@@ -37,7 +39,6 @@ transition matrices computed along comma-object routes, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import or_
 from typing import NamedTuple
 
@@ -53,8 +54,8 @@ from .homology import (LocalCoeffSystem, basis_rows, homology_induced,
                        local_homology_groups, presentation_of)
 from .nerve import (OrientedSimplex, TruncSimplicialSet,
                     check_simplicial_identities, compose_rows, degeneracy,
-                    face, grow, layout, map_simplex, nerve, operator_row,
-                    simplex_levels, simplex_operators)
+                    face, layout, map_simplex, nerve, simplex_levels,
+                    simplex_operators)
 from ast import literal_eval
 
 from .orientals import materialize_oriental, path_id
@@ -146,134 +147,81 @@ def _block_cells(fom: OrientedSimplex, si: OrientedSimplex):
     return edges, tris
 
 
-@lru_cache(maxsize=None)
-def _tail(m: int, p: int):
-    """Positions in an m-simplex of the edges and triangles of its last
-    p + 1 vertices, in the layout of dimension p."""
-    L, o = layout(m), m - p
-    return ([L.edge_at[(o + a, o + b)] for a, b in layout(p).pairs],
-            [L.tri_at[(o + a, o + b, o + c)] for a, b, c in layout(p).triples])
-
-
 def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
-    """B(F) truncated at p <= P, q <= Q.  The omegas of each q are grouped
-    by their block F(omega); the deltas at (p, q) are the one-vertex
-    extensions (``nerve.grow``) of those at (p - 1, q), the blocks being
-    level p = -1, and sigma is each delta's last p + 1 vertices.  A delta
-    is known by its parent d_last delta and its new cells, so its faces and
-    degeneracies are found by key (``nerve.operator_row``), not built.  The
-    nerves of C and D are grown once each with their operators as position
-    tables (``nerve.simplex_operators``): the omegas and their operators
-    are C's, sigma is looked up in D's levels, a block's operators are read
-    off D's tables, and a block that is no simplex of D grows no delta.  A
-    cell's operator is then a pair of integers."""
+    """B(F) truncated at p <= P, q <= Q: the pullback of the total
+    decalage of the nerve of D along the nerve of F.  The (p, q)-cells
+    are the pairs (omega, delta) of a q-simplex of C and a
+    (q+1+p)-simplex of D whose front q-face, its first q + 1 vertices, is
+    F(omega); sigma is delta's back p-face, its last p + 1 vertices.
+    Both nerves are grown once with their operators as position tables
+    (``nerve.simplex_operators``), C's to Q and D's to P + Q + 1, and
+    every cell and operator is read off them: the front face is a
+    composite of D's rows d_last, the back face one of its rows d_0;
+    d^h_i and s^h_i are D's rows q + 1 + i on delta, and d^v_i and s^v_i
+    pair C's row i on omega with D's row i on delta.  A cell's operator
+    is then a pair of integers."""
     C, D = F.source, F.target
     oms, om_face, om_degen = simplex_operators(C, Q)
-    d_levels, d_face, d_degen = simplex_operators(D, max(P, Q))
-    d_at = [{s: n for n, s in enumerate(lev)} for lev in d_levels]
-    block_at, block_of = [], []             # q -> F(omega) -> id; q -> ids
-    for lev in oms:
-        at = {}
-        block_of.append([at.setdefault(map_simplex(F, x), len(at))
-                         for x in lev])
-        block_at.append(at)
-    # the deltas at (p, q) as grown from their parents, with the id of
-    # their block and the position of sigma; per i, the id of d_i / s_i
-    grown, simp, root, sig_of, dface, ddeg = {}, {}, {}, {}, {}, {}
-    for q, at in enumerate(block_at):
-        simp[(-1, q)] = blocks = list(at)
-        root[(-1, q)] = list(range(len(blocks)))
-        # a block that F does not map to a simplex grows no delta, and
-        # its operators are never read
-        pos = [d_at[q].get(b) for b in blocks]
-        ids = lambda row, lo: [None if n is None else
-                               block_at[lo].get(d_levels[lo][row[n]])
-                               for n in pos]
-        dface[(-1, q)] = [ids(row, q - 1) for row in d_face[q]]
-        ddeg[(-1, q)] = [ids(row, q + 1) for row in d_degen[q]] \
-            if q < Q else []
-    levels = {}
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            m = q + 1 + p
-            tail_e, tail_t = _tail(m, p)
-            g = grow(D, m, ((a, x) for a, x in enumerate(simp[(p - 1, q)])
-                            if p or x in d_at[q]))
-            rt, sp = root[(p - 1, q)], []
-            for y in g.cells:
-                e, t = y.edges, y.triangles
-                si = OrientedSimplex(p, y.vertices[q + 1:],
-                                     tuple([e[k] for k in tail_e]),
-                                     tuple([t[k] for k in tail_t]))
-                if si not in d_at[p]:
-                    raise AxiomError("delta %r ends outside the "
-                                     "%d-simplices of the target" % (y, p))
-                sp.append(d_at[p][si])
-            grown[(p, q)], simp[(p, q)], sig_of[(p, q)] = g, g.cells, sp
-            root[(p, q)] = [rt[a] for a in g.parent]
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            m = q + 1 + p
-            g = grown[(p, q)]
-            rows = [None] * (m + 1)
-            rows[m] = g.parent
-            for i in range(0 if q else 1, m):
-                kids = grown[(p, q - 1) if i <= q else (p - 1, q)].kids
-                rows[i] = operator_row(g, i, kids, dface[(p - 1, q)][i])
-            dface[(p, q)] = rows
-            rows = [None] * (m + 1)
-            for i in range(m + 1):
-                if (q == Q) if i <= q else (p == P):
-                    continue
-                kids = grown[(p, q + 1) if i <= q else (p + 1, q)].kids
-                rows[i] = operator_row(g, i, kids, ddeg[(p - 1, q)][i]
-                                       if i < m else None, True)
-            ddeg[(p, q)] = rows
+    d_levels, d_face, d_degen = simplex_operators(D, P + Q + 1)
+    # front[(m, n)], back[(m, n)]: per m-simplex of D, the position in
+    # level n of its first, last n + 1 vertices
+    front, back = {}, {}
+    for m in range(1, P + Q + 2):
+        last, first = d_face[m][m], d_face[m][0]
+        for n in range(m - 1):
+            front[(m, n)] = compose_rows(front[(m - 1, n)], last)
+            back[(m, n)] = compose_rows(back[(m - 1, n)], first)
+        front[(m, m - 1)], back[(m, m - 1)] = last, first
+    # per q and omega, the position of F(omega) in level q of D, None
+    # where F(omega) is no simplex of D (then no delta lies over it)
+    block_of = []
+    for q, lev in enumerate(oms):
+        at = {s: n for n, s in enumerate(d_levels[q])}
+        block_of.append([at.get(map_simplex(F, x)) for x in lev])
     # cells sort by (omega, delta): position start[omega] + rank[delta],
-    # rank being delta's place among the deltas of its block, which grow
-    # sorted
-    start, rank, pairs = {}, {}, {}
+    # rank being delta's place among the deltas over its front face
+    levels, start, rank, pairs = {}, {}, {}, {}
     for p in range(P + 1):
         for q in range(Q + 1):
-            xs, rt = simp[(p, q)], root[(p, q)]
-            members = [[] for _ in simp[(-1, q)]]
+            m = q + 1 + p
+            over = [[] for _ in d_levels[q]]
             rk = []
-            for d, b in enumerate(rt):
-                rk.append(len(members[b]))
-                members[b].append(d)
+            for d, b in enumerate(front[(m, q)]):
+                rk.append(len(over[b]))
+                over[b].append(d)
             st, pq = [], []
             for o, b in enumerate(block_of[q]):
                 st.append(len(pq))
-                pq.extend((o, d) for d in members[b])
+                if b is not None:
+                    pq.extend((o, d) for d in over[b])
             start[(p, q)], rank[(p, q)], pairs[(p, q)] = st, rk, pq
-            sig = d_levels[p]
+            de, si, back_p = d_levels[m], d_levels[p], back[(m, p)]
             levels[(p, q)] = tuple(
-                Bisimplex(oms[q][o], xs[d], sig[sig_of[(p, q)][d]])
-                for o, d in pq)
+                Bisimplex(oms[q][o], de[d], si[back_p[d]]) for o, d in pq)
 
     def row(p, q, o_map, d_map, tgt):
         """Positions in level tgt of (o_map[omega], d_map[delta]) for the
         cells of level (p, q), omega kept when o_map is None, and None
         where that pair is not a cell of tgt."""
-        st, rk, rt = start[tgt], rank[tgt], root[tgt]
-        bo = block_of[tgt[1]]
+        st, rk = start[tgt], rank[tgt]
+        fr, bo = front[(tgt[0] + tgt[1] + 1, tgt[1])], block_of[tgt[1]]
         out = []
         for o, d in pairs[(p, q)]:
             o = o if o_map is None else o_map[o]
             d = d_map[d]
-            out.append(None if o is None or d is None or rt[d] != bo[o]
-                       else st[o] + rk[d])
+            out.append(st[o] + rk[d] if fr[d] == bo[o] else None)
         return out
 
     face_h, face_v, degen_h, degen_v = {}, {}, {}, {}
     for (p, q), cells in levels.items():
-        fh = [row(p, q, None, dface[(p, q)][q + 1 + i], (p - 1, q))
+        m = q + 1 + p
+        fh = [row(p, q, None, d_face[m][q + 1 + i], (p - 1, q))
               for i in range(p + 1)] if p >= 1 else []
-        dh = [row(p, q, None, ddeg[(p, q)][q + 1 + i], (p + 1, q))
+        dh = [row(p, q, None, d_degen[m][q + 1 + i], (p + 1, q))
               for i in range(p + 1)] if p < P else []
-        fv = [row(p, q, om_face[q][i], dface[(p, q)][i], (p, q - 1))
+        fv = [row(p, q, om_face[q][i], d_face[m][i], (p, q - 1))
               for i in range(q + 1)] if q >= 1 else []
-        dv = [row(p, q, om_degen[q][i], ddeg[(p, q)][i], (p, q + 1))
+        dv = [row(p, q, om_degen[q][i], d_degen[m][i], (p, q + 1))
               for i in range(q + 1)] if q < Q else []
         if any(None in r for r in fh + dh + fv + dv):
             _raise_first_miss(C, D, cells, fh, dh, fv, dv)

@@ -320,9 +320,9 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
     # every delta of B(rho-c2) at 2 x 2 and 3 x 3, pair by pair (omega,
     # sigma), against the dict-keyed search with both blocks pinned, and at
     # 2 x 2 against the product oracle too (too slow for 7-simplices); and
-    # every extension that build_B makes there, of its deltas and of the
-    # simplices of the nerves of C and D, against the dict-keyed search
-    # with all of its simplex pinned
+    # every extension that build_B makes there, of the simplices of the
+    # nerves of C and D, against the dict-keyed search with all of its
+    # simplex pinned
     P = pgm.fix_c2_pgm()
     F = sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
                             sinv.s_inv_point(P))
@@ -359,10 +359,10 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
                     pairs += bool(des)
             assert seen == len(cells)
         assert pairs > 100
-        # each simplex of the nerves of C and D to dimension N, and each
-        # delta, is found once: one extension per parent
-        assert sum(grown) == sum(map(len, oms + sis)) + sum(
-            len({x.de for x in cells}) for cells in B.levels.values())
+        # each simplex of the nerve of C to dimension N and of D to
+        # dimension 2N + 1 is grown once: one extension per parent
+        assert sum(grown) == sum(map(len, oms + nv.simplex_levels(
+            F.target, 2 * N + 1)))
 
 
 @pytest.mark.parametrize("make", [fix_t, fix_c2, fix_m2, fix_i, fix_g2,
