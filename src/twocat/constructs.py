@@ -1,10 +1,12 @@
 """Limit-type constructions on finite 2-categories.
 
 Strict pullbacks, the lax comma object laco(F, G) and its oplax variant,
-mediating 2-functors from the universal property, base change along a
-1-cell of the base, strict fibers, oplax initial/terminal witnesses, and
-the diagram-shaped comma objects of cones over a diagram and (as its
-op-dual) of cocones under one.
+mediating 2-functors from the universal property, strict fibers, oplax
+initial/terminal witnesses, and the diagram-shaped comma objects of cones
+over a diagram and (as its op-dual) of cocones under one.  Base change
+along a 1-cell of the base, and the uniqueness and identity checks of the
+mediators, are lemma checks that only tests run
+(``tests/test_constructs.py``).
 
 Cells of a comma object are named by canonical tuples of constituent
 identifiers (via fixtures.nm), so outputs are deterministic and diffable.
@@ -315,88 +317,6 @@ def strict_fiber(P: TwoFunctor, x: str):
     incl = TwoFunctor(fib, C, {o: o for o in objs}, {f: f for f in ones},
                       {a: a for a in twos})
     return fib, incl
-
-
-def base_change(F: TwoFunctor, phi: str,
-                Lx: CommaResult | None = None,
-                Ly: CommaResult | None = None) -> TwoFunctor:
-    """laco(F, xhat) -> laco(F, yhat) for a 1-cell phi: x -> y in F's target:
-    post-compose the comma 1-cell slot with phi and whisker the 2-cell slot."""
-    D = F.target
-    x, y = D.one_src[phi], D.one_tgt[phi]
-    if Lx is None:
-        Lx = laco(F, point_functor(D, x))
-    if Ly is None:
-        Ly = laco(F, point_functor(D, y))
-    on_obj = {}
-    for (c, f, _), o in Lx.obj_id.items():
-        on_obj[o] = Ly.obj_id[(c, D.comp1[(phi, f)], "pt")]
-    on_one = {}
-    for (o, o2, s, a, t), m in Lx.one_id.items():
-        a2 = D.whisk_l[(phi, a)]
-        on_one[m] = Ly.one_id[(on_obj[o], on_obj[o2], s, a2, t)]
-    on_two = {}
-    for (m, m2, p, g), c in Lx.two_id.items():
-        on_two[c] = Ly.two_id[(on_one[m], on_one[m2], p, g)]
-    return TwoFunctor(Lx.cat, Ly.cat, on_obj, on_one, on_two)
-
-
-def check_mediator_unique(L: CommaResult, R: TwoFunctor, Q: TwoFunctor,
-                          lam: Transformation, h: TwoFunctor) -> bool:
-    """Every cell of the comma object is determined by its two projections
-    and its pi-component, so any mediator agreeing with (R, Q, lam) equals h;
-    verified by exhaustive enumeration of candidate images."""
-    K = R.source
-    for k in K.objects:
-        cands = [o for (x, f, z), o in L.obj_id.items()
-                 if x == R.on_objects[k] and z == Q.on_objects[k]
-                 and f == lam.at_object[k]]
-        if cands != [h.on_objects[k]]:
-            return False
-    for m in K.one_src:
-        cands = [c for (o, o2, s, a, t), c in L.one_id.items()
-                 if s == R.on_one[m] and t == Q.on_one[m]
-                 and a == lam.at_one[m]
-                 and o == h.on_objects[K.one_src[m]]
-                 and o2 == h.on_objects[K.one_tgt[m]]]
-        if cands != [h.on_one[m]]:
-            return False
-    for d in K.two_src:
-        cands = [c for (m, m2, phi, ga), c in L.two_id.items()
-                 if phi == R.on_two[d] and ga == Q.on_two[d]
-                 and m == h.on_one[K.two_src[d]]
-                 and m2 == h.on_one[K.two_tgt[d]]]
-        if cands != [h.on_two[d]]:
-            return False
-    return True
-
-
-def lp_id_data(G: TwoFunctor, L: CommaResult | None = None):
-    """For G: E -> D, the inclusion J: E -> laco(1_D, G), z -> [Gz, 1, z],
-    together with the lax transformation mu: Id => J . p_E that exhibits
-    the projection p_E as a deformation retraction; returns (L, J, mu)."""
-    E, D = G.source, G.target
-    if L is None:
-        L = laco(identity_functor(D), G)
-    lam = Transformation(G, G,
-                         {z: D.id1[G.on_objects[z]] for z in E.objects},
-                         {m: D.id2[G.on_one[m]] for m in E.one_src},
-                         direction=LAX, flavor=TWO_NATURAL)
-    J = mediate_laco(L, G, identity_functor(E), lam)
-    JpE = compose_functors(J, L.p_right)
-    at_obj = {}
-    for (x, f, z), o in L.obj_id.items():
-        at_obj[o] = L.one_id[(o, JpE.on_objects[o], f, D.id2[f], E.id1[z])]
-    at_one = {}
-    for m in L.cat.one_src:
-        o, o2 = L.cat.one_src[m], L.cat.one_tgt[m]
-        src1 = L.cat.comp1[(JpE.on_one[m], at_obj[o])]
-        tgt1 = L.cat.comp1[(at_obj[o2], m)]
-        (_, _, s, a, t) = L.one_data[m]
-        at_one[m] = L.two_id[(src1, tgt1, a, E.id2[t])]
-    mu = Transformation(identity_functor(L.cat), JpE, at_obj, at_one,
-                        direction=LAX, flavor=LAX)
-    return L, J, mu
 
 
 # ---------------------------------------------------------------------------

@@ -549,85 +549,6 @@ class NormalPseudofunctor:
     constraint: dict[tuple[str, str], str]
 
 
-def validate_pseudofunctor(H: NormalPseudofunctor) -> NormalPseudofunctor:
-    C, D = H.source, H.target
-    for f in sorted(C.one_src):
-        ensure(D.one_src[H.on_one[f]] == H.on_objects[C.one_src[f]]
-               and D.one_tgt[H.on_one[f]] == H.on_objects[C.one_tgt[f]],
-               "pseudofunctor 1-cell typing", (f,))
-    for a in sorted(C.two_src):
-        ensure(D.two_src[H.on_two[a]] == H.on_one[C.two_src[a]]
-               and D.two_tgt[H.on_two[a]] == H.on_one[C.two_tgt[a]],
-               "pseudofunctor 2-cell typing", (a,))
-    # strictly preserved hom-structure
-    for x in C.objects:
-        ensure(H.on_one[C.id1[x]] == D.id1[H.on_objects[x]],
-               "pseudofunctor normality (F0 = id)", (x,))
-    for f in sorted(C.one_src):
-        ensure(H.on_two[C.id2[f]] == D.id2[H.on_one[f]],
-               "pseudofunctor preserves identity 2-cells", (f,))
-    for (b, a), ba in sorted(C.vcomp.items()):
-        ensure(D.vcomp[(H.on_two[b], H.on_two[a])] == H.on_two[ba],
-               "pseudofunctor preserves vcomp", (b, a))
-    # constraints: typing, invertibility
-    for g in sorted(C.one_src):
-        for f in sorted(C.one_src):
-            if C.one_tgt[f] != C.one_src[g]:
-                continue
-            ensure((g, f) in H.constraint, "pseudofunctor constraint missing", (g, f))
-            c = H.constraint[(g, f)]
-            ensure(D.two_src[c] == D.comp1[(H.on_one[g], H.on_one[f])]
-                   and D.two_tgt[c] == H.on_one[C.comp1[(g, f)]],
-                   "pseudofunctor constraint typing", (g, f, c))
-            ensure(D.is_invertible2(c), "pseudofunctor constraint not invertible",
-                   (g, f, c))
-    # unit axioms: F2(1,f) and F2(g,1) are identities (normality)
-    for f in sorted(C.one_src):
-        y = C.one_tgt[f]
-        x = C.one_src[f]
-        ensure(D.is_id2(H.constraint[(C.id1[y], f)]),
-               "pseudofunctor left unit axiom", (f,))
-        ensure(D.is_id2(H.constraint[(f, C.id1[x])]),
-               "pseudofunctor right unit axiom", (f,))
-    # naturality of F2 in both arguments
-    for (b, _bs) in sorted(C.two_src.items()):
-        b_src, b_tgt = C.two_src[b], C.two_tgt[b]
-        for f in sorted(C.one_src):
-            # right argument fixed 1-cell f, left argument varies along b
-            if C.one_tgt[f] == C.one_src[b_src]:
-                lhs = D.vcomp[(H.on_two[C.whisk_r[(b, f)]],
-                               H.constraint[(b_src, f)])]
-                rhs = D.vcomp[(H.constraint[(b_tgt, f)],
-                               D.whisk_r[(H.on_two[b], H.on_one[f])])]
-                ensure(lhs == rhs, "pseudofunctor constraint naturality (left)",
-                       (b, f))
-            if C.one_src[f] == C.one_tgt[b_src]:
-                lhs = D.vcomp[(H.on_two[C.whisk_l[(f, b)]],
-                               H.constraint[(f, b_src)])]
-                rhs = D.vcomp[(H.constraint[(f, b_tgt)],
-                               D.whisk_l[(H.on_one[f], H.on_two[b])])]
-                ensure(lhs == rhs, "pseudofunctor constraint naturality (right)",
-                       (b, f))
-    # associativity axiom for composable triples
-    for h in sorted(C.one_src):
-        for g in sorted(C.one_src):
-            if C.one_tgt[g] != C.one_src[h]:
-                continue
-            hg = C.comp1[(h, g)]
-            for f in sorted(C.one_src):
-                if C.one_tgt[f] != C.one_src[g]:
-                    continue
-                gf = C.comp1[(g, f)]
-                # (Fh.Fg).Ff => F(hg).Ff => F(hg.f)
-                via_left = D.vcomp[(H.constraint[(hg, f)],
-                                    D.whisk_r[(H.constraint[(h, g)], H.on_one[f])])]
-                # Fh.(Fg.Ff) => Fh.F(gf) => F(h.gf)
-                via_right = D.vcomp[(H.constraint[(h, gf)],
-                                     D.whisk_l[(H.on_one[h], H.constraint[(g, f)])])]
-                ensure(via_left == via_right, "pseudofunctor associativity", (h, g, f))
-    return H
-
-
 # ---------------------------------------------------------------------------
 # dualities
 # ---------------------------------------------------------------------------

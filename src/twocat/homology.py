@@ -18,17 +18,20 @@ and the level below: the nerve's (``chain_complex``, which checks
 d^2 = 0) and those of the spectral-sequence pages and totalization.  Every
 group here, H_n with or without coordinates, with local coefficients, and
 the canonical form of a presented group, is the ``.group`` of the one
-homology primitive ``intlinalg.chain_homology``; ``homology_induced``
-reads coordinates through it (``induced_matrix``).  Whether columns lie in
-the relations of a presented group (``in_relations``) and whether a map of
-presented groups is an isomorphism (``iso_inverse``, and ``induced_iso``
-on H_n) are decided here only.
+homology primitive ``intlinalg.chain_homology``.  ``homology_subquotient``
+builds a chain complex once for all the degrees asked of it, and
+``homology_induced`` reads coordinates between two of its ``Homology``
+records (``induced_matrix``).  Whether columns lie in the relations of a
+presented group (``in_relations``) and whether a map of presented groups
+is an isomorphism (``iso_inverse``, and ``induced_iso`` on H_n) are
+decided here only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .core import AxiomError, TwoFunctor
 from .intlinalg import (FGAbGroup, Subquotient, chain_homology, columns,
@@ -98,32 +101,42 @@ def _check_degree(X: TruncSimplicialSet, n: int):
             "H_%d needs truncation level >= %d, have %d" % (n, n + 1, X.N))
 
 
-def homology_subquotient(X: TruncSimplicialSet, n: int):
-    """(Subquotient, basis of nondegenerate n-simplices)."""
-    _check_degree(X, n)
+class Homology(NamedTuple):
+    """H_n(X; Z) in coordinates (``homology_subquotient``)."""
+    n: int
+    sq: Subquotient
+    basis: list          # the nondegenerate n-simplices, one per chain row
+    row: dict            # n-simplex of X -> its row in basis, or None
+
+
+def homology_subquotient(X: TruncSimplicialSet, degrees) -> list:
+    """The ``Homology`` of X in each of the degrees, all off one chain
+    complex, each degree reduced once."""
+    degrees = list(degrees)
+    for n in degrees:
+        _check_degree(X, n)
     C = chain_complex(X)
-    return (chain_homology(C.boundary[n] if n else (), C.boundary[n + 1],
-                           C.rank(n), C.rank(n - 1) if n else 0),
-            C.basis[n])
+    return [Homology(n, chain_homology(C.boundary[n] if n else (),
+                                       C.boundary[n + 1], C.rank(n),
+                                       C.rank(n - 1) if n else 0),
+                     C.basis[n],
+                     dict(zip(X.levels[n], basis_rows(X.degenerate[n]))))
+            for n in degrees]
 
 
 def homology(X: TruncSimplicialSet, n: int) -> FGAbGroup:
     """H_n(X; Z), the group of ``homology_subquotient``."""
-    return homology_subquotient(X, n)[0].group
+    return homology_subquotient(X, [n])[0].sq.group
 
 
-def homology_induced(F: TwoFunctor, Xs: TruncSimplicialSet,
-                     Xt: TruncSimplicialSet, n: int):
+def homology_induced(F: TwoFunctor, Hs: Homology, Ht: Homology):
     """Matrix of H_n(F) in canonical coordinates, for a 2-functor F from
-    the 2-category whose nerve is Xs to the one whose nerve is Xt; only
-    the basis n-simplices of Xs are mapped (``nerve.map_simplex``).
-    Returns (matrix, src subquotient, tgt subquotient)."""
-    sq_s, basis_s = homology_subquotient(Xs, n)
-    sq_t = sq_s if Xt is Xs else homology_subquotient(Xt, n)[0]
-    row = dict(zip(Xt.levels[n], basis_rows(Xt.degenerate[n])))
+    the 2-category whose nerve has the homology Hs to the one whose nerve
+    has Ht, both in degree n; only the basis n-simplices of Hs are mapped
+    (``nerve.map_simplex``)."""
     M = [() if r is None else ((r, 1),)
-         for r in (row[map_simplex(F, x)] for x in basis_s)]
-    return induced_matrix(sq_s, sq_t, M), sq_s, sq_t
+         for r in (Ht.row[map_simplex(F, x)] for x in Hs.basis)]
+    return induced_matrix(Hs.sq, Ht.sq, M)
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +196,16 @@ def iso_inverse(M, src: PresentedGroup, tgt: PresentedGroup):
     return from_columns([col[:src.gens] for col in cols], nrows=src.gens)
 
 
-def induced_iso(F: TwoFunctor, Xs: TruncSimplicialSet,
-                Xt: TruncSimplicialSet, n: int):
+def induced_iso(F: TwoFunctor, Hs: Homology, Ht: Homology):
     """The matrix of H_n(F) and its inverse, in canonical coordinates;
     AxiomError, naming the degree and both groups, when there is none."""
-    M, sq_s, sq_t = homology_induced(F, Xs, Xt, n)
-    inv = iso_inverse(M, presentation_of(sq_s), presentation_of(sq_t))
+    M = homology_induced(F, Hs, Ht)
+    inv = iso_inverse(M, presentation_of(Hs.sq), presentation_of(Ht.sq))
     if inv is None:
         raise AxiomError("H_%d map %s -> %s is not an isomorphism"
-                         % (n, sq_s.group, sq_t.group))
+                         % (Hs.n, Hs.sq.group, Ht.sq.group))
     return M, [[v % t if t else v for v in row]
-               for row, t in zip(inv, sq_s.orders)]
+               for row, t in zip(inv, Hs.sq.orders)]
 
 
 def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:

@@ -15,10 +15,14 @@ generators); the degeneracy s_i repeats vertex i with an identity edge and
 identity triangles.  Both are tuple gathers through index tables computed
 once per (p, i).
 
-Simplices are found one vertex at a time: ``extensions(D, x)`` gives every
-simplex whose last face is x, and ``grow`` extends a level by it.  This is
-the only simplex search.  ``simplex_operators`` grows the levels 0..N from
-ROOT, the empty (-1)-simplex, whose extensions are the objects of D.
+Simplices are found one vertex at a time, as the children of their last
+face.  Up to dimension 3, ``extensions(D, x)`` searches for every simplex
+whose last face is x, and ``grow`` extends a level by it, from ROOT, the
+empty (-1)-simplex, whose extensions are the objects of D.  Above it there
+is nothing left to search: the nerve of a 2-category is 3-coskeletal, so
+``join`` reads the children of x off those of its faces d_0 x, ..., d_3 x
+and the face tables one level down, composing no 2-cell.
+``simplex_operators`` builds the levels 0..N so.
 
 The nerve's operators are found by key from the parent, not built.
 ``grow`` keys each simplex y by the position of its parent d_last y and
@@ -109,7 +113,9 @@ def extensions(D: TwoCategory, x: OrientedSimplex) -> list:
     triangle (j, k, p) is.  The cells are two lists, E and T, in the
     positions of ``layout(p)``; what each new cell completes is read off
     ``_extension_plan(p)``, and candidates off ``D.homs``.  x itself is
-    taken to be a simplex and is not re-checked."""
+    taken to be a simplex and is not re-checked.  ``simplex_operators``
+    runs it up to p = 3 only, where the one tetrahedron checked is
+    (0, 1, 2, 3); above that ``join`` needs no search."""
     p = x.dim + 1
     old_e, old_t, edge_steps, tri_steps = _extension_plan(p)
     L = layout(p)
@@ -200,7 +206,8 @@ def _gather(idx):
 
 
 class Growth(NamedTuple):
-    """The m-simplices that ``grow`` found, sorted, with their keys."""
+    """The m-simplices that ``grow`` or ``join`` found, sorted, with their
+    keys."""
     m: int
     cells: list                # the m-simplices y
     parent: list               # per y, the position of d_m y in the parents
@@ -240,18 +247,87 @@ def operator_row(g: Growth, i: int, kids: dict, below=None,
     return [kids.get((below[a], get(X))) for a, X in zip(up, g.ext)]
 
 
+@lru_cache(maxsize=None)
+def _join_plan(m: int):
+    """For m >= 4, gathers that assemble a child y of an (m-1)-simplex x
+    from its faces z_l = d_l y, l = 0, 1, 2, each a child of d_l x: y's X
+    (see ``_delta_plan``) from the X's of z_0, z_1 and z_2 in a row, each
+    cell read off the first z_l that holds it (every cell at vertex m
+    misses one of the vertices 0, 1, 2); y's edges from x.edges + X and
+    its triangles from x.triangles + X; and the length of y's N."""
+    L, L1, L2 = layout(m), layout(m - 1), layout(m - 2)
+    width = 2 * m + len(L2.pairs)            # len(X) one level down
+
+    def at(*cell):                           # a cell at vertex m, less m
+        l = min({0, 1, 2}.difference(cell))
+        r = [v - (v > l) for v in cell]
+        if not r:
+            return l * width
+        return l * width + (1 + r[0] if len(r) == 1
+                            else m + L2.edge_at[tuple(r)])
+
+    # the identities of vertex m and of each edge (j, m) sit m + len(L2.pairs)
+    # places after the cell in each X
+    ve = [at()] + [at(j) for j in range(m)]
+    X = (ve + [at(a, b) for a, b in L1.pairs]
+         + [k + m + len(L2.pairs) for k in ve])
+    ne, nt = len(L1.pairs) + 1, len(L1.triples) + 1 + m
+    return (_gather(X), _gather([L1.edge_at[k] if k[1] < m else ne + k[0]
+                                 for k in L.pairs]),
+            _gather([L1.tri_at[k] if k[2] < m else nt + L1.edge_at[k[:2]]
+                     for k in L.triples]), 1 + m + len(L1.pairs))
+
+
+def join(m: int, g: Growth, f: list):
+    """Level m >= 4 of the nerve from level m - 1, g, and its face rows f:
+    the Growth that ``grow`` would give, and the face rows d_0 .. d_3 of
+    level m.  The nerve is 3-coskeletal: every cell of an m-simplex y at
+    vertex m lies in one of its faces d_0 y, ..., d_3 y, and so does every
+    tetrahedron.  So the children y of x are the tuples (z_0, ..., z_3),
+    z_l a child of d_l x, with d_a z_b = d_(b-1) z_a for a < b <= 3, read
+    off f; then z_l = d_l y, and no 2-cell is composed."""
+    f0, f1, f2, f3 = f[:4]
+    kids, by1, by2, tops = {}, {}, {}, {}
+    for z, P in enumerate(g.parent):
+        kids.setdefault(P, []).append(z)
+        by1.setdefault((P, f0[z]), []).append(z)
+        by2.setdefault((P, f0[z], f1[z]), []).append(z)
+        tops[(P, f0[z], f1[z], f2[z])] = z
+    gx, ge, gt, n = _join_plan(m)
+    ext, found = g.ext, []
+    for a, x in enumerate(g.cells):
+        P1, P2, P3 = f1[a], f2[a], f3[a]
+        for z0 in kids.get(f0[a], ()):
+            for z1 in by1.get((P1, f0[z0]), ()):
+                for z2 in by2.get((P2, f1[z0], f1[z1]), ()):
+                    z3 = tops.get((P3, f2[z0], f2[z1], f2[z2]))
+                    if z3 is not None:
+                        X = gx(ext[z0] + ext[z1] + ext[z2])
+                        found.append((OrientedSimplex(
+                            m, x.vertices + X[:1], ge(x.edges + X),
+                            gt(x.triangles + X)), a, X, z0, z1, z2, z3))
+    found.sort(key=itemgetter(0))
+    cells, parent, exts, *low = (map(list, zip(*found)) if found
+                                 else ([] for _ in range(7)))
+    return Growth(m, cells, parent, exts,
+                  {(a, X[:n]): k for k, (a, X) in enumerate(zip(parent, exts))}
+                  ), low
+
+
 def simplex_operators(D: TwoCategory, N: int):
     """The nerve of D to dimension N as position tables: the sorted levels
     0..N, faces[n][i][k], the position in level n - 1 of d_i of the k-th
     n-simplex, and degens[n][i][k], that in level n + 1 of s_i (faces[0]
-    and degens[N] are empty).  The levels are grown from ROOT and every
-    operator is found by key, so no face or degeneracy is built."""
+    and degens[N] are empty).  The levels to 3 are grown from ROOT, those
+    above by ``join``, and every operator is found by key, so no face or
+    degeneracy is built."""
     gs = [grow(D, 0, [(0, ROOT)])]
     faces = [[gs[0].parent]]              # d_0 of a vertex is ROOT
     for m in range(1, N + 1):
-        g = grow(D, m, enumerate(gs[-1].cells))
-        faces.append([operator_row(g, i, gs[-1].kids, faces[-1][i])
-                      for i in range(m)] + [g.parent])
+        g, low = ((grow(D, m, enumerate(gs[-1].cells)), []) if m < 4
+                  else join(m, gs[-1], faces[-1]))
+        faces.append(low + [operator_row(g, i, gs[-1].kids, faces[-1][i])
+                            for i in range(len(low), m)] + [g.parent])
         gs.append(g)
     degens = []
     for m in range(N):
@@ -265,12 +341,6 @@ def simplex_levels(D: TwoCategory, N: int) -> list:
     """The p-simplices of the nerve of D for p = 0..N, each level a sorted
     list: the levels of ``simplex_operators``."""
     return simplex_operators(D, N)[0]
-
-
-def enumerate_simplices(D: TwoCategory, p: int) -> list:
-    """All p-simplices of the nerve of D, in lexicographic order of
-    (vertices, edges, triangles): level p of ``simplex_levels``."""
-    return simplex_levels(D, p)[p]
 
 
 @lru_cache(maxsize=None)

@@ -362,54 +362,3 @@ def comparison_H(P: TwoFunctor, F: TwoFunctor,
     return ComparisonResult(H, eta_obj, eta_one, Lc, PB, incl)
 
 
-def postcompose_pseudofunctor(i: TwoFunctor,
-                              H: NormalPseudofunctor) -> NormalPseudofunctor:
-    return NormalPseudofunctor(
-        H.source, i.target,
-        {o: i.on_objects[v] for o, v in H.on_objects.items()},
-        {m: i.on_one[v] for m, v in H.on_one.items()},
-        {c: i.on_two[v] for c, v in H.on_two.items()},
-        {k: i.on_two[v] for k, v in H.constraint.items()})
-
-
-def validate_pseudonatural_unit(G: NormalPseudofunctor, at_obj: dict,
-                                at_one: dict) -> None:
-    """Axioms for a pseudonatural transformation 1 => G where the source is
-    the strict identity on G.source; raises AxiomError on failure."""
-    C = G.source
-    if G.target is not C:
-        raise ValueError("source and target of the endo-pseudofunctor differ")
-    for o in C.objects:
-        comp = at_obj[o]
-        if C.one_src[comp] != o or C.one_tgt[comp] != G.on_objects[o]:
-            raise AxiomError("component typing at %r" % o)
-    for m, cell in at_one.items():
-        o, o2 = C.one_src[m], C.one_tgt[m]
-        src = C.comp1[(G.on_one[m], at_obj[o])]
-        tgt = C.comp1[(at_obj[o2], m)]
-        if C.two_src[cell] != src or C.two_tgt[cell] != tgt:
-            raise AxiomError("constraint typing at %r" % m)
-        if not C.is_invertible2(cell):
-            raise AxiomError("constraint not invertible at %r" % m)
-    for o in C.objects:
-        if at_one[C.id1[o]] != C.id2[at_obj[o]]:
-            raise AxiomError("unit axiom at %r" % o)
-    for m2 in C.one_src:
-        for m1 in C.one_src:
-            if C.one_tgt[m1] != C.one_src[m2]:
-                continue
-            m21 = C.comp1[(m2, m1)]
-            o = C.one_src[m1]
-            lhs = C.vcomp[(at_one[m21],
-                           C.whisk_r[(G.constraint[(m2, m1)], at_obj[o])])]
-            rhs = C.vcomp[(C.whisk_r[(at_one[m2], m1)],
-                           C.whisk_l[(G.on_one[m2], at_one[m1])])]
-            if lhs != rhs:
-                raise AxiomError("composition axiom at (%r, %r)" % (m2, m1))
-    for c in C.two_src:
-        m, m2 = C.two_src[c], C.two_tgt[c]
-        o, o2 = C.one_src[m], C.one_tgt[m]
-        lhs = C.vcomp[(at_one[m2], C.whisk_r[(G.on_two[c], at_obj[o])])]
-        rhs = C.vcomp[(C.whisk_l[(at_obj[o2], c)], at_one[m])]
-        if lhs != rhs:
-            raise AxiomError("2-cell naturality at %r" % c)

@@ -12,9 +12,10 @@ coherence axiom is checked directly on this generating data.
 
 Also here: module actions of such a monoid on another 2-category (same
 cubical encoding), finite commutative monoids, the component monoid
-``pi0``, predicates (2-groupoid, grouplike, faithful translations, strict
-sum-preserving functor), and localization of a finitely generated abelian
-group at a commutative monoid of endomorphisms.
+``pi0``, predicates (2-groupoid, faithful translations), and localization
+of a finitely generated abelian group at a commutative monoid of
+endomorphisms.  The grouplike and strict sum-preserving functor predicates
+and the trivial action, which only tests use, are in ``tests/test_pgm.py``.
 """
 
 from __future__ import annotations
@@ -419,25 +420,6 @@ def self_action(P: PGM) -> PGMAction:
                      dict(P.sigma))
 
 
-def trivial_action(P: PGM, X: TwoCategory) -> PGMAction:
-    """The action where every element of P acts as the identity of X."""
-    S = P.carrier
-    ident = identity_functor(X)
-
-    def const(x):
-        return TwoFunctor(S, X, {s: x for s in S.objects},
-                          {f: X.id1[x] for f in S.one_src},
-                          {a: X.id2[X.id1[x]] for a in S.two_src})
-
-    sigma = {(f, g): X.id2[g]
-             for f in S.one_src if not S.is_id1(f)
-             for g in X.one_src if not X.is_id1(g)}
-    return PGMAction(P, X, {(s, x): x for s in S.objects
-                            for x in X.objects},
-                     {s: ident for s in S.objects},
-                     {x: const(x) for x in X.objects}, sigma)
-
-
 # ---------------------------------------------------------------------------
 # components
 # ---------------------------------------------------------------------------
@@ -514,24 +496,6 @@ def is_two_groupoid(S: TwoCategory):
     return True
 
 
-def is_grouplike(P: PGM):
-    """Every object has a sum-inverse up to internal equivalence."""
-    S = P.carrier
-    for a in S.objects:
-        found = False
-        for y in S.objects:
-            left = any(S.is_equivalence1(f)
-                       for f in S.hom1(P.sum(a, y), P.unit))
-            right = any(S.is_equivalence1(f)
-                        for f in S.hom1(P.sum(y, a), P.unit))
-            if left and right:
-                found = True
-                break
-        if not found:
-            return Counterexample("object-not-invertible", (a,))
-    return True
-
-
 def has_faithful_translations(P: PGM):
     """Left translation by every object is injective on parallel 2-cells."""
     S = P.carrier
@@ -545,38 +509,6 @@ def has_faithful_translations(P: PGM):
                         if F.on_two[al] == F.on_two[be]:
                             return Counterexample(
                                 "translation-not-faithful", (s, al, be))
-    return True
-
-
-def is_strict_pgm_functor(F: TwoFunctor, P: PGM, Q: PGM):
-    """F strictly preserves unit, sum (via the translations), interchangers
-    and symmetry; True or a clause-tagged Counterexample."""
-    validate_two_functor(F)
-    if F.on_objects[P.unit] != Q.unit:
-        return Counterexample("unit-not-preserved", (P.unit,))
-    for a in P.carrier.objects:
-        for b in P.carrier.objects:
-            if F.on_objects[P.sum(a, b)] != Q.sum(F.on_objects[a],
-                                                  F.on_objects[b]):
-                return Counterexample("sum-not-preserved", (a, b))
-    for a in P.carrier.objects:
-        fa = F.on_objects[a]
-        if not functors_equal(compose_functors(F, P.lt(a)),
-                              compose_functors(Q.lt(fa), F)):
-            return Counterexample("left-translation-not-preserved", (a,))
-        if not functors_equal(compose_functors(F, P.rt(a)),
-                              compose_functors(Q.rt(fa), F)):
-            return Counterexample("right-translation-not-preserved", (a,))
-    for f in sorted(P.carrier.one_src):
-        for g in sorted(P.carrier.one_src):
-            if F.on_two[P.sigma_of(f, g)] != Q.sigma_of(F.on_one[f],
-                                                        F.on_one[g]):
-                return Counterexample("interchanger-not-preserved", (f, g))
-    for a in P.carrier.objects:
-        for b in P.carrier.objects:
-            if F.on_one[P.beta[(a, b)]] != Q.beta[(F.on_objects[a],
-                                                   F.on_objects[b])]:
-                return Counterexample("symmetry-not-preserved", (a, b))
     return True
 
 

@@ -21,9 +21,10 @@ Also here: the completion at a point (the X coordinates omitted), the
 re-action of S on the completion, translation inverses and the canonical
 pseudonatural contraction they admit, the permutative sum carried by
 ``S^-1 S``, the projection to the point completion together with its
-opfibration certificate, iso/lift criteria for completed 2-cells, the
-collapse to a 1-category used for the classical comparison, and the
-homology-level group completion check.
+opfibration certificate, and the homology-level group completion check.
+The lemma checks that only tests run (the inverse transformation, the
+fiber isomorphism, iso and lift criteria, the collapse to a 1-category)
+live in ``tests/test_sinv.py``.
 """
 
 from __future__ import annotations
@@ -31,15 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import opfib as of
-from .constructs import strict_fiber
-from .core import (LAX, PSEUDONATURAL, AxiomError, Transformation,
-                   TwoCategory, TwoFunctor, build_two_category,
-                   compose_functors, ensure, functors_equal,
-                   identity_functor, validate_transformation,
-                   validate_two_category, validate_two_functor)
+from .core import (LAX, AxiomError, Transformation, TwoCategory, TwoFunctor,
+                   build_two_category, ensure, identity_functor,
+                   validate_transformation, validate_two_category,
+                   validate_two_functor)
 from .fixtures import bang_functor, fix_t, nm
-from .homology import (homology_induced, in_relations, induced_iso,
-                       iso_inverse, presentation_of)
+from .homology import (homology_induced, homology_subquotient,
+                       in_relations, iso_inverse, presentation_of)
 from .intlinalg import mmul
 from .nerve import nerve
 from .opfib import Counterexample
@@ -495,36 +494,6 @@ def s_inverse(SX: SInvCategory, s: str) -> TwoFunctor:
     return validate_two_functor(TwoFunctor(C, C, on_obj, on_one, on_two))
 
 
-def T_transformation(SX: SInvCategory, s: str,
-                     xi: PGMAction | None = None) -> Transformation:
-    """The pseudonatural transformation from the identity of S^-1 X to
-    translation-after-inverse at s, witnessing the inverse.  The strict
-    commutation of the translation with the inverse is asserted."""
-    P, act = SX.pgm, SX.action
-    S, X = P.carrier, act.carrier
-    C = SX.cat
-    xi = xi or xi_action(SX)
-    ml_s = xi.ml(s)
-    inv_s = s_inverse(SX, s)
-    ensure(functors_equal(compose_functors(ml_s, inv_s),
-                          compose_functors(inv_s, ml_s)),
-           "translation does not commute with the inverse", (s,))
-    G = compose_functors(ml_s, inv_s)
-    at_object, at_one = {}, {}
-    for o, (a, x) in SX.obj_data.items():
-        at_object[o] = SX.one_name[(a, x, s, S.id1[P.sum(s, a)],
-                                    X.id1[act.act(s, x)])]
-    for m in C.one_src:
-        a, x, t, al, ph = SX.one_data[m]
-        src = C.comp1[(G.on_one[m], at_object[C.one_src[m]])]
-        tgt = C.comp1[(at_object[C.one_tgt[m]], m)]
-        _a, _x, _ts, alS, phS = SX.one_data[src]
-        at_one[m] = SX.class_of[(src, tgt, P.beta[(t, s)], S.id2[alS],
-                                 X.id2[phS])]
-    return validate_transformation(Transformation(
-        identity_functor(C), G, at_object, at_one, LAX, PSEUDONATURAL))
-
-
 # ---------------------------------------------------------------------------
 # the permutative sum on S^-1 S
 # ---------------------------------------------------------------------------
@@ -615,18 +584,6 @@ def pgm_on_sinvs(SX: SInvCategory) -> PGM:
                             lts, rts, sigma, beta))
 
 
-def grouplike_shadow(Q: PGM, trunc: int) -> bool:
-    """Every translation of Q induces isomorphisms on the homology of the
-    nerve in the trusted range (degrees < trunc); raises on failure."""
-    C = Q.carrier
-    N = nerve(C, trunc)
-    for o in C.objects:
-        for F in (Q.lt(o), Q.rt(o)):
-            for n in range(trunc):
-                induced_iso(F, N, N, n)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the projection to the point completion
 # ---------------------------------------------------------------------------
@@ -702,183 +659,6 @@ def rho_opfib_check(P: PGM, act: PGMAction,
     return ProjectionReport(rho, SX, SP, cert, tuple(preferred))
 
 
-def all_2cells_cartesian(rho: TwoFunctor, SX: SInvCategory) -> bool:
-    """Under the completion hypotheses every 2-cell upstairs is cartesian
-    for the projection; checked exhaustively."""
-    for c in SX.cat.two_cells:
-        if isinstance(of.is_cartesian_2cell(rho, c), Counterexample):
-            return False
-    return True
-
-
-def fiber_iso(SX: SInvCategory, rho: TwoFunctor, a: str) -> TwoFunctor:
-    """The strict fiber of the projection over a is isomorphic to X by
-    erasing the first coordinate; returns the validated isomorphism and
-    asserts object-level compatibility with the action."""
-    P, act = SX.pgm, SX.action
-    S, X = P.carrier, act.carrier
-    e = P.unit
-    down = rho.on_objects[SX.obj_name[(a, X.objects[0])]]
-    fib, _incl = strict_fiber(rho, down)
-    on_obj = {o: SX.obj_data[o][1] for o in fib.objects}
-    on_one = {}
-    for m in fib.one_src:
-        aa, _x, s, al, ph = SX.one_data[m]
-        ensure(s == e and al == S.id1[aa], "fiber cell of unexpected shape",
-               (m,))
-        on_one[m] = ph
-    on_two = {}
-    for c in fib.two_src:
-        aa = SX.one_data[fib.two_src[c]][0]
-        hits = [rep for rep in SX.members[c]
-                if rep[0] == S.id1[e] and rep[1] == S.id2[S.id1[aa]]]
-        ensure(len(hits) == 1, "fiber 2-cell of unexpected shape", (c,))
-        on_two[c] = hits[0][2]
-    F = validate_two_functor(TwoFunctor(fib, X, on_obj, on_one, on_two))
-    ensure(len(fib.objects) == len(X.objects)
-           and len(set(on_obj.values())) == len(on_obj)
-           and len(set(on_one.values())) == len(on_one)
-           and sorted(on_one.values()) == sorted(X.one_src)
-           and len(set(on_two.values())) == len(on_two)
-           and sorted(on_two.values()) == sorted(X.two_src),
-           "fiber comparison not bijective", (a,))
-    # the re-action preserves the fiber and the comparison intertwines it
-    xi = xi_action(SX)
-    for s in S.objects:
-        for o in fib.objects:
-            o2 = xi.act(s, o)
-            ensure(o2 in fib.objects
-                   and SX.obj_data[o2][1] == act.act(s, F.on_objects[o]),
-                   "fiber comparison incompatible with the action", (s, o))
-    return F
-
-
-# ---------------------------------------------------------------------------
-# iso criterion and lifting witnesses
-# ---------------------------------------------------------------------------
-
-def is_sinv_iso(SX: SInvCategory, cname: str) -> bool:
-    """A completed 2-cell is invertible iff its representative has an
-    equivalence p, an invertible A, and an invertible F; cross-checked
-    against brute-force invertibility in the quotient."""
-    P, act = SX.pgm, SX.action
-    S, X = P.carrier, act.carrier
-    p, A, F = SX.two_data[cname][2]
-    crit = (S.is_equivalence1(p) and S.is_invertible2(A)
-            and X.is_invertible2(F))
-    brute = SX.cat.is_invertible2(cname)
-    ensure(crit == brute, "iso criterion disagrees with the quotient",
-           (cname,))
-    return crit
-
-
-def lift_witness_check(SX: SInvCategory, SP: SInvCategory,
-                       m: str, u_cell: str, down_t: str, down_2: str,
-                       v_cell: str, up1_class: str, up2_class: str):
-    """Search for an invertible Theta: p => p2 . (p1 + 1_s) of S whose
-    pasting identifies the candidate lift with the prescribed downstairs
-    triangle; returns Theta, or None when no witness exists.
-
-    m = (s, alpha, phi): (a,x) -> (d,z) upstairs, u_cell: (a,x) -> (b,y)
-    upstairs, down_t = (t, beta): d -> b downstairs, down_2 = <p, A>:
-    down_t . rho(m) => rho(u_cell) downstairs; the candidate lift is
-    v_cell: (d,z) -> (b,y) with up1_class = <p1, A1>: down_t => rho(v_cell)
-    and up2_class = <p2, A2, F2>: v_cell . m => u_cell.
-    """
-    P = SX.pgm
-    S = P.carrier
-    a, _x, s, al, _ph = SX.one_data[m]
-    _a2, _x2, u, ga, _chi = SX.one_data[u_cell]
-    _d, t, be = SP.one_data[down_t][0], SP.one_data[down_t][2], \
-        SP.one_data[down_t][3]
-    p, A, _iiF = SP.two_data[down_2][2]
-    d2, _x3, v, de, _lam = SX.one_data[v_cell]
-    p1, A1, _ii1 = SP.two_data[up1_class][2]
-    p2, A2, _F2 = SX.two_data[up2_class][2]
-    sa = P.sum(s, a)
-    target_p = S.comp1[(p2, P.rt(s).on_one[p1])]
-    rhs = S.vcomp[(S.whisk_r[(A2, P.rt(sa).on_one[p1])],
-                   S.vcomp[(S.whisk_l[(de, P.sigma_of(p1, al))],
-                            S.whisk_r[(A1, P.lt(t).on_one[al])])])]
-    for th in S.hom2(p, target_p):
-        if not S.is_invertible2(th):
-            continue
-        lhs = S.vcomp[(S.whisk_l[(ga, P.rt(a).on_two[th])], A)]
-        if lhs == rhs:
-            return th
-    return None
-
-
-def preferred_lift(SX: SInvCategory, SP: SInvCategory,
-                   m: str, u_cell: str, down_t: str, down_2: str):
-    """The canonical lift along an opcartesian cell m = (s, alpha, 1):
-    reuse the downstairs data (v = t, delta = beta) and transport the X
-    component of u_cell back along p.  Returns (v_cell, up1_class,
-    up2_class)."""
-    P, act = SX.pgm, SX.action
-    S, X = P.carrier, act.carrier
-    a, x, s, al, ph = SX.one_data[m]
-    ensure(ph == X.id1[act.act(s, x)], "preferred lifts require an identity "
-           "X component", (m,))
-    _a2, _x2, u, ga, chi = SX.one_data[u_cell]
-    d, _pt, t, be = SP.one_data[down_t][0], SP.one_data[down_t][1], \
-        SP.one_data[down_t][2], SP.one_data[down_t][3]
-    p, A, _ii = SP.two_data[down_2][2]
-    z = act.act(s, x)
-    lam = X.comp1[(chi, act.mr(x).on_one[p])]
-    v_cell = SX.one_name[(d, z, t, be, lam)]
-    up1_class = SP.cat.id2[down_t]
-    comp = SX.cat.comp1[(v_cell, m)]
-    F2 = X.id2[SX.one_data[comp][4]]
-    up2_class = SX.class_of[(comp, u_cell, p, A, F2)]
-    return v_cell, up1_class, up2_class
-
-
-# ---------------------------------------------------------------------------
-# collapse to a 1-category (classical comparison)
-# ---------------------------------------------------------------------------
-
-def collapse_to_category(SX: SInvCategory):
-    """Quotient the completion by invertible 2-cells between 1-cells,
-    yielding a 1-category; composition is checked to descend.  Returns
-    (objects, hom: dict (src, tgt) -> sorted class reps,
-    rep_of: 1-cell -> class rep, compose: dict on reps,
-    locally_thin: at most one 2-cell class between parallel 1-cells)."""
-    C = SX.cat
-    parent = {m: m for m in C.one_src}
-
-    def find(m):
-        while parent[m] != m:
-            parent[m] = parent[parent[m]]
-            m = parent[m]
-        return m
-
-    locally_thin = True
-    for c in C.two_cells:
-        m1, m2 = C.two_src[c], C.two_tgt[c]
-        if m1 != m2 and len(C.hom2(m1, m2)) > 1:
-            locally_thin = False
-        if is_sinv_iso(SX, c):
-            r1, r2 = find(m1), find(m2)
-            if r1 != r2:
-                parent[max(r1, r2)] = min(r1, r2)
-    rep_of = {m: min(mm for mm in C.one_src if find(mm) == find(m))
-              for m in C.one_src}
-    hom = {}
-    for m, r in rep_of.items():
-        key = (C.one_src[m], C.one_tgt[m])
-        hom.setdefault(key, set()).add(r)
-    hom = {k: tuple(sorted(v)) for k, v in hom.items()}
-    compose = {}
-    for (g, f), gf in C.comp1.items():
-        key = (rep_of[g], rep_of[f])
-        if key in compose:
-            ensure(compose[key] == rep_of[gf],
-                   "composition does not descend to the collapse", (g, f))
-        compose[key] = rep_of[gf]
-    return tuple(C.objects), hom, rep_of, compose, locally_thin
-
-
 # ---------------------------------------------------------------------------
 # the homology-level group completion check
 # ---------------------------------------------------------------------------
@@ -917,16 +697,15 @@ def group_completion_check(P: PGM, act: PGMAction | None = None,
     X = act.carrier
     M = pi0_monoid(P)
     comp = pi0(P.carrier)
-    Xn = nerve(X, trunc)
-    SXn = nerve(SX.cat, trunc)
+    degrees = range(max_deg + 1)
+    Hxs = homology_subquotient(nerve(X, trunc), degrees)
+    Hsxs = homology_subquotient(nerve(SX.cat, trunc), degrees)
     report = GroupCompletionReport(M, trunc)
-    for q in range(max_deg + 1):
+    for q, Hx, Hsx in zip(degrees, Hxs, Hsxs):
         acts = {}
-        pres = None
+        pres = presentation_of(Hx.sq)
         for s in P.carrier.objects:
-            Ms, sq_s, _sq_t = homology_induced(act.ml(s), Xn, Xn, q)
-            if pres is None:
-                pres = presentation_of(sq_s)
+            Ms = homology_induced(act.ml(s), Hx, Hx)
             r = comp[s]
             if r in acts:
                 diff = [[acts[r][i][j] - Ms[i][j]
@@ -938,8 +717,8 @@ def group_completion_check(P: PGM, act: PGMAction | None = None,
             else:
                 acts[r] = Ms
         stab = localize_presentation(pres, acts, M)
-        Mi, _sq_x, sq_sx = homology_induced(SX.include, Xn, SXn, q)
-        tgt_pres = presentation_of(sq_sx)
+        Mi = homology_induced(SX.include, Hx, Hsx)
+        tgt_pres = presentation_of(Hsx.sq)
         ensure(in_relations(mmul(Mi, stab.rel_matrix()), tgt_pres),
                "inclusion does not factor through the localization", (q,))
         iso = iso_inverse(Mi, stab, tgt_pres) is not None

@@ -586,9 +586,8 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
     def object_data(x):
         if x not in obj_cache:
             fib, _ = strict_fiber(F, x)
-            Xf = nerve(fib, q + 1)
-            sq, _ = homology_subquotient(Xf, q)
-            obj_cache[x] = (fib, Xf, sq, presentation_of(sq))
+            H, = homology_subquotient(nerve(fib, q + 1), [q])
+            obj_cache[x] = (fib, H, presentation_of(H.sq))
         return obj_cache[x]
 
     comma_cache = {}
@@ -597,15 +596,15 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
         # laco(F, x-hat) with its fiber inclusion and homology data
         if x not in comma_cache:
             Lx = laco(F, point_functor(D, x))
-            fib, Xf, _, _ = object_data(x)
+            fib, Hf, _ = object_data(x)
             inc = _fiber_to_comma(F, x, fib, Lx)
-            XL = nerve(Lx.cat, q + 1)
+            HL, = homology_subquotient(nerve(Lx.cat, q + 1), [q])
             try:
-                _, inv = induced_iso(inc, Xf, XL, q)
+                _, inv = induced_iso(inc, Hf, HL)
             except AxiomError as e:
                 raise AxiomError("fiber inclusion at %r is not a homology "
                                  "isomorphism: %s" % (x, e)) from None
-            comma_cache[x] = (Lx, inc, XL, inv)
+            comma_cache[x] = (Lx, inc, HL, inv)
         return comma_cache[x]
 
     edge_matrix = {}
@@ -613,9 +612,9 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
     def edge_data(f):
         if f not in edge_matrix:
             x, y = D.one_src[f], D.one_tgt[f]
-            _, Xfx, _, _ = object_data(x)
+            _, Hfx, _ = object_data(x)
             Lx, inc_x, _, _ = comma_data(x)
-            Ly, _, XLy, inv_y = comma_data(y)
+            Ly, _, HLy, inv_y = comma_data(y)
             # the 1-simplex of the nerve of D classified by f
             sf = OrientedSimplex(1, (x, y), (f,), ())
             Gf = simplex_functor(D, sf)
@@ -628,9 +627,8 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
             _, ey, _, _, _ = lp_initial_d_e(F, Gy, w0, Lpt=Ly, Ldia=Ly_dia)
             route = compose_functors(
                 ey, compose_functors(restrict, compose_functors(d, inc_x)))
-            Mr, _, _ = homology_induced(route, Xfx, XLy, q)
-            M = il.mmul(inv_y, Mr)
-            orders = object_data(y)[2].orders
+            M = il.mmul(inv_y, homology_induced(route, Hfx, HLy))
+            orders = object_data(y)[1].sq.orders
             edge_matrix[f] = [[v % t if t else v for v in row]
                               for row, t in zip(M, orders)]
         return edge_matrix[f]
@@ -640,7 +638,7 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
     degen_map = {}
     for n, lev in enumerate(X.levels):
         for x in lev:
-            group[x] = object_data(x.vertices[0])[3]
+            group[x] = object_data(x.vertices[0])[2]
             g = group[x].gens
             for i in range(len(X.faces[n])):
                 f = x.edge(0, 1) if i == 0 else None
@@ -648,7 +646,7 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
                     else edge_data(f)
             for i in range(len(X.degens[n])):
                 degen_map[(i, x)] = il.mid(g)
-    fiber_group = {v: object_data(v)[3]
+    fiber_group = {v: object_data(v)[2]
                    for v in {x.vertices[0] for lev in X.levels for x in lev}}
     return FiberCoeffData(LocalCoeffSystem(group, face_map, degen_map),
                           fiber_group, edge_matrix)

@@ -16,13 +16,14 @@ from twocat import pgm, sinv
 from twocat import specseq as ss
 from twocat.constructs import (comma_inclusion, laco, laco_diagram, oplaco,
                                pullback)
-from twocat.core import (TwoFunctor, identity_functor,
-                         validate_pseudofunctor, validate_two_category)
+from twocat.core import TwoFunctor, identity_functor, validate_two_category
 from twocat.fixtures import (fix_c2, fix_g2, fix_g2sat, fix_i, fix_m2,
                              fix_prod, fix_t, point_functor)
-from twocat.nerve import enumerate_simplices, nerve
+from twocat.nerve import nerve
 
-from test_nerve import tetrahedron_ok
+from test_nerve import enumerate_simplices, tetrahedron_ok
+from test_opfib import (postcompose_pseudofunctor, validate_pseudofunctor,
+                        validate_pseudonatural_unit)
 from test_specseq import swap_projection
 
 ALL_CATS = [fix_t, fix_c2, fix_m2, fix_i, fix_g2, fix_g2sat]
@@ -100,8 +101,8 @@ def test_criterion_03_comparison_pseudofunctor():
             if PBC.one_src[m2] == PBC.one_tgt[m1]:
                 k = (i.on_one[m2], i.on_one[m1])
                 assert PBC.is_id2(res.H.constraint[k])
-    G = of.postcompose_pseudofunctor(i, res.H)
-    of.validate_pseudonatural_unit(G, res.eta_obj, res.eta_one)
+    G = postcompose_pseudofunctor(i, res.H)
+    validate_pseudonatural_unit(G, res.eta_obj, res.eta_one)
     print("ACCEPTANCE 03 PASS: the comparison is a normal pseudofunctor, "
           "restricts to the identity on the strict pullback, and its unit "
           "is pseudonatural on the projection fixture")
@@ -147,9 +148,9 @@ def test_criterion_05_spectral_sequence():
             ("rho-c2", _rho(pgm.fix_c2_pgm)),
             ("rho-g2", _rho(pgm.fix_g2_pgm)),
             ("swap", swap_projection())]
-    # all but the swap fixture reach degree 4 (a 5x5 window)
+    # each reaches degree 4 (a 5x5 window)
+    N = 5
     for name, F in full:
-        N = 4 if name == "swap" else 5
         B, X = ss.build_B(F, N, N), nerve(F.source, N)
         for n in range(N):
             assert ss.totalization_homology(B, n) == hm.homology(X, n), \
@@ -171,9 +172,8 @@ def test_criterion_05_spectral_sequence():
         assert ss.e2_vs_local(pg, cert, q) == [True] * 2, q
     print("ACCEPTANCE 05 PASS: totalization homology matches the source "
           "nerve and E2 matches local-coefficient homology at every "
-          "computed (p, q) within bounds (degrees <= 3 on five fixtures, "
-          "one with monodromy, and degrees <= 4 on four of them; <= 1 on "
-          "G2)")
+          "computed (p, q) within bounds (degrees <= 4 on five fixtures, "
+          "one with monodromy; <= 1 on G2)")
 
 
 def test_criterion_06_point_completion_contractible():
@@ -334,9 +334,10 @@ def test_criterion_11_comparison_induces_isomorphisms():
                 G = ss.simplex_functor(D, si)
                 PB, L = pullback(P, G), laco(P, G)
                 inc = comma_inclusion(PB, L, P, G)
-                Xs, Xt = nerve(PB.cat, 3), nerve(L.cat, 3)
-                for n in range(3):
-                    hm.induced_iso(inc, Xs, Xt, n)
+                Hs, Ht = (hm.homology_subquotient(nerve(C, 3), range(3))
+                          for C in (PB.cat, L.cat))
+                for H, K in zip(Hs, Ht):
+                    hm.induced_iso(inc, H, K)
                     checks += 1
     assert checks == 81
     print("ACCEPTANCE 11 PASS: the comparison pb(P, G) -> laco(P, G) "

@@ -9,6 +9,7 @@ import pytest
 
 import twocat
 from twocat import cli
+from twocat import homology as hm
 from twocat import io as tio
 from twocat import pgm, sinv
 from twocat.cli import main
@@ -18,6 +19,7 @@ from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod
 from twocat.homology import PresentedGroup, chain_complex
 from twocat.nerve import nerve
 from test_homology import constant_system, dense_chain_complex
+from test_pgm import trivial_action
 from test_specseq import swap_projection
 
 
@@ -75,6 +77,29 @@ def test_gc_check_m2(run, tmp_path):
     assert rep["degrees"]["0"]["target"] == "Z"
     assert rep["degrees"]["0"]["iso"] is True
     assert rep["all_iso"] is True
+
+
+def test_gc_check_builds_each_chain_complex_once(run, tmp_path, monkeypatch):
+    # one chain complex per nerve, X and S^-1 X, and one reduction per
+    # nerve and degree, where each induced map once built its own
+    complexes, reduced = [], []
+    chain_complex, Homology = hm.chain_complex, hm.Homology
+    monkeypatch.setattr(hm, "chain_complex",
+                        lambda X: complexes.append(X.N) or chain_complex(X))
+    monkeypatch.setattr(hm, "Homology",
+                        lambda n, *a: reduced.append(n) or Homology(n, *a))
+    p = write(tmp_path, "FIX_M2.json", tio.pgm_to_dict(pgm.fix_m2_pgm()))
+    code, out = run(["gc-check", "--pgm", p, "--max-deg", 5, "--trunc", 6])
+    assert code == 0
+    assert complexes == [6, 6]
+    assert sorted(reduced) == sorted(2 * list(range(6)))
+    rep = json.loads(out)["report"]
+    assert rep["all_iso"] is True
+    assert rep["degrees"]["0"] == {"iso": True, "localized": "Z",
+                                   "source": "Z + Z", "target": "Z"}
+    assert all(rep["degrees"][str(q)] == {"iso": True, "localized": "0",
+                                          "source": "0", "target": "0"}
+               for q in range(1, 6))
 
 
 # --- exit codes and manifest ----------------------------------------------------
@@ -711,7 +736,7 @@ def test_gc_check_hypothesis_failure_exits_two(run, tmp_path):
     P = pgm.fix_c2_pgm()
     p = write(tmp_path, "c2.json", tio.pgm_to_dict(P))
     act = write(tmp_path, "triv.json",
-                tio.action_to_dict(pgm.trivial_action(P, fix_g2sat())))
+                tio.action_to_dict(trivial_action(P, fix_g2sat())))
     code, out = run(["gc-check", "--pgm", p, "--action", act,
                      "--max-deg", 0, "--trunc", 1])
     assert code == 2

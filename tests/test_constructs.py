@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from twocat import constructs, fixtures, pgm, sinv
+from twocat.constructs import CommaResult, laco, mediate_laco
 from twocat.core import (AxiomError, Transformation, compose_functors,
                          find_isomorphism, functor_op, functors_equal,
                          identity_functor, op_dual, co_dual, coop_dual,
@@ -12,9 +13,94 @@ from twocat.core import (AxiomError, Transformation, compose_functors,
 from twocat.core import LAX, OPLAX, TWO_NATURAL, TwoFunctor
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
                              fix_t, nm, point_functor)
-from twocat.nerve import enumerate_simplices
 from twocat.orientals import materialize_oriental
 from twocat.specseq import simplex_functor
+
+from test_nerve import enumerate_simplices
+
+
+# --- base change and the mediators' lemma checks ---------------------------
+
+def base_change(F: TwoFunctor, phi: str,
+                Lx: CommaResult | None = None,
+                Ly: CommaResult | None = None) -> TwoFunctor:
+    """laco(F, xhat) -> laco(F, yhat) for a 1-cell phi: x -> y in F's target:
+    post-compose the comma 1-cell slot with phi and whisker the 2-cell slot."""
+    D = F.target
+    x, y = D.one_src[phi], D.one_tgt[phi]
+    if Lx is None:
+        Lx = laco(F, point_functor(D, x))
+    if Ly is None:
+        Ly = laco(F, point_functor(D, y))
+    on_obj = {}
+    for (c, f, _), o in Lx.obj_id.items():
+        on_obj[o] = Ly.obj_id[(c, D.comp1[(phi, f)], "pt")]
+    on_one = {}
+    for (o, o2, s, a, t), m in Lx.one_id.items():
+        a2 = D.whisk_l[(phi, a)]
+        on_one[m] = Ly.one_id[(on_obj[o], on_obj[o2], s, a2, t)]
+    on_two = {}
+    for (m, m2, p, g), c in Lx.two_id.items():
+        on_two[c] = Ly.two_id[(on_one[m], on_one[m2], p, g)]
+    return TwoFunctor(Lx.cat, Ly.cat, on_obj, on_one, on_two)
+
+
+def check_mediator_unique(L: CommaResult, R: TwoFunctor, Q: TwoFunctor,
+                          lam: Transformation, h: TwoFunctor) -> bool:
+    """Every cell of the comma object is determined by its two projections
+    and its pi-component, so any mediator agreeing with (R, Q, lam) equals h;
+    verified by exhaustive enumeration of candidate images."""
+    K = R.source
+    for k in K.objects:
+        cands = [o for (x, f, z), o in L.obj_id.items()
+                 if x == R.on_objects[k] and z == Q.on_objects[k]
+                 and f == lam.at_object[k]]
+        if cands != [h.on_objects[k]]:
+            return False
+    for m in K.one_src:
+        cands = [c for (o, o2, s, a, t), c in L.one_id.items()
+                 if s == R.on_one[m] and t == Q.on_one[m]
+                 and a == lam.at_one[m]
+                 and o == h.on_objects[K.one_src[m]]
+                 and o2 == h.on_objects[K.one_tgt[m]]]
+        if cands != [h.on_one[m]]:
+            return False
+    for d in K.two_src:
+        cands = [c for (m, m2, phi, ga), c in L.two_id.items()
+                 if phi == R.on_two[d] and ga == Q.on_two[d]
+                 and m == h.on_one[K.two_src[d]]
+                 and m2 == h.on_one[K.two_tgt[d]]]
+        if cands != [h.on_two[d]]:
+            return False
+    return True
+
+
+def lp_id_data(G: TwoFunctor, L: CommaResult | None = None):
+    """For G: E -> D, the inclusion J: E -> laco(1_D, G), z -> [Gz, 1, z],
+    together with the lax transformation mu: Id => J . p_E that exhibits
+    the projection p_E as a deformation retraction; returns (L, J, mu)."""
+    E, D = G.source, G.target
+    if L is None:
+        L = laco(identity_functor(D), G)
+    lam = Transformation(G, G,
+                         {z: D.id1[G.on_objects[z]] for z in E.objects},
+                         {m: D.id2[G.on_one[m]] for m in E.one_src},
+                         direction=LAX, flavor=TWO_NATURAL)
+    J = mediate_laco(L, G, identity_functor(E), lam)
+    JpE = compose_functors(J, L.p_right)
+    at_obj = {}
+    for (x, f, z), o in L.obj_id.items():
+        at_obj[o] = L.one_id[(o, JpE.on_objects[o], f, D.id2[f], E.id1[z])]
+    at_one = {}
+    for m in L.cat.one_src:
+        o, o2 = L.cat.one_src[m], L.cat.one_tgt[m]
+        src1 = L.cat.comp1[(JpE.on_one[m], at_obj[o])]
+        tgt1 = L.cat.comp1[(at_obj[o2], m)]
+        (_, _, s, a, t) = L.one_data[m]
+        at_one[m] = L.two_id[(src1, tgt1, a, E.id2[t])]
+    mu = Transformation(identity_functor(L.cat), JpE, at_obj, at_one,
+                        direction=LAX, flavor=LAX)
+    return L, J, mu
 
 
 def collapse_functor(E, D, obj, one, two):
@@ -142,7 +228,7 @@ def test_mediate_terminal():
     h = constructs.mediate_laco(L, identity_functor(T), identity_functor(T),
                                 lam)
     validate_two_functor(h)
-    assert constructs.check_mediator_unique(
+    assert check_mediator_unique(
         L, identity_functor(T), identity_functor(T), lam, h)
 
 
@@ -162,14 +248,14 @@ def test_mediate_round_trip_and_uniqueness():
         assert L.pi.at_object[h.on_objects[k]] == lam.at_object[k]
     for m in C.one_src:
         assert L.pi.at_one[h.on_one[m]] == lam.at_one[m]
-    assert constructs.check_mediator_unique(L, R, Q, lam, h)
+    assert check_mediator_unique(L, R, Q, lam, h)
 
 
 def test_lp_id_retraction():
     # J: E -> laco(1_D, G) with p_E . J = Id and a validating mu: Id => J.p_E
     G2 = fix_g2()
     G = bang_functor(G2)
-    L, J, mu = constructs.lp_id_data(G)
+    L, J, mu = lp_id_data(G)
     validate_two_category(L.cat)
     validate_two_functor(J)
     validate_transformation(mu)
@@ -193,7 +279,7 @@ def test_comma_inclusion_of_pullback():
 
 def test_base_change_interval():
     I = fix_i()
-    bc = constructs.base_change(identity_functor(I), "a01")
+    bc = base_change(identity_functor(I), "a01")
     validate_two_functor(bc)
     assert sorted(bc.source.objects) == [repr(("o", "0", "id_0", "pt"))]
     assert len(bc.target.objects) == 2
@@ -203,17 +289,17 @@ def test_base_change_functorial():
     I = fix_i()
     F = identity_functor(I)
     for x in I.objects:
-        bid = constructs.base_change(F, I.id1[x])
+        bid = base_change(F, I.id1[x])
         assert functors_equal(bid, identity_functor(bid.source))
     # chain: a01 . id_0 and id_1 . a01
     L0 = constructs.laco(F, point_functor(I, "0"))
     L1 = constructs.laco(F, point_functor(I, "1"))
-    f = constructs.base_change(F, "id_0", Lx=L0, Ly=L0)
-    g = constructs.base_change(F, "a01", Lx=L0, Ly=L1)
-    gf = constructs.base_change(F, I.comp1[("a01", "id_0")], Lx=L0, Ly=L1)
+    f = base_change(F, "id_0", Lx=L0, Ly=L0)
+    g = base_change(F, "a01", Lx=L0, Ly=L1)
+    gf = base_change(F, I.comp1[("a01", "id_0")], Lx=L0, Ly=L1)
     assert functors_equal(compose_functors(g, f), gf)
-    h = constructs.base_change(F, "id_1", Lx=L1, Ly=L1)
-    hg = constructs.base_change(F, I.comp1[("id_1", "a01")], Lx=L0, Ly=L1)
+    h = base_change(F, "id_1", Lx=L1, Ly=L1)
+    hg = base_change(F, I.comp1[("id_1", "a01")], Lx=L0, Ly=L1)
     assert functors_equal(compose_functors(h, g), hg)
 
 

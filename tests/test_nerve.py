@@ -63,20 +63,26 @@ def test_oriental_initial_terminal(p):
 
 # --- simplex enumeration --------------------------------------------------------
 
+def enumerate_simplices(D, p):
+    """All p-simplices of the nerve of D, in lexicographic order of
+    (vertices, edges, triangles): level p of ``simplex_levels``."""
+    return nv.simplex_levels(D, p)[p]
+
+
 @pytest.mark.parametrize("p", range(4))
 def test_terminal_has_one_simplex_per_level(p):
-    assert len(nv.enumerate_simplices(fix_t(), p)) == 1
+    assert len(enumerate_simplices(fix_t(), p)) == 1
 
 
 def test_interval_simplices_are_monotone_maps():
-    assert len(nv.enumerate_simplices(fix_i(), 2)) == 4
-    assert len(nv.enumerate_simplices(fix_i(), 3)) == 5
+    assert len(enumerate_simplices(fix_i(), 2)) == 4
+    assert len(enumerate_simplices(fix_i(), 3)) == 5
 
 
 def test_g2_simplex_counts():
     D = fix_g2()
-    assert len(nv.enumerate_simplices(D, 2)) == 2
-    assert len(nv.enumerate_simplices(D, 3)) == 8
+    assert len(enumerate_simplices(D, 2)) == 2
+    assert len(enumerate_simplices(D, 3)) == 8
 
 
 def has_pins(x, pinned_vertices, pinned_edges, pinned_triangles):
@@ -91,7 +97,7 @@ def test_pinned_enumeration():
     # the pinned oracles give the simplices of the search that hold the pin
     D = fix_g2()
     pins = ({}, {}, {(0, 1, 2): "e1"})
-    xs = [x for x in nv.enumerate_simplices(D, 2) if has_pins(x, *pins)]
+    xs = [x for x in enumerate_simplices(D, 2) if has_pins(x, *pins)]
     assert len(xs) == 1 and xs[0].triangle(0, 1, 2) == "e1"
     assert xs == dict_keyed_search(D, 2, *pins) == \
         product_then_filter(D, 2, *pins)
@@ -294,7 +300,7 @@ def test_pruned_search_matches_oracle_on_fixtures(name):
     else:
         D = getattr(fixtures, name)()
     for p in range(5):
-        assert nv.enumerate_simplices(D, p) == product_then_filter(D, p)
+        assert enumerate_simplices(D, p) == product_then_filter(D, p)
 
 
 @pytest.mark.parametrize("make", [pgm.fix_c2_pgm, pgm.fix_m2_pgm,
@@ -306,45 +312,50 @@ def test_pruned_search_matches_oracle_on_completions(make):
     P = make()
     D = sinv.s_inv_x(P, pgm.self_action(P)).cat
     for p in range(6 if make is pgm.fix_g2_pgm else 7):
-        xs = nv.enumerate_simplices(D, p)
+        xs = enumerate_simplices(D, p)
         assert xs and xs == dict_keyed_search(D, p)
         if p <= 5:
             assert xs == product_then_filter(D, p)
     SP = sinv.s_inv_point(P).cat
     for p in range(8):
-        xs = nv.enumerate_simplices(SP, p)
+        xs = enumerate_simplices(SP, p)
         assert xs and xs == dict_keyed_search(SP, p)
+
+
+def pins_of(x):
+    """x as pins of every vertex, edge and triangle, keyed as in the
+    oracles above."""
+    L = nv.layout(x.dim)
+    return (dict(enumerate(x.vertices)), dict(zip(L.pairs, x.edges)),
+            dict(zip(L.triples, x.triangles)))
 
 
 def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
     # every delta of B(rho-c2) at 2 x 2 and 3 x 3, pair by pair (omega,
     # sigma), against the dict-keyed search with both blocks pinned, and at
     # 2 x 2 against the product oracle too (too slow for 7-simplices); and
-    # every extension that build_B makes there, of the simplices of the
-    # nerves of C and D, against the dict-keyed search with all of its
-    # simplex pinned
+    # the children of every simplex of the nerves of C and D that build_B
+    # grows, by extensions up to dimension 3 and by the join above, against
+    # the dict-keyed search with all of the parent pinned
     P = pgm.fix_c2_pgm()
     F = sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
                             sinv.s_inv_point(P))
-    grown = []
+    parents = []
     real = nv.extensions
 
     def checked_extensions(D, x):
         ys = real(D, x)
-        L = nv.layout(x.dim)
-        assert ys == dict_keyed_search(
-            D, x.dim + 1, dict(enumerate(x.vertices)),
-            dict(zip(L.pairs, x.edges)), dict(zip(L.triples, x.triangles)))
-        grown.append(len(ys))
+        assert ys == dict_keyed_search(D, x.dim + 1, *pins_of(x))
+        parents.append(x.dim)
         return ys
 
     for N in (2, 3):
         with monkeypatch.context() as m:
             m.setattr(nv, "extensions", checked_extensions)
-            grown.clear()
+            parents.clear()
             B = specseq.build_B(F, N, N)
         oms = nv.simplex_levels(F.source, N)
-        sis = nv.simplex_levels(F.target, N)
+        sis, faces, _ = nv.simplex_operators(F.target, 2 * N + 1)
         pairs = 0
         for (p, q), cells in B.levels.items():
             seen = 0
@@ -359,10 +370,15 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
                     pairs += bool(des)
             assert seen == len(cells)
         assert pairs > 100
-        # each simplex of the nerve of C to dimension N and of D to
-        # dimension 2N + 1 is grown once: one extension per parent
-        assert sum(grown) == sum(map(len, oms + nv.simplex_levels(
-            F.target, 2 * N + 1)))
+        # one extensions call per parent of dimension <= 2, ROOT included,
+        # in the nerves of C to dimension N and of D to dimension 2N + 1
+        assert sorted(parents) == sorted(
+            [-1, -1] + [x.dim for lev in oms[:N] + sis[:3] for x in lev])
+        # above it the children of each parent are a join
+        for n in range(4, 2 * N + 2):
+            for a, x in enumerate(sis[n - 1]):
+                ys = [y for y, up in zip(sis[n], faces[n][n]) if up == a]
+                assert ys == dict_keyed_search(F.target, n, *pins_of(x))
 
 
 @pytest.mark.parametrize("make", [fix_t, fix_c2, fix_m2, fix_i, fix_g2,
@@ -373,21 +389,21 @@ def test_extensions_grow_each_level_from_the_one_below(make):
     D = make()
     for p in range(1, 5):
         grown = []
-        for x in nv.enumerate_simplices(D, p - 1):
+        for x in enumerate_simplices(D, p - 1):
             ys = nv.extensions(D, x)
             assert ys == sorted(ys)
             for y in ys:
                 assert nv.face(D, y, p) == x
                 grown.append(y)
         assert len(grown) == len(set(grown))
-        assert set(grown) == set(nv.enumerate_simplices(D, p))
+        assert set(grown) == set(enumerate_simplices(D, p))
 
 
 def test_pin_that_does_not_fit_gives_nothing():
     I = fix_i()
 
     def pinned(p, *pins):
-        xs = [x for x in nv.enumerate_simplices(I, p) if has_pins(x, *pins)]
+        xs = [x for x in enumerate_simplices(I, p) if has_pins(x, *pins)]
         assert xs == product_then_filter(I, p, *pins) == \
             dict_keyed_search(I, p, *pins)
         return xs
@@ -462,7 +478,7 @@ def pair_degeneracy(D, x, i):
 
 def check_gathers_against_pairs(D, pmax):
     for p in range(pmax + 1):
-        for x in nv.enumerate_simplices(D, p):
+        for x in enumerate_simplices(D, p):
             px = to_pairs(x)
             assert from_pairs(*px) == x
             for i in range(p + 1):
@@ -489,7 +505,7 @@ def test_gathers_match_pair_oracle_on_completions(make):
 
 
 def test_simplex_key_prints_the_pair_encoding():
-    x, = nv.enumerate_simplices(fix_t(), 3)
+    x, = enumerate_simplices(fix_t(), 3)
     assert tio.simplex_key(x) == (
         "(('pt', 'pt', 'pt', 'pt'), "
         "(((0, 1), 'id_pt'), ((0, 2), 'id_pt'), ((0, 3), 'id_pt'), "
@@ -663,6 +679,58 @@ NERVE_CASES = {
 }
 
 
+def grown_simplex_operators(D, N):
+    """simplex_operators with every level grown by the extension search
+    (``nv.grow``), as it was before levels above 3 became a join."""
+    gs = [nv.grow(D, 0, [(0, nv.ROOT)])]
+    faces = [[gs[0].parent]]
+    for m in range(1, N + 1):
+        g = nv.grow(D, m, enumerate(gs[-1].cells))
+        faces.append([nv.operator_row(g, i, gs[-1].kids, faces[-1][i])
+                      for i in range(m)] + [g.parent])
+        gs.append(g)
+    degens = []
+    for m in range(N):
+        degens.append([nv.operator_row(gs[m], i, gs[m + 1].kids,
+                                       degens[-1][i] if i < m else None, True)
+                       for i in range(m + 1)])
+    return [g.cells for g in gs], [[]] + faces[1:], degens + [[]]
+
+
+def rho_c2_target():
+    P = pgm.fix_c2_pgm()
+    return sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
+                               sinv.s_inv_point(P)).target
+
+
+# NERVE_CASES, and one level further where the join is cheap enough to
+# check: G2sat, the one fixture on which some compatible-looking tuple of
+# faces fails a condition of the join, to N = 5, rho-c2's target to N = 7
+# (B(rho-c2) at 3 x 3) and G2 to N = 6 (32,768 6-simplices)
+JOIN_CASES = {**NERVE_CASES, "fix_g2sat-5": (fix_g2sat, 5),
+              "rho-c2 target-7": (rho_c2_target, 7), "fix_g2-6": (fix_g2, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(JOIN_CASES))
+def test_join_matches_the_grown_oracle(name, monkeypatch):
+    # same levels, in the same order, and the same operator tables; and
+    # the extension search never runs above dimension 3
+    make, N = JOIN_CASES[name]
+    D = make()
+    dims = []
+    real = nv.extensions
+
+    def counted(D, x):
+        dims.append(x.dim + 1)
+        return real(D, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(nv, "extensions", counted)
+        got = nv.simplex_operators(D, N)
+    assert sorted(set(dims)) == [0, 1, 2, 3]
+    assert got == grown_simplex_operators(D, N)
+
+
 def assert_nerve_and_text_match_oracles(D, N):
     X, O = nv.nerve(D, N), oracle_nerve(D, N)
     got = operator_dicts(X)
@@ -805,7 +873,7 @@ def test_enumeration_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        nv.enumerate_simplices(D, 4)
+        enumerate_simplices(D, 4)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -813,7 +881,7 @@ def test_enumeration_leaves_no_cyclic_garbage():
 
 def test_degeneracy_face_roundtrip():
     D = fix_g2()
-    for x in nv.enumerate_simplices(D, 2):
+    for x in enumerate_simplices(D, 2):
         for i in range(3):
             y = nv.degeneracy(D, x, i)
             assert nv.face(D, y, i) == x
@@ -823,14 +891,14 @@ def test_degeneracy_face_roundtrip():
 
 def test_face_and_degeneracy_reject_bad_indices():
     D = fix_g2()
-    x = nv.enumerate_simplices(D, 2)[0]
+    x = enumerate_simplices(D, 2)[0]
     for i in (-1, 3):
         with pytest.raises(ValueError):
             nv.face(D, x, i)
         with pytest.raises(ValueError):
             nv.degeneracy(D, x, i)
     with pytest.raises(ValueError):
-        nv.face(D, nv.enumerate_simplices(D, 0)[0], 0)
+        nv.face(D, enumerate_simplices(D, 0)[0], 0)
 
 
 def test_induced_simplicial_map():

@@ -3,11 +3,85 @@ import random
 import pytest
 
 from twocat import pgm
-from twocat.core import AxiomError, TwoFunctor, identity_functor
+from twocat.core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
+                         functors_equal, identity_functor,
+                         validate_two_functor)
 from twocat.homology import PresentedGroup, in_relations, iso_inverse
 from twocat.intlinalg import (FGAbGroup, from_columns, hstack, kernel_mod_rels,
                               mid, mmul, order_relations)
 from twocat.opfib import Counterexample
+from twocat.pgm import PGM, PGMAction
+
+
+# --- predicates and actions that only the tests use ------------------------
+
+def trivial_action(P: PGM, X: TwoCategory) -> PGMAction:
+    """The action where every element of P acts as the identity of X."""
+    S = P.carrier
+    ident = identity_functor(X)
+
+    def const(x):
+        return TwoFunctor(S, X, {s: x for s in S.objects},
+                          {f: X.id1[x] for f in S.one_src},
+                          {a: X.id2[X.id1[x]] for a in S.two_src})
+
+    sigma = {(f, g): X.id2[g]
+             for f in S.one_src if not S.is_id1(f)
+             for g in X.one_src if not X.is_id1(g)}
+    return PGMAction(P, X, {(s, x): x for s in S.objects
+                            for x in X.objects},
+                     {s: ident for s in S.objects},
+                     {x: const(x) for x in X.objects}, sigma)
+
+
+def is_grouplike(P: PGM):
+    """Every object has a sum-inverse up to internal equivalence."""
+    S = P.carrier
+    for a in S.objects:
+        found = False
+        for y in S.objects:
+            left = any(S.is_equivalence1(f)
+                       for f in S.hom1(P.sum(a, y), P.unit))
+            right = any(S.is_equivalence1(f)
+                        for f in S.hom1(P.sum(y, a), P.unit))
+            if left and right:
+                found = True
+                break
+        if not found:
+            return Counterexample("object-not-invertible", (a,))
+    return True
+
+
+def is_strict_pgm_functor(F: TwoFunctor, P: PGM, Q: PGM):
+    """F strictly preserves unit, sum (via the translations), interchangers
+    and symmetry; True or a clause-tagged Counterexample."""
+    validate_two_functor(F)
+    if F.on_objects[P.unit] != Q.unit:
+        return Counterexample("unit-not-preserved", (P.unit,))
+    for a in P.carrier.objects:
+        for b in P.carrier.objects:
+            if F.on_objects[P.sum(a, b)] != Q.sum(F.on_objects[a],
+                                                  F.on_objects[b]):
+                return Counterexample("sum-not-preserved", (a, b))
+    for a in P.carrier.objects:
+        fa = F.on_objects[a]
+        if not functors_equal(compose_functors(F, P.lt(a)),
+                              compose_functors(Q.lt(fa), F)):
+            return Counterexample("left-translation-not-preserved", (a,))
+        if not functors_equal(compose_functors(F, P.rt(a)),
+                              compose_functors(Q.rt(fa), F)):
+            return Counterexample("right-translation-not-preserved", (a,))
+    for f in sorted(P.carrier.one_src):
+        for g in sorted(P.carrier.one_src):
+            if F.on_two[P.sigma_of(f, g)] != Q.sigma_of(F.on_one[f],
+                                                        F.on_one[g]):
+                return Counterexample("interchanger-not-preserved", (f, g))
+    for a in P.carrier.objects:
+        for b in P.carrier.objects:
+            if F.on_one[P.beta[(a, b)]] != Q.beta[(F.on_objects[a],
+                                                   F.on_objects[b])]:
+                return Counterexample("symmetry-not-preserved", (a, b))
+    return True
 
 
 ALL_PGMS = [pgm.fix_c2_pgm, pgm.fix_m2_pgm, pgm.fix_g2_pgm,
@@ -79,14 +153,14 @@ def test_pi0_monoid_always_commutative():
 def test_c2_predicates():
     P = pgm.fix_c2_pgm()
     assert pgm.is_two_groupoid(P.carrier) is True
-    assert pgm.is_grouplike(P) is True
+    assert is_grouplike(P) is True
     assert pgm.has_faithful_translations(P) is True
 
 
 def test_m2_predicates():
     P = pgm.fix_m2_pgm()
     assert pgm.is_two_groupoid(P.carrier) is True
-    cex = pgm.is_grouplike(P)
+    cex = is_grouplike(P)
     assert isinstance(cex, Counterexample)
     assert cex.clause == "object-not-invertible"
     assert cex.detail == ("1",)
@@ -105,19 +179,19 @@ def test_g2sat_predicates():
 def test_g2_predicates():
     P = pgm.fix_g2_pgm()
     assert pgm.is_two_groupoid(P.carrier) is True
-    assert pgm.is_grouplike(P) is True
+    assert is_grouplike(P) is True
 
 
 def test_strict_functor_identity():
     P = pgm.fix_c2_pgm()
-    assert pgm.is_strict_pgm_functor(identity_functor(P.carrier), P, P) \
+    assert is_strict_pgm_functor(identity_functor(P.carrier), P, P) \
         is True
 
 
 def test_strict_functor_detects_sum_mismatch():
     # the identity of the common carrier does not match Z/2 against max
     P, Q = pgm.fix_c2_pgm(), pgm.fix_m2_pgm()
-    cex = pgm.is_strict_pgm_functor(identity_functor(P.carrier), P, Q)
+    cex = is_strict_pgm_functor(identity_functor(P.carrier), P, Q)
     assert isinstance(cex, Counterexample)
     assert cex.clause == "sum-not-preserved"
 

@@ -1,11 +1,234 @@
 import pytest
 
 from twocat import homology as hm
+from twocat import opfib as of
 from twocat import pgm, sinv
-from twocat.core import AxiomError, find_isomorphism
+from twocat.constructs import strict_fiber
+from twocat.core import (LAX, PSEUDONATURAL, AxiomError, Transformation,
+                         TwoFunctor, compose_functors, ensure,
+                         find_isomorphism, functors_equal, identity_functor,
+                         validate_transformation, validate_two_functor)
 from twocat.fixtures import fix_g2, fix_g2sat
+from twocat.homology import homology_subquotient, induced_iso
 from twocat.nerve import nerve
 from twocat.opfib import Counterexample
+from twocat.pgm import PGM, PGMAction
+from twocat.sinv import SInvCategory, s_inverse, xi_action
+
+from test_pgm import is_strict_pgm_functor, trivial_action
+
+
+# --- lemma checks on the completion, run by the tests below ----------------
+
+def T_transformation(SX: SInvCategory, s: str,
+                     xi: PGMAction | None = None) -> Transformation:
+    """The pseudonatural transformation from the identity of S^-1 X to
+    translation-after-inverse at s, witnessing the inverse.  The strict
+    commutation of the translation with the inverse is asserted."""
+    P, act = SX.pgm, SX.action
+    S, X = P.carrier, act.carrier
+    C = SX.cat
+    xi = xi or xi_action(SX)
+    ml_s = xi.ml(s)
+    inv_s = s_inverse(SX, s)
+    ensure(functors_equal(compose_functors(ml_s, inv_s),
+                          compose_functors(inv_s, ml_s)),
+           "translation does not commute with the inverse", (s,))
+    G = compose_functors(ml_s, inv_s)
+    at_object, at_one = {}, {}
+    for o, (a, x) in SX.obj_data.items():
+        at_object[o] = SX.one_name[(a, x, s, S.id1[P.sum(s, a)],
+                                    X.id1[act.act(s, x)])]
+    for m in C.one_src:
+        a, x, t, al, ph = SX.one_data[m]
+        src = C.comp1[(G.on_one[m], at_object[C.one_src[m]])]
+        tgt = C.comp1[(at_object[C.one_tgt[m]], m)]
+        _a, _x, _ts, alS, phS = SX.one_data[src]
+        at_one[m] = SX.class_of[(src, tgt, P.beta[(t, s)], S.id2[alS],
+                                 X.id2[phS])]
+    return validate_transformation(Transformation(
+        identity_functor(C), G, at_object, at_one, LAX, PSEUDONATURAL))
+
+
+def grouplike_shadow(Q: PGM, trunc: int) -> bool:
+    """Every translation of Q induces isomorphisms on the homology of the
+    nerve in the trusted range (degrees < trunc); raises on failure."""
+    C = Q.carrier
+    Hs = homology_subquotient(nerve(C, trunc), range(trunc))
+    for o in C.objects:
+        for F in (Q.lt(o), Q.rt(o)):
+            for H in Hs:
+                induced_iso(F, H, H)
+    return True
+
+
+def all_2cells_cartesian(rho: TwoFunctor, SX: SInvCategory) -> bool:
+    """Under the completion hypotheses every 2-cell upstairs is cartesian
+    for the projection; checked exhaustively."""
+    for c in SX.cat.two_cells:
+        if isinstance(of.is_cartesian_2cell(rho, c), Counterexample):
+            return False
+    return True
+
+
+def fiber_iso(SX: SInvCategory, rho: TwoFunctor, a: str) -> TwoFunctor:
+    """The strict fiber of the projection over a is isomorphic to X by
+    erasing the first coordinate; returns the validated isomorphism and
+    asserts object-level compatibility with the action."""
+    P, act = SX.pgm, SX.action
+    S, X = P.carrier, act.carrier
+    e = P.unit
+    down = rho.on_objects[SX.obj_name[(a, X.objects[0])]]
+    fib, _incl = strict_fiber(rho, down)
+    on_obj = {o: SX.obj_data[o][1] for o in fib.objects}
+    on_one = {}
+    for m in fib.one_src:
+        aa, _x, s, al, ph = SX.one_data[m]
+        ensure(s == e and al == S.id1[aa], "fiber cell of unexpected shape",
+               (m,))
+        on_one[m] = ph
+    on_two = {}
+    for c in fib.two_src:
+        aa = SX.one_data[fib.two_src[c]][0]
+        hits = [rep for rep in SX.members[c]
+                if rep[0] == S.id1[e] and rep[1] == S.id2[S.id1[aa]]]
+        ensure(len(hits) == 1, "fiber 2-cell of unexpected shape", (c,))
+        on_two[c] = hits[0][2]
+    F = validate_two_functor(TwoFunctor(fib, X, on_obj, on_one, on_two))
+    ensure(len(fib.objects) == len(X.objects)
+           and len(set(on_obj.values())) == len(on_obj)
+           and len(set(on_one.values())) == len(on_one)
+           and sorted(on_one.values()) == sorted(X.one_src)
+           and len(set(on_two.values())) == len(on_two)
+           and sorted(on_two.values()) == sorted(X.two_src),
+           "fiber comparison not bijective", (a,))
+    # the re-action preserves the fiber and the comparison intertwines it
+    xi = xi_action(SX)
+    for s in S.objects:
+        for o in fib.objects:
+            o2 = xi.act(s, o)
+            ensure(o2 in fib.objects
+                   and SX.obj_data[o2][1] == act.act(s, F.on_objects[o]),
+                   "fiber comparison incompatible with the action", (s, o))
+    return F
+
+
+def lift_witness_check(SX: SInvCategory, SP: SInvCategory,
+                       m: str, u_cell: str, down_t: str, down_2: str,
+                       v_cell: str, up1_class: str, up2_class: str):
+    """Search for an invertible Theta: p => p2 . (p1 + 1_s) of S whose
+    pasting identifies the candidate lift with the prescribed downstairs
+    triangle; returns Theta, or None when no witness exists.
+
+    m = (s, alpha, phi): (a,x) -> (d,z) upstairs, u_cell: (a,x) -> (b,y)
+    upstairs, down_t = (t, beta): d -> b downstairs, down_2 = <p, A>:
+    down_t . rho(m) => rho(u_cell) downstairs; the candidate lift is
+    v_cell: (d,z) -> (b,y) with up1_class = <p1, A1>: down_t => rho(v_cell)
+    and up2_class = <p2, A2, F2>: v_cell . m => u_cell.
+    """
+    P = SX.pgm
+    S = P.carrier
+    a, _x, s, al, _ph = SX.one_data[m]
+    _a2, _x2, u, ga, _chi = SX.one_data[u_cell]
+    _d, t, be = SP.one_data[down_t][0], SP.one_data[down_t][2], \
+        SP.one_data[down_t][3]
+    p, A, _iiF = SP.two_data[down_2][2]
+    d2, _x3, v, de, _lam = SX.one_data[v_cell]
+    p1, A1, _ii1 = SP.two_data[up1_class][2]
+    p2, A2, _F2 = SX.two_data[up2_class][2]
+    sa = P.sum(s, a)
+    target_p = S.comp1[(p2, P.rt(s).on_one[p1])]
+    rhs = S.vcomp[(S.whisk_r[(A2, P.rt(sa).on_one[p1])],
+                   S.vcomp[(S.whisk_l[(de, P.sigma_of(p1, al))],
+                            S.whisk_r[(A1, P.lt(t).on_one[al])])])]
+    for th in S.hom2(p, target_p):
+        if not S.is_invertible2(th):
+            continue
+        lhs = S.vcomp[(S.whisk_l[(ga, P.rt(a).on_two[th])], A)]
+        if lhs == rhs:
+            return th
+    return None
+
+
+def preferred_lift(SX: SInvCategory, SP: SInvCategory,
+                   m: str, u_cell: str, down_t: str, down_2: str):
+    """The canonical lift along an opcartesian cell m = (s, alpha, 1):
+    reuse the downstairs data (v = t, delta = beta) and transport the X
+    component of u_cell back along p.  Returns (v_cell, up1_class,
+    up2_class)."""
+    P, act = SX.pgm, SX.action
+    S, X = P.carrier, act.carrier
+    a, x, s, al, ph = SX.one_data[m]
+    ensure(ph == X.id1[act.act(s, x)], "preferred lifts require an identity "
+           "X component", (m,))
+    _a2, _x2, u, ga, chi = SX.one_data[u_cell]
+    d, _pt, t, be = SP.one_data[down_t][0], SP.one_data[down_t][1], \
+        SP.one_data[down_t][2], SP.one_data[down_t][3]
+    p, A, _ii = SP.two_data[down_2][2]
+    z = act.act(s, x)
+    lam = X.comp1[(chi, act.mr(x).on_one[p])]
+    v_cell = SX.one_name[(d, z, t, be, lam)]
+    up1_class = SP.cat.id2[down_t]
+    comp = SX.cat.comp1[(v_cell, m)]
+    F2 = X.id2[SX.one_data[comp][4]]
+    up2_class = SX.class_of[(comp, u_cell, p, A, F2)]
+    return v_cell, up1_class, up2_class
+
+
+def collapse_to_category(SX: SInvCategory):
+    """Quotient the completion by invertible 2-cells between 1-cells,
+    yielding a 1-category; composition is checked to descend.  Returns
+    (objects, hom: dict (src, tgt) -> sorted class reps,
+    rep_of: 1-cell -> class rep, compose: dict on reps,
+    locally_thin: at most one 2-cell class between parallel 1-cells)."""
+    C = SX.cat
+    parent = {m: m for m in C.one_src}
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    locally_thin = True
+    for c in C.two_cells:
+        m1, m2 = C.two_src[c], C.two_tgt[c]
+        if m1 != m2 and len(C.hom2(m1, m2)) > 1:
+            locally_thin = False
+        if is_sinv_iso(SX, c):
+            r1, r2 = find(m1), find(m2)
+            if r1 != r2:
+                parent[max(r1, r2)] = min(r1, r2)
+    rep_of = {m: min(mm for mm in C.one_src if find(mm) == find(m))
+              for m in C.one_src}
+    hom = {}
+    for m, r in rep_of.items():
+        key = (C.one_src[m], C.one_tgt[m])
+        hom.setdefault(key, set()).add(r)
+    hom = {k: tuple(sorted(v)) for k, v in hom.items()}
+    compose = {}
+    for (g, f), gf in C.comp1.items():
+        key = (rep_of[g], rep_of[f])
+        if key in compose:
+            ensure(compose[key] == rep_of[gf],
+                   "composition does not descend to the collapse", (g, f))
+        compose[key] = rep_of[gf]
+    return tuple(C.objects), hom, rep_of, compose, locally_thin
+
+
+def is_sinv_iso(SX: SInvCategory, cname: str) -> bool:
+    """A completed 2-cell is invertible iff its representative has an
+    equivalence p, an invertible A, and an invertible F; cross-checked
+    against brute-force invertibility in the quotient."""
+    P, act = SX.pgm, SX.action
+    S, X = P.carrier, act.carrier
+    p, A, F = SX.two_data[cname][2]
+    crit = (S.is_equivalence1(p) and S.is_invertible2(A)
+            and X.is_invertible2(F))
+    brute = SX.cat.is_invertible2(cname)
+    ensure(crit == brute, "iso criterion disagrees with the quotient",
+           (cname,))
+    return crit
 
 
 def c2_completion():
@@ -118,20 +341,20 @@ def test_xi_action_and_inverses():
         xi = sinv.xi_action(SX)
         for s in P.carrier.objects:
             sinv.s_inverse(SX, s)
-            sinv.T_transformation(SX, s, xi)
+            T_transformation(SX, s, xi)
 
 
 def test_sum_on_completion():
     for maker in (c2_completion, m2_completion, g2_completion):
         P, SX = maker()
         Q = sinv.pgm_on_sinvs(SX)  # validated on construction
-        assert pgm.is_strict_pgm_functor(SX.include, P, Q) is True
+        assert is_strict_pgm_functor(SX.include, P, Q) is True
         assert pgm.pi0_is_group(pgm.pi0_monoid(Q)) is True
 
 
 def test_completion_is_homotopy_grouplike():
     _P, SX = c2_completion()
-    assert sinv.grouplike_shadow(sinv.pgm_on_sinvs(SX), 2)
+    assert grouplike_shadow(sinv.pgm_on_sinvs(SX), 2)
 
 
 # --- projection and opfibration ------------------------------------------------
@@ -142,14 +365,14 @@ def test_rho_opfibration_certified():
         rep = sinv.rho_opfib_check(P, pgm.self_action(P))
         assert isinstance(rep, sinv.ProjectionReport)
         assert rep.preferred_opcartesian
-        assert sinv.all_2cells_cartesian(rep.rho, rep.SX)
+        assert all_2cells_cartesian(rep.rho, rep.SX)
 
 
 def test_rho_hypothesis_failure_reported_first():
     # the saturated one-object fixture has a noninvertible 2-cell, so the
     # report names the failing hypothesis instead of a lift
     P = pgm.fix_c2_pgm()
-    act = pgm.validate_action(pgm.trivial_action(P, fix_g2sat()))
+    act = pgm.validate_action(trivial_action(P, fix_g2sat()))
     cex = sinv.rho_opfib_check(P, act)
     assert isinstance(cex, Counterexample)
     assert cex.clause == "hypothesis-2-cell-of-X-not-invertible"
@@ -163,7 +386,7 @@ def test_fibers_isomorphic_to_x():
         SP = sinv.s_inv_point(P)
         rho = sinv.rho_projection(SX, SP)
         for a in P.carrier.objects:
-            sinv.fiber_iso(SX, rho, a)  # validated + bijectivity asserted
+            fiber_iso(SX, rho, a)  # validated + bijectivity asserted
 
 
 # --- iso criterion and lifting witnesses ---------------------------------------
@@ -172,7 +395,7 @@ def test_iso_criterion_cross_checked():
     for maker in (c2_completion, m2_completion, g2_completion):
         _P, SX = maker()
         for c in SX.cat.two_cells:
-            assert sinv.is_sinv_iso(SX, c) is True
+            assert is_sinv_iso(SX, c) is True
 
 
 def test_iso_criterion_negative():
@@ -180,7 +403,7 @@ def test_iso_criterion_negative():
     # the absorbing 2-cell is not invertible, on both routes
     P = pgm.fix_g2sat_pgm()
     SX = sinv.s_inv_x(P, pgm.self_action(P))
-    flags = sorted(sinv.is_sinv_iso(SX, c) for c in SX.cat.two_cells)
+    flags = sorted(is_sinv_iso(SX, c) for c in SX.cat.two_cells)
     assert False in flags and True in flags
 
 
@@ -202,9 +425,9 @@ def test_preferred_lifts_have_identity_witness():
             for down_t in SP.cat.hom1(src, tgt):
                 comp = SP.cat.comp1[(down_t, rho.on_one[m])]
                 for down_2 in SP.cat.hom2(comp, rho.on_one[u_cell]):
-                    v, u1, u2 = sinv.preferred_lift(SX, SP, m, u_cell,
+                    v, u1, u2 = preferred_lift(SX, SP, m, u_cell,
                                                     down_t, down_2)
-                    th = sinv.lift_witness_check(SX, SP, m, u_cell,
+                    th = lift_witness_check(SX, SP, m, u_cell,
                                                  down_t, down_2, v, u1, u2)
                     p = SP.two_data[down_2][2][0]
                     assert th == S.id2[p]
@@ -220,8 +443,8 @@ def test_lift_witness_on_g2():
     down_t = rho.on_one[m]
     comp = SP.cat.comp1[(down_t, rho.on_one[m])]
     for down_2 in SP.cat.hom2(comp, rho.on_one[m]):
-        v, u1, u2 = sinv.preferred_lift(SX, SP, m, m, down_t, down_2)
-        th = sinv.lift_witness_check(SX, SP, m, m, down_t, down_2,
+        v, u1, u2 = preferred_lift(SX, SP, m, m, down_t, down_2)
+        th = lift_witness_check(SX, SP, m, m, down_t, down_2,
                                      v, u1, u2)
         assert th is not None
 
@@ -233,7 +456,7 @@ def test_collapse_matches_classical_on_c2():
     # classical one-categorical construction: a morphism (a,x) -> (b,y)
     # is a single shift s with s+a = b and s+x = y, none otherwise
     _P, SX = c2_completion()
-    objs, hom, rep_of, compose, thin = sinv.collapse_to_category(SX)
+    objs, hom, rep_of, compose, thin = collapse_to_category(SX)
     assert thin
     for o in objs:
         for o2 in objs:
@@ -285,6 +508,6 @@ def test_group_completion_untrusted_degree():
 
 def test_group_completion_hypothesis_failure():
     P = pgm.fix_c2_pgm()
-    act = pgm.validate_action(pgm.trivial_action(P, fix_g2sat()))
+    act = pgm.validate_action(trivial_action(P, fix_g2sat()))
     with pytest.raises(AxiomError):
         sinv.group_completion_check(P, act, max_deg=0, trunc=1)

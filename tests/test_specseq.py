@@ -10,17 +10,18 @@ from twocat import nerve as nv
 from twocat import opfib as of
 from twocat import pgm, sinv
 from twocat import specseq as ss
-from twocat.constructs import (base_change, comma_inclusion, laco,
-                               oplaco_codiagram, pullback, strict_fiber)
+from twocat.constructs import (comma_inclusion, laco, oplaco_codiagram,
+                               pullback, strict_fiber)
 from twocat.core import (AxiomError, TwoFunctor, compose_functors,
                          identity_functor)
 from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
                              locally_discrete, point_functor)
-from twocat.nerve import degeneracy, enumerate_simplices, face, nerve
+from twocat.nerve import degeneracy, face, nerve
 
+from test_constructs import base_change
 from test_homology import (dense_chain_homology, free_homology,
                            is_morphism_inverting, operator_dicts)
-from test_nerve import pinned_deltas
+from test_nerve import enumerate_simplices, pinned_deltas
 
 
 def pr2_c2():
@@ -822,7 +823,8 @@ def test_comparison_of_non_opfibration_is_not_a_homology_iso():
     PB, L = pullback(P, G), laco(P, G)
     inc = comma_inclusion(PB, L, P, G)
     with pytest.raises(AxiomError, match=r"H_0 map Z -> Z \+ Z "):
-        hm.induced_iso(inc, nerve(PB.cat, 1), nerve(L.cat, 1), 0)
+        hm.induced_iso(inc, *(hm.homology_subquotient(nerve(C, 1), [0])[0]
+                              for C in (PB.cat, L.cat)))
 
 
 def test_fiber_system_rejects_non_iso_fiber_inclusion():
@@ -850,11 +852,11 @@ def test_transition_matrix_is_base_change():
         incx = ss._fiber_to_comma(pr2, x, fibx, Lx)
         incy = ss._fiber_to_comma(pr2, y, fiby, Ly)
         bc = compose_functors(base_change(pr2, f, Lx, Ly), incx)
-        Xfx, Xfy = nerve(fibx, q + 1), nerve(fiby, q + 1)
-        XLy = nerve(Ly.cat, q + 1)
-        Mbc, _, _ = hm.homology_induced(bc, Xfx, XLy, q)
-        _, inv = hm.induced_iso(incy, Xfy, XLy, q)
-        orders = hm.homology_subquotient(Xfy, q)[0].orders
+        Hfx, Hfy, HLy = (hm.homology_subquotient(nerve(C, q + 1), [q])[0]
+                         for C in (fibx, fiby, Ly.cat))
+        Mbc = hm.homology_induced(bc, Hfx, HLy)
+        _, inv = hm.induced_iso(incy, Hfy, HLy)
+        orders = Hfy.sq.orders
         M = [[v % t if t else v for v in row]
              for row, t in zip(il.mmul(inv, Mbc), orders)]
         assert M == data.edge_matrix[f]
