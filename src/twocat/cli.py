@@ -9,7 +9,8 @@ Every report embeds a run manifest (subcommand, SHA-256 of each input
 file, truncation bounds, determinism statement, tool version); identical
 inputs and bounds produce byte-identical reports.  Set the environment
 variable ``TWOCAT_CACHE_DIR`` to a writable directory to cache nerve
-enumerations keyed by input hash and truncation level.
+enumerations keyed by input hash and truncation level, each next to the
+position record of its bytes, from which ``homology`` reads a nerve file.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import hashlib
 import json
 import os
-import shutil
 import sys
 from importlib import metadata
 
@@ -34,6 +34,7 @@ from .sinv import group_completion_check, s_inv_point, s_inv_x
 from .specseq import build_B, check_bisimplicial, e2_vs_local, pages
 
 CACHE_ENV = "TWOCAT_CACHE_DIR"
+RECORD = "sset-%s.json"        # a nerve file's position record, by digest
 
 # truncation bounds: a negative one leaves nothing to compute, and a report
 # on it would certify an empty range
@@ -58,15 +59,23 @@ class _Parser(argparse.ArgumentParser):
 # report plumbing
 # ---------------------------------------------------------------------------
 
-def _sha256(path: str) -> str:
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return fh.read()
 
 
-def _manifest(subcommand: str, inputs: list, bounds: dict) -> dict:
+def _manifest(subcommand: str, inputs: list, bounds: dict,
+              data: dict | None = None) -> dict:
+    """The run manifest; ``data`` holds the bytes of inputs already read."""
+    data = data or {}
     return {
         "subcommand": subcommand,
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": {p: _sha256(data[p] if p in data else _read(p))
+                   for p in inputs},
         "bounds": bounds,
         "determinism": "seed-free: the report depends only on the listed "
                        "inputs and bounds",
@@ -104,6 +113,41 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _write_aside(path: str, data: bytes) -> None:
+    """Write data to path through a temporary file in the same directory,
+    renamed into place, so that a killed run leaves no torn file."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _cached_sset(cache_dir: str, digest: str):
+    """X of the nerve file with this digest off its position record, which
+    is trusted as far as a nerve entry is; None for a missing record, one
+    of another tool version or digest, or one failing its checks."""
+    try:
+        rec = json.loads(_read(os.path.join(cache_dir, RECORD % digest)))
+        if type(rec) is dict and rec.get("tool_version") == VERSION \
+                and rec.get("digest") == digest:
+            return tio.trunc_sset_from_record(rec)
+    except (OSError, RecursionError, ValueError):  # AxiomError is one
+        pass
+    return None
+
+
+def _store_sset(cache_dir: str, digest: str, X, levels: list) -> None:
+    rec = dict(tio.trunc_sset_record(X, levels), digest=digest,
+               tool_version=VERSION)
+    _write_aside(os.path.join(cache_dir, RECORD % digest),
+                 tio.dumps(rec).encode())
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -129,25 +173,23 @@ def cmd_validate(args, ctx) -> int:
     return _ok(ctx, {"kind": kind, "valid": True, **_counts(C)})
 
 
-def _load_cospan(path: str):
-    d = _load_json(path)
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    left, right = resolve(d["left"]), resolve(d["right"])
-    return left, right, tio.load_two_functor(left), tio.load_two_functor(right)
-
-
 def _cmd_cospan(args, ctx, name, construct) -> int:
-    left, right, F, G = _load_cospan(args.cospan)
-    ctx["manifest"] = _manifest(name, [args.cospan, left, right], {})
+    # each file is read once, for its digest and its parse
+    data = {args.cospan: _read(args.cospan)}
+    d = json.loads(data[args.cospan])
+    base = os.path.dirname(os.path.abspath(args.cospan))
+    left, right = (p if os.path.isabs(p) else os.path.join(base, p)
+                   for p in (d["left"], d["right"]))
+    data.update((p, _read(p)) for p in {left, right})
+    ctx["manifest"] = _manifest(name, [args.cospan, left, right], {}, data)
+    digests = ctx["manifest"]["inputs"]
+    F, G = (tio.two_functor_from_dict(json.loads(data[p]))
+            for p in (left, right))
     validate_two_functor(F)
     validate_two_functor(G)
     res = construct(F, G)
     report = {"construction": name,
-              "inputs": {"left": _sha256(left), "right": _sha256(right)},
+              "inputs": {"left": digests[left], "right": digests[right]},
               "category": tio.two_category_to_dict(res.cat),
               **_counts(res.cat)}
     return _ok(ctx, report)
@@ -182,56 +224,51 @@ def cmd_nerve(args, ctx) -> int:
     bounds = {"max_dim": args.max_dim}
     ctx["manifest"] = _manifest("nerve", [args.input], bounds)
     cache_dir = os.environ.get(CACHE_ENV)
-    cache_path = None
-    nerve_dict = None
+    entry = X = nerve_dict = None
     if cache_dir:
-        key = "nerve-%s-%d.json" % (_sha256(args.input), args.max_dim)
-        cache_path = os.path.join(cache_dir, key)
-        if os.path.exists(cache_path):
-            nerve_dict = _load_json(cache_path)
-    if nerve_dict is None:
+        entry = os.path.join(cache_dir, "nerve-%s-%d.json" % (
+            ctx["manifest"]["inputs"][args.input], args.max_dim))
+        try:
+            # the entry's digest is its content check: it names the record
+            data = _read(entry)
+            X = _cached_sset(cache_dir, _sha256(data))
+        except OSError:
+            pass
+    if X is None:
         C = validate_two_category(tio.load_two_category(args.input))
-        nerve_dict = tio.trunc_sset_to_dict(nerve(C, args.max_dim))
-        if cache_path:
-            text = tio.dumps(nerve_dict)
-            os.makedirs(cache_dir, exist_ok=True)
-            # written aside and renamed, so a killed run leaves no torn entry
-            tmp = "%s.%d.tmp" % (cache_path, os.getpid())
-            try:
-                with open(tmp, "w") as fh:
-                    fh.write(text)
-                os.replace(tmp, cache_path)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-    degenerate = dict(map(tuple, nerve_dict["degenerate"]))
+        X = nerve(C, args.max_dim)
+        nerve_dict = tio.trunc_sset_to_dict(X)
+        data = tio.dumps(nerve_dict).encode()
+        if entry:
+            _write_aside(entry, data)
+            _store_sset(cache_dir, _sha256(data), X, nerve_dict["levels"])
     report = {
         "max_dim": args.max_dim,
-        "levels": [len(lev) for lev in nerve_dict["levels"]],
-        "nondegenerate": [sum(1 for x in lev if not degenerate[x])
-                          for lev in nerve_dict["levels"]],
+        "levels": [len(lev) for lev in X.levels],
+        "nondegenerate": [flags.count(False) for flags in X.degenerate],
     }
     if args.out:
-        if cache_path:
-            # the entry holds the bytes tio.dumps would write; copying it
-            # spares serialising the nerve again and holding its text
-            try:
-                shutil.copyfile(cache_path, args.out)
-            except shutil.SameFileError:     # --out names the entry itself
-                pass
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(tio.dumps(nerve_dict))
+        # the entry's bytes on a hit: those tio.dumps would write
+        with open(args.out, "wb") as fh:
+            fh.write(data)
         report["out"] = args.out
     else:
-        report["nerve"] = nerve_dict
+        report["nerve"] = nerve_dict or tio.trunc_sset_to_dict(X)
     return _ok(ctx, report)
 
 
 def cmd_homology(args, ctx) -> int:
     inputs = [args.nerve] + ([args.coeffs] if args.coeffs else [])
-    ctx["manifest"] = _manifest("homology", inputs, {"deg": args.deg})
-    X = tio.trunc_sset_from_dict(_load_json(args.nerve))
+    data = _read(args.nerve)
+    ctx["manifest"] = _manifest("homology", inputs, {"deg": args.deg},
+                                {args.nerve: data})
+    digest = ctx["manifest"]["inputs"][args.nerve]
+    cache_dir = os.environ.get(CACHE_ENV)
+    X = _cached_sset(cache_dir, digest) if cache_dir else None
+    if X is None:
+        X = tio.trunc_sset_from_dict(json.loads(data))
+        if cache_dir:
+            _store_sset(cache_dir, digest, X, X.levels)
     if args.coeffs:
         L = tio.coeff_system_from_dict(_load_json(args.coeffs))
         group = homology_local(X, L, args.deg)

@@ -22,6 +22,9 @@ Schema (bit-exact, keys sorted on output):
   levels is sorted order, and read back into position tables only when
   total and in range, with flags true exactly on the values of ``degen``
   and every simplicial identity holding.
+* position record: {"N", "levels", "faces"/"degens"}, a truncated
+  simplicial set's level keys and its operators as the position tables of
+  ``TruncSimplicialSet``; read back only under the checks of a nerve file.
 * coefficient system: {"group": [[simplex, {"gens","rels"}]], "face_map"/
   "degen_map": [[i, simplex, matrix]]} over the same simplex strings.
 
@@ -252,16 +255,9 @@ def _operator_rows(d: dict, name: str, at: dict, shift: int) -> list:
     return table
 
 
-def trunc_sset_from_dict(d: dict) -> TruncSimplicialSet:
-    """Rebuild with plain string simplices; chain-level consumers treat
-    simplices as opaque keys, so the result computes the same homology.
-    ValueError, naming the field, unless levels is a list of lists of
-    distinct strings and N is its last index.  The face and degeneracy
-    tables must be total and in range, every simplex must carry a
-    degenerate flag, true exactly when it is a value of the degeneracy
-    table, and the simplicial identities must hold
-    (``nerve.check_simplicial_identities``); AxiomError otherwise."""
-    levels, N = d["levels"], d["N"]
+def _level_index(levels, N) -> dict:
+    """The position (n, k) of each simplex of levels; ValueError, naming
+    the field, unless they are lists of distinct strings, N the last."""
     if type(levels) is not list or not all(
             type(lev) is list and all(type(x) is str for x in lev)
             for lev in levels):
@@ -272,6 +268,20 @@ def trunc_sset_from_dict(d: dict) -> TruncSimplicialSet:
     if type(N) is not int or N != len(levels) - 1:
         raise ValueError("N must be %d, one less than the number of levels, "
                          "not %r" % (len(levels) - 1, N))
+    return at
+
+
+def trunc_sset_from_dict(d: dict) -> TruncSimplicialSet:
+    """Rebuild with plain string simplices; chain-level consumers treat
+    simplices as opaque keys, so the result computes the same homology.
+    ValueError, naming the field, unless levels is a list of lists of
+    distinct strings and N is its last index.  The face and degeneracy
+    tables must be total and in range, every simplex must carry a
+    degenerate flag, true exactly when it is a value of the degeneracy
+    table, and the simplicial identities must hold
+    (``nerve.check_simplicial_identities``); AxiomError otherwise."""
+    levels, N = d["levels"], d["N"]
+    at = _level_index(levels, N)
     X = TruncSimplicialSet(N, levels, _operator_rows(d, "face", at, -1),
                            _operator_rows(d, "degen", at, 1))
     flags = {x: v for x, v in d["degenerate"]}
@@ -282,6 +292,37 @@ def trunc_sset_from_dict(d: dict) -> TruncSimplicialSet:
             if bool(flags[x]) != v:
                 raise AxiomError("degenerate flag of %s disagrees with the "
                                  "degeneracy table" % x)
+    check_simplicial_identities(X)
+    return X
+
+
+def trunc_sset_record(X: TruncSimplicialSet, levels: list) -> dict:
+    """The position record of X, its levels keyed by ``levels``."""
+    return {"N": X.N, "levels": levels, "faces": X.faces, "degens": X.degens}
+
+
+def trunc_sset_from_record(d: dict) -> TruncSimplicialSet:
+    """X from its position record, checked as a nerve file is: ValueError
+    unless levels and N pass ``_level_index`` and the tables are total and
+    in range, AxiomError unless the simplicial identities hold."""
+    levels, faces, degens = d.get("levels"), d.get("faces"), d.get("degens")
+    _level_index(levels, d.get("N"))
+    sizes = [len(lev) for lev in levels]
+    for tables, shift in ((faces, -1), (degens, 1)):
+        # per level n, n + 1 rows giving each n-simplex a position in level
+        # n + shift, or none where that level is missing
+        if not (type(tables) is list and len(tables) == len(sizes) and all(
+                type(rows) is list
+                and len(rows) == (n + 1 if 0 <= n + shift < len(sizes) else 0)
+                and all(type(row) is list and len(row) == sizes[n]
+                        and {*map(type, row)} <= {int}
+                        and min(row, default=0) >= 0
+                        and max(row, default=-1) < sizes[n + shift]
+                        for row in rows)
+                for n, rows in enumerate(tables))):
+            raise ValueError("faces and degens must be total position "
+                             "tables, in range")
+    X = TruncSimplicialSet(len(levels) - 1, levels, faces, degens)
     check_simplicial_identities(X)
     return X
 

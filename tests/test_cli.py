@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -17,7 +19,7 @@ from twocat.core import (AxiomError, TwoFunctor, identity_functor,
                          make_two_category)
 from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod
 from twocat.homology import PresentedGroup, chain_complex
-from twocat.nerve import nerve
+from twocat.nerve import TruncSimplicialSet, nerve
 from test_homology import constant_system, dense_chain_complex
 from test_pgm import trivial_action
 from test_specseq import swap_projection
@@ -197,6 +199,32 @@ def test_cospan_constructions(run, tmp_path):
         tio.two_category_from_dict(rep["category"])
 
 
+def test_each_input_is_read_once(run, tmp_path, monkeypatch):
+    # one read of each input file gives both its manifest digest and its
+    # parse
+    monkeypatch.delenv("TWOCAT_CACHE_DIR", raising=False)
+    F = tio.two_functor_to_dict(identity_functor(fix_g2()))
+    cospan = [write(tmp_path, "cospan.json",
+                    {"left": "l.json", "right": "r.json"}),
+              write(tmp_path, "l.json", F), write(tmp_path, "r.json", F)]
+    nerve_file = str(tmp_path / "nerve.json")
+    assert run(["nerve", "--input", g2_file(tmp_path), "--max-dim", 3,
+                "--out", nerve_file])[0] == 0
+    opened, real_open = Counter(), open
+
+    def counted_open(file, *args, **kwargs):
+        opened[os.path.realpath(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    for argv, inputs in ((["laco", cospan[0]], cospan),
+                         (["homology", "--nerve", nerve_file, "--deg", 1],
+                          [nerve_file])):
+        opened.clear()
+        assert run(argv)[0] == 0
+        assert opened == Counter(os.path.realpath(p) for p in inputs)
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_cospan_with_different_targets_is_rejected(tmp_path, flags):
     # run as `python [-O] -m twocat.cli`: -O strips asserts, so the check
@@ -267,8 +295,13 @@ def test_nerve_cache(run, tmp_path, monkeypatch):
     _, cold = run(["nerve", "--input", p, "--max-dim", 3])
     monkeypatch.setenv("TWOCAT_CACHE_DIR", str(cache))
     _, miss = run(["nerve", "--input", p, "--max-dim", 3])
-    files = os.listdir(cache)
-    assert len(files) == 1 and files[0].endswith("-3.json")
+    # one nerve entry keyed by the input's digest, and one position record
+    # keyed by the entry's
+    with open(p, "rb") as fh:
+        entry = "nerve-%s-3.json" % hashlib.sha256(fh.read()).hexdigest()
+    record = "sset-%s.json" % hashlib.sha256(
+        (cache / entry).read_bytes()).hexdigest()
+    assert sorted(os.listdir(cache)) == sorted([entry, record])
     _, hit = run(["nerve", "--input", p, "--max-dim", 3])
     assert cold == miss == hit
 
@@ -318,6 +351,162 @@ def test_nerve_out_may_name_the_cache_entry(run, tmp_path, monkeypatch):
         code, _ = run(["nerve", "--input", p, "--max-dim", 3, "--out", entry])
         assert code == 0
         assert entry.read_text() == text
+
+
+def record_of(X) -> dict:
+    return tio.trunc_sset_record(X, [[tio.simplex_key(x) for x in lev]
+                                     for lev in X.levels])
+
+
+def test_position_record_roundtrip_and_checks():
+    empty = TruncSimplicialSet(2, [[], [], []], [[], [[], []], [[], [], []]],
+                               [[[]], [[], []], []])
+    for X in (nerve(fix_g2(), 5), nerve(fix_i(), 3), empty):
+        rec = json.loads(tio.dumps(record_of(X)))
+        Y = tio.trunc_sset_from_record(rec)
+        assert Y.levels == rec["levels"] and Y.N == X.N
+        assert (Y.faces, Y.degens, Y.degenerate) == (X.faces, X.degens,
+                                                     X.degenerate)
+    rec = json.loads(tio.dumps(record_of(nerve(fix_i(), 3))))
+    n1, n2 = len(rec["levels"][1]), len(rec["levels"][2])
+    tables = "faces and degens must be total position tables"
+    bad = [
+        (dict(rec, N=2), "N must be 3"),
+        (dict(rec, levels=rec["levels"][:1] * 4), "levels must not repeat"),
+        # a row cut, an index past its level, a negative one (which a list
+        # would read from the end), a boolean one, a table missing
+        (dict(rec, faces=[[], rec["faces"][1][:1]] + rec["faces"][2:]),
+         tables),
+        (dict(rec, degens=[[[n1] * 2]] + rec["degens"][1:]), tables),
+        (dict(rec, faces=rec["faces"][:2] + [[[-1] * n2]
+                                             + rec["faces"][2][1:]]
+              + rec["faces"][3:]), tables),
+        (dict(rec, degens=[[[True, 0]]] + rec["degens"][1:]), tables),
+        ({k: v for k, v in rec.items() if k != "faces"}, tables),
+    ]
+    assert len(rec["levels"][0]) == 2
+    for d, error in bad:
+        with pytest.raises(ValueError, match=error):
+            tio.trunc_sset_from_record(d)
+
+
+def _edit_record(cache, edit):
+    path, = cache.glob("sset-*.json")
+    rec = json.loads(path.read_text())
+    edit(rec)
+    path.write_text(tio.dumps(rec))
+
+
+def _other_nerve(**fields):
+    """An edit that puts the record of the nerve of I at N = 3 in place of
+    the record, with `fields` changed: used, it would change every report
+    the tests below compare."""
+    def edit(rec):
+        rec.update(record_of(nerve(fix_i(), 3)), **fields)
+    return edit
+
+
+def _flip_entry_byte(cache):
+    # the first "(" of the first level key turned into ")": the entry is
+    # still JSON, with a simplex no row names
+    path, = cache.glob("nerve-*.json")
+    data = bytearray(path.read_bytes())
+    k = data.index(b'"levels":[["') + len(b'"levels":[["')
+    data[k] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _break_identity(rec):
+    # s_0 of G2's one edge pointed at the nondegenerate 2-simplex: the
+    # tables stay total and in range, s_1 s_0 = s_0 s_0 fails, and used,
+    # the record would lose H_2 = Z/2
+    assert len(rec["levels"][2]) == 2
+    rec["degens"][1][0][0] ^= 1
+
+
+def _truncate_record(cache):
+    path, = cache.glob("sset-*.json")
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+CACHE_TAMPERS = {
+    "entry-byte-flipped": _flip_entry_byte,
+    "other-tool-version": lambda cache: _edit_record(
+        cache, _other_nerve(tool_version="0.0.0+other")),
+    "other-digest": lambda cache: _edit_record(
+        cache, _other_nerve(digest="0" * 64)),
+    "face-out-of-range": lambda cache: _edit_record(
+        cache, lambda rec: rec["faces"][1][0].__setitem__(
+            0, len(rec["levels"][0]))),
+    "identity-broken": lambda cache: _edit_record(cache, _break_identity),
+    "record-truncated": _truncate_record,
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("tamper", sorted(CACHE_TAMPERS))
+def test_tampered_cache_is_a_miss(tmp_path, run, monkeypatch, flags,
+                                  tamper):
+    # a cache file that fails a check is a miss, also under python -O: the
+    # warm nerve --out and homology recompute, overwrite the cache and
+    # write and print the cold run's bytes
+    cache, out = tmp_path / "cache", tmp_path / "nerve.json"
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(cache))
+    jobs = [["nerve", "--input", g2_file(tmp_path), "--max-dim", "3",
+             "--out", str(out)],
+            ["homology", "--nerve", str(out), "--deg", "2"]]
+    cold = [run(job) for job in jobs]
+    assert [code for code, _ in cold] == [0, 0]
+
+    def files(pattern):
+        return {f.name: f.read_bytes() for f in cache.glob(pattern)}
+
+    # nerve restores the whole cache; homology, which reads no entry, the
+    # record
+    restored = ["*", "sset-*"]
+    cold_files = [files(pattern) for pattern in restored]
+    cold_out = out.read_bytes()
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    for job, (_, want), pattern, want_files in zip(jobs, cold, restored,
+                                                   cold_files):
+        CACHE_TAMPERS[tamper](cache)
+        if job[0] == "nerve":
+            out.unlink()
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "twocat.cli", *job],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, want), proc.stderr
+        assert out.read_bytes() == cold_out
+        assert files(pattern) == want_files
+
+
+def test_homology_hit_and_miss_match_the_uncached_run(run, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.delenv("TWOCAT_CACHE_DIR", raising=False)
+    p, out = g2_file(tmp_path), tmp_path / "nerve.json"
+    assert run(["nerve", "--input", p, "--max-dim", 3, "--out", out])[0] == 0
+    X = tio.trunc_sset_from_dict(json.loads(out.read_text()))
+    coeffs = write(tmp_path, "const.json",
+                   tio.coeff_system_to_dict(constant_system(X)))
+    jobs = [["homology", "--nerve", out, "--deg", n, *extra]
+            for n in range(3) for extra in ([], ["--coeffs", coeffs])]
+    uncached = [run(job) for job in jobs]
+    assert all(code == 0 for code, _ in uncached)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(cache))
+    missed = []
+    for job in jobs:
+        shutil.rmtree(cache, ignore_errors=True)
+        missed.append(run(job))
+
+    def not_parsed(_d):
+        raise AssertionError("a hit must not parse the nerve file")
+
+    monkeypatch.setattr(tio, "trunc_sset_from_dict", not_parsed)
+    hit = [run(job) for job in jobs]
+    assert uncached == missed == hit
 
 
 def corrupted_nerve_file(tmp_path):
