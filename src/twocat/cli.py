@@ -6,11 +6,13 @@ codes: 0 on success, 2 on an axiom or hypothesis failure (the report then
 carries a structured counterexample), 1 on malformed input.
 
 Every report embeds a run manifest (subcommand, SHA-256 of each input
-file, truncation bounds, determinism statement, tool version); identical
-inputs and bounds produce byte-identical reports.  Set the environment
-variable ``TWOCAT_CACHE_DIR`` to a writable directory to cache nerve
-enumerations keyed by input hash and truncation level, each next to the
-position record of its bytes, from which ``homology`` reads a nerve file.
+file, truncation bounds, determinism statement, tool version); each input
+file is read once, and its digest is of the bytes the run parses.
+Identical inputs and bounds produce byte-identical reports.  Set the
+environment variable ``TWOCAT_CACHE_DIR`` to a writable directory to cache
+nerve enumerations keyed by input hash and truncation level, each next to
+the position record of its bytes, from which ``homology`` reads a nerve
+file.
 """
 
 from __future__ import annotations
@@ -68,14 +70,12 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _manifest(subcommand: str, inputs: list, bounds: dict,
-              data: dict | None = None) -> dict:
-    """The run manifest; ``data`` holds the bytes of inputs already read."""
-    data = data or {}
+def _manifest(subcommand: str, inputs: dict, bounds: dict) -> dict:
+    """The run manifest of the inputs read, {path: bytes}: each digest is
+    of the bytes that the run parses."""
     return {
         "subcommand": subcommand,
-        "inputs": {p: _sha256(data[p] if p in data else _read(p))
-                   for p in inputs},
+        "inputs": {p: _sha256(b) for p, b in inputs.items()},
         "bounds": bounds,
         "determinism": "seed-free: the report depends only on the listed "
                        "inputs and bounds",
@@ -108,9 +108,12 @@ def _counts(C) -> dict:
             "two_cells": len(C.two_src)}
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _inputs(ctx: dict, subcommand: str, paths: list, bounds: dict) -> list:
+    """The bytes of each input path, None for an absent optional one: each
+    file is read once, and ctx gets the manifest of those bytes."""
+    data = {p: _read(p) for p in dict.fromkeys(paths) if p is not None}
+    ctx["manifest"] = _manifest(subcommand, data, bounds)
+    return [data.get(p) for p in paths]
 
 
 def _write_aside(path: str, data: bytes) -> None:
@@ -153,8 +156,8 @@ def _store_sset(cache_dir: str, digest: str, X, levels: list) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, ctx) -> int:
-    ctx["manifest"] = _manifest("validate", [args.input], {})
-    d = _load_json(args.input)
+    data, = _inputs(ctx, "validate", [args.input], {})
+    d = json.loads(data)
     if "pgm" in d:
         A = validate_action(tio.action_from_dict(d))
         kind, C = "action", A.carrier
@@ -180,8 +183,8 @@ def _cmd_cospan(args, ctx, name, construct) -> int:
     base = os.path.dirname(os.path.abspath(args.cospan))
     left, right = (p if os.path.isabs(p) else os.path.join(base, p)
                    for p in (d["left"], d["right"]))
-    data.update((p, _read(p)) for p in {left, right})
-    ctx["manifest"] = _manifest(name, [args.cospan, left, right], {}, data)
+    data.update((p, _read(p)) for p in {left, right} - data.keys())
+    ctx["manifest"] = _manifest(name, data, {})
     digests = ctx["manifest"]["inputs"]
     F, G = (tio.two_functor_from_dict(json.loads(data[p]))
             for p in (left, right))
@@ -208,8 +211,8 @@ def cmd_pullback(args, ctx) -> int:
 
 
 def cmd_fiber(args, ctx) -> int:
-    ctx["manifest"] = _manifest("fiber", [args.functor], {})
-    P = tio.load_two_functor(args.functor)
+    data, = _inputs(ctx, "fiber", [args.functor], {})
+    P = tio.two_functor_from_dict(json.loads(data))
     validate_two_functor(P)
     if args.object not in P.target.objects:
         raise UsageError("object %r not in the target" % args.object)
@@ -221,8 +224,7 @@ def cmd_fiber(args, ctx) -> int:
 
 
 def cmd_nerve(args, ctx) -> int:
-    bounds = {"max_dim": args.max_dim}
-    ctx["manifest"] = _manifest("nerve", [args.input], bounds)
+    source, = _inputs(ctx, "nerve", [args.input], {"max_dim": args.max_dim})
     cache_dir = os.environ.get(CACHE_ENV)
     entry = X = nerve_dict = None
     if cache_dir:
@@ -235,7 +237,8 @@ def cmd_nerve(args, ctx) -> int:
         except OSError:
             pass
     if X is None:
-        C = validate_two_category(tio.load_two_category(args.input))
+        C = validate_two_category(
+            tio.two_category_from_dict(json.loads(source)))
         X = nerve(C, args.max_dim)
         nerve_dict = tio.trunc_sset_to_dict(X)
         data = tio.dumps(nerve_dict).encode()
@@ -258,10 +261,8 @@ def cmd_nerve(args, ctx) -> int:
 
 
 def cmd_homology(args, ctx) -> int:
-    inputs = [args.nerve] + ([args.coeffs] if args.coeffs else [])
-    data = _read(args.nerve)
-    ctx["manifest"] = _manifest("homology", inputs, {"deg": args.deg},
-                                {args.nerve: data})
+    data, coeff_data = _inputs(ctx, "homology", [args.nerve, args.coeffs],
+                               {"deg": args.deg})
     digest = ctx["manifest"]["inputs"][args.nerve]
     cache_dir = os.environ.get(CACHE_ENV)
     X = _cached_sset(cache_dir, digest) if cache_dir else None
@@ -270,7 +271,7 @@ def cmd_homology(args, ctx) -> int:
         if cache_dir:
             _store_sset(cache_dir, digest, X, X.levels)
     if args.coeffs:
-        L = tio.coeff_system_from_dict(_load_json(args.coeffs))
+        L = tio.coeff_system_from_dict(json.loads(coeff_data))
         group = homology_local(X, L, args.deg)
         coeffs = "local"
     else:
@@ -281,8 +282,8 @@ def cmd_homology(args, ctx) -> int:
 
 
 def cmd_opfib(args, ctx) -> int:
-    ctx["manifest"] = _manifest("opfib", [args.functor], {})
-    P = tio.load_two_functor(args.functor)
+    data, = _inputs(ctx, "opfib", [args.functor], {})
+    P = tio.two_functor_from_dict(json.loads(data))
     validate_two_functor(P)
     res = check_opfibration(P)
     if isinstance(res, Counterexample):
@@ -304,8 +305,8 @@ def cmd_ss(args, ctx) -> int:
     bounds = {"pmax": args.pmax, "qmax": args.qmax}
     if args.fiber_coeffs is not None:
         bounds["fiber_coeffs"] = args.fiber_coeffs
-    ctx["manifest"] = _manifest("ss", [args.functor], bounds)
-    F = tio.load_two_functor(args.functor)
+    data, = _inputs(ctx, "ss", [args.functor], bounds)
+    F = tio.two_functor_from_dict(json.loads(data))
     validate_two_functor(F)
     B = build_B(F, args.pmax, args.qmax)
     if not check_bisimplicial(B):
@@ -333,16 +334,15 @@ def cmd_ss(args, ctx) -> int:
 
 
 def cmd_sinv(args, ctx) -> int:
-    inputs = [args.pgm] + ([args.action] if args.action else [])
-    ctx["manifest"] = _manifest("sinv", inputs, {})
-    P = tio.load_pgm(args.pgm)
+    pgm, action = _inputs(ctx, "sinv", [args.pgm, args.action], {})
+    P = tio.pgm_from_dict(json.loads(pgm))
     if args.point:
         if args.action:
             raise UsageError("--point and --action are mutually exclusive")
         S = s_inv_point(P)
         name = "sinv-point"
     else:
-        act = (tio.load_action(args.action, P) if args.action
+        act = (tio.action_from_dict(json.loads(action), P) if args.action
                else self_action(P))
         S = s_inv_x(P, act)
         name = "sinv"
@@ -352,11 +352,11 @@ def cmd_sinv(args, ctx) -> int:
 
 
 def cmd_gc_check(args, ctx) -> int:
-    inputs = [args.pgm] + ([args.action] if args.action else [])
-    bounds = {"max_deg": args.max_deg, "trunc": args.trunc}
-    ctx["manifest"] = _manifest("gc-check", inputs, bounds)
-    P = tio.load_pgm(args.pgm)
-    act = tio.load_action(args.action, P) if args.action else None
+    pgm, action = _inputs(ctx, "gc-check", [args.pgm, args.action],
+                          {"max_deg": args.max_deg, "trunc": args.trunc})
+    P = tio.pgm_from_dict(json.loads(pgm))
+    act = (tio.action_from_dict(json.loads(action), P) if args.action
+           else None)
     rep = group_completion_check(P, act, max_deg=args.max_deg,
                                  trunc=args.trunc)
     return _ok(ctx, {
@@ -369,9 +369,8 @@ def cmd_gc_check(args, ctx) -> int:
 
 
 def cmd_dualize(args, ctx) -> int:
-    ctx["manifest"] = _manifest("dualize", [args.input],
-                                {"which": args.which})
-    C = validate_two_category(tio.load_two_category(args.input))
+    data, = _inputs(ctx, "dualize", [args.input], {"which": args.which})
+    C = validate_two_category(tio.two_category_from_dict(json.loads(data)))
     dual = {"op": op_dual, "co": co_dual, "coop": coop_dual}[args.which](C)
     validate_two_category(dual)
     return _ok(ctx, {"which": args.which,

@@ -215,7 +215,8 @@ def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
     and functoriality on face generators.  AxiomError at the first
     violation."""
     def misshapen(M, rows, cols):
-        return list(map(len, M)) != [cols] * rows
+        # rows and cols are claimed sizes, so nothing of their size is built
+        return len(M) != rows or any(len(r) != cols for r in M)
 
     for lev in X.levels:
         for x in lev:

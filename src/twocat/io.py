@@ -26,7 +26,8 @@ Schema (bit-exact, keys sorted on output):
   simplicial set's level keys and its operators as the position tables of
   ``TruncSimplicialSet``; read back only under the checks of a nerve file.
 * coefficient system: {"group": [[simplex, {"gens","rels"}]], "face_map"/
-  "degen_map": [[i, simplex, matrix]]} over the same simplex strings.
+  "degen_map": [[i, simplex, matrix]]} over the same simplex strings,
+  each gens an integer >= 0 and each matrix a list of rows of integers.
 
 whisk_l rows: "cell" is the 2-cell, "by" the post-composed 1-cell.
 whisk_r rows: "cell" is the 2-cell, "by" the pre-composed 1-cell.
@@ -89,26 +90,6 @@ def two_category_from_dict(d: dict) -> TwoCategory:
                              comp1, vcomp, whisk_l, whisk_r)
 
 
-def two_functor_to_dict(F: TwoFunctor) -> dict:
-    return {
-        "source": two_category_to_dict(F.source),
-        "target": two_category_to_dict(F.target),
-        "on_objects": [[k, v] for k, v in sorted(F.on_objects.items())],
-        "on_one_cells": [[k, v] for k, v in sorted(F.on_one.items())],
-        "on_two_cells": [[k, v] for k, v in sorted(F.on_two.items())],
-    }
-
-
-def two_functor_from_dict(d: dict) -> TwoFunctor:
-    return TwoFunctor(
-        source=two_category_from_dict(d["source"]),
-        target=two_category_from_dict(d["target"]),
-        on_objects=dict(map(tuple, d["on_objects"])),
-        on_one=dict(map(tuple, d["on_one_cells"])),
-        on_two=dict(map(tuple, d["on_two_cells"])),
-    )
-
-
 def _maps_of(F: TwoFunctor) -> dict:
     return {
         "on_objects": [[k, v] for k, v in sorted(F.on_objects.items())],
@@ -123,6 +104,16 @@ def _functor_from_maps(src: TwoCategory, tgt: TwoCategory,
                       dict(map(tuple, maps["on_objects"])),
                       dict(map(tuple, maps["on_one_cells"])),
                       dict(map(tuple, maps["on_two_cells"])))
+
+
+def two_functor_to_dict(F: TwoFunctor) -> dict:
+    return {"source": two_category_to_dict(F.source),
+            "target": two_category_to_dict(F.target), **_maps_of(F)}
+
+
+def two_functor_from_dict(d: dict) -> TwoFunctor:
+    return _functor_from_maps(two_category_from_dict(d["source"]),
+                              two_category_from_dict(d["target"]), d)
 
 
 def pgm_to_dict(P: PGM) -> dict:
@@ -343,12 +334,35 @@ def coeff_system_to_dict(L: LocalCoeffSystem) -> dict:
     }
 
 
+def _int_matrix(M, field: str, x) -> list:
+    """M; ValueError, naming the field, unless it is a list of lists of
+    integers (a bool is none: JSON's true is no integer)."""
+    if type(M) is not list or not all(
+            type(row) is list and all(type(v) is int for v in row)
+            for row in M):
+        raise ValueError("%s of %s must be a list of lists of integers"
+                         % (field, x))
+    return M
+
+
+def _group(g: dict, x) -> PresentedGroup:
+    gens = g["gens"]
+    if type(gens) is not int or gens < 0:
+        raise ValueError("gens of %s must be an integer >= 0, not %r"
+                         % (x, gens))
+    return PresentedGroup(gens, _int_matrix(g["rels"], "rels", x))
+
+
 def coeff_system_from_dict(d: dict) -> LocalCoeffSystem:
+    """ValueError, naming the field, unless every gens is an integer >= 0
+    and every relation and map matrix a list of lists of integers; shapes
+    are checked against a nerve by ``homology.check_local_system``."""
     return LocalCoeffSystem(
-        group={x: PresentedGroup(g["gens"], g["rels"])
-               for x, g in d["group"]},
-        face_map={(i, x): M for i, x, M in d["face_map"]},
-        degen_map={(i, x): M for i, x, M in d.get("degen_map", [])},
+        group={x: _group(g, x) for x, g in d["group"]},
+        face_map={(i, x): _int_matrix(M, "face_map", x)
+                  for i, x, M in d["face_map"]},
+        degen_map={(i, x): _int_matrix(M, "degen_map", x)
+                   for i, x, M in d.get("degen_map", [])},
     )
 
 
@@ -356,23 +370,3 @@ def dumps(obj: dict, pretty: bool = False) -> str:
     if pretty:
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def load_two_category(path: str) -> TwoCategory:
-    with open(path) as fh:
-        return two_category_from_dict(json.load(fh))
-
-
-def load_two_functor(path: str) -> TwoFunctor:
-    with open(path) as fh:
-        return two_functor_from_dict(json.load(fh))
-
-
-def load_pgm(path: str) -> PGM:
-    with open(path) as fh:
-        return pgm_from_dict(json.load(fh))
-
-
-def load_action(path: str, P: PGM | None = None) -> PGMAction:
-    with open(path) as fh:
-        return action_from_dict(json.load(fh), P)

@@ -516,13 +516,6 @@ def has_faithful_translations(P: PGM):
 # localization of a module over a commutative monoid
 # ---------------------------------------------------------------------------
 
-def _pres_of_canonical(A: FGAbGroup) -> PresentedGroup:
-    """Presentation on A.free_rank free generators followed by one
-    generator per torsion order."""
-    orders = [0] * A.free_rank + list(A.torsion)
-    return PresentedGroup(len(orders), order_relations(orders))
-
-
 def localize_presentation(pres: PresentedGroup, acts: dict,
                           M: CommMonoid) -> PresentedGroup:
     """Stabilized presentation (same generators, enlarged relations) of the
@@ -576,19 +569,14 @@ def localize_presentation(pres: PresentedGroup, acts: dict,
     return q
 
 
-def localize_presented(pres: PresentedGroup, acts: dict,
-                       M: CommMonoid) -> FGAbGroup:
-    """Canonical form of the localization of a presented group."""
-    return localize_presentation(pres, acts, M).canonical()
-
-
 def localize_module(A: FGAbGroup, acts: dict, M: CommMonoid) -> FGAbGroup:
     """Localize A (canonical coordinates: free generators first, then one
     generator per torsion order) at the commutative monoid M acting
     through the endomorphism matrices acts[m]."""
-    if A.free_rank + len(A.torsion) == 0:
-        return FGAbGroup(0, ())
-    return localize_presented(_pres_of_canonical(A), acts, M)
+    orders = [0] * A.free_rank + list(A.torsion)
+    return localize_presentation(
+        PresentedGroup(len(orders), order_relations(orders)), acts,
+        M).canonical()
 
 
 # ---------------------------------------------------------------------------

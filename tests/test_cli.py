@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -17,7 +18,7 @@ from twocat import pgm, sinv
 from twocat.cli import main
 from twocat.core import (AxiomError, TwoFunctor, identity_functor,
                          make_two_category)
-from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod
+from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod, fix_t
 from twocat.homology import PresentedGroup, chain_complex
 from twocat.nerve import TruncSimplicialSet, nerve
 from test_homology import constant_system, dense_chain_complex
@@ -199,17 +200,50 @@ def test_cospan_constructions(run, tmp_path):
         tio.two_category_from_dict(rep["category"])
 
 
-def test_each_input_is_read_once(run, tmp_path, monkeypatch):
-    # one read of each input file gives both its manifest digest and its
-    # parse
-    monkeypatch.delenv("TWOCAT_CACHE_DIR", raising=False)
+def every_job(tmp_path):
+    """(argv, input paths) of one job per subcommand, each with every
+    optional input file supplied and no output file."""
     F = tio.two_functor_to_dict(identity_functor(fix_g2()))
     cospan = [write(tmp_path, "cospan.json",
                     {"left": "l.json", "right": "r.json"}),
               write(tmp_path, "l.json", F), write(tmp_path, "r.json", F)]
-    nerve_file = str(tmp_path / "nerve.json")
-    assert run(["nerve", "--input", g2_file(tmp_path), "--max-dim", 3,
-                "--out", nerve_file])[0] == 0
+    g2, f = g2_file(tmp_path), write(tmp_path, "f.json", F)
+    pr2 = write(tmp_path, "pr2.json",
+                tio.two_functor_to_dict(fix_prod(fix_g2(), fix_c2())[2]))
+    X = nerve(fix_g2(), 3)
+    nerve_file = write(tmp_path, "nerve.json", tio.trunc_sset_to_dict(X))
+    coeffs = write(tmp_path, "const.json",
+                   tio.coeff_system_to_dict(constant_system(X)))
+    P = pgm.fix_c2_pgm()
+    c2 = write(tmp_path, "c2.json", tio.pgm_to_dict(P))
+    act = write(tmp_path, "act.json", tio.action_to_dict(pgm.self_action(P)))
+    return [
+        (["validate", g2], [g2]),
+        *(([name, cospan[0]], cospan)
+          for name in ("laco", "oplaco", "pullback")),
+        (["fiber", "--functor", pr2, "--object", "0"], [pr2]),
+        (["nerve", "--input", g2, "--max-dim", 3], [g2]),
+        (["homology", "--nerve", nerve_file, "--deg", 1], [nerve_file]),
+        (["homology", "--nerve", nerve_file, "--deg", 1, "--coeffs", coeffs],
+         [nerve_file, coeffs]),
+        (["opfib", "--functor", f], [f]),
+        (["ss", "--functor", pr2, "--pmax", 1, "--qmax", 1,
+          "--fiber-coeffs", 0], [pr2]),
+        (["sinv", "--pgm", c2, "--action", act], [c2, act]),
+        (["gc-check", "--pgm", c2, "--action", act, "--max-deg", 0,
+          "--trunc", 1], [c2, act]),
+        (["dualize", g2], [g2]),
+    ]
+
+
+def test_each_input_is_read_once(run, tmp_path, monkeypatch):
+    # one read of each input file gives both its manifest digest and its
+    # parse, on every subcommand
+    monkeypatch.delenv("TWOCAT_CACHE_DIR", raising=False)
+    jobs = every_job(tmp_path)
+    assert {argv[0] for argv, _ in jobs} == {
+        name[4:].replace("_", "-") for name in dir(cli)
+        if name.startswith("cmd_")}
     opened, real_open = Counter(), open
 
     def counted_open(file, *args, **kwargs):
@@ -217,12 +251,43 @@ def test_each_input_is_read_once(run, tmp_path, monkeypatch):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", counted_open)
-    for argv, inputs in ((["laco", cospan[0]], cospan),
-                         (["homology", "--nerve", nerve_file, "--deg", 1],
-                          [nerve_file])):
+    for argv, inputs in jobs:
         opened.clear()
-        assert run(argv)[0] == 0
-        assert opened == Counter(os.path.realpath(p) for p in inputs)
+        assert run(argv)[0] == 0, argv
+        assert opened == Counter(os.path.realpath(p) for p in inputs), argv
+
+
+@pytest.mark.parametrize("subcommand", ["validate", "dualize", "nerve"])
+def test_manifest_digest_is_of_the_parsed_bytes(run, tmp_path, monkeypatch,
+                                                subcommand):
+    # a file that changes between reads: the report is that of the bytes
+    # first read, whose digest the manifest gives
+    monkeypatch.delenv("TWOCAT_CACHE_DIR", raising=False)
+    first, later = (tio.dumps(tio.two_category_to_dict(C)).encode()
+                    for C in (fix_g2(), fix_i()))
+    p = tmp_path / "C.json"
+    p.write_bytes(first)
+    argv = {"validate": ["validate", p], "dualize": ["dualize", p],
+            "nerve": ["nerve", "--input", p, "--max-dim", 2]}[subcommand]
+    code, want = run(argv)
+    assert code == 0
+    rep = json.loads(want)
+    assert rep["manifest"]["inputs"][str(p)] == \
+        hashlib.sha256(first).hexdigest()
+    if subcommand != "nerve":
+        assert rep["report"]["two_cells"] == len(fix_g2().two_src)
+    reads, real_open = [], open
+
+    def changing_open(file, mode="r", *args, **kwargs):
+        if os.path.realpath(file) != os.path.realpath(p):
+            return real_open(file, mode, *args, **kwargs)
+        reads.append(mode)
+        data = first if len(reads) == 1 else later
+        return io.BytesIO(data) if "b" in mode else io.StringIO(data.decode())
+
+    monkeypatch.setattr("builtins.open", changing_open)
+    assert run(argv) == (0, want)
+    assert reads == ["rb"]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -810,6 +875,85 @@ def test_misshapen_face_map_is_an_axiom_failure(tmp_path, flags, change):
         rep = json.loads(proc.stdout)
         assert rep["counterexample"]["clause"] == "axiom-failure"
         assert "is not a 2 x 2 matrix" in rep["counterexample"]["detail"][0]
+
+
+def terminal_coeffs(tmp_path, edit):
+    """The nerve of the terminal 2-category at N = 2, and the constant
+    coefficient system Z on it with its dict changed by edit; returns
+    (nerve file, coefficient file)."""
+    X = nerve(fix_t(), 2)
+    d = tio.coeff_system_to_dict(constant_system(X))
+    edit(d)
+    return (write(tmp_path, "t-nerve.json", tio.trunc_sset_to_dict(X)),
+            write(tmp_path, "t-coeffs.json", d))
+
+
+def _every_group(**fields):
+    return lambda d: [g.update(fields) for _x, g in d["group"]]
+
+
+def _first_map(name, M):
+    return lambda d: d[name][0].__setitem__(2, M)
+
+
+NON_INTEGER_COEFFS = {
+    # read as they were, [[2.5]] made H_1 = 0 and [[2.0]] H_0 = Z/2
+    "rel-2.5": (_every_group(rels=[[2.5]]), "rels of"),
+    "rel-2.0": (_every_group(rels=[[2.0]]), "rels of"),
+    "gens-true": (_every_group(gens=True), "gens of"),
+    "gens-negative": (_every_group(gens=-1), "gens of"),
+    "face-1.0": (_first_map("face_map", [[1.0]]), "face_map of"),
+    "degen-true": (_first_map("degen_map", [[True]]), "degen_map of"),
+    "rels-no-matrix": (_every_group(rels=[2]), "rels of"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_COEFFS))
+def test_non_integer_coefficients_are_malformed(tmp_path, flags, case):
+    # a coefficient file of floats or booleans is malformed input, by a
+    # check that python -O keeps
+    edit, field = NON_INTEGER_COEFFS[case]
+    nerve_file, coeffs = terminal_coeffs(tmp_path, edit)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    for deg in (0, 1):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "twocat.cli", "homology",
+             "--nerve", nerve_file, "--deg", str(deg), "--coeffs", coeffs],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert error.startswith("ValueError: " + field), error
+
+
+def _limit_address_space():
+    # a claimed size must not be allocated: past 2 GB the run would end in
+    # a MemoryError, whatever the machine's overcommit policy
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_huge_claimed_group_is_an_axiom_failure(tmp_path):
+    # Z^(10^12) at the vertex: the face maps of the degenerate edge, given
+    # as 1 x 1, are not 10^12 x 1, which is found without building 10^12 of
+    # anything
+    vertex = "(('pt',), (), ())"
+    nerve_file, coeffs = terminal_coeffs(
+        tmp_path, lambda d: dict(d["group"])[vertex].update(gens=10 ** 12))
+    assert os.path.getsize(coeffs) < 1000
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twocat.cli", "homology", "--nerve",
+         nerve_file, "--deg", "0", "--coeffs", coeffs],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["counterexample"]["clause"] == "axiom-failure"
+    assert re.fullmatch(r"face map \(\d, .*\) is not a 1000000000000 x 1 "
+                        r"matrix", rep["counterexample"]["detail"][0])
 
 
 # --- opfibration and the spectral sequence ------------------------------------------
