@@ -241,7 +241,7 @@ def cmd_nerve(args, ctx) -> int:
             tio.two_category_from_dict(json.loads(source)))
         X = nerve(C, args.max_dim)
         nerve_dict = tio.trunc_sset_to_dict(X)
-        data = tio.dumps(nerve_dict).encode()
+        data = tio.trunc_sset_bytes(nerve_dict)
         if entry:
             _write_aside(entry, data)
             _store_sset(cache_dir, _sha256(data), X, nerve_dict["levels"])
@@ -251,7 +251,7 @@ def cmd_nerve(args, ctx) -> int:
         "nondegenerate": [flags.count(False) for flags in X.degenerate],
     }
     if args.out:
-        # the entry's bytes on a hit: those tio.dumps would write
+        # the entry's bytes on a hit: those a miss writes
         with open(args.out, "wb") as fh:
             fh.write(data)
         report["out"] = args.out

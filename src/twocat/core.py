@@ -463,77 +463,6 @@ class Transformation:
     flavor: str = LAX
 
 
-def validate_transformation(t: Transformation) -> Transformation:
-    F, G = t.source, t.target
-    if F.source != G.source or F.target != G.target:
-        raise ValueError("a transformation needs parallel 2-functors")
-    C, D = F.source, F.target
-    lax = t.direction == LAX
-    for x in C.objects:
-        ensure(x in t.at_object, "transformation missing object component", (x,))
-        ax = t.at_object[x]
-        ensure(D.one_src[ax] == F.on_objects[x] and D.one_tgt[ax] == G.on_objects[x],
-               "transformation component badly typed", (x, ax))
-
-    def expected(f: str) -> tuple[str, str]:
-        x, y = C.one_src[f], C.one_tgt[f]
-        pre = D.comp1[(G.on_one[f], t.at_object[x])]   # Gf . a_x
-        post = D.comp1[(t.at_object[y], F.on_one[f])]  # a_y . Ff
-        return (pre, post) if lax else (post, pre)
-
-    for f in sorted(C.one_src):
-        ensure(f in t.at_one, "transformation missing 1-cell component", (f,))
-        af = t.at_one[f]
-        s, g = expected(f)
-        ensure(D.two_src[af] == s and D.two_tgt[af] == g,
-               "transformation 1-cell component badly typed", (f, af))
-    # unit axiom: a_{1_x} is the identity 2-cell
-    for x in C.objects:
-        f = C.id1[x]
-        ensure(t.at_one[f] == D.id2[D.two_src[t.at_one[f]]],
-               "transformation unit axiom", (x,))
-    # composition axiom: a_{g.f} is the pasting of a_f and a_g
-    for g in sorted(C.one_src):
-        for f in sorted(C.one_src):
-            if C.one_tgt[f] != C.one_src[g]:
-                continue
-            gf = C.comp1[(g, f)]
-            x = C.one_src[f]
-            z = C.one_tgt[g]
-            if lax:
-                # Ggf.a_x = Gg.(Gf.a_x) =(Gg*a_f)=> Gg.a_y.Ff =(a_g*Ff)=> a_z.Fg.Ff
-                step1 = D.whisk_l[(G.on_one[g], t.at_one[f])]
-                step2 = D.whisk_r[(t.at_one[g], F.on_one[f])]
-                want = D.vcomp[(step2, step1)]
-            else:
-                # a_z.Fg.Ff =(a_g*Ff)=> Gg.a_y.Ff =(Gg*a_f)=> Gg.Gf.a_x
-                step1 = D.whisk_r[(t.at_one[g], F.on_one[f])]
-                step2 = D.whisk_l[(G.on_one[g], t.at_one[f])]
-                want = D.vcomp[(step2, step1)]
-            ensure(t.at_one[gf] == want, "transformation composition axiom", (g, f))
-    # naturality in 2-cells d: f => g
-    for d in sorted(C.two_src):
-        f, g = C.two_src[d], C.two_tgt[d]
-        x, y = C.one_src[f], C.one_tgt[f]
-        if lax:
-            # (a_y * Fd) . a_f  ==  a_g . (Gd * a_x)
-            lhs = D.vcomp[(D.whisk_l[(t.at_object[y], F.on_two[d])], t.at_one[f])]
-            rhs = D.vcomp[(t.at_one[g], D.whisk_r[(G.on_two[d], t.at_object[x])])]
-        else:
-            # (Gd * a_x) . a_f  ==  a_g . (a_y * Fd)
-            lhs = D.vcomp[(D.whisk_r[(G.on_two[d], t.at_object[x])], t.at_one[f])]
-            rhs = D.vcomp[(t.at_one[g], D.whisk_l[(t.at_object[y], F.on_two[d])])]
-        ensure(lhs == rhs, "transformation naturality in 2-cells", (d,))
-    if t.flavor == PSEUDONATURAL:
-        for f in sorted(C.one_src):
-            ensure(D.is_invertible2(t.at_one[f]),
-                   "pseudonatural component not invertible", (f,))
-    if t.flavor == TWO_NATURAL:
-        for f in sorted(C.one_src):
-            ensure(D.is_id2(t.at_one[f]), "2-natural component not identity", (f,))
-    return t
-
-
 @dataclass(frozen=True)
 class NormalPseudofunctor:
     """Pseudofunctor with identity unit constraints (F0 = id).

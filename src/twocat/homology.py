@@ -19,12 +19,12 @@ d^2 = 0) and those of the spectral-sequence pages and totalization.  Every
 group here, H_n with or without coordinates, with local coefficients, and
 the canonical form of a presented group, is the ``.group`` of the one
 homology primitive ``intlinalg.chain_homology``.  ``homology_subquotient``
-builds a chain complex once for all the degrees asked of it, and
-``homology_induced`` reads coordinates between two of its ``Homology``
-records (``induced_matrix``).  Whether columns lie in the relations of a
-presented group (``in_relations``) and whether a map of presented groups
-is an isomorphism (``iso_inverse``, and ``induced_iso`` on H_n) are
-decided here only.
+builds a chain complex once for all the degrees asked of it, up to level
+max(degrees) + 1 only, and ``homology_induced`` reads coordinates between
+two of its ``Homology`` records (``induced_matrix``).  Whether columns lie
+in the relations of a presented group (``in_relations``) and whether a map
+of presented groups is an isomorphism (``iso_inverse``, and
+``induced_iso`` on H_n) are decided here only.
 """
 
 from __future__ import annotations
@@ -77,11 +77,15 @@ class ChainComplexZ:
         return len(self.basis[n])
 
 
-def chain_complex(X: TruncSimplicialSet) -> ChainComplexZ:
-    rows = [basis_rows(flags) for flags in X.degenerate]
+def chain_complex(X: TruncSimplicialSet, top: int | None = None
+                  ) -> ChainComplexZ:
+    """The normalized chain complex of X up to level top (default X.N),
+    d^2 = 0 checked on every boundary built."""
+    top = X.N if top is None else top
+    rows = [basis_rows(flags) for flags in X.degenerate[:top + 1]]
     boundary = [None] + [level_boundary(X.faces[n], rows[n], rows[n - 1])
-                         for n in range(1, X.N + 1)]
-    for n in range(2, X.N + 1):
+                         for n in range(1, top + 1)]
+    for n in range(2, top + 1):
         below = boundary[n - 1]
         for col in boundary[n]:
             dd = {}
@@ -91,7 +95,7 @@ def chain_complex(X: TruncSimplicialSet) -> ChainComplexZ:
             if any(dd.values()):
                 raise AxiomError(
                     "boundary squared is nonzero in degree %d" % n)
-    return ChainComplexZ(X.N, [X.nondegenerate(n) for n in range(X.N + 1)],
+    return ChainComplexZ(top, [X.nondegenerate(n) for n in range(top + 1)],
                          boundary)
 
 
@@ -111,11 +115,11 @@ class Homology(NamedTuple):
 
 def homology_subquotient(X: TruncSimplicialSet, degrees) -> list:
     """The ``Homology`` of X in each of the degrees, all off one chain
-    complex, each degree reduced once."""
+    complex, built to level max(degrees) + 1, each degree reduced once."""
     degrees = list(degrees)
     for n in degrees:
         _check_degree(X, n)
-    C = chain_complex(X)
+    C = chain_complex(X, max(degrees, default=-1) + 1)
     return [Homology(n, chain_homology(C.boundary[n] if n else (),
                                        C.boundary[n + 1], C.rank(n),
                                        C.rank(n - 1) if n else 0),
@@ -210,10 +214,12 @@ def induced_iso(F: TwoFunctor, Hs: Homology, Ht: Homology):
 
 def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
     """Shapes first: a group for every simplex, with gens rows of
-    relations, and a face map (i, x) of shape gens(d_i x) x gens(x) for
-    every simplex x of positive dimension.  Then preservation of relations
-    and functoriality on face generators.  AxiomError at the first
-    violation."""
+    relations, a face map (i, x) of shape gens(d_i x) x gens(x) for every
+    simplex x of positive dimension, and each gens > 0 the length of a list
+    of the input (relation rows, the rows of a face map into x or a row of
+    one out of it), so that no claimed size is built.  Then preservation of
+    relations and functoriality on face generators.  AxiomError at the
+    first violation."""
     def misshapen(M, rows, cols):
         # rows and cols are claimed sizes, so nothing of their size is built
         return len(M) != rows or any(len(r) != cols for r in M)
@@ -235,6 +241,14 @@ def check_local_system(L: LocalCoeffSystem, X: TruncSimplicialSet) -> None:
         if M is None or misshapen(M, rows, cols):
             raise AxiomError("face map (%d, %r) is not a %d x %d matrix"
                              % (i, x, rows, cols))
+    backed = {y for _i, _x, y in faces} | {x for i, x, _y in faces
+                                           if L.face_map[(i, x)]}
+    for lev in X.levels:
+        for x in lev:
+            g = L.group[x]
+            if g.gens and not g.rels and x not in backed:
+                raise AxiomError("the group at %r claims %d generators that "
+                                 "no matrix row backs" % (x, g.gens))
     for i, x, y in faces:
         if not in_relations(mmul(L.face_map[(i, x)],
                                  L.group[x].rel_matrix()), L.group[y]):

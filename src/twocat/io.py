@@ -19,9 +19,11 @@ Schema (bit-exact, keys sorted on output):
   "degen": [[i, simplex, value]], "degenerate": [[simplex, bool]]} with
   simplices rendered as canonical strings; the rows are written in level
   order (by i, then level, then position), which for a nerve's sorted
-  levels is sorted order, and read back into position tables only when
-  total and in range, with flags true exactly on the values of ``degen``
-  and every simplicial identity holding.
+  levels is sorted order (``trunc_sset_to_dict`` fixes them, and
+  ``trunc_sset_bytes`` encodes them as the nerve file), and read back
+  into position tables only when total and in range, with flags true
+  exactly on the values of ``degen`` and every simplicial identity
+  holding.
 * position record: {"N", "levels", "faces"/"degens"}, a truncated
   simplicial set's level keys and its operators as the position tables of
   ``TruncSimplicialSet``; read back only under the checks of a nerve file.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .core import AxiomError, TwoCategory, TwoFunctor, make_two_category
 from .homology import LocalCoeffSystem, PresentedGroup
@@ -208,6 +211,35 @@ def trunc_sset_to_dict(X: TruncSimplicialSet) -> dict:
         "degenerate": [[k, v] for ks, flags in zip(keys, X.degenerate)
                        for k, v in zip(ks, flags)],
     }
+
+
+def trunc_sset_bytes(d: dict) -> bytes:
+    """``dumps(d).encode()`` for the dict d of ``trunc_sset_to_dict``, as
+    the nerve file is written: each level key is JSON-encoded once, and
+    the rows are bytes pieces, joined once."""
+    key = {k: encode_basestring_ascii(k).encode()
+           for lev in d["levels"] for k in lev}
+    head = [b"[%d," % i for i in range(d["N"] + 1)]
+    arrays = (
+        (b"degen", ((head[i], key[x], b",", key[y], b"]")
+                    for i, x, y in d["degen"])),
+        (b"degenerate", ((b"[", key[x], b",true]" if v else b",false]")
+                         for x, v in d["degenerate"])),
+        (b"face", ((head[i], key[x], b",", key[y], b"]")
+                   for i, x, y in d["face"])),
+        (b"levels", ((b"[", b",".join(map(key.__getitem__, lev)), b"]")
+                     for lev in d["levels"])))
+    out = [b'{"N":%d' % d["N"]]
+    for name, rows in arrays:
+        out.append(b',"%s":[' % name)
+        for pieces in rows:
+            out += pieces
+            out.append(b",")
+        if out[-1] == b",":         # after the last row
+            out.pop()
+        out.append(b"]")
+    out.append(b"}\n")
+    return b"".join(out)
 
 
 def _operator_rows(d: dict, name: str, at: dict, shift: int) -> list:

@@ -18,13 +18,13 @@ class quotient is checked to be a congruence exhaustively during
 construction.
 
 Also here: the completion at a point (the X coordinates omitted), the
-re-action of S on the completion, translation inverses and the canonical
-pseudonatural contraction they admit, the permutative sum carried by
-``S^-1 S``, the projection to the point completion together with its
-opfibration certificate, and the homology-level group completion check.
-The lemma checks that only tests run (the inverse transformation, the
-fiber isomorphism, iso and lift criteria, the collapse to a 1-category)
-live in ``tests/test_sinv.py``.
+permutative sum carried by ``S^-1 S``, the projection to the point
+completion together with its opfibration certificate, and the
+homology-level group completion check.  The constructions and lemma
+checks that only tests run (the contraction of the point completion, the
+re-action of S on the completion, translation inverses and the inverse
+transformation, the fiber isomorphism, iso and lift criteria, the collapse
+to a 1-category) live in ``tests/test_sinv.py``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import opfib as of
-from .core import (LAX, AxiomError, Transformation, TwoCategory, TwoFunctor,
-                   build_two_category, ensure, identity_functor,
-                   validate_transformation, validate_two_category,
+from .core import (AxiomError, TwoCategory, TwoFunctor, build_two_category,
+                   ensure, identity_functor, validate_two_category,
                    validate_two_functor)
 from .fixtures import bang_functor, fix_t, nm
 from .homology import (homology_induced, homology_subquotient,
@@ -350,7 +349,7 @@ def s_inv_point(P: PGM) -> SInvCategory:
 
 
 # ---------------------------------------------------------------------------
-# hom-terminality and contraction of the point completion
+# hom-terminality of the point completion
 # ---------------------------------------------------------------------------
 
 def hom_terminality_check(SP: SInvCategory):
@@ -376,122 +375,6 @@ def hom_terminality_check(SP: SInvCategory):
             if cells[0] != want:
                 return Counterexample("hom-terminality-witness", (a, m))
     return True
-
-
-def contraction(SP: SInvCategory) -> Transformation:
-    """The lax transformation from the constant functor at the unit object
-    to the identity of the point completion, assembled from the terminal
-    pairs (a, 1_a); validated before being returned."""
-    P = SP.pgm
-    S = P.carrier
-    e = P.unit
-    C = SP.cat
-    e_obj = SP.obj(e)
-    const = TwoFunctor(C, C, {o: e_obj for o in C.objects},
-                       {m: C.id1[e_obj] for m in C.one_src},
-                       {c: C.id2[C.id1[e_obj]] for c in C.two_src})
-    at_object = {}
-    for o in C.objects:
-        a, _x = SP.obj_data[o]
-        at_object[o] = SP.onep(e, a, S.id1[a])
-    at_one = {}
-    for m in C.one_src:
-        a, _x, s, al, _ph = SP.one_data[m]
-        b = S.one_tgt[al]
-        src = SP.onep(e, P.sum(s, a), al)
-        tgt = SP.onep(e, b, S.id1[b])
-        at_one[m] = SP.clsp(src, tgt, al, S.id2[al])
-    return validate_transformation(Transformation(
-        const, identity_functor(C), at_object, at_one, LAX, LAX))
-
-
-# ---------------------------------------------------------------------------
-# the re-action of S on the completion
-# ---------------------------------------------------------------------------
-
-def xi_action(SX: SInvCategory) -> PGMAction:
-    """The action of P on S^-1 X extending the original action on X."""
-    P, act = SX.pgm, SX.action
-    S, X = P.carrier, act.carrier
-    C = SX.cat
-
-    def ml_functor(s):
-        on_obj, on_one, on_two = {}, {}, {}
-        for o, (a, x) in SX.obj_data.items():
-            on_obj[o] = SX.obj_name[(a, act.act(s, x))]
-        for m, (a, x, t, al, ph) in SX.one_data.items():
-            bx = act.mr(x).on_one[P.beta[(t, s)]]
-            on_one[m] = SX.one_name[(a, act.act(s, x), t, al,
-                                     X.comp1[(act.ml(s).on_one[ph], bx)])]
-        for c, (m1, m2, (p, A, F)) in SX.two_data.items():
-            _a, x, t, _al, _ph = SX.one_data[m1]
-            bx = act.mr(x).on_one[P.beta[(t, s)]]
-            F2 = X.whisk_r[(act.ml(s).on_two[F], bx)]
-            on_two[c] = SX.class_of[(on_one[m1], on_one[m2], p, A, F2)]
-        return validate_two_functor(TwoFunctor(C, C, on_obj, on_one,
-                                               on_two))
-
-    def mr_functor(o):
-        a, x = SX.obj_data[o]
-        on_obj = {s: SX.obj_name[(a, act.act(s, x))] for s in S.objects}
-        on_one, on_two = {}, {}
-        for f in S.one_src:
-            s = S.one_src[f]
-            on_one[f] = SX.one_name[(a, act.act(s, x), P.unit, S.id1[a],
-                                     act.mr(x).on_one[f])]
-        for g in S.two_src:
-            f1, f2 = S.two_src[g], S.two_tgt[g]
-            on_two[g] = SX.class_of[(on_one[f1], on_one[f2], S.id1[P.unit],
-                                     S.id2[S.id1[a]], act.mr(x).on_two[g])]
-        return validate_two_functor(TwoFunctor(S, C, on_obj, on_one,
-                                               on_two))
-
-    mu_left = {s: ml_functor(s) for s in S.objects}
-    mu_right = {o: mr_functor(o) for o in C.objects}
-    act_objects = {(s, o): mu_left[s].on_objects[o]
-                   for s in S.objects for o in C.objects}
-
-    sigma = {}
-    for f in sorted(S.one_src):
-        if S.is_id1(f):
-            continue
-        s = S.one_src[f]
-        for m in sorted(C.one_src):
-            if C.is_id1(m):
-                continue
-            a, x, t, al, ph = SX.one_data[m]
-            b, y = SX.obj_data[C.one_tgt[m]]
-            src = C.comp1[(mu_right[C.one_tgt[m]].on_one[f],
-                           mu_left[s].on_one[m])]
-            tgt = C.comp1[(mu_left[S.one_tgt[f]].on_one[m],
-                           mu_right[C.one_src[m]].on_one[f])]
-            F = X.whisk_r[(act.sigma_of(f, ph),
-                           act.mr(x).on_one[P.beta[(t, s)]])]
-            sigma[(f, m)] = SX.class_of[(src, tgt, S.id1[t], S.id2[al], F)]
-
-    return validate_action(PGMAction(P, C, act_objects, mu_left, mu_right,
-                                     sigma))
-
-
-def s_inverse(SX: SInvCategory, s: str) -> TwoFunctor:
-    """The strict endofunctor of S^-1 X shifting the S coordinate by s;
-    it inverts translation by s up to the canonical contraction."""
-    P, act = SX.pgm, SX.action
-    S = P.carrier
-    C = SX.cat
-    on_obj, on_one, on_two = {}, {}, {}
-    for o, (a, x) in SX.obj_data.items():
-        on_obj[o] = SX.obj_name[(P.sum(s, a), x)]
-    for m, (a, x, t, al, ph) in SX.one_data.items():
-        ba = P.rt(a).on_one[P.beta[(t, s)]]
-        on_one[m] = SX.one_name[(P.sum(s, a), x, t,
-                                 S.comp1[(P.lt(s).on_one[al], ba)], ph)]
-    for c, (m1, m2, (p, A, F)) in SX.two_data.items():
-        a, _x, t, _al, _ph = SX.one_data[m1]
-        ba = P.rt(a).on_one[P.beta[(t, s)]]
-        A2 = S.whisk_r[(P.lt(s).on_two[A], ba)]
-        on_two[c] = SX.class_of[(on_one[m1], on_one[m2], p, A2, F)]
-    return validate_two_functor(TwoFunctor(C, C, on_obj, on_one, on_two))
 
 
 # ---------------------------------------------------------------------------

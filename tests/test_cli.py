@@ -22,6 +22,7 @@ from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod, fix_t
 from twocat.homology import PresentedGroup, chain_complex
 from twocat.nerve import TruncSimplicialSet, nerve
 from test_homology import constant_system, dense_chain_complex
+from test_nerve import awkward_copy
 from test_pgm import trivial_action
 from test_specseq import swap_projection
 
@@ -88,7 +89,8 @@ def test_gc_check_builds_each_chain_complex_once(run, tmp_path, monkeypatch):
     complexes, reduced = [], []
     chain_complex, Homology = hm.chain_complex, hm.Homology
     monkeypatch.setattr(hm, "chain_complex",
-                        lambda X: complexes.append(X.N) or chain_complex(X))
+                        lambda X, top: complexes.append(top)
+                        or chain_complex(X, top))
     monkeypatch.setattr(hm, "Homology",
                         lambda n, *a: reduced.append(n) or Homology(n, *a))
     p = write(tmp_path, "FIX_M2.json", tio.pgm_to_dict(pgm.fix_m2_pgm()))
@@ -416,6 +418,38 @@ def test_nerve_out_may_name_the_cache_entry(run, tmp_path, monkeypatch):
         code, _ = run(["nerve", "--input", p, "--max-dim", 3, "--out", entry])
         assert code == 0
         assert entry.read_text() == text
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]],
+                         ids=["compact", "pretty"])
+def test_nerve_bytes_are_those_of_dumps(run, tmp_path, monkeypatch, pretty):
+    # a cold and a warm --out file, the cache entry, and the inline report
+    # uncached, on a miss and on a hit, are the bytes tio.dumps writes of
+    # trunc_sset_to_dict, on ids that JSON escapes
+    D = awkward_copy(fix_prod(fix_g2(), fix_c2())[0])
+    p = write(tmp_path, "awkward.json", tio.two_category_to_dict(D))
+    d = tio.trunc_sset_to_dict(nerve(D, 3))
+    want = tio.dumps(d).encode()
+    argv = ["nerve", "--input", p, "--max-dim", 3, *pretty]
+    out = tmp_path / "nerve.json"
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(tmp_path / "out-cache"))
+    for _ in range(2):          # a miss, then a hit
+        code, _ = run(argv + ["--out", out])
+        assert code == 0 and out.read_bytes() == want
+        entry, = (tmp_path / "out-cache").glob("nerve-*.json")
+        assert entry.read_bytes() == want
+    reports = []
+    for cache in (None, "cache", "cache"):      # uncached, a miss, a hit
+        if cache:
+            monkeypatch.setenv("TWOCAT_CACHE_DIR", str(tmp_path / cache))
+        else:
+            monkeypatch.delenv("TWOCAT_CACHE_DIR")
+        code, rep = run(argv)
+        assert code == 0
+        reports.append(rep)
+    doc = json.loads(reports[0])
+    assert doc["report"]["nerve"] == d
+    assert reports == 3 * [tio.dumps(doc, pretty=bool(pretty))]
 
 
 def record_of(X) -> dict:
@@ -813,6 +847,24 @@ def test_sparse_and_dense_d2_checks_agree(tmp_path, monkeypatch, corrupt):
     assert str(sparse.value) == str(dense.value)
 
 
+@pytest.mark.parametrize("corrupt,inside,outside", [
+    (corrupted_nerve_file, (1, 2), (0,)),
+    (corrupted_top_nerve_file, (4,), (0, 1, 2, 3))], ids=["low", "top"])
+def test_truncated_complex_checks_d2_in_its_window(tmp_path, monkeypatch,
+                                                   corrupt, inside, outside):
+    # H_n builds the boundaries up to level n + 1 and checks d^2 = 0 on
+    # each: past the loader's check, switched off here, a d^2 != 0 inside
+    # that window fails, and one outside it is the loader's alone to find
+    monkeypatch.setattr(tio, "check_simplicial_identities", lambda X: True)
+    with open(corrupt(tmp_path)[0]) as fh:
+        X = tio.trunc_sset_from_dict(json.load(fh))
+    for n in inside:
+        with pytest.raises(AxiomError, match="boundary squared is nonzero"):
+            hm.homology(X, n)
+    for n in outside:
+        hm.homology(X, n)
+
+
 def non_functorial_coeffs(tmp_path):
     """The G2 nerve at N = 3 with constant coefficients Z, except that the
     face d_0 of one 2-simplex multiplies by 2, so d_0 d_1 != d_0 d_0 there;
@@ -954,6 +1006,39 @@ def test_huge_claimed_group_is_an_axiom_failure(tmp_path):
     assert rep["counterexample"]["clause"] == "axiom-failure"
     assert re.fullmatch(r"face map \(\d, .*\) is not a 1000000000000 x 1 "
                         r"matrix", rep["counterexample"]["detail"][0])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("make,edge", [(fix_t, "id_pt"), (fix_i, "a01")],
+                         ids=["degenerate", "nondegenerate"])
+def test_unbacked_claimed_group_is_an_axiom_failure(tmp_path, flags, make,
+                                                    edge):
+    # Z^(10^12) on an edge of a nerve at N = 1 whose vertices carry 0: its
+    # face maps, 0 x 10^12, are written [], as 0 x 1 ones are, so no list
+    # in the file has the claimed size, which is found without building
+    # anything of that size (neither the empty relation rows of the
+    # degenerate edge of the point nor the boundary columns of I's a01)
+    d = tio.trunc_sset_to_dict(nerve(make(), 1))
+    X = tio.trunc_sset_from_dict(d)
+    L = constant_system(X, PresentedGroup(0, []))
+    x = next(x for x in X.levels[1] if edge in x)
+    L.group[x] = PresentedGroup(10 ** 12, [])
+    nerve_file = write(tmp_path, "nerve.json", d)
+    coeffs = write(tmp_path, "coeffs.json", tio.coeff_system_to_dict(L))
+    assert os.path.getsize(coeffs) < 1000
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "twocat.cli", "homology", "--nerve",
+         nerve_file, "--deg", "0", "--coeffs", coeffs],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["counterexample"]["clause"] == "axiom-failure"
+    assert rep["counterexample"]["detail"] == [
+        "the group at %r claims 1000000000000 generators that no matrix "
+        "row backs" % x]
 
 
 # --- opfibration and the spectral sequence ------------------------------------------

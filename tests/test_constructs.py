@@ -8,14 +8,14 @@ from twocat.core import (AxiomError, Transformation, compose_functors,
                          find_isomorphism, functor_op, functors_equal,
                          identity_functor, op_dual, co_dual, coop_dual,
                          functor_coop, make_two_category,
-                         validate_transformation, validate_two_category,
-                         validate_two_functor)
+                         validate_two_category, validate_two_functor)
 from twocat.core import LAX, OPLAX, TWO_NATURAL, TwoFunctor
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
                              fix_t, nm, point_functor)
 from twocat.orientals import materialize_oriental
 from twocat.specseq import simplex_functor
 
+from test_core import validate_transformation
 from test_nerve import enumerate_simplices
 
 

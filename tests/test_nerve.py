@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import random
+import string
 import sys
 from types import SimpleNamespace
 from itertools import combinations, product
@@ -7,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from twocat import fixtures, pgm, sinv, specseq
+from twocat import homology as hm
 from twocat import io as tio
 from twocat import nerve as nv
 from twocat.constructs import find_oplax_initial, find_oplax_terminal
@@ -14,6 +17,7 @@ from twocat.core import (AxiomError, TwoFunctor, find_isomorphism,
                          validate_two_category)
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
                              fix_m2, fix_prod, fix_t)
+from twocat.intlinalg import chain_homology
 from twocat.orientals import increasing_paths, materialize_oriental
 
 from test_homology import ORACLE_CATEGORIES, operator_dicts
@@ -282,12 +286,6 @@ def delta_pins(F, om, si):
         pe.update(zip(combinations(ks, 2), es))
         pt.update(zip(combinations(ks, 3), ts))
     return om.dim + 1 + si.dim, pv, pe, pt
-
-
-def pinned_deltas(F, om, si):
-    """Oracle for the deltas of B(F) over the pair (om, si): the dict-keyed
-    search with both blocks pinned."""
-    return dict_keyed_search(F.target, *delta_pins(F, om, si))
 
 
 FIXTURES = sorted(n for n in dir(fixtures) if n.startswith("fix_"))
@@ -738,8 +736,10 @@ def assert_nerve_and_text_match_oracles(D, N):
     assert got.face == O.face
     assert got.degen == O.degen
     assert got.degenerate == O.degenerate
-    text = tio.dumps(tio.trunc_sset_to_dict(X))
+    d = tio.trunc_sset_to_dict(X)
+    text = tio.dumps(d)
     assert text == tio.dumps(oracle_trunc_sset_to_dict(O))
+    assert tio.trunc_sset_bytes(d) == text.encode()
     return X
 
 
@@ -747,6 +747,66 @@ def assert_nerve_and_text_match_oracles(D, N):
 def test_nerve_and_writer_match_the_oracles(name):
     make, N = NERVE_CASES[name]
     assert_nerve_and_text_match_oracles(make(), N)
+
+
+@pytest.mark.parametrize("name", sorted(NERVE_CASES))
+def test_nerve_file_encoder_matches_dumps_at_low_levels(name):
+    # the largest N of each case is checked with the oracles above
+    make, _N = NERVE_CASES[name]
+    D = make()
+    for N in (0, 1):
+        d = tio.trunc_sset_to_dict(nv.nerve(D, N))
+        assert tio.trunc_sset_bytes(d) == tio.dumps(d).encode(), N
+
+
+def test_nerve_file_encoder_matches_dumps_on_benchmark_ids():
+    # G2 x C2 at N = 5 with every id a random 8-character name, as the
+    # benchmark writes it
+    rng = random.Random(21)
+    D = fix_prod(fix_g2(), fix_c2())[0]
+    ids = cell_ids(D)
+    new = dict(zip(ids, ("".join(rng.choices(string.ascii_lowercase
+                                             + string.digits, k=8))
+                         for _ in ids)))
+    assert len(set(new.values())) == len(ids)
+    d = tio.trunc_sset_to_dict(nv.nerve(renamed_copy(D, new.get), 5))
+    data = tio.trunc_sset_bytes(d)
+    assert len(data) == 23316647
+    assert data == tio.dumps(d).encode()
+
+
+def test_nerve_file_encoder_escapes_raw_keys():
+    # a loaded nerve keeps its simplex strings as read, so a key may hold
+    # a raw control character, a quote, a backslash or non-ASCII text,
+    # which JSON writes as escapes and \uXXXX surrogate pairs
+    d = tio.trunc_sset_to_dict(nv.nerve(fix_g2(), 3))
+    new = {k: "%d\x00\x1f\"\\\u00e9\U0001d400" % n
+           for n, k in enumerate(k for lev in d["levels"] for k in lev)}
+    d = {"N": d["N"], "levels": [[new[k] for k in lev] for lev in d["levels"]],
+         "face": [[i, new[x], new[y]] for i, x, y in d["face"]],
+         "degen": [[i, new[x], new[y]] for i, x, y in d["degen"]],
+         "degenerate": [[new[x], v] for x, v in d["degenerate"]]}
+    e = tio.trunc_sset_to_dict(tio.trunc_sset_from_dict(d))
+    assert e == d
+    data = tio.trunc_sset_bytes(e)
+    assert data == tio.dumps(e).encode()
+    assert b"\\u0000\\u001f\\\"\\\\\\u00e9\\ud835\\udc00" in data
+
+
+@pytest.mark.parametrize("name", sorted(NERVE_CASES))
+def test_truncated_chain_complex_matches_the_full_one(name):
+    # H_n reads a complex built to level n + 1: its bases and boundaries
+    # are those of the full complex there, and H_n is that of the full one
+    make, N = NERVE_CASES[name]
+    X = nv.nerve(make(), N)
+    C = hm.chain_complex(X)
+    for n in range(N):
+        T = hm.chain_complex(X, n + 1)
+        assert (T.N, T.basis, T.boundary) == \
+            (n + 1, C.basis[:n + 2], C.boundary[:n + 2])
+        assert hm.homology(X, n) == chain_homology(
+            C.boundary[n] if n else (), C.boundary[n + 1], C.rank(n),
+            C.rank(n - 1) if n else 0).group, n
 
 
 @pytest.mark.parametrize("name", sorted(NERVE_CASES))
@@ -767,24 +827,32 @@ AWKWARD = ["it's", 'say "hi"', "both ' and \"", "back\\slash", "new\nline",
            "100%", "%s%d", "caf\u00e9", "\u2603", "\U0001d400"]
 
 
-def awkward_copy(D):
-    """D with every object, 1-cell and 2-cell id renamed to a counter
-    followed by all of AWKWARD, rotated by the counter."""
-    d = tio.two_category_to_dict(D)
-    ids = sorted(set(d["objects"]) | {r["id"] for r in d["one_cells"]}
-                 | {r["id"] for r in d["two_cells"]})
-    k = len(AWKWARD)
-    new = {x: str(n) + "".join(AWKWARD[n % k:] + AWKWARD[:n % k])
-           for n, x in enumerate(ids)}
+def cell_ids(D):
+    """The ids of D's objects, 1-cells and 2-cells, sorted."""
+    return sorted({*D.objects, *D.one_src, *D.two_src})
 
+
+def renamed_copy(D, rename_id):
+    """D with every object, 1-cell and 2-cell id x renamed to
+    rename_id(x), validated."""
     def rename(obj):
         if isinstance(obj, str):
-            return new.get(obj, obj)
+            return rename_id(obj)
         if isinstance(obj, dict):
             return {k: rename(v) for k, v in obj.items()}
         return [rename(v) for v in obj]
 
-    return validate_two_category(tio.two_category_from_dict(rename(d)))
+    return validate_two_category(tio.two_category_from_dict(
+        rename(tio.two_category_to_dict(D))))
+
+
+def awkward_copy(D):
+    """D with every object, 1-cell and 2-cell id renamed to a counter
+    followed by all of AWKWARD, rotated by the counter."""
+    k = len(AWKWARD)
+    new = {x: str(n) + "".join(AWKWARD[n % k:] + AWKWARD[:n % k])
+           for n, x in enumerate(cell_ids(D))}
+    return renamed_copy(D, new.get)
 
 
 @pytest.mark.parametrize("make,N", [(fix_g2, 4), (fix_i, 4),

@@ -1,8 +1,11 @@
 """Every top-level function and class of the package, and every non-dunder
-method of a top-level class, has a user: its name appears outside its own
-definition somewhere in src/, tests/, demos/ or pyproject.toml (the
-console-script entry point).  And, but for the allowlist below, that user
-is no test alone: the name appears in src/, demos/ or pyproject.toml."""
+method of a top-level class, has a user: its name is used in code outside
+its own definition somewhere in src/, tests/ or demos/, or appears in
+pyproject.toml (the console-script entry point).  And, but for the
+allowlist below, that user is no test alone: the name is used in src/ or
+demos/ or appears in pyproject.toml.  A use is a name, an attribute or an
+imported name of the syntax tree, f-string expressions included; a word in
+a docstring, comment or string is none."""
 
 import ast
 import re
@@ -24,8 +27,9 @@ TEST_ONLY = {
     "pgm.localize_module": "localization of a canonical group, which an "
                            "acceptance criterion states",
     "core.find_isomorphism": "uses private helpers of core",
-    "sinv.xi_action": "construction of the paper's S^-1 X",
-    "sinv.s_inverse": "construction of the paper's S^-1 X",
+    "opfib.comparison_H": "uses private helpers of opfib (_opcart_lift, "
+                          "_opcart_betas)",
+    "cli._Parser.error": "argparse's hook: ArgumentParser calls it",
     "constructs.find_oplax_terminal": "the dual of find_oplax_initial",
     "core.functor_coop": "completes functor_op and functor_co",
     "intlinalg.FGAbGroup.is_trivial": "a query of the group type",
@@ -49,25 +53,32 @@ def _definitions(tree):
                     yield "%s.%s" % (node.name, item.name), item
 
 
+def _uses(tree) -> Counter:
+    """The names the code of tree uses: names, attributes and imports."""
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            uses.update(node.name.split("."))
+    return uses
+
+
 def _unused(dirs) -> list:
-    """module.label of each definition of the package whose name appears
-    nowhere outside its own definition in the .py files under dirs and in
-    pyproject.toml."""
-    searched = [p for d in dirs for p in sorted((REPO / d).rglob("*.py"))]
-    words = Counter()
-    for path in searched + [REPO / "pyproject.toml"]:
-        words.update(WORD.findall(path.read_text()))
+    """module.label of each definition of the package whose name no code
+    uses outside its own definition in the .py files under dirs, and which
+    pyproject.toml does not name."""
+    uses = Counter(WORD.findall((REPO / "pyproject.toml").read_text()))
+    for path in (p for d in dirs for p in sorted((REPO / d).rglob("*.py"))):
+        uses.update(_uses(ast.parse(path.read_text())))
     unused = []
     for path in sorted((REPO / "src" / "twocat").glob("*.py")):
-        text = path.read_text()
-        lines = text.splitlines()
-        for label, node in _definitions(ast.parse(text)):
+        for label, node in _definitions(ast.parse(path.read_text())):
             # uses inside the definition itself, such as recursion, do not
             # count
-            start = min([node.lineno] + [d.lineno
-                                         for d in node.decorator_list])
-            own = "\n".join(lines[start - 1:node.end_lineno])
-            if words[node.name] == WORD.findall(own).count(node.name):
+            if uses[node.name] == _uses(node)[node.name]:
                 unused.append("%s.%s" % (path.stem, label))
     return unused
 

@@ -7,15 +7,130 @@ from twocat.constructs import strict_fiber
 from twocat.core import (LAX, PSEUDONATURAL, AxiomError, Transformation,
                          TwoFunctor, compose_functors, ensure,
                          find_isomorphism, functors_equal, identity_functor,
-                         validate_transformation, validate_two_functor)
+                         validate_two_functor)
 from twocat.fixtures import fix_g2, fix_g2sat
 from twocat.homology import homology_subquotient, induced_iso
 from twocat.nerve import nerve
 from twocat.opfib import Counterexample
-from twocat.pgm import PGM, PGMAction
-from twocat.sinv import SInvCategory, s_inverse, xi_action
+from twocat.pgm import PGM, PGMAction, validate_action
+from twocat.sinv import SInvCategory
 
+from test_core import validate_transformation
 from test_pgm import is_strict_pgm_functor, trivial_action
+
+
+# --- constructions on the completion, run by the tests below ---------------
+
+def contraction(SP: SInvCategory) -> Transformation:
+    """The lax transformation from the constant functor at the unit object
+    to the identity of the point completion, assembled from the terminal
+    pairs (a, 1_a); validated before being returned."""
+    P = SP.pgm
+    S = P.carrier
+    e = P.unit
+    C = SP.cat
+    e_obj = SP.obj(e)
+    const = TwoFunctor(C, C, {o: e_obj for o in C.objects},
+                       {m: C.id1[e_obj] for m in C.one_src},
+                       {c: C.id2[C.id1[e_obj]] for c in C.two_src})
+    at_object = {}
+    for o in C.objects:
+        a, _x = SP.obj_data[o]
+        at_object[o] = SP.onep(e, a, S.id1[a])
+    at_one = {}
+    for m in C.one_src:
+        a, _x, s, al, _ph = SP.one_data[m]
+        b = S.one_tgt[al]
+        src = SP.onep(e, P.sum(s, a), al)
+        tgt = SP.onep(e, b, S.id1[b])
+        at_one[m] = SP.clsp(src, tgt, al, S.id2[al])
+    return validate_transformation(Transformation(
+        const, identity_functor(C), at_object, at_one, LAX, LAX))
+
+
+def xi_action(SX: SInvCategory) -> PGMAction:
+    """The action of P on S^-1 X extending the original action on X."""
+    P, act = SX.pgm, SX.action
+    S, X = P.carrier, act.carrier
+    C = SX.cat
+
+    def ml_functor(s):
+        on_obj, on_one, on_two = {}, {}, {}
+        for o, (a, x) in SX.obj_data.items():
+            on_obj[o] = SX.obj_name[(a, act.act(s, x))]
+        for m, (a, x, t, al, ph) in SX.one_data.items():
+            bx = act.mr(x).on_one[P.beta[(t, s)]]
+            on_one[m] = SX.one_name[(a, act.act(s, x), t, al,
+                                     X.comp1[(act.ml(s).on_one[ph], bx)])]
+        for c, (m1, m2, (p, A, F)) in SX.two_data.items():
+            _a, x, t, _al, _ph = SX.one_data[m1]
+            bx = act.mr(x).on_one[P.beta[(t, s)]]
+            F2 = X.whisk_r[(act.ml(s).on_two[F], bx)]
+            on_two[c] = SX.class_of[(on_one[m1], on_one[m2], p, A, F2)]
+        return validate_two_functor(TwoFunctor(C, C, on_obj, on_one,
+                                               on_two))
+
+    def mr_functor(o):
+        a, x = SX.obj_data[o]
+        on_obj = {s: SX.obj_name[(a, act.act(s, x))] for s in S.objects}
+        on_one, on_two = {}, {}
+        for f in S.one_src:
+            s = S.one_src[f]
+            on_one[f] = SX.one_name[(a, act.act(s, x), P.unit, S.id1[a],
+                                     act.mr(x).on_one[f])]
+        for g in S.two_src:
+            f1, f2 = S.two_src[g], S.two_tgt[g]
+            on_two[g] = SX.class_of[(on_one[f1], on_one[f2], S.id1[P.unit],
+                                     S.id2[S.id1[a]], act.mr(x).on_two[g])]
+        return validate_two_functor(TwoFunctor(S, C, on_obj, on_one,
+                                               on_two))
+
+    mu_left = {s: ml_functor(s) for s in S.objects}
+    mu_right = {o: mr_functor(o) for o in C.objects}
+    act_objects = {(s, o): mu_left[s].on_objects[o]
+                   for s in S.objects for o in C.objects}
+
+    sigma = {}
+    for f in sorted(S.one_src):
+        if S.is_id1(f):
+            continue
+        s = S.one_src[f]
+        for m in sorted(C.one_src):
+            if C.is_id1(m):
+                continue
+            a, x, t, al, ph = SX.one_data[m]
+            b, y = SX.obj_data[C.one_tgt[m]]
+            src = C.comp1[(mu_right[C.one_tgt[m]].on_one[f],
+                           mu_left[s].on_one[m])]
+            tgt = C.comp1[(mu_left[S.one_tgt[f]].on_one[m],
+                           mu_right[C.one_src[m]].on_one[f])]
+            F = X.whisk_r[(act.sigma_of(f, ph),
+                           act.mr(x).on_one[P.beta[(t, s)]])]
+            sigma[(f, m)] = SX.class_of[(src, tgt, S.id1[t], S.id2[al], F)]
+
+    return validate_action(PGMAction(P, C, act_objects, mu_left, mu_right,
+                                     sigma))
+
+
+def s_inverse(SX: SInvCategory, s: str) -> TwoFunctor:
+    """The strict endofunctor of S^-1 X shifting the S coordinate by s;
+    it inverts translation by s up to the canonical contraction."""
+    P, act = SX.pgm, SX.action
+    S = P.carrier
+    C = SX.cat
+    on_obj, on_one, on_two = {}, {}, {}
+    for o, (a, x) in SX.obj_data.items():
+        on_obj[o] = SX.obj_name[(P.sum(s, a), x)]
+    for m, (a, x, t, al, ph) in SX.one_data.items():
+        ba = P.rt(a).on_one[P.beta[(t, s)]]
+        on_one[m] = SX.one_name[(P.sum(s, a), x, t,
+                                 S.comp1[(P.lt(s).on_one[al], ba)], ph)]
+    for c, (m1, m2, (p, A, F)) in SX.two_data.items():
+        a, _x, t, _al, _ph = SX.one_data[m1]
+        ba = P.rt(a).on_one[P.beta[(t, s)]]
+        A2 = S.whisk_r[(P.lt(s).on_two[A], ba)]
+        on_two[c] = SX.class_of[(on_one[m1], on_one[m2], p, A2, F)]
+    return validate_two_functor(TwoFunctor(C, C, on_obj, on_one, on_two))
 
 
 # --- lemma checks on the completion, run by the tests below ----------------
@@ -298,7 +413,7 @@ def test_point_completion_c2():
         for o2 in SP.cat.objects:
             assert len(SP.cat.hom1(o, o2)) == 1
     assert sinv.hom_terminality_check(SP) is True
-    sinv.contraction(SP)
+    contraction(SP)
 
 
 def test_point_completion_g2():
@@ -307,7 +422,7 @@ def test_point_completion_g2():
     assert len(SP.cat.one_src) == 1
     assert len(SP.cat.two_src) == 1
     assert sinv.hom_terminality_check(SP) is True
-    sinv.contraction(SP)
+    contraction(SP)
 
 
 def test_point_completion_m2():
@@ -338,9 +453,9 @@ def test_terminality_requires_invertible_2cells():
 def test_xi_action_and_inverses():
     for maker in (c2_completion, m2_completion, g2_completion):
         P, SX = maker()
-        xi = sinv.xi_action(SX)
+        xi = xi_action(SX)
         for s in P.carrier.objects:
-            sinv.s_inverse(SX, s)
+            s_inverse(SX, s)
             T_transformation(SX, s, xi)
 
 
