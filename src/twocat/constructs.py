@@ -4,9 +4,10 @@ Strict pullbacks, the lax comma object laco(F, G) and its oplax variant,
 mediating 2-functors from the universal property, strict fibers, oplax
 initial/terminal witnesses, and the diagram-shaped comma objects of cones
 over a diagram and (as its op-dual) of cocones under one.  Base change
-along a 1-cell of the base, and the uniqueness and identity checks of the
-mediators, are lemma checks that only tests run
-(``tests/test_constructs.py``).
+between the comma objects over two points, along a 1-cell joining them,
+is built in ``specseq``, where it carries fiber homology along an edge.
+The uniqueness and identity checks of the mediators are lemma checks that
+only tests run (``tests/test_constructs.py``).
 
 Cells of a comma object are named by canonical tuples of constituent
 identifiers (via fixtures.nm), so outputs are deterministic and diffable.

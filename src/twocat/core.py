@@ -63,20 +63,6 @@ class TwoCategory:
 
     # -- basic accessors ---------------------------------------------------
 
-    @property
-    def one_cells(self) -> tuple[str, ...]:
-        return tuple(sorted(self.one_src))
-
-    @property
-    def two_cells(self) -> tuple[str, ...]:
-        return tuple(sorted(self.two_src))
-
-    def src1(self, f: str) -> str:
-        return self.one_src[f]
-
-    def tgt1(self, f: str) -> str:
-        return self.one_tgt[f]
-
     def is_id1(self, f: str) -> bool:
         return self.id1.get(self.one_src[f]) == f and self.one_src[f] == self.one_tgt[f]
 
@@ -367,15 +353,6 @@ class TwoFunctor:
     on_objects: dict[str, str]
     on_one: dict[str, str]
     on_two: dict[str, str]
-
-    def o(self, x: str) -> str:
-        return self.on_objects[x]
-
-    def f1(self, f: str) -> str:
-        return self.on_one[f]
-
-    def f2(self, a: str) -> str:
-        return self.on_two[a]
 
 
 def identity_functor(C: TwoCategory) -> TwoFunctor:

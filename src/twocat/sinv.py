@@ -78,9 +78,6 @@ class SInvCategory:
             x = self.action.carrier.objects[0]
         return self.obj_name[(a, x)]
 
-    def one(self, a: str, x: str, s: str, al: str, ph: str) -> str:
-        return self.one_name[(a, x, s, al, ph)]
-
     def onep(self, a: str, s: str, al: str) -> str:
         ensure(self.point, "point-completion accessor", (a, s, al))
         T = self.action.carrier

@@ -31,9 +31,10 @@ the two filtration identifications that drive the theory:
 
 When F is a certified opfibration the E^2 page is identified with the
 homology of the base with local coefficients in the fiber homology; the
-coefficient system is constructed here (``fiber_coeff_system``) with
-transition matrices computed along comma-object routes, and
-``e2_vs_local`` checks the identification row by row.
+coefficient system is constructed here (``fiber_coeff_system``), its
+transition along an edge f the base change of the comma objects over the
+points (post-composition with f), and ``e2_vs_local`` checks the
+identification row by row.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from operator import or_
 from typing import NamedTuple
 
 from . import intlinalg as il
-from .constructs import (DiagramCommaResult, find_oplax_initial, laco,
-                         laco_diagram, lp_initial_d_e, oplaco_codiagram,
+from .constructs import (CommaResult, laco, laco_diagram, oplaco_codiagram,
                          strict_fiber)
 from .core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
                    validate_two_functor)
@@ -509,39 +509,20 @@ def filtration_check_q(F: TwoFunctor, om: OrientedSimplex, p: int) -> bool:
 # the fiber-homology coefficient system of a certified opfibration
 # ---------------------------------------------------------------------------
 
-def diagram_comma_reindex(Lsrc: DiagramCommaResult,
-                          Ltgt: DiagramCommaResult, vmap: dict) -> TwoFunctor:
-    """The 2-functor between diagram-shaped comma objects induced by a
-    monotone reindexing of oriental shapes: vmap sends each vertex of the
-    target shape to a vertex of the source shape, and the two diagrams
-    must agree accordingly (cones restrict along vmap)."""
-    def map_path(Ptup):
-        mp = [vmap[a] for a in Ptup]
-        out = [mp[0]]
-        for v in mp[1:]:
-            if v != out[-1]:
-                out.append(v)
-        return tuple(out)
-
-    tverts = sorted(int(i) for i in Ltgt.E.objects)
-    on_obj = {}
-    for (c, comps, cells), o in Lsrc.obj_id.items():
-        dcomps, dcells = dict(comps), dict(cells)
-        comps2 = tuple(sorted((str(j), dcomps[str(vmap[j])])
-                              for j in tverts))
-        cells2 = {}
-        for e in Ltgt.E.one_src:
-            cells2[e] = dcells[path_id(map_path(literal_eval(e)))]
-        on_obj[o] = Ltgt.obj_id[(c, comps2, tuple(sorted(cells2.items())))]
-    on_one = {}
-    for (o, o2, s, la), m in Lsrc.one_id.items():
-        dla = dict(la)
-        la2 = tuple(sorted((str(j), dla[str(vmap[j])]) for j in tverts))
-        on_one[m] = Ltgt.one_id[(on_obj[o], on_obj[o2], s, la2)]
-    on_two = {}
-    for (m, m2, phi), cc in Lsrc.two_id.items():
-        on_two[cc] = Ltgt.two_id[(on_one[m], on_one[m2], phi)]
-    return TwoFunctor(Lsrc.cat, Ltgt.cat, on_obj, on_one, on_two)
+def base_change(F: TwoFunctor, f: str, Lx: CommaResult,
+                Ly: CommaResult) -> TwoFunctor:
+    """laco(F, x-hat) -> laco(F, y-hat) for a 1-cell f: x -> y of F's
+    target, given the two comma objects: post-compose with f, so
+    [c, g, pt] goes to [c, f.g, pt] and [s, a, t] to [s, f*a, t], and keep
+    each 2-cell [phi, ga]."""
+    D = F.target
+    on_obj = {o: Ly.obj_id[(c, D.comp1[(f, g)], pt)]
+              for (c, g, pt), o in Lx.obj_id.items()}
+    on_one = {m: Ly.one_id[(on_obj[o], on_obj[o2], s, D.whisk_l[(f, a)], t)]
+              for (o, o2, s, a, t), m in Lx.one_id.items()}
+    on_two = {c: Ly.two_id[(on_one[m], on_one[m2], phi, ga)]
+              for (m, m2, phi, ga), c in Lx.two_id.items()}
+    return TwoFunctor(Lx.cat, Ly.cat, on_obj, on_one, on_two)
 
 
 def _fiber_to_comma(F: TwoFunctor, x: str, fib: TwoCategory, Lx) -> TwoFunctor:
@@ -569,12 +550,12 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
     """Local coefficients on the nerve X of F's target: at each simplex,
     the degree-q homology of the strict fiber of F over its leading
     vertex; the only nontrivial transition, along the face d_0, is
-    transported through the comma objects:
+    transported through the comma objects of F over the points:
 
-        fiber(x) -> laco(F, x-hat) -> comma over (f: x -> y)
-                 -> laco(F, y-hat) <- fiber(y),
+        fiber(x) -> laco(F, x-hat) -> laco(F, y-hat) <- fiber(y),
 
-    where the right-hand inclusion is inverted on homology (it induces an
+    where the middle functor is base change along f: x -> y and the
+    right-hand inclusion is inverted on homology (it induces an
     isomorphism when F is a certified opfibration; this is checked and an
     AxiomError raised otherwise)."""
     if cert.functor is not F:
@@ -615,18 +596,7 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
             _, Hfx, _ = object_data(x)
             Lx, inc_x, _, _ = comma_data(x)
             Ly, _, HLy, inv_y = comma_data(y)
-            # the 1-simplex of the nerve of D classified by f
-            sf = OrientedSimplex(1, (x, y), (f,), ())
-            Gf = simplex_functor(D, sf)
-            w = find_oplax_initial(Gf.source)
-            d, _, _, _, Lf = lp_initial_d_e(F, Gf, w, Lpt=Lx)
-            Gy = simplex_functor(D, OrientedSimplex(0, (y,), (), ()))
-            Ly_dia = laco_diagram(F, Gy)
-            restrict = diagram_comma_reindex(Lf, Ly_dia, {0: 1})
-            w0 = find_oplax_initial(Gy.source)
-            _, ey, _, _, _ = lp_initial_d_e(F, Gy, w0, Lpt=Ly, Ldia=Ly_dia)
-            route = compose_functors(
-                ey, compose_functors(restrict, compose_functors(d, inc_x)))
+            route = compose_functors(base_change(F, f, Lx, Ly), inc_x)
             M = il.mmul(inv_y, homology_induced(route, Hfx, HLy))
             orders = object_data(y)[1].sq.orders
             edge_matrix[f] = [[v % t if t else v for v in row]

@@ -1102,6 +1102,28 @@ def test_ss_report_bytes_are_pinned(run, tmp_path, monkeypatch, name,
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+@pytest.mark.parametrize("functor,q", [
+    (lambda: sinv.rho_projection(
+        sinv.s_inv_x(pgm.fix_c2_pgm(), pgm.self_action(pgm.fix_c2_pgm())),
+        sinv.s_inv_point(pgm.fix_c2_pgm())), 1),
+    (swap_projection, 0),
+], ids=["rho-c2", "swap"])
+def test_ss_reaches_no_oriental_and_no_cone(run, tmp_path, monkeypatch,
+                                            functor, q):
+    # the fiber coefficients go by base change, so ss builds no oriental
+    # and enumerates no cone of a diagram comma object
+    p = write(tmp_path, "F.json", tio.two_functor_to_dict(functor()))
+    argv = ["ss", "--functor", p, "--pmax", 3, "--qmax", 3,
+            "--fiber-coeffs", q]
+    report = run(argv)
+
+    def reached(*args, **kwargs):
+        raise RuntimeError("reached")
+    monkeypatch.setattr("twocat.constructs._enumerate_cones", reached)
+    monkeypatch.setattr("twocat.specseq.materialize_oriental", reached)
+    assert run(argv) == report
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("argv", [
     ["gc-check", "--pgm", "m2.json", "--max-deg", "-1"],

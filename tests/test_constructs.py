@@ -13,7 +13,7 @@ from twocat.core import LAX, OPLAX, TWO_NATURAL, TwoFunctor
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
                              fix_t, nm, point_functor)
 from twocat.orientals import materialize_oriental
-from twocat.specseq import simplex_functor
+from twocat.specseq import base_change, simplex_functor
 
 from test_core import validate_transformation
 from test_nerve import enumerate_simplices
@@ -21,28 +21,11 @@ from test_nerve import enumerate_simplices
 
 # --- base change and the mediators' lemma checks ---------------------------
 
-def base_change(F: TwoFunctor, phi: str,
-                Lx: CommaResult | None = None,
-                Ly: CommaResult | None = None) -> TwoFunctor:
-    """laco(F, xhat) -> laco(F, yhat) for a 1-cell phi: x -> y in F's target:
-    post-compose the comma 1-cell slot with phi and whisker the 2-cell slot."""
+def base_change_along(F: TwoFunctor, phi: str) -> TwoFunctor:
+    """base_change along phi between the comma objects over its ends."""
     D = F.target
-    x, y = D.one_src[phi], D.one_tgt[phi]
-    if Lx is None:
-        Lx = laco(F, point_functor(D, x))
-    if Ly is None:
-        Ly = laco(F, point_functor(D, y))
-    on_obj = {}
-    for (c, f, _), o in Lx.obj_id.items():
-        on_obj[o] = Ly.obj_id[(c, D.comp1[(phi, f)], "pt")]
-    on_one = {}
-    for (o, o2, s, a, t), m in Lx.one_id.items():
-        a2 = D.whisk_l[(phi, a)]
-        on_one[m] = Ly.one_id[(on_obj[o], on_obj[o2], s, a2, t)]
-    on_two = {}
-    for (m, m2, p, g), c in Lx.two_id.items():
-        on_two[c] = Ly.two_id[(on_one[m], on_one[m2], p, g)]
-    return TwoFunctor(Lx.cat, Ly.cat, on_obj, on_one, on_two)
+    return base_change(F, phi, *(laco(F, point_functor(D, v))
+                                 for v in (D.one_src[phi], D.one_tgt[phi])))
 
 
 def check_mediator_unique(L: CommaResult, R: TwoFunctor, Q: TwoFunctor,
@@ -279,7 +262,7 @@ def test_comma_inclusion_of_pullback():
 
 def test_base_change_interval():
     I = fix_i()
-    bc = base_change(identity_functor(I), "a01")
+    bc = base_change_along(identity_functor(I), "a01")
     validate_two_functor(bc)
     assert sorted(bc.source.objects) == [repr(("o", "0", "id_0", "pt"))]
     assert len(bc.target.objects) == 2
@@ -289,7 +272,7 @@ def test_base_change_functorial():
     I = fix_i()
     F = identity_functor(I)
     for x in I.objects:
-        bid = base_change(F, I.id1[x])
+        bid = base_change_along(F, I.id1[x])
         assert functors_equal(bid, identity_functor(bid.source))
     # chain: a01 . id_0 and id_1 . a01
     L0 = constructs.laco(F, point_functor(I, "0"))

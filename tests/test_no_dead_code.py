@@ -3,9 +3,12 @@ method of a top-level class, has a user: its name is used in code outside
 its own definition somewhere in src/, tests/ or demos/, or appears in
 pyproject.toml (the console-script entry point).  And, but for the
 allowlist below, that user is no test alone: the name is used in src/ or
-demos/ or appears in pyproject.toml.  A use is a name, an attribute or an
-imported name of the syntax tree, f-string expressions included; a word in
-a docstring, comment or string is none."""
+demos/ or appears in pyproject.toml.  A use of a function or class is a
+name, an attribute or an imported name of the syntax tree, f-string
+expressions included; a use of a method is an attribute (x.name) only, so
+a local variable that shares its name is none; a word in a docstring,
+comment or string is none.  Methods that a library calls, not this code,
+are exempt by name."""
 
 import ast
 import re
@@ -29,7 +32,7 @@ TEST_ONLY = {
     "core.find_isomorphism": "uses private helpers of core",
     "opfib.comparison_H": "uses private helpers of opfib (_opcart_lift, "
                           "_opcart_betas)",
-    "cli._Parser.error": "argparse's hook: ArgumentParser calls it",
+    "constructs.lp_initial_d_e": "ROADMAP item 3: φ_σ is its d",
     "constructs.find_oplax_terminal": "the dual of find_oplax_initial",
     "core.functor_coop": "completes functor_op and functor_co",
     "intlinalg.FGAbGroup.is_trivial": "a query of the group type",
@@ -38,29 +41,36 @@ TEST_ONLY = {
     "pgm.fix_g2sat_pgm": "a named fixture: a PGM that is no 2-groupoid",
 }
 
+# methods that a library calls, with the caller
+HOOKS = {"cli._Parser.error": "argparse's hook: ArgumentParser calls it"}
+
 
 def _definitions(tree):
     """Top-level functions and classes, and the non-dunder methods in the
-    bodies of top-level classes, with the names they are reported under."""
+    bodies of top-level classes, with the names they are reported under and
+    the key their uses are counted under (see _uses)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and not item.name.startswith("__"):
-                    yield "%s.%s" % (node.name, item.name), item
+                    yield ("%s.%s" % (node.name, item.name),
+                           "." + item.name, item)
 
 
 def _uses(tree) -> Counter:
-    """The names the code of tree uses: names, attributes and imports."""
+    """The names the code of tree uses: names, attributes and imports, each
+    under its name, and attributes once more under "." + name."""
     uses = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             uses[node.id] += 1
         elif isinstance(node, ast.Attribute):
             uses[node.attr] += 1
+            uses["." + node.attr] += 1
         elif isinstance(node, ast.alias):
             uses.update(node.name.split("."))
     return uses
@@ -75,11 +85,12 @@ def _unused(dirs) -> list:
         uses.update(_uses(ast.parse(path.read_text())))
     unused = []
     for path in sorted((REPO / "src" / "twocat").glob("*.py")):
-        for label, node in _definitions(ast.parse(path.read_text())):
+        for label, key, node in _definitions(ast.parse(path.read_text())):
+            name = "%s.%s" % (path.stem, label)
             # uses inside the definition itself, such as recursion, do not
             # count
-            if uses[node.name] == _uses(node)[node.name]:
-                unused.append("%s.%s" % (path.stem, label))
+            if uses[key] == _uses(node)[key] and name not in HOOKS:
+                unused.append(name)
     return unused
 
 

@@ -180,7 +180,7 @@ def grouplike_shadow(Q: PGM, trunc: int) -> bool:
 def all_2cells_cartesian(rho: TwoFunctor, SX: SInvCategory) -> bool:
     """Under the completion hypotheses every 2-cell upstairs is cartesian
     for the projection; checked exhaustively."""
-    for c in SX.cat.two_cells:
+    for c in sorted(SX.cat.two_src):
         if isinstance(of.is_cartesian_2cell(rho, c), Counterexample):
             return False
     return True
@@ -306,7 +306,7 @@ def collapse_to_category(SX: SInvCategory):
         return m
 
     locally_thin = True
-    for c in C.two_cells:
+    for c in sorted(C.two_src):
         m1, m2 = C.two_src[c], C.two_tgt[c]
         if m1 != m2 and len(C.hom2(m1, m2)) > 1:
             locally_thin = False
@@ -509,7 +509,7 @@ def test_fibers_isomorphic_to_x():
 def test_iso_criterion_cross_checked():
     for maker in (c2_completion, m2_completion, g2_completion):
         _P, SX = maker()
-        for c in SX.cat.two_cells:
+        for c in sorted(SX.cat.two_src):
             assert is_sinv_iso(SX, c) is True
 
 
@@ -518,7 +518,7 @@ def test_iso_criterion_negative():
     # the absorbing 2-cell is not invertible, on both routes
     P = pgm.fix_g2sat_pgm()
     SX = sinv.s_inv_x(P, pgm.self_action(P))
-    flags = sorted(is_sinv_iso(SX, c) for c in SX.cat.two_cells)
+    flags = sorted(is_sinv_iso(SX, c) for c in SX.cat.two_src)
     assert False in flags and True in flags
 
 

@@ -1,3 +1,4 @@
+from ast import literal_eval
 from dataclasses import fields, replace
 from functools import lru_cache, partial
 from types import SimpleNamespace
@@ -10,15 +11,17 @@ from twocat import nerve as nv
 from twocat import opfib as of
 from twocat import pgm, sinv
 from twocat import specseq as ss
-from twocat.constructs import (comma_inclusion, laco, oplaco_codiagram,
+from twocat.constructs import (comma_inclusion, find_oplax_initial, laco,
+                               laco_diagram, lp_initial_d_e, oplaco_codiagram,
                                pullback, strict_fiber)
 from twocat.core import (AxiomError, TwoFunctor, compose_functors,
-                         identity_functor)
+                         identity_functor, make_two_category,
+                         validate_two_category)
 from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
                              locally_discrete, point_functor)
-from twocat.nerve import degeneracy, face, nerve
+from twocat.nerve import OrientedSimplex, degeneracy, face, nerve
+from twocat.orientals import path_id
 
-from test_constructs import base_change
 from test_homology import (dense_chain_homology, free_homology,
                            is_morphism_inverting, operator_dicts)
 from test_nerve import dict_keyed_search, enumerate_simplices
@@ -52,6 +55,39 @@ def swap_projection():
     on_one = {"id_a": "id_*", "id_b": "id_*", "t_a": "t", "t_b": "t"}
     return TwoFunctor(E, base, {"a": "*", "b": "*"}, on_one,
                       {"ii_" + f: "ii_" + g for f, g in on_one.items()})
+
+
+def crossed_module(m, n, act, bd):
+    """The one-object strict 2-group of a crossed module bd: Z/m -> Z/n with
+    Z/n acting on Z/m by act(k, g): 1-cells 'h<k>', k in Z/n, composed in
+    Z/n, and 2-cells 'g<j>h<k>' = (j, k): h<k> => h<bd(j) + k>, composed
+    vertically in Z/m, with k * (g, h) = (k.g, k + h) and
+    (g, h) * k = (g, h + k).  The result is validated, which checks that act
+    and bd make a crossed module."""
+    h = lambda k: "h%d" % (k % n)
+    c = lambda j, k: "g%dh%d" % (j % m, k % n)
+    G, H = range(m), range(n)
+    return validate_two_category(make_two_category(
+        ["*"], {h(k): ("*", "*") for k in H},
+        {c(j, k): (h(k), h(bd(j) + k)) for j in G for k in H},
+        {"*": h(0)}, {h(k): c(0, k) for k in H},
+        {(h(a), h(b)): h(a + b) for a in H for b in H},
+        {(c(i, bd(j) + k), c(j, k)): c(i + j, k)
+         for i in G for j in G for k in H},
+        {(h(a), c(j, k)): c(act(a, j), a + k)
+         for a in H for j in G for k in H},
+        {(c(j, k), h(a)): c(j, k + a) for a in H for j in G for k in H}))
+
+
+def xmod_projection():
+    """P: X -> BZ/2, with X the crossed module Z/3 -> Z/2 (bd = 0, Z/2
+    acting by inversion), whose classifying space has pi_1 = Z/2 and
+    pi_2 = Z/3: an opfibration whose fiber has H_2 = Z/3, on which the base
+    acts by inversion."""
+    X = crossed_module(3, 2, lambda k, j: -j if k % 2 else j, lambda j: 0)
+    base = crossed_module(1, 2, lambda k, j: j, lambda j: 0)
+    return TwoFunctor(X, base, {"*": "*"}, {h: h for h in X.one_src},
+                      {a: "g0" + a[a.index("h"):] for a in X.two_src})
 
 
 # --- simplex classifiers -----------------------------------------------------
@@ -857,31 +893,85 @@ def test_fiber_system_rejects_non_iso_fiber_inclusion():
                               nerve(fix_i(), 1))
 
 
-def test_transition_matrix_is_base_change():
-    # the comma-object route along an edge agrees with base change of the
-    # strict fibers, transported through the fiber inclusions
-    _, pr2 = pr2_i()
-    I = fix_i()
-    cert = of.check_opfibration(pr2)
-    f = "a01"
-    x, y = I.one_src[f], I.one_tgt[f]
-    for q in (0, 2):
-        data = ss.fiber_coeff_system(pr2, cert, q, nerve(I, 1))
-        Lx = laco(pr2, point_functor(I, x))
-        Ly = laco(pr2, point_functor(I, y))
-        fibx, _ = strict_fiber(pr2, x)
-        fiby, _ = strict_fiber(pr2, y)
-        incx = ss._fiber_to_comma(pr2, x, fibx, Lx)
-        incy = ss._fiber_to_comma(pr2, y, fiby, Ly)
-        bc = compose_functors(base_change(pr2, f, Lx, Ly), incx)
-        Hfx, Hfy, HLy = (hm.homology_subquotient(nerve(C, q + 1), [q])[0]
-                         for C in (fibx, fiby, Ly.cat))
-        Mbc = hm.homology_induced(bc, Hfx, HLy)
-        _, inv = hm.induced_iso(incy, Hfy, HLy)
-        orders = Hfy.sq.orders
-        M = [[v % t if t else v for v in row]
-             for row, t in zip(il.mmul(inv, Mbc), orders)]
-        assert M == data.edge_matrix[f]
+def diagram_comma_reindex(Lsrc, Ltgt, vmap: dict) -> TwoFunctor:
+    """The 2-functor between diagram-shaped comma objects induced by a
+    monotone reindexing of oriental shapes: vmap sends each vertex of the
+    target shape to a vertex of the source shape, and the two diagrams
+    must agree accordingly (cones restrict along vmap)."""
+    def map_path(Ptup):
+        mp = [vmap[a] for a in Ptup]
+        out = [mp[0]]
+        for v in mp[1:]:
+            if v != out[-1]:
+                out.append(v)
+        return tuple(out)
+
+    tverts = sorted(int(i) for i in Ltgt.E.objects)
+    on_obj = {}
+    for (c, comps, cells), o in Lsrc.obj_id.items():
+        dcomps, dcells = dict(comps), dict(cells)
+        comps2 = tuple(sorted((str(j), dcomps[str(vmap[j])])
+                              for j in tverts))
+        cells2 = {}
+        for e in Ltgt.E.one_src:
+            cells2[e] = dcells[path_id(map_path(literal_eval(e)))]
+        on_obj[o] = Ltgt.obj_id[(c, comps2, tuple(sorted(cells2.items())))]
+    on_one = {}
+    for (o, o2, s, la), m in Lsrc.one_id.items():
+        dla = dict(la)
+        la2 = tuple(sorted((str(j), dla[str(vmap[j])]) for j in tverts))
+        on_one[m] = Ltgt.one_id[(on_obj[o], on_obj[o2], s, la2)]
+    on_two = {}
+    for (m, m2, phi), cc in Lsrc.two_id.items():
+        on_two[cc] = Ltgt.two_id[(on_one[m], on_one[m2], phi)]
+    return TwoFunctor(Lsrc.cat, Ltgt.cat, on_obj, on_one, on_two)
+
+
+def comma_route(F, f, Lx, Ly) -> TwoFunctor:
+    """The oracle for ss.base_change: laco(F, x-hat) -> laco(F, y-hat) along
+    f: x -> y through the diagram comma objects over orientals, as d into
+    the comma object over the 1-simplex f, restriction to its vertex 1, and
+    e out of the comma object over the 0-simplex y."""
+    D = F.target
+    x, y = D.one_src[f], D.one_tgt[f]
+    Gf = ss.simplex_functor(D, OrientedSimplex(1, (x, y), (f,), ()))
+    d, _, _, _, Lf = lp_initial_d_e(F, Gf, find_oplax_initial(Gf.source),
+                                    Lpt=Lx)
+    Gy = ss.simplex_functor(D, OrientedSimplex(0, (y,), (), ()))
+    Ly_dia = laco_diagram(F, Gy)
+    restrict = diagram_comma_reindex(Lf, Ly_dia, {0: 1})
+    _, ey, _, _, _ = lp_initial_d_e(F, Gy, find_oplax_initial(Gy.source),
+                                    Lpt=Ly, Ldia=Ly_dia)
+    return compose_functors(ey, compose_functors(restrict, d))
+
+
+def test_transition_matrix_is_base_change(monkeypatch):
+    # the edge matrices of base change equal those of the route through
+    # the diagram comma objects over orientals, at q = 0, 1, 2
+    cases = [pr2_i()[1], pr2_c2()[1], swap_projection(),
+             _rho(pgm.fix_c2_pgm), _rho(pgm.fix_m2_pgm), xmod_projection()]
+    certs = [of.check_opfibration(F) for F in cases]
+
+    def edge_matrices():
+        return [ss.fiber_coeff_system(F, cert, q, nerve(F.target, 1))
+                .edge_matrix for F, cert in zip(cases, certs)
+                for q in range(3)]
+    got = edge_matrices()
+    monkeypatch.setattr(ss, "base_change", comma_route)
+    assert got == edge_matrices()
+
+
+def test_crossed_module_base_inverts_the_fiber_h2():
+    # the base acts on the fiber's H_2 = Z/3 by inversion, so E2 row 2 is
+    # 0, 0, 0; identity transitions would make H_0(BZ/2; Z/3) = Z/3
+    P = xmod_projection()
+    cert = of.check_opfibration(P)
+    assert isinstance(cert, of.OpfibrationCertificate)
+    data = ss.fiber_coeff_system(P, cert, 2, nerve(P.target, 1))
+    assert data.edge_matrix == {"h1": [[2]]}
+    pg = ss.pages(ss.build_B(P, 3, 3))
+    assert [str(pg.E2[(p, 2)]) for p in range(3)] == ["0"] * 3
+    assert ss.e2_vs_local(pg, cert, 2) == [True] * 3
 
 
 # --- E^2 against local coefficients ------------------------------------------
