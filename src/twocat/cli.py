@@ -116,6 +116,15 @@ def _inputs(ctx: dict, subcommand: str, paths: list, bounds: dict) -> list:
     return [data.get(p) for p in paths]
 
 
+def _functor(d: dict):
+    """The 2-functor of a parsed functor file, with its source, its target
+    and itself validated."""
+    F = tio.two_functor_from_dict(d)
+    validate_two_category(F.source)
+    validate_two_category(F.target)
+    return validate_two_functor(F)
+
+
 def _write_aside(path: str, data: bytes) -> None:
     """Write data to path through a temporary file in the same directory,
     renamed into place, so that a killed run leaves no torn file."""
@@ -165,11 +174,7 @@ def cmd_validate(args, ctx) -> int:
         P = validate_pgm(tio.pgm_from_dict(d))
         kind, C = "pgm", P.carrier
     elif "on_objects" in d:
-        F = tio.two_functor_from_dict(d)
-        validate_two_category(F.source)
-        validate_two_category(F.target)
-        validate_two_functor(F)
-        kind, C = "two-functor", F.source
+        kind, C = "two-functor", _functor(d).source
     else:
         C = validate_two_category(tio.two_category_from_dict(d))
         kind = "two-category"
@@ -186,10 +191,7 @@ def _cmd_cospan(args, ctx, name, construct) -> int:
     data.update((p, _read(p)) for p in {left, right} - data.keys())
     ctx["manifest"] = _manifest(name, data, {})
     digests = ctx["manifest"]["inputs"]
-    F, G = (tio.two_functor_from_dict(json.loads(data[p]))
-            for p in (left, right))
-    validate_two_functor(F)
-    validate_two_functor(G)
+    F, G = (_functor(json.loads(data[p])) for p in (left, right))
     res = construct(F, G)
     report = {"construction": name,
               "inputs": {"left": digests[left], "right": digests[right]},
@@ -212,8 +214,7 @@ def cmd_pullback(args, ctx) -> int:
 
 def cmd_fiber(args, ctx) -> int:
     data, = _inputs(ctx, "fiber", [args.functor], {})
-    P = tio.two_functor_from_dict(json.loads(data))
-    validate_two_functor(P)
+    P = _functor(json.loads(data))
     if args.object not in P.target.objects:
         raise UsageError("object %r not in the target" % args.object)
     fib, _incl = strict_fiber(P, args.object)
@@ -283,8 +284,7 @@ def cmd_homology(args, ctx) -> int:
 
 def cmd_opfib(args, ctx) -> int:
     data, = _inputs(ctx, "opfib", [args.functor], {})
-    P = tio.two_functor_from_dict(json.loads(data))
-    validate_two_functor(P)
+    P = _functor(json.loads(data))
     res = check_opfibration(P)
     if isinstance(res, Counterexample):
         return _fail(ctx, res.clause, res.detail)
@@ -306,8 +306,7 @@ def cmd_ss(args, ctx) -> int:
     if args.fiber_coeffs is not None:
         bounds["fiber_coeffs"] = args.fiber_coeffs
     data, = _inputs(ctx, "ss", [args.functor], bounds)
-    F = tio.two_functor_from_dict(json.loads(data))
-    validate_two_functor(F)
+    F = _functor(json.loads(data))
     B = build_B(F, args.pmax, args.qmax)
     if not check_bisimplicial(B):
         raise AxiomError("bisimplicial identities fail within the bounds")

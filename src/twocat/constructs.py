@@ -11,6 +11,9 @@ only tests run (``tests/test_constructs.py``).
 
 Cells of a comma object are named by canonical tuples of constituent
 identifiers (via fixtures.nm), so outputs are deterministic and diffable.
+Each construction states its composition rule, and
+``core.build_two_category`` fills the tables from it; a strict fiber's
+rule is the source's own tables.
 
 Conventions (cospan F: X -> Y <- Z : G):
 
@@ -26,8 +29,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .core import (LAX, OPLAX, TWO_NATURAL, Transformation, TwoCategory,
-                   TwoFunctor, compose_functors, functor_op, identity_functor,
-                   make_two_category, op_dual)
+                   TwoFunctor, build_two_category, compose_functors,
+                   functor_op, identity_functor, op_dual)
 from .fixtures import nm, point_functor
 
 
@@ -80,27 +83,17 @@ def pullback(F: TwoFunctor, G: TwoFunctor) -> PullbackResult:
                  for (p, q), v in twos.items()}
     id1 = {o: ones[(X.id1[x], Z.id1[z])] for (x, z), o in objs.items()}
     id2 = {f: twos[(X.id2[s], Z.id2[t])] for (s, t), f in ones.items()}
-    comp1 = {}
-    for (s2, t2), g in ones.items():
-        for (s1, t1), f in ones.items():
-            if X.one_tgt[s1] == X.one_src[s2] and Z.one_tgt[t1] == Z.one_src[t2]:
-                comp1[(g, f)] = ones[(X.comp1[(s2, s1)], Z.comp1[(t2, t1)])]
-    vcomp = {}
-    for (p2, q2), b in twos.items():
-        for (p1, q1), a in twos.items():
-            if X.two_tgt[p1] == X.two_src[p2] and Z.two_tgt[q1] == Z.two_src[q2]:
-                vcomp[(b, a)] = twos[(X.vcomp[(p2, p1)], Z.vcomp[(q2, q1)])]
-    whisk_l = {}
-    whisk_r = {}
-    for (p, q), a in twos.items():
-        fs = one_cells[two_cells[a][0]]
-        for (s, t), k in ones.items():
-            if one_cells[k][0] == fs[1]:
-                whisk_l[(k, a)] = twos[(X.whisk_l[(s, p)], Z.whisk_l[(t, q)])]
-            if one_cells[k][1] == fs[0]:
-                whisk_r[(a, k)] = twos[(X.whisk_r[(p, s)], Z.whisk_r[(q, t)])]
-    cat = make_two_category(objs.values(), one_cells, two_cells, id1, id2,
-                            comp1, vcomp, whisk_l, whisk_r)
+    key = {v: k for d in (ones, twos) for k, v in d.items()}
+
+    def pairwise(cells, x_table, z_table):   # compose in X and in Z
+        return lambda u, v: cells[(x_table[(key[u][0], key[v][0])],
+                                   z_table[(key[u][1], key[v][1])])]
+
+    cat = build_two_category(objs.values(), one_cells, two_cells, id1, id2,
+                             pairwise(ones, X.comp1, Z.comp1),
+                             pairwise(twos, X.vcomp, Z.vcomp),
+                             pairwise(twos, X.whisk_l, Z.whisk_l),
+                             pairwise(twos, X.whisk_r, Z.whisk_r))
     pr_left = TwoFunctor(cat, X,
                          {o: x for (x, z), o in objs.items()},
                          {f: s for (s, t), f in ones.items()},
@@ -172,16 +165,14 @@ def _comma(F: TwoFunctor, G: TwoFunctor, lax: bool) -> CommaResult:
 
     one_cells = {m: (o, o2) for (o, o2, s, a, t), m in ones.items()}
     two_cells = {c: (m, m2) for (m, m2, phi, ga), c in twos.items()}
-    id1 = {}
-    for (x, f, z), o in objs.items():
-        id1[o] = ones[(o, o, X.id1[x], Y.id2[f], Z.id1[z])]
-    id2 = {}
-    for (o, o2, s, a, t), m in ones.items():
-        id2[m] = twos[(m, m, X.id2[s], Z.id2[t])]
+    id1 = {o: ones[(o, o, X.id1[x], Y.id2[f], Z.id1[z])]
+           for (x, f, z), o in objs.items()}
+    id2 = {m: twos[(m, m, X.id2[s], Z.id2[t])]
+           for (o, o2, s, a, t), m in ones.items()}
 
-    def compose1(key2, key1):
-        (o1, o_mid, s1, a1, t1) = key1
-        (_, o3, s2, a2, t2) = key2
+    def comp1(m2, m1):
+        (o1, _, s1, a1, t1) = one_data[m1]
+        (_, o3, s2, a2, t2) = one_data[m2]
         if lax:
             # G t2 . (G t1 . f) => G t2 . f' . F s1 => f'' . F s2 . F s1
             step1 = Y.whisk_l[(G.on_one[t2], a1)]
@@ -193,33 +184,22 @@ def _comma(F: TwoFunctor, G: TwoFunctor, lax: bool) -> CommaResult:
         a = Y.vcomp[(step2, step1)]
         return ones[(o1, o3, X.comp1[(s2, s1)], a, Z.comp1[(t2, t1)])]
 
-    comp1 = {}
-    for key2, m2 in ones.items():
-        for key1, m1 in ones.items():
-            if key1[1] == key2[0]:
-                comp1[(m2, m1)] = compose1(key2, key1)
-    vcomp = {}
-    for (m, m2, phi2, ga2), c2 in twos.items():
-        for (m0, m1, phi1, ga1), c1 in twos.items():
-            if m1 == m:
-                vcomp[(c2, c1)] = twos[(m0, m2, X.vcomp[(phi2, phi1)],
-                                        Z.vcomp[(ga2, ga1)])]
-    whisk_l = {}
-    whisk_r = {}
-    for (m, m2, phi, ga), c in twos.items():
-        (o, o2, s, a, t) = one_data[m]
-        for key_k, k in ones.items():
-            (ko, ko2, ks, ka, kt) = key_k
-            if ko == o2:   # k . (m => m2)
-                whisk_l[(k, c)] = twos[(comp1[(k, m)], comp1[(k, m2)],
-                                        X.whisk_l[(ks, phi)],
-                                        Z.whisk_l[(kt, ga)])]
-            if ko2 == o:   # (m => m2) . k
-                whisk_r[(c, k)] = twos[(comp1[(m, k)], comp1[(m2, k)],
-                                        X.whisk_r[(phi, ks)],
-                                        Z.whisk_r[(ga, kt)])]
-    cat = make_two_category(objs.values(), one_cells, two_cells, id1, id2,
-                            comp1, vcomp, whisk_l, whisk_r)
+    def vcomp(c2, c1):
+        (_, m2, phi2, ga2), (m0, _, phi1, ga1) = two_data[c2], two_data[c1]
+        return twos[(m0, m2, X.vcomp[(phi2, phi1)], Z.vcomp[(ga2, ga1)])]
+
+    def whisk_l(k, c):   # k . (m => m2)
+        (m, m2, phi, ga), (_, _, ks, _, kt) = two_data[c], one_data[k]
+        return twos[(comp1(k, m), comp1(k, m2),
+                     X.whisk_l[(ks, phi)], Z.whisk_l[(kt, ga)])]
+
+    def whisk_r(c, k):   # (m => m2) . k
+        (m, m2, phi, ga), (_, _, ks, _, kt) = two_data[c], one_data[k]
+        return twos[(comp1(m, k), comp1(m2, k),
+                     X.whisk_r[(phi, ks)], Z.whisk_r[(ga, kt)])]
+
+    cat = build_two_category(objs.values(), one_cells, two_cells, id1, id2,
+                             comp1, vcomp, whisk_l, whisk_r)
     p_left = TwoFunctor(cat, X,
                         {o: k[0] for k, o in objs.items()},
                         {m: k[2] for k, m in ones.items()},
@@ -305,16 +285,12 @@ def strict_fiber(P: TwoFunctor, x: str):
     twos = {a: (C.two_src[a], C.two_tgt[a]) for a in C.two_src
             if P.on_two[a] == idx2 and C.two_src[a] in ones
             and C.two_tgt[a] in ones}
-    id1 = {o: C.id1[o] for o in objs}
-    id2 = {f: C.id2[f] for f in ones}
-    comp1 = {k: v for k, v in C.comp1.items() if k[0] in ones and k[1] in ones}
-    vcomp = {k: v for k, v in C.vcomp.items() if k[0] in twos and k[1] in twos}
-    whisk_l = {k: v for k, v in C.whisk_l.items()
-               if k[0] in ones and k[1] in twos}
-    whisk_r = {k: v for k, v in C.whisk_r.items()
-               if k[0] in twos and k[1] in ones}
-    fib = make_two_category(objs, ones, twos, id1, id2,
-                            comp1, vcomp, whisk_l, whisk_r)
+    # the rules are C's own tables
+    fib = build_two_category(objs, ones, twos, {o: C.id1[o] for o in objs},
+                             {f: C.id2[f] for f in ones},
+                             *(lambda *key, table=table: table[key]
+                               for table in (C.comp1, C.vcomp, C.whisk_l,
+                                             C.whisk_r)))
     incl = TwoFunctor(fib, C, {o: o for o in objs}, {f: f for f in ones},
                       {a: a for a in twos})
     return fib, incl
@@ -499,36 +475,30 @@ def laco_diagram(F: TwoFunctor, G: TwoFunctor) -> DiagramCommaResult:
         id1[o] = ones[(o, o, C.id1[c], la)]
     id2 = {m: twos[(m, m, C.id2[k[2]])] for k, m in ones.items()}
 
-    comp1 = {}
-    for key2, m2 in ones.items():
-        for key1, m1 in ones.items():
-            if key1[1] != key2[0]:
-                continue
-            (o1, omid, s1, la1) = key1
-            (_, o3, s2, la2) = key2
-            d1, d2 = dict(la1), dict(la2)
-            la = tuple(sorted(
-                (j, D.vcomp[(D.whisk_r[(d2[j], F.on_one[s1])], d1[j])])
-                for j in E.objects))
-            comp1[(m2, m1)] = ones[(o1, o3, C.comp1[(s2, s1)], la)]
-    vcomp = {}
-    for (ma, mb, phi2), c2 in twos.items():
-        for (m0, m1, phi1), c1 in twos.items():
-            if m1 == ma:
-                vcomp[(c2, c1)] = twos[(m0, mb, C.vcomp[(phi2, phi1)])]
-    whisk_l = {}
-    whisk_r = {}
-    for (m, m2, phi), cc in twos.items():
-        for key_k, k in ones.items():
-            (ko, ko2, ks, kla) = key_k
-            if ko == one_cells[m][1]:
-                whisk_l[(k, cc)] = twos[(comp1[(k, m)], comp1[(k, m2)],
-                                         C.whisk_l[(ks, phi)])]
-            if ko2 == one_cells[m][0]:
-                whisk_r[(cc, k)] = twos[(comp1[(m, k)], comp1[(m2, k)],
-                                         C.whisk_r[(phi, ks)])]
-    cat = make_two_category(objs.values(), one_cells, two_cells, id1, id2,
-                            comp1, vcomp, whisk_l, whisk_r)
+    def comp1(m2, m1):
+        (o1, _, s1, la1), (_, o3, s2, la2) = one_data[m1], one_data[m2]
+        d1, d2 = dict(la1), dict(la2)
+        la = tuple(sorted(
+            (j, D.vcomp[(D.whisk_r[(d2[j], F.on_one[s1])], d1[j])])
+            for j in E.objects))
+        return ones[(o1, o3, C.comp1[(s2, s1)], la)]
+
+    def vcomp(c2, c1):
+        (_, mb, phi2), (m0, _, phi1) = two_data[c2], two_data[c1]
+        return twos[(m0, mb, C.vcomp[(phi2, phi1)])]
+
+    def whisk_l(k, cc):
+        (m, m2, phi) = two_data[cc]
+        return twos[(comp1(k, m), comp1(k, m2),
+                     C.whisk_l[(one_data[k][2], phi)])]
+
+    def whisk_r(cc, k):
+        (m, m2, phi) = two_data[cc]
+        return twos[(comp1(m, k), comp1(m2, k),
+                     C.whisk_r[(phi, one_data[k][2])])]
+
+    cat = build_two_category(objs.values(), one_cells, two_cells, id1, id2,
+                             comp1, vcomp, whisk_l, whisk_r)
     p_left = TwoFunctor(cat, C,
                         {o: k[0] for k, o in objs.items()},
                         {m: k[2] for k, m in ones.items()},

@@ -8,11 +8,16 @@ FIX_C2     discrete 2-category on {0,1}
 FIX_M2     same underlying 2-category as FIX_C2 (the max-monoid structure
            lives in the PGM fixture, see twocat.pgm)
 FIX_PROD   binary product generator
+
+Products and locally discrete 2-categories fill their tables through
+``core.build_two_category`` from a composition rule; the literal fixtures
+are written out with ``make_two_category``.
 """
 
 from __future__ import annotations
 
-from .core import TwoCategory, TwoFunctor, make_two_category
+from .core import (TwoCategory, TwoFunctor, build_two_category,
+                   make_two_category)
 
 
 def nm(*parts) -> str:
@@ -41,20 +46,13 @@ def locally_discrete(objects, arrows, compose) -> TwoCategory:
     compose: dict (g, f) -> gf including identities) viewed as a 2-category
     with only identity 2-cells."""
     two = {"ii_%s" % f: (f, f) for f in arrows}
-    id1 = {x: "id_%s" % x for x in objects}
-    id2 = {f: "ii_%s" % f for f in arrows}
-    vcomp = {("ii_%s" % f, "ii_%s" % f): "ii_%s" % f for f in arrows}
-    whisk_l = {}
-    whisk_r = {}
-    for f, (fs, ft) in arrows.items():
-        a = "ii_%s" % f
-        for k, (ks, kt) in arrows.items():
-            if ks == ft:
-                whisk_l[(k, a)] = "ii_%s" % compose[(k, f)]
-            if kt == fs:
-                whisk_r[(a, k)] = "ii_%s" % compose[(f, k)]
-    return make_two_category(objects, arrows, two, id1, id2,
-                             compose, vcomp, whisk_l, whisk_r)
+    return build_two_category(
+        objects, arrows, two, {x: "id_%s" % x for x in objects},
+        {f: "ii_%s" % f for f in arrows},
+        lambda g, f: compose[(g, f)],
+        lambda b, a: a,
+        lambda k, a: "ii_%s" % compose[(k, two[a][0])],
+        lambda a, k: "ii_%s" % compose[(two[a][0], k)])
 
 
 def fix_t() -> TwoCategory:
@@ -110,45 +108,32 @@ def fix_g2sat() -> TwoCategory:
 def fix_prod(A: TwoCategory, B: TwoCategory):
     """Product 2-category with componentwise structure; returns
     (A x B, pr1, pr2)."""
-    objects = [nm(x, y) for x in A.objects for y in B.objects]
-    one = {nm(f, g):(nm(A.one_src[f], B.one_src[g]),
-                      nm(A.one_tgt[f], B.one_tgt[g]))
-           for f in sorted(A.one_src) for g in sorted(B.one_src)}
-    two = {nm(a, b): (nm(A.two_src[a], B.two_src[b]),
-                      nm(A.two_tgt[a], B.two_tgt[b]))
-           for a in sorted(A.two_src) for b in sorted(B.two_src)}
-    id1 = {nm(x, y): nm(A.id1[x], B.id1[y]) for x in A.objects for y in B.objects}
-    id2 = {nm(f, g): nm(A.id2[f], B.id2[g])
-           for f in sorted(A.one_src) for g in sorted(B.one_src)}
-    comp1 = {}
-    for (g1, f1), r1 in A.comp1.items():
-        for (g2, f2), r2 in B.comp1.items():
-            comp1[(nm(g1, g2), nm(f1, f2))] = nm(r1, r2)
-    vcomp = {}
-    for (b1, a1), r1 in A.vcomp.items():
-        for (b2, a2), r2 in B.vcomp.items():
-            vcomp[(nm(b1, b2), nm(a1, a2))] = nm(r1, r2)
-    whisk_l = {}
-    for (k1, a1), r1 in A.whisk_l.items():
-        for (k2, a2), r2 in B.whisk_l.items():
-            whisk_l[(nm(k1, k2), nm(a1, a2))] = nm(r1, r2)
-    whisk_r = {}
-    for (a1, k1), r1 in A.whisk_r.items():
-        for (a2, k2), r2 in B.whisk_r.items():
-            whisk_r[(nm(a1, a2), nm(k1, k2))] = nm(r1, r2)
-    P = make_two_category(objects, one, two, id1, id2,
-                          comp1, vcomp, whisk_l, whisk_r)
-    import ast
-    def part(s, i):
-        return ast.literal_eval(s)[i]
-    pr1 = TwoFunctor(P, A,
-                     {o: part(o, 0) for o in P.objects},
-                     {f: part(f, 0) for f in P.one_src},
-                     {a: part(a, 0) for a in P.two_src})
-    pr2 = TwoFunctor(P, B,
-                     {o: part(o, 1) for o in P.objects},
-                     {f: part(f, 1) for f in P.one_src},
-                     {a: part(a, 1) for a in P.two_src})
+    def cells(xs, ys):
+        return {nm(x, y): (x, y) for x in xs for y in ys}
+
+    objs = cells(A.objects, B.objects)
+    ones = cells(sorted(A.one_src), sorted(B.one_src))
+    twos = cells(sorted(A.two_src), sorted(B.two_src))
+    part = {**objs, **ones, **twos}   # a name is the repr of its pair
+
+    def pairwise(a_table, b_table):
+        return lambda u, v: nm(a_table[(part[u][0], part[v][0])],
+                               b_table[(part[u][1], part[v][1])])
+
+    P = build_two_category(
+        objs,
+        {n: (nm(A.one_src[f], B.one_src[g]), nm(A.one_tgt[f], B.one_tgt[g]))
+         for n, (f, g) in ones.items()},
+        {n: (nm(A.two_src[a], B.two_src[b]), nm(A.two_tgt[a], B.two_tgt[b]))
+         for n, (a, b) in twos.items()},
+        {n: nm(A.id1[x], B.id1[y]) for n, (x, y) in objs.items()},
+        {n: nm(A.id2[f], B.id2[g]) for n, (f, g) in ones.items()},
+        pairwise(A.comp1, B.comp1), pairwise(A.vcomp, B.vcomp),
+        pairwise(A.whisk_l, B.whisk_l), pairwise(A.whisk_r, B.whisk_r))
+    pr1, pr2 = (TwoFunctor(P, T, {o: part[o][i] for o in P.objects},
+                           {f: part[f][i] for f in P.one_src},
+                           {a: part[a][i] for a in P.two_src})
+                for i, T in enumerate((A, B)))
     return P, pr1, pr2
 
 

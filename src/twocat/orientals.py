@@ -5,14 +5,15 @@ paths from i to j (composition is concatenation, the identity is the
 one-vertex path); hom(i, j) is a poset under refinement: there is a unique
 2-cell P => Q exactly when the vertex set of P is contained in that of Q.
 The generating triangle (i, j, k) is the 2-cell (i,k) => (i,j,k), read with
-the short spine as the source.
+the short spine as the source.  The tables are filled by
+``core.build_two_category`` from the rule: compose by concatenating paths.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .core import TwoCategory, make_two_category
+from .core import TwoCategory, build_two_category
 
 ORIENTAL_BOUND = 4
 
@@ -49,34 +50,18 @@ def materialize_oriental(p: int, bound: int = ORIENTAL_BOUND) -> TwoCategory:
     for i in range(p + 1):
         for j in range(i, p + 1):
             paths.extend(increasing_paths(i, j))
-    one = {path_id(P): (str(P[0]), str(P[-1])) for P in paths}
-    refines = []
-    for P in paths:
-        for Q in paths:
-            if (P[0], P[-1]) == (Q[0], Q[-1]) and set(P) <= set(Q):
-                refines.append((P, Q))
-    two = {cell_id(P, Q): (path_id(P), path_id(Q)) for P, Q in refines}
+    path = {path_id(P): P for P in paths}
+    one = {pid: (str(P[0]), str(P[-1])) for pid, P in path.items()}
+    two = {cell_id(P, Q): (path_id(P), path_id(Q))
+           for P in paths for Q in paths
+           if (P[0], P[-1]) == (Q[0], Q[-1]) and set(P) <= set(Q)}
     id1 = {str(i): path_id((i,)) for i in range(p + 1)}
     id2 = {path_id(P): cell_id(P, P) for P in paths}
-    comp1 = {}
-    for P in paths:
-        for Q in paths:
-            if P[-1] == Q[0]:
-                comp1[(path_id(Q), path_id(P))] = path_id(P + Q[1:])
-    vcomp = {}
-    for P, Q in refines:
-        for Q2, R in refines:
-            if Q2 == Q and P[0] == Q[0] and Q[-1] == R[-1]:
-                if set(P) <= set(Q) <= set(R):
-                    vcomp[(cell_id(Q, R), cell_id(P, Q))] = cell_id(P, R)
-    whisk_l = {}
-    whisk_r = {}
-    for P, Q in refines:
-        a = cell_id(P, Q)
-        for K in paths:
-            if K[0] == P[-1]:
-                whisk_l[(path_id(K), a)] = cell_id(P + K[1:], Q + K[1:])
-            if K[-1] == P[0]:
-                whisk_r[(a, path_id(K))] = cell_id(K + P[1:], K + Q[1:])
-    return make_two_category(objects, one, two, id1, id2,
-                             comp1, vcomp, whisk_l, whisk_r)
+    # composition concatenates paths; a refinement P => Q composed or
+    # whiskered is the refinement of the composite paths
+    return build_two_category(
+        objects, one, two, id1, id2,
+        lambda Q, P: path_id(path[P] + path[Q][1:]),
+        lambda b, a: cell_id(path[two[a][0]], path[two[b][1]]),
+        lambda K, a: cell_id(*(path[P] + path[K][1:] for P in two[a])),
+        lambda a, K: cell_id(*(path[K] + path[P][1:] for P in two[a])))

@@ -8,7 +8,8 @@ The sum is encoded cubically: a table on objects, a left translation
 object, and an interchanger 2-cell ``Sigma[(f, g)]`` per pair of
 nonidentity 1-cells mediating ``(f + 1)(1 + g) => (1 + g)(f + 1)``.  The
 full tensor of two copies of the carrier is never constructed; every
-coherence axiom is checked directly on this generating data.
+coherence axiom is checked directly on this generating data, those of
+the translations and the interchanger as the axioms of the self-action.
 
 Also here: module actions of such a monoid on another 2-category (same
 cubical encoding), finite commutative monoids, the component monoid
@@ -127,35 +128,7 @@ def _check_sum_tables(P: PGM) -> None:
                        "pgm sum associativity", (a, b, c))
 
 
-def _check_translations(P: PGM) -> None:
-    S = P.carrier
-    ident = identity_functor(S)
-    for a in S.objects:
-        ensure(a in P.left_translations and a in P.right_translations,
-               "pgm translation missing", (a,))
-        validate_two_functor(P.lt(a))
-        validate_two_functor(P.rt(a))
-        for b in S.objects:
-            ensure(P.lt(a).on_objects[b] == P.sum(a, b)
-                   and P.rt(b).on_objects[a] == P.sum(a, b),
-                   "pgm translation agreement", (a, b))
-    ensure(functors_equal(P.lt(P.unit), ident)
-           and functors_equal(P.rt(P.unit), ident),
-           "pgm unit translation not identity", (P.unit,))
-    for a in S.objects:
-        for b in S.objects:
-            ensure(functors_equal(P.lt(P.sum(a, b)),
-                                  compose_functors(P.lt(a), P.lt(b))),
-                   "pgm left translation composition", (a, b))
-            ensure(functors_equal(P.rt(P.sum(a, b)),
-                                  compose_functors(P.rt(b), P.rt(a))),
-                   "pgm right translation composition", (a, b))
-            ensure(functors_equal(compose_functors(P.lt(a), P.rt(b)),
-                                  compose_functors(P.rt(b), P.lt(a))),
-                   "pgm translation commutation", (a, b))
-
-
-def _check_interchanger_table(name, S, X, lt, rt, sigma):
+def _check_interchanger_table(S, X, lt, rt, sigma):
     """Typing and invertibility of an interchanger table whose first
     argument ranges over nonidentity 1-cells of S and second over
     nonidentity 1-cells of X; values are 2-cells of X.  lt(s): X -> X,
@@ -164,21 +137,23 @@ def _check_interchanger_table(name, S, X, lt, rt, sigma):
     nonid_x = [g for g in sorted(X.one_src) if not X.is_id1(g)]
     for key in sigma:
         ensure(key[0] in nonid_s and key[1] in nonid_x,
-               name + " spurious key", key)
+               "action interchanger spurious key", key)
     for f in nonid_s:
         for g in nonid_x:
-            ensure((f, g) in sigma, name + " missing", (f, g))
+            ensure((f, g) in sigma, "action interchanger missing", (f, g))
             c = sigma[(f, g)]
             a, a2 = S.one_src[f], S.one_tgt[f]
             b, b2 = X.one_src[g], X.one_tgt[g]
             src = X.comp1[(rt(b2).on_one[f], lt(a).on_one[g])]
             tgt = X.comp1[(lt(a2).on_one[g], rt(b).on_one[f])]
             ensure(c in X.two_src and X.two_src[c] == src
-                   and X.two_tgt[c] == tgt, name + " typing", (f, g, c))
-            ensure(X.is_invertible2(c), name + " not invertible", (f, g, c))
+                   and X.two_tgt[c] == tgt, "action interchanger typing",
+                   (f, g, c))
+            ensure(X.is_invertible2(c), "action interchanger not invertible",
+                   (f, g, c))
 
 
-def _check_interchanger_axioms(name, S, X, lt, rt, sigma_of):
+def _check_interchanger_axioms(S, X, lt, rt, sigma_of):
     """The cubical axioms for an interchanger: composition in each 1-cell
     argument and naturality in each 2-cell argument.  sigma_of(f, g) must
     already handle identity arguments."""
@@ -196,7 +171,7 @@ def _check_interchanger_axioms(name, S, X, lt, rt, sigma_of):
                                 X.whisk_l[(rt(b2).on_one[f2],
                                            sigma_of(f, g))])]
                 ensure(sigma_of(S.comp1[(f2, f)], g) == want,
-                       name + " left composition", (f2, f, g))
+                       "action interchanger left composition", (f2, f, g))
             # composition in the second argument
             a2 = S.one_tgt[f]
             for g2 in ones_x:
@@ -207,7 +182,7 @@ def _check_interchanger_axioms(name, S, X, lt, rt, sigma_of):
                                 X.whisk_r[(sigma_of(f, g2),
                                            lt(a).on_one[g])])]
                 ensure(sigma_of(f, X.comp1[(g2, g)]) == want,
-                       name + " right composition", (f, g2, g))
+                       "action interchanger right composition", (f, g2, g))
     # naturality in 2-cells of S
     for al in sorted(S.two_src):
         f, f2 = S.two_src[al], S.two_tgt[al]
@@ -218,7 +193,8 @@ def _check_interchanger_axioms(name, S, X, lt, rt, sigma_of):
                            X.whisk_r[(rt(b2).on_two[al], lt(a).on_one[g])])]
             rhs = X.vcomp[(X.whisk_l[(lt(a2).on_one[g], rt(b).on_two[al])],
                            sigma_of(f, g))]
-            ensure(lhs == rhs, name + " naturality (left)", (al, g))
+            ensure(lhs == rhs, "action interchanger naturality (left)",
+                   (al, g))
     # naturality in 2-cells of X
     for ga in sorted(X.two_src):
         g, g2 = X.two_src[ga], X.two_tgt[ga]
@@ -230,26 +206,8 @@ def _check_interchanger_axioms(name, S, X, lt, rt, sigma_of):
                            X.whisk_l[(rt(b2).on_one[f], lt(a).on_two[ga])])]
             rhs = X.vcomp[(X.whisk_r[(lt(a2).on_two[ga], rt(b).on_one[f])],
                            sigma_of(f, g))]
-            ensure(lhs == rhs, name + " naturality (right)", (f, ga))
-
-
-def _check_sigma_sum_coherence(P: PGM) -> None:
-    """The interchanger is compatible with translating either argument by
-    an object (the interchanger-level shadow of strict associativity)."""
-    S = P.carrier
-    ones = sorted(S.one_src)
-    for b in S.objects:
-        for f in ones:
-            for g in ones:
-                ensure(P.sigma_of(P.rt(b).on_one[f], g)
-                       == P.sigma_of(f, P.lt(b).on_one[g]),
-                       "pgm interchanger sum coherence (middle)", (f, b, g))
-                ensure(P.sigma_of(P.lt(b).on_one[f], g)
-                       == P.lt(b).on_two[P.sigma_of(f, g)],
-                       "pgm interchanger sum coherence (left)", (b, f, g))
-                ensure(P.rt(b).on_two[P.sigma_of(f, g)]
-                       == P.sigma_of(f, P.rt(b).on_one[g]),
-                       "pgm interchanger sum coherence (right)", (f, g, b))
+            ensure(lhs == rhs, "action interchanger naturality (right)",
+                   (f, ga))
 
 
 def _check_symmetry(P: PGM) -> None:
@@ -261,8 +219,11 @@ def _check_symmetry(P: PGM) -> None:
             ensure(bb in S.one_src and S.one_src[bb] == P.sum(a, b)
                    and S.one_tgt[bb] == P.sum(b, a),
                    "pgm symmetry typing", (a, b, bb))
-            ensure(S.comp1[(P.beta[(b, a)], bb)] == S.id1[P.sum(a, b)],
-                   "pgm symmetry involution", (a, b))
+    # every 1-cell is typed before any two are composed
+    for a in S.objects:
+        for b in S.objects:
+            ensure(S.comp1[(P.beta[(b, a)], P.beta[(a, b)])]
+                   == S.id1[P.sum(a, b)], "pgm symmetry involution", (a, b))
         ensure(S.is_id1(P.beta[(a, P.unit)]) and S.is_id1(P.beta[(P.unit, a)]),
                "pgm symmetry unit", (a,))
     # hexagon: the symmetry of a sum factors through the translations
@@ -305,19 +266,6 @@ def _check_symmetry(P: PGM) -> None:
             ensure(S.whisk_l[(P.beta[(a2, b2)], P.sigma_of(f, g))]
                    == S.whisk_r[(flip, P.beta[(a, b)])],
                    "pgm symmetry interchanger naturality", (f, g))
-
-
-def validate_pgm(P: PGM) -> PGM:
-    validate_two_category(P.carrier)
-    _check_sum_tables(P)
-    _check_translations(P)
-    _check_interchanger_table("pgm interchanger", P.carrier, P.carrier,
-                              P.lt, P.rt, P.sigma)
-    _check_interchanger_axioms("pgm interchanger", P.carrier, P.carrier,
-                               P.lt, P.rt, P.sigma_of)
-    _check_sigma_sum_coherence(P)
-    _check_symmetry(P)
-    return P
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +333,8 @@ def validate_action(A: PGMAction) -> PGMAction:
             ensure(functors_equal(compose_functors(A.mr(x), P.rt(a)),
                                   A.mr(A.act(a, x))),
                    "action associativity (right translations)", (a, x))
-    _check_interchanger_table("action interchanger", S, X, A.ml, A.mr,
-                              A.sigma)
-    _check_interchanger_axioms("action interchanger", S, X, A.ml, A.mr,
-                               A.sigma_of)
+    _check_interchanger_table(S, X, A.ml, A.mr, A.sigma)
+    _check_interchanger_axioms(S, X, A.ml, A.mr, A.sigma_of)
     # interchanger coherence with the sum of the acting monoid
     ones_s = sorted(S.one_src)
     ones_x = sorted(X.one_src)
@@ -418,6 +364,18 @@ def self_action(P: PGM) -> PGMAction:
     return PGMAction(P, P.carrier, dict(P.sum_objects),
                      dict(P.left_translations), dict(P.right_translations),
                      dict(P.sigma))
+
+
+def validate_pgm(P: PGM) -> PGM:
+    """Check every axiom of a permutative Gray monoid; returns P.  Those of
+    the translations and the interchanger are the axioms of the action of P
+    on itself, but for the unit law of the right translations."""
+    _check_sum_tables(P)
+    validate_action(self_action(P))
+    ensure(functors_equal(P.rt(P.unit), identity_functor(P.carrier)),
+           "pgm unit translation not identity", (P.unit,))
+    _check_symmetry(P)
+    return P
 
 
 # ---------------------------------------------------------------------------

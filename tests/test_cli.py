@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,8 @@ from twocat import pgm, sinv
 from twocat.cli import main
 from twocat.core import (AxiomError, TwoFunctor, identity_functor,
                          make_two_category)
-from twocat.fixtures import fix_c2, fix_g2, fix_i, fix_prod, fix_t
+from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
+                             fix_t)
 from twocat.homology import PresentedGroup, chain_complex
 from twocat.nerve import TruncSimplicialSet, nerve
 from test_homology import constant_system, dense_chain_complex
@@ -311,6 +313,53 @@ def test_cospan_with_different_targets_is_rejected(tmp_path, flags):
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert json.loads(proc.stdout)["error"] == (
             "ValueError: not a cospan: the functors have different targets")
+
+
+def cli_run(flags, *argv):
+    """Run `python [flags] -m twocat.cli argv` in a child process: under -O,
+    a check that is an assert would not run."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "twocat.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_functor_files_validate_their_two_categories(tmp_path, flags):
+    # the bang functor out of G2 with the vertical unit law broken is a
+    # 2-functor on its tables: only the source's own check can catch it
+    G2 = fix_g2()
+    broken = replace(G2, vcomp={**G2.vcomp, ("e0", "e1"): "e0"})
+    f = write(tmp_path, "bang.json", tio.two_functor_to_dict(
+        bang_functor(broken)))
+    cospan = write(tmp_path, "cospan.json", {"left": f, "right": f})
+    jobs = [["validate", f], ["laco", cospan], ["oplaco", cospan],
+            ["pullback", cospan], ["fiber", "--functor", f, "--object", "pt"],
+            ["opfib", "--functor", f],
+            ["ss", "--functor", f, "--pmax", 2, "--qmax", 2]]
+    for job in jobs:
+        proc = cli_run(flags, *job)
+        assert proc.returncode == 2, (job, proc.stdout + proc.stderr)
+        assert json.loads(proc.stdout)["counterexample"] == {
+            "clause": "axiom-failure",
+            "detail": ["vcomp left unit at ('e1',)"]}, job
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_untyped_symmetry_is_an_axiom_failure(tmp_path, flags):
+    # beta(1, 0) = id_0 runs 0 -> 0, not 1 + 0 -> 0 + 1; it must be
+    # rejected before it is composed with beta(0, 1) = id_1
+    P = pgm.fix_c2_pgm()
+    P = replace(P, beta={**P.beta, ("1", "0"): "id_0"})
+    p = write(tmp_path, "pgm.json", tio.pgm_to_dict(P))
+    for job in (["validate", p], ["sinv", "--pgm", p],
+                ["gc-check", "--pgm", p, "--max-deg", 1, "--trunc", 2]):
+        proc = cli_run(flags, *job)
+        assert proc.returncode == 2, (job, proc.stdout + proc.stderr)
+        assert json.loads(proc.stdout)["counterexample"] == {
+            "clause": "axiom-failure",
+            "detail": ["pgm symmetry typing at ('1', '0', 'id_0')"]}, job
 
 
 def test_fiber(run, tmp_path):

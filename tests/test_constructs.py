@@ -1,21 +1,24 @@
-from itertools import product
+import hashlib
+from itertools import chain, product
 
 import pytest
 
 from twocat import constructs, fixtures, pgm, sinv
+from twocat import io as tio
 from twocat.constructs import CommaResult, laco, mediate_laco
 from twocat.core import (AxiomError, Transformation, compose_functors,
-                         find_isomorphism, functor_op, functors_equal,
-                         identity_functor, op_dual, co_dual, coop_dual,
+                         functor_op, functors_equal, identity_functor,
+                         op_dual, co_dual, coop_dual,
                          functor_coop, make_two_category,
                          validate_two_category, validate_two_functor)
 from twocat.core import LAX, OPLAX, TWO_NATURAL, TwoFunctor
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
                              fix_t, nm, point_functor)
+from twocat.nerve import simplex_levels
 from twocat.orientals import materialize_oriental
 from twocat.specseq import base_change, simplex_functor
 
-from test_core import validate_transformation
+from test_core import find_isomorphism, validate_transformation
 from test_nerve import enumerate_simplices
 
 
@@ -617,3 +620,116 @@ def test_codiagram_matches_handwritten_builder(W):
     for p in range(3):
         assert len(enumerate_simplices(R.cat, p)) == \
             len(enumerate_simplices(cat, p))
+
+
+# --- the constructed tables, pinned -----------------------------------------
+#
+# One SHA-256 per family over io.two_category_to_dict of each category it
+# builds, in order: the orientals, the fixtures, each product of two
+# fixtures with its pullback, laco and oplaco of (pr1, pr1), laco over
+# every point and every strict fiber of pr1; rho-c2's source and target
+# with laco over every point of the target; and laco_diagram and
+# oplaco_codiagram over every simplex of dimension <= 2 of rho-c2's target
+# and source.  The digests were recorded before the table builders were
+# routed through core.build_two_category; any change to a table shows.
+
+PIN_FIXTURES = {"t": fix_t, "i": fix_i, "g2": fix_g2,
+                "g2sat": fixtures.fix_g2sat, "c2": fix_c2}
+
+
+def _rho_c2():
+    P = pgm.fix_c2_pgm()
+    return sinv.rho_projection(sinv.s_inv_x(P, pgm.self_action(P)),
+                               sinv.s_inv_point(P))
+
+
+def _product_family(a, b):
+    Pr, pr1, _ = fix_prod(PIN_FIXTURES[a](), PIN_FIXTURES[b]())
+    A = pr1.target
+    out = [Pr, constructs.pullback(pr1, pr1).cat, laco(pr1, pr1).cat,
+           constructs.oplaco(pr1, pr1).cat]
+    for x in A.objects:
+        out.append(laco(pr1, point_functor(A, x)).cat)
+        out.append(constructs.strict_fiber(pr1, x)[0])
+    return out
+
+
+def _rho_family():
+    rho = _rho_c2()
+    D = rho.target
+    return [rho.source, D] + [laco(rho, point_functor(D, y)).cat
+                              for y in D.objects]
+
+
+def _diagram_family():
+    rho = _rho_c2()
+    C, D = rho.source, rho.target
+    out = []
+    for si in chain.from_iterable(simplex_levels(D, 2)):
+        out.append(constructs.laco_diagram(rho, simplex_functor(D, si)).cat)
+    for om in chain.from_iterable(simplex_levels(C, 2)):
+        out.append(constructs.oplaco_codiagram(
+            compose_functors(rho, simplex_functor(C, om))).cat)
+    return out
+
+
+PIN_FAMILIES = {
+    **{"oriental-%d" % p: (lambda p=p: [materialize_oriental(p)])
+       for p in range(5)},
+    **{"fixture-" + a: (lambda f=f: [f()]) for a, f in PIN_FIXTURES.items()},
+    **{"prod-%s-%s" % (a, b): (lambda a=a, b=b: _product_family(a, b))
+       for a in PIN_FIXTURES for b in PIN_FIXTURES},
+    "rho-c2": _rho_family,
+    "rho-c2-diagrams": _diagram_family,
+}
+
+
+def family_digest(name: str) -> str:
+    rows = [tio.two_category_to_dict(C) for C in PIN_FAMILIES[name]()]
+    return hashlib.sha256(tio.dumps({"tables": rows}).encode()).hexdigest()
+
+
+PINNED_DIGESTS = {
+    'fixture-c2': 'bbe31102372b7d0ae9bfc93a5481f43025bc6fb020d07b9730fa9f1f4014759a',
+    'fixture-g2': 'f0a916bd1a9dd39184540067c7babf3c4ce1c061f254da41995f0144f65f3e59',
+    'fixture-g2sat': '5a803729ff4f6b344124fdcf6c5f289cc430430a3dbf019ac4fa5fbdcbb497fb',
+    'fixture-i': '34d7dd80f4a67c72e94c0138031040c6fffcf487f66234565a448f747ad8922d',
+    'fixture-t': '5f10698a765955432363045a45e53a84cd1bab36c03eed4fd4906b0265aa925b',
+    'oriental-0': '66c30d6d8d56af70be64d4e01a119186e3790d8e20bb22adaa4d65e9deab689b',
+    'oriental-1': '0800992f6f5271249f601c233b78c4639e96cc96fa7de321e629f4a8f3bca5b4',
+    'oriental-2': 'dc9ea7c372fd09c6cc074afc9ce46491cbb818b69121c65a9450076629c97c6f',
+    'oriental-3': '89586b9fa59575a266814e6e29cc381b9f1ebb8128f4f3c8ab69aae94cdf5bf7',
+    'oriental-4': '8b5156912fa1d9428f8b79b9aa190541560f1d0d7af3ef0f4ec7a88f0f8ab354',
+    'prod-c2-c2': '16730d55ba66f5fddedb9c161fc8953ed64a3d93e9121aaa74eb80d5944fb8e5',
+    'prod-c2-g2': '89dccc7f12d2402e8842690bcc289a3f28bf0ac60a71c4e68d516885ca10fa0a',
+    'prod-c2-g2sat': 'b44e5e3c73d636593a6027d882f37c1b665843211949409dee327c03ad009706',
+    'prod-c2-i': '252a6a8b7018ff57272a1310a1b75caf9f4802c1c4f05ba5bf6278d7eadac023',
+    'prod-c2-t': '302bbb15665e77e6e1668ed68025046548d7d8ddecdcb0514944ade0fe12f436',
+    'prod-g2-c2': '60fbd26885de40d0f9c12b7510b9efc3f0f3404a4d5e97fb3d01d445521eaf09',
+    'prod-g2-g2': '5c36371b1a939e0a3a98a13afd3d1ad01c3d6d765dd74eb5396c25f4092a40e8',
+    'prod-g2-g2sat': '2a72d41a37ca8d935b5398463074ac8fd6e78632664b6db9a1a4be15468408cb',
+    'prod-g2-i': '223fd1df05323a56e0394c9f29a51bb83284c53391ffd010e5ea70292b2582ed',
+    'prod-g2-t': '8c49a7f8f0185f68f36e4f0fafc2247efab5597676fbebd7adc24643008ebb67',
+    'prod-g2sat-c2': 'ca0e9cfedb5bba7323cbcc32f3941cc8adcf75ade8e031e67aedca8f49b1733c',
+    'prod-g2sat-g2': 'c6a4c21bfae3d9b028d6d75565af6625f75d83da6ada1cd24ef374b1db1db076',
+    'prod-g2sat-g2sat': 'ac2d705115e8c0d473201280d3a3ec410a6ae3c55c4ab612f873eeedcf8735e2',
+    'prod-g2sat-i': '9154c8452632123abc8f4c95056eeebf56c82007740d6ec84c36eb88084e6c3a',
+    'prod-g2sat-t': '2adf71dd5b8eb07b13a992f19bff881fbc0b4dd50ae1ea240ab17e16fdb21918',
+    'prod-i-c2': 'a8b08ab6f70643b70858a1d455a08f796de064afb2bd7aac4db5a3c68cc72a26',
+    'prod-i-g2': 'fa0f3b7a61b7ea4a86288d021d9bf4ecb3ed46b2c50b96be3824260aaa4b7ff0',
+    'prod-i-g2sat': '4971c5b687620c9e6810bee2789b94ede87f101a15d2fed699b6350494480710',
+    'prod-i-i': '5ac0e804b3ceaa4781ec5a83e1a3d04310ede0533bd24b2ad97a3ee97f7ec21d',
+    'prod-i-t': '7297b7fe4c64d8995de3bb8bfb3ce22e66750b1a8f23f90825e6f5f02bb92be3',
+    'prod-t-c2': 'e77043d304d10af3c23587e7d83e7d2067ce4ef7cf18052045e8c57474c58e71',
+    'prod-t-g2': 'cd8a8d7cb6807426ce5e750fa05094e38f655eaf88902252fa29c31a14c17364',
+    'prod-t-g2sat': '2888250be658e23351c370b9badf04574ccf5466b8114093b0cbcd2e3193a238',
+    'prod-t-i': 'b61050064763636072f8df1741a5a63859f57cd2ec1376132d45a7d4375adbc8',
+    'prod-t-t': '6593f9a2a35626176d4e29aff35963d879ed0ac6327e35f9881b5808f247dc96',
+    'rho-c2': '8a587f0542a28c4d6cf71b018c9694fd1555ee5470355c83f22a53f01423f13d',
+    'rho-c2-diagrams': '29183267762a16638e2fafbb7fcc1c1203ed570fdf5ee5045fe50efd32154afb',
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_FAMILIES))
+def test_constructed_tables_are_pinned(name):
+    assert family_digest(name) == PINNED_DIGESTS[name]

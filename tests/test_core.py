@@ -1,15 +1,120 @@
 from dataclasses import fields, replace
+from itertools import permutations
 
 import pytest
 
 from twocat import core, fixtures, io, pgm, sinv
 from twocat.constructs import laco
 from twocat.core import (LAX, PSEUDONATURAL, TWO_NATURAL, AxiomError,
-                         Transformation, co_dual, coop_dual, compose_functors,
-                         ensure, find_isomorphism, identity_functor, op_dual,
-                         validate_two_category, validate_two_functor)
+                         Transformation, TwoCategory, TwoFunctor, co_dual,
+                         coop_dual, compose_functors, ensure, identity_functor,
+                         op_dual, validate_two_category, validate_two_functor)
 from twocat.fixtures import (bang_functor, empty_two_category, fix_c2, fix_g2,
                              fix_g2sat, fix_i, fix_prod, fix_t)
+
+
+# --- isomorphism search (small categories only), which only tests use ------
+
+def find_isomorphism(C: TwoCategory, D: TwoCategory) -> TwoFunctor | None:
+    """Search for a strict 2-category isomorphism C -> D by backtracking on
+    the object map, then extending greedily on hom data.  Exponential; use
+    only on fixture-scale inputs."""
+    if len(C.objects) != len(D.objects):
+        return None
+    if len(C.one_src) != len(D.one_src) or len(C.two_src) != len(D.two_src):
+        return None
+    for perm in permutations(D.objects):
+        on_obj = dict(zip(C.objects, perm))
+        F = _extend_iso(C, D, on_obj)
+        if F is not None:
+            return F
+    return None
+
+
+def _extend_iso(C: TwoCategory, D: TwoCategory, on_obj) -> TwoFunctor | None:
+    # match 1-cells hom by hom, then 2-cells, by backtracking
+    ones_c = sorted(C.one_src)
+    for x in C.objects:
+        for y in C.objects:
+            hc = C.hom1(x, y)
+            hd = D.hom1(on_obj[x], on_obj[y])
+            if len(hc) != len(hd):
+                return None
+    def backtrack_ones(i, cur):
+        if i == len(ones_c):
+            yield dict(cur)
+            return
+        f = ones_c[i]
+        x, y = C.one_src[f], C.one_tgt[f]
+        for g in D.hom1(on_obj[x], on_obj[y]):
+            if g in cur.values():
+                continue
+            if C.is_id1(f) != D.is_id1(g):
+                continue
+            cur[f] = g
+            ok = True
+            # partial comp1 consistency
+            for (a, b), r in C.comp1.items():
+                if a in cur and b in cur and r in cur:
+                    if D.comp1[(cur[a], cur[b])] != cur[r]:
+                        ok = False
+                        break
+            if ok:
+                yield from backtrack_ones(i + 1, cur)
+            del cur[f]
+    for on_one in backtrack_ones(0, {}):
+        F = _extend_iso_twos(C, D, on_obj, on_one)
+        if F is not None:
+            return F
+    return None
+
+
+def _extend_iso_twos(C, D, on_obj, on_one) -> TwoFunctor | None:
+    twos_c = sorted(C.two_src)
+    def backtrack(i, cur):
+        if i == len(twos_c):
+            return dict(cur)
+        a = twos_c[i]
+        f, g = C.two_src[a], C.two_tgt[a]
+        for b in D.hom2(on_one[f], on_one[g]):
+            if b in cur.values():
+                continue
+            if C.is_id2(a) != D.is_id2(b):
+                continue
+            cur[a] = b
+            ok = True
+            for (p, q), r in C.vcomp.items():
+                if p in cur and q in cur and r in cur:
+                    if D.vcomp[(cur[p], cur[q])] != cur[r]:
+                        ok = False
+                        break
+            if ok:
+                for (k, p), r in C.whisk_l.items():
+                    if p in cur and r in cur:
+                        if D.whisk_l[(on_one[k], cur[p])] != cur[r]:
+                            ok = False
+                            break
+            if ok:
+                for (p, k), r in C.whisk_r.items():
+                    if p in cur and r in cur:
+                        if D.whisk_r[(cur[p], on_one[k])] != cur[r]:
+                            ok = False
+                            break
+            if ok:
+                res = backtrack(i + 1, cur)
+                if res is not None:
+                    return res
+            del cur[a]
+        return None
+    on_two = backtrack(0, {})
+    if on_two is None:
+        return None
+    F = TwoFunctor(C, D, dict(on_obj), dict(on_one), on_two)
+    try:
+        validate_two_functor(F)
+    except AxiomError:
+        return None
+    return F
 
 
 # --- the axioms of a transformation, which only tests check ------------------

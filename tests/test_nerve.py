@@ -13,13 +13,13 @@ from twocat import homology as hm
 from twocat import io as tio
 from twocat import nerve as nv
 from twocat.constructs import find_oplax_initial, find_oplax_terminal
-from twocat.core import (AxiomError, TwoFunctor, find_isomorphism,
-                         validate_two_category)
+from twocat.core import AxiomError, TwoFunctor, validate_two_category
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
                              fix_m2, fix_prod, fix_t)
 from twocat.intlinalg import chain_homology
 from twocat.orientals import increasing_paths, materialize_oriental
 
+from test_core import find_isomorphism
 from test_homology import ORACLE_CATEGORIES, operator_dicts
 
 

@@ -29,7 +29,6 @@ TEST_ONLY = {
     "specseq.filtration_check_q": "the twin of filtration_check_p",
     "pgm.localize_module": "localization of a canonical group, which an "
                            "acceptance criterion states",
-    "core.find_isomorphism": "uses private helpers of core",
     "opfib.comparison_H": "uses private helpers of opfib (_opcart_lift, "
                           "_opcart_betas)",
     "constructs.lp_initial_d_e": "ROADMAP item 3: φ_σ is its d",

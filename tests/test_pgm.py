@@ -1,14 +1,17 @@
 import random
+from ast import literal_eval
+from dataclasses import replace
 
 import pytest
 
-from twocat import pgm
+from twocat import pgm, sinv
 from twocat.core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
                          functors_equal, identity_functor,
                          validate_two_functor)
 from twocat.homology import PresentedGroup, in_relations, iso_inverse
 from twocat.intlinalg import (FGAbGroup, from_columns, hstack, kernel_mod_rels,
                               mid, mmul, order_relations)
+from twocat.fixtures import fix_g2, fix_prod, nm
 from twocat.opfib import Counterexample
 from twocat.pgm import PGM, PGMAction
 
@@ -117,6 +120,162 @@ def test_validation_catches_wrong_unit():
                   P.right_translations, P.sigma, P.beta)
     with pytest.raises(AxiomError):
         pgm.validate_pgm(bad)
+
+
+# --- one mutant per translation and interchanger-coherence clause ----------
+#
+# validate_pgm checks these clauses on the self-action of P.  Each mutant
+# below raises AxiomError; the message is that of the first check it fails.
+# The mutants for translation composition and commutation live on G2 x Q
+# (product_pgm): on the fixtures every translation is fixed by its object
+# map, so those clauses cannot fail there without an earlier one failing.
+# No fixture breaks a sum-coherence clause alone: the only interchangers
+# are those of S^-1 C2, which is locally discrete, so any change to them
+# or to a translation's 2-cells is mistyped first.
+
+
+def g2_times(Q: PGM) -> PGM:
+    """G2 x Q, componentwise, for a PGM Q with only identity 1-cells: the
+    translations act as those of Q on the second factor; no interchanger."""
+    C, pr1, pr2 = fix_prod(fix_g2(), Q.carrier)
+
+    def lift(H):    # the identity of G2 times H
+        return TwoFunctor(
+            C, C, {o: nm("*", H.on_objects[pr2.on_objects[o]])
+                   for o in C.objects},
+            {f: nm("i", H.on_one[pr2.on_one[f]]) for f in C.one_src},
+            {a: nm(pr1.on_two[a], H.on_two[pr2.on_two[a]])
+             for a in C.two_src})
+
+    def obj(x):
+        return nm("*", x)
+
+    return PGM(C, obj(Q.unit),
+               {(obj(a), obj(b)): obj(s)
+                for (a, b), s in Q.sum_objects.items()},
+               {obj(a): lift(F) for a, F in Q.left_translations.items()},
+               {obj(a): lift(F) for a, F in Q.right_translations.items()},
+               {}, {(obj(a), obj(b)): nm("i", f)
+                    for (a, b), f in Q.beta.items()})
+
+
+def kill_g2(F: TwoFunctor, at) -> TwoFunctor:
+    """F: G2 x Q -> G2 x Q with the G2 part of its image of each 2-cell
+    over an object in at made the identity e0; still a 2-functor."""
+    C = F.source
+    return replace(F, on_two={
+        a: nm("e0", literal_eval(b)[1])
+        if C.one_src[C.two_src[a]] in at else b
+        for a, b in F.on_two.items()})
+
+
+def with_translation(P: PGM, side: str, a: str, F: TwoFunctor) -> PGM:
+    field = side + "_translations"
+    return replace(P, **{field: {**getattr(P, field), a: F}})
+
+
+def g2_swap(F: TwoFunctor) -> TwoFunctor:
+    return replace(F, on_two={"e0": "e1", "e1": "e0"})
+
+
+def g2_collapse(F: TwoFunctor) -> TwoFunctor:
+    return replace(F, on_two={"e0": "e0", "e1": "e0"})
+
+
+def sinv_c2_pgm() -> PGM:
+    P = pgm.fix_c2_pgm()
+    return sinv.pgm_on_sinvs(sinv.s_inv_x(P, pgm.self_action(P)))
+
+
+def _translation_missing():
+    P = pgm.fix_c2_pgm()
+    return replace(P, left_translations={"0": P.lt("0")})
+
+
+def _translation_not_a_functor():
+    P = pgm.fix_g2_pgm()
+    return with_translation(P, "left", "*", g2_swap(P.lt("*")))
+
+
+def _translation_disagrees_with_sum():
+    P = pgm.fix_m2_pgm()
+    return with_translation(P, "left", "1", identity_functor(P.carrier))
+
+
+def _unit_translation(side):
+    P = pgm.fix_g2_pgm()
+    return with_translation(P, side, "*", g2_collapse(P.lt("*")))
+
+
+def _translation_composition(side):
+    # (*, 1) + (*, 1) = (*, 0), but the translation by (*, 1), twice, now
+    # kills the G2 part
+    P, one = g2_times(pgm.fix_c2_pgm()), nm("*", "1")
+    F = getattr(P, side + "_translations")[one]
+    return with_translation(P, side, one, kill_g2(F, P.carrier.objects))
+
+
+def _translation_commutation():
+    # under max, the left translation by (*, 1) stays idempotent when it
+    # kills the G2 part over (*, 0) alone; the right one does not kill it
+    P, one = g2_times(pgm.fix_m2_pgm()), nm("*", "1")
+    return with_translation(P, "left", one,
+                            kill_g2(P.lt(one), {nm("*", "0")}))
+
+
+def _coherence(which):
+    P = sinv_c2_pgm()
+    S = P.carrier
+    f, g = sorted(P.sigma)[1]
+    b = S.objects[1]
+    if which == "middle":
+        # the interchanger of (f, g) replaced by that of another pair
+        return replace(P, sigma={**P.sigma,
+                                 (f, g): P.sigma[sorted(P.sigma)[0]]})
+    F = getattr(P, which + "_translations")[b]
+    return with_translation(P, which, b, replace(F, on_two={
+        **F.on_two, P.sigma[(f, g)]: F.on_two[P.sigma[sorted(P.sigma)[0]]]}))
+
+
+PGM_MUTANTS = {
+    "translation missing": (_translation_missing,
+                            "action left translation missing"),
+    "translation not a 2-functor": (_translation_not_a_functor,
+                                    "functor preserves identity 2-cells"),
+    "translation agreement": (_translation_disagrees_with_sum,
+                              "action translation agreement"),
+    "left unit translation": (lambda: _unit_translation("left"),
+                              "action unit law"),
+    "right unit translation": (lambda: _unit_translation("right"),
+                               "pgm unit translation not identity"),
+    "left translation composition": (
+        lambda: _translation_composition("left"),
+        "action associativity (left translations)"),
+    "right translation composition": (
+        lambda: _translation_composition("right"),
+        "action associativity (right translations)"),
+    "translation commutation": (_translation_commutation,
+                                "action associativity (mixed)"),
+    "interchanger sum coherence (middle)": (
+        lambda: _coherence("middle"), "action interchanger typing"),
+    "interchanger sum coherence (left)": (
+        lambda: _coherence("left"), "functor preserves 2-cell typing"),
+    "interchanger sum coherence (right)": (
+        lambda: _coherence("right"), "functor preserves 2-cell typing"),
+}
+
+
+def test_product_fixtures_validate():
+    for Q in (pgm.fix_c2_pgm(), pgm.fix_m2_pgm()):
+        pgm.validate_pgm(g2_times(Q))
+
+
+@pytest.mark.parametrize("name", sorted(PGM_MUTANTS))
+def test_validation_catches_each_clause(name):
+    make, first_failure = PGM_MUTANTS[name]
+    with pytest.raises(AxiomError) as err:
+        pgm.validate_pgm(make())
+    assert str(err.value).startswith(first_failure + " at ")
 
 
 # --- components --------------------------------------------------------------

@@ -5,9 +5,8 @@ from twocat import opfib as of
 from twocat import pgm, sinv
 from twocat.constructs import strict_fiber
 from twocat.core import (LAX, PSEUDONATURAL, AxiomError, Transformation,
-                         TwoFunctor, compose_functors, ensure,
-                         find_isomorphism, functors_equal, identity_functor,
-                         validate_two_functor)
+                         TwoFunctor, compose_functors, ensure, functors_equal,
+                         identity_functor, validate_two_functor)
 from twocat.fixtures import fix_g2, fix_g2sat
 from twocat.homology import homology_subquotient, induced_iso
 from twocat.nerve import nerve
@@ -15,7 +14,7 @@ from twocat.opfib import Counterexample
 from twocat.pgm import PGM, PGMAction, validate_action
 from twocat.sinv import SInvCategory
 
-from test_core import validate_transformation
+from test_core import find_isomorphism, validate_transformation
 from test_pgm import is_strict_pgm_functor, trivial_action
 
 
