@@ -38,9 +38,10 @@ from .specseq import build_B, check_bisimplicial, e2_vs_local, pages
 CACHE_ENV = "TWOCAT_CACHE_DIR"
 RECORD = "sset-%s.json"        # a nerve file's position record, by digest
 
-# truncation bounds: a negative one leaves nothing to compute, and a report
-# on it would certify an empty range
-BOUNDS = ("max_dim", "pmax", "qmax", "max_deg")
+# truncation bounds and degrees: a negative one leaves nothing to compute,
+# and a report on it would certify an empty range; None is an unset option
+BOUNDS = ("max_dim", "pmax", "qmax", "max_deg", "fiber_coeffs", "deg",
+          "trunc")
 
 try:
     VERSION = metadata.version("twocat")
@@ -472,9 +473,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         ctx["pretty"] = args.pretty
         for name in BOUNDS:
-            if getattr(args, name, 0) < 0:
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
                 raise UsageError("--%s must be >= 0, got %d" % (
-                    name.replace("_", "-"), getattr(args, name)))
+                    name.replace("_", "-"), value))
         return args.func(args, ctx)
     except UsageError as e:
         _print({"error": "usage: %s" % e}, ctx)

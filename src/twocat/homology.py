@@ -14,8 +14,9 @@ Simplicial sets hold their faces as position tables
 (``nerve.TruncSimplicialSet``).  Chain complexes and chain maps are sparse
 columns (``intlinalg.sparse_columns``).  ``level_boundary`` builds every
 normalized boundary from a level's face rows and the ``basis_rows`` of it
-and the level below: the nerve's (``chain_complex``, which checks
-d^2 = 0) and those of the spectral-sequence pages and totalization.  Every
+and the level below: those of ``chain_complex``, which checks d^2 = 0,
+for a nerve or a column of the bisimplicial set B(F), and those of the
+d^1 and the totalization of B(F).  Every
 group here, H_n with or without coordinates, with local coefficients, and
 the canonical form of a presented group, is the ``.group`` of the one
 homology primitive ``intlinalg.chain_homology``.  ``homology_subquotient``

@@ -513,17 +513,14 @@ class ProjectionReport:
     preferred_opcartesian: tuple
 
 
-def rho_opfib_check(P: PGM, act: PGMAction,
-                    SX: SInvCategory | None = None,
-                    SP: SInvCategory | None = None):
+def rho_opfib_check(P: PGM, act: PGMAction):
     """Certify the projection S^-1 X -> S^-1 * as an opfibration.  The
     hypotheses are verified first; a failure is reported without
     constructing the completion."""
     hyp = check_completion_hypotheses(P, act)
     if hyp is not True:
         return hyp
-    SX = SX or s_inv_x(P, act)
-    SP = SP or s_inv_point(P)
+    SX, SP = s_inv_x(P, act), s_inv_point(P)
     rho = rho_projection(SX, SP)
     cert = of.check_opfibration(rho)
     if isinstance(cert, Counterexample):
@@ -555,8 +552,7 @@ class GroupCompletionReport:
 
 
 def group_completion_check(P: PGM, act: PGMAction | None = None,
-                           max_deg: int = 0, trunc: int | None = None,
-                           SX: SInvCategory | None = None
+                           max_deg: int = 0, trunc: int | None = None
                            ) -> GroupCompletionReport:
     """Verify, degree by degree, that the inclusion X -> S^-1 X localizes
     homology at the component monoid of S: H_q(X) with the pi0(S) action
@@ -573,7 +569,7 @@ def group_completion_check(P: PGM, act: PGMAction | None = None,
     if max_deg > trunc - 1:
         raise ValueError("degree %d untrusted at truncation %d"
                          % (max_deg, trunc))
-    SX = SX or s_inv_x(P, act)
+    SX = s_inv_x(P, act)
     X = act.carrier
     M = pi0_monoid(P)
     comp = pi0(P.carrier)

@@ -16,9 +16,11 @@ with its operators as position tables (``nerve.simplex_operators``): C's
 to Q and D's to P + Q + 1.  The front and back faces of a delta are
 composites of D's face rows, its horizontal operators are D's rows past
 the front block and its vertical ones D's rows in it, paired with C's on
-omega; so no simplex is built or searched for an operator.  They are
-stored as tables of positions within the target level, so the identity
-check, the pages and the totalization read integers, not cells.
+omega; so no simplex is built or searched for an operator.  B(F) is held
+as its rows and columns, each a ``nerve.TruncSimplicialSet`` whose
+operators are position tables, so the identity check, the pages (E^1 is
+the ``homology_subquotient`` of each column) and the totalization read
+integers, not cells.
 
 The module computes the first two pages of the homology spectral sequence
 of B(F) (vertical homology first), the homology of the totalization, and
@@ -117,20 +119,17 @@ class Bisimplex(NamedTuple):
 
 @dataclass
 class BisimplicialTrunc:
-    """Operator tables hold positions: face_h[(p, q)][i][k] is the position
-    in levels[(p - 1, q)] of d^h_i of the k-th cell of levels[(p, q)], and
-    likewise for the others.  A level where an operator is undefined has no
-    rows for it."""
+    """B(F) truncated at p <= P, q <= Q, as its rows and its columns, which
+    hold the tuples of levels: row q is p -> levels[(p, q)] under d^h and
+    s^h, truncated at P, and column p is q -> levels[(p, q)] under d^v and
+    s^v, truncated at Q.  So rows[q].faces[p][i][k] is the position in
+    levels[(p - 1, q)] of d^h_i of the k-th cell of levels[(p, q)]."""
     F: TwoFunctor
     P: int
     Q: int
     levels: dict               # (p, q) -> sorted tuple of Bisimplex
-    face_h: dict               # (p, q) -> rows i <= p into (p-1, q), p >= 1
-    face_v: dict               # (p, q) -> rows i <= q into (p, q-1), q >= 1
-    degen_h: dict              # (p, q) -> rows i <= p into (p+1, q), p < P
-    degen_v: dict              # (p, q) -> rows i <= q into (p, q+1), q < Q
-    degenerate_h: dict         # (p, q) -> list of bool, one per cell
-    degenerate_v: dict         # (p, q) -> list of bool, one per cell
+    rows: list                 # q -> TruncSimplicialSet under d^h, s^h
+    cols: list                 # p -> TruncSimplicialSet under d^v, s^v
 
 
 def _block_cells(fom: OrientedSimplex, si: OrientedSimplex):
@@ -159,7 +158,8 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
     composite of D's rows d_last, the back face one of its rows d_0;
     d^h_i and s^h_i are D's rows q + 1 + i on delta, and d^v_i and s^v_i
     pair C's row i on omega with D's row i on delta.  A cell's operator
-    is then a pair of integers."""
+    is then a pair of integers, and the tables of each row and column make
+    one ``TruncSimplicialSet``."""
     C, D = F.source, F.target
     oms, om_face, om_degen = simplex_operators(C, Q)
     d_levels, d_face, d_degen = simplex_operators(D, P + Q + 1)
@@ -212,7 +212,7 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
             out.append(st[o] + rk[d] if fr[d] == bo[o] else None)
         return out
 
-    face_h, face_v, degen_h, degen_v = {}, {}, {}, {}
+    ops = {}                    # (p, q) -> d^h, s^h, d^v, s^v rows
     for (p, q), cells in levels.items():
         m = q + 1 + p
         fh = [row(p, q, None, d_face[m][q + 1 + i], (p - 1, q))
@@ -225,19 +225,16 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
               for i in range(q + 1)] if q < Q else []
         if any(None in r for r in fh + dh + fv + dv):
             _raise_first_miss(C, D, cells, fh, dh, fv, dv)
-        face_h[(p, q)], degen_h[(p, q)] = fh, dh
-        face_v[(p, q)], degen_v[(p, q)] = fv, dv
-    degenerate_h, degenerate_v = {}, {}
-    for (p, q), cells in levels.items():
-        # x is degenerate when x = s_i d_{i+1} x for some i
-        degenerate_h[(p, q)] = [any(
-            degen_h[(p - 1, q)][i][face_h[(p, q)][i + 1][k]] == k
-            for i in range(p)) for k in range(len(cells))]
-        degenerate_v[(p, q)] = [any(
-            degen_v[(p, q - 1)][i][face_v[(p, q)][i + 1][k]] == k
-            for i in range(q)) for k in range(len(cells))]
-    return BisimplicialTrunc(F, P, Q, levels, face_h, face_v,
-                             degen_h, degen_v, degenerate_h, degenerate_v)
+        ops[(p, q)] = fh, dh, fv, dv
+
+    def line(n, keys, a):
+        return TruncSimplicialSet(n, [levels[k] for k in keys],
+                                  [ops[k][a] for k in keys],
+                                  [ops[k][a + 1] for k in keys])
+    return BisimplicialTrunc(
+        F, P, Q, levels,
+        [line(P, [(p, q) for p in range(P + 1)], 0) for q in range(Q + 1)],
+        [line(Q, [(p, q) for q in range(Q + 1)], 2) for p in range(P + 1)])
 
 
 def _raise_first_miss(C, D, cells, fh, dh, fv, dv):
@@ -269,41 +266,27 @@ def check_bisimplicial(B: BisimplicialTrunc) -> bool:
     (``nerve.check_simplicial_identities``) plus commutation of every
     horizontal operator with every vertical one, verified exhaustively
     within the truncation."""
-    fh, fv, dh, dv = B.face_h, B.face_v, B.degen_h, B.degen_v
-
-    def line(d, cells):
-        return TruncSimplicialSet(len(cells) - 1, *(
-            [getattr(B, name)[c] for c in cells]
-            for name in ("levels", "face_" + d, "degen_" + d)))
-
     try:
-        for q in range(B.Q + 1):
-            check_simplicial_identities(
-                line("h", [(p, q) for p in range(B.P + 1)]))
-        for p in range(B.P + 1):
-            check_simplicial_identities(
-                line("v", [(p, q) for q in range(B.Q + 1)]))
+        for X in B.rows + B.cols:
+            check_simplicial_identities(X)
     except AxiomError:
         return False
-    for (p, q), cells in B.levels.items():
-        for i in range(p + 1):
-            for j in range(q + 1):
-                if p >= 1 and q >= 1 and \
-                        compose_rows(fv[(p - 1, q)][j], fh[(p, q)][i]) != \
-                        compose_rows(fh[(p, q - 1)][i], fv[(p, q)][j]):
-                    return False
-                if p < B.P and q < B.Q and \
-                        compose_rows(dv[(p + 1, q)][j], dh[(p, q)][i]) != \
-                        compose_rows(dh[(p, q + 1)][i], dv[(p, q)][j]):
-                    return False
-                if p >= 1 and q < B.Q and \
-                        compose_rows(dv[(p - 1, q)][j], fh[(p, q)][i]) != \
-                        compose_rows(fh[(p, q + 1)][i], dv[(p, q)][j]):
-                    return False
-                if p < B.P and q >= 1 and \
-                        compose_rows(fv[(p + 1, q)][j], dh[(p, q)][i]) != \
-                        compose_rows(dh[(p, q - 1)][i], fv[(p, q)][j]):
-                    return False
+
+    # v_j h_i = h_i v_j for h a horizontal face or degeneracy from (p, q)
+    # to (p + dp, q) and v a vertical one from (p, q) to (p, q + dq)
+    steps = ((-1, "faces"), (1, "degens"))
+    for p, q in B.levels:
+        for dp, hs in steps:
+            for dq, vs in steps:
+                if not (0 <= p + dp <= B.P and 0 <= q + dq <= B.Q):
+                    continue
+                h, h2 = (getattr(B.rows[r], hs)[p] for r in (q, q + dq))
+                v, v2 = (getattr(B.cols[c], vs)[q] for c in (p, p + dp))
+                for i in range(p + 1):
+                    for j in range(q + 1):
+                        if compose_rows(v2[j], h[i]) != \
+                                compose_rows(h2[i], v[j]):
+                            return False
     return True
 
 
@@ -322,26 +305,21 @@ class SSPages:
 
 
 def pages(B: BisimplicialTrunc) -> SSPages:
-    """E^1 (vertical homology on normalized columns) and E^2 (homology of
-    the E^1 rows under the induced horizontal differential).  Entries are
-    trusted for p <= P-1 and q <= Q-1; the extra column p = P on E^1 is
-    computed only to supply boundaries for E^2."""
-    rows = {k: basis_rows(v) for k, v in B.degenerate_v.items()}
-    size = {k: v.count(False) for k, v in B.degenerate_v.items()}
+    """E^1 (the homology of each column, ``homology_subquotient``, which
+    checks d^2 = 0 on it) and E^2 (homology of the E^1 rows under the
+    d^1 that the horizontal boundary induces on the vertically normalized
+    chains).  Entries are trusted for p <= P-1 and q <= Q-1; the extra
+    column p = P on E^1 is computed only to supply boundaries for E^2."""
     E1, E1_sq, d1 = {}, {}, {}
-    for p in range(B.P + 1):
-        for q in range(B.Q):
-            dV = level_boundary(B.face_v[(p, q)], rows[(p, q)],
-                                rows.get((p, q - 1)))
-            bnd = level_boundary(B.face_v[(p, q + 1)], rows[(p, q + 1)],
-                                 rows[(p, q)])
-            E1_sq[(p, q)] = sq = il.chain_homology(
-                dV, bnd, len(dV), size.get((p, q - 1), 0))
-            E1[(p, q)] = sq.group
+    for p, col in enumerate(B.cols):
+        for H in homology_subquotient(col, range(B.Q)):
+            E1_sq[(p, H.n)], E1[(p, H.n)] = H.sq, H.sq.group
+    basis = [[basis_rows(flags) for flags in col.degenerate]
+             for col in B.cols]
     for p in range(1, B.P + 1):
         for q in range(B.Q):
-            M = level_boundary(B.face_h[(p, q)], rows[(p, q)],
-                               rows[(p - 1, q)])
+            M = level_boundary(B.rows[q].faces[p], basis[p][q],
+                               basis[p - 1][q])
             d1[(p, q)] = il.induced_matrix(E1_sq[(p, q)], E1_sq[(p - 1, q)],
                                            M)
     E2 = {}
@@ -367,16 +345,16 @@ def total_boundary(B: BisimplicialTrunc, m: int) -> list:
     def rows(d):                # basis_rows of the levels of degree d
         out, start = {}, 0
         for p in range(max(0, d - B.Q), min(d, B.P) + 1):
-            flags = list(map(or_, B.degenerate_h[(p, d - p)],
-                             B.degenerate_v[(p, d - p)]))
+            flags = list(map(or_, B.rows[d - p].degenerate[p],
+                             B.cols[p].degenerate[d - p]))
             out[(p, d - p)] = basis_rows(flags, start)
             start += flags.count(False)
         return out
 
     tgt, cols = rows(m - 1), []
     for (p, q), src in rows(m).items():
-        h = level_boundary(B.face_h[(p, q)], src, tgt.get((p - 1, q)))
-        v = level_boundary(B.face_v[(p, q)], src, tgt.get((p, q - 1)))
+        h = level_boundary(B.rows[q].faces[p], src, tgt.get((p - 1, q)))
+        v = level_boundary(B.cols[p].faces[q], src, tgt.get((p, q - 1)))
         cols += [a + tuple((r, -w if p % 2 else w) for r, w in b)
                  for a, b in zip(h, v)]
     return cols
@@ -393,8 +371,8 @@ def totalization_homology(B: BisimplicialTrunc, n: int) -> il.FGAbGroup:
             % (n, n + 1, B.P, B.Q))
     d_in = total_boundary(B, n)         # empty columns for n = 0
     f = sum(not (h or v) for p in range(max(0, n - 1 - B.Q), n)
-            for h, v in zip(B.degenerate_h[(p, n - 1 - p)],
-                            B.degenerate_v[(p, n - 1 - p)]))
+            for h, v in zip(B.rows[n - 1 - p].degenerate[p],
+                            B.cols[p].degenerate[n - 1 - p]))
     return il.chain_homology(d_in, total_boundary(B, n + 1), len(d_in),
                              f).group
 

@@ -1179,13 +1179,19 @@ def test_ss_reaches_no_oriental_and_no_cone(run, tmp_path, monkeypatch,
     ["ss", "--functor", "pr2.json", "--pmax", "-1"],
     ["ss", "--functor", "pr2.json", "--qmax", "-1"],
     ["nerve", "--input", "g2.json", "--max-dim", "-1"],
-], ids=["max-deg", "pmax", "qmax", "max-dim"])
+    ["ss", "--functor", "pr2.json", "--fiber-coeffs", "-1"],
+    ["homology", "--nerve", "g2-nerve.json", "--deg", "-1"],
+    ["gc-check", "--pgm", "m2.json", "--trunc", "-1"],
+], ids=["max-deg", "pmax", "qmax", "max-dim", "fiber-coeffs", "deg",
+        "trunc"])
 def test_negative_bound_is_a_usage_error(tmp_path, flags, argv):
     # a negative truncation bound would certify an empty range of degrees
     write(tmp_path, "m2.json", tio.pgm_to_dict(pgm.fix_m2_pgm()))
     write(tmp_path, "pr2.json",
           tio.two_functor_to_dict(fix_prod(fix_g2(), fix_c2())[2]))
     write(tmp_path, "g2.json", tio.two_category_to_dict(fix_g2()))
+    write(tmp_path, "g2-nerve.json",
+          tio.trunc_sset_to_dict(nerve(fix_g2(), 2)))
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
     proc = subprocess.run(

@@ -25,7 +25,8 @@ TEST_ONLY = {
     "io.coeff_system_to_dict": "io writer: the file API for coefficient "
                                "systems",
     "specseq.filtration_check_p": "ROADMAP item 3 puts it to work",
-    "sinv.rho_opfib_check": "ROADMAP item 4 puts it to work",
+    "sinv.rho_opfib_check": "ROADMAP item 6 puts it to work on the "
+                            "group-completion hypotheses",
     "specseq.filtration_check_q": "the twin of filtration_check_p",
     "pgm.localize_module": "localization of a canonical group, which an "
                            "acceptance criterion states",

@@ -1,5 +1,5 @@
 from ast import literal_eval
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import lru_cache, partial
 from types import SimpleNamespace
 
@@ -297,8 +297,10 @@ def grown_build_B(F, P, Q):
         degenerate_v[(p, q)] = [any(
             degen_v[(p, q - 1)][i][face_v[(p, q)][i + 1][k]] == k
             for i in range(q)) for k in range(len(cells))]
-    return ss.BisimplicialTrunc(F, P, Q, levels, face_h, face_v, degen_h,
-                                degen_v, degenerate_h, degenerate_v)
+    return SimpleNamespace(F=F, P=P, Q=Q, levels=levels, face_h=face_h,
+                           face_v=face_v, degen_h=degen_h, degen_v=degen_v,
+                           degenerate_h=degenerate_h,
+                           degenerate_v=degenerate_v)
 
 
 # --- the pairwise, dict-keyed B(F) as an oracle ------------------------------
@@ -446,8 +448,26 @@ SHIFTS = {"face_h": (-1, 0), "face_v": (0, -1),
           "degen_h": (1, 0), "degen_v": (0, 1)}
 
 
+def tables(B):
+    """The rows and columns of B as (p, q)-keyed tables: face_h[(p, q)] is
+    rows[q].faces[p], face_v[(p, q)] is cols[p].faces[q], and likewise for
+    the degeneracies and the degenerate flags.  Every row and column must
+    hold the tuples of B.levels."""
+    assert all(B.rows[q].levels[p] is B.cols[p].levels[q] is cells
+               for (p, q), cells in B.levels.items())
+    out = SimpleNamespace(F=B.F, P=B.P, Q=B.Q, levels=B.levels)
+    for name, attr in (("face_", "faces"), ("degen_", "degens"),
+                       ("degenerate_", "degenerate")):
+        setattr(out, name + "h", {(p, q): getattr(B.rows[q], attr)[p]
+                                  for p, q in B.levels})
+        setattr(out, name + "v", {(p, q): getattr(B.cols[p], attr)[q]
+                                  for p, q in B.levels})
+    return out
+
+
 def as_dicts(B):
     """The tables of B in the oracle's dict-keyed form."""
+    B = tables(B)
     out = SimpleNamespace(P=B.P, Q=B.Q, levels=B.levels, level_of={
         x: k for k, cells in B.levels.items() for x in cells})
     for name, (dp, dq) in SHIFTS.items():
@@ -535,9 +555,10 @@ GROWN_CASES = ORACLE_CASES + [
                               for c in GROWN_CASES])
 def test_build_B_matches_the_grown_oracle(make, P, Q):
     F = make()
-    B, G = ss.build_B(F, P, Q), grown_build_B(F, P, Q)
-    for f in fields(B):
-        assert getattr(B, f.name) == getattr(G, f.name), f.name
+    got, G = tables(ss.build_B(F, P, Q)), grown_build_B(F, P, Q)
+    assert vars(got).keys() == vars(G).keys()
+    for name, want in vars(G).items():
+        assert getattr(got, name) == want, name
 
 
 @pytest.mark.parametrize("make,P,Q", [c[1:] for c in NON_SURJECTIVE],
@@ -565,10 +586,19 @@ def test_build_B_grows_no_delta_over_a_block_outside_the_target():
 
 
 def _corrupted(B, name, level, i, k, value):
-    rows = [list(r) for r in getattr(B, name)[level]]
-    assert rows[i][k] != value
-    rows[i][k] = value
-    return replace(B, **{name: {**getattr(B, name), level: rows}})
+    """B with entry k of row i of the table name ("face_h", ...) at level
+    set to value, in the row or column of B that holds it; replace works
+    out that line's degenerate flags again."""
+    op, d = name.split("_")
+    (p, q), attr, side = level, op + "s", "rows" if d == "h" else "cols"
+    at, n = (q, p) if d == "h" else (p, q)
+    lines = list(getattr(B, side))
+    table = list(getattr(lines[at], attr))
+    table[n] = [list(r) for r in table[n]]
+    assert table[n][i][k] != value
+    table[n][i][k] = value
+    lines[at] = replace(lines[at], **{attr: table})
+    return replace(B, **{side: lines})
 
 
 @pytest.mark.parametrize("direction", ["h", "v"])
@@ -579,7 +609,7 @@ def test_check_bisimplicial_rejects_a_corrupted_table(direction):
     low, high = ((0, 1), (1, 1)) if direction == "h" else ((1, 0), (1, 1))
     assert len(B.levels[low]) >= 2
     fc, dg = "face_" + direction, "degen_" + direction
-    s0 = getattr(B, dg)[low][0]
+    s0 = getattr(tables(B), dg)[low][0]
     bad = [_corrupted(B, fc, high, 0, s0[0], 1),
            _corrupted(B, dg, low, 0, 0, s0[1])]
     for C in bad:
@@ -593,14 +623,27 @@ def test_check_bisimplicial_reads_the_column_identities(monkeypatch):
     # held for 1 - j, but d_0 d_1 = d_0 d_0 on level q = 2 now reads
     # d_1 d_1 = d_1 d_0, which fails; only the column check sees it
     B = ss.build_B(swap_projection(), 2, 2)
-    face_v = {**B.face_v, **{(p, 1): B.face_v[(p, 1)][::-1]
-                             for p in range(B.P + 1)}}
-    C = replace(B, face_v=face_v)
-    assert face_v != B.face_v
+    C = replace(B, cols=[replace(X, faces=[X.faces[0], X.faces[1][::-1],
+                                           *X.faces[2:]]) for X in B.cols])
+    assert tables(C).face_v != tables(B).face_v
     assert not ss.check_bisimplicial(C)
     assert not oracle_check_bisimplicial(as_dicts(C))
     monkeypatch.setattr(ss, "check_simplicial_identities", lambda X: None)
     assert ss.check_bisimplicial(C)
+
+
+def test_pages_check_d2_on_every_column():
+    # d^v_0 := d^v_1 on a nondegenerate 2-cell x of column 0 whose two faces
+    # differ: the boundary of x is then d^v_2 x alone, whose own boundary
+    # is not zero; E1 is homology_subquotient of each column, which checks
+    # d^2 = 0 there
+    B = ss.build_B(swap_projection(), 2, 2)
+    faces, flags = B.cols[0].faces[2], B.cols[0].degenerate[2]
+    k = next(k for k, d in enumerate(flags)
+             if not d and faces[0][k] != faces[1][k])
+    C = _corrupted(B, "face_v", (0, 2), 0, k, faces[1][k])
+    with pytest.raises(AxiomError, match="boundary squared is nonzero"):
+        ss.pages(C)
 
 
 # --- pages and totalization --------------------------------------------------
@@ -626,7 +669,7 @@ def nondegenerate(flags):
 def total_basis(B, m):
     """(level, position) of each cell of total degree m that is
     nondegenerate in both directions."""
-    out = []
+    B, out = tables(B), []
     for p in range(m + 1):
         q = m - p
         if p <= B.P and q <= B.Q:
@@ -639,6 +682,7 @@ def total_basis(B, m):
 def dense_total_d(B, m):
     """Oracle: the dense total differential d^H + (-1)^p d^V of degree m."""
     src, tgt = total_basis(B, m), total_basis(B, m - 1)
+    B = tables(B)
     idx = {y: r for r, y in enumerate(tgt)}
     M = il.mzeros(len(tgt), len(src))
     for j, ((p, q), k) in enumerate(src):
@@ -654,6 +698,7 @@ def dense_total_d(B, m):
 def row_homology(B, q, p):
     """Homology of the horizontally normalized row at vertical level q,
     before taking vertical homology; trusted for p <= P-1."""
+    B = tables(B)
     if p > B.P - 1:
         raise ValueError("row H_%d needs horizontal bound >= %d, have %d"
                          % (p, p + 1, B.P))
@@ -694,15 +739,16 @@ CRITERION_05 = [("interval", lambda: identity_functor(fix_i())),
                          ids=[n for n, _ in CRITERION_05])
 def test_boundary_columns_match_dense_oracles(make):
     B = ss.build_B(make(), 3, 3)
+    T = tables(B)
     rows = {d: {k: hm.basis_rows(flags) for k, flags in
-                getattr(B, "degenerate_" + d).items()} for d in "hv"}
+                getattr(T, "degenerate_" + d).items()} for d in "hv"}
     for (p, q) in B.levels:
         for d, lo, n in (("h", (p - 1, q), p), ("v", (p, q - 1), q)):
             if not n:
                 continue
-            src = nondegenerate(getattr(B, "degenerate_" + d)[(p, q)])
-            tgt = nondegenerate(getattr(B, "degenerate_" + d)[lo])
-            faces = getattr(B, "face_" + d)[(p, q)]
+            src = nondegenerate(getattr(T, "degenerate_" + d)[(p, q)])
+            tgt = nondegenerate(getattr(T, "degenerate_" + d)[lo])
+            faces = getattr(T, "face_" + d)[(p, q)]
             got = hm.level_boundary(faces, rows[d][(p, q)], rows[d][lo])
             assert got == as_columns(alt_sum_matrix(src, tgt, faces),
                                      len(src))
