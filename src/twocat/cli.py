@@ -308,6 +308,10 @@ def cmd_ss(args, ctx) -> int:
         bounds["fiber_coeffs"] = args.fiber_coeffs
     data, = _inputs(ctx, "ss", [args.functor], bounds)
     F = _functor(json.loads(data))
+    if args.fiber_coeffs is not None and args.fiber_coeffs >= args.qmax:
+        # the pages trust the rows q <= qmax - 1
+        raise UsageError("--fiber-coeffs %d exceeds the trusted row %d"
+                         % (args.fiber_coeffs, args.qmax - 1))
     B = build_B(F, args.pmax, args.qmax)
     if not check_bisimplicial(B):
         raise AxiomError("bisimplicial identities fail within the bounds")
@@ -322,9 +326,6 @@ def cmd_ss(args, ctx) -> int:
     }
     if args.fiber_coeffs is not None:
         q = args.fiber_coeffs
-        if q > trusted_q:
-            raise UsageError("--fiber-coeffs %d exceeds the trusted row %d"
-                             % (q, trusted_q))
         cert = check_opfibration(F)
         if isinstance(cert, Counterexample):
             return _fail(ctx, cert.clause, cert.detail)

@@ -2,10 +2,11 @@
 
 Strict pullbacks, the lax comma object laco(F, G) and its oplax variant,
 mediating 2-functors from the universal property, strict fibers, oplax
-initial/terminal witnesses, and the diagram-shaped comma objects of cones
-over a diagram and (as its op-dual) of cocones under one.  Base change
-between the comma objects over two points, along a 1-cell joining them,
-is built in ``specseq``, where it carries fiber homology along an edge.
+initial witnesses (an oplax terminal one is an oplax initial one of the
+op-dual), and the diagram-shaped comma objects of cones over a diagram and
+(as its op-dual) of cocones under one.  Each 2-functor into a lax comma
+object, ``specseq``'s base change along a 1-cell among them, is the
+``mediate_laco`` of two projections and a laxity.
 The uniqueness and identity checks of the mediators are lemma checks that
 only tests run (``tests/test_constructs.py``).
 
@@ -31,7 +32,7 @@ from itertools import product
 from .core import (LAX, OPLAX, TWO_NATURAL, Transformation, TwoCategory,
                    TwoFunctor, build_two_category, compose_functors,
                    functor_op, identity_functor, op_dual)
-from .fixtures import nm, point_functor
+from .fixtures import bang_functor, nm, point_functor
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def strict_fiber(P: TwoFunctor, x: str):
 
 
 # ---------------------------------------------------------------------------
-# oplax initial / terminal objects
+# oplax initial objects
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -319,12 +320,6 @@ def find_oplax_initial(E: TwoCategory) -> OplaxInitialWitness | None:
             if at_object[iota] == E.id1[iota]:
                 return OplaxInitialWitness(iota, at_object, dict(cells))
     return None
-
-
-def find_oplax_terminal(E: TwoCategory) -> OplaxInitialWitness | None:
-    """Oplax terminal = oplax initial in E^op; the witness is returned in
-    E^op terms (components are 1-cells j -> tau of E)."""
-    return find_oplax_initial(op_dual(E))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +350,6 @@ class DiagramCommaResult:
     one_data: dict
     two_data: dict
     E: TwoCategory
-    G: TwoFunctor
 
 
 def _oplax_cone_ok(D: TwoCategory, E: TwoCategory, G: TwoFunctor,
@@ -504,7 +498,7 @@ def laco_diagram(F: TwoFunctor, G: TwoFunctor) -> DiagramCommaResult:
                         {m: k[2] for k, m in ones.items()},
                         {x: k[2] for k, x in twos.items()})
     return DiagramCommaResult(cat, p_left, objs, ones, twos,
-                              obj_data, one_data, two_data, E, G)
+                              obj_data, one_data, two_data, E)
 
 
 def _modification_ok(D, E, G, fs, comps, cells, comps2, cells2, la) -> bool:
@@ -533,8 +527,9 @@ def lp_initial_d_e(F: TwoFunctor, G: TwoFunctor,
     C, D = F.source, F.target
     E = G.source
     iota = w.obj
+    xhat = point_functor(D, G.on_objects[iota])
     if Lpt is None:
-        Lpt = laco(F, point_functor(D, G.on_objects[iota]))
+        Lpt = laco(F, xhat)
     if Ldia is None:
         Ldia = laco_diagram(F, G)
 
@@ -560,19 +555,13 @@ def lp_initial_d_e(F: TwoFunctor, G: TwoFunctor,
         d_two[cc] = Ldia.two_id[(d_one[m], d_one[m2], phi)]
     d = TwoFunctor(Lpt.cat, Ldia.cat, d_obj, d_one, d_two)
 
-    e_obj = {}
-    for (c, comps, cells), o in Ldia.obj_id.items():
-        e_obj[o] = Lpt.obj_id[(c, dict(comps)[iota], "pt")]
-    e_one = {}
-    for (o, o2, s, la), m in Ldia.one_id.items():
-        e_one[m] = Lpt.one_id[(e_obj[o], e_obj[o2], s, dict(la)[iota],
-                               Lpt.p_right.target.id1["pt"])]
-    e_two = {}
-    for (m, m2, phi), cc in Ldia.two_id.items():
-        e_two[cc] = Lpt.two_id[(e_one[m], e_one[m2], phi,
-                                Lpt.p_right.target.id2[
-                                    Lpt.p_right.target.id1["pt"]])]
-    e = TwoFunctor(Ldia.cat, Lpt.cat, e_obj, e_one, e_two)
+    # e reads each cone's and each modification's component at iota
+    bang = bang_functor(Ldia.cat)
+    lam = Transformation(
+        compose_functors(F, Ldia.p_left), compose_functors(xhat, bang),
+        {o: dict(k[1])[iota] for o, k in Ldia.obj_data.items()},
+        {m: dict(k[3])[iota] for m, k in Ldia.one_data.items()})
+    e = mediate_laco(Lpt, Ldia.p_left, bang, lam)
 
     # 2-natural Id => d.e with component at (c, nu) the 1-cell
     # [1_c, {nu_{h_j}}_j]: (c, nu) -> de(c, nu)

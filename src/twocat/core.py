@@ -502,7 +502,3 @@ def functor_op(F: TwoFunctor) -> TwoFunctor:
 
 def functor_co(F: TwoFunctor) -> TwoFunctor:
     return replace(F, source=co_dual(F.source), target=co_dual(F.target))
-
-
-def functor_coop(F: TwoFunctor) -> TwoFunctor:
-    return functor_co(functor_op(F))

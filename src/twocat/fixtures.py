@@ -150,7 +150,3 @@ def bang_functor(C: TwoCategory) -> TwoFunctor:
     return TwoFunctor(C, T, {x: "pt" for x in C.objects},
                       {f: T.id1["pt"] for f in C.one_src},
                       {a: T.id2[T.id1["pt"]] for a in C.two_src})
-
-
-def empty_two_category() -> TwoCategory:
-    return make_two_category([], {}, {}, {}, {}, {}, {}, {}, {})

@@ -200,9 +200,7 @@ def smith_normal_form(M) -> SNF:
 def kernel_basis(M):
     """Columns forming a basis of the integer kernel of M (a primitive
     sublattice basis)."""
-    r, c = mshape(M)
-    if c == 0:
-        return [[] for _ in range(c)]
+    c = mshape(M)[1]
     snf = smith_normal_form(M)
     rk = snf.rank
     cols = columns(snf.T)[rk:]

@@ -18,9 +18,10 @@ H: laco(P,F) -> pb(P,F) with H.i = id and the pseudonatural eta: 1 => i.H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .constructs import CommaResult, PullbackResult, laco, pullback
+from .constructs import (CommaResult, PullbackResult, comma_inclusion, laco,
+                         pullback)
 from .core import AxiomError, NormalPseudofunctor, TwoFunctor
 
 
@@ -38,7 +39,6 @@ def _ordered_twos(K, cells):
 
 @dataclass
 class CartesianCertificate:
-    cell: str
     lifts: dict            # (psi, phi) -> unique lift phi^c
 
 
@@ -69,7 +69,7 @@ def is_cartesian_2cell(P: TwoFunctor, ga: str):
                     return Counterexample(
                         "cartesian-2cell", (ga, k, psi, phi, tuple(cands)))
                 lifts[(psi, phi)] = cands[0]
-    return CartesianCertificate(ga, lifts)
+    return CartesianCertificate(lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +78,7 @@ def is_cartesian_2cell(P: TwoFunctor, ga: str):
 
 @dataclass
 class OpcartesianCertificate:
-    cell: str
     lifts: dict            # (u, t, al) -> (t-tilde, al1, al2)
-    betas: dict            # (datum, datum', beta, rho) -> unique beta-tilde
 
 
 def _opcart_lift(P: TwoFunctor, h: str, u: str, t: str, al: str):
@@ -133,7 +131,7 @@ def is_opcartesian_1cell(P: TwoFunctor, h: str):
                         return Counterexample("opcartesian-lift-existence",
                                               (h, u, t, al))
                     lifts[(u, t, al)] = lift
-    betas = {}
+    # each comparison 2-cell between two lifts is unique
     for (u, t, al), lift in sorted(lifts.items()):
         for (u2, t2, al2), lift2 in sorted(lifts.items()):
             if K.one_tgt[u2] != K.one_tgt[u]:
@@ -150,8 +148,7 @@ def is_opcartesian_1cell(P: TwoFunctor, h: str):
                             "opcartesian-beta-uniqueness",
                             (h, (u, t, al), (u2, t2, al2), beta, rho,
                              tuple(cands)))
-                    betas[((u, t, al), (u2, t2, al2), beta, rho)] = cands[0]
-    return OpcartesianCertificate(h, lifts, betas)
+    return OpcartesianCertificate(lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,6 @@ class ComparisonResult:
 
 def comparison_H(P: TwoFunctor, F: TwoFunctor,
                  cert: OpfibrationCertificate) -> ComparisonResult:
-    from .constructs import comma_inclusion
     K, L = P.source, P.target
     Z = F.source
     for a in L.two_src:

@@ -397,12 +397,9 @@ def pi0(S: TwoCategory) -> dict:
         a, b = find(S.one_src[f]), find(S.one_tgt[f])
         if a != b:
             parent[max(a, b)] = min(a, b)
-    reps = {x: find(x) for x in S.objects}
-    # path-compress to the least element of each class
-    least = {}
-    for x, r in reps.items():
-        least[r] = min(least.get(r, x), x)
-    return {x: least[r] for x, r in reps.items()}
+    # each root is the least element of its class: a union keeps the
+    # smaller root
+    return {x: find(x) for x in S.objects}
 
 
 def pi0_monoid(P: PGM) -> CommMonoid:

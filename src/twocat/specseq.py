@@ -35,22 +35,22 @@ When F is a certified opfibration the E^2 page is identified with the
 homology of the base with local coefficients in the fiber homology; the
 coefficient system is constructed here (``fiber_coeff_system``), its
 transition along an edge f the base change of the comma objects over the
-points (post-composition with f), and ``e2_vs_local`` checks the
-identification row by row.
+points (post-composition with f, a ``constructs.mediate_laco``), and
+``e2_vs_local`` checks the identification row by row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import or_
 from typing import NamedTuple
 
 from . import intlinalg as il
-from .constructs import (CommaResult, laco, laco_diagram, oplaco_codiagram,
-                         strict_fiber)
-from .core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
-                   validate_two_functor)
-from .fixtures import point_functor
+from .constructs import (CommaResult, laco, laco_diagram, mediate_laco,
+                         oplaco_codiagram, strict_fiber)
+from .core import (LAX, TWO_NATURAL, AxiomError, Transformation, TwoCategory,
+                   TwoFunctor, compose_functors, validate_two_functor)
+from .fixtures import bang_functor, point_functor
 from .homology import (LocalCoeffSystem, basis_rows, homology_induced,
                        homology_subquotient, induced_iso, level_boundary,
                        local_homology_groups, presentation_of)
@@ -490,30 +490,16 @@ def filtration_check_q(F: TwoFunctor, om: OrientedSimplex, p: int) -> bool:
 def base_change(F: TwoFunctor, f: str, Lx: CommaResult,
                 Ly: CommaResult) -> TwoFunctor:
     """laco(F, x-hat) -> laco(F, y-hat) for a 1-cell f: x -> y of F's
-    target, given the two comma objects: post-compose with f, so
-    [c, g, pt] goes to [c, f.g, pt] and [s, a, t] to [s, f*a, t], and keep
-    each 2-cell [phi, ga]."""
+    target, given the two comma objects: the mediator of Lx's projections
+    and of Lx.pi whiskered by f, so [c, g, pt] goes to [c, f.g, pt] and
+    [s, a, t] to [s, f*a, t], and each 2-cell [phi, ga] is kept."""
     D = F.target
-    on_obj = {o: Ly.obj_id[(c, D.comp1[(f, g)], pt)]
-              for (c, g, pt), o in Lx.obj_id.items()}
-    on_one = {m: Ly.one_id[(on_obj[o], on_obj[o2], s, D.whisk_l[(f, a)], t)]
-              for (o, o2, s, a, t), m in Lx.one_id.items()}
-    on_two = {c: Ly.two_id[(on_one[m], on_one[m2], phi, ga)]
-              for (m, m2, phi, ga), c in Lx.two_id.items()}
-    return TwoFunctor(Lx.cat, Ly.cat, on_obj, on_one, on_two)
-
-
-def _fiber_to_comma(F: TwoFunctor, x: str, fib: TwoCategory, Lx) -> TwoFunctor:
-    """Strict inclusion of the fiber of F at x into laco(F, x-hat)."""
-    D = F.target
-    T = Lx.p_right.target
-    idx, pt = D.id1[x], T.id1["pt"]
-    on_obj = {o: Lx.obj_id[(o, idx, "pt")] for o in fib.objects}
-    on_one = {m: Lx.one_id[(on_obj[fib.one_src[m]], on_obj[fib.one_tgt[m]],
-                            m, D.id2[idx], pt)] for m in fib.one_src}
-    on_two = {c: Lx.two_id[(on_one[fib.two_src[c]], on_one[fib.two_tgt[c]],
-                            c, T.id2[pt])] for c in fib.two_src}
-    return TwoFunctor(fib, Lx.cat, on_obj, on_one, on_two)
+    lam = replace(
+        Lx.pi,
+        target=compose_functors(point_functor(D, D.one_tgt[f]), Lx.p_right),
+        at_object={o: D.comp1[(f, g)] for o, g in Lx.pi.at_object.items()},
+        at_one={m: D.whisk_l[(f, a)] for m, a in Lx.pi.at_one.items()})
+    return mediate_laco(Ly, Lx.p_left, Lx.p_right, lam)
 
 
 @dataclass
@@ -532,10 +518,11 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
 
         fiber(x) -> laco(F, x-hat) -> laco(F, y-hat) <- fiber(y),
 
-    where the middle functor is base change along f: x -> y and the
-    right-hand inclusion is inverted on homology (it induces an
-    isomorphism when F is a certified opfibration; this is checked and an
-    AxiomError raised otherwise)."""
+    all ``mediate_laco`` functors: the inclusions have identity laxity,
+    the middle one is base change along f: x -> y, and the right-hand one
+    is inverted on homology (it induces an isomorphism when F is a
+    certified opfibration; this is checked and an AxiomError raised
+    otherwise).  The local homology reads no degeneracy map."""
     if cert.functor is not F:
         raise ValueError("certificate does not belong to the given functor")
     D = F.target
@@ -544,9 +531,9 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
 
     def object_data(x):
         if x not in obj_cache:
-            fib, _ = strict_fiber(F, x)
+            fib, incl = strict_fiber(F, x)
             H, = homology_subquotient(nerve(fib, q + 1), [q])
-            obj_cache[x] = (fib, H, presentation_of(H.sq))
+            obj_cache[x] = (incl, H, presentation_of(H.sq))
         return obj_cache[x]
 
     comma_cache = {}
@@ -554,9 +541,16 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
     def comma_data(x):
         # laco(F, x-hat) with its fiber inclusion and homology data
         if x not in comma_cache:
-            Lx = laco(F, point_functor(D, x))
-            fib, Hf, _ = object_data(x)
-            inc = _fiber_to_comma(F, x, fib, Lx)
+            xhat = point_functor(D, x)
+            Lx = laco(F, xhat)
+            incl, Hf, _ = object_data(x)
+            bang = bang_functor(incl.source)
+            lam = Transformation(
+                compose_functors(F, incl), compose_functors(xhat, bang),
+                {o: D.id1[x] for o in incl.source.objects},
+                {m: D.id2[D.id1[x]] for m in incl.source.one_src},
+                direction=LAX, flavor=TWO_NATURAL)
+            inc = mediate_laco(Lx, incl, bang, lam)
             HL, = homology_subquotient(nerve(Lx.cat, q + 1), [q])
             try:
                 _, inv = induced_iso(inc, Hf, HL)
@@ -583,7 +577,6 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
 
     group = {}
     face_map = {}
-    degen_map = {}
     for n, lev in enumerate(X.levels):
         for x in lev:
             group[x] = object_data(x.vertices[0])[2]
@@ -592,12 +585,10 @@ def fiber_coeff_system(F: TwoFunctor, cert, q: int,
                 f = x.edge(0, 1) if i == 0 else None
                 face_map[(i, x)] = il.mid(g) if f is None or D.is_id1(f) \
                     else edge_data(f)
-            for i in range(len(X.degens[n])):
-                degen_map[(i, x)] = il.mid(g)
     fiber_group = {v: object_data(v)[2]
                    for v in {x.vertices[0] for lev in X.levels for x in lev}}
-    return FiberCoeffData(LocalCoeffSystem(group, face_map, degen_map),
-                          fiber_group, edge_matrix)
+    return FiberCoeffData(LocalCoeffSystem(group, face_map), fiber_group,
+                          edge_matrix)
 
 
 def e2_vs_local(pg: SSPages, cert, q: int) -> list:

@@ -20,7 +20,7 @@ from twocat.cli import main
 from twocat.core import (AxiomError, TwoFunctor, identity_functor,
                          make_two_category)
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
-                             fix_t)
+                             fix_t, point_functor)
 from twocat.homology import PresentedGroup, chain_complex
 from twocat.nerve import TruncSimplicialSet, nerve
 from test_homology import constant_system, dense_chain_complex
@@ -72,6 +72,17 @@ def test_opfib_negative_fixture_exits_two(run, tmp_path):
     rep = json.loads(out)
     assert rep["counterexample"]["clause"] == "opcartesian-lift-missing"
     assert rep["counterexample"]["detail"] == ["0", "a01"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_opfib_point_of_g2_is_no_local_fibration(tmp_path, flags):
+    # e1: i => i over id_pt has no cartesian lift in the terminal category
+    p = write(tmp_path, "g2-point.json",
+              tio.two_functor_to_dict(point_functor(fix_g2(), "*")))
+    proc = cli_run(flags, "opfib", "--functor", p)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["counterexample"] == {
+        "clause": "local-fibration", "detail": ["id_pt", "i", "e1"]}
 
 
 def test_gc_check_m2(run, tmp_path):
@@ -1171,6 +1182,30 @@ def test_ss_reaches_no_oriental_and_no_cone(run, tmp_path, monkeypatch,
     monkeypatch.setattr("twocat.constructs._enumerate_cones", reached)
     monkeypatch.setattr("twocat.specseq.materialize_oriental", reached)
     assert run(argv) == report
+
+
+def test_ss_rejects_an_untrusted_fiber_row_before_building(run, tmp_path,
+                                                         monkeypatch):
+    # the trusted row is qmax - 1, known from the arguments, so nothing is
+    # built; an invalid functor is still reported first
+    def reached(*args):
+        raise RuntimeError("build_B reached")
+    monkeypatch.setattr(cli, "build_B", reached)
+    p = write(tmp_path, "pr2.json",
+              tio.two_functor_to_dict(fix_prod(fix_g2(), fix_c2())[2]))
+    argv = ["ss", "--functor", p, "--pmax", 4, "--qmax", 4,
+            "--fiber-coeffs", 4]
+    code, out = run(argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "usage: --fiber-coeffs 4 exceeds the trusted row 3"}
+    G2 = fix_g2()
+    broken = replace(G2, vcomp={**G2.vcomp, ("e0", "e1"): "e0"})
+    argv[2] = write(tmp_path, "bang.json",
+                    tio.two_functor_to_dict(bang_functor(broken)))
+    code, out = run(argv)
+    assert code == 2
+    assert json.loads(out)["counterexample"]["clause"] == "axiom-failure"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

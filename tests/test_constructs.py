@@ -7,9 +7,9 @@ from twocat import constructs, fixtures, pgm, sinv
 from twocat import io as tio
 from twocat.constructs import CommaResult, laco, mediate_laco
 from twocat.core import (AxiomError, Transformation, compose_functors,
-                         functor_op, functors_equal, identity_functor,
-                         op_dual, co_dual, coop_dual,
-                         functor_coop, make_two_category,
+                         functor_co, functor_op, functors_equal,
+                         identity_functor, op_dual, co_dual, coop_dual,
+                         make_two_category,
                          validate_two_category, validate_two_functor)
 from twocat.core import LAX, OPLAX, TWO_NATURAL, TwoFunctor
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
@@ -188,7 +188,8 @@ def test_duality_squares(idx):
     validate_two_category(rhs)
     assert find_isomorphism(lhs, rhs) is not None
     lhs2 = coop_dual(constructs.laco(G, F).cat)
-    rhs2 = constructs.laco(functor_coop(F), functor_coop(G)).cat
+    rhs2 = constructs.laco(functor_co(functor_op(F)),
+                           functor_co(functor_op(G))).cat
     assert find_isomorphism(lhs2, rhs2) is not None
 
 
@@ -314,7 +315,7 @@ def test_interval_oplax_initial_terminal():
     w = constructs.find_oplax_initial(I)
     assert w is not None and w.obj == "0"
     validate_transformation(witness_transformation(I, w))
-    wt = constructs.find_oplax_terminal(I)
+    wt = constructs.find_oplax_initial(op_dual(I))
     assert wt is not None and wt.obj == "1"
 
 
@@ -345,12 +346,28 @@ def test_laco_diagram_validates():
             len(Ldia.cat.two_src)) == (2, 8, 8)
 
 
+def e_by_keys(Lpt, Ldia, iota) -> TwoFunctor:
+    """The oracle for lp_initial_d_e's e, read off the comma objects' keys:
+    each cone goes to its component at iota and each modification to its
+    component at iota, over the point's identity cells."""
+    T = Lpt.p_right.target
+    pt = T.id1["pt"]
+    on_obj = {o: Lpt.obj_id[(c, dict(comps)[iota], "pt")]
+              for (c, comps, cells), o in Ldia.obj_id.items()}
+    on_one = {m: Lpt.one_id[(on_obj[o], on_obj[o2], s, dict(la)[iota], pt)]
+              for (o, o2, s, la), m in Ldia.one_id.items()}
+    on_two = {cc: Lpt.two_id[(on_one[m], on_one[m2], phi, T.id2[pt])]
+              for (m, m2, phi), cc in Ldia.two_id.items()}
+    return TwoFunctor(Ldia.cat, Lpt.cat, on_obj, on_one, on_two)
+
+
 def test_lp_initial_shadow():
     I, G2, F, G = _diagram_setup()
     w = constructs.find_oplax_initial(I)
     d, e, eta, Lpt, Ldia = constructs.lp_initial_d_e(F, G, w)
     validate_two_functor(d)
     validate_two_functor(e)
+    assert functors_equal(e, e_by_keys(Lpt, Ldia, w.obj))
     assert functors_equal(compose_functors(e, d), identity_functor(Lpt.cat))
     assert eta.flavor == TWO_NATURAL
     validate_transformation(eta)
@@ -365,6 +382,7 @@ def test_lp_initial_shadow_interval_base():
     d, e, eta, Lpt, Ldia = constructs.lp_initial_d_e(F, G, w)
     validate_two_functor(d)
     validate_two_functor(e)
+    assert functors_equal(e, e_by_keys(Lpt, Ldia, w.obj))
     assert functors_equal(compose_functors(e, d), identity_functor(Lpt.cat))
     validate_transformation(eta)
 

@@ -9,8 +9,8 @@ from twocat.core import (LAX, PSEUDONATURAL, TWO_NATURAL, AxiomError,
                          Transformation, TwoCategory, TwoFunctor, co_dual,
                          coop_dual, compose_functors, ensure, identity_functor,
                          op_dual, validate_two_category, validate_two_functor)
-from twocat.fixtures import (bang_functor, empty_two_category, fix_c2, fix_g2,
-                             fix_g2sat, fix_i, fix_prod, fix_t)
+from twocat.fixtures import (bang_functor, discrete_two_category, fix_c2,
+                             fix_g2, fix_g2sat, fix_i, fix_prod, fix_t)
 
 
 # --- isomorphism search (small categories only), which only tests use ------
@@ -199,7 +199,7 @@ def test_fixtures_validate(mk):
 
 
 def test_empty_two_category_valid():
-    validate_two_category(empty_two_category())
+    validate_two_category(discrete_two_category([]))
 
 
 def test_product_validates():

@@ -12,8 +12,9 @@ from twocat import fixtures, pgm, sinv, specseq
 from twocat import homology as hm
 from twocat import io as tio
 from twocat import nerve as nv
-from twocat.constructs import find_oplax_initial, find_oplax_terminal
-from twocat.core import AxiomError, TwoFunctor, validate_two_category
+from twocat.constructs import find_oplax_initial
+from twocat.core import (AxiomError, TwoFunctor, op_dual,
+                         validate_two_category)
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
                              fix_m2, fix_prod, fix_t)
 from twocat.intlinalg import chain_homology
@@ -61,7 +62,7 @@ def test_oriental_initial_terminal(p):
     O = materialize_oriental(p)
     w = find_oplax_initial(O)
     assert w is not None and w.obj == "0"
-    wt = find_oplax_terminal(O)
+    wt = find_oplax_initial(op_dual(O))
     assert wt is not None and wt.obj == str(p)
 
 

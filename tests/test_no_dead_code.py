@@ -33,11 +33,12 @@ TEST_ONLY = {
     "opfib.comparison_H": "uses private helpers of opfib (_opcart_lift, "
                           "_opcart_betas)",
     "constructs.lp_initial_d_e": "ROADMAP item 3: φ_σ is its d",
-    "constructs.find_oplax_terminal": "the dual of find_oplax_initial",
-    "core.functor_coop": "completes functor_op and functor_co",
+    "constructs.find_oplax_initial": "the witness lp_initial_d_e takes; of "
+                                     "op_dual(E), an oplax terminal one",
+    "core.functor_co": "completes functor_op; with it, the coop dual of a "
+                       "2-functor",
     "intlinalg.FGAbGroup.is_trivial": "a query of the group type",
     "fixtures.fix_m2": "a named fixture of the paper",
-    "fixtures.empty_two_category": "the empty 2-category fixture",
     "pgm.fix_g2sat_pgm": "a named fixture: a PGM that is no 2-groupoid",
 }
 

@@ -3,7 +3,8 @@ import pytest
 from twocat import homology as hm
 from twocat import opfib as of
 from twocat.core import (AxiomError, NormalPseudofunctor, TwoFunctor, ensure,
-                         identity_functor, validate_two_category)
+                         identity_functor, make_two_category,
+                         validate_two_category)
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
                              fix_prod, fix_t, point_functor)
 from twocat.nerve import nerve
@@ -182,6 +183,55 @@ def test_product_projection_opcartesian():
     cert = of.is_opcartesian_1cell(pr2, h)
     assert isinstance(cert, of.OpcartesianCertificate)
     assert cert.lifts  # nonempty lift table
+
+
+def test_interval_over_terminal_has_no_opcartesian_lift():
+    # id_0 does not factor through a01 up to an invertible 2-cell
+    cex = of.is_opcartesian_1cell(bang_functor(fix_i()), "a01")
+    assert isinstance(cex, of.Counterexample)
+    assert cex.clause == "opcartesian-lift-existence"
+    assert cex.detail == ("a01", "id_0", "id_pt", "ii_pt")
+
+
+def retract_with_a_whiskered_away_2cell():
+    """h: a -> d with a retraction r (r.h = id_a), so e = h.r is an
+    idempotent on d, and a Z/2 of 2-cells z on id_d that whiskering by h,
+    r or e sends to an identity."""
+    ones = {"id_a": ("a", "a"), "id_d": ("d", "d"), "h": ("a", "d"),
+            "r": ("d", "a"), "e": ("d", "d")}
+    comp = {("id_a", "id_a"): "id_a", ("id_d", "id_d"): "id_d",
+            ("h", "id_a"): "h", ("id_d", "h"): "h", ("r", "id_d"): "r",
+            ("id_a", "r"): "r", ("e", "id_d"): "e", ("id_d", "e"): "e",
+            ("r", "h"): "id_a", ("h", "r"): "e", ("e", "e"): "e",
+            ("e", "h"): "h", ("r", "e"): "r"}
+    twos = {"ii_" + f: (f, f) for f in ones}
+    twos["z"] = ("id_d", "id_d")
+    vcomp = {("ii_" + f, "ii_" + f): "ii_" + f for f in ones}
+    vcomp.update({("z", "ii_id_d"): "z", ("ii_id_d", "z"): "z",
+                  ("z", "z"): "ii_id_d"})
+    whisk_l, whisk_r = {}, {}
+    for a, (f, _) in twos.items():
+        x, y = ones[f]
+        for k, (ks, kt) in ones.items():
+            if ks == y:
+                whisk_l[(k, a)] = a if k == "id_d" else "ii_" + comp[(k, f)]
+            if kt == x:
+                whisk_r[(a, k)] = a if k == "id_d" else "ii_" + comp[(f, k)]
+    return validate_two_category(make_two_category(
+        ["a", "d"], ones, twos, {"a": "id_a", "d": "id_d"},
+        {f: "ii_" + f for f in ones}, comp, vcomp, whisk_l, whisk_r))
+
+
+def test_comparison_2cell_between_lifts_must_be_unique():
+    # h lifts every 1-cell out of a, but both 2-cells on id_d compare the
+    # lift of h with itself, since whiskering by h forgets z; the bang
+    # functor is still an opfibration, through the identity lifts
+    P = bang_functor(retract_with_a_whiskered_away_2cell())
+    cex = of.is_opcartesian_1cell(P, "h")
+    assert isinstance(cex, of.Counterexample)
+    assert cex.clause == "opcartesian-beta-uniqueness"
+    assert cex.detail[-1] == ("ii_id_d", "z")
+    assert isinstance(of.check_opfibration(P), of.OpfibrationCertificate)
 
 
 def test_opcartesian_lifts_prefer_identities():

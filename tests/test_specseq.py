@@ -15,7 +15,7 @@ from twocat.constructs import (comma_inclusion, find_oplax_initial, laco,
                                laco_diagram, lp_initial_d_e, oplaco_codiagram,
                                pullback, strict_fiber)
 from twocat.core import (AxiomError, TwoFunctor, compose_functors,
-                         identity_functor, make_two_category,
+                         functors_equal, identity_functor, make_two_category,
                          validate_two_category)
 from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
                              locally_discrete, point_functor)
@@ -1005,6 +1005,78 @@ def test_transition_matrix_is_base_change(monkeypatch):
     got = edge_matrices()
     monkeypatch.setattr(ss, "base_change", comma_route)
     assert got == edge_matrices()
+
+
+def fiber_coeff_cases():
+    """The opfibrations whose fiber coefficients the tests pin: pr2 over I
+    and over C2, the swap, rho-c2, rho-m2 and the crossed-module
+    projection."""
+    return [pr2_i()[1], pr2_c2()[1], swap_projection(),
+            _rho(pgm.fix_c2_pgm), _rho(pgm.fix_m2_pgm), xmod_projection()]
+
+
+def base_change_by_keys(F, f, Lx, Ly) -> TwoFunctor:
+    """The oracle for ss.base_change, read off the comma objects' keys:
+    [c, g, pt] goes to [c, f.g, pt], [s, a, t] to [s, f*a, t], and each
+    2-cell [phi, ga] is kept."""
+    D = F.target
+    on_obj = {o: Ly.obj_id[(c, D.comp1[(f, g)], pt)]
+              for (c, g, pt), o in Lx.obj_id.items()}
+    on_one = {m: Ly.one_id[(on_obj[o], on_obj[o2], s, D.whisk_l[(f, a)], t)]
+              for (o, o2, s, a, t), m in Lx.one_id.items()}
+    on_two = {c: Ly.two_id[(on_one[m], on_one[m2], phi, ga)]
+              for (m, m2, phi, ga), c in Lx.two_id.items()}
+    return TwoFunctor(Lx.cat, Ly.cat, on_obj, on_one, on_two)
+
+
+def fiber_to_comma_by_keys(F, x, fib, Lx) -> TwoFunctor:
+    """The oracle for the fiber inclusion of F at x into laco(F, x-hat),
+    read off the comma object's keys: each cell c of the fiber goes to
+    [c, 1_x, pt] (with identity laxity on 1-cells)."""
+    D = F.target
+    T = Lx.p_right.target
+    idx, pt = D.id1[x], T.id1["pt"]
+    on_obj = {o: Lx.obj_id[(o, idx, "pt")] for o in fib.objects}
+    on_one = {m: Lx.one_id[(on_obj[fib.one_src[m]], on_obj[fib.one_tgt[m]],
+                            m, D.id2[idx], pt)] for m in fib.one_src}
+    on_two = {c: Lx.two_id[(on_one[fib.two_src[c]], on_one[fib.two_tgt[c]],
+                            c, T.id2[pt])] for c in fib.two_src}
+    return TwoFunctor(fib, Lx.cat, on_obj, on_one, on_two)
+
+
+@pytest.mark.parametrize("idx", range(6))
+def test_base_change_equals_the_key_oracle(idx):
+    # on every 1-cell of the base, identities included
+    F = fiber_coeff_cases()[idx]
+    D = F.target
+    L = {x: laco(F, point_functor(D, x)) for x in D.objects}
+    for f in sorted(D.one_src):
+        Lx, Ly = L[D.one_src[f]], L[D.one_tgt[f]]
+        assert functors_equal(ss.base_change(F, f, Lx, Ly),
+                              base_change_by_keys(F, f, Lx, Ly)), f
+
+
+@pytest.mark.parametrize("idx", range(6))
+def test_fiber_inclusion_equals_the_key_oracle(monkeypatch, idx):
+    # fiber_coeff_system builds the inclusion at each end of a nonidentity
+    # 1-cell (none over a discrete base) and hands it to induced_iso
+    F = fiber_coeff_cases()[idx]
+    D = F.target
+    built = []
+
+    def recording(inc, *args):
+        built.append(inc)
+        return hm.induced_iso(inc, *args)
+    monkeypatch.setattr(ss, "induced_iso", recording)
+    ss.fiber_coeff_system(F, of.check_opfibration(F), 0, nerve(D, 1))
+    # the fibers of these opfibrations are nonempty: name each by its point
+    got = {F.on_objects[inc.source.objects[0]]: inc for inc in built}
+    assert len(got) == len(built)
+    assert sorted(got) == sorted({v for f in D.one_src if not D.is_id1(f)
+                                  for v in (D.one_src[f], D.one_tgt[f])})
+    for x, inc in got.items():
+        assert functors_equal(inc, fiber_to_comma_by_keys(
+            F, x, strict_fiber(F, x)[0], laco(F, point_functor(D, x)))), x
 
 
 def test_crossed_module_base_inverts_the_fiber_h2():
