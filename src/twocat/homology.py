@@ -73,6 +73,7 @@ class ChainComplexZ:
     N: int
     basis: list          # basis[n] = list of nondegenerate n-simplices
     boundary: list       # boundary[n][j] = d_n basis[n][j], sparse (n >= 1)
+    rows: list           # rows[n] = the basis_rows of level n
 
     def rank(self, n):
         return len(self.basis[n])
@@ -97,7 +98,7 @@ def chain_complex(X: TruncSimplicialSet, top: int | None = None
                 raise AxiomError(
                     "boundary squared is nonzero in degree %d" % n)
     return ChainComplexZ(top, [X.nondegenerate(n) for n in range(top + 1)],
-                         boundary)
+                         boundary, rows)
 
 
 def _check_degree(X: TruncSimplicialSet, n: int):
@@ -111,7 +112,7 @@ class Homology(NamedTuple):
     n: int
     sq: Subquotient
     basis: list          # the nondegenerate n-simplices, one per chain row
-    row: dict            # n-simplex of X -> its row in basis, or None
+    rows: list           # the basis_rows of level n
 
 
 def homology_subquotient(X: TruncSimplicialSet, degrees) -> list:
@@ -124,8 +125,7 @@ def homology_subquotient(X: TruncSimplicialSet, degrees) -> list:
     return [Homology(n, chain_homology(C.boundary[n] if n else (),
                                        C.boundary[n + 1], C.rank(n),
                                        C.rank(n - 1) if n else 0),
-                     C.basis[n],
-                     dict(zip(X.levels[n], basis_rows(X.degenerate[n]))))
+                     C.basis[n], C.rows[n])
             for n in degrees]
 
 
@@ -138,9 +138,10 @@ def homology_induced(F: TwoFunctor, Hs: Homology, Ht: Homology):
     """Matrix of H_n(F) in canonical coordinates, for a 2-functor F from
     the 2-category whose nerve has the homology Hs to the one whose nerve
     has Ht, both in degree n; only the basis n-simplices of Hs are mapped
-    (``nerve.map_simplex``)."""
+    (``nerve.map_simplex``), and a degenerate image drops out."""
+    row = {y: r for r, y in enumerate(Ht.basis)}
     M = [() if r is None else ((r, 1),)
-         for r in (Ht.row[map_simplex(F, x)] for x in Hs.basis)]
+         for r in (row.get(map_simplex(F, x)) for x in Hs.basis)]
     return induced_matrix(Hs.sq, Ht.sq, M)
 
 

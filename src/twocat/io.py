@@ -20,10 +20,10 @@ Schema (bit-exact, keys sorted on output):
   simplices rendered as canonical strings; the rows are written in level
   order (by i, then level, then position), which for a nerve's sorted
   levels is sorted order (``trunc_sset_to_dict`` fixes them, and
-  ``trunc_sset_bytes`` encodes them as the nerve file), and read back
-  into position tables only when total and in range, with flags true
-  exactly on the values of ``degen`` and every simplicial identity
-  holding.
+  ``trunc_sset_bytes`` encodes them as the nerve file, in chunks of
+  about ``CHUNK`` bytes), and read back into position tables only when
+  total and in range, with flags true exactly on the values of ``degen``
+  and every simplicial identity holding.
 * position record: {"N", "levels", "faces"/"degens"}, a truncated
   simplicial set's level keys and its operators as the position tables of
   ``TruncSimplicialSet``; read back only under the checks of a nerve file.
@@ -45,6 +45,8 @@ from .core import AxiomError, TwoCategory, TwoFunctor, make_two_category
 from .homology import LocalCoeffSystem, PresentedGroup
 from .nerve import TruncSimplicialSet, check_simplicial_identities, layout
 from .pgm import PGM, PGMAction
+
+CHUNK = 1 << 20         # bytes of a nerve file moved at a time
 
 
 def two_category_to_dict(C: TwoCategory) -> dict:
@@ -213,10 +215,11 @@ def trunc_sset_to_dict(X: TruncSimplicialSet) -> dict:
     }
 
 
-def trunc_sset_bytes(d: dict) -> bytes:
-    """``dumps(d).encode()`` for the dict d of ``trunc_sset_to_dict``, as
-    the nerve file is written: each level key is JSON-encoded once, and
-    the rows are bytes pieces, joined once."""
+def trunc_sset_bytes(d: dict):
+    """The nerve file of the dict d of ``trunc_sset_to_dict`` in chunks of
+    about CHUNK bytes, whose join is ``dumps(d).encode()``: each level key
+    is JSON-encoded once, and each chunk is built once from bytes
+    pieces."""
     key = {k: encode_basestring_ascii(k).encode()
            for lev in d["levels"] for k in lev}
     head = [b"[%d," % i for i in range(d["N"] + 1)]
@@ -227,19 +230,24 @@ def trunc_sset_bytes(d: dict) -> bytes:
                          for x, v in d["degenerate"])),
         (b"face", ((head[i], key[x], b",", key[y], b"]")
                    for i, x, y in d["face"])),
-        (b"levels", ((b"[", b",".join(map(key.__getitem__, lev)), b"]")
-                     for lev in d["levels"])))
-    out = [b'{"N":%d' % d["N"]]
+        # a level, the one long row, as a piece per key and comma
+        (b"levels", ([b"[", *[p for x in lev for p in (b",", key[x])][1:],
+                      b"]"] for lev in d["levels"])))
+    buf = bytearray(b'{"N":%d' % d["N"])
     for name, rows in arrays:
-        out.append(b',"%s":[' % name)
+        buf += b',"%s":[' % name
+        sep = b""
         for pieces in rows:
-            out += pieces
-            out.append(b",")
-        if out[-1] == b",":         # after the last row
-            out.pop()
-        out.append(b"]")
-    out.append(b"}\n")
-    return b"".join(out)
+            buf += sep
+            sep = b","
+            for piece in pieces:
+                buf += piece
+                if len(buf) >= CHUNK:
+                    yield bytes(buf)
+                    buf.clear()
+        buf += b"]"
+    buf += b"}\n"
+    yield bytes(buf)
 
 
 def _operator_rows(d: dict, name: str, at: dict, shift: int) -> list:

@@ -310,16 +310,15 @@ def pages(B: BisimplicialTrunc) -> SSPages:
     d^1 that the horizontal boundary induces on the vertically normalized
     chains).  Entries are trusted for p <= P-1 and q <= Q-1; the extra
     column p = P on E^1 is computed only to supply boundaries for E^2."""
-    E1, E1_sq, d1 = {}, {}, {}
+    E1, E1_sq, d1, rows = {}, {}, {}, {}
     for p, col in enumerate(B.cols):
         for H in homology_subquotient(col, range(B.Q)):
             E1_sq[(p, H.n)], E1[(p, H.n)] = H.sq, H.sq.group
-    basis = [[basis_rows(flags) for flags in col.degenerate]
-             for col in B.cols]
+            rows[(p, H.n)] = H.rows
     for p in range(1, B.P + 1):
         for q in range(B.Q):
-            M = level_boundary(B.rows[q].faces[p], basis[p][q],
-                               basis[p - 1][q])
+            M = level_boundary(B.rows[q].faces[p], rows[(p, q)],
+                               rows[(p - 1, q)])
             d1[(p, q)] = il.induced_matrix(E1_sq[(p, q)], E1_sq[(p - 1, q)],
                                            M)
     E2 = {}

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -6,8 +7,11 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -305,6 +309,208 @@ def test_manifest_digest_is_of_the_parsed_bytes(run, tmp_path, monkeypatch,
     assert reads == ["rb"]
 
 
+# --- cached runs, checked here and under python -O ----------------------------
+
+def quiet(argv):
+    """(exit code, stdout) of main(argv), captured without a fixture."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([str(a) for a in argv])
+    return code, buf.getvalue()
+
+
+def observed(flags, probe, tmp_path):
+    """What probe(tmp_path) returns, as JSON, run in this process or, with
+    flags, under `python [flags]` in a child process: -O strips asserts,
+    so a probe makes none, and its caller checks what it returns."""
+    if not flags:
+        return json.loads(json.dumps(probe(str(tmp_path))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([
+        os.path.dirname(os.path.dirname(twocat.__file__)),
+        os.path.dirname(os.path.abspath(__file__))]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c",
+         "import json, sys, test_cli; "
+         "print(json.dumps(test_cli.%s(sys.argv[1])))" % probe.__name__,
+         str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def probe_cached_opens(tmp):
+    """[exit code, {file: times opened}] of a nerve hit, a homology hit and
+    a homology record miss, each file named relative to tmp and each
+    temporary one without its pid."""
+    tmp = Path(tmp)
+    out = tmp / "nerve.json"
+    nerve_job = ["nerve", "--input", g2_file(tmp), "--max-dim", 3,
+                 "--out", out]
+    homology_job = ["homology", "--nerve", out, "--deg", 2]
+    quiet(nerve_job)            # the miss
+    opened, real_open = Counter(), open
+
+    def counted_open(file, *args, **kwargs):
+        name = os.path.relpath(os.path.realpath(file), os.path.realpath(tmp))
+        opened[re.sub(r"\.\d+\.tmp$", ".tmp", name)] += 1
+        return real_open(file, *args, **kwargs)
+
+    seen = {}
+    with mock.patch("builtins.open", counted_open):
+        for name, job in (("nerve-hit", nerve_job),
+                          ("homology-hit", homology_job),
+                          ("homology-miss", homology_job)):
+            if name == "homology-miss":
+                for f in Path(os.environ["TWOCAT_CACHE_DIR"]).glob("sset-*"):
+                    f.unlink()
+            opened.clear()
+            seen[name] = [quiet(job)[0], dict(opened)]
+    return seen
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_each_input_is_read_once_through_the_cache(tmp_path, monkeypatch,
+                                                   flags):
+    # a cached run opens each input file, cache entry and record once: a
+    # nerve hit reads the entry in chunks into --out's temporary file, and
+    # homology hashes the nerve file chunk by chunk, reading it again from
+    # the start only on a record miss
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(tmp_path / "cache"))
+    seen = observed(flags, probe_cached_opens, tmp_path)
+    entry = "cache/nerve-%s-3.json" % hashlib.sha256(
+        (tmp_path / "FIX_G2.json").read_bytes()).hexdigest()
+    record = "cache/sset-%s.json" % hashlib.sha256(
+        (tmp_path / "nerve.json").read_bytes()).hexdigest()
+    assert seen == {
+        "nerve-hit": [0, {"FIX_G2.json": 1, entry: 1, record: 1,
+                          "nerve.json.tmp": 1}],
+        "homology-hit": [0, {"nerve.json": 1, record: 1}],
+        "homology-miss": [0, {"nerve.json": 1, record: 1,
+                              record + ".tmp": 1}],
+    }
+
+
+class ChangingFile(io.BytesIO):
+    """A file that holds first until it is sought back to its start, and
+    later from then on."""
+
+    def __init__(self, first, later):
+        super().__init__(first)
+        self.later = later
+
+    def seek(self, pos, whence=0):
+        if (pos, whence) == (0, 0) and self.later is not None:
+            super().__init__(self.later)
+            self.later = None
+        return super().seek(pos, whence)
+
+
+def changing_nerve_files():
+    """The nerve files of G2 and of I at N = 3."""
+    return [tio.dumps(tio.trunc_sset_to_dict(nerve(C, 3))).encode()
+            for C in (fix_g2(), fix_i())]
+
+
+def probe_changing_nerve_file(tmp):
+    """[exit code, stdout, open modes, cache files] of a cached homology
+    --deg 2 of a nerve file that holds that of G2 until it is read again
+    from its start, and that of I from then on."""
+    first, later = changing_nerve_files()
+    p = Path(tmp) / "X.json"
+    p.write_bytes(later)
+    reads, real_open = [], open
+
+    def changing_open(file, mode="r", *args, **kwargs):
+        if os.path.realpath(file) != os.path.realpath(p):
+            return real_open(file, mode, *args, **kwargs)
+        reads.append(mode)
+        return ChangingFile(first, later)
+
+    with mock.patch("builtins.open", changing_open):
+        code, out = quiet(["homology", "--nerve", p, "--deg", 2])
+    return [code, out, reads, sorted(os.listdir(os.environ[
+        "TWOCAT_CACHE_DIR"]))]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_cached_homology_digest_is_of_the_parsed_bytes(run, tmp_path,
+                                                       monkeypatch, flags):
+    # a nerve file that changes between the hash pass and the parse, on a
+    # record miss: the report is that of an uncached run on the bytes its
+    # manifest digest names, and so is the record stored
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(tmp_path / "cache"))
+    code, out, reads, files = observed(flags, probe_changing_nerve_file,
+                                       tmp_path)
+    p = tmp_path / "X.json"
+    digest = json.loads(out)["manifest"]["inputs"][str(p)]
+    data = {hashlib.sha256(d).hexdigest(): d for d in changing_nerve_files()}
+    assert (reads, files) == (["rb"], ["sset-%s.json" % digest])
+    p.write_bytes(data[digest])
+    monkeypatch.delenv("TWOCAT_CACHE_DIR")
+    assert run(["homology", "--nerve", p, "--deg", 2]) == (code, out)
+
+
+def probe_failing_out(tmp):
+    """[exit code, --out unchanged, temporary files left] of a cached nerve
+    --out over an older --out that fails: on the miss after a tampered
+    entry, on the commit of a hit, and on that of a miss."""
+    tmp = Path(tmp)
+    cache, out = Path(os.environ["TWOCAT_CACHE_DIR"]), tmp / "nerve.json"
+    job = ["nerve", "--input", g2_file(tmp), "--max-dim", 3, "--out", out]
+
+    def failing(*_args):
+        raise OSError("the run fails here")
+
+    cases = {"tampered-entry": (_flip_entry_byte, (cli, "nerve")),
+             "hit-commit": (lambda _cache: None, (os, "replace")),
+             "miss-commit": (shutil.rmtree, (os, "replace"))}
+    seen = {}
+    for name, (before, (obj, attr)) in cases.items():
+        shutil.rmtree(cache, ignore_errors=True)
+        quiet(job)              # a cold run fills the cache
+        before(cache)
+        out.write_bytes(b"older")
+        with mock.patch.object(obj, attr, failing):
+            code = quiet(job)[0]
+        seen[name] = [code, out.read_bytes() == b"older",
+                      sorted(str(f.relative_to(tmp))
+                             for f in tmp.rglob("*.tmp"))]
+    return seen
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_out_never_receives_unverified_bytes(tmp_path, monkeypatch, flags):
+    # --out gets a hit's bytes only once their record is found, and any
+    # file only by a rename of a complete one: a tampered entry whose
+    # recomputation fails, and a commit that fails, leave --out as it was
+    # and no temporary file behind
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(tmp_path / "cache"))
+    assert observed(flags, probe_failing_out, tmp_path) == {
+        name: [1, True, []]
+        for name in ("tampered-entry", "hit-commit", "miss-commit")}
+
+
+def test_cached_runs_hold_no_nerve_file_whole(run, tmp_path, monkeypatch):
+    # a warm nerve --out and a cached homology move the nerve file of
+    # G2 x C2 at N = 5 in chunks: neither allocates a quarter of its size
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(tmp_path / "cache"))
+    p = write(tmp_path, "G2xC2.json",
+              tio.two_category_to_dict(fix_prod(fix_g2(), fix_c2())[0]))
+    out = tmp_path / "nerve.json"
+    jobs = [["nerve", "--input", p, "--max-dim", 5, "--out", out],
+            ["homology", "--nerve", out, "--deg", 0]]
+    assert run(jobs[0])[0] == 0         # the miss
+    size = out.stat().st_size
+    for job in jobs:
+        tracemalloc.start()
+        try:
+            code, _ = run(job)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < size / 4, (job[0], peak, size)
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_cospan_with_different_targets_is_rejected(tmp_path, flags):
     # run as `python [-O] -m twocat.cli`: -O strips asserts, so the check
@@ -478,6 +684,28 @@ def test_nerve_out_may_name_the_cache_entry(run, tmp_path, monkeypatch):
         code, _ = run(["nerve", "--input", p, "--max-dim", 3, "--out", entry])
         assert code == 0
         assert entry.read_text() == text
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+def test_unwritable_out_is_named_in_the_error(run, tmp_path, monkeypatch,
+                                              cache):
+    # --out is written through a temporary file beside it, but the error
+    # names --out itself, and no file is left behind, in the cache either
+    if cache:
+        monkeypatch.setenv("TWOCAT_CACHE_DIR", str(tmp_path / "cache"))
+    else:
+        monkeypatch.delenv("TWOCAT_CACHE_DIR", raising=False)
+    p = g2_file(tmp_path)
+    (tmp_path / "dir").mkdir()
+    for out, error in (
+            ("absent/nerve.json", "FileNotFoundError: [Errno 2] No such file "
+                                  "or directory: '%s'"),
+            ("dir", "IsADirectoryError: [Errno 21] Is a directory: '%s'")):
+        out = str(tmp_path / out)
+        code, rep = run(["nerve", "--input", p, "--max-dim", 2, "--out", out])
+        assert (code, json.loads(rep)) == (1, {"error": error % out})
+        assert [f.name for f in tmp_path.rglob("*") if f.is_file()] == [
+            "FIX_G2.json"]
 
 
 @pytest.mark.parametrize("pretty", [[], ["--pretty"]],

@@ -3,8 +3,9 @@ import hashlib
 import random
 import string
 import sys
-from types import SimpleNamespace
 from itertools import combinations, product
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import pytest
 
@@ -652,6 +653,43 @@ def oracle_trunc_sset_to_dict(X):
     }
 
 
+def oracle_trunc_sset_bytes(d):
+    """trunc_sset_bytes as first written: the whole file in one bytes
+    object, joined once from the pieces of every row."""
+    key = {k: encode_basestring_ascii(k).encode()
+           for lev in d["levels"] for k in lev}
+    head = [b"[%d," % i for i in range(d["N"] + 1)]
+    arrays = (
+        (b"degen", ((head[i], key[x], b",", key[y], b"]")
+                    for i, x, y in d["degen"])),
+        (b"degenerate", ((b"[", key[x], b",true]" if v else b",false]")
+                         for x, v in d["degenerate"])),
+        (b"face", ((head[i], key[x], b",", key[y], b"]")
+                   for i, x, y in d["face"])),
+        (b"levels", ((b"[", b",".join(map(key.__getitem__, lev)), b"]")
+                     for lev in d["levels"])))
+    out = [b'{"N":%d' % d["N"]]
+    for name, rows in arrays:
+        out.append(b',"%s":[' % name)
+        for pieces in rows:
+            out += pieces
+            out.append(b",")
+        if out[-1] == b",":         # after the last row
+            out.pop()
+        out.append(b"]")
+    out.append(b"}\n")
+    return b"".join(out)
+
+
+def assert_nerve_file_bytes(d):
+    """The chunks of trunc_sset_bytes join to the bytes of the one-shot
+    oracle and of dumps; returns the chunks."""
+    chunks = list(tio.trunc_sset_bytes(d))
+    data = b"".join(chunks)
+    assert data == oracle_trunc_sset_bytes(d) == tio.dumps(d).encode()
+    return chunks
+
+
 def self_completion(P):
     return sinv.s_inv_x(P, pgm.self_action(P)).cat
 
@@ -740,7 +778,7 @@ def assert_nerve_and_text_match_oracles(D, N):
     d = tio.trunc_sset_to_dict(X)
     text = tio.dumps(d)
     assert text == tio.dumps(oracle_trunc_sset_to_dict(O))
-    assert tio.trunc_sset_bytes(d) == text.encode()
+    assert b"".join(tio.trunc_sset_bytes(d)) == text.encode()
     return X
 
 
@@ -756,13 +794,13 @@ def test_nerve_file_encoder_matches_dumps_at_low_levels(name):
     make, _N = NERVE_CASES[name]
     D = make()
     for N in (0, 1):
-        d = tio.trunc_sset_to_dict(nv.nerve(D, N))
-        assert tio.trunc_sset_bytes(d) == tio.dumps(d).encode(), N
+        assert_nerve_file_bytes(tio.trunc_sset_to_dict(nv.nerve(D, N)))
 
 
 def test_nerve_file_encoder_matches_dumps_on_benchmark_ids():
     # G2 x C2 at N = 5 with every id a random 8-character name, as the
-    # benchmark writes it
+    # benchmark writes it: chunks of CHUNK bytes, or at most one level key
+    # more, but the last
     rng = random.Random(21)
     D = fix_prod(fix_g2(), fix_c2())[0]
     ids = cell_ids(D)
@@ -771,9 +809,12 @@ def test_nerve_file_encoder_matches_dumps_on_benchmark_ids():
                          for _ in ids)))
     assert len(set(new.values())) == len(ids)
     d = tio.trunc_sset_to_dict(nv.nerve(renamed_copy(D, new.get), 5))
-    data = tio.trunc_sset_bytes(d)
-    assert len(data) == 23316647
-    assert data == tio.dumps(d).encode()
+    chunks = assert_nerve_file_bytes(d)
+    assert sum(map(len, chunks)) == 23316647
+    longest = max(len(k) + 2 for lev in d["levels"] for k in lev)
+    assert all(tio.CHUNK <= len(c) < tio.CHUNK + longest
+               for c in chunks[:-1])
+    assert 0 < len(chunks[-1]) < tio.CHUNK + longest
 
 
 def test_nerve_file_encoder_escapes_raw_keys():
@@ -789,8 +830,7 @@ def test_nerve_file_encoder_escapes_raw_keys():
          "degenerate": [[new[x], v] for x, v in d["degenerate"]]}
     e = tio.trunc_sset_to_dict(tio.trunc_sset_from_dict(d))
     assert e == d
-    data = tio.trunc_sset_bytes(e)
-    assert data == tio.dumps(e).encode()
+    data = b"".join(assert_nerve_file_bytes(e))
     assert b"\\u0000\\u001f\\\"\\\\\\u00e9\\ud835\\udc00" in data
 
 

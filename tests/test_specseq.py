@@ -770,6 +770,20 @@ def test_totalization_matches_dense_chain_homology(make):
         assert ss.totalization_homology(B, n) == sq.group, n
 
 
+def test_pages_take_each_column_level_basis_once(monkeypatch):
+    # one basis_rows per level 0..Q of each column: the column's chain
+    # complex takes it, and its homology and d^1 read it there
+    B = ss.build_B(_rho(pgm.fix_c2_pgm), 3, 3)
+    want = ss.pages(B)
+    calls, basis_rows = [], hm.basis_rows
+    for module in (hm, ss):
+        monkeypatch.setattr(module, "basis_rows",
+                            lambda *a: calls.append(a) or basis_rows(*a))
+    got = ss.pages(B)
+    assert len(calls) == (B.P + 1) * (B.Q + 1) == 16
+    assert (got.E1, got.d1, got.E2) == (want.E1, want.d1, want.E2)
+
+
 def test_pages_terminal():
     pg = ss.pages(ss.build_B(identity_functor(fix_t()), 2, 2))
     assert str(pg.E2[(0, 0)]) == "Z"
