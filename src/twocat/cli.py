@@ -76,12 +76,15 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _manifest(subcommand: str, inputs: dict, bounds: dict) -> dict:
-    """The run manifest of the inputs read, {path: bytes}: each digest is
-    of the bytes that the run parses."""
+def _manifest(subcommand: str, inputs: dict, bounds: dict,
+              known: dict | None = None) -> dict:
+    """The run manifest of the inputs read, {path: bytes}, and of those
+    whose digests known ({path: digest}) gives: each digest is of the bytes
+    that the run parses."""
     return {
         "subcommand": subcommand,
-        "inputs": {p: _sha256(b) for p, b in inputs.items()},
+        "inputs": {**(known or {}),
+                   **{p: _sha256(b) for p, b in inputs.items()}},
         "bounds": bounds,
         "determinism": "seed-free: the report depends only on the listed "
                        "inputs and bounds",
@@ -114,11 +117,16 @@ def _counts(C) -> dict:
             "two_cells": len(C.two_src)}
 
 
-def _inputs(ctx: dict, subcommand: str, paths: list, bounds: dict) -> list:
-    """The bytes of each input path, None for an absent optional one: each
-    file is read once, and ctx gets the manifest of those bytes."""
-    data = {p: _read(p) for p in dict.fromkeys(paths) if p is not None}
-    ctx["manifest"] = _manifest(subcommand, data, bounds)
+def _inputs(ctx: dict, subcommand: str, paths: list, bounds: dict,
+            known: dict | None = None) -> list:
+    """The bytes of each input path, None for an absent optional one and
+    for one whose digest known ({path: digest}) gives, which the run has
+    read already: each other file is read once, and ctx gets the manifest
+    of the bytes that the run parses."""
+    known = known or {}
+    data = {p: _read(p) for p in dict.fromkeys(paths)
+            if p is not None and p not in known}
+    ctx["manifest"] = _manifest(subcommand, data, bounds, known)
     return [data.get(p) for p in paths]
 
 
@@ -129,23 +137,6 @@ def _functor(d: dict):
     validate_two_category(F.source)
     validate_two_category(F.target)
     return validate_two_functor(F)
-
-
-def _put(tmp: str, path: str) -> None:
-    """Rename tmp to path.  A file already at path is renamed aside first,
-    removed after, and put back if the rename fails: on ext4 a rename over
-    a file starts writing the new one to disk at once (auto_da_alloc),
-    ~20 ms for a 23 MB nerve file on a 2-vCPU VM."""
-    if not os.path.isfile(path):
-        return os.replace(tmp, path)
-    old = tmp + ".old"
-    os.replace(path, old)
-    try:
-        os.replace(tmp, path)
-    except OSError:
-        os.replace(old, path)
-        raise
-    os.remove(old)
 
 
 def _stream(chunks, paths: list, sha=None, check=None):
@@ -170,7 +161,7 @@ def _stream(chunks, paths: list, sha=None, check=None):
         got = check(sha.hexdigest()) if check else True
         if got is not None:
             for tmp, path in tmps.items():
-                _put(tmp, path)
+                os.replace(tmp, path)
         return got
     except OSError as e:        # name the file asked for, not its aside
         if e.filename in tmps or e.filename2:
@@ -327,23 +318,24 @@ def cmd_nerve(args, ctx) -> int:
 
 
 def cmd_homology(args, ctx) -> int:
-    bounds, cache_dir, X = {"deg": args.deg}, os.environ.get(CACHE_ENV), None
-    if cache_dir:
+    cache_dir, X, known = os.environ.get(CACHE_ENV), None, {}
+    # with a cache, the nerve file is hashed in chunks to look up its
+    # record; a coefficients file that names it takes the one whole read
+    if cache_dir and args.coeffs != args.nerve:
         with open(args.nerve, "rb") as fh:
             digest, X = _recorded(cache_dir, fh)
             if X is None:       # parse the file, named by the bytes parsed
                 fh.seek(0)
                 data = fh.read()
                 digest = _sha256(data)
-        coeff_data, = _inputs(ctx, "homology", [args.coeffs], bounds)
-        ctx["manifest"]["inputs"][args.nerve] = digest
-    else:
-        data, coeff_data = _inputs(ctx, "homology",
-                                   [args.nerve, args.coeffs], bounds)
+        known[args.nerve] = digest
+    read, coeff_data = _inputs(ctx, "homology", [args.nerve, args.coeffs],
+                               {"deg": args.deg}, known)
     if X is None:
-        X = tio.trunc_sset_from_dict(json.loads(data))
+        X = tio.trunc_sset_from_dict(json.loads(data if known else read))
         if cache_dir:
-            _store_sset(cache_dir, digest, X, X.levels)
+            _store_sset(cache_dir, ctx["manifest"]["inputs"][args.nerve], X,
+                        X.levels)
     if args.coeffs:
         L = tio.coeff_system_from_dict(json.loads(coeff_data))
         group = homology_local(X, L, args.deg)

@@ -112,7 +112,7 @@ class Homology(NamedTuple):
     n: int
     sq: Subquotient
     basis: list          # the nondegenerate n-simplices, one per chain row
-    rows: list           # the basis_rows of level n
+    row: dict            # n-simplex of X -> its row in basis, or None
 
 
 def homology_subquotient(X: TruncSimplicialSet, degrees) -> list:
@@ -125,7 +125,7 @@ def homology_subquotient(X: TruncSimplicialSet, degrees) -> list:
     return [Homology(n, chain_homology(C.boundary[n] if n else (),
                                        C.boundary[n + 1], C.rank(n),
                                        C.rank(n - 1) if n else 0),
-                     C.basis[n], C.rows[n])
+                     C.basis[n], dict(zip(X.levels[n], C.rows[n])))
             for n in degrees]
 
 
@@ -139,9 +139,8 @@ def homology_induced(F: TwoFunctor, Hs: Homology, Ht: Homology):
     the 2-category whose nerve has the homology Hs to the one whose nerve
     has Ht, both in degree n; only the basis n-simplices of Hs are mapped
     (``nerve.map_simplex``), and a degenerate image drops out."""
-    row = {y: r for r, y in enumerate(Ht.basis)}
     M = [() if r is None else ((r, 1),)
-         for r in (row.get(map_simplex(F, x)) for x in Hs.basis)]
+         for r in (Ht.row[map_simplex(F, x)] for x in Hs.basis)]
     return induced_matrix(Hs.sq, Ht.sq, M)
 
 

@@ -314,7 +314,7 @@ def pages(B: BisimplicialTrunc) -> SSPages:
     for p, col in enumerate(B.cols):
         for H in homology_subquotient(col, range(B.Q)):
             E1_sq[(p, H.n)], E1[(p, H.n)] = H.sq, H.sq.group
-            rows[(p, H.n)] = H.rows
+            rows[(p, H.n)] = list(H.row.values())
     for p in range(1, B.P + 1):
         for q in range(B.Q):
             M = level_boundary(B.rows[q].faces[p], rows[(p, q)],

@@ -339,9 +339,10 @@ def observed(flags, probe, tmp_path):
 
 
 def probe_cached_opens(tmp):
-    """[exit code, {file: times opened}] of a nerve hit, a homology hit and
-    a homology record miss, each file named relative to tmp and each
-    temporary one without its pid."""
+    """[exit code, {file: times opened}] of a nerve hit, a homology hit, a
+    homology record miss and a homology whose --coeffs names its nerve
+    file, each file named relative to tmp and each temporary one without
+    its pid."""
     tmp = Path(tmp)
     out = tmp / "nerve.json"
     nerve_job = ["nerve", "--input", g2_file(tmp), "--max-dim", 3,
@@ -359,7 +360,8 @@ def probe_cached_opens(tmp):
     with mock.patch("builtins.open", counted_open):
         for name, job in (("nerve-hit", nerve_job),
                           ("homology-hit", homology_job),
-                          ("homology-miss", homology_job)):
+                          ("homology-miss", homology_job),
+                          ("coeffs-nerve", [*homology_job, "--coeffs", out])):
             if name == "homology-miss":
                 for f in Path(os.environ["TWOCAT_CACHE_DIR"]).glob("sset-*"):
                     f.unlink()
@@ -374,7 +376,8 @@ def test_each_input_is_read_once_through_the_cache(tmp_path, monkeypatch,
     # a cached run opens each input file, cache entry and record once: a
     # nerve hit reads the entry in chunks into --out's temporary file, and
     # homology hashes the nerve file chunk by chunk, reading it again from
-    # the start only on a record miss
+    # the start only on a record miss; a --coeffs that names the nerve file
+    # (not a coefficients file, so exit 1) takes the one whole read
     monkeypatch.setenv("TWOCAT_CACHE_DIR", str(tmp_path / "cache"))
     seen = observed(flags, probe_cached_opens, tmp_path)
     entry = "cache/nerve-%s-3.json" % hashlib.sha256(
@@ -387,6 +390,7 @@ def test_each_input_is_read_once_through_the_cache(tmp_path, monkeypatch,
         "homology-hit": [0, {"nerve.json": 1, record: 1}],
         "homology-miss": [0, {"nerve.json": 1, record: 1,
                               record + ".tmp": 1}],
+        "coeffs-nerve": [1, {"nerve.json": 1, record + ".tmp": 1}],
     }
 
 

@@ -784,6 +784,17 @@ def test_relabeling_invariance():
     assert hm.homology_induced(F, H, H) == il.mid(len(H.sq.gen_idx))
 
 
+def test_induced_map_rejects_an_image_outside_the_target():
+    # an image simplex that the target's level lacks is an error, not a
+    # zero column: only a degenerate image drops out
+    from twocat.core import identity_functor
+    F = identity_functor(fix_g2())
+    Hs, = hm.homology_subquotient(nerve(fix_g2(), 3), [2])
+    Ht, = hm.homology_subquotient(nerve(fix_i(), 3), [2])
+    with pytest.raises(KeyError):
+        hm.homology_induced(F, Hs, Ht)
+
+
 # --- local coefficients ---------------------------------------------------------
 
 ZCONST = hm.PresentedGroup(1, [])
