@@ -6,7 +6,6 @@ Submodules:
 * ``io``         JSON interchange
 * ``fixtures``   standard small 2-categories
 * ``constructs`` pullbacks, lax/oplax comma objects, fibers
-* ``orientals``  the free oplax p-simplex 2-categories
 * ``nerve``      normal oplax nerve as a truncated simplicial set
 * ``intlinalg``  exact integer matrices, Smith normal form, lattices
 * ``homology``   integral and local-coefficient homology

@@ -20,7 +20,7 @@ all tables are total and equality of cells is identifier equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 
@@ -133,7 +133,7 @@ def build_two_category(objects, one_cells, two_cells, id1, id2,
     """Build total tables by evaluating composition callbacks on every
     composable tuple, so that totality is automatic.  Every constructed
     2-category fills its tables here, from its composition rule: products,
-    pullbacks, comma objects, strict fibers, orientals and S^-1 X;
+    pullbacks, comma objects, strict fibers and S^-1 X;
     ``make_two_category`` is for literal tables."""
     one_cells = dict(one_cells)
     two_cells = dict(two_cells)
@@ -494,11 +494,3 @@ def co_dual(C: TwoCategory) -> TwoCategory:
 
 def coop_dual(C: TwoCategory) -> TwoCategory:
     return co_dual(op_dual(C))
-
-
-def functor_op(F: TwoFunctor) -> TwoFunctor:
-    return replace(F, source=op_dual(F.source), target=op_dual(F.target))
-
-
-def functor_co(F: TwoFunctor) -> TwoFunctor:
-    return replace(F, source=co_dual(F.source), target=co_dual(F.target))

@@ -77,9 +77,6 @@ class OrientedSimplex(NamedTuple):
     def edge(self, i: int, j: int) -> str:
         return self.edges[layout(self.dim).edge_at[(i, j)]]
 
-    def triangle(self, i: int, j: int, k: int) -> str:
-        return self.triangles[layout(self.dim).tri_at[(i, j, k)]]
-
 
 @lru_cache(maxsize=None)
 def _extension_plan(p: int):
@@ -335,12 +332,6 @@ def simplex_operators(D: TwoCategory, N: int):
                                     degens[-1][i] if i < m else None, True)
                        for i in range(m + 1)])
     return [g.cells for g in gs], [[]] + faces[1:], degens + [[]]
-
-
-def simplex_levels(D: TwoCategory, N: int) -> list:
-    """The p-simplices of the nerve of D for p = 0..N, each level a sorted
-    list: the levels of ``simplex_operators``."""
-    return simplex_operators(D, N)[0]
 
 
 @lru_cache(maxsize=None)

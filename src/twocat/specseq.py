@@ -23,13 +23,11 @@ the ``homology_subquotient`` of each column) and the totalization read
 integers, not cells.
 
 The module computes the first two pages of the homology spectral sequence
-of B(F) (vertical homology first), the homology of the totalization, and
-the two filtration identifications that drive the theory:
-
-* at fixed sigma, the vertical q-cells over sigma are the q-simplices of
-  the nerve of the diagram-shaped comma object of F over sigma;
-* at fixed omega, the horizontal p-cells under omega are the p-simplices
-  of the nerve of the codiagram-shaped comma object under F(omega).
+of B(F) (vertical homology first) and the homology of the totalization.
+The two filtration identifications that drive the theory (at fixed sigma
+the diagram-shaped comma object of F over sigma, at fixed omega the
+codiagram-shaped one under F(omega)) are checked on the test side, in
+``tests/diagram_comma.py``.
 
 When F is a certified opfibration the E^2 page is identified with the
 homology of the base with local coefficients in the fiber homology; the
@@ -46,65 +44,16 @@ from operator import or_
 from typing import NamedTuple
 
 from . import intlinalg as il
-from .constructs import (CommaResult, laco, laco_diagram, mediate_laco,
-                         oplaco_codiagram, strict_fiber)
-from .core import (LAX, TWO_NATURAL, AxiomError, Transformation, TwoCategory,
-                   TwoFunctor, compose_functors, validate_two_functor)
+from .constructs import CommaResult, laco, mediate_laco, strict_fiber
+from .core import (LAX, TWO_NATURAL, AxiomError, Transformation, TwoFunctor,
+                   compose_functors)
 from .fixtures import bang_functor, point_functor
 from .homology import (LocalCoeffSystem, basis_rows, homology_induced,
                        homology_subquotient, induced_iso, level_boundary,
                        local_homology_groups, presentation_of)
 from .nerve import (OrientedSimplex, TruncSimplicialSet,
                     check_simplicial_identities, compose_rows, degeneracy,
-                    face, layout, map_simplex, nerve, simplex_levels,
-                    simplex_operators)
-from ast import literal_eval
-
-from .orientals import materialize_oriental, path_id
-
-
-# ---------------------------------------------------------------------------
-# simplices as 2-functors out of orientals
-# ---------------------------------------------------------------------------
-
-def _path_composite(D: TwoCategory, x: OrientedSimplex, P: tuple) -> str:
-    """The composite in D of the edges of x along the vertex path P."""
-    if len(P) == 1:
-        return D.id1[x.vertices[P[0]]]
-    acc = x.edge(P[0], P[1])
-    for a, b in zip(P[1:], P[2:]):
-        acc = D.comp1[(x.edge(a, b), acc)]
-    return acc
-
-
-def simplex_functor(D: TwoCategory, x: OrientedSimplex) -> TwoFunctor:
-    """The 2-functor from the x.dim-th oriental to D classified by the
-    simplex x: vertices to vertices, paths to edge composites, and each
-    refinement 2-cell to the pasting of x's triangles obtained by
-    inserting the missing vertices one at a time in increasing order.
-    The result is validated, which checks that the assignment of the
-    refinement cells is independent of any bracketing."""
-    O = materialize_oriental(x.dim, bound=max(4, x.dim))
-    on_objects = {str(i): x.vertices[i] for i in range(x.dim + 1)}
-    on_one = {}
-    for pid in O.one_src:
-        P = literal_eval(pid)  # path ids print as int tuples
-        on_one[pid] = _path_composite(D, x, P)
-    on_two = {}
-    for cid in O.two_src:
-        P, Q = literal_eval(cid)
-        cur = list(P)
-        acc = D.id2[on_one[path_id(P)]]
-        missing = [v for v in Q if v not in P]
-        for v in missing:
-            k = max(i for i in range(len(cur)) if cur[i] < v)
-            step = x.triangle(cur[k], v, cur[k + 1])
-            step = D.whisk_r[(step, _path_composite(D, x, tuple(cur[:k + 1])))]
-            step = D.whisk_l[(_path_composite(D, x, tuple(cur[k + 1:])), step)]
-            acc = D.vcomp[(step, acc)]
-            cur.insert(k + 1, v)
-        on_two[cid] = acc
-    return validate_two_functor(TwoFunctor(O, D, on_objects, on_one, on_two))
+                    face, map_simplex, nerve, simplex_operators)
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +79,6 @@ class BisimplicialTrunc:
     levels: dict               # (p, q) -> sorted tuple of Bisimplex
     rows: list                 # q -> TruncSimplicialSet under d^h, s^h
     cols: list                 # p -> TruncSimplicialSet under d^v, s^v
-
-
-def _block_cells(fom: OrientedSimplex, si: OrientedSimplex):
-    """The edges and triangles of a delta inside its two blocks, keyed by
-    position in delta: F(omega) on the first q+1 vertices, sigma on the
-    last p+1."""
-    q1 = fom.dim + 1
-    Lo, Ls = layout(fom.dim), layout(si.dim)
-    edges = dict(zip(Lo.pairs, fom.edges))
-    edges.update(zip([(q1 + a, q1 + b) for a, b in Ls.pairs], si.edges))
-    tris = dict(zip(Lo.triples, fom.triangles))
-    tris.update(zip([(q1 + a, q1 + b, q1 + c) for a, b, c in Ls.triples],
-                    si.triangles))
-    return edges, tris
 
 
 def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
@@ -374,112 +309,6 @@ def totalization_homology(B: BisimplicialTrunc, n: int) -> il.FGAbGroup:
                             B.cols[p].degenerate[n - 1 - p]))
     return il.chain_homology(d_in, total_boundary(B, n + 1), len(d_in),
                              f).group
-
-
-# ---------------------------------------------------------------------------
-# the two filtration identifications
-# ---------------------------------------------------------------------------
-
-def _assemble_join(F: TwoFunctor, comma, Y: OrientedSimplex,
-                   other: OrientedSimplex, over: bool) -> Bisimplex:
-    """The cell of B(F) that a simplex Y of the nerve of a comma object
-    stands for.  Over sigma (``over``), comma is laco_diagram(F, sigma),
-    other is sigma and omega the image of the q-simplex Y under p_left;
-    under omega, comma is the codiagram comma object under F(omega), other
-    is omega and sigma the image of the p-simplex Y under p_left.  The
-    cones at Y's vertices fill the mixed edges and the mixed triangles with
-    one vertex on Y's side; the cells at Y's edges fill those with two."""
-    image = map_simplex(comma.p_left, Y)
-    om, si = (image, other) if over else (other, image)
-    q1 = om.dim + 1
-    fom = map_simplex(F, om)
-    edges, tris = _block_cells(fom, si)
-    # offsets in delta of Y's block and of the other block
-    ho, to = (0, q1) if over else (q1, 0)
-    key = lambda *ms: tuple(sorted(ms))
-    for m, y in enumerate(Y.vertices):
-        _, comps, cells = comma.obj_data[y]
-        dcomps, dcells = dict(comps), dict(cells)
-        for n in range(other.dim + 1):
-            edges[key(ho + m, to + n)] = dcomps[str(n)]
-        for a, b in layout(other.dim).pairs:
-            tris[key(ho + m, to + a, to + b)] = dcells[path_id((a, b))]
-    for (a, b), f in zip(layout(Y.dim).pairs, Y.edges):
-        dla = dict(comma.one_data[f][3])
-        for n in range(other.dim + 1):
-            tris[key(ho + a, ho + b, to + n)] = dla[str(n)]
-    L = layout(q1 + si.dim)
-    de = OrientedSimplex(q1 + si.dim, fom.vertices + si.vertices,
-                         tuple(map(edges.__getitem__, L.pairs)),
-                         tuple(map(tris.__getitem__, L.triples)))
-    return Bisimplex(om, de, si)
-
-
-def filtration_check_p(F: TwoFunctor, si: OrientedSimplex, q: int) -> bool:
-    """At fixed sigma, the vertical q-cells of B(F) over sigma are in
-    face/degeneracy-preserving bijection with the q-simplices of the nerve
-    of the comma object of F over the diagram classified by sigma; the
-    cells over sigma are read off ``build_B(F, sigma.dim, q)``."""
-    C, D = F.source, F.target
-    L = laco_diagram(F, simplex_functor(D, si))
-    Yl = simplex_levels(L.cat, q)
-    Ys = Yl[q]
-    assembled = {Y: _assemble_join(F, L, Y, si, True) for Y in Ys}
-    target = {x for x in build_B(F, si.dim, q).levels[(si.dim, q)]
-              if x.si == si}
-    if len(set(assembled.values())) != len(Ys):
-        return False
-    if set(assembled.values()) != target:
-        return False
-    if q >= 1:
-        for Y, x in assembled.items():
-            for i in range(q + 1):
-                got = _assemble_join(F, L, face(L.cat, Y, i), si, True)
-                if got != Bisimplex(face(C, x.om, i), face(D, x.de, i), si):
-                    return False
-        for Y in Yl[q - 1]:
-            x = _assemble_join(F, L, Y, si, True)
-            for i in range(q):
-                got = _assemble_join(F, L, degeneracy(L.cat, Y, i), si, True)
-                if got != Bisimplex(degeneracy(C, x.om, i),
-                                    degeneracy(D, x.de, i), si):
-                    return False
-    return True
-
-
-def filtration_check_q(F: TwoFunctor, om: OrientedSimplex, p: int) -> bool:
-    """At fixed omega, the horizontal p-cells of B(F) under omega are in
-    face/degeneracy-preserving bijection with the p-simplices of the
-    nerve of the codiagram comma object under F(omega); the cells under
-    omega are read off ``build_B(F, p, omega.dim)``."""
-    C, D = F.source, F.target
-    W = compose_functors(F, simplex_functor(C, om))
-    R = oplaco_codiagram(W)
-    Yl = simplex_levels(R.cat, p)
-    Ys = Yl[p]
-    assembled = {Y: _assemble_join(F, R, Y, om, False) for Y in Ys}
-    target = {x for x in build_B(F, p, om.dim).levels[(p, om.dim)]
-              if x.om == om}
-    if len(set(assembled.values())) != len(Ys):
-        return False
-    if set(assembled.values()) != target:
-        return False
-    if p >= 1:
-        q1 = om.dim + 1
-        for Y, x in assembled.items():
-            for i in range(p + 1):
-                got = _assemble_join(F, R, face(R.cat, Y, i), om, False)
-                if got != Bisimplex(om, face(D, x.de, q1 + i),
-                                    face(D, x.si, i)):
-                    return False
-        for Y in Yl[p - 1]:
-            x = _assemble_join(F, R, Y, om, False)
-            for i in range(p):
-                got = _assemble_join(F, R, degeneracy(R.cat, Y, i), om, False)
-                if got != Bisimplex(om, degeneracy(D, x.de, q1 + i),
-                                    degeneracy(D, x.si, i)):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

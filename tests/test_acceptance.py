@@ -14,13 +14,13 @@ from twocat import intlinalg as il
 from twocat import opfib as of
 from twocat import pgm, sinv
 from twocat import specseq as ss
-from twocat.constructs import (comma_inclusion, laco, laco_diagram, oplaco,
-                               pullback)
+from twocat.constructs import comma_inclusion, laco, oplaco, pullback
 from twocat.core import TwoFunctor, identity_functor, validate_two_category
 from twocat.fixtures import (fix_c2, fix_g2, fix_g2sat, fix_i, fix_m2,
                              fix_prod, fix_t, point_functor)
 from twocat.nerve import nerve
 
+from diagram_comma import laco_diagram, simplex_functor
 from test_nerve import enumerate_simplices, tetrahedron_ok
 from test_opfib import (postcompose_pseudofunctor, validate_pseudofunctor,
                         validate_pseudonatural_unit)
@@ -331,7 +331,7 @@ def test_criterion_11_comparison_induces_isomorphisms():
         D = P.target
         for p in range(3):
             for si in enumerate_simplices(D, p):
-                G = ss.simplex_functor(D, si)
+                G = simplex_functor(D, si)
                 PB, L = pullback(P, G), laco(P, G)
                 inc = comma_inclusion(PB, L, P, G)
                 Hs, Ht = (hm.homology_subquotient(nerve(C, 3), range(3))

@@ -1394,28 +1394,6 @@ def test_ss_report_bytes_are_pinned(run, tmp_path, monkeypatch, name,
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
-@pytest.mark.parametrize("functor,q", [
-    (lambda: sinv.rho_projection(
-        sinv.s_inv_x(pgm.fix_c2_pgm(), pgm.self_action(pgm.fix_c2_pgm())),
-        sinv.s_inv_point(pgm.fix_c2_pgm())), 1),
-    (swap_projection, 0),
-], ids=["rho-c2", "swap"])
-def test_ss_reaches_no_oriental_and_no_cone(run, tmp_path, monkeypatch,
-                                            functor, q):
-    # the fiber coefficients go by base change, so ss builds no oriental
-    # and enumerates no cone of a diagram comma object
-    p = write(tmp_path, "F.json", tio.two_functor_to_dict(functor()))
-    argv = ["ss", "--functor", p, "--pmax", 3, "--qmax", 3,
-            "--fiber-coeffs", q]
-    report = run(argv)
-
-    def reached(*args, **kwargs):
-        raise RuntimeError("reached")
-    monkeypatch.setattr("twocat.constructs._enumerate_cones", reached)
-    monkeypatch.setattr("twocat.specseq.materialize_oriental", reached)
-    assert run(argv) == report
-
-
 def test_ss_rejects_an_untrusted_fiber_row_before_building(run, tmp_path,
                                                          monkeypatch):
     # the trusted row is qmax - 1, known from the arguments, so nothing is
@@ -1530,12 +1508,31 @@ def max_with_an_automorphism():
                    {k: "id_" + v for k, v in top.items()})
 
 
+def idempotent_monoid():
+    """The one-object PGM of the monoid {1, x} with x . x = x, identity
+    2-cells only, sigma(x, x) = 1_x and the identity symmetry: a valid PGM
+    whose 2-cells are invertible and whose translations are faithful, but
+    x has no quasi-inverse, so the carrier is no 2-groupoid."""
+    one = {"id": ("*", "*"), "x": ("*", "*")}
+    comp = {(g, f): "id" if g == f == "id" else "x" for g in one for f in one}
+    S = make_two_category(
+        ["*"], one, {"1_id": ("id", "id"), "1_x": ("x", "x")},
+        {"*": "id"}, {"id": "1_id", "x": "1_x"}, comp,
+        {("1_" + f, "1_" + f): "1_" + f for f in one},
+        {(k, "1_" + f): "1_" + comp[(k, f)] for k in one for f in one},
+        {("1_" + f, k): "1_" + comp[(f, k)] for k in one for f in one})
+    ident = identity_functor(S)
+    return pgm.PGM(S, "*", {("*", "*"): "*"}, {"*": ident}, {"*": ident},
+                   {("x", "x"): "1_x"}, {("*", "*"): "id"})
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("make,failure", [
     (pgm.fix_g2sat_pgm, "hypothesis-2-cell-not-invertible at ('e1',)"),
     (max_with_an_automorphism,
-     "hypothesis-translation-not-faithful at ('1', 'a0', 'ii_0')")],
-    ids=["two-groupoid", "faithful"])
+     "hypothesis-translation-not-faithful at ('1', 'a0', 'ii_0')"),
+    (idempotent_monoid, "hypothesis-1-cell-not-equivalence at ('x',)")],
+    ids=["two-groupoid", "faithful", "equivalence"])
 def test_gc_check_names_the_failing_hypothesis(tmp_path, flags, make,
                                                failure):
     # run as `python [-O] -m twocat.cli`: the gate is no assert

@@ -7,17 +7,19 @@ from twocat import constructs, fixtures, pgm, sinv
 from twocat import io as tio
 from twocat.constructs import CommaResult, laco, mediate_laco
 from twocat.core import (AxiomError, Transformation, compose_functors,
-                         functor_co, functor_op, functors_equal,
-                         identity_functor, op_dual, co_dual, coop_dual,
-                         make_two_category,
+                         functors_equal, identity_functor, op_dual, co_dual,
+                         coop_dual, make_two_category,
                          validate_two_category, validate_two_functor)
 from twocat.core import LAX, OPLAX, TWO_NATURAL, TwoFunctor
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
                              fix_t, nm, point_functor)
-from twocat.nerve import simplex_levels
-from twocat.orientals import materialize_oriental
-from twocat.specseq import base_change, simplex_functor
+from twocat.nerve import simplex_operators
+from twocat.specseq import base_change
 
+from diagram_comma import (OplaxInitialWitness, find_oplax_initial,
+                           functor_co, functor_op, laco_diagram,
+                           lp_initial_d_e, materialize_oriental,
+                           oplaco_codiagram, simplex_functor)
 from test_core import find_isomorphism, validate_transformation
 from test_nerve import enumerate_simplices
 
@@ -312,19 +314,19 @@ def test_strict_fiber_product_projection():
 
 def test_interval_oplax_initial_terminal():
     I = fix_i()
-    w = constructs.find_oplax_initial(I)
+    w = find_oplax_initial(I)
     assert w is not None and w.obj == "0"
     validate_transformation(witness_transformation(I, w))
-    wt = constructs.find_oplax_initial(op_dual(I))
+    wt = find_oplax_initial(op_dual(I))
     assert wt is not None and wt.obj == "1"
 
 
 def test_g2_has_no_oplax_initial():
-    assert constructs.find_oplax_initial(fix_g2()) is None
+    assert find_oplax_initial(fix_g2()) is None
 
 
 def test_discrete_pair_has_no_oplax_initial():
-    assert constructs.find_oplax_initial(fix_c2()) is None
+    assert find_oplax_initial(fix_c2()) is None
 
 
 # --- diagram comma and the initial-object equivalence ------------------------
@@ -339,7 +341,7 @@ def _diagram_setup():
 
 def test_laco_diagram_validates():
     I, G2, F, G = _diagram_setup()
-    Ldia = constructs.laco_diagram(F, G)
+    Ldia = laco_diagram(F, G)
     validate_two_category(Ldia.cat)
     validate_two_functor(Ldia.p_left)
     assert (len(Ldia.cat.objects), len(Ldia.cat.one_src),
@@ -363,8 +365,8 @@ def e_by_keys(Lpt, Ldia, iota) -> TwoFunctor:
 
 def test_lp_initial_shadow():
     I, G2, F, G = _diagram_setup()
-    w = constructs.find_oplax_initial(I)
-    d, e, eta, Lpt, Ldia = constructs.lp_initial_d_e(F, G, w)
+    w = find_oplax_initial(I)
+    d, e, eta, Lpt, Ldia = lp_initial_d_e(F, G, w)
     validate_two_functor(d)
     validate_two_functor(e)
     assert functors_equal(e, e_by_keys(Lpt, Ldia, w.obj))
@@ -378,8 +380,8 @@ def test_lp_initial_shadow_interval_base():
     I = fix_i()
     F = point_functor(I, "0")
     G = identity_functor(I)
-    w = constructs.find_oplax_initial(I)
-    d, e, eta, Lpt, Ldia = constructs.lp_initial_d_e(F, G, w)
+    w = find_oplax_initial(I)
+    d, e, eta, Lpt, Ldia = lp_initial_d_e(F, G, w)
     validate_two_functor(d)
     validate_two_functor(e)
     assert functors_equal(e, e_by_keys(Lpt, Ldia, w.obj))
@@ -426,7 +428,7 @@ def product_oplax_initial(E):
                     for f in E.one_src:
                         if E.is_id1(f):
                             at_one[f] = E.id2[at_obj[E.one_src[f]]]
-                    w = constructs.OplaxInitialWitness(iota, at_obj, at_one)
+                    w = OplaxInitialWitness(iota, at_obj, at_one)
                     try:
                         validate_transformation(witness_transformation(E, w))
                     except AxiomError:
@@ -588,7 +590,7 @@ WITNESS_CATEGORIES = _witness_categories()
 @pytest.mark.parametrize("E", [E for _, E in WITNESS_CATEGORIES],
                          ids=[name for name, _ in WITNESS_CATEGORIES])
 def test_oplax_initial_matches_product_search(E):
-    w = constructs.find_oplax_initial(E)
+    w = find_oplax_initial(E)
     assert w == product_oplax_initial(E)
     if w is not None:
         validate_transformation(witness_transformation(E, w))
@@ -618,7 +620,7 @@ CODIAGRAMS = _codiagrams()
 @pytest.mark.parametrize("W", [W for _, W in CODIAGRAMS],
                          ids=[name for name, _ in CODIAGRAMS])
 def test_codiagram_matches_handwritten_builder(W):
-    R = constructs.oplaco_codiagram(W)
+    R = oplaco_codiagram(W)
     cat, objs, ones, twos, proj = handwritten_codiagram(W)
     assert R.obj_id == objs
     # the op-dual keys each 1-cell by its endpoints in D^op: swapped, the
@@ -683,10 +685,10 @@ def _diagram_family():
     rho = _rho_c2()
     C, D = rho.source, rho.target
     out = []
-    for si in chain.from_iterable(simplex_levels(D, 2)):
-        out.append(constructs.laco_diagram(rho, simplex_functor(D, si)).cat)
-    for om in chain.from_iterable(simplex_levels(C, 2)):
-        out.append(constructs.oplaco_codiagram(
+    for si in chain.from_iterable(simplex_operators(D, 2)[0]):
+        out.append(laco_diagram(rho, simplex_functor(D, si)).cat)
+    for om in chain.from_iterable(simplex_operators(C, 2)[0]):
+        out.append(oplaco_codiagram(
             compose_functors(rho, simplex_functor(C, om))).cat)
     return out
 

@@ -13,14 +13,14 @@ from twocat import fixtures, pgm, sinv, specseq
 from twocat import homology as hm
 from twocat import io as tio
 from twocat import nerve as nv
-from twocat.constructs import find_oplax_initial
 from twocat.core import (AxiomError, TwoFunctor, op_dual,
                          validate_two_category)
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
                              fix_m2, fix_prod, fix_t)
 from twocat.intlinalg import chain_homology
-from twocat.orientals import increasing_paths, materialize_oriental
 
+from diagram_comma import (find_oplax_initial, increasing_paths,
+                           materialize_oriental)
 from test_core import find_isomorphism
 from test_homology import ORACLE_CATEGORIES, operator_dicts
 
@@ -71,8 +71,8 @@ def test_oriental_initial_terminal(p):
 
 def enumerate_simplices(D, p):
     """All p-simplices of the nerve of D, in lexicographic order of
-    (vertices, edges, triangles): level p of ``simplex_levels``."""
-    return nv.simplex_levels(D, p)[p]
+    (vertices, edges, triangles): level p of ``simplex_operators``."""
+    return nv.simplex_operators(D, p)[0][p]
 
 
 @pytest.mark.parametrize("p", range(4))
@@ -96,7 +96,8 @@ def has_pins(x, pinned_vertices, pinned_edges, pinned_triangles):
     oracles below."""
     return (all(x.vertices[m] == v for m, v in pinned_vertices.items())
             and all(x.edge(*k) == e for k, e in pinned_edges.items())
-            and all(x.triangle(*k) == t for k, t in pinned_triangles.items()))
+            and all(x.triangles[nv.layout(x.dim).tri_at[k]] == t
+                    for k, t in pinned_triangles.items()))
 
 
 def test_pinned_enumeration():
@@ -104,7 +105,7 @@ def test_pinned_enumeration():
     D = fix_g2()
     pins = ({}, {}, {(0, 1, 2): "e1"})
     xs = [x for x in enumerate_simplices(D, 2) if has_pins(x, *pins)]
-    assert len(xs) == 1 and xs[0].triangle(0, 1, 2) == "e1"
+    assert len(xs) == 1 and xs[0].triangles == ("e1",)
     assert xs == dict_keyed_search(D, 2, *pins) == \
         product_then_filter(D, 2, *pins)
 
@@ -354,7 +355,7 @@ def test_pruned_search_matches_oracle_on_pinned_deltas(monkeypatch):
             m.setattr(nv, "extensions", checked_extensions)
             parents.clear()
             B = specseq.build_B(F, N, N)
-        oms = nv.simplex_levels(F.source, N)
+        oms = nv.simplex_operators(F.source, N)[0]
         sis, faces, _ = nv.simplex_operators(F.target, 2 * N + 1)
         pairs = 0
         for (p, q), cells in B.levels.items():
@@ -529,7 +530,7 @@ def test_serialized_nerve_is_unchanged():
 def oracle_nerve(D, N):
     """nerve() as first written: every face and degeneracy built as a
     simplex by nv.face and nv.degeneracy."""
-    levels = tuple(map(tuple, nv.simplex_levels(D, N)))
+    levels = tuple(map(tuple, nv.simplex_operators(D, N)[0]))
     fmap = {}
     dmap = {}
     for n in range(1, N + 1):

@@ -24,19 +24,12 @@ TEST_ONLY = {
     "io.action_to_dict": "io writer: the file API for actions",
     "io.coeff_system_to_dict": "io writer: the file API for coefficient "
                                "systems",
-    "specseq.filtration_check_p": "ROADMAP item 3 puts it to work",
     "sinv.rho_opfib_check": "ROADMAP item 6 puts it to work on the "
                             "group-completion hypotheses",
-    "specseq.filtration_check_q": "the twin of filtration_check_p",
     "pgm.localize_module": "localization of a canonical group, which an "
                            "acceptance criterion states",
     "opfib.comparison_H": "uses private helpers of opfib (_opcart_lift, "
                           "_opcart_betas)",
-    "constructs.lp_initial_d_e": "ROADMAP item 3: φ_σ is its d",
-    "constructs.find_oplax_initial": "the witness lp_initial_d_e takes; of "
-                                     "op_dual(E), an oplax terminal one",
-    "core.functor_co": "completes functor_op; with it, the coop dual of a "
-                       "2-functor",
     "intlinalg.FGAbGroup.is_trivial": "a query of the group type",
     "fixtures.fix_m2": "a named fixture of the paper",
     "pgm.fix_g2sat_pgm": "a named fixture: a PGM that is no 2-groupoid",

@@ -293,7 +293,7 @@ def test_pi0_monoid_m2():
     assert M.add[("1", "1")] == "1"
     cex = pgm.pi0_is_group(M)
     assert isinstance(cex, Counterexample)
-    assert cex.detail == ("1",)
+    assert (cex.clause, cex.detail) == ("pi0-not-a-group", ("1",))
 
 
 def test_pi0_monoid_g2():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from twocat import homology as hm
@@ -445,6 +447,39 @@ def test_terminality_requires_invertible_2cells():
     cex = sinv.hom_terminality_check(SP)
     assert isinstance(cex, Counterexample)
     assert cex.clause == "2-cell-not-invertible"
+
+
+def _c2_first_hom():
+    """The C2 point completion with the first 1-cell m: e -> a out of the
+    unit, the terminal 1-cell (a, 1_a) and the key of the class that
+    hom_terminality_check takes for the 2-cell m => (a, 1_a)."""
+    SP = sinv.s_inv_point(pgm.fix_c2_pgm())
+    S, T = SP.pgm.carrier, SP.action.carrier
+    a = S.objects[0]
+    term = SP.onep(SP.pgm.unit, a, S.id1[a])
+    m = SP.cat.hom1(SP.obj(SP.pgm.unit), SP.obj(a))[0]
+    al = SP.one_data[m][3]
+    return SP, a, m, term, (m, term, al, S.id2[al],
+                            T.id2[T.id1[T.objects[0]]])
+
+
+def test_terminality_names_a_second_cell_into_the_terminal_one():
+    # a mutant hom-category with a second 2-cell m => (a, 1_a)
+    SP, a, m, term, _ = _c2_first_hom()
+    cat = replace(SP.cat, two_src={**SP.cat.two_src, "extra": m},
+                  two_tgt={**SP.cat.two_tgt, "extra": term})
+    cex = sinv.hom_terminality_check(replace(SP, cat=cat))
+    assert cex == Counterexample("hom-terminality", (a, m, 2))
+
+
+def test_terminality_names_a_wrong_witness():
+    # a mutant class table whose canonical witness <alpha, 1_alpha> names
+    # another 2-cell than the only one m => (a, 1_a)
+    SP, a, m, term, key = _c2_first_hom()
+    other = next(c for c in sorted(SP.cat.two_src) if c != SP.class_of[key])
+    cex = sinv.hom_terminality_check(
+        replace(SP, class_of={**SP.class_of, key: other}))
+    assert cex == Counterexample("hom-terminality-witness", (a, m))
 
 
 # --- the re-action, inverses, and the sum on S^-1 S ---------------------------

@@ -11,17 +11,17 @@ from twocat import nerve as nv
 from twocat import opfib as of
 from twocat import pgm, sinv
 from twocat import specseq as ss
-from twocat.constructs import (comma_inclusion, find_oplax_initial, laco,
-                               laco_diagram, lp_initial_d_e, oplaco_codiagram,
-                               pullback, strict_fiber)
+from twocat.constructs import comma_inclusion, laco, pullback, strict_fiber
 from twocat.core import (AxiomError, TwoFunctor, compose_functors,
                          functors_equal, identity_functor, make_two_category,
                          validate_two_category)
 from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
                              locally_discrete, point_functor)
 from twocat.nerve import OrientedSimplex, degeneracy, face, nerve
-from twocat.orientals import path_id
 
+from diagram_comma import (filtration_check_p, filtration_check_q,
+                           find_oplax_initial, laco_diagram, lp_initial_d_e,
+                           oplaco_codiagram, path_id, simplex_functor)
 from test_homology import (dense_chain_homology, free_homology,
                            is_morphism_inverting, operator_dicts)
 from test_nerve import dict_keyed_search, enumerate_simplices
@@ -96,14 +96,14 @@ def test_simplex_functor_validates():
     D = fix_g2()
     for n in (2, 3):
         for x in enumerate_simplices(D, n):
-            ss.simplex_functor(D, x)  # validated on construction
+            simplex_functor(D, x)  # validated on construction
 
 
 def test_codiagram_counts_match_nerve():
     # cocones under a point diagram in G2 at each level p are the
     # (p+1)-simplices of the nerve of G2
     D = fix_g2()
-    W = ss.simplex_functor(D, enumerate_simplices(D, 0)[0])
+    W = simplex_functor(D, enumerate_simplices(D, 0)[0])
     R = oplaco_codiagram(W)
     for p in range(3):
         assert len(enumerate_simplices(R.cat, p)) == \
@@ -567,8 +567,8 @@ def test_non_surjective_cases_miss_half_of_the_target(make, P, Q):
     F = make()
     B = ss.build_B(F, P, Q)
     deltas = {x.de for cells in B.levels.values() for x in cells}
-    assert 2 * len(deltas) <= sum(map(len, nv.simplex_levels(
-        F.target, P + Q + 1)[1:]))
+    assert 2 * len(deltas) <= sum(map(len, nv.simplex_operators(
+        F.target, P + Q + 1)[0][1:]))
 
 
 def test_build_B_grows_no_delta_over_a_block_outside_the_target():
@@ -842,19 +842,19 @@ def test_filtration_terminal():
     F = identity_functor(T)
     for si in enumerate_simplices(T, 1):
         for q in range(3):
-            assert ss.filtration_check_p(F, si, q)
+            assert filtration_check_p(F, si, q)
     for om in enumerate_simplices(T, 1):
         for p in range(3):
-            assert ss.filtration_check_q(F, om, p)
+            assert filtration_check_q(F, om, p)
 
 
 def test_filtration_interval():
     I = fix_i()
     F = identity_functor(I)
     for si in enumerate_simplices(I, 0):
-        assert ss.filtration_check_p(F, si, 1)
+        assert filtration_check_p(F, si, 1)
     for om in enumerate_simplices(I, 0):
-        assert ss.filtration_check_q(F, om, 1)
+        assert filtration_check_q(F, om, 1)
 
 
 def test_filtration_g2():
@@ -862,20 +862,20 @@ def test_filtration_g2():
     F = identity_functor(G2)
     om0 = enumerate_simplices(G2, 0)[0]
     for p in range(3):
-        assert ss.filtration_check_q(F, om0, p)
+        assert filtration_check_q(F, om0, p)
     om1 = enumerate_simplices(G2, 1)[0]
-    assert ss.filtration_check_q(F, om1, 1)
+    assert filtration_check_q(F, om1, 1)
     si1 = enumerate_simplices(G2, 1)[0]
-    assert ss.filtration_check_p(F, si1, 1)
+    assert filtration_check_p(F, si1, 1)
 
 
 def test_filtration_product_projection():
     prod, pr2 = pr2_c2()
     C2 = fix_c2()
     for si in enumerate_simplices(C2, 2)[:2]:
-        assert ss.filtration_check_p(pr2, si, 2)
+        assert filtration_check_p(pr2, si, 2)
     for om in enumerate_simplices(prod, 1)[:3]:
-        assert ss.filtration_check_q(pr2, om, 1)
+        assert filtration_check_q(pr2, om, 1)
 
 
 # --- the fiber coefficient system --------------------------------------------
@@ -994,10 +994,10 @@ def comma_route(F, f, Lx, Ly) -> TwoFunctor:
     e out of the comma object over the 0-simplex y."""
     D = F.target
     x, y = D.one_src[f], D.one_tgt[f]
-    Gf = ss.simplex_functor(D, OrientedSimplex(1, (x, y), (f,), ()))
+    Gf = simplex_functor(D, OrientedSimplex(1, (x, y), (f,), ()))
     d, _, _, _, Lf = lp_initial_d_e(F, Gf, find_oplax_initial(Gf.source),
                                     Lpt=Lx)
-    Gy = ss.simplex_functor(D, OrientedSimplex(0, (y,), (), ()))
+    Gy = simplex_functor(D, OrientedSimplex(0, (y,), (), ()))
     Ly_dia = laco_diagram(F, Gy)
     restrict = diagram_comma_reindex(Lf, Ly_dia, {0: 1})
     _, ey, _, _, _ = lp_initial_d_e(F, Gy, find_oplax_initial(Gy.source),
