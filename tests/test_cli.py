@@ -27,6 +27,7 @@ from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
                              fix_t, point_functor)
 from twocat.homology import PresentedGroup, chain_complex
 from twocat.nerve import TruncSimplicialSet, nerve
+import diagram_comma
 from test_homology import constant_system, dense_chain_complex
 from test_nerve import awkward_copy
 from test_pgm import trivial_action
@@ -1392,6 +1393,29 @@ def test_ss_report_bytes_are_pinned(run, tmp_path, monkeypatch, name,
                      "--fiber-coeffs", 1])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize("functor,q", [
+    (lambda: sinv.rho_projection(
+        sinv.s_inv_x(pgm.fix_c2_pgm(), pgm.self_action(pgm.fix_c2_pgm())),
+        sinv.s_inv_point(pgm.fix_c2_pgm())), 1),
+    (swap_projection, 0),
+], ids=["rho-c2", "swap"])
+def test_ss_reaches_no_oriental_and_no_cone(run, tmp_path, monkeypatch,
+                                            functor, q):
+    # the fiber coefficients go by base change, so ss builds no oriental
+    # and enumerates no cone of a diagram comma object: both live only in
+    # the test-side reference implementation
+    p = write(tmp_path, "F.json", tio.two_functor_to_dict(functor()))
+    argv = ["ss", "--functor", p, "--pmax", 3, "--qmax", 3,
+            "--fiber-coeffs", q]
+    report = run(argv)
+
+    def reached(*args, **kwargs):
+        raise RuntimeError("reached")
+    monkeypatch.setattr(diagram_comma, "_enumerate_cones", reached)
+    monkeypatch.setattr(diagram_comma, "materialize_oriental", reached)
+    assert run(argv) == report
 
 
 def test_ss_rejects_an_untrusted_fiber_row_before_building(run, tmp_path,
