@@ -14,9 +14,10 @@ nerve enumerations keyed by input hash and truncation level, each next to
 the position record of its bytes, from which ``homology`` reads a nerve
 file.  Nerve files, cache entries and ``--out`` files move in chunks of
 ``io.CHUNK`` bytes, each hashed as it passes, and are written through a
-temporary file renamed into place: a cached run that finds the position
-record of a nerve file's digest never holds the file whole, and a warm
-``nerve`` gives ``--out`` only bytes whose record was found.
+temporary file renamed into place, as ``opfib --emit-cert`` writes its
+certificate: a cached run that finds the position record of a nerve
+file's digest never holds the file whole, and a warm ``nerve`` gives
+``--out`` only bytes whose record was found.
 """
 
 from __future__ import annotations
@@ -361,8 +362,7 @@ def cmd_opfib(args, ctx) -> int:
         "cartesian": [[a, bool(v)] for a, v in sorted(res.cartesian.items())],
     }
     if args.emit_cert:
-        with open(args.emit_cert, "w") as fh:
-            fh.write(tio.dumps(cert))
+        _stream([tio.dumps(cert).encode()], [args.emit_cert])
     return _ok(ctx, {"certified": True, "certificate": cert})
 
 

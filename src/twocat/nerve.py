@@ -12,8 +12,7 @@ the ``combinations`` order of their keys (i, j) and (i, j, k), so the keys
 are implicit and fixed per dimension (``layout``).  Faces reindex along the
 cofaces of the cosimplicial family of orientals (which carry generators to
 generators); the degeneracy s_i repeats vertex i with an identity edge and
-identity triangles.  Both are tuple gathers through index tables computed
-once per (p, i).
+identity triangles.
 
 Simplices are found one vertex at a time, as the children of their last
 face.  Up to dimension 3, ``extensions(D, x)`` searches for every simplex
@@ -31,11 +30,9 @@ the child of d_i(parent) and s_i y that of s_i(parent) whose new cells are
 a gather of y's, while s_last y is a child of y itself (``operator_row``).
 ``simplex_operators`` keeps the operators as position tables, which
 ``nerve`` returns as they come, in a ``TruncSimplicialSet``, and off
-which ``build_B`` (``specseq``) reads every cell and operator of B(F);
-``face`` and ``degeneracy`` are left to the paths that name a simplex,
-such as error reports.  ``check_simplicial_identities`` composes those
-tables row by row; it checks nerves, loaded nerve files and both
-directions of B(F).
+which ``build_B`` (``specseq``) reads every cell and operator of B(F).
+``check_simplicial_identities`` composes those tables row by row; it
+checks nerves, loaded nerve files and both directions of B(F).
 """
 
 from __future__ import annotations
@@ -332,60 +329,6 @@ def simplex_operators(D: TwoCategory, N: int):
                                     degens[-1][i] if i < m else None, True)
                        for i in range(m + 1)])
     return [g.cells for g in gs], [[]] + faces[1:], degens + [[]]
-
-
-@lru_cache(maxsize=None)
-def _face_table(p: int, i: int):
-    """Positions in a p-simplex of the vertices, edges and triangles of
-    its face d_i, in the layout of dimension p - 1."""
-    dl = lambda m: m if m < i else m + 1
-    L, L0 = layout(p), layout(p - 1)
-    return (tuple(dl(m) for m in range(p)),
-            tuple(L.edge_at[(dl(a), dl(b))] for a, b in L0.pairs),
-            tuple(L.tri_at[(dl(a), dl(b), dl(c))] for a, b, c in L0.triples))
-
-
-def face(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
-    """d_i: delete vertex i and reindex along the coface [p-1] -> [p]."""
-    p = x.dim
-    if not 0 <= i <= p or p < 1:
-        raise ValueError("no face d_%d of a %d-simplex" % (i, p))
-    vt, et, tt = _face_table(p, i)
-    v, e, t = x.vertices, x.edges, x.triangles
-    return OrientedSimplex(p - 1, tuple([v[m] for m in vt]),
-                           tuple([e[m] for m in et]),
-                           tuple([t[m] for m in tt]))
-
-
-@lru_cache(maxsize=None)
-def _degeneracy_table(p: int, i: int):
-    """Positions in a p-simplex of the vertices, edges and triangles of
-    s_i, in the layout of dimension p + 1.  A negative edge entry -1-v is
-    the identity 1-cell of vertex v; a negative triangle entry -1-m is the
-    identity 2-cell of the new edge m (the collapsed triangles
-    x_(i,c) => x_(i,c) . 1 and x_(a,i) => 1 . x_(a,i))."""
-    sg = lambda m: m if m <= i else m - 1
-    L, L1 = layout(p), layout(p + 1)
-    return (tuple(sg(m) for m in range(p + 2)),
-            tuple(-1 - sg(a) if sg(a) == sg(b) else L.edge_at[(sg(a), sg(b))]
-                  for a, b in L1.pairs),
-            tuple(-1 - L1.edge_at[(a, c)] if sg(b) in (sg(a), sg(c))
-                  else L.tri_at[(sg(a), sg(b), sg(c))]
-                  for a, b, c in L1.triples))
-
-
-def degeneracy(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
-    """s_i: repeat vertex i; the collapsed edge is an identity 1-cell and
-    collapsed triangles are identity 2-cells."""
-    p = x.dim
-    if not 0 <= i <= p:
-        raise ValueError("no degeneracy s_%d of a %d-simplex" % (i, p))
-    vt, et, tt = _degeneracy_table(p, i)
-    v, e, t, id1, id2 = x.vertices, x.edges, x.triangles, D.id1, D.id2
-    edges = tuple([e[m] if m >= 0 else id1[v[-1 - m]] for m in et])
-    return OrientedSimplex(
-        p + 1, tuple([v[m] for m in vt]), edges,
-        tuple([t[m] if m >= 0 else id2[edges[-1 - m]] for m in tt]))
 
 
 @dataclass

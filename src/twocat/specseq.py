@@ -52,8 +52,8 @@ from .homology import (LocalCoeffSystem, basis_rows, homology_induced,
                        homology_subquotient, induced_iso, level_boundary,
                        local_homology_groups, presentation_of)
 from .nerve import (OrientedSimplex, TruncSimplicialSet,
-                    check_simplicial_identities, compose_rows, degeneracy,
-                    face, map_simplex, nerve, simplex_operators)
+                    check_simplicial_identities, compose_rows, map_simplex,
+                    nerve, simplex_operators)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,9 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
     d^h_i and s^h_i are D's rows q + 1 + i on delta, and d^v_i and s^v_i
     pair C's row i on omega with D's row i on delta.  A cell's operator
     is then a pair of integers, and the tables of each row and column make
-    one ``TruncSimplicialSet``."""
+    one ``TruncSimplicialSet``.  An image that is no cell (F no 2-functor)
+    raises AxiomError naming the first such Bisimplex, read off the same
+    tables with sigma the back face of its delta."""
     C, D = F.source, F.target
     oms, om_face, om_degen = simplex_operators(C, Q)
     d_levels, d_face, d_degen = simplex_operators(D, P + Q + 1)
@@ -147,8 +149,34 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
             out.append(st[o] + rk[d] if fr[d] == bo[o] else None)
         return out
 
+    def raise_first_miss(p, q, fh, dh, fv, dv):
+        """AxiomError naming the first operator image, cell by cell and in
+        the order d^h_i, s^h_i, ..., d^v_i, s^v_i, ..., that the rows of
+        level (p, q) mark as outside B(F): omega's image read off C's
+        tables, delta's off D's, and sigma as the back face of delta's."""
+        def miss(o, d, tgt):    # omega's and delta's positions at tgt
+            tp, tq = tgt
+            n = tq + 1 + tp
+            raise AxiomError(
+                "bisimplicial set not closed under faces and degeneracies "
+                "at %r" % (Bisimplex(oms[tq][o], d_levels[n][d],
+                                     d_levels[tp][back[(n, tp)][d]]),))
+
+        m = q + 1 + p
+        for k, (o, d) in enumerate(pairs[(p, q)]):
+            for i in range(p + 1):
+                if fh and fh[i][k] is None:
+                    miss(o, d_face[m][q + 1 + i][d], (p - 1, q))
+                if dh and dh[i][k] is None:
+                    miss(o, d_degen[m][q + 1 + i][d], (p + 1, q))
+            for i in range(q + 1):
+                if fv and fv[i][k] is None:
+                    miss(om_face[q][i][o], d_face[m][i][d], (p, q - 1))
+                if dv and dv[i][k] is None:
+                    miss(om_degen[q][i][o], d_degen[m][i][d], (p, q + 1))
+
     ops = {}                    # (p, q) -> d^h, s^h, d^v, s^v rows
-    for (p, q), cells in levels.items():
+    for p, q in levels:
         m = q + 1 + p
         fh = [row(p, q, None, d_face[m][q + 1 + i], (p - 1, q))
               for i in range(p + 1)] if p >= 1 else []
@@ -159,7 +187,7 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
         dv = [row(p, q, om_degen[q][i], d_degen[m][i], (p, q + 1))
               for i in range(q + 1)] if q < Q else []
         if any(None in r for r in fh + dh + fv + dv):
-            _raise_first_miss(C, D, cells, fh, dh, fv, dv)
+            raise_first_miss(p, q, fh, dh, fv, dv)
         ops[(p, q)] = fh, dh, fv, dv
 
     def line(n, keys, a):
@@ -170,30 +198,6 @@ def build_B(F: TwoFunctor, P: int, Q: int) -> BisimplicialTrunc:
         F, P, Q, levels,
         [line(P, [(p, q) for p in range(P + 1)], 0) for q in range(Q + 1)],
         [line(Q, [(p, q) for q in range(Q + 1)], 2) for p in range(P + 1)])
-
-
-def _raise_first_miss(C, D, cells, fh, dh, fv, dv):
-    """AxiomError naming the first operator image, cell by cell and in the
-    order d^h_i, s^h_i, ..., d^v_i, s^v_i, ..., that the rows mark as
-    outside B(F)."""
-    def not_closed(*y):
-        raise AxiomError("bisimplicial set not closed under faces and "
-                         "degeneracies at %r" % (Bisimplex(*y),))
-
-    for k, x in enumerate(cells):
-        q1 = x.om.dim + 1
-        for i in range(x.si.dim + 1):
-            if fh and fh[i][k] is None:
-                not_closed(x.om, face(D, x.de, q1 + i), face(D, x.si, i))
-            if dh and dh[i][k] is None:
-                not_closed(x.om, degeneracy(D, x.de, q1 + i),
-                           degeneracy(D, x.si, i))
-        for i in range(q1):
-            if fv and fv[i][k] is None:
-                not_closed(face(C, x.om, i), face(D, x.de, i), x.si)
-            if dv and dv[i][k] is None:
-                not_closed(degeneracy(C, x.om, i), degeneracy(D, x.de, i),
-                           x.si)
 
 
 def check_bisimplicial(B: BisimplicialTrunc) -> bool:

@@ -29,22 +29,31 @@ one of the op-dual) and ``lp_initial_d_e``, the equivalence with the
 comma object over the diagram's value at an oplax initial object; the
 comma object of cocones under a diagram, ``oplaco_codiagram``, is the
 op-dual of ``laco_diagram`` over D^op.
+
+Both checks build faces and degeneracies one simplex at a time, by
+``face`` and ``degeneracy``: reindexing along a coface, and repeating a
+vertex with identity cells.  The library reads every operator off
+position tables (``nerve.simplex_operators``), so these are its oracles
+too, and ``cell_level_first_miss`` names the first operator image that
+leaves B(F) with them, the way ``specseq.build_B`` names it off its
+tables.
 """
 
 from __future__ import annotations
 
 from ast import literal_eval
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, product
 
 from twocat.constructs import CommaResult, _cospan_apex, laco, mediate_laco
-from twocat.core import (LAX, TWO_NATURAL, Transformation, TwoCategory,
-                         TwoFunctor, build_two_category, co_dual,
-                         compose_functors, identity_functor, op_dual,
-                         validate_two_functor)
+from twocat.core import (LAX, TWO_NATURAL, AxiomError, Transformation,
+                         TwoCategory, TwoFunctor, build_two_category,
+                         co_dual, compose_functors, identity_functor,
+                         op_dual, validate_two_functor)
 from twocat.fixtures import bang_functor, nm, point_functor
-from twocat.nerve import (OrientedSimplex, degeneracy, face, layout,
-                          map_simplex, simplex_operators)
+from twocat.nerve import (OrientedSimplex, layout, map_simplex,
+                          simplex_operators)
 from twocat.specseq import Bisimplex, build_B
 
 
@@ -411,6 +420,90 @@ def oplaco_codiagram(W: TwoFunctor) -> DiagramCommaResult:
     with t: d2 -> d in D.  p_left is the projection to D."""
     L = laco_diagram(identity_functor(op_dual(W.target)), functor_op(W))
     return replace(L, cat=op_dual(L.cat), p_left=functor_op(L.p_left))
+
+
+# ---------------------------------------------------------------------------
+# faces and degeneracies, one simplex at a time
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _face_table(p: int, i: int):
+    """Positions in a p-simplex of the vertices, edges and triangles of
+    its face d_i, in the layout of dimension p - 1."""
+    dl = lambda m: m if m < i else m + 1
+    L, L0 = layout(p), layout(p - 1)
+    return (tuple(dl(m) for m in range(p)),
+            tuple(L.edge_at[(dl(a), dl(b))] for a, b in L0.pairs),
+            tuple(L.tri_at[(dl(a), dl(b), dl(c))] for a, b, c in L0.triples))
+
+
+def face(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
+    """d_i: delete vertex i and reindex along the coface [p-1] -> [p]."""
+    p = x.dim
+    if not 0 <= i <= p or p < 1:
+        raise ValueError("no face d_%d of a %d-simplex" % (i, p))
+    vt, et, tt = _face_table(p, i)
+    v, e, t = x.vertices, x.edges, x.triangles
+    return OrientedSimplex(p - 1, tuple([v[m] for m in vt]),
+                           tuple([e[m] for m in et]),
+                           tuple([t[m] for m in tt]))
+
+
+@lru_cache(maxsize=None)
+def _degeneracy_table(p: int, i: int):
+    """Positions in a p-simplex of the vertices, edges and triangles of
+    s_i, in the layout of dimension p + 1.  A negative edge entry -1-v is
+    the identity 1-cell of vertex v; a negative triangle entry -1-m is the
+    identity 2-cell of the new edge m (the collapsed triangles
+    x_(i,c) => x_(i,c) . 1 and x_(a,i) => 1 . x_(a,i))."""
+    sg = lambda m: m if m <= i else m - 1
+    L, L1 = layout(p), layout(p + 1)
+    return (tuple(sg(m) for m in range(p + 2)),
+            tuple(-1 - sg(a) if sg(a) == sg(b) else L.edge_at[(sg(a), sg(b))]
+                  for a, b in L1.pairs),
+            tuple(-1 - L1.edge_at[(a, c)] if sg(b) in (sg(a), sg(c))
+                  else L.tri_at[(sg(a), sg(b), sg(c))]
+                  for a, b, c in L1.triples))
+
+
+def degeneracy(D: TwoCategory, x: OrientedSimplex, i: int) -> OrientedSimplex:
+    """s_i: repeat vertex i; the collapsed edge is an identity 1-cell and
+    collapsed triangles are identity 2-cells."""
+    p = x.dim
+    if not 0 <= i <= p:
+        raise ValueError("no degeneracy s_%d of a %d-simplex" % (i, p))
+    vt, et, tt = _degeneracy_table(p, i)
+    v, e, t, id1, id2 = x.vertices, x.edges, x.triangles, D.id1, D.id2
+    edges = tuple([e[m] if m >= 0 else id1[v[-1 - m]] for m in et])
+    return OrientedSimplex(
+        p + 1, tuple([v[m] for m in vt]), edges,
+        tuple([t[m] if m >= 0 else id2[edges[-1 - m]] for m in tt]))
+
+
+def cell_level_first_miss(C: TwoCategory, D: TwoCategory, cells,
+                          fh, dh, fv, dv):
+    """AxiomError naming the first operator image, cell by cell and in the
+    order d^h_i, s^h_i, ..., d^v_i, s^v_i, ..., that the rows of a level
+    of B(F) (None where the image is no cell) mark as outside B(F), each
+    image built by ``face`` and ``degeneracy``."""
+    def not_closed(*y):
+        raise AxiomError("bisimplicial set not closed under faces and "
+                         "degeneracies at %r" % (Bisimplex(*y),))
+
+    for k, x in enumerate(cells):
+        q1 = x.om.dim + 1
+        for i in range(x.si.dim + 1):
+            if fh and fh[i][k] is None:
+                not_closed(x.om, face(D, x.de, q1 + i), face(D, x.si, i))
+            if dh and dh[i][k] is None:
+                not_closed(x.om, degeneracy(D, x.de, q1 + i),
+                           degeneracy(D, x.si, i))
+        for i in range(q1):
+            if fv and fv[i][k] is None:
+                not_closed(face(C, x.om, i), face(D, x.de, i), x.si)
+            if dv and dv[i][k] is None:
+                not_closed(degeneracy(C, x.om, i), degeneracy(D, x.de, i),
+                           x.si)
 
 
 # ---------------------------------------------------------------------------

@@ -1348,6 +1348,47 @@ def test_opfib_certificate_emitted(run, tmp_path):
     assert ["*", "i", "i"] in rep["certificate"]["opcartesian_lifts"]
 
 
+def test_opfib_certificate_replaces_a_file_whole(run, tmp_path):
+    # the certificate goes through a temporary file renamed into place: an
+    # older, longer file gives way to exactly the certificate's bytes, and
+    # a rename that fails leaves it as it was, with no file beside it
+    p = write(tmp_path, "id.json",
+              tio.two_functor_to_dict(identity_functor(fix_g2())))
+    cert_file = tmp_path / "cert.json"
+    older = b"older " * 1000
+    cert_file.write_bytes(older)
+    code, out = run(["opfib", "--functor", p, "--emit-cert", cert_file])
+    assert code == 0
+    want = tio.dumps(json.loads(out)["report"]["certificate"]).encode()
+    assert cert_file.read_bytes() == want
+    cert_file.write_bytes(older)
+
+    def failing(*_args):
+        raise OSError("the rename fails here")
+
+    with mock.patch.object(os, "replace", failing):
+        code, out = run(["opfib", "--functor", p, "--emit-cert", cert_file])
+    assert (code, json.loads(out)) == (
+        1, {"error": "OSError: the rename fails here"})
+    assert cert_file.read_bytes() == older
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cert.json",
+                                                          "id.json"]
+
+
+def test_opfib_certificate_into_a_missing_directory(run, tmp_path):
+    # the error names the path asked for, not its temporary file, and no
+    # file is left behind
+    p = write(tmp_path, "id.json",
+              tio.two_functor_to_dict(identity_functor(fix_g2())))
+    cert_file = str(tmp_path / "absent" / "cert.json")
+    code, out = run(["opfib", "--functor", p, "--emit-cert", cert_file])
+    assert (code, json.loads(out)) == (1, {
+        "error": "FileNotFoundError: [Errno 2] No such file or directory: "
+                 "'%s'" % cert_file})
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert [f.name for f in tmp_path.rglob("*")] == ["id.json"]
+
+
 def test_ss_reports_trusted_range(run, tmp_path):
     _prod, _pr1, pr2 = fix_prod(fix_g2(), fix_c2())
     p = write(tmp_path, "pr2.json", tio.two_functor_to_dict(pr2))

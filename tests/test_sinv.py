@@ -16,6 +16,7 @@ from twocat.opfib import Counterexample
 from twocat.pgm import PGM, PGMAction, validate_action
 from twocat.sinv import SInvCategory
 
+from test_cli import idempotent_monoid, max_with_an_automorphism
 from test_core import find_isomorphism, validate_transformation
 from test_pgm import is_strict_pgm_functor, trivial_action
 
@@ -660,3 +661,25 @@ def test_group_completion_hypothesis_failure():
     act = pgm.validate_action(trivial_action(P, fix_g2sat()))
     with pytest.raises(AxiomError):
         sinv.group_completion_check(P, act, max_deg=0, trunc=1)
+
+
+@pytest.mark.parametrize("make,want", [
+    (pgm.fix_g2sat_pgm, [("Z", "Z", "Z"), ("0", "0", "0"), ("0", "0", "0")]),
+    (max_with_an_automorphism,
+     [("Z + Z", "Z", "Z"), ("0", "0", "0"), ("Z/2", "0", "0")]),
+    (idempotent_monoid, [("Z", "Z", "Z"), ("0", "0", "0"), ("0", "0", "0")])],
+    ids=["two-groupoid", "faithful", "equivalence"])
+def test_group_completion_past_the_gate(monkeypatch, make, want):
+    # each PGM breaks one completion hypothesis, so the gate rejects it;
+    # past the gate, every degree to 2 at truncation 3 is still an
+    # isomorphism H_q(X)[pi0(S)^-1] -> H_q(S^-1 X), so there the
+    # conclusion holds although a hypothesis fails
+    P = make()
+    assert sinv.check_completion_hypotheses(P, pgm.self_action(P)) \
+        is not True
+    monkeypatch.setattr(sinv, "check_completion_hypotheses",
+                        lambda P, act: True)
+    r = sinv.group_completion_check(P, max_deg=2, trunc=3)
+    assert [(d["source"], d["localized"], d["target"], d["iso"])
+            for _, d in sorted(r.degrees.items())] == \
+        [(*groups, True) for groups in want]
