@@ -18,6 +18,11 @@ temporary file renamed into place, as ``opfib --emit-cert`` writes its
 certificate: a cached run that finds the position record of a nerve
 file's digest never holds the file whole, and a warm ``nerve`` gives
 ``--out`` only bytes whose record was found.
+
+A subcommand loads only the modules it runs: this module imports ``io``
+and ``core.AxiomError`` alone, and each ``cmd_*`` function imports what it
+calls when it runs, so ``nerve`` and ``homology`` load no construction,
+monoid or spectral-sequence module.
 """
 
 from __future__ import annotations
@@ -28,18 +33,9 @@ import json
 import os
 import sys
 from functools import cache, partial
-from importlib import metadata
 
 from . import io as tio
-from .constructs import laco, oplaco, pullback, strict_fiber
-from .core import (AxiomError, co_dual, coop_dual, op_dual,
-                   validate_two_category, validate_two_functor)
-from .homology import homology, homology_local
-from .nerve import nerve
-from .opfib import Counterexample, check_opfibration
-from .pgm import self_action, validate_action, validate_pgm
-from .sinv import group_completion_check, s_inv_point, s_inv_x
-from .specseq import build_B, check_bisimplicial, e2_vs_local, pages
+from .core import AxiomError
 
 CACHE_ENV = "TWOCAT_CACHE_DIR"
 RECORD = "sset-%s.json"        # a nerve file's position record, by digest
@@ -49,10 +45,7 @@ RECORD = "sset-%s.json"        # a nerve file's position record, by digest
 BOUNDS = ("max_dim", "pmax", "qmax", "max_deg", "fiber_coeffs", "deg",
           "trunc")
 
-try:
-    VERSION = metadata.version("twocat")
-except metadata.PackageNotFoundError:      # uninstalled source tree
-    VERSION = "0.1.0"
+VERSION = "0.1.0"       # pyproject's [project].version, twocat.__version__
 
 
 class UsageError(Exception):
@@ -134,6 +127,7 @@ def _inputs(ctx: dict, subcommand: str, paths: list, bounds: dict,
 def _functor(d: dict):
     """The 2-functor of a parsed functor file, with its source, its target
     and itself validated."""
+    from .core import validate_two_category, validate_two_functor
     F = tio.two_functor_from_dict(d)
     validate_two_category(F.source)
     validate_two_category(F.target)
@@ -215,12 +209,15 @@ def _store_sset(cache_dir: str, digest: str, X, levels: list) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, ctx) -> int:
+    from .core import validate_two_category
     data, = _inputs(ctx, "validate", [args.input], {})
     d = json.loads(data)
     if "pgm" in d:
+        from .pgm import validate_action
         A = validate_action(tio.action_from_dict(d))
         kind, C = "action", A.carrier
     elif "carrier" in d and "unit" in d:
+        from .pgm import validate_pgm
         P = validate_pgm(tio.pgm_from_dict(d))
         kind, C = "pgm", P.carrier
     elif "on_objects" in d:
@@ -251,18 +248,23 @@ def _cmd_cospan(args, ctx, name, construct) -> int:
 
 
 def cmd_laco(args, ctx) -> int:
+    from .constructs import laco
     return _cmd_cospan(args, ctx, "laco", laco)
 
 
 def cmd_oplaco(args, ctx) -> int:
+    from .constructs import oplaco
     return _cmd_cospan(args, ctx, "oplaco", oplaco)
 
 
 def cmd_pullback(args, ctx) -> int:
+    from .constructs import pullback
     return _cmd_cospan(args, ctx, "pullback", pullback)
 
 
 def cmd_fiber(args, ctx) -> int:
+    from .constructs import strict_fiber
+    from .core import validate_two_category
     data, = _inputs(ctx, "fiber", [args.functor], {})
     P = _functor(json.loads(data))
     if args.object not in P.target.objects:
@@ -275,6 +277,8 @@ def cmd_fiber(args, ctx) -> int:
 
 
 def cmd_nerve(args, ctx) -> int:
+    from .core import validate_two_category
+    from .nerve import nerve
     source, = _inputs(ctx, "nerve", [args.input], {"max_dim": args.max_dim})
     cache_dir = os.environ.get(CACHE_ENV)
     outs = [args.out] if args.out else []
@@ -319,6 +323,7 @@ def cmd_nerve(args, ctx) -> int:
 
 
 def cmd_homology(args, ctx) -> int:
+    from .homology import homology, homology_local
     cache_dir, X, known = os.environ.get(CACHE_ENV), None, {}
     # with a cache, the nerve file is hashed in chunks to look up its
     # record; a coefficients file that names it takes the one whole read
@@ -349,6 +354,8 @@ def cmd_homology(args, ctx) -> int:
 
 
 def cmd_opfib(args, ctx) -> int:
+    from .core import Counterexample
+    from .opfib import check_opfibration
     data, = _inputs(ctx, "opfib", [args.functor], {})
     P = _functor(json.loads(data))
     res = check_opfibration(P)
@@ -367,6 +374,7 @@ def cmd_opfib(args, ctx) -> int:
 
 
 def cmd_ss(args, ctx) -> int:
+    from .specseq import build_B, check_bisimplicial, e2_vs_local, pages
     bounds = {"pmax": args.pmax, "qmax": args.qmax}
     if args.fiber_coeffs is not None:
         bounds["fiber_coeffs"] = args.fiber_coeffs
@@ -389,6 +397,8 @@ def cmd_ss(args, ctx) -> int:
                for p in range(trusted_p + 1) for q in range(trusted_q + 1)],
     }
     if args.fiber_coeffs is not None:
+        from .core import Counterexample
+        from .opfib import check_opfibration
         q = args.fiber_coeffs
         cert = check_opfibration(F)
         if isinstance(cert, Counterexample):
@@ -399,6 +409,8 @@ def cmd_ss(args, ctx) -> int:
 
 
 def cmd_sinv(args, ctx) -> int:
+    from .pgm import self_action
+    from .sinv import s_inv_point, s_inv_x
     pgm, action = _inputs(ctx, "sinv", [args.pgm, args.action], {})
     P = tio.pgm_from_dict(json.loads(pgm))
     if args.point:
@@ -417,6 +429,7 @@ def cmd_sinv(args, ctx) -> int:
 
 
 def cmd_gc_check(args, ctx) -> int:
+    from .sinv import group_completion_check
     pgm, action = _inputs(ctx, "gc-check", [args.pgm, args.action],
                           {"max_deg": args.max_deg, "trunc": args.trunc})
     P = tio.pgm_from_dict(json.loads(pgm))
@@ -434,6 +447,7 @@ def cmd_gc_check(args, ctx) -> int:
 
 
 def cmd_dualize(args, ctx) -> int:
+    from .core import co_dual, coop_dual, op_dual, validate_two_category
     data, = _inputs(ctx, "dualize", [args.input], {"which": args.which})
     C = validate_two_category(tio.two_category_from_dict(json.loads(data)))
     dual = {"op": op_dual, "co": co_dual, "coop": coop_dual}[args.which](C)

@@ -25,6 +25,7 @@ Conventions (cospan F: X -> Y <- Z : G):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import (LAX, OPLAX, TWO_NATURAL, Transformation, TwoCategory,
                    TwoFunctor, build_two_category, compose_functors)
@@ -140,13 +141,16 @@ def _comma(F: TwoFunctor, G: TwoFunctor, lax: bool) -> CommaResult:
                     for a in Y.hom2(*pair):
                         ones[(o, o2, s, a, t)] = nm("1", o, o2, s, a, t)
     obj_data = {v: k for k, v in objs.items()}
+    # the 1-cells by their ends, each group contiguous in sorted order, so
+    # the pairs below are visited in sorted order
+    by_ends = {}
+    for k, m in sorted(ones.items()):
+        by_ends.setdefault(k[:2], []).append((k, m))
     twos = {}
-    for (o, o2, s, a, t), m in sorted(ones.items()):
-        for (p, p2, s2, a2, t2), m2 in sorted(ones.items()):
-            if (p, p2) != (o, o2):
-                continue
-            (_, f, _) = obj_data[o]
-            (_, f2, _) = obj_data[o2]
+    for (o, o2), cells in by_ends.items():
+        (_, f, _), (_, f2, _) = obj_data[o], obj_data[o2]
+        for ((_, _, s, a, t), m), ((_, _, s2, a2, t2), m2) in product(
+                cells, repeat=2):
             for phi in X.hom2(s, s2):
                 for ga in Z.hom2(t, t2):
                     if lax:

@@ -28,6 +28,17 @@ class AxiomError(ValueError):
     """A named axiom failed; the message carries the offending cell tuple."""
 
 
+@dataclass
+class Counterexample:
+    """A failed check returned, not raised: the clause and the offending
+    cells.  Falsy, so a check that returns True or one reads as a bool."""
+    clause: str
+    detail: tuple
+
+    def __bool__(self):
+        return False
+
+
 @dataclass(frozen=True)
 class TwoCategory:
     objects: tuple[str, ...]

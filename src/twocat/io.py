@@ -40,11 +40,14 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from .core import AxiomError, TwoCategory, TwoFunctor, make_two_category
 from .homology import LocalCoeffSystem, PresentedGroup
 from .nerve import TruncSimplicialSet, check_simplicial_identities, layout
-from .pgm import PGM, PGMAction
+
+if TYPE_CHECKING:       # the PGM readers import pgm when they are called
+    from .pgm import PGM, PGMAction
 
 CHUNK = 1 << 20         # bytes of a nerve file moved at a time
 
@@ -136,6 +139,7 @@ def pgm_to_dict(P: PGM) -> dict:
 
 
 def pgm_from_dict(d: dict) -> PGM:
+    from .pgm import PGM
     S = two_category_from_dict(d["carrier"])
     return PGM(
         carrier=S,
@@ -162,6 +166,7 @@ def action_to_dict(A: PGMAction) -> dict:
 
 
 def action_from_dict(d: dict, P: PGM | None = None) -> PGMAction:
+    from .pgm import PGMAction
     P = P if P is not None else pgm_from_dict(d["pgm"])
     S = P.carrier
     X = two_category_from_dict(d["carrier"])

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .constructs import (CommaResult, PullbackResult, comma_inclusion, laco,
                          pullback)
-from .core import AxiomError, NormalPseudofunctor, TwoFunctor
+from .core import (AxiomError, Counterexample, NormalPseudofunctor,
+                   TwoFunctor)
 
 
 def _ordered_ones(K, cells):
@@ -40,15 +41,6 @@ def _ordered_twos(K, cells):
 @dataclass
 class CartesianCertificate:
     lifts: dict            # (psi, phi) -> unique lift phi^c
-
-
-@dataclass
-class Counterexample:
-    clause: str
-    detail: tuple
-
-    def __bool__(self):
-        return False
 
 
 def is_cartesian_2cell(P: TwoFunctor, ga: str):

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (TwoCategory, TwoFunctor, compose_functors, ensure,
-                   functors_equal, identity_functor, validate_two_category,
+from .core import (Counterexample, TwoCategory, TwoFunctor,
+                   compose_functors, ensure, functors_equal,
+                   identity_functor, validate_two_category,
                    validate_two_functor)
 from .fixtures import discrete_two_category, fix_g2, fix_g2sat
 from .homology import PresentedGroup, in_relations, iso_inverse
 from .intlinalg import (FGAbGroup, hstack, kernel_mod_rels, mmul, mshape,
                         order_relations)
-from .opfib import Counterexample
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import opfib as of
-from .core import (AxiomError, TwoCategory, TwoFunctor, build_two_category,
-                   ensure, identity_functor, validate_two_category,
-                   validate_two_functor)
+from .core import (AxiomError, Counterexample, TwoCategory, TwoFunctor,
+                   build_two_category, ensure, identity_functor,
+                   validate_two_category, validate_two_functor)
 from .fixtures import bang_functor, fix_t, nm
 from .homology import (homology_induced, homology_subquotient,
                        in_relations, iso_inverse, presentation_of)
 from .intlinalg import mmul
 from .nerve import nerve
-from .opfib import Counterexample
 from .pgm import (PGM, CommMonoid, PGMAction, has_faithful_translations,
                   is_two_groupoid, localize_presentation, pi0, pi0_monoid,
                   self_action, validate_action, validate_pgm)

@@ -19,7 +19,8 @@ import twocat
 from twocat import cli
 from twocat import homology as hm
 from twocat import io as tio
-from twocat import pgm, sinv
+from twocat import nerve as nv
+from twocat import pgm, sinv, specseq
 from twocat.cli import main
 from twocat.core import (AxiomError, TwoFunctor, identity_functor,
                          make_two_category)
@@ -169,6 +170,18 @@ def test_manifest_embedded_everywhere(run, tmp_path):
         assert set(m) == {"subcommand", "inputs", "bounds", "determinism",
                           "tool_version"}
         assert p in m["inputs"] and len(m["inputs"][p]) == 64
+
+
+def test_one_version(run, tmp_path):
+    # the manifest's tool version is pyproject's [project].version and the
+    # package's __version__, read by no metadata lookup
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml",
+              "rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    assert cli.VERSION == twocat.__version__ == declared == "0.1.0"
+    _, out = run(["validate", g2_file(tmp_path)])
+    assert '"tool_version":"0.1.0"' in out
 
 
 def test_reports_are_byte_identical(run, tmp_path):
@@ -466,7 +479,7 @@ def probe_failing_out(tmp):
     def failing(*_args):
         raise OSError("the run fails here")
 
-    cases = {"tampered-entry": (_flip_entry_byte, (cli, "nerve")),
+    cases = {"tampered-entry": (_flip_entry_byte, (nv, "nerve")),
              "hit-commit": (lambda _cache: None, (os, "replace")),
              "miss-commit": (shutil.rmtree, (os, "replace"))}
     seen = {}
@@ -659,7 +672,7 @@ def _nerve_out_twice(run, tmp_path, monkeypatch):
     def not_enumerated(*_args):
         raise AssertionError("a warm run must not build the nerve")
 
-    monkeypatch.setattr(cli, "nerve", not_enumerated)
+    monkeypatch.setattr(nv, "nerve", not_enumerated)
     code, warm = run(argv)
     assert code == 0
     return (cold, cold_bytes), (warm, out.read_bytes())
@@ -1465,7 +1478,7 @@ def test_ss_rejects_an_untrusted_fiber_row_before_building(run, tmp_path,
     # built; an invalid functor is still reported first
     def reached(*args):
         raise RuntimeError("build_B reached")
-    monkeypatch.setattr(cli, "build_B", reached)
+    monkeypatch.setattr(specseq, "build_B", reached)
     p = write(tmp_path, "pr2.json",
               tio.two_functor_to_dict(fix_prod(fix_g2(), fix_c2())[2]))
     argv = ["ss", "--functor", p, "--pmax", 4, "--qmax", 4,

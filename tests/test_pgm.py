@@ -5,14 +5,13 @@ from dataclasses import replace
 import pytest
 
 from twocat import pgm, sinv
-from twocat.core import (AxiomError, TwoCategory, TwoFunctor, compose_functors,
-                         functors_equal, identity_functor,
+from twocat.core import (AxiomError, Counterexample, TwoCategory, TwoFunctor,
+                         compose_functors, functors_equal, identity_functor,
                          validate_two_functor)
 from twocat.homology import PresentedGroup, in_relations, iso_inverse
 from twocat.intlinalg import (FGAbGroup, from_columns, hstack, kernel_mod_rels,
                               mid, mmul, order_relations)
 from twocat.fixtures import fix_g2, fix_prod, nm
-from twocat.opfib import Counterexample
 from twocat.pgm import PGM, PGMAction
 
 

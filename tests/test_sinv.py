@@ -6,13 +6,13 @@ from twocat import homology as hm
 from twocat import opfib as of
 from twocat import pgm, sinv
 from twocat.constructs import strict_fiber
-from twocat.core import (LAX, PSEUDONATURAL, AxiomError, Transformation,
-                         TwoFunctor, compose_functors, ensure, functors_equal,
-                         identity_functor, validate_two_functor)
+from twocat.core import (LAX, PSEUDONATURAL, AxiomError, Counterexample,
+                         Transformation, TwoFunctor, compose_functors, ensure,
+                         functors_equal, identity_functor,
+                         validate_two_functor)
 from twocat.fixtures import fix_g2, fix_g2sat
 from twocat.homology import homology_subquotient, induced_iso
 from twocat.nerve import nerve
-from twocat.opfib import Counterexample
 from twocat.pgm import PGM, PGMAction, validate_action
 from twocat.sinv import SInvCategory
 
