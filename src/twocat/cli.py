@@ -17,7 +17,10 @@ file.  Nerve files, cache entries and ``--out`` files move in chunks of
 temporary file renamed into place, as ``opfib --emit-cert`` writes its
 certificate: a cached run that finds the position record of a nerve
 file's digest never holds the file whole, and a warm ``nerve`` gives
-``--out`` only bytes whose record was found.
+``--out`` only bytes whose record was found.  Line 1 of a record holds
+the position tables and line 2 the simplex keys, which only the runs
+that name simplices read: ``nerve`` without ``--out`` (the inline
+report) and ``homology --coeffs``.
 
 A subcommand loads only the modules it runs: this module imports ``io``
 and ``core.AxiomError`` alone, and each ``cmd_*`` function imports what it
@@ -171,36 +174,39 @@ def _stream(chunks, paths: list, sha=None, check=None):
                 os.remove(tmp)
 
 
-def _cached_sset(cache_dir: str, digest: str):
+def _cached_sset(cache_dir: str, keyed: bool, digest: str):
     """X of the nerve file with this digest off its position record, which
-    is trusted as far as a nerve entry is; None for a missing record, one
-    of another tool version or digest, or one failing its checks."""
+    is trusted as far as a nerve entry is: off line 1 alone, its simplices
+    their positions, unless keyed, when line 2 gives their keys; None for
+    a missing record, one of another tool version or digest, or one
+    failing the checks of the lines read."""
     try:
-        rec = json.loads(_read(os.path.join(cache_dir, RECORD % digest)))
-        if type(rec) is dict and rec.get("tool_version") == VERSION \
-                and rec.get("digest") == digest:
-            return tio.trunc_sset_from_record(rec)
+        with open(os.path.join(cache_dir, RECORD % digest), "rb") as fh:
+            rec = json.loads(fh.readline())
+            if type(rec) is dict and rec.get("tool_version") == VERSION \
+                    and rec.get("digest") == digest:
+                return tio.trunc_sset_from_record(
+                    rec, fh.readline() if keyed else None)
     except (OSError, RecursionError, ValueError):  # AxiomError is one
         pass
     return None
 
 
-def _recorded(cache_dir: str, fh, outs=()) -> tuple:
+def _recorded(cache_dir: str, fh, outs=(), keyed=False) -> tuple:
     """(digest, X) of the open nerve file fh, X off the position record
-    that the digest names, None if there is none: fh is read in chunks,
-    each hashed and written aside for each of outs, which receive them
-    only once the record is accepted."""
+    that the digest names (``_cached_sset``), None if there is none: fh is
+    read in chunks, each hashed and written aside for each of outs, which
+    receive them only once the record is accepted."""
     sha = hashlib.sha256()
     X = _stream(iter(partial(fh.read, tio.CHUNK), b""), outs, sha,
-                partial(_cached_sset, cache_dir))
+                partial(_cached_sset, cache_dir, keyed))
     return sha.hexdigest(), X
 
 
-def _store_sset(cache_dir: str, digest: str, X, levels: list) -> None:
-    rec = dict(tio.trunc_sset_record(X, levels), digest=digest,
-               tool_version=VERSION)
+def _store_sset(cache_dir: str, digest: str, X, keys: list) -> None:
     os.makedirs(cache_dir, exist_ok=True)
-    _stream([tio.dumps(rec).encode()],
+    _stream(tio.trunc_sset_record(X, keys, digest=digest,
+                                  tool_version=VERSION),
             [os.path.join(cache_dir, RECORD % digest)])
 
 
@@ -282,7 +288,7 @@ def cmd_nerve(args, ctx) -> int:
     source, = _inputs(ctx, "nerve", [args.input], {"max_dim": args.max_dim})
     cache_dir = os.environ.get(CACHE_ENV)
     outs = [args.out] if args.out else []
-    entry = X = nerve_dict = None
+    entry = X = None
     if cache_dir:
         entry = os.path.join(cache_dir, "nerve-%s-%d.json" % (
             ctx["manifest"]["inputs"][args.input], args.max_dim))
@@ -292,24 +298,25 @@ def cmd_nerve(args, ctx) -> int:
             pass
         else:
             # the entry's digest is its content check: it names the record,
-            # and --out gets the entry's bytes on a hit
+            # and --out gets the entry's bytes on a hit; only the inline
+            # report names the simplices
             with fh:
-                X = _recorded(cache_dir, fh, outs)[1]
+                X = _recorded(cache_dir, fh, outs, keyed=not outs)[1]
     if X is None:
         C = validate_two_category(
             tio.two_category_from_dict(json.loads(source)))
         X = nerve(C, args.max_dim)
-        nerve_dict = tio.trunc_sset_to_dict(X)
         if entry:
             # one pass writes --out and the entry, in that order, and hashes
             # the bytes for the name of the entry's record
+            keys = tio.level_keys(X)
             os.makedirs(cache_dir, exist_ok=True)
             sha = hashlib.sha256()
-            _stream(tio.trunc_sset_bytes(nerve_dict),
+            _stream(tio.trunc_sset_bytes(X, keys),
                     list(dict.fromkeys([*outs, entry])), sha)
-            _store_sset(cache_dir, sha.hexdigest(), X, nerve_dict["levels"])
+            _store_sset(cache_dir, sha.hexdigest(), X, keys)
         elif outs:
-            _stream(tio.trunc_sset_bytes(nerve_dict), outs)
+            _stream(tio.trunc_sset_bytes(X, tio.level_keys(X)), outs)
     report = {
         "max_dim": args.max_dim,
         "levels": [len(lev) for lev in X.levels],
@@ -318,7 +325,7 @@ def cmd_nerve(args, ctx) -> int:
     if args.out:
         report["out"] = args.out
     else:
-        report["nerve"] = nerve_dict or tio.trunc_sset_to_dict(X)
+        report["nerve"] = tio.trunc_sset_to_dict(X)
     return _ok(ctx, report)
 
 
@@ -329,7 +336,7 @@ def cmd_homology(args, ctx) -> int:
     # record; a coefficients file that names it takes the one whole read
     if cache_dir and args.coeffs != args.nerve:
         with open(args.nerve, "rb") as fh:
-            digest, X = _recorded(cache_dir, fh)
+            digest, X = _recorded(cache_dir, fh, keyed=bool(args.coeffs))
             if X is None:       # parse the file, named by the bytes parsed
                 fh.seek(0)
                 data = fh.read()
@@ -341,7 +348,7 @@ def cmd_homology(args, ctx) -> int:
         X = tio.trunc_sset_from_dict(json.loads(data if known else read))
         if cache_dir:
             _store_sset(cache_dir, ctx["manifest"]["inputs"][args.nerve], X,
-                        X.levels)
+                        tio.level_keys(X))
     if args.coeffs:
         L = tio.coeff_system_from_dict(json.loads(coeff_data))
         group = homology_local(X, L, args.deg)

@@ -20,13 +20,17 @@ Schema (bit-exact, keys sorted on output):
   simplices rendered as canonical strings; the rows are written in level
   order (by i, then level, then position), which for a nerve's sorted
   levels is sorted order (``trunc_sset_to_dict`` fixes them, and
-  ``trunc_sset_bytes`` encodes them as the nerve file, in chunks of
-  about ``CHUNK`` bytes), and read back into position tables only when
-  total and in range, with flags true exactly on the values of ``degen``
-  and every simplicial identity holding.
-* position record: {"N", "levels", "faces"/"degens"}, a truncated
-  simplicial set's level keys and its operators as the position tables of
-  ``TruncSimplicialSet``; read back only under the checks of a nerve file.
+  ``trunc_sset_bytes`` writes the same rows straight off the position
+  tables, as the nerve file, in chunks of about ``CHUNK`` bytes), and
+  read back into position tables only when total and in range, with
+  flags true exactly on the values of ``degen`` and every simplicial
+  identity holding.
+* position record: two lines.  Line 1 is {"N", "sizes", "faces"/"degens",
+  "digest", "tool_version"}: the number of simplices per level and the
+  operators as the position tables of ``TruncSimplicialSet``; line 2 the
+  levels, [[simplex,...],...].  A reader that names no simplex reads line
+  1 alone, and its simplices are their positions; each line read is
+  checked as a nerve file is.
 * coefficient system: {"group": [[simplex, {"gens","rels"}]], "face_map"/
   "degen_map": [[i, simplex, matrix]]} over the same simplex strings,
   each gens an integer >= 0 and each matrix a list of rows of integers.
@@ -49,7 +53,7 @@ from .nerve import TruncSimplicialSet, check_simplicial_identities, layout
 if TYPE_CHECKING:       # the PGM readers import pgm when they are called
     from .pgm import PGM, PGMAction
 
-CHUNK = 1 << 20         # bytes of a nerve file moved at a time
+CHUNK = 1 << 18         # bytes of a nerve file moved at a time
 
 
 def two_category_to_dict(C: TwoCategory) -> dict:
@@ -220,25 +224,39 @@ def trunc_sset_to_dict(X: TruncSimplicialSet) -> dict:
     }
 
 
-def trunc_sset_bytes(d: dict):
-    """The nerve file of the dict d of ``trunc_sset_to_dict`` in chunks of
-    about CHUNK bytes, whose join is ``dumps(d).encode()``: each level key
-    is JSON-encoded once, and each chunk is built once from bytes
-    pieces."""
-    key = {k: encode_basestring_ascii(k).encode()
-           for lev in d["levels"] for k in lev}
-    head = [b"[%d," % i for i in range(d["N"] + 1)]
+def level_keys(X: TruncSimplicialSet) -> list:
+    """Per level of X, the JSON encoding of each simplex's key, as bytes:
+    what the nerve file and the position record write for it."""
+    return [[encode_basestring_ascii(simplex_key(x)).encode() for x in lev]
+            for lev in X.levels]
+
+
+def _level_rows(keys: list):
+    # each level, the one long row, as a piece per key and comma
+    return ([b"[", *[p for x in lev for p in (b",", x)][1:], b"]"]
+            for lev in keys)
+
+
+def trunc_sset_bytes(X: TruncSimplicialSet, keys: list):
+    """The nerve file of X in chunks of about CHUNK bytes, whose join is
+    ``dumps(trunc_sset_to_dict(X)).encode()``: the rows are read off the
+    position tables X.faces, X.degens and X.degenerate in that dict's
+    order, each simplex written as its key in keys (``level_keys(X)``),
+    and each chunk is built once from bytes pieces."""
+    N = X.N
+    head = [b"[%d," % i for i in range(N + 1)]
     arrays = (
-        (b"degen", ((head[i], key[x], b",", key[y], b"]")
-                    for i, x, y in d["degen"])),
-        (b"degenerate", ((b"[", key[x], b",true]" if v else b",false]")
-                         for x, v in d["degenerate"])),
-        (b"face", ((head[i], key[x], b",", key[y], b"]")
-                   for i, x, y in d["face"])),
-        # a level, the one long row, as a piece per key and comma
-        (b"levels", ([b"[", *[p for x in lev for p in (b",", key[x])][1:],
-                      b"]"] for lev in d["levels"])))
-    buf = bytearray(b'{"N":%d' % d["N"])
+        (b"degen", ((head[i], x, b",", keys[n + 1][r], b"]")
+                    for i in range(N) for n in range(i, N)
+                    for x, r in zip(keys[n], X.degens[n][i]))),
+        (b"degenerate", ((b"[", x, b",true]" if v else b",false]")
+                         for lev, flags in zip(keys, X.degenerate)
+                         for x, v in zip(lev, flags))),
+        (b"face", ((head[i], x, b",", keys[n - 1][r], b"]")
+                   for i in range(N + 1) for n in range(max(i, 1), N + 1)
+                   for x, r in zip(keys[n], X.faces[n][i]))),
+        (b"levels", _level_rows(keys)))
+    buf = bytearray(b'{"N":%d' % N)
     for name, rows in arrays:
         buf += b',"%s":[' % name
         sep = b""
@@ -332,19 +350,57 @@ def trunc_sset_from_dict(d: dict) -> TruncSimplicialSet:
     return X
 
 
-def trunc_sset_record(X: TruncSimplicialSet, levels: list) -> dict:
-    """The position record of X, its levels keyed by ``levels``."""
-    return {"N": X.N, "levels": levels, "faces": X.faces, "degens": X.degens}
+def _array(rows):
+    """The pieces of a JSON array of rows, each given as its pieces."""
+    yield b"["
+    for k, pieces in enumerate(rows):
+        if k:
+            yield b","
+        yield from pieces
+    yield b"]"
 
 
-def trunc_sset_from_record(d: dict) -> TruncSimplicialSet:
-    """X from its position record, checked as a nerve file is: ValueError
-    unless levels and N pass ``_level_index`` and the tables are total and
-    in range, AxiomError unless the simplicial identities hold."""
-    levels, faces, degens = d.get("levels"), d.get("faces"), d.get("degens")
-    _level_index(levels, d.get("N"))
-    sizes = [len(lev) for lev in levels]
-    for tables, shift in ((faces, -1), (degens, 1)):
+def trunc_sset_record(X: TruncSimplicialSet, keys: list, **fields):
+    """The position record of X in pieces, two lines: ``dumps`` of N, the
+    level sizes, the faces and degens tables and the fields, a piece per
+    level of each table; then the levels, their keys as keys gives them
+    (``level_keys(X)``), a piece per key."""
+    line = dict(fields, N=X.N, sizes=[len(lev) for lev in keys],
+                faces=X.faces, degens=X.degens)
+    sep = b"{"
+    for name in sorted(line):
+        yield sep + _compact(name) + b":"
+        sep = b","
+        if name in ("faces", "degens"):
+            yield from _array([_compact(rows)] for rows in line[name])
+        else:
+            yield _compact(line[name])
+    yield b"}\n"
+    yield from _array(_level_rows(keys))
+    yield b"\n"
+
+
+def trunc_sset_from_record(d: dict, line2: bytes | None = None
+                           ) -> TruncSimplicialSet:
+    """X from line 1 of its position record, parsed as d, and from line 2,
+    the levels, if given; each is checked as a nerve file is: ValueError
+    unless the sizes are N + 1 integers >= 0, line 2 (if given) passes
+    ``_level_index`` and has those sizes, and the tables are total and in
+    range, AxiomError unless the simplicial identities hold.  Without line
+    2, the simplices of X are their positions."""
+    N, sizes = d.get("N"), d.get("sizes")
+    if line2 is not None:
+        levels = json.loads(line2)
+        _level_index(levels, N)
+    if type(N) is not int or type(sizes) is not list \
+            or len(sizes) != N + 1 \
+            or not all(type(s) is int and s >= 0 for s in sizes):
+        raise ValueError("sizes must be N + 1 integers >= 0")
+    if line2 is None:
+        levels = [range(s) for s in sizes]
+    elif [len(lev) for lev in levels] != sizes:
+        raise ValueError("levels must have the sizes of the record")
+    for tables, shift in ((d.get("faces"), -1), (d.get("degens"), 1)):
         # per level n, n + 1 rows giving each n-simplex a position in level
         # n + shift, or none where that level is missing
         if not (type(tables) is list and len(tables) == len(sizes) and all(
@@ -358,7 +414,7 @@ def trunc_sset_from_record(d: dict) -> TruncSimplicialSet:
                 for n, rows in enumerate(tables))):
             raise ValueError("faces and degens must be total position "
                              "tables, in range")
-    X = TruncSimplicialSet(len(levels) - 1, levels, faces, degens)
+    X = TruncSimplicialSet(N, levels, d["faces"], d["degens"])
     check_simplicial_identities(X)
     return X
 
@@ -409,6 +465,10 @@ def coeff_system_from_dict(d: dict) -> LocalCoeffSystem:
         degen_map={(i, x): _int_matrix(M, "degen_map", x)
                    for i, x, M in d.get("degen_map", [])},
     )
+
+
+def _compact(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode()
 
 
 def dumps(obj: dict, pretty: bool = False) -> str:

@@ -510,23 +510,28 @@ def test_out_never_receives_unverified_bytes(tmp_path, monkeypatch, flags):
 
 def test_cached_runs_hold_no_nerve_file_whole(run, tmp_path, monkeypatch):
     # a warm nerve --out and a cached homology move the nerve file of
-    # G2 x C2 at N = 5 in chunks: neither allocates a quarter of its size
+    # G2 x C2 at N = 5 (30.7 MB) in chunks and read line 1 of its position
+    # record alone: neither allocates a quarter of its size, nor 1 MiB;
+    # the cold nerve --out encodes it off the position tables, under 7 MiB
     monkeypatch.setenv("TWOCAT_CACHE_DIR", str(tmp_path / "cache"))
     p = write(tmp_path, "G2xC2.json",
               tio.two_category_to_dict(fix_prod(fix_g2(), fix_c2())[0]))
     out = tmp_path / "nerve.json"
     jobs = [["nerve", "--input", p, "--max-dim", 5, "--out", out],
             ["homology", "--nerve", out, "--deg", 0]]
-    assert run(jobs[0])[0] == 0         # the miss
-    size = out.stat().st_size
-    for job in jobs:
+    peaks = []
+    for job in jobs[:1] + jobs:         # the miss, then the cached runs
         tracemalloc.start()
         try:
             code, _ = run(job)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert code == 0 and peak < size / 4, (job[0], peak, size)
+        assert code == 0, job
+    size = out.stat().st_size
+    assert size == 30675153
+    assert peaks[0] <= 7 << 20, peaks
+    assert all(peak <= min(size / 4, 1 << 20) for peak in peaks[1:]), peaks
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -758,56 +763,89 @@ def test_nerve_bytes_are_those_of_dumps(run, tmp_path, monkeypatch, pretty):
     assert reports == 3 * [tio.dumps(doc, pretty=bool(pretty))]
 
 
-def record_of(X) -> dict:
-    return tio.trunc_sset_record(X, [[tio.simplex_key(x) for x in lev]
-                                     for lev in X.levels])
+def record_of(X, **fields) -> list:
+    """The two lines of the position record of X, keyed by its simplex
+    keys, with the fields on line 1."""
+    return b"".join(tio.trunc_sset_record(X, tio.level_keys(X), **fields)
+                    ).splitlines(keepends=True)
 
 
 def test_position_record_roundtrip_and_checks():
     empty = TruncSimplicialSet(2, [[], [], []], [[], [[], []], [[], [], []]],
                                [[[]], [[], []], []])
     for X in (nerve(fix_g2(), 5), nerve(fix_i(), 3), empty):
-        rec = json.loads(tio.dumps(record_of(X)))
-        Y = tio.trunc_sset_from_record(rec)
-        assert Y.levels == rec["levels"] and Y.N == X.N
+        line1, line2 = record_of(X, digest="0" * 64, tool_version="v")
+        sizes = [len(lev) for lev in X.levels]
+        assert line1.decode() == tio.dumps({
+            "N": X.N, "sizes": sizes, "faces": X.faces, "degens": X.degens,
+            "digest": "0" * 64, "tool_version": "v"})
+        assert line2.decode() == tio.dumps(
+            [[tio.simplex_key(x) for x in lev] for lev in X.levels])
+        rec = json.loads(line1)
+        Y = tio.trunc_sset_from_record(rec, line2)
+        assert Y.levels == json.loads(line2) and Y.N == X.N
         assert (Y.faces, Y.degens, Y.degenerate) == (X.faces, X.degens,
                                                      X.degenerate)
-    rec = json.loads(tio.dumps(record_of(nerve(fix_i(), 3))))
-    n1, n2 = len(rec["levels"][1]), len(rec["levels"][2])
+        # line 1 alone: the simplices are their positions
+        Y = tio.trunc_sset_from_record(rec)
+        assert [list(lev) for lev in Y.levels] == [list(range(n))
+                                                   for n in sizes]
+        assert (Y.N, Y.faces, Y.degens, Y.degenerate) == (
+            X.N, X.faces, X.degens, X.degenerate)
+    line1, line2 = record_of(nerve(fix_i(), 3))
+    rec, levels = json.loads(line1), json.loads(line2)
+    n1, n2 = len(levels[1]), len(levels[2])
     tables = "faces and degens must be total position tables"
+    sizes = "sizes must be N \\+ 1 integers >= 0"
+    alone, both = [None], [None, line2]
     bad = [
-        (dict(rec, N=2), "N must be 3"),
-        (dict(rec, levels=rec["levels"][:1] * 4), "levels must not repeat"),
-        # a row cut, an index past its level, a negative one (which a list
+        # line 2, and line 1 against it
+        (dict(rec, N=2), [line2], "N must be 3"),
+        (rec, [tio.dumps(levels[:1] * 4)], "levels must not repeat"),
+        (rec, [tio.dumps(levels[:3] + [levels[3][:-1]])],
+         "levels must have the sizes"),
+        (rec, [line2[:len(line2) // 2]], "Unterminated string"),
+        # line 1, read alone and (but for N) with line 2: the sizes, and a
+        # row cut, an index past its level, a negative one (which a list
         # would read from the end), a boolean one, a table missing
+        (dict(rec, N=2), alone, sizes),
+        (dict(rec, sizes=rec["sizes"][:3]), both, sizes),
+        (dict(rec, sizes=[-1] + rec["sizes"][1:]), both, sizes),
+        (dict(rec, sizes=[True] + rec["sizes"][1:]), both, sizes),
+        ({k: v for k, v in rec.items() if k != "sizes"}, both, sizes),
         (dict(rec, faces=[[], rec["faces"][1][:1]] + rec["faces"][2:]),
-         tables),
-        (dict(rec, degens=[[[n1] * 2]] + rec["degens"][1:]), tables),
+         both, tables),
+        (dict(rec, degens=[[[n1] * 2]] + rec["degens"][1:]), both, tables),
         (dict(rec, faces=rec["faces"][:2] + [[[-1] * n2]
                                              + rec["faces"][2][1:]]
-              + rec["faces"][3:]), tables),
-        (dict(rec, degens=[[[True, 0]]] + rec["degens"][1:]), tables),
-        ({k: v for k, v in rec.items() if k != "faces"}, tables),
+              + rec["faces"][3:]), both, tables),
+        (dict(rec, degens=[[[True, 0]]] + rec["degens"][1:]), both, tables),
+        ({k: v for k, v in rec.items() if k != "faces"}, both, tables),
     ]
-    assert len(rec["levels"][0]) == 2
-    for d, error in bad:
-        with pytest.raises(ValueError, match=error):
-            tio.trunc_sset_from_record(d)
+    assert len(levels[0]) == 2
+    for d, lines, error in bad:
+        for given in lines:
+            with pytest.raises(ValueError, match=error):
+                tio.trunc_sset_from_record(d, given)
 
 
 def _edit_record(cache, edit):
+    """Applies edit to [line 1 parsed, line 2] of the record in cache and
+    writes the record back."""
     path, = cache.glob("sset-*.json")
-    rec = json.loads(path.read_text())
-    edit(rec)
-    path.write_text(tio.dumps(rec))
+    line1, line2 = path.read_bytes().splitlines(keepends=True)
+    lines = [json.loads(line1), line2]
+    edit(lines)
+    path.write_bytes(tio.dumps(lines[0]).encode() + lines[1])
 
 
 def _other_nerve(**fields):
     """An edit that puts the record of the nerve of I at N = 3 in place of
     the record, with `fields` changed: used, it would change every report
     the tests below compare."""
-    def edit(rec):
-        rec.update(record_of(nerve(fix_i(), 3)), **fields)
+    def edit(lines):
+        line1, lines[1] = record_of(nerve(fix_i(), 3))
+        lines[0].update(json.loads(line1), **fields)
     return edit
 
 
@@ -821,18 +859,19 @@ def _flip_entry_byte(cache):
     path.write_bytes(bytes(data))
 
 
-def _break_identity(rec):
+def _break_identity(lines):
     # s_0 of G2's one edge pointed at the nondegenerate 2-simplex: the
     # tables stay total and in range, s_1 s_0 = s_0 s_0 fails, and used,
     # the record would lose H_2 = Z/2
-    assert len(rec["levels"][2]) == 2
-    rec["degens"][1][0][0] ^= 1
+    assert lines[0]["sizes"][2] == 2
+    lines[0]["degens"][1][0][0] ^= 1
 
 
 def _truncate_record(cache):
+    # cut in the middle of line 1, which every run reads
     path, = cache.glob("sset-*.json")
     data = path.read_bytes()
-    path.write_bytes(data[:len(data) // 2])
+    path.write_bytes(data[:data.index(b"\n") // 2])
 
 
 CACHE_TAMPERS = {
@@ -842,8 +881,8 @@ CACHE_TAMPERS = {
     "other-digest": lambda cache: _edit_record(
         cache, _other_nerve(digest="0" * 64)),
     "face-out-of-range": lambda cache: _edit_record(
-        cache, lambda rec: rec["faces"][1][0].__setitem__(
-            0, len(rec["levels"][0]))),
+        cache, lambda lines: lines[0]["faces"][1][0].__setitem__(
+            0, lines[0]["sizes"][0])),
     "identity-broken": lambda cache: _edit_record(cache, _break_identity),
     "record-truncated": _truncate_record,
 }
@@ -885,6 +924,109 @@ def test_tampered_cache_is_a_miss(tmp_path, run, monkeypatch, flags,
         assert (proc.returncode, proc.stdout) == (0, want), proc.stderr
         assert out.read_bytes() == cold_out
         assert files(pattern) == want_files
+
+
+def _edit_levels(edit):
+    """A tamper that applies edit to the levels of the record's line 2,
+    parsed, and writes them back as line 2."""
+    def apply(lines):
+        levels = json.loads(lines[1])
+        edit(levels)
+        lines[1] = tio.dumps(levels).encode()
+    return lambda cache: _edit_record(cache, apply)
+
+
+# line 2 of the record of G2's nerve at N = 3, whose level 3 has 8 simplices
+LEVEL_TAMPERS = {
+    "key-repeated": _edit_levels(
+        lambda levels: levels[3].__setitem__(1, levels[3][0])),
+    "level-too-long": _edit_levels(
+        lambda levels: levels[3].append(levels[3][0] + "x")),
+    "not-json": lambda cache: _edit_record(
+        cache, lambda lines: lines.__setitem__(
+            1, lines[1][:len(lines[1]) // 2] + b"\n")),
+}
+
+
+def keyed_jobs(run, tmp_path):
+    """(the nerve file of G2 at N = 3, written uncached; the inline nerve
+    report and homology --coeffs of it, the runs that name simplices; the
+    uncached (exit code, stdout) of each)."""
+    p, out = g2_file(tmp_path), tmp_path / "nerve.json"
+    assert run(["nerve", "--input", p, "--max-dim", 3, "--out", out])[0] == 0
+    X = tio.trunc_sset_from_dict(json.loads(out.read_text()))
+    coeffs = write(tmp_path, "const.json",
+                   tio.coeff_system_to_dict(constant_system(X)))
+    jobs = [["nerve", "--input", p, "--max-dim", "3"],
+            ["homology", "--nerve", str(out), "--deg", "2",
+             "--coeffs", coeffs]]
+    return out, jobs, [run(job) for job in jobs]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("tamper", sorted(LEVEL_TAMPERS))
+def test_tampered_levels_are_a_miss_for_the_keyed_runs(tmp_path, run,
+                                                       monkeypatch, flags,
+                                                       tamper):
+    # line 2 of a record, the levels, is read by the runs that name
+    # simplices; one that fails a check is a miss for them, also under
+    # python -O: they recompute, print the uncached run's bytes and
+    # rewrite the record.  Integral homology names none: it reads line 1
+    # alone, a hit that leaves line 2 as it is
+    monkeypatch.delenv("TWOCAT_CACHE_DIR", raising=False)
+    out, jobs, uncached = keyed_jobs(run, tmp_path)
+    integral = ["homology", "--nerve", out, "--deg", 2]
+    want_integral = run(integral)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(cache))
+    assert run(jobs[0]) == uncached[0]          # the miss writes the record
+    record, = cache.glob("sset-*.json")
+    want = record.read_bytes()
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    for job, done in zip(jobs, uncached):
+        LEVEL_TAMPERS[tamper](cache)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "twocat.cli", *job],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == done, proc.stderr
+        assert record.read_bytes() == want
+    LEVEL_TAMPERS[tamper](cache)
+    tampered = record.read_bytes()
+
+    def not_parsed(_d):
+        raise AssertionError("a hit must not parse the nerve file")
+
+    monkeypatch.setattr(tio, "trunc_sset_from_dict", not_parsed)
+    assert run(integral) == want_integral
+    assert record.read_bytes() == tampered
+
+
+def test_one_line_record_is_a_miss_and_is_rewritten(tmp_path, run,
+                                                    monkeypatch):
+    # a record in the earlier one-line layout, {"N", "degens", "digest",
+    # "faces", "levels", "tool_version"}, has no sizes: each run takes it
+    # as a miss, prints the uncached run's bytes and rewrites the record in
+    # the two-line layout
+    monkeypatch.delenv("TWOCAT_CACHE_DIR", raising=False)
+    out, jobs, uncached = keyed_jobs(run, tmp_path)
+    jobs += [["nerve", "--input", jobs[0][2], "--max-dim", "3",
+              "--out", str(out)],
+             ["homology", "--nerve", str(out), "--deg", "2"]]
+    uncached += [run(job) for job in jobs[2:]]
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TWOCAT_CACHE_DIR", str(cache))
+    assert run(jobs[0]) == uncached[0]
+    record, = cache.glob("sset-*.json")
+    want = record.read_bytes()
+    X = tio.trunc_sset_from_dict(json.loads(out.read_text()))
+    old = tio.dumps({"N": X.N, "levels": X.levels, "faces": X.faces,
+                     "degens": X.degens, "digest": record.name[5:-5],
+                     "tool_version": cli.VERSION})
+    for job, done in zip(jobs, uncached):
+        record.write_text(old)
+        assert run(job) == done, job
+        assert record.read_bytes() == want, job
 
 
 def test_homology_hit_and_miss_match_the_uncached_run(run, tmp_path,

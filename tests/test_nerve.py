@@ -685,12 +685,49 @@ def oracle_trunc_sset_bytes(d):
     return b"".join(out)
 
 
-def assert_nerve_file_bytes(d):
+def dict_trunc_sset_bytes(d):
+    """trunc_sset_bytes as it was before it read the position tables: the
+    nerve file of the dict d of trunc_sset_to_dict in chunks of about
+    CHUNK bytes, each level key JSON-encoded once."""
+    key = {k: encode_basestring_ascii(k).encode()
+           for lev in d["levels"] for k in lev}
+    head = [b"[%d," % i for i in range(d["N"] + 1)]
+    arrays = (
+        (b"degen", ((head[i], key[x], b",", key[y], b"]")
+                    for i, x, y in d["degen"])),
+        (b"degenerate", ((b"[", key[x], b",true]" if v else b",false]")
+                         for x, v in d["degenerate"])),
+        (b"face", ((head[i], key[x], b",", key[y], b"]")
+                   for i, x, y in d["face"])),
+        # a level, the one long row, as a piece per key and comma
+        (b"levels", ([b"[", *[p for x in lev for p in (b",", key[x])][1:],
+                      b"]"] for lev in d["levels"])))
+    buf = bytearray(b'{"N":%d' % d["N"])
+    for name, rows in arrays:
+        buf += b',"%s":[' % name
+        sep = b""
+        for pieces in rows:
+            buf += sep
+            sep = b","
+            for piece in pieces:
+                buf += piece
+                if len(buf) >= tio.CHUNK:
+                    yield bytes(buf)
+                    buf.clear()
+        buf += b"]"
+    buf += b"}\n"
+    yield bytes(buf)
+
+
+def assert_nerve_file_bytes(X):
     """The chunks of trunc_sset_bytes join to the bytes of the one-shot
-    oracle and of dumps; returns the chunks."""
-    chunks = list(tio.trunc_sset_bytes(d))
+    oracle, of the dict-driven one and of dumps; returns the chunks."""
+    chunks = list(tio.trunc_sset_bytes(X, tio.level_keys(X)))
     data = b"".join(chunks)
+    d = tio.trunc_sset_to_dict(X)
     assert data == oracle_trunc_sset_bytes(d) == tio.dumps(d).encode()
+    assert [len(c) for c in chunks] == [
+        len(c) for c in dict_trunc_sset_bytes(d)]
     return chunks
 
 
@@ -782,7 +819,8 @@ def assert_nerve_and_text_match_oracles(D, N):
     d = tio.trunc_sset_to_dict(X)
     text = tio.dumps(d)
     assert text == tio.dumps(oracle_trunc_sset_to_dict(O))
-    assert b"".join(tio.trunc_sset_bytes(d)) == text.encode()
+    assert b"".join(tio.trunc_sset_bytes(X, tio.level_keys(X))) == \
+        b"".join(dict_trunc_sset_bytes(d)) == text.encode()
     return X
 
 
@@ -798,7 +836,7 @@ def test_nerve_file_encoder_matches_dumps_at_low_levels(name):
     make, _N = NERVE_CASES[name]
     D = make()
     for N in (0, 1):
-        assert_nerve_file_bytes(tio.trunc_sset_to_dict(nv.nerve(D, N)))
+        assert_nerve_file_bytes(nv.nerve(D, N))
 
 
 def test_nerve_file_encoder_matches_dumps_on_benchmark_ids():
@@ -812,10 +850,10 @@ def test_nerve_file_encoder_matches_dumps_on_benchmark_ids():
                                              + string.digits, k=8))
                          for _ in ids)))
     assert len(set(new.values())) == len(ids)
-    d = tio.trunc_sset_to_dict(nv.nerve(renamed_copy(D, new.get), 5))
-    chunks = assert_nerve_file_bytes(d)
+    X = nv.nerve(renamed_copy(D, new.get), 5)
+    chunks = assert_nerve_file_bytes(X)
     assert sum(map(len, chunks)) == 23316647
-    longest = max(len(k) + 2 for lev in d["levels"] for k in lev)
+    longest = max(len(k) for lev in tio.level_keys(X) for k in lev)
     assert all(tio.CHUNK <= len(c) < tio.CHUNK + longest
                for c in chunks[:-1])
     assert 0 < len(chunks[-1]) < tio.CHUNK + longest
@@ -832,9 +870,9 @@ def test_nerve_file_encoder_escapes_raw_keys():
          "face": [[i, new[x], new[y]] for i, x, y in d["face"]],
          "degen": [[i, new[x], new[y]] for i, x, y in d["degen"]],
          "degenerate": [[new[x], v] for x, v in d["degenerate"]]}
-    e = tio.trunc_sset_to_dict(tio.trunc_sset_from_dict(d))
-    assert e == d
-    data = b"".join(assert_nerve_file_bytes(e))
+    X = tio.trunc_sset_from_dict(d)
+    assert tio.trunc_sset_to_dict(X) == d
+    data = b"".join(assert_nerve_file_bytes(X))
     assert b"\\u0000\\u001f\\\"\\\\\\u00e9\\ud835\\udc00" in data
 
 
