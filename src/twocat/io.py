@@ -21,10 +21,11 @@ Schema (bit-exact, keys sorted on output):
   order (by i, then level, then position), which for a nerve's sorted
   levels is sorted order (``trunc_sset_to_dict`` fixes them, and
   ``trunc_sset_bytes`` writes the same rows straight off the position
-  tables, as the nerve file, in chunks of about ``CHUNK`` bytes), and
-  read back into position tables only when total and in range, with
-  flags true exactly on the values of ``degen`` and every simplicial
-  identity holding.
+  tables, as the nerve file, in chunks of about ``CHUNK`` bytes: 64 KiB,
+  under glibc's default 128 KiB mmap threshold, so each chunk's buffer is
+  served from the heap and reused), and read back into position tables
+  only when total and in range, with flags true exactly on the values of
+  ``degen`` and every simplicial identity holding.
 * position record: two lines.  Line 1 is {"N", "sizes", "faces"/"degens",
   "digest", "tool_version"}: the number of simplices per level and the
   operators as the position tables of ``TruncSimplicialSet``; line 2 the
@@ -53,7 +54,7 @@ from .nerve import TruncSimplicialSet, check_simplicial_identities, layout
 if TYPE_CHECKING:       # the PGM readers import pgm when they are called
     from .pgm import PGM, PGMAction
 
-CHUNK = 1 << 18         # bytes of a nerve file moved at a time
+CHUNK = 1 << 16         # bytes of a nerve file moved at a time
 
 
 def two_category_to_dict(C: TwoCategory) -> dict:
@@ -226,9 +227,28 @@ def trunc_sset_to_dict(X: TruncSimplicialSet) -> dict:
 
 def level_keys(X: TruncSimplicialSet) -> list:
     """Per level of X, the JSON encoding of each simplex's key, as bytes:
-    what the nerve file and the position record write for it."""
-    return [[encode_basestring_ascii(simplex_key(x)).encode() for x in lev]
-            for lev in X.levels]
+    what the nerve file and the position record write for it.  A table
+    made once maps each cell id of X to its JSON-escaped repr, and a
+    p-simplex's key is that table poured into ``_key_template(p)``,
+    JSON-escaped with %b slots: JSON escapes character by character, so
+    these are the bytes of the escaped ``simplex_key``.  Every cell of a
+    nerve is a vertex, edge or triangle of a simplex of level 0, 1 or 2
+    (its faces), where the table is read.  A string simplex, read from a
+    nerve file, is its own key."""
+    levels = X.levels
+    if all(isinstance(x, str) for lev in levels for x in lev):
+        return [[encode_basestring_ascii(x).encode() for x in lev]
+                for lev in levels]
+    cell = {c: encode_basestring_ascii(repr(c))[1:-1].encode()
+            for lev in levels[:3] for x in lev
+            for c in x.vertices + x.edges + x.triangles}.__getitem__
+    out = []
+    for p, lev in enumerate(levels):
+        key = encode_basestring_ascii(_key_template(p)).replace(
+            "%s", "%b").encode()
+        out.append([key % tuple(map(cell, x.vertices + x.edges
+                                     + x.triangles)) for x in lev])
+    return out
 
 
 def _level_rows(keys: list):
@@ -241,8 +261,9 @@ def trunc_sset_bytes(X: TruncSimplicialSet, keys: list):
     """The nerve file of X in chunks of about CHUNK bytes, whose join is
     ``dumps(trunc_sset_to_dict(X)).encode()``: the rows are read off the
     position tables X.faces, X.degens and X.degenerate in that dict's
-    order, each simplex written as its key in keys (``level_keys(X)``),
-    and each chunk is built once from bytes pieces."""
+    order, each simplex written as its key in keys (``level_keys(X)``).
+    A chunk's bytes pieces are collected in a list, and the chunk ends at
+    the first row piece that brings it to CHUNK bytes, as one join."""
     N = X.N
     head = [b"[%d," % i for i in range(N + 1)]
     arrays = (
@@ -256,21 +277,26 @@ def trunc_sset_bytes(X: TruncSimplicialSet, keys: list):
                    for i in range(N + 1) for n in range(max(i, 1), N + 1)
                    for x, r in zip(keys[n], X.faces[n][i]))),
         (b"levels", _level_rows(keys)))
-    buf = bytearray(b'{"N":%d' % N)
+    parts = [b'{"N":%d' % N]
+    size = len(parts[0])
     for name, rows in arrays:
-        buf += b',"%s":[' % name
+        parts.append(b',"%s":[' % name)
+        size += len(parts[-1])
         sep = b""
         for pieces in rows:
-            buf += sep
+            parts.append(sep)
+            size += len(sep)
             sep = b","
             for piece in pieces:
-                buf += piece
-                if len(buf) >= CHUNK:
-                    yield bytes(buf)
-                    buf.clear()
-        buf += b"]"
-    buf += b"}\n"
-    yield bytes(buf)
+                parts.append(piece)
+                size += len(piece)
+                if size >= CHUNK:
+                    yield b"".join(parts)
+                    parts, size = [], 0
+        parts.append(b"]")
+        size += 1
+    parts.append(b"}\n")
+    yield b"".join(parts)
 
 
 def _operator_rows(d: dict, name: str, at: dict, shift: int) -> list:

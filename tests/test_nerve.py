@@ -638,6 +638,13 @@ def oracle_simplex_key(x):
                  tuple(zip(L.triples, x.triangles))))
 
 
+def oracle_level_keys(X):
+    """level_keys as it was before it read a table of cells: each key
+    escaped and encoded whole."""
+    return [[encode_basestring_ascii(tio.simplex_key(x)).encode()
+             for x in lev] for lev in X.levels]
+
+
 def oracle_trunc_sset_to_dict(X):
     """trunc_sset_to_dict as first written: every table sorted."""
     key = {x: oracle_simplex_key(x) for lev in X.levels for x in lev}
@@ -947,6 +954,21 @@ def test_writer_matches_the_oracle_on_awkward_ids(make, N):
     assert keys == [oracle_simplex_key(x) for lev in X.levels for x in lev]
     assert any("\\\\" in k for k in keys) and any("\\'" in k for k in keys)
     assert any("\u2603" in k for k in keys)
+
+
+@pytest.mark.parametrize("make,N", [(fix_g2, 4), (fix_i, 4),
+                                    (lambda: fix_prod(fix_g2(), fix_c2())[0],
+                                     3)], ids=["g2", "i", "G2xC2"])
+def test_level_keys_match_the_oracle(make, N):
+    # ids that JSON and repr escape (quotes, a backslash, a newline, non-
+    # ASCII and astral text) and a format sign in the cell table; then the
+    # same nerve read back from its dict, whose simplices are strings
+    X = nv.nerve(awkward_copy(make()), N)
+    keys = tio.level_keys(X)
+    assert keys == oracle_level_keys(X)
+    assert any(b"%s%d" in k for lev in keys for k in lev)
+    Y = tio.trunc_sset_from_dict(tio.trunc_sset_to_dict(X))
+    assert tio.level_keys(Y) == oracle_level_keys(Y) == keys
 
 
 def test_nerve_and_build_B_build_no_face_or_degeneracy():
