@@ -25,6 +25,7 @@ Conventions (cospan F: X -> Y <- Z : G):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .core import (LAX, OPLAX, TWO_NATURAL, Transformation, TwoCategory,
@@ -171,6 +172,7 @@ def _comma(F: TwoFunctor, G: TwoFunctor, lax: bool) -> CommaResult:
     id2 = {m: twos[(m, m, X.id2[s], Z.id2[t])]
            for (o, o2, s, a, t), m in ones.items()}
 
+    @cache                  # whisk_l and whisk_r ask for each composite again
     def comp1(m2, m1):
         (o1, _, s1, a1, t1) = one_data[m1]
         (_, o3, s2, a2, t2) = one_data[m2]

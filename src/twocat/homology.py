@@ -31,6 +31,7 @@ of presented groups is an isomorphism (``iso_inverse``, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -148,14 +149,17 @@ def homology_induced(F: TwoFunctor, Hs: Homology, Ht: Homology):
 # local coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PresentedGroup:
+    """Z^gens modulo the columns of rels.  Frozen, so its canonical form
+    is computed once, on first use, and kept."""
     gens: int
     rels: list            # gens x nrels matrix; [] when no relations
 
     def rel_matrix(self):
         return self.rels if self.rels and self.rels[0] else mzeros(self.gens, 0)
 
+    @cached_property
     def canonical(self) -> FGAbGroup:
         return chain_homology((), (), self.gens, 0,
                               sparse_columns(self.rel_matrix())).group
@@ -192,7 +196,7 @@ def iso_inverse(M, src: PresentedGroup, tgt: PresentedGroup):
     None when M is not an isomorphism: equal canonical forms, and a preimage
     of every generator of tgt by the SNF of [M | relations of tgt] (a
     surjection of isomorphic f.g. abelian groups is an isomorphism)."""
-    if src.canonical() != tgt.canonical():
+    if src.canonical != tgt.canonical:
         return None
     snf = smith_normal_form(hstack(M, tgt.rel_matrix()))
     cols = [solve(snf, e) for e in columns(mid(tgt.gens))]

@@ -23,11 +23,18 @@ is nothing left to search: the nerve of a 2-category is 3-coskeletal, so
 and the face tables one level down, composing no 2-cell.
 ``simplex_operators`` builds the levels 0..N so.
 
-The nerve's operators are found by key from the parent, not built.
-``grow`` keys each simplex y by the position of its parent d_last y and
-its new cells; then d_last y is the parent, and for i < last, d_i y is
-the child of d_i(parent) and s_i y that of s_i(parent) whose new cells are
-a gather of y's, while s_last y is a child of y itself (``operator_row``).
+The nerve's operators are found, not built.  On the grown levels 0..3
+they are found by key from the parent: ``grow`` keys each simplex y by
+the position of its parent d_last y and its new cells; then d_last y is
+the parent, and for i < last, d_i y is the child of d_i(parent) and s_i y
+that of s_i(parent) whose new cells are a gather of y's, while s_last y is
+a child of y itself (``operator_row``).  From dimension 3 up, a simplex w
+is fixed by its faces d_0 w, ..., d_3 w, so every joined level has a
+face-key index, the 4-tuple of those positions -> the position of w, and
+every operator landing on it is an integer lookup there: its faces
+d_0 .. d_3 follow from the simplicial identities and the tables already
+built.  A key two simplices share, or a lookup that misses, is an
+AxiomError naming the level, the operator and the simplex.
 ``simplex_operators`` keeps the operators as position tables, which
 ``nerve`` returns as they come, in a ``TruncSimplicialSet``, and off
 which ``build_B`` (``specseq``) reads every cell and operator of B(F).
@@ -200,13 +207,14 @@ def _gather(idx):
 
 
 class Growth(NamedTuple):
-    """The m-simplices that ``grow`` or ``join`` found, sorted, with their
-    keys."""
+    """The m-simplices that ``grow`` or ``join`` found, sorted.  A grown
+    level keeps the keys by which ``operator_row`` finds its simplices; a
+    joined one is looked up by its face-key index instead."""
     m: int
     cells: list                # the m-simplices y
     parent: list               # per y, the position of d_m y in the parents
     ext: list                  # per y, X: its new cells N, then identities
-    kids: dict                 # (parent position, N) -> position in cells
+    kids: dict = None          # grown only: (parent position, N) -> position
 
 
 def grow(D: TwoCategory, m: int, parents) -> Growth:
@@ -241,45 +249,77 @@ def operator_row(g: Growth, i: int, kids: dict, below=None,
     return [kids.get((below[a], get(X))) for a, X in zip(up, g.ext)]
 
 
+def _face_key_index(m: int, cells: list, rows: list) -> dict:
+    """The face-key index of the m-simplices cells, m >= 3, whose face rows
+    d_0 .. d_3 are rows: (d_0 w, d_1 w, d_2 w, d_3 w) -> the position of
+    w.  The nerve is 3-coskeletal, so no two simplices share a key;
+    AxiomError naming the level and both where two do."""
+    index = dict(zip(zip(*rows), range(len(cells))))
+    if len(index) < len(cells):
+        for k, key in enumerate(zip(*rows)):
+            if index[key] != k:
+                raise AxiomError(
+                    "level %d: the %d-simplices %r and %r have the same "
+                    "faces d_0 .. d_3" % (m, m, cells[k], cells[index[key]]))
+    return index
+
+
+def _look_up(index: dict, rows: list, op: str, cells: list, n: int) -> list:
+    """op on the simplices cells, as the position in level n of each image,
+    read off level n's face-key index at the image's faces d_0 .. d_3,
+    given as four position rows over cells; AxiomError naming the level,
+    op and the simplex where the index has no such key."""
+    try:
+        return list(map(index.__getitem__, zip(*rows)))
+    except KeyError:
+        x = next(x for x, key in zip(cells, zip(*rows)) if key not in index)
+        raise AxiomError("level %d holds no %s of the %d-simplex %r"
+                         % (n, op, x.dim, x)) from None
+
+
 @lru_cache(maxsize=None)
 def _join_plan(m: int):
     """For m >= 4, gathers that assemble a child y of an (m-1)-simplex x
-    from its faces z_l = d_l y, l = 0, 1, 2, each a child of d_l x: y's X
-    (see ``_delta_plan``) from the X's of z_0, z_1 and z_2 in a row, each
-    cell read off the first z_l that holds it (every cell at vertex m
-    misses one of the vertices 0, 1, 2); y's edges from x.edges + X and
-    its triangles from x.triangles + X; and the length of y's N."""
+    from its faces z_l = d_l y, l = 0, 1, 2, each a child of d_l x, all off
+    one concatenation C = x.edges + x.triangles + X_0 + X_1 + X_2, X_l the
+    X of z_l (see ``_delta_plan``): y's X, each cell at vertex m read off
+    the first z_l that holds it (every such cell misses one of the
+    vertices 0, 1, 2), y's edges and its triangles."""
     L, L1, L2 = layout(m), layout(m - 1), layout(m - 2)
+    ne = len(L1.pairs)
     width = 2 * m + len(L2.pairs)            # len(X) one level down
+    base = ne + len(L1.triples)              # where X_0 starts in C
 
     def at(*cell):                           # a cell at vertex m, less m
         l = min({0, 1, 2}.difference(cell))
         r = [v - (v > l) for v in cell]
         if not r:
-            return l * width
-        return l * width + (1 + r[0] if len(r) == 1
-                            else m + L2.edge_at[tuple(r)])
+            return base + l * width
+        return base + l * width + (1 + r[0] if len(r) == 1
+                                   else m + L2.edge_at[tuple(r)])
 
     # the identities of vertex m and of each edge (j, m) sit m + len(L2.pairs)
     # places after the cell in each X
     ve = [at()] + [at(j) for j in range(m)]
     X = (ve + [at(a, b) for a, b in L1.pairs]
          + [k + m + len(L2.pairs) for k in ve])
-    ne, nt = len(L1.pairs) + 1, len(L1.triples) + 1 + m
-    return (_gather(X), _gather([L1.edge_at[k] if k[1] < m else ne + k[0]
-                                 for k in L.pairs]),
-            _gather([L1.tri_at[k] if k[2] < m else nt + L1.edge_at[k[:2]]
-                     for k in L.triples]), 1 + m + len(L1.pairs))
+    return (_gather(X),
+            _gather([L1.edge_at[k] if k[1] < m else X[1 + k[0]]
+                     for k in L.pairs]),
+            _gather([ne + L1.tri_at[k] if k[2] < m
+                     else X[1 + m + L1.edge_at[k[:2]]] for k in L.triples]))
 
 
 def join(m: int, g: Growth, f: list):
     """Level m >= 4 of the nerve from level m - 1, g, and its face rows f:
-    the Growth that ``grow`` would give, and the face rows d_0 .. d_3 of
-    level m.  The nerve is 3-coskeletal: every cell of an m-simplex y at
-    vertex m lies in one of its faces d_0 y, ..., d_3 y, and so does every
-    tetrahedron.  So the children y of x are the tuples (z_0, ..., z_3),
-    z_l a child of d_l x, with d_a z_b = d_(b-1) z_a for a < b <= 3, read
-    off f; then z_l = d_l y, and no 2-cell is composed."""
+    the Growth that ``grow`` would give, less its keys, and the face rows
+    d_0 .. d_3 of level m, which key its face-key index.  The nerve is
+    3-coskeletal: every cell of an m-simplex y at vertex m lies in one of
+    its faces d_0 y, ..., d_3 y, and so does every tetrahedron.  So the
+    children y of x are the tuples (z_0, ..., z_3), z_l a child of d_l x,
+    with d_a z_b = d_(b-1) z_a for a < b <= 3, read off f; then z_l = d_l y,
+    and no 2-cell is composed.  Each y is gathered from one concatenation
+    of x's cells and the X's of z_0, z_1 and z_2 (``_join_plan``)."""
     f0, f1, f2, f3 = f[:4]
     kids, by1, by2, tops = {}, {}, {}, {}
     for z, P in enumerate(g.parent):
@@ -287,47 +327,69 @@ def join(m: int, g: Growth, f: list):
         by1.setdefault((P, f0[z]), []).append(z)
         by2.setdefault((P, f0[z], f1[z]), []).append(z)
         tops[(P, f0[z], f1[z], f2[z])] = z
-    gx, ge, gt, n = _join_plan(m)
+    gx, ge, gt = _join_plan(m)
     ext, found = g.ext, []
     for a, x in enumerate(g.cells):
         P1, P2, P3 = f1[a], f2[a], f3[a]
+        vx, cx = x.vertices, x.edges + x.triangles
         for z0 in kids.get(f0[a], ()):
+            c0 = cx + ext[z0]
             for z1 in by1.get((P1, f0[z0]), ()):
+                c1 = c0 + ext[z1]
                 for z2 in by2.get((P2, f1[z0], f1[z1]), ()):
                     z3 = tops.get((P3, f2[z0], f2[z1], f2[z2]))
                     if z3 is not None:
-                        X = gx(ext[z0] + ext[z1] + ext[z2])
+                        C = c1 + ext[z2]
+                        X = gx(C)
                         found.append((OrientedSimplex(
-                            m, x.vertices + X[:1], ge(x.edges + X),
-                            gt(x.triangles + X)), a, X, z0, z1, z2, z3))
+                            m, vx + X[:1], ge(C), gt(C)), a, X,
+                            z0, z1, z2, z3))
     found.sort(key=itemgetter(0))
     cells, parent, exts, *low = (map(list, zip(*found)) if found
                                  else ([] for _ in range(7)))
-    return Growth(m, cells, parent, exts,
-                  {(a, X[:n]): k for k, (a, X) in enumerate(zip(parent, exts))}
-                  ), low
+    return Growth(m, cells, parent, exts), low
 
 
 def simplex_operators(D: TwoCategory, N: int):
     """The nerve of D to dimension N as position tables: the sorted levels
     0..N, faces[n][i][k], the position in level n - 1 of d_i of the k-th
     n-simplex, and degens[n][i][k], that in level n + 1 of s_i (faces[0]
-    and degens[N] are empty).  The levels to 3 are grown from ROOT, those
-    above by ``join``, and every operator is found by key, so no face or
-    degeneracy is built."""
+    and degens[N] are empty).  The levels to 3 are grown from ROOT, and
+    every operator landing on them is found by key (``operator_row``).
+    The levels above are joined, and every operator landing on one of
+    them is read off its face-key index: for a y of level n, d_i y, i >= 4,
+    has the faces d_(i-1) d_l y, l <= 3, and s_i y has the faces
+    s_(i-1) d_l y for l < i, y for l = i, i + 1 and s_i d_(l-1) y for
+    l > i + 1.  No face or degeneracy is built."""
     gs = [grow(D, 0, [(0, ROOT)])]
     faces = [[gs[0].parent]]              # d_0 of a vertex is ROOT
+    index = {}                            # level m >= 4 -> face-key index
     for m in range(1, N + 1):
-        g, low = ((grow(D, m, enumerate(gs[-1].cells)), []) if m < 4
-                  else join(m, gs[-1], faces[-1]))
-        faces.append(low + [operator_row(g, i, gs[-1].kids, faces[-1][i])
-                            for i in range(len(low), m)] + [g.parent])
+        up = faces[-1]
+        if m < 4:
+            g = grow(D, m, enumerate(gs[-1].cells))
+            rows = [operator_row(g, i, gs[-1].kids, up[i]) for i in range(m)]
+        else:
+            g, rows = join(m, gs[-1], up)
+            rows += [_look_up(index[m - 1],
+                              [compose_rows(up[i - 1], r) for r in rows[:4]],
+                              "d_%d" % i, g.cells, m - 1)
+                     for i in range(4, m)]
+            index[m] = _face_key_index(m, g.cells, rows[:4])
+        faces.append(rows + [g.parent])
         gs.append(g)
     degens = []
     for m in range(N):
-        degens.append([operator_row(gs[m], i, gs[m + 1].kids,
-                                    degens[-1][i] if i < m else None, True)
-                       for i in range(m + 1)])
+        if m < 3:
+            degens.append([operator_row(gs[m], i, gs[m + 1].kids,
+                                        degens[-1][i] if i < m else None,
+                                        True) for i in range(m + 1)])
+        else:
+            f, s, ys = faces[m], degens[-1], range(len(gs[m].cells))
+            degens.append([_look_up(index[m + 1], [
+                compose_rows(s[i - 1], f[l]) if l < i else ys if l <= i + 1
+                else compose_rows(s[i], f[l - 1]) for l in range(4)],
+                "s_%d" % i, gs[m].cells, m + 1) for i in range(m + 1)])
     return [g.cells for g in gs], [[]] + faces[1:], degens + [[]]
 
 

@@ -531,7 +531,7 @@ def localize_module(A: FGAbGroup, acts: dict, M: CommMonoid) -> FGAbGroup:
     orders = [0] * A.free_rank + list(A.torsion)
     return localize_presentation(
         PresentedGroup(len(orders), order_relations(orders)), acts,
-        M).canonical()
+        M).canonical
 
 
 # ---------------------------------------------------------------------------

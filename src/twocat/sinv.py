@@ -598,9 +598,9 @@ def group_completion_check(P: PGM, act: PGMAction | None = None,
                "inclusion does not factor through the localization", (q,))
         iso = iso_inverse(Mi, stab, tgt_pres) is not None
         report.degrees[q] = {
-            "source": str(pres.canonical()),
-            "localized": str(stab.canonical()),
-            "target": str(tgt_pres.canonical()),
+            "source": str(pres.canonical),
+            "localized": str(stab.canonical),
+            "target": str(tgt_pres.canonical),
             "iso": iso,
         }
     return report

@@ -864,7 +864,7 @@ def presented_map_is_iso(src, tgt, M):
     """The parent's iso test, kept as the oracle: equal canonical forms
     plus surjectivity (surjections between isomorphic finitely generated
     abelian groups are isomorphisms)."""
-    if src.canonical() != tgt.canonical():
+    if src.canonical != tgt.canonical:
         return False
     return cokernel(il.sparse_columns(il.hstack(M, tgt.rel_matrix())),
                     tgt.gens).is_trivial

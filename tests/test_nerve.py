@@ -1,8 +1,11 @@
 import ast
 import gc
 import hashlib
+import os
 import random
 import string
+import subprocess
+import sys
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -793,27 +796,80 @@ def rho_c2_target():
 # faces fails a condition of the join, to N = 5, rho-c2's target to N = 7
 # (B(rho-c2) at 3 x 3) and G2 to N = 6 (32,768 6-simplices)
 JOIN_CASES = {**NERVE_CASES, "fix_g2sat-5": (fix_g2sat, 5),
-              "rho-c2 target-7": (rho_c2_target, 7), "fix_g2-6": (fix_g2, 6)}
+              "rho-c2 target-7": (rho_c2_target, 7), "fix_g2-6": (fix_g2, 6),
+              "S^-1 fix_m2_pgm-6": (completions()["S^-1 fix_m2_pgm"], 6)}
 
 
 @pytest.mark.parametrize("name", sorted(JOIN_CASES))
 def test_join_matches_the_grown_oracle(name, monkeypatch):
-    # same levels, in the same order, and the same operator tables; and
-    # the extension search never runs above dimension 3
+    # same levels, in the same order, and the same operator tables; the
+    # extension search never runs above dimension 3, and operators are
+    # found by key only on the grown levels: faces of levels 1 to 3 and
+    # degeneracies into them, every other one off a face-key index
     make, N = JOIN_CASES[name]
     D = make()
-    dims = []
-    real = nv.extensions
+    dims, rows = [], []
+    extensions, operator_row = nv.extensions, nv.operator_row
 
     def counted(D, x):
         dims.append(x.dim + 1)
-        return real(D, x)
+        return extensions(D, x)
+
+    def counted_row(g, i, kids, below=None, degen=False):
+        rows.append((g.m, degen))
+        return operator_row(g, i, kids, below, degen)
 
     with monkeypatch.context() as m:
         m.setattr(nv, "extensions", counted)
+        m.setattr(nv, "operator_row", counted_row)
         got = nv.simplex_operators(D, N)
     assert sorted(set(dims)) == [0, 1, 2, 3]
+    assert sorted(set(rows)) == [(0, True), (1, False), (1, True),
+                                 (2, False), (2, True), (3, False)]
     assert got == grown_simplex_operators(D, N)
+
+
+CORRUPT_JOIN = """
+import sys
+from twocat import nerve as nv
+from twocat.core import AxiomError
+from twocat.fixtures import fix_g2
+join, kind, k = nv.join, sys.argv[1], int(sys.argv[2])
+
+def corrupted(m, g, f):
+    g, low = join(m, g, f)
+    for row in low[:1] if kind == "missing" else low:
+        row[k] = -1 if kind == "missing" else row[0]
+    return g, low
+
+nv.join = corrupted
+try:
+    nv.simplex_operators(fix_g2(), 4)
+except AxiomError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("kind", ["duplicate", "missing"])
+def test_a_corrupted_join_row_is_named(kind, flags):
+    # G2 to N = 4, with level 4's face rows d_0 .. d_3 as the join gives
+    # them corrupted: 4-simplex 1 given the faces of 4-simplex 0, so two
+    # simplices share one face key; or d_0 of s_0 of the first 3-simplex
+    # pointed nowhere, so that the first degeneracy looked up finds no
+    # simplex.  Each is an AxiomError naming the level, the operator and
+    # the simplex, under -O too, not a table that holds None
+    levels, _, degens = nv.simplex_operators(fix_g2(), 4)
+    k = 1 if kind == "duplicate" else degens[3][0][0]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", CORRUPT_JOIN, kind, str(k)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "level 4: the 4-simplices %r and %r have the same faces d_0 .. d_3"
+        % (levels[4][0], levels[4][1]) if kind == "duplicate" else
+        "level 4 holds no s_0 of the 3-simplex %r" % (levels[3][0],))
 
 
 def assert_nerve_and_text_match_oracles(D, N):

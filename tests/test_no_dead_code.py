@@ -24,8 +24,8 @@ TEST_ONLY = {
     "io.action_to_dict": "io writer: the file API for actions",
     "io.coeff_system_to_dict": "io writer: the file API for coefficient "
                                "systems",
-    "sinv.rho_opfib_check": "ROADMAP item 6 puts it to work on the "
-                            "group-completion hypotheses",
+    "sinv.rho_opfib_check": "ROADMAP item 16 puts it to work on the "
+                            "paper's route to group completion",
     "pgm.localize_module": "localization of a canonical group, which an "
                            "acceptance criterion states",
     "opfib.comparison_H": "uses private helpers of opfib (_opcart_lift, "

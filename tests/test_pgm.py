@@ -461,7 +461,7 @@ def localize_oracle(A: FGAbGroup, acts: dict, M: pgm.CommMonoid,
                 if iso_inverse(T, pk, pk) is None:
                     raise AxiomError("stabilized chain map is not "
                                      "invertible at %r" % (theta,))
-                return pk.canonical()
+                return pk.canonical
         prev = K
     raise ValueError("kernel chain did not stabilize in %d steps"
                      % max_steps)
@@ -495,7 +495,7 @@ def _dsum(G1, G2):
             col = [0] * n
             col[i] = t
             cols.append(col)
-    return PresentedGroup(n, from_columns(cols, nrows=n)).canonical()
+    return PresentedGroup(n, from_columns(cols, nrows=n)).canonical
 
 
 def test_localize_commutes_with_direct_sums():

@@ -641,6 +641,28 @@ def test_group_completion_m2():
     assert r.all_iso
 
 
+def test_group_completion_reduces_each_presentation_once(monkeypatch):
+    # the group-completion workload's job: one reduction per nerve and
+    # degree, X and S^-1 X to degree 5, and one canonical form per
+    # presented group, however often it is compared or reported: three in
+    # degree 0 (source, stabilized quotient, target) and two in each of
+    # degrees 1 to 5, where the localization of 0 is the source itself
+    calls = []
+    chain_homology = hm.chain_homology
+    monkeypatch.setattr(hm, "chain_homology",
+                        lambda *a: calls.append(a) or
+                        chain_homology(*a))
+    r = sinv.group_completion_check(pgm.fix_m2_pgm(), max_deg=5, trunc=6)
+    assert r.all_iso
+    assert len(calls) == 2 * 6 + 3 + 2 * 5
+    G = hm.PresentedGroup(2, [[2, 0], [0, 3]])
+    calls.clear()
+    assert str(G.canonical) == str(G.canonical) == "Z/6"
+    assert len(calls) == 1
+    with pytest.raises(AttributeError):
+        G.gens = 1
+
+
 def test_group_completion_g2():
     r = sinv.group_completion_check(pgm.fix_g2_pgm(), max_deg=2, trunc=4)
     assert r.degrees[0]["target"] == "Z"

@@ -960,10 +960,10 @@ def test_fiber_system_discrete_base():
     cert = of.check_opfibration(pr2)
     X = nerve(fix_c2(), 2)
     data = ss.fiber_coeff_system(pr2, cert, 0, X)
-    assert all(str(g.canonical()) == "Z" for g in data.fiber_group.values())
+    assert all(str(g.canonical) == "Z" for g in data.fiber_group.values())
     assert not data.edge_matrix  # no nonidentity edges downstairs
     data2 = ss.fiber_coeff_system(pr2, cert, 2, nerve(fix_c2(), 1))
-    assert all(str(g.canonical()) == "Z/2"
+    assert all(str(g.canonical) == "Z/2"
                for g in data2.fiber_group.values())
 
 
