@@ -9,7 +9,7 @@ Submodules:
 * ``nerve``      normal oplax nerve as a truncated simplicial set
 * ``intlinalg``  exact integer matrices, Smith normal form, lattices
 * ``homology``   integral and local-coefficient homology
-* ``opfib``      (op)cartesian checks, opfibration certificates, comparison
+* ``opfib``      (op)cartesian checks, opfibration certificates
 * ``specseq``    the bisimplicial set, pages, fiber coefficient systems
 * ``pgm``        permutative Gray monoids, actions, localization
 * ``sinv``       the S^-1 X construction and group-completion checks

@@ -6,7 +6,8 @@ mediating 2-functors from the universal property, and strict fibers.  Each
 1-cell among them, is the ``mediate_laco`` of two projections and a
 laxity.  The uniqueness and identity checks of the mediators are lemma
 checks that only tests run (``tests/test_constructs.py``), and so are the
-diagram-shaped comma objects over orientals (``tests/diagram_comma.py``).
+diagram-shaped comma objects over orientals (``tests/diagram_comma.py``)
+and the inclusion of the strict pullback (``tests/comparison.py``).
 
 Cells of a comma object are named by canonical tuples of constituent
 identifiers (via fixtures.nm), so outputs are deterministic and diffable.
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .core import (LAX, OPLAX, TWO_NATURAL, Transformation, TwoCategory,
-                   TwoFunctor, build_two_category, compose_functors)
+from .core import (LAX, OPLAX, Transformation, TwoCategory, TwoFunctor,
+                   build_two_category, compose_functors)
 from .fixtures import nm
 
 
@@ -258,21 +259,6 @@ def mediate_laco(L: CommaResult, R: TwoFunctor, Q: TwoFunctor,
         m2 = on_one[K.two_tgt[c]]
         on_two[c] = L.two_id[(m, m2, R.on_two[c], Q.on_two[c])]
     return TwoFunctor(K, L.cat, on_obj, on_one, on_two)
-
-
-def comma_inclusion(PB: PullbackResult, L: CommaResult,
-                    F: TwoFunctor, G: TwoFunctor) -> TwoFunctor:
-    """The inclusion i: pb(F,G) -> laco(F,G) mediated by identity laxity."""
-    Y = F.target
-    lam = Transformation(
-        source=compose_functors(F, PB.pr_left),
-        target=compose_functors(G, PB.pr_right),
-        at_object={o: Y.id1[F.on_objects[x]]
-                   for (x, z), o in PB.obj_id.items()},
-        at_one={m: Y.id2[F.on_one[s]] for (s, t), m in PB.one_id.items()},
-        direction=LAX if L.lax else OPLAX,
-        flavor=TWO_NATURAL)
-    return mediate_laco(L, PB.pr_left, PB.pr_right, lam)
 
 
 def strict_fiber(P: TwoFunctor, x: str):

@@ -428,7 +428,7 @@ def validate_two_functor(F: TwoFunctor) -> TwoFunctor:
 
 
 # ---------------------------------------------------------------------------
-# transformations, normal pseudofunctors
+# transformations
 # ---------------------------------------------------------------------------
 
 LAX = "lax"
@@ -451,21 +451,6 @@ class Transformation:
     at_one: dict[str, str]        # 1-cell -> 2-cell (orientation per direction)
     direction: str = LAX
     flavor: str = LAX
-
-
-@dataclass(frozen=True)
-class NormalPseudofunctor:
-    """Pseudofunctor with identity unit constraints (F0 = id).
-
-    ``constraint[(g, f)]`` is the invertible 2-cell F2(g,f): Fg.Ff => F(g.f)
-    for each composable pair of 1-cells.
-    """
-    source: TwoCategory
-    target: TwoCategory
-    on_objects: dict[str, str]
-    on_one: dict[str, str]
-    on_two: dict[str, str]
-    constraint: dict[tuple[str, str], str]
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,8 @@ class Growth(NamedTuple):
     m: int
     cells: list                # the m-simplices y
     parent: list               # per y, the position of d_m y in the parents
-    ext: list                  # per y, X: its new cells N, then identities
+    ext: list                  # per y, X: its new cells N (then, if grown,
+                               # identities: see _delta_plan)
     kids: dict = None          # grown only: (parent position, N) -> position
 
 
@@ -284,10 +285,13 @@ def _join_plan(m: int):
     one concatenation C = x.edges + x.triangles + X_0 + X_1 + X_2, X_l the
     X of z_l (see ``_delta_plan``): y's X, each cell at vertex m read off
     the first z_l that holds it (every such cell misses one of the
-    vertices 0, 1, 2), y's edges and its triangles."""
+    vertices 0, 1, 2), y's edges and its triangles.  A joined X is its new
+    cells only: a grown X's identities are read by ``operator_row`` on
+    levels 0..2 and by this join of level 4, and by nothing else."""
     L, L1, L2 = layout(m), layout(m - 1), layout(m - 2)
     ne = len(L1.pairs)
-    width = 2 * m + len(L2.pairs)            # len(X) one level down
+    # len(X) one level down, whose m identities are there if it was grown
+    width = m + len(L2.pairs) + (m if m == 4 else 0)
     base = ne + len(L1.triples)              # where X_0 starts in C
 
     def at(*cell):                           # a cell at vertex m, less m
@@ -298,11 +302,7 @@ def _join_plan(m: int):
         return base + l * width + (1 + r[0] if len(r) == 1
                                    else m + L2.edge_at[tuple(r)])
 
-    # the identities of vertex m and of each edge (j, m) sit m + len(L2.pairs)
-    # places after the cell in each X
-    ve = [at()] + [at(j) for j in range(m)]
-    X = (ve + [at(a, b) for a, b in L1.pairs]
-         + [k + m + len(L2.pairs) for k in ve])
+    X = [at()] + [at(j) for j in range(m)] + [at(a, b) for a, b in L1.pairs]
     return (_gather(X),
             _gather([L1.edge_at[k] if k[1] < m else X[1 + k[0]]
                      for k in L.pairs]),
@@ -312,14 +312,15 @@ def _join_plan(m: int):
 
 def join(m: int, g: Growth, f: list):
     """Level m >= 4 of the nerve from level m - 1, g, and its face rows f:
-    the Growth that ``grow`` would give, less its keys, and the face rows
-    d_0 .. d_3 of level m, which key its face-key index.  The nerve is
-    3-coskeletal: every cell of an m-simplex y at vertex m lies in one of
-    its faces d_0 y, ..., d_3 y, and so does every tetrahedron.  So the
-    children y of x are the tuples (z_0, ..., z_3), z_l a child of d_l x,
-    with d_a z_b = d_(b-1) z_a for a < b <= 3, read off f; then z_l = d_l y,
-    and no 2-cell is composed.  Each y is gathered from one concatenation
-    of x's cells and the X's of z_0, z_1 and z_2 (``_join_plan``)."""
+    the Growth that ``grow`` would give, less its keys and its X's
+    identities, and the face rows d_0 .. d_3 of level m, which key its
+    face-key index.  The nerve is 3-coskeletal: every cell of an m-simplex
+    y at vertex m lies in one of its faces d_0 y, ..., d_3 y, and so does
+    every tetrahedron.  So the children y of x are the tuples
+    (z_0, ..., z_3), z_l a child of d_l x, with d_a z_b = d_(b-1) z_a for
+    a < b <= 3, read off f; then z_l = d_l y, and no 2-cell is composed.
+    Each y is gathered from one concatenation of x's cells and the X's of
+    z_0, z_1 and z_2 (``_join_plan``)."""
     f0, f1, f2, f3 = f[:4]
     kids, by1, by2, tops = {}, {}, {}, {}
     for z, P in enumerate(g.parent):

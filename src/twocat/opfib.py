@@ -1,4 +1,4 @@
-"""Opfibration certification and the fiber-inclusion comparison.
+"""Opfibration certification.
 
 For a 2-functor P the module decides, by exhaustive search:
 
@@ -10,20 +10,17 @@ For a 2-functor P the module decides, by exhaustive search:
   horizontal composition.
 
 Lift choices are deterministic: identity cells are preferred whenever they
-satisfy the required equations, then identifier order.  Given a certified
-opfibration P and any 2-functor F into the same target with all target
-2-cells invertible, ``comparison_H`` builds the normal pseudofunctor
-H: laco(P,F) -> pb(P,F) with H.i = id and the pseudonatural eta: 1 => i.H.
+satisfy the required equations, then identifier order.  A certificate
+holds every choice, with the full lift table of each chosen opcartesian
+1-cell; the comparison pseudofunctor they define is built and checked on
+the test side (``tests/comparison.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructs import (CommaResult, PullbackResult, comma_inclusion, laco,
-                         pullback)
-from .core import (AxiomError, Counterexample, NormalPseudofunctor,
-                   TwoFunctor)
+from .core import Counterexample, TwoFunctor
 
 
 def _ordered_ones(K, cells):
@@ -216,137 +213,3 @@ def check_opfibration(P: TwoFunctor):
                 opcart_lift[(x, f)] = found
     return OpfibrationCertificate(P, opcart_lift, opcart_cert,
                                   cart_lift, cartesian)
-
-
-# ---------------------------------------------------------------------------
-# the comparison pseudofunctor H and the unit eta
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ComparisonResult:
-    H: NormalPseudofunctor
-    eta_obj: dict          # laco object -> laco 1-cell component
-    eta_one: dict          # laco 1-cell -> invertible laco 2-cell
-    L: CommaResult
-    PB: PullbackResult
-    inclusion: TwoFunctor
-
-
-def comparison_H(P: TwoFunctor, F: TwoFunctor,
-                 cert: OpfibrationCertificate) -> ComparisonResult:
-    K, L = P.source, P.target
-    Z = F.source
-    for a in L.two_src:
-        if not L.is_invertible2(a):
-            raise AxiomError("target 2-cell %r is not invertible" % a)
-    Lc = laco(P, F)
-    PB = pullback(P, F)
-    C = Lc.cat
-
-    fhat = {}
-    H_obj = {}
-    for (x, f, z), o in Lc.obj_id.items():
-        fh = cert.opcart_lift[(x, f)]
-        fhat[o] = fh
-        H_obj[o] = PB.obj_id[(K.one_tgt[fh], z)]
-
-    one_data = {}
-    H_one = {}
-    for (o, o2, s, al, t), m in Lc.one_id.items():
-        (x, f, z) = Lc.obj_data[o]
-        (x2, f2, z2) = Lc.obj_data[o2]
-        fh, fh2 = fhat[o], fhat[o2]
-        u = K.comp1[(fh2, s)]
-        tB = F.on_one[t]
-        if C.is_id1(m):
-            xh = K.one_tgt[fh]
-            stilde = shat = K.id1[xh]
-            bar = L.id2[L.id1[P.on_objects[xh]]]
-            til = K.id2[fh]
-            hat = K.id2[stilde]
-        elif K.is_id1(fh) and K.is_id1(fh2) and L.is_id2(al):
-            # 1-cells inherited from the strict pullback lift to themselves
-            stilde = shat = s
-            bar = L.id2[tB]
-            til = K.id2[u]
-            hat = K.id2[s]
-        else:
-            lift = cert.opcart_cert[fh].lifts.get((u, tB, al)) \
-                if fh in cert.opcart_cert else None
-            if lift is None:
-                lift = _opcart_lift(P, fh, u, tB, al)
-            if lift is None:
-                raise AxiomError("no opcartesian lift datum for %r" % m)
-            stilde, bar, til = lift
-            shat, hat = cert.cart_lift[(stilde, bar)]
-        one_data[m] = (u, tB, al, stilde, bar, til, shat, hat)
-        H_one[m] = PB.one_id[(shat, t)]
-
-    def unique_beta(fh, datum1, datum2, beta, rho, what):
-        cands = _opcart_betas(P, fh, datum1, datum2, beta, rho)
-        if len(cands) != 1:
-            raise AxiomError("no unique comparison 2-cell for %s" % what)
-        return cands[0]
-
-    H_two = {}
-    for (m, m2, phi, ga), c in Lc.two_id.items():
-        (o, o2) = (C.one_src[m], C.one_tgt[m])
-        fh, fh2 = fhat[o], fhat[o2]
-        (u, tB, al, stilde, bar, til, shat, hat) = one_data[m]
-        (u2, tB2, al2, stilde2, bar2, til2, shat2, hat2) = one_data[m2]
-        beta = F.on_two[ga]
-        rho = K.whisk_l[(fh2, phi)]
-        phitilde = unique_beta(fh, (stilde, bar, til), (stilde2, bar2, til2),
-                               beta, rho, "2-cell image")
-        psi = K.vcomp[(phitilde, hat)]
-        cands = [d for d in K.hom2(shat, shat2)
-                 if P.on_two[d] == beta and K.vcomp[(hat2, d)] == psi]
-        if len(cands) != 1:
-            raise AxiomError("cartesian lift for 2-cell image not unique")
-        H_two[c] = PB.two_id[(cands[0], ga)]
-
-    constraint = {}
-    for m2 in C.one_src:
-        for m1 in C.one_src:
-            if C.one_tgt[m1] != C.one_src[m2]:
-                continue
-            m21 = C.comp1[(m2, m1)]
-            (u1, tB1, al1, st1, bar1, til1, sh1, hat1) = one_data[m1]
-            (u2, tB2, al2, st2, bar2, til2, sh2, hat2) = one_data[m2]
-            (u21, tB21, al21, st21, bar21, til21, sh21, hat21) = one_data[m21]
-            (_, _, s1, _, _) = Lc.one_data[m1]
-            fh = fhat[C.one_src[m1]]
-            comp_tilde = K.comp1[(st2, st1)]
-            comp_bar = L.hcomp(bar2, bar1)
-            comp_til = K.vcomp[(K.whisk_r[(til2, s1)],
-                                K.whisk_l[(st2, til1)])]
-            delta = unique_beta(fh, (comp_tilde, comp_bar, comp_til),
-                                (st21, bar21, til21),
-                                L.id2[tB21], K.id2[u21], "constraint")
-            first = K.vcomp[(K.vcomp_inverse(hat21),
-                             K.vcomp[(delta, K.hcomp(hat2, hat1))])]
-            t21 = Z.comp1[(Lc.one_data[m2][4], Lc.one_data[m1][4])]
-            constraint[(m2, m1)] = PB.two_id[(first, Z.id2[t21])]
-
-    H = NormalPseudofunctor(C, PB.cat, H_obj, H_one, H_two, constraint)
-    incl = comma_inclusion(PB, Lc, P, F)
-
-    eta_obj = {}
-    for (x, f, z), o in Lc.obj_id.items():
-        fh = fhat[o]
-        xh = K.one_tgt[fh]
-        target = Lc.obj_id[(xh, L.id1[P.on_objects[xh]], z)]
-        eta_obj[o] = Lc.one_id[(o, target, fh, L.id2[f], Z.id1[z])]
-    eta_one = {}
-    iH_one = {m: incl.on_one[H_one[m]] for m in C.one_src}
-    for m in C.one_src:
-        o, o2 = C.one_src[m], C.one_tgt[m]
-        (u, tB, al, stilde, bar, til, shat, hat) = one_data[m]
-        first = K.vcomp[(til, K.whisk_r[(hat, fhat[o])])]
-        t = Lc.one_data[m][4]
-        src1 = C.comp1[(iH_one[m], eta_obj[o])]
-        tgt1 = C.comp1[(eta_obj[o2], m)]
-        eta_one[m] = Lc.two_id[(src1, tgt1, first, Z.id2[t])]
-    return ComparisonResult(H, eta_obj, eta_one, Lc, PB, incl)
-
-

@@ -310,7 +310,8 @@ def s_inv_x(P: PGM, act: PGMAction) -> SInvCategory:
     """The completion of the action of P on X, with the canonical strict
     inclusion ``X -> S^-1 X`` attached as ``.include``."""
     validate_pgm(P)
-    validate_action(act)
+    if act != self_action(P):        # validate_pgm has checked P's own
+        validate_action(act)
     ensure(act.pgm is P or act.pgm == P,
            "action does not belong to the monoid", ())
     return _build_sinv(

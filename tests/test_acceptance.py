@@ -14,16 +14,15 @@ from twocat import intlinalg as il
 from twocat import opfib as of
 from twocat import pgm, sinv
 from twocat import specseq as ss
-from twocat.constructs import comma_inclusion, laco, oplaco, pullback
+from twocat.constructs import laco, oplaco, pullback
 from twocat.core import TwoFunctor, identity_functor, validate_two_category
 from twocat.fixtures import (fix_c2, fix_g2, fix_g2sat, fix_i, fix_m2,
                              fix_prod, fix_t, point_functor)
 from twocat.nerve import nerve
 
+from comparison import check_comparison, comma_inclusion
 from diagram_comma import laco_diagram, simplex_functor
 from test_nerve import enumerate_simplices, tetrahedron_ok
-from test_opfib import (postcompose_pseudofunctor, validate_pseudofunctor,
-                        validate_pseudonatural_unit)
 from test_specseq import swap_projection
 
 ALL_CATS = [fix_t, fix_c2, fix_m2, fix_i, fix_g2, fix_g2sat]
@@ -87,22 +86,7 @@ def test_criterion_02_fiber_vs_homotopy_fiber_homology():
 
 
 def test_criterion_03_comparison_pseudofunctor():
-    pr2 = _pr2_fixture()
-    cert = of.check_opfibration(pr2)
-    res = of.comparison_H(pr2, identity_functor(fix_c2()), cert)
-    validate_two_category(res.L.cat)
-    validate_pseudofunctor(res.H)
-    PBC, i = res.PB.cat, res.inclusion
-    assert all(res.H.on_objects[i.on_objects[o]] == o for o in PBC.objects)
-    assert all(res.H.on_one[i.on_one[m]] == m for m in PBC.one_src)
-    assert all(res.H.on_two[i.on_two[c]] == c for c in PBC.two_src)
-    for m2 in PBC.one_src:
-        for m1 in PBC.one_src:
-            if PBC.one_src[m2] == PBC.one_tgt[m1]:
-                k = (i.on_one[m2], i.on_one[m1])
-                assert PBC.is_id2(res.H.constraint[k])
-    G = postcompose_pseudofunctor(i, res.H)
-    validate_pseudonatural_unit(G, res.eta_obj, res.eta_one)
+    check_comparison(_pr2_fixture(), identity_functor(fix_c2()))
     print("ACCEPTANCE 03 PASS: the comparison is a normal pseudofunctor, "
           "restricts to the identity on the strict pullback, and its unit "
           "is pseudonatural on the projection fixture")

@@ -1770,6 +1770,28 @@ def test_gc_check_names_the_failing_hypothesis(tmp_path, flags, make,
         "detail": ["completion hypotheses fail: " + failure]}
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_gc_check_rejects_a_broken_action(tmp_path, flags):
+    # an action other than the monoid's own is validated on its own: one
+    # value of the action on objects disagrees with both translations
+    P = pgm.fix_c2_pgm()
+    d = tio.action_to_dict(pgm.self_action(P))
+    assert d["act"][0] == ["0", "0", "0"]
+    d["act"][0][2] = "1"
+    p = write(tmp_path, "c2.json", tio.pgm_to_dict(P))
+    act = write(tmp_path, "act.json", d)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(twocat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "twocat.cli", "gc-check", "--pgm", p,
+         "--action", act, "--max-deg", "1", "--trunc", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["counterexample"] == {
+        "clause": "axiom-failure",
+        "detail": ["action translation agreement at ('0', '0')"]}
+
+
 # --- dualize ---------------------------------------------------------------------------
 
 def test_dualize_involution(run, tmp_path):

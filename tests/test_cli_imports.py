@@ -1,9 +1,10 @@
 """A subcommand loads only the modules it runs: ``import twocat.cli`` loads
 the seven below, the checks of a 2-category and of a nerve load no
 construction, monoid or spectral-sequence module, and ``gc-check`` loads
-no spectral sequence.  No module reads its version through
-``importlib.metadata``, which imports pathlib, zipfile, csv and email to
-read a constant."""
+no spectral sequence and no construction module: ``opfib``, which ``sinv``
+imports, only certifies and imports nothing of ``constructs``.  No module
+reads its version through ``importlib.metadata``, which imports pathlib,
+zipfile, csv and email to read a constant."""
 
 import ast
 import json
@@ -72,6 +73,19 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, flags):
     assert seen[0] == AT_START
     assert DEFERRED.isdisjoint(seen[4])         # after homology
     assert "twocat.specseq" not in seen[5]      # after gc-check
+    assert "twocat.constructs" not in seen[5]
+
+
+def test_opfib_imports_nothing_of_constructs():
+    # of the package, opfib names two classes of core, and no module
+    tree = ast.parse((SRC / "opfib.py").read_text())
+    names = {(node.module, a.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (
+                 node.level or node.module.split(".")[0] == "twocat")
+             for a in node.names}
+    assert names == {("core", "Counterexample"), ("core", "TwoFunctor")}
+    assert not any(a.name.split(".")[0] == "twocat" for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for a in node.names)
 
 
 def _imports_metadata(node) -> bool:

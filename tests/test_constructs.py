@@ -16,6 +16,7 @@ from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_i, fix_prod,
 from twocat.nerve import simplex_operators
 from twocat.specseq import base_change
 
+from comparison import comma_inclusion
 from diagram_comma import (OplaxInitialWitness, find_oplax_initial,
                            functor_co, functor_op, laco_diagram,
                            lp_initial_d_e, materialize_oriental,
@@ -258,7 +259,7 @@ def test_comma_inclusion_of_pullback():
     G = point_functor(fix_c2(), "0")
     PB = constructs.pullback(F, G)
     L = constructs.laco(F, G)
-    i = constructs.comma_inclusion(PB, L, F, G)
+    i = comma_inclusion(PB, L, F, G)
     validate_two_functor(i)
     assert functors_equal(compose_functors(L.p_left, i), PB.pr_left)
     assert functors_equal(compose_functors(L.p_right, i), PB.pr_right)

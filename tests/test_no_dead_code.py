@@ -28,8 +28,6 @@ TEST_ONLY = {
                             "paper's route to group completion",
     "pgm.localize_module": "localization of a canonical group, which an "
                            "acceptance criterion states",
-    "opfib.comparison_H": "uses private helpers of opfib (_opcart_lift, "
-                          "_opcart_betas)",
     "intlinalg.FGAbGroup.is_trivial": "a query of the group type",
     "fixtures.fix_m2": "a named fixture of the paper",
     "pgm.fix_g2sat_pgm": "a named fixture: a PGM that is no 2-groupoid",

@@ -2,146 +2,14 @@ import pytest
 
 from twocat import homology as hm
 from twocat import opfib as of
-from twocat.core import (AxiomError, NormalPseudofunctor, TwoFunctor, ensure,
-                         identity_functor, make_two_category,
-                         validate_two_category)
+from twocat.core import (AxiomError, TwoFunctor, identity_functor,
+                         make_two_category, validate_two_category)
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
                              fix_prod, fix_t, point_functor)
 from twocat.nerve import nerve
 
-
-# --- the comparison's coherence checks, run by the tests below -------------
-
-def validate_pseudofunctor(H: NormalPseudofunctor) -> NormalPseudofunctor:
-    C, D = H.source, H.target
-    for f in sorted(C.one_src):
-        ensure(D.one_src[H.on_one[f]] == H.on_objects[C.one_src[f]]
-               and D.one_tgt[H.on_one[f]] == H.on_objects[C.one_tgt[f]],
-               "pseudofunctor 1-cell typing", (f,))
-    for a in sorted(C.two_src):
-        ensure(D.two_src[H.on_two[a]] == H.on_one[C.two_src[a]]
-               and D.two_tgt[H.on_two[a]] == H.on_one[C.two_tgt[a]],
-               "pseudofunctor 2-cell typing", (a,))
-    # strictly preserved hom-structure
-    for x in C.objects:
-        ensure(H.on_one[C.id1[x]] == D.id1[H.on_objects[x]],
-               "pseudofunctor normality (F0 = id)", (x,))
-    for f in sorted(C.one_src):
-        ensure(H.on_two[C.id2[f]] == D.id2[H.on_one[f]],
-               "pseudofunctor preserves identity 2-cells", (f,))
-    for (b, a), ba in sorted(C.vcomp.items()):
-        ensure(D.vcomp[(H.on_two[b], H.on_two[a])] == H.on_two[ba],
-               "pseudofunctor preserves vcomp", (b, a))
-    # constraints: typing, invertibility
-    for g in sorted(C.one_src):
-        for f in sorted(C.one_src):
-            if C.one_tgt[f] != C.one_src[g]:
-                continue
-            ensure((g, f) in H.constraint, "pseudofunctor constraint missing", (g, f))
-            c = H.constraint[(g, f)]
-            ensure(D.two_src[c] == D.comp1[(H.on_one[g], H.on_one[f])]
-                   and D.two_tgt[c] == H.on_one[C.comp1[(g, f)]],
-                   "pseudofunctor constraint typing", (g, f, c))
-            ensure(D.is_invertible2(c), "pseudofunctor constraint not invertible",
-                   (g, f, c))
-    # unit axioms: F2(1,f) and F2(g,1) are identities (normality)
-    for f in sorted(C.one_src):
-        y = C.one_tgt[f]
-        x = C.one_src[f]
-        ensure(D.is_id2(H.constraint[(C.id1[y], f)]),
-               "pseudofunctor left unit axiom", (f,))
-        ensure(D.is_id2(H.constraint[(f, C.id1[x])]),
-               "pseudofunctor right unit axiom", (f,))
-    # naturality of F2 in both arguments
-    for (b, _bs) in sorted(C.two_src.items()):
-        b_src, b_tgt = C.two_src[b], C.two_tgt[b]
-        for f in sorted(C.one_src):
-            # right argument fixed 1-cell f, left argument varies along b
-            if C.one_tgt[f] == C.one_src[b_src]:
-                lhs = D.vcomp[(H.on_two[C.whisk_r[(b, f)]],
-                               H.constraint[(b_src, f)])]
-                rhs = D.vcomp[(H.constraint[(b_tgt, f)],
-                               D.whisk_r[(H.on_two[b], H.on_one[f])])]
-                ensure(lhs == rhs, "pseudofunctor constraint naturality (left)",
-                       (b, f))
-            if C.one_src[f] == C.one_tgt[b_src]:
-                lhs = D.vcomp[(H.on_two[C.whisk_l[(f, b)]],
-                               H.constraint[(f, b_src)])]
-                rhs = D.vcomp[(H.constraint[(f, b_tgt)],
-                               D.whisk_l[(H.on_one[f], H.on_two[b])])]
-                ensure(lhs == rhs, "pseudofunctor constraint naturality (right)",
-                       (b, f))
-    # associativity axiom for composable triples
-    for h in sorted(C.one_src):
-        for g in sorted(C.one_src):
-            if C.one_tgt[g] != C.one_src[h]:
-                continue
-            hg = C.comp1[(h, g)]
-            for f in sorted(C.one_src):
-                if C.one_tgt[f] != C.one_src[g]:
-                    continue
-                gf = C.comp1[(g, f)]
-                # (Fh.Fg).Ff => F(hg).Ff => F(hg.f)
-                via_left = D.vcomp[(H.constraint[(hg, f)],
-                                    D.whisk_r[(H.constraint[(h, g)], H.on_one[f])])]
-                # Fh.(Fg.Ff) => Fh.F(gf) => F(h.gf)
-                via_right = D.vcomp[(H.constraint[(h, gf)],
-                                     D.whisk_l[(H.on_one[h], H.constraint[(g, f)])])]
-                ensure(via_left == via_right, "pseudofunctor associativity", (h, g, f))
-    return H
-
-
-def postcompose_pseudofunctor(i: TwoFunctor,
-                              H: NormalPseudofunctor) -> NormalPseudofunctor:
-    return NormalPseudofunctor(
-        H.source, i.target,
-        {o: i.on_objects[v] for o, v in H.on_objects.items()},
-        {m: i.on_one[v] for m, v in H.on_one.items()},
-        {c: i.on_two[v] for c, v in H.on_two.items()},
-        {k: i.on_two[v] for k, v in H.constraint.items()})
-
-
-def validate_pseudonatural_unit(G: NormalPseudofunctor, at_obj: dict,
-                                at_one: dict) -> None:
-    """Axioms for a pseudonatural transformation 1 => G where the source is
-    the strict identity on G.source; raises AxiomError on failure."""
-    C = G.source
-    if G.target is not C:
-        raise ValueError("source and target of the endo-pseudofunctor differ")
-    for o in C.objects:
-        comp = at_obj[o]
-        if C.one_src[comp] != o or C.one_tgt[comp] != G.on_objects[o]:
-            raise AxiomError("component typing at %r" % o)
-    for m, cell in at_one.items():
-        o, o2 = C.one_src[m], C.one_tgt[m]
-        src = C.comp1[(G.on_one[m], at_obj[o])]
-        tgt = C.comp1[(at_obj[o2], m)]
-        if C.two_src[cell] != src or C.two_tgt[cell] != tgt:
-            raise AxiomError("constraint typing at %r" % m)
-        if not C.is_invertible2(cell):
-            raise AxiomError("constraint not invertible at %r" % m)
-    for o in C.objects:
-        if at_one[C.id1[o]] != C.id2[at_obj[o]]:
-            raise AxiomError("unit axiom at %r" % o)
-    for m2 in C.one_src:
-        for m1 in C.one_src:
-            if C.one_tgt[m1] != C.one_src[m2]:
-                continue
-            m21 = C.comp1[(m2, m1)]
-            o = C.one_src[m1]
-            lhs = C.vcomp[(at_one[m21],
-                           C.whisk_r[(G.constraint[(m2, m1)], at_obj[o])])]
-            rhs = C.vcomp[(C.whisk_r[(at_one[m2], m1)],
-                           C.whisk_l[(G.on_one[m2], at_one[m1])])]
-            if lhs != rhs:
-                raise AxiomError("composition axiom at (%r, %r)" % (m2, m1))
-    for c in C.two_src:
-        m, m2 = C.two_src[c], C.two_tgt[c]
-        o, o2 = C.one_src[m], C.one_tgt[m]
-        lhs = C.vcomp[(at_one[m2], C.whisk_r[(G.on_two[c], at_obj[o])])]
-        rhs = C.vcomp[(C.whisk_l[(at_obj[o2], c)], at_one[m])]
-        if lhs != rhs:
-            raise AxiomError("2-cell naturality at %r" % c)
+import comparison
+from comparison import check_comparison, comparison_H
 
 
 # --- cartesian 2-cells ----------------------------------------------------------
@@ -293,47 +161,32 @@ def test_certificate_is_serializable():
 
 # --- the comparison pseudofunctor ------------------------------------------------
 
-def _check_comparison(P, F):
-    cert = of.check_opfibration(P)
-    assert isinstance(cert, of.OpfibrationCertificate)
-    res = of.comparison_H(P, F, cert)
-    validate_two_category(res.L.cat)
-    validate_pseudofunctor(res.H)
-    # H restricted along the inclusion of the strict pullback is the identity
-    PBC = res.PB.cat
-    i = res.inclusion
-    for o in PBC.objects:
-        assert res.H.on_objects[i.on_objects[o]] == o
-    for m in PBC.one_src:
-        assert res.H.on_one[i.on_one[m]] == m
-    for c in PBC.two_src:
-        assert res.H.on_two[i.on_two[c]] == c
-    for m2 in PBC.one_src:
-        for m1 in PBC.one_src:
-            if PBC.one_src[m2] == PBC.one_tgt[m1]:
-                k = (i.on_one[m2], i.on_one[m1])
-                assert PBC.is_id2(res.H.constraint[k])
-    # the unit is pseudonatural into the composite endo-pseudofunctor
-    G = postcompose_pseudofunctor(i, res.H)
-    validate_pseudonatural_unit(G, res.eta_obj, res.eta_one)
-    return res
-
-
 def test_comparison_identity_cospan():
     D = fix_g2()
-    _check_comparison(identity_functor(D), identity_functor(D))
+    check_comparison(identity_functor(D), identity_functor(D))
 
 
 def test_comparison_product_projection():
     prod, pr1, pr2 = fix_prod(fix_g2(), fix_i())
-    res = _check_comparison(pr2, identity_functor(fix_i()))
+    res = check_comparison(pr2, identity_functor(fix_i()))
     # the comma construction genuinely exceeds the strict pullback here
     assert len(res.L.cat.objects) > len(res.PB.cat.objects)
+    # and H reads opcartesian lifts off the certificate
+    assert res.lifts
+
+
+def test_comparison_checks_each_lift_off_the_certificate(monkeypatch):
+    # the checker recomputes each lift H reads, so a lift table that
+    # disagrees with the search is caught
+    prod, pr1, pr2 = fix_prod(fix_g2(), fix_i())
+    monkeypatch.setattr(comparison, "_opcart_lift", lambda *key: None)
+    with pytest.raises(AxiomError, match="certificate lift differs"):
+        check_comparison(pr2, identity_functor(fix_i()))
 
 
 def test_comparison_point_fiber():
     prod, pr1, pr2 = fix_prod(fix_g2(), fix_i())
-    _check_comparison(pr2, point_functor(fix_i(), "1"))
+    check_comparison(pr2, point_functor(fix_i(), "1"))
 
 
 def test_comparison_rejects_noninvertible_target():
@@ -341,8 +194,9 @@ def test_comparison_rejects_noninvertible_target():
     P = identity_functor(D)
     cert = of.check_opfibration(P)
     assert isinstance(cert, of.OpfibrationCertificate)
-    with pytest.raises(Exception):
-        of.comparison_H(P, identity_functor(D), cert)
+    with pytest.raises(AxiomError,
+                       match=r"target 2-cell .* is not invertible"):
+        comparison_H(P, identity_functor(D), cert)
 
 
 def test_comma_and_pullback_same_homology():
@@ -350,7 +204,7 @@ def test_comma_and_pullback_same_homology():
     # homologically indistinguishable in low degrees
     prod, pr1, pr2 = fix_prod(fix_g2(), fix_i())
     cert = of.check_opfibration(pr2)
-    res = of.comparison_H(pr2, identity_functor(fix_i()), cert)
+    res = comparison_H(pr2, identity_functor(fix_i()), cert)
     Xl = nerve(res.L.cat, 3)
     Xp = nerve(res.PB.cat, 3)
     for n in range(3):

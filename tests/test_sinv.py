@@ -663,6 +663,19 @@ def test_group_completion_reduces_each_presentation_once(monkeypatch):
         G.gens = 1
 
 
+def test_group_completion_validates_the_self_action_once(monkeypatch):
+    # validate_pgm checks P's self-action, and s_inv_x checks only an
+    # action other than it
+    calls = []
+    validate = pgm.validate_action
+    counted = lambda A: calls.append(A) or validate(A)
+    monkeypatch.setattr(pgm, "validate_action", counted)
+    monkeypatch.setattr(sinv, "validate_action", counted)
+    r = sinv.group_completion_check(pgm.fix_m2_pgm(), None, 5, 6)
+    assert r.all_iso
+    assert len(calls) == 1
+
+
 def test_group_completion_g2():
     r = sinv.group_completion_check(pgm.fix_g2_pgm(), max_deg=2, trunc=4)
     assert r.degrees[0]["target"] == "Z"

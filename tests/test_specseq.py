@@ -11,7 +11,7 @@ from twocat import nerve as nv
 from twocat import opfib as of
 from twocat import pgm, sinv
 from twocat import specseq as ss
-from twocat.constructs import comma_inclusion, laco, pullback, strict_fiber
+from twocat.constructs import laco, pullback, strict_fiber
 from twocat.core import (AxiomError, TwoFunctor, compose_functors,
                          functors_equal, identity_functor, make_two_category,
                          validate_two_category)
@@ -19,6 +19,7 @@ from twocat.fixtures import (fix_c2, fix_g2, fix_i, fix_prod, fix_t,
                              locally_discrete, point_functor)
 from twocat.nerve import OrientedSimplex, nerve
 
+from comparison import comma_inclusion
 from diagram_comma import (cell_level_first_miss, degeneracy, face,
                            filtration_check_p, filtration_check_q,
                            find_oplax_initial, laco_diagram, lp_initial_d_e,
