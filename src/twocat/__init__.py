@@ -7,6 +7,7 @@ Submodules:
 * ``fixtures``   standard small 2-categories
 * ``constructs`` pullbacks, lax/oplax comma objects, fibers
 * ``nerve``      normal oplax nerve as a truncated simplicial set
+* ``dnerve``     homology off the double nerve, for group completion
 * ``intlinalg``  exact integer matrices, Smith normal form, lattices
 * ``homology``   integral and local-coefficient homology
 * ``opfib``      (op)cartesian checks, opfibration certificates

@@ -14,8 +14,8 @@ Simplicial sets hold their faces as position tables
 (``nerve.TruncSimplicialSet``).  Chain complexes and chain maps are sparse
 columns (``intlinalg.sparse_columns``).  ``level_boundary`` builds every
 normalized boundary from a level's face rows and the ``basis_rows`` of it
-and the level below: those of ``chain_complex``, which checks d^2 = 0,
-for a nerve or a column of the bisimplicial set B(F), and those of the
+and the level below: those of ``chain_complex``, which checks d^2 = 0
+(``check_square_zero``, shared with ``dnerve``), for a nerve or a column of the bisimplicial set B(F), and those of the
 d^1 and the totalization of B(F).  Every
 group here, H_n with or without coordinates, with local coefficients, and
 the canonical form of a presented group, is the ``.group`` of the one
@@ -69,6 +69,18 @@ def level_boundary(table: list, src: list, tgt: list) -> list:
     return cols
 
 
+def check_square_zero(cols: list, below: list, n: int) -> None:
+    """AxiomError unless d_(n-1) d_n = 0, d_n being the sparse columns cols
+    and d_(n-1) the columns below."""
+    for col in cols:
+        dd = {}
+        for r, v in col:
+            for s, w in below[r]:
+                dd[s] = dd.get(s, 0) + v * w
+        if any(dd.values()):
+            raise AxiomError("boundary squared is nonzero in degree %d" % n)
+
+
 @dataclass
 class ChainComplexZ:
     N: int
@@ -89,15 +101,7 @@ def chain_complex(X: TruncSimplicialSet, top: int | None = None
     boundary = [None] + [level_boundary(X.faces[n], rows[n], rows[n - 1])
                          for n in range(1, top + 1)]
     for n in range(2, top + 1):
-        below = boundary[n - 1]
-        for col in boundary[n]:
-            dd = {}
-            for r, v in col:
-                for s, w in below[r]:
-                    dd[s] = dd.get(s, 0) + v * w
-            if any(dd.values()):
-                raise AxiomError(
-                    "boundary squared is nonzero in degree %d" % n)
+        check_square_zero(boundary[n], boundary[n - 1], n)
     return ChainComplexZ(top, [X.nondegenerate(n) for n in range(top + 1)],
                          boundary, rows)
 

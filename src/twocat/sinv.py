@@ -20,7 +20,9 @@ construction.
 Also here: the completion at a point (the X coordinates omitted), the
 permutative sum carried by ``S^-1 S``, the projection to the point
 completion together with its opfibration certificate, and the
-homology-level group completion check.  The constructions and lemma
+homology-level group completion check, which reads every homology group
+and induced map off the double nerve (``dnerve``); the oplax-nerve route
+stays in ``tests/test_sinv.py`` as its oracle.  The constructions and lemma
 checks that only tests run (the contraction of the point completion, the
 re-action of S on the completion, translation inverses and the inverse
 transformation, the fiber isomorphism, iso and lift criteria, the collapse
@@ -31,15 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import dnerve
 from . import opfib as of
 from .core import (AxiomError, Counterexample, TwoCategory, TwoFunctor,
                    build_two_category, ensure, identity_functor,
                    validate_two_category, validate_two_functor)
 from .fixtures import bang_functor, fix_t, nm
-from .homology import (homology_induced, homology_subquotient,
-                       in_relations, iso_inverse, presentation_of)
+from .homology import in_relations, iso_inverse, presentation_of
 from .intlinalg import mmul
-from .nerve import nerve
 from .pgm import (PGM, CommMonoid, PGMAction, has_faithful_translations,
                   is_two_groupoid, localize_presentation, pi0, pi0_monoid,
                   self_action, validate_action, validate_pgm)
@@ -558,8 +559,11 @@ def group_completion_check(P: PGM, act: PGMAction | None = None,
     homology at the component monoid of S: H_q(X) with the pi0(S) action
     inverted is carried isomorphically onto H_q(S^-1 X).
 
-    Raises on hypothesis failure and on requests outside the trusted
-    range (degrees < trunc)."""
+    Every H_q, the action of each act.ml(s) and the inclusion's map are
+    read off the normalized total complexes of the double nerves of X and
+    S^-1 X (``dnerve``), each built once, to degree max_deg + 1 whatever
+    trunc is.  Raises on hypothesis failure and on requests outside the
+    trusted range (degrees < trunc), which trunc still bounds."""
     act = act or self_action(P)
     hyp = check_completion_hypotheses(P, act)
     if hyp is not True:
@@ -574,14 +578,14 @@ def group_completion_check(P: PGM, act: PGMAction | None = None,
     M = pi0_monoid(P)
     comp = pi0(P.carrier)
     degrees = range(max_deg + 1)
-    Hxs = homology_subquotient(nerve(X, trunc), degrees)
-    Hsxs = homology_subquotient(nerve(SX.cat, trunc), degrees)
+    Hxs = dnerve.homology(X, degrees)
+    Hsxs = dnerve.homology(SX.cat, degrees)
     report = GroupCompletionReport(M, trunc)
     for q, Hx, Hsx in zip(degrees, Hxs, Hsxs):
         acts = {}
         pres = presentation_of(Hx.sq)
         for s in P.carrier.objects:
-            Ms = homology_induced(act.ml(s), Hx, Hx)
+            Ms = dnerve.induced(act.ml(s), Hx, Hx)
             r = comp[s]
             if r in acts:
                 diff = [[acts[r][i][j] - Ms[i][j]
@@ -593,7 +597,7 @@ def group_completion_check(P: PGM, act: PGMAction | None = None,
             else:
                 acts[r] = Ms
         stab = localize_presentation(pres, acts, M)
-        Mi = homology_induced(SX.include, Hx, Hsx)
+        Mi = dnerve.induced(SX.include, Hx, Hsx)
         tgt_pres = presentation_of(Hsx.sq)
         ensure(in_relations(mmul(Mi, stab.rel_matrix()), tgt_pres),
                "inclusion does not factor through the localization", (q,))

@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 import twocat
-from twocat import cli
+from twocat import cli, dnerve
 from twocat import homology as hm
 from twocat import io as tio
 from twocat import nerve as nv
@@ -102,16 +102,23 @@ def test_gc_check_m2(run, tmp_path):
     assert rep["all_iso"] is True
 
 
-def test_gc_check_builds_each_chain_complex_once(run, tmp_path, monkeypatch):
-    # one chain complex per nerve, X and S^-1 X, and one reduction per
-    # nerve and degree, where each induced map once built its own
+def _count_complexes(monkeypatch):
+    """Record the top degree of each double-nerve total complex built and
+    the degree of each ``Homology`` record made."""
     complexes, reduced = [], []
-    chain_complex, Homology = hm.chain_complex, hm.Homology
-    monkeypatch.setattr(hm, "chain_complex",
-                        lambda X, top: complexes.append(top)
-                        or chain_complex(X, top))
-    monkeypatch.setattr(hm, "Homology",
+    total_complex, Homology = dnerve.total_complex, dnerve.Homology
+    monkeypatch.setattr(dnerve, "total_complex",
+                        lambda D, top: complexes.append(top)
+                        or total_complex(D, top))
+    monkeypatch.setattr(dnerve, "Homology",
                         lambda n, *a: reduced.append(n) or Homology(n, *a))
+    return complexes, reduced
+
+
+def test_gc_check_builds_each_chain_complex_once(run, tmp_path, monkeypatch):
+    # one total complex per double nerve, X and S^-1 X, and one reduction
+    # per complex and degree, which both induced maps read
+    complexes, reduced = _count_complexes(monkeypatch)
     p = write(tmp_path, "FIX_M2.json", tio.pgm_to_dict(pgm.fix_m2_pgm()))
     code, out = run(["gc-check", "--pgm", p, "--max-deg", 5, "--trunc", 6])
     assert code == 0
@@ -124,6 +131,23 @@ def test_gc_check_builds_each_chain_complex_once(run, tmp_path, monkeypatch):
     assert all(rep["degrees"][str(q)] == {"iso": True, "localized": "0",
                                           "source": "0", "target": "0"}
                for q in range(1, 6))
+
+
+def test_gc_check_builds_only_what_the_degrees_read(run, tmp_path,
+                                                    monkeypatch):
+    # a truncation past max_deg + 1 bounds the trusted degrees only: both
+    # complexes stop at degree max_deg + 1, and the report is --trunc 3's
+    # but for trunc
+    p = write(tmp_path, "FIX_M2.json", tio.pgm_to_dict(pgm.fix_m2_pgm()))
+    complexes, _ = _count_complexes(monkeypatch)
+    code, out = run(["gc-check", "--pgm", p, "--max-deg", 1, "--trunc", 8])
+    assert code == 0
+    assert complexes == [2, 2]
+    code3, out3 = run(["gc-check", "--pgm", p, "--max-deg", 1, "--trunc", 3])
+    assert code3 == 0
+    rep, rep3 = json.loads(out)["report"], json.loads(out3)["report"]
+    assert (rep.pop("trunc"), rep3.pop("trunc")) == (8, 3)
+    assert rep == rep3
 
 
 # --- exit codes and manifest ----------------------------------------------------

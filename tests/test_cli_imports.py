@@ -1,8 +1,9 @@
 """A subcommand loads only the modules it runs: ``import twocat.cli`` loads
 the seven below, the checks of a 2-category and of a nerve load no
-construction, monoid or spectral-sequence module, and ``gc-check`` loads
-no spectral sequence and no construction module: ``opfib``, which ``sinv``
-imports, only certifies and imports nothing of ``constructs``.  No module
+construction, monoid, double-nerve or spectral-sequence module, and
+``gc-check`` loads the double nerve but no spectral sequence and no
+construction module: ``opfib``, which ``sinv`` imports, only certifies and
+imports nothing of ``constructs``.  No module
 reads its version through ``importlib.metadata``, which imports pathlib,
 zipfile, csv and email to read a constant."""
 
@@ -24,8 +25,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "twocat"
 
 AT_START = ["twocat", "twocat.cli", "twocat.core", "twocat.homology",
             "twocat.intlinalg", "twocat.io", "twocat.nerve"]
-DEFERRED = {"twocat.constructs", "twocat.fixtures", "twocat.opfib",
-            "twocat.pgm", "twocat.sinv", "twocat.specseq"}
+DEFERRED = {"twocat.constructs", "twocat.dnerve", "twocat.fixtures",
+            "twocat.opfib", "twocat.pgm", "twocat.sinv", "twocat.specseq"}
 
 # runs each argv list of sys.argv[1] in turn through main in a fresh
 # interpreter; prints the exit codes and the twocat modules loaded, first
@@ -74,6 +75,7 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, flags):
     assert DEFERRED.isdisjoint(seen[4])         # after homology
     assert "twocat.specseq" not in seen[5]      # after gc-check
     assert "twocat.constructs" not in seen[5]
+    assert "twocat.dnerve" in seen[5]
 
 
 def test_opfib_imports_nothing_of_constructs():

@@ -4,7 +4,7 @@ import pytest
 
 from twocat import homology as hm
 from twocat import opfib as of
-from twocat import pgm, sinv
+from twocat import dnerve, pgm, sinv
 from twocat.constructs import strict_fiber
 from twocat.core import (LAX, PSEUDONATURAL, AxiomError, Counterexample,
                          Transformation, TwoFunctor, compose_functors, ensure,
@@ -12,6 +12,7 @@ from twocat.core import (LAX, PSEUDONATURAL, AxiomError, Counterexample,
                          validate_two_functor)
 from twocat.fixtures import fix_g2, fix_g2sat
 from twocat.homology import homology_subquotient, induced_iso
+from twocat.intlinalg import mmul
 from twocat.nerve import nerve
 from twocat.pgm import PGM, PGMAction, validate_action
 from twocat.sinv import SInvCategory
@@ -625,6 +626,66 @@ def test_collapse_matches_classical_on_c2():
 
 # --- homology-level group completion -------------------------------------------
 
+def oplax_group_completion_check(P, act=None, max_deg=0, trunc=None):
+    """``sinv.group_completion_check`` computed on the oplax nerves of X
+    and S^-1 X, each truncated at trunc: the oracle of the double-nerve
+    route, which must give the same report."""
+    act = act or pgm.self_action(P)
+    hyp = sinv.check_completion_hypotheses(P, act)
+    if hyp is not True:
+        raise AxiomError("completion hypotheses fail: %s at %r"
+                         % (hyp.clause, hyp.detail))
+    trunc = trunc if trunc is not None else max_deg + 1
+    if max_deg > trunc - 1:
+        raise ValueError("degree %d untrusted at truncation %d"
+                         % (max_deg, trunc))
+    SX = sinv.s_inv_x(P, act)
+    M = pgm.pi0_monoid(P)
+    comp = pgm.pi0(P.carrier)
+    degrees = range(max_deg + 1)
+    Hxs = homology_subquotient(nerve(act.carrier, trunc), degrees)
+    Hsxs = homology_subquotient(nerve(SX.cat, trunc), degrees)
+    report = sinv.GroupCompletionReport(M, trunc)
+    for q, Hx, Hsx in zip(degrees, Hxs, Hsxs):
+        acts = {}
+        pres = hm.presentation_of(Hx.sq)
+        for s in P.carrier.objects:
+            Ms = hm.homology_induced(act.ml(s), Hx, Hx)
+            r = comp[s]
+            if r in acts:
+                diff = [[acts[r][i][j] - Ms[i][j]
+                         for j in range(len(row))]
+                        for i, row in enumerate(Ms)]
+                ensure(hm.in_relations(diff, pres),
+                       "component representatives induce different maps",
+                       (s, r, q))
+            else:
+                acts[r] = Ms
+        stab = pgm.localize_presentation(pres, acts, M)
+        Mi = hm.homology_induced(SX.include, Hx, Hsx)
+        tgt_pres = hm.presentation_of(Hsx.sq)
+        ensure(hm.in_relations(mmul(Mi, stab.rel_matrix()), tgt_pres),
+               "inclusion does not factor through the localization", (q,))
+        iso = hm.iso_inverse(Mi, stab, tgt_pres) is not None
+        report.degrees[q] = {
+            "source": str(pres.canonical),
+            "localized": str(stab.canonical),
+            "target": str(tgt_pres.canonical),
+            "iso": iso,
+        }
+    return report
+
+
+@pytest.mark.parametrize("make,max_deg,trunc", [
+    (pgm.fix_c2_pgm, 3, 4), (pgm.fix_m2_pgm, 5, 6), (pgm.fix_g2_pgm, 2, 4),
+    (pgm.fix_g2_pgm, 4, 5)], ids=["C2", "M2", "G2", "G2-deg4"])
+def test_group_completion_matches_the_oplax_oracle(make, max_deg, trunc):
+    P = make()
+    r = sinv.group_completion_check(P, None, max_deg, trunc)
+    o = oplax_group_completion_check(P, None, max_deg, trunc)
+    assert (r.monoid, r.trunc, r.degrees) == (o.monoid, o.trunc, o.degrees)
+
+
 def test_group_completion_c2():
     r = sinv.group_completion_check(pgm.fix_c2_pgm(), max_deg=0, trunc=2)
     assert r.degrees[0]["source"] == "Z + Z"
@@ -642,16 +703,17 @@ def test_group_completion_m2():
 
 
 def test_group_completion_reduces_each_presentation_once(monkeypatch):
-    # the group-completion workload's job: one reduction per nerve and
-    # degree, X and S^-1 X to degree 5, and one canonical form per
+    # the group-completion workload's job: one reduction per double
+    # nerve and degree, X and S^-1 X to degree 5, and one canonical form per
     # presented group, however often it is compared or reported: three in
     # degree 0 (source, stabilized quotient, target) and two in each of
     # degrees 1 to 5, where the localization of 0 is the source itself
     calls = []
     chain_homology = hm.chain_homology
-    monkeypatch.setattr(hm, "chain_homology",
-                        lambda *a: calls.append(a) or
-                        chain_homology(*a))
+    for module in (hm, dnerve):
+        monkeypatch.setattr(module, "chain_homology",
+                            lambda *a: calls.append(a) or
+                            chain_homology(*a))
     r = sinv.group_completion_check(pgm.fix_m2_pgm(), max_deg=5, trunc=6)
     assert r.all_iso
     assert len(calls) == 2 * 6 + 3 + 2 * 5
@@ -718,3 +780,4 @@ def test_group_completion_past_the_gate(monkeypatch, make, want):
     assert [(d["source"], d["localized"], d["target"], d["iso"])
             for _, d in sorted(r.degrees.items())] == \
         [(*groups, True) for groups in want]
+    assert r.degrees == oplax_group_completion_check(P, None, 2, 3).degrees
