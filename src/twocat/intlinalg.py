@@ -6,8 +6,9 @@ Chain complexes and chain maps are sparse columns (``sparse_columns``): per
 column a tuple of (row, value) pairs, nonzero entries only, in increasing
 row order.  ``chain_homology`` is the homology of a complex of presented
 groups with coordinates: it reduces the sparse complex by unit pivots on
-both sides (``unit_pivots``) and runs the dense ``subquotient`` on what is
-left, and ``induced_matrix`` reads chain maps through it.  Dense matrices,
+both sides (``unit_pivots``), and runs the dense ``subquotient`` only where
+a cycle row or a boundary column is left; ``induced_matrix`` reads chain
+maps through it.  Dense matrices,
 lists of lists of Python ints (r rows, c columns: Z^c -> Z^r), are also the
 maps between presented groups.  All functions are pure.
 """
@@ -253,11 +254,14 @@ class Subquotient:
     with generators and canonical coordinates of elements of L_cycles,
     presented on the coordinates ``live``; each other coordinate r was
     removed by ``chain_homology`` through a row, zero on cycles, or a
-    boundary column, with entry +-1 at r."""
+    boundary column, with entry +-1 at r.  K and snf_K are None when the
+    cycles are all of Z^live (K = I), snf_Y is None when no boundary is
+    left (its Smith form is the identity): both are then read as the
+    identity, and no identity matrix is built."""
     ambient: int
-    K: list                # len(live) x k basis of L_cycles
-    snf_K: SNF
-    snf_Y: SNF             # SNF of boundaries in K-coordinates (k x b)
+    K: list | None         # len(live) x k basis of L_cycles
+    snf_K: SNF | None
+    snf_Y: SNF | None      # SNF of boundaries in K-coordinates (k x b)
     orders: list           # per retained generator: 0 for Z, t >= 2 for Z/t
     gen_idx: list          # retained K-coordinate indices (SNF order)
     group: FGAbGroup
@@ -280,10 +284,12 @@ class Subquotient:
             if q:
                 for k, v in col.items():
                     z[k] -= q * v
-        c = solve(self.snf_K, [z[k] for k in self.live])
-        if c is None:
-            raise ValueError("element is not a cycle")
-        u = mvec(self.snf_Y.S, c)
+        c = [z[k] for k in self.live]
+        if self.snf_K is not None:
+            c = solve(self.snf_K, c)
+            if c is None:
+                raise ValueError("element is not a cycle")
+        u = c if self.snf_Y is None else mvec(self.snf_Y.S, c)
         out = []
         for pos, i in enumerate(self.gen_idx):
             t = self.orders[pos]
@@ -295,9 +301,10 @@ class Subquotient:
         the cleared coordinates, and at each solved one the value its row
         forces."""
         i = self.gen_idx[pos]
+        y = [int(j == i) for j in range(len(self.gen_idx))] \
+            if self.snf_Y is None else [row[i] for row in self.snf_Y.Sinv]
         z = [0] * self.ambient
-        for k, v in zip(self.live, mvec(self.K, [row[i] for row in
-                                                 self.snf_Y.Sinv])):
+        for k, v in zip(self.live, y if self.K is None else mvec(self.K, y)):
             z[k] = v
         for r, row in reversed(self.solved):  # z_r is 0 until set here
             z[r] = -row[r] * sum(v * z[k] for k, v in row.items())
@@ -306,24 +313,28 @@ class Subquotient:
 
 def subquotient(ambient: int, cycle_gens, boundary_gens) -> Subquotient:
     """cycle_gens, boundary_gens: matrices of columns spanning the two
-    lattices (boundaries must lie inside the cycle lattice)."""
-    # for S C T = D, K = S^-1 D (the first k columns of S^-1 times the
-    # invariant factors) is a basis of the span of C, and S K I = D
-    snf = smith_normal_form(cycle_gens if cycle_gens and cycle_gens[0]
-                            else mzeros(ambient, 0))
-    k = snf.rank
-    K = [[row[i] * snf.D[i][i] for i in range(k)] for row in snf.Sinv]
-    snf_K = SNF(snf.S, [row[:k] for row in snf.D], mid(k), snf.Sinv)
-    bcols = columns(boundary_gens) if boundary_gens and boundary_gens[0] else []
-    ycols = []
-    for b in bcols:
-        y = solve(snf_K, b)
-        if y is None:
+    lattices (boundaries must lie inside the cycle lattice); cycle_gens
+    None for all of Z^ambient.  A Smith form is taken of cycle_gens unless
+    it is None, and of the boundaries unless there are none."""
+    if cycle_gens is None:
+        k, K, snf_K = ambient, None, None
+    else:
+        # for S C T = D, K = S^-1 D (the first k columns of S^-1 times the
+        # invariant factors) is a basis of the span of C, and S K I = D
+        snf = smith_normal_form(cycle_gens if cycle_gens and cycle_gens[0]
+                                else mzeros(ambient, 0))
+        k = snf.rank
+        K = [[row[i] * snf.D[i][i] for i in range(k)] for row in snf.Sinv]
+        snf_K = SNF(snf.S, [row[:k] for row in snf.D], mid(k), snf.Sinv)
+    ycols = columns(boundary_gens) if boundary_gens and boundary_gens[0] \
+        else []
+    if snf_K is not None:
+        ycols = [solve(snf_K, b) for b in ycols]
+        if None in ycols:
             raise ValueError("boundary outside the cycle lattice")
-        ycols.append(y)
-    Y = from_columns(ycols, nrows=k)
-    snf_Y = smith_normal_form(Y)
-    diag = snf_Y.diag()
+    snf_Y = smith_normal_form(from_columns(ycols, nrows=k)) if ycols \
+        else None
+    diag = snf_Y.diag() if ycols else []
     orders, gen_idx = [], []
     for i in range(k):
         d = diag[i] if i < len(diag) else 0
@@ -403,8 +414,12 @@ def chain_homology(d_in, d_out, g: int, f: int, rels=(),
     every cycle vanishes on row s, which fixes its coordinate r.  Then an
     entry +-1 at r of a column of d_out or rels removes generator r, a
     boundary plus the others.  Boundary columns equal to +-another are
-    dropped, and the dense ``subquotient`` of the rest, with the steps
-    recorded, gives the group and its coordinates."""
+    dropped.  The dense ``subquotient`` of the rest, with the steps
+    recorded, gives the group and its coordinates: it takes the Smith form
+    of the cycles only if a live generator or a relation below still reads
+    a row of Z^f (else the cycles are all of Z^live), and of the
+    boundaries only if a boundary column is left (else every live
+    generator is free)."""
     if len(d_in) > g:
         raise ValueError("%d columns of d_in on Z^%d" % (len(d_in), g))
     below = [dict(col) for col in rels_below if col]
@@ -427,7 +442,7 @@ def chain_homology(d_in, d_out, g: int, f: int, rels=(),
     lines = {s: i for i, s in enumerate(sorted({s for col in left + below
                                                 for s in col}))}
     cycles = kernel_mod_rels(_dense(left, lines), _dense(below, lines)) \
-        if lines and live else mid(len(live))
+        if lines and live else None
     B = _dense(list(distinct.values()), {r: k for k, r in enumerate(live)})
     return replace(subquotient(len(live), cycles, B), ambient=g, live=live,
                    solved=solved, cleared=cleared)

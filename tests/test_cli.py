@@ -32,7 +32,7 @@ import diagram_comma
 from test_homology import constant_system, dense_chain_complex
 from test_nerve import awkward_copy
 from test_pgm import trivial_action
-from test_specseq import swap_projection
+from test_specseq import swap_projection, xmod_projection
 
 
 @pytest.fixture
@@ -1592,6 +1592,23 @@ def test_ss_sees_the_monodromy_of_the_swap(run, tmp_path):
     rep = json.loads(out)["report"]
     assert [g for _p, q, g in rep["E2"] if q == 0] == ["Z", "0", "0"]
     assert rep["e2_vs_local"] == [[0, 0, True], [1, 0, True], [2, 0, True]]
+
+
+def test_ss_on_the_crossed_module(run, tmp_path):
+    # the fiber's H_2 = Z/3 keeps its columns on the dense route and the
+    # free rows take the identity one; the base inverts Z/3, so E2 row 2
+    # is 0, 0 and agrees with the local-coefficient homology
+    p = write(tmp_path, "xmod.json",
+              tio.two_functor_to_dict(xmod_projection()))
+    code, out = run(["ss", "--functor", p, "--pmax", 2, "--qmax", 3,
+                     "--fiber-coeffs", 2])
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["E1"] == [[0, 0, "Z"], [0, 1, "0"], [0, 2, "Z/3"],
+                         [1, 0, "Z + Z"], [1, 1, "0"], [1, 2, "Z/3 + Z/3"]]
+    assert rep["E2"] == [[0, 0, "Z"], [0, 1, "0"], [0, 2, "0"],
+                         [1, 0, "Z/2"], [1, 1, "0"], [1, 2, "0"]]
+    assert rep["e2_vs_local"] == [[0, 2, True], [1, 2, True]]
 
 
 @pytest.mark.parametrize("name,functor,digest", [

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import time
+from itertools import cycle
 from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twocat import homology as hm
@@ -13,6 +18,8 @@ from twocat.core import AxiomError
 from twocat.fixtures import (bang_functor, fix_c2, fix_g2, fix_g2sat, fix_i,
                              fix_m2, fix_prod, fix_t)
 from twocat.nerve import nerve
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -330,10 +337,11 @@ def dense_chain_homology(d_in, d_out, g: int, f: int, rels=(),
                          rels_below=()) -> il.Subquotient:
     """The same homology as il.chain_homology, by dense Smith normal forms
     of the whole complex: cycles from the kernel of [d_in | rels_below],
-    then the dense subquotient."""
+    then the dense subquotient.  A zero boundary column is added, so that
+    the boundaries' Smith form is taken even when there are none."""
     cycles = il.kernel_mod_rels(dense(d_in, f), dense(rels_below, f)) \
         if g and f else il.mid(g)
-    return il.subquotient(g, cycles, dense([*d_out, *rels], g))
+    return il.subquotient(g, cycles, dense([*d_out, *rels, ()], g))
 
 
 def dense_cokernel(M, nrows=None):
@@ -490,8 +498,31 @@ def change_of_basis(new, old):
     return [new.coords(old.generator(i)) for i in range(len(old.orders))]
 
 
+class Replay:
+    """Stands for st.data() in an @example: draw returns the given values
+    in turn, starting over after the last."""
+
+    def __init__(self, *values):
+        self.values = cycle(values)
+
+    def draw(self, _strategy):
+        return next(self.values)
+
+
+# each example reaches a route on which chain_homology takes no Smith form
+# of the cycles: the cycles are all of Z^live.  Free, no boundary left: the
+# boundary e0 + 2 e1 is cleared at e0.  Torsion boundaries left: e0 + e1 is
+# cleared at e0 and 2 e1 + 2 e2 stays, so that z = e0 is read through the
+# cleared column.  Solved rows, free remainder: d_in = e0, e0 + e1, e1 is
+# solved at rows 0 and 1, leaving the cycle e0 - e1 + e2, and z = e0 breaks
+# the row of generator 0.
 @pytest.mark.parametrize("with_rels", [False, True])
 @given(st.data())
+@example(Replay(((), [((0, 1), (1, 2))], 3, 0, (), ()), [0, 1, -1]))
+@example(Replay(((), [((0, 1), (1, 1)), ((1, 2), (2, 2))], 3, 0, (), ()),
+                [1, 0, 0]))
+@example(Replay(([((0, 1),), ((0, 1), (1, 1)), ((1, 1),)], [], 3, 2, (),
+                 ()), [1, 0, 0]))
 @settings(max_examples=120, deadline=None)
 def test_chain_homology_matches_dense_oracle(with_rels, data):
     cx = data.draw(sparse_complexes(with_rels))
@@ -506,9 +537,14 @@ def test_chain_homology_matches_dense_oracle(with_rels, data):
         back = [sum(a * b[j] for a, b in zip(col, P)) for j in range(k)]
         assert [v % t if t else v for v, t in zip(back, new.orders)] \
             == unit[i]
-    # both read the same vectors as cycles
+    # both read the same vectors as cycles, and a cycle as the same class
     z = data.draw(st.lists(st.integers(-2, 2), min_size=g, max_size=g))
     assert is_cycle(new, z) == is_cycle(old, z)
+    if is_cycle(new, z):
+        moved = [sum(a * col[j] for a, col in zip(old.coords(z), P))
+                 for j in range(k)]
+        assert [(a - b) % t if t else a - b for a, b, t in
+                zip(new.coords(z), moved, new.orders)] == [0] * k
 
 
 def is_cycle(sq, z):
@@ -575,6 +611,31 @@ def test_induced_matrix_rejects_a_chain_map_of_the_wrong_width():
             il.induced_matrix(sq, sq, cols)
     assert il.induced_matrix(sq, sq, [((1, 1),), ((0, 1),)]) \
         == [[0, 1], [1, 0]]
+
+
+SHORTCUT_ERRORS = """
+from twocat import intlinalg as il
+sq = il.chain_homology([((0, 1),), ((0, 1), (1, 1)), ((1, 1),)], [], 3, 2)
+print(sq.K, sq.snf_K, sq.snf_Y, sq.generator(0))
+for bad in (lambda: sq.coords([1, 0]), lambda: sq.coords([1, 0, 0]),
+            lambda: il.induced_matrix(sq, sq, [((0, 1),), ((1, 1),)])):
+    try:
+        bad()
+    except ValueError as e:
+        print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_shortcut_subquotient_rejects_what_a_dense_one_does(flags):
+    # solved rows and a free remainder: no Smith form is taken, and coords
+    # and induced_matrix still raise, also where -O strips asserts
+    proc = subprocess.run([sys.executable, *flags, "-c", SHORTCUT_ERRORS],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.stdout.splitlines() == [
+        "None None None [1, -1, 1]", "a vector of length 2 in Z^3",
+        "element is not a cycle", "a chain map with 2 columns from Z^3"]
 
 
 def test_homology_subquotient_reduces_g2xc2_h4_to_a_small_remainder():

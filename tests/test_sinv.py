@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from twocat import homology as hm
+from twocat import intlinalg as il
 from twocat import opfib as of
 from twocat import dnerve, pgm, sinv
 from twocat.constructs import strict_fiber
@@ -723,6 +724,16 @@ def test_group_completion_reduces_each_presentation_once(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(AttributeError):
         G.gens = 1
+
+
+def test_group_completion_takes_few_smith_forms(monkeypatch):
+    # of S^-1 M2's and M2's reductions to degree 5, only those with a cycle
+    # row or a boundary column left take a Smith form
+    calls, snf = [], il.smith_normal_form
+    monkeypatch.setattr(il, "smith_normal_form",
+                        lambda M: calls.append(M) or snf(M))
+    assert sinv.group_completion_check(pgm.fix_m2_pgm(), None, 5, 6).all_iso
+    assert len(calls) <= 4
 
 
 def test_group_completion_validates_the_self_action_once(monkeypatch):

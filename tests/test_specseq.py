@@ -860,6 +860,31 @@ def test_pages_take_each_column_level_basis_once(monkeypatch):
     assert (got.E1, got.d1, got.E2) == (want.E1, want.d1, want.E2)
 
 
+def test_pages_of_rho_c2_take_no_smith_form(monkeypatch):
+    # the unit pivots leave every E1 group of rho-c2 free, with no cycle
+    # row and no boundary column: E1, d1 and E2 read the identity there
+    B = ss.build_B(_rho(pgm.fix_c2_pgm), 3, 3)
+    calls, snf = [], il.smith_normal_form
+    monkeypatch.setattr(il, "smith_normal_form",
+                        lambda M: calls.append(M) or snf(M))
+    ss.pages(B)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make,P,Q", [
+    (lambda: _rho(pgm.fix_c2_pgm), 3, 3), (xmod_projection, 2, 3)],
+    ids=["rho-c2", "xmod"])
+def test_pages_match_the_dense_oracle(monkeypatch, make, P, Q):
+    # rho-c2 takes only the identity route, the crossed module's Z/3 rows
+    # the dense one too
+    B = ss.build_B(make(), P, Q)
+    want = ss.pages(B)
+    for module in (hm, il):
+        monkeypatch.setattr(module, "chain_homology", dense_chain_homology)
+    got = ss.pages(B)
+    assert (got.E1, got.d1, got.E2) == (want.E1, want.d1, want.E2)
+
+
 def test_pages_terminal():
     pg = ss.pages(ss.build_B(identity_functor(fix_t()), 2, 2))
     assert str(pg.E2[(0, 0)]) == "Z"
